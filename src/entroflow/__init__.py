@@ -75,6 +75,7 @@ from .states import (
     marginal,
     mutual_information,
     relative_entropy,
+    subsystem_entropy,
     trace_distance,
     von_neumann_entropy,
 )

@@ -19,8 +19,6 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
-from typing import Any, Callable, Iterable
 
 import numpy as np
 
@@ -35,6 +33,8 @@ from .errors import (
     OverlappingPlanes,
 )
 from .exchange import (
+    CLAUSIUS_TOL,
+    STROKE_TOL,
     CaseSpec,
     ClausiusStroke,
     clausius_cycle,
@@ -44,7 +44,12 @@ from .exchange import (
 )
 from .gas import CollisionSpec, ensemble_heat
 from .inequalities import (
+    IDENTITY_TOL,
+    RHS_TOL,
+    SLACK_TOL,
     AncillaChannel,
+    GibbsEvolutionReport,
+    SlackReport,
     average_correlation_bound,
     check_ssa,
     gibbs_evolution_identity,
@@ -60,16 +65,6 @@ EXIT_VALIDATION = 2
 EXIT_DEGENERACY = 3
 EXIT_NO_CONVERGENCE = 4
 
-# substream tags per subcommand so different commands sharing a master
-# seed never consume the same stream
-_TAG_SSA, _TAG_AVG, _TAG_GIBBS = 1, 2, 3
-
-_IDENTITY_TOL = 1e-9
-_SLACK_TOL = 1e-9
-_RHS_TOL = 1e-10
-_CLAUSIUS_TOL = 1e-8
-_STROKE_TOL = 1e-9
-
 
 def worker_count() -> int:
     """Worker cap from ENTROFLOW_THREADS (0 or unset = auto); results never
@@ -82,15 +77,6 @@ def worker_count() -> int:
     if value < 0:
         raise ConfigError(f"ENTROFLOW_THREADS must be >= 0, got {value}")
     return value if value > 0 else (os.cpu_count() or 1)
-
-
-def parallel_map(fn: Callable[[Any], Any], items: Iterable[Any], workers: int) -> list:
-    """Apply fn to items, preserving input order regardless of worker count."""
-    items = list(items)
-    if workers <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 def _fmt17(x: float) -> str:
@@ -165,19 +151,28 @@ def _load_config(path: str, expected_kind: str) -> dict:
     return cfg
 
 
+def _is_finite_number(value) -> bool:
+    # exact types: JSON true/false load as bool, an int subclass
+    return type(value) in (int, float) and math.isfinite(value)
+
+
 def _require_number_list(cfg: dict, key: str) -> list[float]:
     value = cfg.get(key)
-    if not isinstance(value, list) or not value or not all(
-        isinstance(v, (int, float)) and not isinstance(v, bool) for v in value
-    ):
-        raise ConfigError(f"config field {key!r} must be a nonempty array of numbers")
+    if not isinstance(value, list) or not value or not all(map(_is_finite_number, value)):
+        raise ConfigError(f"config field {key!r} must be a nonempty array of finite numbers")
     return [float(v) for v in value]
 
 
 def _require_positive(cfg: dict, key: str) -> float:
     value = cfg.get(key)
-    if not isinstance(value, (int, float)) or isinstance(value, bool) or not value > 0:
-        raise ConfigError(f"config field {key!r} must be a positive number")
+    if not _is_finite_number(value) or not value > 0:
+        raise ConfigError(f"config field {key!r} must be a finite positive number")
+    return float(value)
+
+
+def _require_finite(value, what: str) -> float:
+    if not _is_finite_number(value):
+        raise ConfigError(f"{what} must be a finite number, got {value!r}")
     return float(value)
 
 
@@ -207,6 +202,8 @@ def _parse_sweep(text: str) -> np.ndarray:
         raise ConfigError(f"--sweep must look like phi=a:b:n, got {text!r}") from exc
     if name != "phi":
         raise ConfigError(f"only phi sweeps are supported, got {name!r}")
+    if not (math.isfinite(lo_f) and math.isfinite(hi_f)):
+        raise ConfigError(f"sweep bounds must be finite, got {text!r}")
     if n_i < 2:
         raise ConfigError(f"sweep needs at least 2 points, got {n_i}")
     return np.linspace(lo_f, hi_f, n_i)
@@ -221,92 +218,81 @@ def _random_hamiltonian(d: int, rng: np.random.Generator) -> HamiltonianSpec:
     return HamiltonianSpec(levels, basis=haar_unitary(d, rng))
 
 
+def _random_state(dims: tuple[int, ...], rng: np.random.Generator) -> DensityOperator:
+    d = math.prod(dims)
+    rank = int(rng.integers(1, d + 1))
+    return DensityOperator(random_density(d, rank, rng), dims)
+
+
+def _ssa_trial(dims: tuple[int, ...], rng: np.random.Generator) -> SlackReport:
+    return check_ssa(_random_state(dims, rng), 0, 1, 2)
+
+
+def _eq1_trial(dims: tuple[int, ...], rng: np.random.Generator) -> SlackReport:
+    return average_correlation_bound(_random_state(dims, rng))
+
+
+def _eq2_trial(dims: tuple[int, ...], rng: np.random.Generator) -> GibbsEvolutionReport:
+    d_sys = dims[0]
+    d_anc = dims[1] if len(dims) == 2 else 2
+    beta = float(np.exp(rng.uniform(np.log(0.1), np.log(10.0))))
+    h_i = _random_hamiltonian(d_sys, rng)
+    h_f = _random_hamiltonian(d_sys, rng)
+    unitary = haar_unitary(d_sys * d_anc, rng)
+    anc_rank = int(rng.integers(1, d_anc + 1))
+    ancilla = DensityOperator(random_density(d_anc, anc_rank, rng), (d_anc,))
+    return gibbs_evolution_identity(h_i, beta, AncillaChannel(unitary, ancilla), h_f)
+
+
+def _slacks(reports: list[SlackReport]) -> dict:
+    slacks = [r.slack for r in reports]
+    worst = int(np.argmin(slacks))
+    return {
+        "worst_slack": slacks[worst],
+        "worst_trial": worst,
+        "tol": SLACK_TOL,
+        "all_pass": all(r.passed for r in reports),
+    }
+
+
+def _gibbs(reports: list[GibbsEvolutionReport]) -> dict:
+    gaps = [r.identity_gap for r in reports]
+    slacks = [r.nonneg_slack for r in reports]
+    worst_gap = int(np.argmax(gaps))
+    worst_slack = int(np.argmin(slacks))
+    return {
+        "worst_identity_gap": gaps[worst_gap],
+        "worst_gap_trial": worst_gap,
+        "worst_slack": slacks[worst_slack],
+        "worst_slack_trial": worst_slack,
+        "gap_tol": IDENTITY_TOL,
+        "slack_tol": RHS_TOL,
+        "all_pass": gaps[worst_gap] <= IDENTITY_TOL and slacks[worst_slack] >= -RHS_TOL,
+    }
+
+
+# check -> (substream tag, factor-count rule, its error, trial, payload
+# fields); trial t draws from substream (seed, tag, t), so checks sharing a
+# master seed never consume the same stream
+_INEQ_CHECKS = {
+    "ssa": (1, lambda n: n == 3, "ssa needs exactly 3 factors in --dims", _ssa_trial, _slacks),
+    "eq1": (2, lambda n: n >= 3, "eq1 needs at least 3 factors in --dims", _eq1_trial, _slacks),
+    "eq2": (3, lambda n: n <= 2, "eq2 takes --dims SYSTEM or SYSTEM,ANCILLA", _eq2_trial, _gibbs),
+}
+
+
 def cmd_ineq(args: argparse.Namespace) -> int:
     dims = _parse_dims(args.dims)
     if args.trials < 1:
         raise ConfigError(f"--trials must be >= 1, got {args.trials}")
     seed = _check_seed(args.seed)
-    workers = worker_count()
+    tag, dims_ok, dims_error, trial, fields = _INEQ_CHECKS[args.check]
+    if not dims_ok(len(dims)):
+        raise ConfigError(dims_error)
     started = time.perf_counter()
 
-    if args.check == "ssa":
-        if len(dims) != 3:
-            raise ConfigError("ssa needs exactly 3 factors in --dims")
-        d = math.prod(dims)
-
-        def one_trial(t: int) -> float:
-            rng = substream(seed, _TAG_SSA, t)
-            rank = int(rng.integers(1, d + 1))
-            rho = DensityOperator(random_density(d, rank, rng), dims)
-            return check_ssa(rho, 0, 1, 2).slack
-
-        slacks = parallel_map(one_trial, range(args.trials), workers)
-        worst = int(np.argmin(slacks))
-        ok = slacks[worst] >= -_SLACK_TOL
-        payload = {
-            "check": "ssa",
-            "trials": args.trials,
-            "worst_slack": slacks[worst],
-            "worst_trial": worst,
-            "tol": _SLACK_TOL,
-            "all_pass": ok,
-        }
-    elif args.check == "eq1":
-        if len(dims) < 3:
-            raise ConfigError("eq1 needs at least 3 factors in --dims")
-        d = math.prod(dims)
-
-        def one_trial(t: int) -> float:
-            rng = substream(seed, _TAG_AVG, t)
-            rank = int(rng.integers(1, d + 1))
-            rho = DensityOperator(random_density(d, rank, rng), dims)
-            return average_correlation_bound(rho).slack
-
-        slacks = parallel_map(one_trial, range(args.trials), workers)
-        worst = int(np.argmin(slacks))
-        ok = slacks[worst] >= -_SLACK_TOL
-        payload = {
-            "check": "eq1",
-            "trials": args.trials,
-            "worst_slack": slacks[worst],
-            "worst_trial": worst,
-            "tol": _SLACK_TOL,
-            "all_pass": ok,
-        }
-    else:  # eq2
-        if len(dims) > 2:
-            raise ConfigError("eq2 takes --dims SYSTEM or SYSTEM,ANCILLA")
-        d_sys = dims[0]
-        d_anc = dims[1] if len(dims) == 2 else 2
-
-        def one_trial(t: int) -> tuple[float, float]:
-            rng = substream(seed, _TAG_GIBBS, t)
-            beta = float(np.exp(rng.uniform(np.log(0.1), np.log(10.0))))
-            h_i = _random_hamiltonian(d_sys, rng)
-            h_f = _random_hamiltonian(d_sys, rng)
-            unitary = haar_unitary(d_sys * d_anc, rng)
-            anc_rank = int(rng.integers(1, d_anc + 1))
-            ancilla = DensityOperator(random_density(d_anc, anc_rank, rng), (d_anc,))
-            report = gibbs_evolution_identity(h_i, beta, AncillaChannel(unitary, ancilla), h_f)
-            return report.identity_gap, report.nonneg_slack
-
-        results = parallel_map(one_trial, range(args.trials), workers)
-        gaps = [g for g, _ in results]
-        slacks = [s for _, s in results]
-        worst_gap = int(np.argmax(gaps))
-        worst_slack = int(np.argmin(slacks))
-        ok = gaps[worst_gap] <= _IDENTITY_TOL and slacks[worst_slack] >= -_RHS_TOL
-        payload = {
-            "check": "eq2",
-            "trials": args.trials,
-            "worst_identity_gap": gaps[worst_gap],
-            "worst_gap_trial": worst_gap,
-            "worst_slack": slacks[worst_slack],
-            "worst_slack_trial": worst_slack,
-            "gap_tol": _IDENTITY_TOL,
-            "slack_tol": _RHS_TOL,
-            "all_pass": ok,
-        }
+    reports = [trial(dims, substream(seed, tag, t)) for t in range(args.trials)]
+    payload = {"check": args.check, "trials": args.trials, **fields(reports)}
 
     config = {"check": args.check, "dims": list(dims), "trials": args.trials, "seed": seed}
     envelope = make_envelope("ineq", config, seed, payload, time.perf_counter() - started)
@@ -328,29 +314,37 @@ def _exchange_setup(args: argparse.Namespace):
         raise ConfigError(str(exc)) from exc
 
     rotations_cfg = cfg.get("rotations")
-    if (
-        not isinstance(rotations_cfg, list)
-        or not rotations_cfg
-        or not all(isinstance(r, list) and len(r) == 3 for r in rotations_cfg)
+    if not isinstance(rotations_cfg, list) or not rotations_cfg or not all(
+        map(_is_rotation, rotations_cfg)
     ):
-        raise ConfigError("config field 'rotations' must be a list of [[i,j],[i2,j2],phi]")
-    planes = []
-    for rot in rotations_cfg:
-        (i, j), (i2, j2), phi = rot[0], rot[1], rot[2]
-        planes.append(((int(i), int(j)), (int(i2), int(j2)), float(phi)))
+        raise ConfigError(
+            "config field 'rotations' must be a list of [[i,j],[i2,j2],phi] "
+            "with integer labels and a finite angle"
+        )
+    planes = [((i, j), (i2, j2), float(phi)) for (i, j), (i2, j2), phi in rotations_cfg]
 
     if args.case == "v":
         case = CaseSpec.case_v(spec)
     else:
-        beta_a = cfg.get("beta_a")
-        beta_b = cfg.get("beta_b")
         case = CaseSpec.case_s(
             spec.hamiltonian_a(),
-            float(beta_a) if beta_a is not None else spec.beta_a,
+            spec.beta_a if cfg.get("beta_a") is None else _require_positive(cfg, "beta_a"),
             spec.hamiltonian_b(),
-            float(beta_b) if beta_b is not None else spec.beta_b,
+            spec.beta_b if cfg.get("beta_b") is None else _require_positive(cfg, "beta_b"),
         )
     return cfg, case, planes
+
+
+def _is_rotation(rot) -> bool:
+    return (
+        isinstance(rot, list)
+        and len(rot) == 3
+        and all(
+            isinstance(label, list) and len(label) == 2 and all(type(v) is int for v in label)
+            for label in rot[:2]
+        )
+        and _is_finite_number(rot[2])
+    )
 
 
 def _exchange_unitary(case: CaseSpec, planes, phi_override: float | None) -> np.ndarray:
@@ -364,6 +358,8 @@ _SWEEP_HEADER = ["phi", "Q_A", "Q_B", "dS_A", "dS_B", "I_init", "I_final", "W"]
 
 
 def cmd_exchange(args: argparse.Namespace) -> int:
+    if args.phi is not None:
+        _require_finite(args.phi, "--phi")
     cfg, case, planes = _exchange_setup(args)
     started = time.perf_counter()
     config = {
@@ -440,7 +436,7 @@ def _clausius_setup(args: argparse.Namespace):
                 strokes.append(
                     ClausiusStroke.contact(
                         _require_positive(entry, "temperature"),
-                        float(entry.get("phi", math.pi / 2)),
+                        _require_finite(entry.get("phi", math.pi / 2), "stroke field 'phi'"),
                     )
                 )
             elif entry["kind"] == "quench":
@@ -467,8 +463,8 @@ def cmd_clausius(args: argparse.Namespace) -> int:
     report = clausius_cycle((h0, rho0), strokes, max_cycles=args.max_cycles, fp_tol=args.fp_tol)
     payload = dataclasses.asdict(report)
     payload["converged"] = True
-    payload["clausius_pass"] = report.clausius_sum <= _CLAUSIUS_TOL
-    payload["stroke_pass"] = all(r.slack <= _STROKE_TOL for r in report.strokes)
+    payload["clausius_pass"] = report.clausius_sum <= CLAUSIUS_TOL
+    payload["stroke_pass"] = all(r.slack <= STROKE_TOL for r in report.strokes)
 
     config = {
         "config_file": cfg,

@@ -31,17 +31,21 @@ from .states import (
     DensityOperator,
     EntangledThermalSpec,
     HamiltonianSpec,
-    _entropy_psd,
     entangled_thermal_state,
     gibbs_state,
-    mutual_information,
+    marginal,
     trace_distance,
+    von_neumann_entropy,
 )
 
 # commutator threshold below which a joint unitary counts as exactly
 # energy conserving (W = Q_A + Q_B is then zero to rounding)
 ENERGY_TOL = 1e-10
 UNITARY_TOL = 1e-10
+# a converged cycle passes when its Clausius sum is <= CLAUSIUS_TOL and
+# every contact's slack beta*Q - dS is <= STROKE_TOL
+CLAUSIUS_TOL = 1e-8
+STROKE_TOL = 1e-9
 
 JointPair = tuple[tuple[int, int], tuple[int, int]]
 
@@ -309,7 +313,8 @@ def run_exchange(case: CaseSpec, u: np.ndarray) -> ExchangeReport:
     u = np.asarray(u, dtype=complex)
     if u.shape != (rho0.dim, rho0.dim):
         raise DimensionMismatch(f"unitary shape {u.shape} != joint dim {rho0.dim}")
-    if unitarity_defect(u) > UNITARY_TOL:
+    # written to fail closed: a NaN defect must not pass
+    if not unitarity_defect(u) <= UNITARY_TOL:
         raise NotUnitary(f"max |U^dag U - I| = {unitarity_defect(u):.3e}")
 
     mat_a = h_a.matrix()
@@ -318,24 +323,21 @@ def run_exchange(case: CaseSpec, u: np.ndarray) -> ExchangeReport:
     conserving = max_abs(u @ h_total - h_total @ u) <= ENERGY_TOL
 
     rho1 = DensityOperator(u @ rho0.matrix @ dagger(u), rho0.dims)
+    a0, b0, a1, b1 = (marginal(rho, k) for rho in (rho0, rho1) for k in (0, 1))
+    s_a0, s_b0, s_a1, s_b1 = (von_neumann_entropy(red) for red in (a0, b0, a1, b1))
 
-    red0_a = partial_trace(rho0.matrix, rho0.dims, [0])
-    red0_b = partial_trace(rho0.matrix, rho0.dims, [1])
-    red1_a = partial_trace(rho1.matrix, rho0.dims, [0])
-    red1_b = partial_trace(rho1.matrix, rho0.dims, [1])
-
-    q_a = float(np.trace((red1_a - red0_a) @ mat_a).real)
-    q_b = float(np.trace((red1_b - red0_b) @ mat_b).real)
-    ds_a = _entropy_psd(red1_a) - _entropy_psd(red0_a)
-    ds_b = _entropy_psd(red1_b) - _entropy_psd(red0_b)
+    q_a = float(np.trace((a1.matrix - a0.matrix) @ mat_a).real)
+    q_b = float(np.trace((b1.matrix - b0.matrix) @ mat_b).real)
+    ds_a = s_a1 - s_a0
+    ds_b = s_b1 - s_b0
 
     return ExchangeReport(
         q_a=q_a,
         q_b=q_b,
         ds_a=ds_a,
         ds_b=ds_b,
-        mutual_info_initial=mutual_information(rho0, 0, 1),
-        mutual_info_final=mutual_information(rho1, 0, 1),
+        mutual_info_initial=s_a0 + s_b0 - von_neumann_entropy(rho0),
+        mutual_info_final=s_a1 + s_b1 - von_neumann_entropy(rho1),
         work_leak=q_a + q_b,
         slack_a=beta_a * q_a - ds_a,
         slack_b=beta_b * q_b - ds_b,
@@ -390,11 +392,12 @@ def clausius_cycle(
             reduced = partial_trace(joint, (d, d), [0])
             h_mat = h.matrix()
             heat = float(np.trace((reduced - rho.matrix) @ h_mat).real)
-            ds = _entropy_psd(reduced) - _entropy_psd(rho.matrix)
+            rho_next = DensityOperator(reduced, (d,))
+            ds = von_neumann_entropy(rho_next) - von_neumann_entropy(rho)
             records.append(
                 StrokeRecord(beta=beta, heat=heat, entropy_change=ds, slack=beta * heat - ds)
             )
-            rho = DensityOperator(reduced, (d,))
+            rho = rho_next
         residual = trace_distance(rho_start, rho)
         if residual < fp_tol:
             return CycleReport(

@@ -18,9 +18,9 @@ from .qmath import dagger, kron, partial_trace
 from .states import (
     DensityOperator,
     HamiltonianSpec,
-    _entropy_psd,
     gibbs_state,
     relative_entropy,
+    subsystem_entropy,
     von_neumann_entropy,
 )
 
@@ -28,6 +28,9 @@ from .states import (
 # eigensolver noise at the dimensions used here (d <= 64)
 SLACK_TOL = 1e-9
 IDENTITY_TOL = 1e-9
+# floor on the Gibbs-evolution right-hand side, which is a relative
+# entropy and so nonnegative up to rounding
+RHS_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -95,10 +98,10 @@ def check_ssa(rho: DensityOperator, i: int, j: int, k: int) -> SlackReport:
         raise DimensionMismatch(f"need exactly 3 factors, got dims {rho.dims}")
     if sorted((i, j, k)) != [0, 1, 2]:
         raise DimensionMismatch(f"(i, j, k) must be a permutation of (0, 1, 2), got {(i, j, k)}")
-    s_i = _entropy_psd(partial_trace(rho.matrix, rho.dims, [i]))
-    s_j = _entropy_psd(partial_trace(rho.matrix, rho.dims, [j]))
-    s_ik = _entropy_psd(partial_trace(rho.matrix, rho.dims, [i, k]))
-    s_jk = _entropy_psd(partial_trace(rho.matrix, rho.dims, [j, k]))
+    s_i = subsystem_entropy(rho, [i])
+    s_j = subsystem_entropy(rho, [j])
+    s_ik = subsystem_entropy(rho, [i, k])
+    s_jk = subsystem_entropy(rho, [j, k])
     return SlackReport.compare(lhs=s_i + s_j, rhs=s_ik + s_jk)
 
 
@@ -112,10 +115,10 @@ def average_correlation_bound(rho: DensityOperator) -> SlackReport:
     n = len(rho.dims)
     if n < 3:
         raise TooFewFactors(f"bound needs >= 3 factors, got {n}")
-    singles = [_entropy_psd(partial_trace(rho.matrix, rho.dims, [i])) for i in range(n)]
+    singles = [subsystem_entropy(rho, [i]) for i in range(n)]
     pair_mi = []
     for i, j in combinations(range(n), 2):
-        s_ij = _entropy_psd(partial_trace(rho.matrix, rho.dims, [i, j]))
+        s_ij = subsystem_entropy(rho, [i, j])
         pair_mi.append(singles[i] + singles[j] - s_ij)
     lhs = float(np.mean(pair_mi))
     rhs = float(np.mean(singles))

@@ -6,7 +6,7 @@ Units: hbar = k_B = 1, natural logarithms, entropies in nats.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable
 
 import math
@@ -44,6 +44,9 @@ class DensityOperator:
 
     matrix: np.ndarray
     dims: tuple[int, ...]
+    # ascending eigenvalues found while validating (read-only): entropies of
+    # the whole state read them instead of diagonalizing again
+    spectrum: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         mat = np.asarray(self.matrix, dtype=complex)
@@ -66,8 +69,10 @@ class DensityOperator:
         tr = float(np.trace(sym).real)
         if abs(tr - 1.0) > STATE_TOL:
             raise InvalidState(f"trace {tr!r} differs from 1 beyond {STATE_TOL}")
+        lam.setflags(write=False)
         object.__setattr__(self, "matrix", _frozen_complex(sym))
         object.__setattr__(self, "dims", dims)
+        object.__setattr__(self, "spectrum", lam)
 
     @property
     def dim(self) -> int:
@@ -75,7 +80,7 @@ class DensityOperator:
 
     def eigenvalues(self) -> np.ndarray:
         """Spectrum in ascending order."""
-        return np.linalg.eigvalsh(self.matrix)
+        return self.spectrum
 
 
 @dataclass(frozen=True)
@@ -223,16 +228,26 @@ def log_partition(h: HamiltonianSpec, beta: float) -> float:
     return float(-beta * e0 + np.log(np.exp(-beta * (h.levels - e0)).sum()))
 
 
-def _entropy_psd(mat: np.ndarray) -> float:
-    """-sum lam ln lam over the spectrum, zeros (below EIG_FLOOR) dropped."""
-    lam = np.linalg.eigvalsh((mat + dagger(mat)) / 2)
+def _spectral_entropy(lam: np.ndarray) -> float:
+    """-sum lam ln lam, eigenvalues at or below EIG_FLOOR dropped."""
     lam = lam[lam > EIG_FLOOR]
     return float(-(lam * np.log(lam)).sum())
 
 
 def von_neumann_entropy(rho: DensityOperator) -> float:
     """S(rho) = -tr(rho ln rho) in nats; 0 * ln 0 reads as 0."""
-    return _entropy_psd(rho.matrix)
+    return _spectral_entropy(rho.spectrum)
+
+
+def subsystem_entropy(rho: DensityOperator, keep: Iterable[int]) -> float:
+    """Von Neumann entropy of the reduced state on the factors in ``keep``:
+    one eigensolve of the reduced matrix, or none when every factor is kept
+    (the state's stored spectrum)."""
+    keep = sorted(set(int(k) for k in keep))
+    if keep == list(range(len(rho.dims))):
+        return von_neumann_entropy(rho)
+    reduced = partial_trace(rho.matrix, rho.dims, keep)
+    return _spectral_entropy(np.linalg.eigvalsh((reduced + dagger(reduced)) / 2))
 
 
 def relative_entropy(rho: DensityOperator, sigma: DensityOperator) -> float:
@@ -253,7 +268,7 @@ def relative_entropy(rho: DensityOperator, sigma: DensityOperator) -> float:
             f"rho carries weight {weights[null].sum():.3e} outside sigma's support"
         )
     tr_rho_ln_sigma = float((weights[~null] * np.log(w_s[~null])).sum())
-    return -_entropy_psd(rho.matrix) - tr_rho_ln_sigma
+    return -von_neumann_entropy(rho) - tr_rho_ln_sigma
 
 
 def marginal(
@@ -272,9 +287,9 @@ def mutual_information(rho: DensityOperator, i: int, j: int) -> float:
     n = len(rho.dims)
     if i == j or not (0 <= i < n and 0 <= j < n):
         raise DimensionMismatch(f"need two distinct factor indices in [0, {n}), got {i}, {j}")
-    s_i = _entropy_psd(partial_trace(rho.matrix, rho.dims, [i]))
-    s_j = _entropy_psd(partial_trace(rho.matrix, rho.dims, [j]))
-    s_ij = _entropy_psd(partial_trace(rho.matrix, rho.dims, [i, j]))
+    s_i = subsystem_entropy(rho, [i])
+    s_j = subsystem_entropy(rho, [j])
+    s_ij = subsystem_entropy(rho, [i, j])
     return s_i + s_j - s_ij
 
 

@@ -4,6 +4,7 @@ import sys
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src"))
 
 import numpy as np
+import pytest
 
 from entroflow import (
     CaseSpec,
@@ -14,6 +15,20 @@ from entroflow import (
     givens_unitary,
     joint_energies,
 )
+
+
+@pytest.fixture()
+def eigensolves(monkeypatch) -> list[int]:
+    """Matrix dimension of every numpy eigensolve made during the test."""
+    dims: list[int] = []
+    for name in ("eigvalsh", "eigh"):
+
+        def counted(a, *args, _solver=getattr(np.linalg, name), **kwargs):
+            dims.append(np.shape(a)[-1])
+            return _solver(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return dims
 
 
 def ghz_state() -> DensityOperator:

@@ -144,6 +144,21 @@ class TestExchange:
         proc = run_cli("exchange", "--case", "v", "--config", str(path))
         assert proc.returncode == 2
 
+    @pytest.mark.parametrize(
+        "flag",
+        [
+            ("--phi", "nan"),
+            ("--phi", "inf"),
+            ("--sweep", "phi=0:inf:3"),
+            ("--sweep", "phi=nan:1:3"),
+        ],
+    )
+    def test_non_finite_angle_exits_2(self, exchange_config, flag):
+        proc = run_cli("exchange", "--case", "v", "--config", exchange_config, *flag)
+        assert proc.returncode == 2
+        assert len(proc.stderr.splitlines()) == 1, proc.stderr
+        assert proc.stdout == ""
+
     def test_missing_epsilon_exits_2(self, tmp_path, exchange_config):
         cfg = json.loads(open(exchange_config).read())
         del cfg["epsilon"]
@@ -208,6 +223,56 @@ class TestClausius:
         path.write_text(json.dumps(cfg))
         proc = run_cli("clausius", "--config", str(path), "--max-cycles", "2", "--fp-tol", "1e-12")
         assert proc.returncode == 4
+
+
+def _with(base, **fields):
+    return {**base, **fields}
+
+
+EXCHANGE_CFG = {
+    "schema_version": 1,
+    "kind": "exchange",
+    "epsilon": [0.0, 1.0, 2.0, 3.0],
+    "gamma": 1.0,
+    "mu_a": 1.0,
+    "mu_b": 0.5,
+    "rotations": [[[2, 2], [0, 3], 1.5]],
+}
+CYCLE_CFG = {
+    "schema_version": 1,
+    "kind": "clausius",
+    "system": {"levels": [0.0, 1.0]},
+    "initial_state": {"kind": "gibbs", "beta": 1.0},
+    "strokes": [{"kind": "contact", "temperature": 2.0, "phi": 1.0}],
+}
+CONTACT = CYCLE_CFG["strokes"][0]
+NAN_POPULATIONS = {"kind": "diagonal", "populations": [float("nan"), 1.0]}
+
+
+@pytest.mark.parametrize(
+    "argv, cfg",
+    [
+        (("exchange", "--case", "v"), _with(EXCHANGE_CFG, rotations=[[[2], [0, 3], 1.5]])),
+        (("exchange", "--case", "v"), _with(EXCHANGE_CFG, rotations=[[[2, 2], [0, 3], "x"]])),
+        (("exchange", "--case", "v"), _with(EXCHANGE_CFG, rotations=[[[2, 2.5], [0, 3], 1.5]])),
+        (("exchange", "--case", "s"), _with(EXCHANGE_CFG, beta_a="hot")),
+        (("exchange", "--case", "s"), _with(EXCHANGE_CFG, beta_b=float("inf"))),
+        (("clausius",), _with(CYCLE_CFG, strokes=[_with(CONTACT, phi="abc")])),
+        (("clausius",), _with(CYCLE_CFG, strokes=[_with(CONTACT, phi=[1])])),
+        (("clausius",), _with(CYCLE_CFG, initial_state=NAN_POPULATIONS)),
+    ],
+    ids=[
+        "short-label", "angle-string", "fractional-label", "beta-string", "beta-inf",
+        "stroke-phi-string", "stroke-phi-list", "population-nan",
+    ],
+)
+def test_malformed_config_field_exits_2(tmp_path, argv, cfg):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    proc = run_cli(*argv, "--config", str(path))
+    assert proc.returncode == 2
+    assert len(proc.stderr.splitlines()) == 1, proc.stderr
+    assert proc.stderr.startswith("entroflow: config error:")
 
 
 class TestGas:

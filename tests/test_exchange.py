@@ -301,6 +301,26 @@ class TestRunExchange:
         with pytest.raises(NotUnitary):
             run_exchange(CaseSpec.case_v(DEMO_SPEC), np.eye(16) * 0.5)
 
+    def test_rejects_non_finite_unitary(self):
+        # a NaN defect compares false against any bound; the gate fails closed
+        u = demo_unitary(float("nan"))
+        with pytest.raises(NotUnitary):
+            run_exchange(CaseSpec.case_v(DEMO_SPEC), u)
+
+    @pytest.mark.parametrize(
+        "case",
+        [
+            CaseSpec.case_v(DEMO_SPEC),
+            CaseSpec.case_s(DEMO_SPEC.hamiltonian_a(), 1.0, DEMO_SPEC.hamiltonian_b(), 0.5),
+        ],
+        ids=["V", "S"],
+    )
+    def test_two_joint_eigensolves(self, case, eigensolves):
+        # one per joint state (initial and final); I(A:B) reuses both
+        run_exchange(case, demo_unitary())
+        assert eigensolves.count(16) == 2
+        assert set(eigensolves) == {4, 16}
+
     def test_rejects_wrong_dimension(self):
         from entroflow import DimensionMismatch
 
@@ -393,6 +413,14 @@ class TestClausiusCycle:
             assert abs(record.heat - q) <= 1e-12
             assert abs(record.entropy_change - ds) <= 1e-12
             assert record.slack <= 1e-9
+
+    def test_two_eigensolves_per_contact(self, eigensolves):
+        # per contact: the reservoir and the new state; per cycle: one
+        # trace distance for the fixed-point test
+        rho0 = gibbs_state(GAP1, 1.0)
+        del eigensolves[:]
+        report = clausius_cycle((GAP1, rho0), TWO_RESERVOIR_STROKES)
+        assert len(eigensolves) == report.cycles_to_convergence * (2 * 2 + 1)
 
     def test_zero_angle_contacts(self):
         strokes = [ClausiusStroke.contact(2.0, 0.0), ClausiusStroke.contact(1.0, 0.0)]

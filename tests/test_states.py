@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ from conftest import bell_state, ghz_state, random_pure
 
 from entroflow import (
     DensityOperator,
+    DimensionMismatch,
     EntangledThermalSpec,
     HamiltonianSpec,
     InvalidSpec,
@@ -22,6 +24,7 @@ from entroflow import (
     mutual_information,
     random_density,
     relative_entropy,
+    subsystem_entropy,
     substream,
     trace_distance,
     von_neumann_entropy,
@@ -184,6 +187,59 @@ class TestMutualInformation:
             s_b = von_neumann_entropy(marginal(rho, 1))
             assert mi >= -1e-9
             assert mi <= 2 * min(s_a, s_b) + 1e-9
+
+
+class TestStoredSpectrum:
+    def test_whole_state_entropies_reuse_the_validation_eigensolve(self, eigensolves):
+        rho = DensityOperator(random_density(6, 3, substream(11, 11)), (2, 3))
+        assert eigensolves == [6]
+        assert np.array_equal(rho.eigenvalues(), np.linalg.eigvalsh(rho.matrix))
+        del eigensolves[:]
+        rho.eigenvalues()
+        von_neumann_entropy(rho)
+        subsystem_entropy(rho, [1, 0])
+        assert eigensolves == []
+        # the joint term of I(0:1) is the stored spectrum; only marginals are solved
+        mutual_information(rho, 0, 1)
+        assert eigensolves == [2, 3]
+
+    def test_relative_entropy_solves_sigma_only(self, eigensolves):
+        rho = gibbs_state(LADDER4, 0.7)
+        sigma = gibbs_state(LADDER4, 1.3)
+        del eigensolves[:]
+        relative_entropy(rho, sigma)
+        assert eigensolves == [4]
+
+    def test_spectrum_is_read_only_and_not_an_argument(self):
+        rho = bell_state()
+        with pytest.raises(ValueError):
+            rho.spectrum[0] = 0.5
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            rho.spectrum = np.zeros(4)
+        with pytest.raises(TypeError):
+            DensityOperator(rho.matrix, rho.dims, spectrum=rho.spectrum)
+        assert "spectrum" not in repr(rho)
+        assert [f.name for f in dataclasses.fields(rho) if f.compare] == ["matrix", "dims"]
+
+
+class TestSubsystemEntropy:
+    def test_matches_marginal_entropy(self):
+        rng = substream(11, 12)
+        rho = DensityOperator(random_density(12, 5, rng), (2, 3, 2))
+        for keep in ([0], [1], [2], [0, 2], [2, 1], [0, 1, 2]):
+            got = subsystem_entropy(rho, keep)
+            assert got == von_neumann_entropy(marginal(rho, keep))
+
+    def test_ghz_values(self):
+        ghz = ghz_state()
+        assert abs(subsystem_entropy(ghz, [0]) - math.log(2)) <= 1e-12
+        assert abs(subsystem_entropy(ghz, [0, 1]) - math.log(2)) <= 1e-12
+        assert subsystem_entropy(ghz, [0, 1, 2]) == pytest.approx(0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("keep", [[], [3], [-1]])
+    def test_rejects_bad_factor_lists(self, keep):
+        with pytest.raises(DimensionMismatch):
+            subsystem_entropy(ghz_state(), keep)
 
 
 class TestEntangledThermalState:
