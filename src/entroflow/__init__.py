@@ -14,6 +14,7 @@ from .errors import (
     InvalidSpec,
     InvalidState,
     NoConvergence,
+    NonFiniteResult,
     NonpositiveBeta,
     NotDegenerate,
     NotHermitian,
@@ -70,10 +71,12 @@ from .states import (
     HamiltonianSpec,
     PureJointState,
     entangled_thermal_state,
+    gibbs_populations,
     gibbs_state,
     log_partition,
     marginal,
     mutual_information,
+    product_entropy,
     relative_entropy,
     subsystem_entropy,
     trace_distance,

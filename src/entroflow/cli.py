@@ -5,9 +5,10 @@ Subcommands: ineq, exchange, clausius, gas.  Every JSON result is wrapped
 in an envelope echoing the exact configuration and master seed; payloads
 are bit-reproducible for a given (config, seed) at any worker count.
 
-Exit codes: 0 success, 1 inequality violation, 2 validation/config error,
-3 degeneracy failure of a requested rotation, 4 no fixed-point
-convergence.
+Exit codes: 0 success, 1 inequality violation, 2 validation/config error
+or a non-finite result, 3 degeneracy failure of a requested rotation, 4 no
+fixed-point convergence, 5 internal error (an exception outside the
+package's error taxonomy).
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import math
 import os
 import sys
 import time
+import warnings
 
 import numpy as np
 
@@ -29,6 +31,7 @@ from .errors import (
     EntroflowError,
     InvalidSpec,
     NoConvergence,
+    NonFiniteResult,
     NotDegenerate,
     OverlappingPlanes,
 )
@@ -64,6 +67,7 @@ EXIT_VIOLATION = 1
 EXIT_VALIDATION = 2
 EXIT_DEGENERACY = 3
 EXIT_NO_CONVERGENCE = 4
+EXIT_INTERNAL = 5
 
 
 def worker_count() -> int:
@@ -97,9 +101,17 @@ def _payload_value(value):
     return value
 
 
+def _dumps(value, **kwargs) -> str:
+    # NaN and infinity are not JSON: such a result is refused, not written
+    try:
+        return json.dumps(value, sort_keys=True, allow_nan=False, **kwargs)
+    except ValueError as exc:
+        raise NonFiniteResult(f"result is not finite: {exc}") from exc
+
+
 def payload_json(payload: dict) -> str:
     """Canonical serialization: key-sorted, round-trip-exact doubles."""
-    return json.dumps(_payload_value(payload), sort_keys=True)
+    return _dumps(_payload_value(payload))
 
 
 def make_envelope(command: str, config: dict, seed: int | None, payload: dict, wall_time: float) -> dict:
@@ -125,10 +137,12 @@ def _write_text(text: str, path: str | None) -> None:
 
 
 def _emit_envelope(envelope: dict, path: str | None) -> None:
-    _write_text(json.dumps(envelope, sort_keys=True, indent=2), path)
+    _write_text(_dumps(envelope, indent=2), path)
 
 
 def _csv_rows(header: list[str], rows: list[list[float]]) -> str:
+    if not all(math.isfinite(v) for row in rows for v in row):
+        raise NonFiniteResult("result is not finite: a CSV row holds NaN or infinity")
     lines = [",".join(header)]
     lines.extend(",".join(_fmt17(v) for v in row) for row in rows)
     return "\r\n".join(lines) + "\r\n"
@@ -572,7 +586,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        # numpy's floating-point warnings would add lines to stderr; a
+        # non-finite result is refused on output instead (NonFiniteResult)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            return args.func(args)
     except ConfigError as exc:
         print(f"entroflow: config error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
@@ -588,6 +606,12 @@ def main(argv: list[str] | None = None) -> int:
     except EntroflowError as exc:
         print(f"entroflow: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    except Exception as exc:
+        # a defect of the program, not of its input; never exit 1, which
+        # means "an inequality check failed"
+        message = " ".join(str(exc).split())
+        print(f"entroflow: internal error: {type(exc).__name__}: {message}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -59,3 +59,7 @@ class BadCycle(EntroflowError):
 
 class ConfigError(EntroflowError):
     """Run configuration violates the documented schema."""
+
+
+class NonFiniteResult(EntroflowError):
+    """A computed result holds NaN or infinity and cannot be reported."""

@@ -25,15 +25,19 @@ from .errors import (
     NotDegenerate,
     NotUnitary,
     OverlappingPlanes,
+    SupportViolation,
 )
-from .qmath import dagger, kron, max_abs, partial_trace, unitarity_defect
+from .qmath import dagger, kron, max_abs, unitarity_defect
 from .states import (
     DensityOperator,
     EntangledThermalSpec,
     HamiltonianSpec,
     entangled_thermal_state,
+    gibbs_populations,
     gibbs_state,
-    marginal,
+    log_partition,
+    product_entropy,
+    relative_entropy,
     trace_distance,
     von_neumann_entropy,
 )
@@ -122,6 +126,8 @@ class ExchangeReport:
     entropy changes (nats), work_leak = q_a + q_b (zero for an
     energy-conserving unitary), and slack_a/slack_b the per-side values of
     beta*Q - dS, each nonnegative when that side started in equilibrium.
+    identity_gap is the residual of beta_A Q_A + beta_B Q_B = dI +
+    D(rho_A'||gamma_A) + D(rho_B'||gamma_B), zero to rounding.
     """
 
     q_a: float
@@ -134,6 +140,7 @@ class ExchangeReport:
     slack_a: float
     slack_b: float
     energy_conserving: bool
+    identity_gap: float
 
 
 @dataclass(frozen=True)
@@ -299,50 +306,148 @@ def partial_swap(d: int, phi: float) -> np.ndarray:
     return np.cos(phi) * np.eye(d * d, dtype=complex) - 1j * np.sin(phi) * swap
 
 
+def _energy_commutator_defect(u: np.ndarray, mat_a: np.ndarray, mat_b: np.ndarray) -> float:
+    """max |U H - H U| for H = H_A (x) 1 + 1 (x) H_B.
+
+    Each local factor acts on one index of a reshape of U (rows and columns
+    are ordered (i, j)), so the cost is O(D^2 d) and no D x D Hamiltonian
+    is formed.
+    """
+    d_a, d_b = mat_a.shape[0], mat_b.shape[0]
+    d = d_a * d_b
+    # H U - U H accumulated in one D x D array
+    comm = (mat_a @ u.reshape(d_a, d_b * d)).reshape(d, d)
+    comm += (mat_b @ u.reshape(d_a, d_b, d)).reshape(d, d)
+    comm -= (mat_a.T @ u.reshape(d, d_a, d_b)).reshape(d, d)
+    comm -= (u.reshape(d * d_a, d_b) @ mat_b).reshape(d, d)
+    return max_abs(comm)
+
+
+def _gibbs_factor(h: HamiltonianSpec, beta: float) -> np.ndarray:
+    """K = B sqrt(p) with K K^dag the Gibbs state, B the energy eigenbasis."""
+    root = np.sqrt(gibbs_populations(h, beta))
+    return np.diag(root) if h.basis is None else h.basis * root
+
+
+def _times_product_factor(u: np.ndarray, k_a: np.ndarray, k_b: np.ndarray) -> np.ndarray:
+    """U (K_A (x) K_B), contracting K_A and K_B with the two column indices
+    of a reshape of U: O(D^2 d), and the Kronecker product is never formed."""
+    d_a, d_b = k_a.shape[0], k_b.shape[0]
+    d = d_a * d_b
+    w = k_a.T @ u.reshape(d, d_a, d_b)
+    return (w.reshape(d * d_a, d_b) @ k_b).reshape(d, d)
+
+
+def _marginal_states(w: np.ndarray, d_a: int, d_b: int) -> tuple[DensityOperator, DensityOperator]:
+    """Both one-party reduced states of W W^dag, for W with rows ordered
+    (i, j): X_A X_A^dag and X_B X_B^dag, with X_A and X_B two reshapes of W."""
+    w3 = w.reshape(d_a, d_b, -1)
+    x_a = w3.reshape(d_a, -1)
+    x_b = w3.transpose(1, 0, 2).reshape(d_b, -1)
+    return (
+        DensityOperator(x_a @ dagger(x_a), (d_a,)),
+        DensityOperator(x_b @ dagger(x_b), (d_b,)),
+    )
+
+
+def _gibbs_divergence(
+    rho: DensityOperator, gamma: DensityOperator, h: HamiltonianSpec, beta: float
+) -> float:
+    """D(rho || gamma) for gamma = gibbs_state(h, beta), through
+    relative_entropy.  Gibbs populations below its support floor read as a
+    null space there; ln gamma = -beta H - ln Z is then used exactly."""
+    try:
+        return relative_entropy(rho, gamma)
+    except SupportViolation:
+        mean_energy = float(np.trace(rho.matrix @ h.matrix()).real)
+        return beta * mean_energy + log_partition(h, beta) - von_neumann_entropy(rho)
+
+
 def run_exchange(case: CaseSpec, u: np.ndarray) -> ExchangeReport:
     """Apply a joint unitary to the initial condition and meter both sides.
 
     The report's energy_conserving flag records whether u commutes with the
     bare total Hamiltonian (max-abs commutator <= 1e-10); only then is the
     exchanged energy pure heat and work_leak zero to rounding.
+
+    No joint state is formed.  The initial state is X0 X0^dag, with X0 the
+    entangled vector psi (kind V) or K_A (x) K_B, the product of the Gibbs
+    factors (kind S); the final marginals are read from W = U X0.  The
+    joint entropy, which a unitary leaves unchanged, is the initial one.
+    identity_gap is |beta_A Q_A + beta_B Q_B - dI - D(rho_A'||gamma_A)
+    - D(rho_B'||gamma_B)|, which vanishes for every unitary because both
+    initial marginals are Gibbs states.
     """
     h_a, h_b = case.hamiltonians()
     beta_a, beta_b = case.betas()
-    rho0 = case.initial_state()
+    d_a, d_b = h_a.dim, h_b.dim
 
     u = np.asarray(u, dtype=complex)
-    if u.shape != (rho0.dim, rho0.dim):
-        raise DimensionMismatch(f"unitary shape {u.shape} != joint dim {rho0.dim}")
-    # written to fail closed: a NaN defect must not pass
-    if not unitarity_defect(u) <= UNITARY_TOL:
-        raise NotUnitary(f"max |U^dag U - I| = {unitarity_defect(u):.3e}")
+    if u.shape != (d_a * d_b, d_a * d_b):
+        raise DimensionMismatch(f"unitary shape {u.shape} != joint dim {d_a * d_b}")
+    # the one D^3 product of the run, written to fail closed: a NaN defect
+    # must not pass
+    defect = unitarity_defect(u)
+    if not defect <= UNITARY_TOL:
+        raise NotUnitary(f"max |U^dag U - I| = {defect:.3e}")
 
     mat_a = h_a.matrix()
     mat_b = h_b.matrix()
-    h_total = kron(mat_a, np.eye(h_b.dim)) + kron(np.eye(h_a.dim), mat_b)
-    conserving = max_abs(u @ h_total - h_total @ u) <= ENERGY_TOL
+    conserving = _energy_commutator_defect(u, mat_a, mat_b) <= ENERGY_TOL
 
-    rho1 = DensityOperator(u @ rho0.matrix @ dagger(u), rho0.dims)
-    a0, b0, a1, b1 = (marginal(rho, k) for rho in (rho0, rho1) for k in (0, 1))
+    gamma_a, gamma_b = gibbs_state(h_a, beta_a), gibbs_state(h_b, beta_b)
+    if case.kind == "V":
+        psi = entangled_thermal_state(case.entangled).vector
+        a0, b0 = _marginal_states(psi, d_a, d_b)
+        s_joint = 0.0
+        w = u @ psi
+    else:
+        a0, b0 = gamma_a, gamma_b
+        s_joint = product_entropy(gamma_a, gamma_b)
+        w = _times_product_factor(u, _gibbs_factor(h_a, beta_a), _gibbs_factor(h_b, beta_b))
+    a1, b1 = _marginal_states(w, d_a, d_b)
     s_a0, s_b0, s_a1, s_b1 = (von_neumann_entropy(red) for red in (a0, b0, a1, b1))
 
     q_a = float(np.trace((a1.matrix - a0.matrix) @ mat_a).real)
     q_b = float(np.trace((b1.matrix - b0.matrix) @ mat_b).real)
     ds_a = s_a1 - s_a0
     ds_b = s_b1 - s_b0
+    mutual_info_initial = s_a0 + s_b0 - s_joint
+    mutual_info_final = s_a1 + s_b1 - s_joint
+    identity_gap = abs(
+        beta_a * q_a
+        + beta_b * q_b
+        - (mutual_info_final - mutual_info_initial)
+        - _gibbs_divergence(a1, gamma_a, h_a, beta_a)
+        - _gibbs_divergence(b1, gamma_b, h_b, beta_b)
+    )
 
     return ExchangeReport(
         q_a=q_a,
         q_b=q_b,
         ds_a=ds_a,
         ds_b=ds_b,
-        mutual_info_initial=s_a0 + s_b0 - von_neumann_entropy(rho0),
-        mutual_info_final=s_a1 + s_b1 - von_neumann_entropy(rho1),
+        mutual_info_initial=mutual_info_initial,
+        mutual_info_final=mutual_info_final,
         work_leak=q_a + q_b,
         slack_a=beta_a * q_a - ds_a,
         slack_b=beta_b * q_b - ds_b,
         energy_conserving=conserving,
+        identity_gap=identity_gap,
     )
+
+
+def _contact_state(rho: np.ndarray, sigma: np.ndarray, phi: float) -> np.ndarray:
+    """tr_B[U (rho (x) sigma) U^dag] for U = partial_swap(d, phi).
+
+    With c = cos(phi) and s = sin(phi) the reduced state is c^2 rho + s^2
+    sigma + i c s (rho sigma - sigma rho), the partial-swap collision model
+    of Scarani et al., PRL 88, 097905 (2002); no d^2 x d^2 matrix is formed.
+    """
+    c, s = np.cos(phi), np.sin(phi)
+    prod = rho @ sigma
+    # rho sigma - sigma rho = prod - prod^dag for Hermitian rho and sigma
+    return c * c * rho + s * s * sigma + 1j * c * s * (prod - dagger(prod))
 
 
 def _check_cycle_restores(h0: HamiltonianSpec, strokes: Sequence[ClausiusStroke]) -> None:
@@ -364,7 +469,8 @@ def clausius_cycle(
 
     Each contact uses a fresh, uncorrelated reservoir (Gibbs at the stroke
     temperature, same Hamiltonian as the system) coupled through a partial
-    swap; each quench replaces the Hamiltonian at fixed state.  Cycles are
+    swap, whose reduced state has a d x d closed form (_contact_state);
+    each quench replaces the Hamiltonian at fixed state.  Cycles are
     repeated until the state returns to itself within fp_tol in trace
     distance; the report then carries the final cycle's per-contact records
     with slack_j = beta_j * Q_j - dS_j (each <= 0) and their Clausius sum.
@@ -376,7 +482,6 @@ def clausius_cycle(
         raise DimensionMismatch("system state must be a single tensor factor")
     _check_cycle_restores(h0, strokes)
 
-    d = h0.dim
     for cycle in range(1, max_cycles + 1):
         rho_start = rho
         records: list[StrokeRecord] = []
@@ -387,12 +492,10 @@ def clausius_cycle(
                 continue
             beta = 1.0 / stroke.temperature
             reservoir = gibbs_state(h, beta)
-            u = partial_swap(d, stroke.phi)
-            joint = u @ kron(rho.matrix, reservoir.matrix) @ dagger(u)
-            reduced = partial_trace(joint, (d, d), [0])
+            reduced = _contact_state(rho.matrix, reservoir.matrix, stroke.phi)
             h_mat = h.matrix()
             heat = float(np.trace((reduced - rho.matrix) @ h_mat).real)
-            rho_next = DensityOperator(reduced, (d,))
+            rho_next = DensityOperator(reduced, rho.dims)
             ds = von_neumann_entropy(rho_next) - von_neumann_entropy(rho)
             records.append(
                 StrokeRecord(beta=beta, heat=heat, entropy_change=ds, slack=beta * heat - ds)

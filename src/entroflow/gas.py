@@ -54,6 +54,20 @@ class CollisionSpec:
             val = float(getattr(self, name))
             if not (val > 0 and np.isfinite(val)):
                 raise InvalidSpec(f"{name} must be positive and finite, got {val!r}")
+        # the sampler divides by these sums and roots: an overflow (or an
+        # underflow to 0) would turn the whole report into NaN
+        derived = {
+            "m_a + m_b": float(self.m_a) + float(self.m_b),
+            "m_a * t_a": float(self.m_a) * float(self.t_a),
+            "m_b * t_b": float(self.m_b) * float(self.t_b),
+            "m_scale / gamma": float(self.m_scale) / float(self.gamma),
+            "alpha_a": self.alpha_a,
+            "alpha_b": self.alpha_b,
+            "reversal_ratio": self.reversal_ratio,
+        }
+        for name, val in derived.items():
+            if not (val > 0 and math.isfinite(val)):
+                raise InvalidSpec(f"derived {name} = {val!r} is not positive and finite")
         if self.angle_law != "isotropic":
             raise InvalidSpec(f"unsupported angle law {self.angle_law!r}")
 

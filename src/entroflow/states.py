@@ -203,16 +203,19 @@ class PureJointState:
         return DensityOperator(np.outer(self.vector, self.vector.conj()), self.dims)
 
 
-def gibbs_state(h: HamiltonianSpec, beta: float) -> DensityOperator:
-    """Thermal equilibrium state exp(-beta H)/Z at inverse temperature beta.
-
-    Populations are formed in the energy eigenbasis with the ground energy
-    subtracted, so large beta cannot overflow.
-    """
+def gibbs_populations(h: HamiltonianSpec, beta: float) -> np.ndarray:
+    """Occupations exp(-beta E_i)/Z of the ascending levels, formed with the
+    ground energy subtracted so that large beta cannot overflow."""
     if not beta > 0:
         raise NonpositiveBeta(f"beta must be positive, got {beta!r}")
     w = np.exp(-beta * (h.levels - h.levels[0]))
-    p = w / w.sum()
+    return w / w.sum()
+
+
+def gibbs_state(h: HamiltonianSpec, beta: float) -> DensityOperator:
+    """Thermal equilibrium state exp(-beta H)/Z at inverse temperature beta,
+    built from gibbs_populations in the energy eigenbasis."""
+    p = gibbs_populations(h, beta)
     if h.basis is None:
         mat = np.diag(p).astype(complex)
     else:
@@ -237,6 +240,16 @@ def _spectral_entropy(lam: np.ndarray) -> float:
 def von_neumann_entropy(rho: DensityOperator) -> float:
     """S(rho) = -tr(rho ln rho) in nats; 0 * ln 0 reads as 0."""
     return _spectral_entropy(rho.spectrum)
+
+
+def product_entropy(*factors: DensityOperator) -> float:
+    """S(rho_1 (x) rho_2 (x) ...) from the products of the factors' stored
+    spectra, with the EIG_FLOOR cut applied to those joint eigenvalues as a
+    joint eigensolve would; no joint matrix is formed."""
+    lam = np.ones(1)
+    for rho in factors:
+        lam = np.multiply.outer(lam, rho.spectrum).ravel()
+    return _spectral_entropy(lam)
 
 
 def subsystem_entropy(rho: DensityOperator, keep: Iterable[int]) -> float:

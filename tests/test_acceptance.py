@@ -147,6 +147,7 @@ def test_criterion_5_exchange_invariants():
     worst_ds_a = -np.inf
     worst_sum = np.inf
     worst_direction = np.inf
+    worst_gap = 0.0
     for _ in range(200):
         spec = random_entangled_spec(rng, max_dim=6)
         case_v = CaseSpec.case_v(spec)
@@ -164,15 +165,18 @@ def test_criterion_5_exchange_invariants():
         beta_a, beta_b = case_s.betas()
         worst_sum = min(worst_sum, rep_s.ds_a + rep_s.ds_b)
         worst_direction = min(worst_direction, (beta_a - beta_b) * rep_s.q_a)
+        worst_gap = max(worst_gap, rep.identity_gap, rep_s.identity_gap)
     ok = (
         worst_lockstep <= 1e-9
         and worst_ds_a <= 1e-9
         and worst_sum >= -1e-9
         and worst_direction >= -1e-9
+        and worst_gap <= 1e-9
     )
     report(5, "exchange invariants over random conserving unitaries", ok,
            f"200 specs: max |dS_A - dS_B| {worst_lockstep:.2e}, max dS_A {worst_ds_a:.2e}, "
-           f"min dS sum {worst_sum:.2e}, min direction {worst_direction:.2e}",
+           f"min dS sum {worst_sum:.2e}, min direction {worst_direction:.2e}, "
+           f"max identity gap {worst_gap:.2e}",
            started, 60.0)
 
 

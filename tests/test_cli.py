@@ -6,6 +6,8 @@ import sys
 
 import pytest
 
+from entroflow import NonFiniteResult, cli
+
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
@@ -101,6 +103,13 @@ class TestExchange:
         z = sum(math.exp(-k) for k in range(4))
         assert abs(payload["q_a"] - (-2 * math.exp(-2) / z)) <= 1e-12
         assert payload["energy_conserving"] is True
+
+    @pytest.mark.parametrize("case", ["v", "s"])
+    def test_identity_gap_in_payload(self, exchange_config, case):
+        proc = run_cli("exchange", "--case", case, "--config", exchange_config)
+        assert proc.returncode == 0, proc.stderr
+        payload, _ = payload_of(proc)
+        assert 0.0 <= payload["identity_gap"] <= 1e-9
 
     def test_product_demo_payload(self, exchange_config):
         proc = run_cli("exchange", "--case", "s", "--config", exchange_config)
@@ -303,6 +312,63 @@ class TestGas:
             "--gamma", "1", "--mode", "entangled", "--samples", "100", "--seed", "1",
         )
         assert proc.returncode == 2
+
+    def test_overflowing_masses_exit_2(self):
+        # m_a + m_b overflows: a NaN payload used to be written with exit 0
+        proc = run_cli(
+            "gas", "--ma", "1e308", "--mb", "1e308", "--ta", "2", "--tb", "1",
+            "--gamma", "1", "--mode", "product", "--samples", "100", "--seed", "1",
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert len(proc.stderr.splitlines()) == 1, proc.stderr
+        assert proc.stderr.startswith("entroflow: config error:")
+
+    def test_non_finite_result_exits_2(self):
+        # valid parameters whose momenta overflow inside the sampler: the
+        # NaN is refused on output, in one line
+        proc = run_cli(
+            "gas", "--ma", "1e308", "--mb", "1", "--ta", "1", "--tb", "1",
+            "--gamma", "1e-10", "--mode", "entangled", "--samples", "1000", "--seed", "1",
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert len(proc.stderr.splitlines()) == 1, proc.stderr
+        assert "not finite" in proc.stderr
+
+
+class TestNonFiniteOutput:
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_envelope_refuses_non_finite(self, value, tmp_path):
+        with pytest.raises(NonFiniteResult):
+            cli.payload_json({"x": value})
+        envelope = cli.make_envelope("gas", {}, 1, {"x": [1.0, value]}, 0.0)
+        with pytest.raises(NonFiniteResult):
+            cli._emit_envelope(envelope, str(tmp_path / "out.json"))
+
+    def test_sweep_rows_refuse_non_finite(self):
+        assert cli._csv_rows(["a", "b"], [[1.0, 2.0]]) == "a,b\r\n1,2\r\n"
+        with pytest.raises(NonFiniteResult):
+            cli._csv_rows(["a", "b"], [[1.0, 2.0], [float("nan"), 0.0]])
+
+
+class TestInternalError:
+    def test_unexpected_exception_maps_to_internal_code(self, monkeypatch, capsys):
+        def broken(args):
+            raise ValueError("boom\nsecond line")
+
+        monkeypatch.setattr(cli, "cmd_gas", broken)
+        code = cli.main(
+            ["gas", "--ma", "1", "--mb", "1", "--ta", "1", "--tb", "1", "--gamma", "1",
+             "--mode", "product", "--samples", "10", "--seed", "1"]
+        )
+        assert code == cli.EXIT_INTERNAL
+        assert code not in (
+            cli.EXIT_OK, cli.EXIT_VIOLATION, cli.EXIT_VALIDATION,
+            cli.EXIT_DEGENERACY, cli.EXIT_NO_CONVERGENCE,
+        )
+        err = capsys.readouterr().err
+        assert err == "entroflow: internal error: ValueError: boom second line\n"
 
 
 class TestReproducibility:

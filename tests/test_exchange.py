@@ -5,6 +5,7 @@ import pytest
 
 from conftest import random_conserving_unitary, random_entangled_spec
 
+import entroflow.exchange as exchange_module
 from entroflow import (
     BadCycle,
     CaseSpec,
@@ -25,6 +26,7 @@ from entroflow import (
     joint_energies,
     kron,
     partial_swap,
+    partial_trace,
     random_density,
     run_exchange,
     substream,
@@ -315,11 +317,12 @@ class TestRunExchange:
         ],
         ids=["V", "S"],
     )
-    def test_two_joint_eigensolves(self, case, eigensolves):
-        # one per joint state (initial and final); I(A:B) reuses both
+    def test_no_joint_eigensolves(self, case, eigensolves):
+        # the joint entropy is the initial state's: only marginals and the
+        # Gibbs references are diagonalized
         run_exchange(case, demo_unitary())
-        assert eigensolves.count(16) == 2
-        assert set(eigensolves) == {4, 16}
+        assert eigensolves
+        assert set(eigensolves) == {4}
 
     def test_rejects_wrong_dimension(self):
         from entroflow import DimensionMismatch
@@ -454,3 +457,184 @@ class TestClausiusCycle:
             strokes = [ClausiusStroke.contact(float(rng.uniform(0.2, 5.0)), float(rng.uniform(0, math.pi)))]
             report = clausius_cycle((GAP1, rho), strokes, max_cycles=1, fp_tol=1e9)
             assert report.strokes[0].slack <= 1e-9
+
+
+# ------------------------------------------------------------------------
+# closed-form kernels against their dense definitions
+# ------------------------------------------------------------------------
+
+class TestContactClosedForm:
+    @pytest.mark.parametrize("d", [2, 8, 24])
+    @pytest.mark.parametrize("phi", [0.0, 0.7, math.pi / 2])
+    @pytest.mark.parametrize("rotated", [False, True], ids=["diagonal", "rotated"])
+    def test_matches_dense_partial_swap(self, d, phi, rotated):
+        rng = substream(31, 9, d)
+        rho = random_density(d, int(rng.integers(1, d + 1)), rng)
+        levels = np.sort(rng.uniform(0.0, 2.0, d))
+        h = HamiltonianSpec(levels, basis=haar_unitary(d, rng) if rotated else None)
+        sigma = gibbs_state(h, 0.8).matrix
+        u = partial_swap(d, phi)
+        dense = partial_trace(u @ kron(rho, sigma) @ u.conj().T, (d, d), [0])
+        closed = exchange_module._contact_state(rho, sigma, phi)
+        assert np.max(np.abs(closed - dense)) <= 1e-13
+
+    def test_cycle_builds_no_joint_matrix(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a Clausius contact formed a joint-space matrix")
+
+        for name in ("partial_swap", "kron", "partial_trace"):
+            monkeypatch.setattr(exchange_module, name, forbidden, raising=False)
+        report = clausius_cycle((GAP1, gibbs_state(GAP1, 1.0)), TWO_RESERVOIR_STROKES)
+        oracle_sum, _ = two_reservoir_oracle()
+        assert abs(report.clausius_sum - oracle_sum) <= 1e-12
+
+
+def dense_exchange_reference(case, u):
+    """Every ExchangeReport field from the dense joint state u rho0 u^dag."""
+    h_a, h_b = case.hamiltonians()
+    beta_a, beta_b = case.betas()
+    dims = (h_a.dim, h_b.dim)
+    mat_a, mat_b = h_a.matrix(), h_b.matrix()
+    rho0 = case.initial_state().matrix
+    rho1 = u @ rho0 @ u.conj().T
+
+    def entropy(m):
+        lam = np.linalg.eigvalsh((m + m.conj().T) / 2)
+        lam = lam[lam > 1e-12]
+        return float(-(lam * np.log(lam)).sum())
+
+    def gibbs_divergence(m, h, mat, beta):
+        # ln gamma = -beta H - ln Z exactly
+        ln_z = math.log(np.exp(-beta * h.levels).sum())
+        return -entropy(m) + beta * float(np.trace(m @ mat).real) + ln_z
+
+    a0, b0, a1, b1 = (partial_trace(r, dims, [k]) for r in (rho0, rho1) for k in (0, 1))
+    q_a = float(np.trace((a1 - a0) @ mat_a).real)
+    q_b = float(np.trace((b1 - b0) @ mat_b).real)
+    i0 = entropy(a0) + entropy(b0) - entropy(rho0)
+    i1 = entropy(a1) + entropy(b1) - entropy(rho1)
+    h_tot = kron(mat_a, np.eye(h_b.dim)) + kron(np.eye(h_a.dim), mat_b)
+    ds_a, ds_b = entropy(a1) - entropy(a0), entropy(b1) - entropy(b0)
+    return {
+        "q_a": q_a,
+        "q_b": q_b,
+        "ds_a": ds_a,
+        "ds_b": ds_b,
+        "mutual_info_initial": i0,
+        "mutual_info_final": i1,
+        "work_leak": q_a + q_b,
+        "slack_a": beta_a * q_a - ds_a,
+        "slack_b": beta_b * q_b - ds_b,
+        "energy_conserving": bool(np.max(np.abs(u @ h_tot - h_tot @ u)) <= 1e-10),
+        "identity_gap": abs(
+            beta_a * q_a + beta_b * q_b - (i1 - i0)
+            - gibbs_divergence(a1, h_a, mat_a, beta_a)
+            - gibbs_divergence(b1, h_b, mat_b, beta_b)
+        ),
+    }
+
+
+def assert_matches_reference(case, u):
+    report = run_exchange(case, u)
+    reference = dense_exchange_reference(case, u)
+    assert report.energy_conserving == reference.pop("energy_conserving")
+    for name, value in reference.items():
+        assert abs(getattr(report, name) - value) <= 1e-10, name
+    return report
+
+
+def random_s_case(spec, rng, rotated=False):
+    h_a, h_b = spec.hamiltonian_a(), spec.hamiltonian_b()
+    if rotated:
+        h_a = HamiltonianSpec(h_a.levels, basis=haar_unitary(h_a.dim, rng))
+        h_b = HamiltonianSpec(h_b.levels, basis=haar_unitary(h_b.dim, rng))
+    return CaseSpec.case_s(h_a, float(rng.uniform(0.3, 3.0)), h_b, float(rng.uniform(0.3, 3.0)))
+
+
+class TestRunExchangeAgainstDense:
+    def test_haar_unitaries(self):
+        rng = substream(31, 10)
+        for _ in range(15):
+            spec = random_entangled_spec(rng, max_dim=5)
+            for case in (CaseSpec.case_v(spec), random_s_case(spec, rng)):
+                report = assert_matches_reference(case, haar_unitary(spec.dim**2, rng))
+                assert not report.energy_conserving
+
+    def test_conserving_unitaries(self):
+        rng = substream(31, 11)
+        for _ in range(15):
+            spec = random_entangled_spec(rng, max_dim=5)
+            case_v = CaseSpec.case_v(spec)
+            u = random_conserving_unitary(case_v, rng)
+            for case in (case_v, random_s_case(spec, rng)):
+                assert assert_matches_reference(case, u).energy_conserving
+
+    def test_rotated_basis_product_case(self):
+        # a conserving unitary for rotated Hamiltonians: a Givens unitary
+        # carried into the product of the two energy eigenbases
+        rng = substream(31, 12)
+        for _ in range(10):
+            spec = random_entangled_spec(rng, max_dim=4)
+            case = random_s_case(spec, rng, rotated=True)
+            h_a, h_b = case.hamiltonians()
+            basis = kron(h_a.basis, h_b.basis)
+            givens = random_conserving_unitary(case, rng)
+            assert assert_matches_reference(case, basis @ givens @ basis.conj().T).energy_conserving
+            assert not assert_matches_reference(case, haar_unitary(basis.shape[0], rng)).energy_conserving
+
+    def test_builds_no_joint_state(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("run_exchange formed a joint-space matrix")
+
+        for name in ("kron", "partial_trace", "marginal"):
+            monkeypatch.setattr(exchange_module, name, forbidden, raising=False)
+        joint_states = []
+        real = exchange_module.DensityOperator
+
+        def density_operator(matrix, dims):
+            joint_states.append(len(dims) > 1)
+            return real(matrix, dims)
+
+        monkeypatch.setattr(exchange_module, "DensityOperator", density_operator)
+        case = CaseSpec.case_s(DEMO_SPEC.hamiltonian_a(), 1.0, DEMO_SPEC.hamiltonian_b(), 0.5)
+        for c in (CaseSpec.case_v(DEMO_SPEC), case):
+            run_exchange(c, demo_unitary())
+        assert joint_states and not any(joint_states)
+
+
+class TestIdentityGap:
+    def test_demo(self):
+        case_s = CaseSpec.case_s(DEMO_SPEC.hamiltonian_a(), 1.0, DEMO_SPEC.hamiltonian_b(), 0.5)
+        for case in (CaseSpec.case_v(DEMO_SPEC), case_s):
+            assert run_exchange(case, demo_unitary()).identity_gap <= 1e-9
+
+    def test_random_conserving_unitaries(self):
+        rng = substream(31, 13)
+        for _ in range(40):
+            spec = random_entangled_spec(rng, max_dim=5)
+            case_v = CaseSpec.case_v(spec)
+            u = random_conserving_unitary(case_v, rng)
+            for case in (case_v, random_s_case(spec, rng)):
+                assert run_exchange(case, u).identity_gap <= 1e-9
+
+    @pytest.mark.parametrize("gamma", [0.2, 0.6])
+    def test_twenty_four_levels(self, gamma):
+        # the benchmark's shape: levels 0..23 on A and 0, 2, ..., 46 on B
+        rng = substream(31, 14)
+        spec = EntangledThermalSpec(np.arange(24, dtype=float), gamma, 1.0, 0.5)
+        case_v = CaseSpec.case_v(spec)
+        case_s = CaseSpec.case_s(spec.hamiltonian_a(), spec.beta_a, spec.hamiltonian_b(), spec.beta_b)
+        u = random_conserving_unitary(case_v, rng)
+        for case in (case_v, case_s):
+            report = run_exchange(case, u)
+            assert report.energy_conserving
+            assert report.identity_gap <= 1e-9
+
+    def test_gibbs_populations_below_support_floor(self):
+        # exp(-40) underflows relative_entropy's support floor; the gap is
+        # still defined and still closes
+        rng = substream(31, 15)
+        spec = EntangledThermalSpec(np.arange(6, dtype=float), 8.0, 1.0, 0.5)
+        for case in (CaseSpec.case_v(spec), random_s_case(spec, rng)):
+            report = run_exchange(case, haar_unitary(36, rng))
+            assert report.identity_gap <= 1e-9

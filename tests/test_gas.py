@@ -238,6 +238,21 @@ class TestEnsembleHeat:
         with pytest.raises(InvalidSpec):
             CollisionSpec(m_a=1.0, m_b=1.0, t_a=1.0, t_b=1.0, gamma=1.0, angle_law="hard")
 
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"m_a": 1e308, "m_b": 1e308},  # m_a + m_b overflows
+            {"m_a": 1e200, "t_a": 1e200},  # m_a * t_a and alpha_a overflow
+            {"m_b": 1e-200, "t_b": 1e-200},  # alpha_b underflows to 0
+            {"gamma": 1e-310, "m_scale": 1e10},  # m_scale / gamma overflows
+        ],
+        ids=["mass-sum", "root-overflow", "root-underflow", "scale-ratio"],
+    )
+    def test_rejects_non_finite_derived_values(self, fields):
+        base = {"m_a": 1.0, "m_b": 1.0, "t_a": 1.0, "t_b": 1.0, "gamma": 1.0}
+        with pytest.raises(InvalidSpec, match="derived"):
+            CollisionSpec(**{**base, **fields})
+
     def test_stderr_positive_for_generic_spec(self):
         report = ensemble_heat(REVERSAL, "entangled", 1000, 17)
         assert report.stderr_de_a > 0

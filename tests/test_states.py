@@ -17,11 +17,13 @@ from entroflow import (
     PureJointState,
     SupportViolation,
     entangled_thermal_state,
+    gibbs_populations,
     gibbs_state,
     kron,
     log_partition,
     marginal,
     mutual_information,
+    product_entropy,
     random_density,
     relative_entropy,
     subsystem_entropy,
@@ -240,6 +242,37 @@ class TestSubsystemEntropy:
     def test_rejects_bad_factor_lists(self, keep):
         with pytest.raises(DimensionMismatch):
             subsystem_entropy(ghz_state(), keep)
+
+
+class TestProductEntropy:
+    @pytest.mark.parametrize("beta", [0.3, 0.6], ids=["above-floor", "below-floor"])
+    def test_matches_joint_eigensolve(self, beta):
+        # at beta 0.6 some products of the two 24-level spectra fall below
+        # EIG_FLOOR; both paths must drop the same ones
+        h_a = HamiltonianSpec(np.arange(24, dtype=float))
+        h_b = HamiltonianSpec(2.0 * np.arange(24))
+        g_a, g_b = gibbs_state(h_a, beta), gibbs_state(h_b, beta / 2)
+        joint = DensityOperator(kron(g_a.matrix, g_b.matrix), (24, 24))
+        assert abs(product_entropy(g_a, g_b) - von_neumann_entropy(joint)) <= 1e-13
+
+    def test_three_factors_and_single(self):
+        rng = substream(11, 13)
+        states = [DensityOperator(random_density(d, d, rng), (d,)) for d in (2, 3, 2)]
+        joint = DensityOperator(kron(kron(states[0].matrix, states[1].matrix), states[2].matrix), (2, 3, 2))
+        assert abs(product_entropy(*states) - von_neumann_entropy(joint)) <= 1e-12
+        assert product_entropy(states[1]) == von_neumann_entropy(states[1])
+
+
+class TestGibbsPopulations:
+    def test_diagonal_of_gibbs_state(self):
+        h = HamiltonianSpec(np.array([0.0, 0.5, 2.0]))
+        p = gibbs_populations(h, 1.3)
+        assert abs(p.sum() - 1.0) <= 1e-15
+        assert np.array_equal(np.diag(gibbs_state(h, 1.3).matrix).real, p)
+
+    def test_rejects_nonpositive_beta(self):
+        with pytest.raises(NonpositiveBeta):
+            gibbs_populations(QUBIT, 0.0)
 
 
 class TestEntangledThermalState:
