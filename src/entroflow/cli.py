@@ -37,6 +37,8 @@ from .errors import (
 )
 from .exchange import (
     CLAUSIUS_TOL,
+    FIXED_POINT_TOL,
+    MAX_CYCLES,
     STROKE_TOL,
     CaseSpec,
     ClausiusStroke,
@@ -58,7 +60,7 @@ from .inequalities import (
     gibbs_evolution_identity,
 )
 from .qmath import haar_unitary, random_density, substream
-from .states import DensityOperator, EntangledThermalSpec, HamiltonianSpec, gibbs_state
+from .states import STATE_TOL, DensityOperator, EntangledThermalSpec, HamiltonianSpec, gibbs_state
 
 SCHEMA_VERSION = 1
 
@@ -87,31 +89,25 @@ def _fmt17(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _payload_value(value):
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        return {k: _payload_value(v) for k, v in dataclasses.asdict(value).items()}
-    if isinstance(value, dict):
-        return {k: _payload_value(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_payload_value(v) for v in value]
-    if isinstance(value, np.ndarray):
-        return [_payload_value(v) for v in value.tolist()]
-    if isinstance(value, (np.floating, np.integer, np.bool_)):
-        return value.item()
-    return value
+def _numpy_value(value):
+    # json encodes np.float64 as the float it is; other numpy scalars and
+    # arrays become the Python values they hold
+    if isinstance(value, (np.generic, np.ndarray)):
+        return value.tolist()
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
 def _dumps(value, **kwargs) -> str:
     # NaN and infinity are not JSON: such a result is refused, not written
     try:
-        return json.dumps(value, sort_keys=True, allow_nan=False, **kwargs)
+        return json.dumps(value, sort_keys=True, allow_nan=False, default=_numpy_value, **kwargs)
     except ValueError as exc:
         raise NonFiniteResult(f"result is not finite: {exc}") from exc
 
 
 def payload_json(payload: dict) -> str:
     """Canonical serialization: key-sorted, round-trip-exact doubles."""
-    return _dumps(_payload_value(payload))
+    return _dumps(payload)
 
 
 def make_envelope(command: str, config: dict, seed: int | None, payload: dict, wall_time: float) -> dict:
@@ -119,10 +115,10 @@ def make_envelope(command: str, config: dict, seed: int | None, payload: dict, w
         "tool_version": __version__,
         "schema_version": SCHEMA_VERSION,
         "command": command,
-        "config": _payload_value(config),
+        "config": config,
         "seed": seed,
         "wall_time_s": wall_time,
-        "payload": _payload_value(payload),
+        "payload": payload,
     }
 
 
@@ -368,7 +364,16 @@ def _exchange_unitary(case: CaseSpec, planes, phi_override: float | None) -> np.
     return givens_unitary((h_a.dim, h_b.dim), planes, joint_energies(h_a, h_b))
 
 
-_SWEEP_HEADER = ["phi", "Q_A", "Q_B", "dS_A", "dS_B", "I_init", "I_final", "W"]
+# sweep CSV columns after phi: (header, ExchangeReport field)
+_SWEEP_COLUMNS = (
+    ("Q_A", "q_a"),
+    ("Q_B", "q_b"),
+    ("dS_A", "ds_a"),
+    ("dS_B", "ds_b"),
+    ("I_init", "mutual_info_initial"),
+    ("I_final", "mutual_info_final"),
+    ("W", "work_leak"),
+)
 
 
 def cmd_exchange(args: argparse.Namespace) -> int:
@@ -387,19 +392,9 @@ def cmd_exchange(args: argparse.Namespace) -> int:
         rows = []
         for phi in _parse_sweep(args.sweep):
             report = run_exchange(case, _exchange_unitary(case, planes, float(phi)))
-            rows.append(
-                [
-                    float(phi),
-                    report.q_a,
-                    report.q_b,
-                    report.ds_a,
-                    report.ds_b,
-                    report.mutual_info_initial,
-                    report.mutual_info_final,
-                    report.work_leak,
-                ]
-            )
-        _write_text(_csv_rows(_SWEEP_HEADER, rows), args.output)
+            rows.append([float(phi), *(getattr(report, field) for _, field in _SWEEP_COLUMNS)])
+        header = ["phi", *(name for name, _ in _SWEEP_COLUMNS)]
+        _write_text(_csv_rows(header, rows), args.output)
         return EXIT_OK
 
     report = run_exchange(case, _exchange_unitary(case, planes, args.phi))
@@ -430,7 +425,7 @@ def _clausius_setup(args: argparse.Namespace):
         rho0 = gibbs_state(h0, _require_positive(init_cfg, "beta"))
     elif init_cfg["kind"] == "diagonal":
         pops = np.asarray(_require_number_list(init_cfg, "populations"))
-        if pops.size != h0.dim or np.any(pops < 0) or abs(pops.sum() - 1.0) > 1e-10:
+        if pops.size != h0.dim or np.any(pops < 0) or abs(pops.sum() - 1.0) > STATE_TOL:
             raise ConfigError("'populations' must be a normalized distribution over the levels")
         rho0 = DensityOperator(np.diag(pops).astype(complex), (h0.dim,))
     elif init_cfg["kind"] == "maximally_mixed":
@@ -563,8 +558,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_cl = sub.add_parser("clausius", help="cyclic contact-with-reservoirs run")
     p_cl.add_argument("--config", required=True, help="JSON system + strokes config")
-    p_cl.add_argument("--max-cycles", type=int, default=500)
-    p_cl.add_argument("--fp-tol", type=float, default=1e-10)
+    p_cl.add_argument("--max-cycles", type=int, default=MAX_CYCLES)
+    p_cl.add_argument("--fp-tol", type=float, default=FIXED_POINT_TOL)
     p_cl.add_argument("--output", default=None)
     p_cl.set_defaults(func=cmd_clausius)
 

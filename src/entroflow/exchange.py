@@ -50,6 +50,13 @@ UNITARY_TOL = 1e-10
 # every contact's slack beta*Q - dS is <= STROKE_TOL
 CLAUSIUS_TOL = 1e-8
 STROKE_TOL = 1e-9
+# joint basis states at most DEGENERACY_TOL apart in energy are degenerate
+DEGENERACY_TOL = 1e-9
+# max-abs gap at which two Hamiltonian matrices count as equal
+HAMILTONIAN_TOL = 1e-12
+# clausius_cycle defaults
+MAX_CYCLES = 500
+FIXED_POINT_TOL = 1e-10
 
 JointPair = tuple[tuple[int, int], tuple[int, int]]
 
@@ -209,29 +216,23 @@ def joint_energies(h_a: HamiltonianSpec, h_b: HamiltonianSpec) -> np.ndarray:
 
 
 def degenerate_pairs(
-    h_a: HamiltonianSpec, h_b: HamiltonianSpec, tol: float = 1e-9
+    h_a: HamiltonianSpec, h_b: HamiltonianSpec, tol: float = DEGENERACY_TOL
 ) -> list[JointPair]:
-    """All unordered pairs of distinct joint basis labels with equal total
-    energy (within tol); rotations inside such planes exchange heat without
-    doing work.  The empty list means no workless exchange is possible."""
+    """All unordered pairs of joint basis labels u != v with |E_u - E_v| <=
+    tol, givens_unitary's rule: rotations inside such planes exchange heat
+    without doing work.  The empty list means no such plane exists."""
     d_b = h_b.dim
     energies = joint_energies(h_a, h_b)
     order = np.argsort(energies, kind="stable")
+    ranked = energies[order]
+    # ranked[k] can pair only with ranked[k + 1 : stops[k]]
+    stops = np.searchsorted(ranked, ranked + tol, side="right")
     out: list[JointPair] = []
-    # sweep the sorted spectrum; ties cluster, so compare within a window
-    n = energies.size
-    start = 0
-    while start < n:
-        stop = start + 1
-        while stop < n and energies[order[stop]] - energies[order[start]] <= tol:
-            stop += 1
-        cluster = sorted(int(order[t]) for t in range(start, stop))
-        for a_idx in range(len(cluster)):
-            for b_idx in range(a_idx + 1, len(cluster)):
-                u, v = cluster[a_idx], cluster[b_idx]
-                if abs(energies[u] - energies[v]) <= tol:
-                    out.append(((u // d_b, u % d_b), (v // d_b, v % d_b)))
-        start = stop
+    for k, stop in enumerate(stops):
+        for m in range(k + 1, stop):
+            u, v = sorted((int(order[k]), int(order[m])))
+            if abs(energies[u] - energies[v]) <= tol:
+                out.append(((u // d_b, u % d_b), (v // d_b, v % d_b)))
     return out
 
 
@@ -239,7 +240,7 @@ def givens_unitary(
     dims: Sequence[int],
     rotations: Sequence[tuple[tuple[int, int], tuple[int, int], float]],
     energies: np.ndarray,
-    tol: float = 1e-9,
+    tol: float = DEGENERACY_TOL,
 ) -> np.ndarray:
     """Joint unitary rotating disjoint degenerate planes.
 
@@ -259,7 +260,7 @@ def givens_unitary(
         # a joint Hamiltonian matrix is accepted if diagonal in this basis
         if energies.shape != (d, d):
             raise DimensionMismatch(f"Hamiltonian shape {energies.shape} != joint dim {d}")
-        if max_abs(energies - np.diag(np.diagonal(energies))) > 1e-12:
+        if max_abs(energies - np.diag(np.diagonal(energies))) > HAMILTONIAN_TOL:
             raise NotDegenerate("joint Hamiltonian is not diagonal in the rotation basis")
         energies = np.diagonal(energies).copy()
     energies = energies.ravel()
@@ -367,8 +368,8 @@ def run_exchange(case: CaseSpec, u: np.ndarray) -> ExchangeReport:
     """Apply a joint unitary to the initial condition and meter both sides.
 
     The report's energy_conserving flag records whether u commutes with the
-    bare total Hamiltonian (max-abs commutator <= 1e-10); only then is the
-    exchanged energy pure heat and work_leak zero to rounding.
+    bare total Hamiltonian (max-abs commutator <= ENERGY_TOL); only then is
+    the exchanged energy pure heat and work_leak zero to rounding.
 
     No joint state is formed.  The initial state is X0 X0^dag, with X0 the
     entangled vector psi (kind V) or K_A (x) K_B, the product of the Gibbs
@@ -450,50 +451,48 @@ def _contact_state(rho: np.ndarray, sigma: np.ndarray, phi: float) -> np.ndarray
     return c * c * rho + s * s * sigma + 1j * c * s * (prod - dagger(prod))
 
 
-def _check_cycle_restores(h0: HamiltonianSpec, strokes: Sequence[ClausiusStroke]) -> None:
-    h = h0
-    for stroke in strokes:
-        if stroke.kind == "quench":
-            h = stroke.hamiltonian
-    if h.dim != h0.dim or max_abs(h.matrix() - h0.matrix()) > 1e-12:
-        raise BadCycle("quench strokes do not restore the initial Hamiltonian")
-
-
 def clausius_cycle(
     system: tuple[HamiltonianSpec, DensityOperator],
     strokes: Sequence[ClausiusStroke],
-    max_cycles: int = 500,
-    fp_tol: float = 1e-10,
+    max_cycles: int = MAX_CYCLES,
+    fp_tol: float = FIXED_POINT_TOL,
 ) -> CycleReport:
     """Iterate a stroke cycle to its periodic steady state and meter heats.
 
     Each contact uses a fresh, uncorrelated reservoir (Gibbs at the stroke
     temperature, same Hamiltonian as the system) coupled through a partial
     swap, whose reduced state has a d x d closed form (_contact_state);
-    each quench replaces the Hamiltonian at fixed state.  Cycles are
-    repeated until the state returns to itself within fp_tol in trace
-    distance; the report then carries the final cycle's per-contact records
-    with slack_j = beta_j * Q_j - dS_j (each <= 0) and their Clausius sum.
+    each quench replaces the Hamiltonian at fixed state.  One walk of the
+    strokes checks that the quenches restore H0 and builds every reservoir
+    once; cycles then repeat until the state returns to itself within fp_tol
+    in trace distance.  The report carries the final cycle's per-contact
+    records with slack_j = beta_j * Q_j - dS_j (each <= 0) and their sum.
     """
     h0, rho = system
     if rho.dim != h0.dim:
         raise DimensionMismatch(f"state dim {rho.dim} != Hamiltonian dim {h0.dim}")
     if len(rho.dims) != 1:
         raise DimensionMismatch("system state must be a single tensor factor")
-    _check_cycle_restores(h0, strokes)
+
+    # (H, reservoir, beta, phi) per contact, in stroke order
+    contacts = []
+    h = h0
+    for stroke in strokes:
+        if stroke.kind == "quench":
+            h = stroke.hamiltonian
+            if h.dim != h0.dim:
+                raise BadCycle(f"quench to {h.dim} levels on a {h0.dim}-level system")
+            continue
+        beta = 1.0 / stroke.temperature
+        contacts.append((h.matrix(), gibbs_state(h, beta).matrix, beta, stroke.phi))
+    if max_abs(h.matrix() - h0.matrix()) > HAMILTONIAN_TOL:
+        raise BadCycle("quench strokes do not restore the initial Hamiltonian")
 
     for cycle in range(1, max_cycles + 1):
         rho_start = rho
         records: list[StrokeRecord] = []
-        h = h0
-        for stroke in strokes:
-            if stroke.kind == "quench":
-                h = stroke.hamiltonian
-                continue
-            beta = 1.0 / stroke.temperature
-            reservoir = gibbs_state(h, beta)
-            reduced = _contact_state(rho.matrix, reservoir.matrix, stroke.phi)
-            h_mat = h.matrix()
+        for h_mat, sigma, beta, phi in contacts:
+            reduced = _contact_state(rho.matrix, sigma, phi)
             heat = float(np.trace((reduced - rho.matrix) @ h_mat).real)
             rho_next = DensityOperator(reduced, rho.dims)
             ds = von_neumann_entropy(rho_next) - von_neumann_entropy(rho)

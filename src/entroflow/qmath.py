@@ -90,14 +90,12 @@ def eig_hermitian(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return w, v
 
 
-def func_hermitian(h: np.ndarray, f: Callable[[float], float]) -> np.ndarray:
-    """Apply a real function to a Hermitian operator through its spectrum."""
+def func_hermitian(h: np.ndarray, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+    """Apply a real function to a Hermitian operator through its spectrum.
+    f takes the eigenvalue array and returns an array of its shape or a
+    scalar (which broadcasts); a numpy ufunc does."""
     w, v = eig_hermitian(h)
-    fw = np.asarray(f(w), dtype=float)
-    if fw.shape != w.shape:
-        # f only accepts scalars
-        fw = np.array([f(x) for x in w], dtype=float)
-    return (v * fw) @ dagger(v)
+    return (v * np.asarray(f(w), dtype=float)) @ dagger(v)
 
 
 def partial_trace(

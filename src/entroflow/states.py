@@ -29,6 +29,10 @@ EIG_FLOOR = 1e-12
 # below this, an eigenvalue of a unit-trace operator is indistinguishable
 # from zero at double precision and counts as outside the support
 SUPPORT_FLOOR = 1e-13
+# rho's weight on sigma's null space above which D(rho||sigma) is infinite
+SUPPORT_TOL = 1e-10
+# largest |norm - 1| accepted for a pure state's vector
+NORM_TOL = 1e-12
 
 
 def _frozen_complex(a: np.ndarray) -> np.ndarray:
@@ -194,8 +198,8 @@ class PureJointState:
                 f"vector length {vec.size} != product of dims {dims}"
             )
         norm = float(np.linalg.norm(vec))
-        if abs(norm - 1.0) > 1e-12:
-            raise InvalidState(f"norm {norm!r} differs from 1 beyond 1e-12")
+        if abs(norm - 1.0) > NORM_TOL:
+            raise InvalidState(f"norm {norm!r} differs from 1 beyond {NORM_TOL}")
         object.__setattr__(self, "vector", _frozen_complex(vec))
         object.__setattr__(self, "dims", dims)
 
@@ -266,8 +270,8 @@ def subsystem_entropy(rho: DensityOperator, keep: Iterable[int]) -> float:
 def relative_entropy(rho: DensityOperator, sigma: DensityOperator) -> float:
     """S(rho || sigma) = tr(rho ln rho) - tr(rho ln sigma), in nats.
 
-    Raises SupportViolation when sigma has a null eigenspace carrying more
-    than 1e-10 of rho's weight (the divergence is +infinity there).
+    Raises SupportViolation when sigma's null space (eigenvalues <=
+    SUPPORT_FLOOR) carries more than SUPPORT_TOL of rho's weight.
     """
     if rho.dim != sigma.dim:
         raise DimensionMismatch(f"dimension mismatch: {rho.dim} vs {sigma.dim}")
@@ -276,7 +280,7 @@ def relative_entropy(rho: DensityOperator, sigma: DensityOperator) -> float:
     weights = np.einsum("ij,jk,ki->i", dagger(v_s), rho.matrix, v_s).real
     weights = np.clip(weights, 0.0, None)
     null = w_s <= SUPPORT_FLOOR
-    if float(weights[null].sum()) > 1e-10:
+    if float(weights[null].sum()) > SUPPORT_TOL:
         raise SupportViolation(
             f"rho carries weight {weights[null].sum():.3e} outside sigma's support"
         )

@@ -1,12 +1,14 @@
+import inspect
 import json
 import math
 import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from entroflow import NonFiniteResult, cli
+from entroflow import NonFiniteResult, clausius_cycle, cli
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -220,6 +222,28 @@ class TestClausius:
         proc = run_cli("clausius", "--config", str(path))
         assert proc.returncode == 2
 
+    def test_dimension_changing_quench_exits_2(self, tmp_path):
+        # the quenches restore H0, but the contact between them would act on
+        # 3 levels
+        cfg = {
+            "schema_version": 1,
+            "kind": "clausius",
+            "system": {"levels": [0.0, 1.0]},
+            "initial_state": {"kind": "gibbs", "beta": 1.0},
+            "strokes": [
+                {"kind": "quench", "levels": [0.0, 1.0, 2.0]},
+                {"kind": "contact", "temperature": 2.0, "phi": 1.0},
+                {"kind": "quench", "levels": [0.0, 1.0]},
+            ],
+        }
+        path = tmp_path / "dim_cycle.json"
+        path.write_text(json.dumps(cfg))
+        proc = run_cli("clausius", "--config", str(path))
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("entroflow: bad cycle:"), proc.stderr
+        assert len(proc.stderr.splitlines()) == 1
+
     def test_no_convergence_exits_4(self, tmp_path):
         cfg = {
             "schema_version": 1,
@@ -346,10 +370,55 @@ class TestNonFiniteOutput:
         with pytest.raises(NonFiniteResult):
             cli._emit_envelope(envelope, str(tmp_path / "out.json"))
 
+    def test_nan_inside_array_refused(self, tmp_path):
+        with pytest.raises(NonFiniteResult):
+            cli.payload_json({"x": np.array([1.0, np.nan])})
+        envelope = cli.make_envelope("gas", {}, 1, {"x": np.array([[0.5], [np.inf]])}, 0.0)
+        with pytest.raises(NonFiniteResult):
+            cli._emit_envelope(envelope, str(tmp_path / "out.json"))
+
     def test_sweep_rows_refuse_non_finite(self):
         assert cli._csv_rows(["a", "b"], [[1.0, 2.0]]) == "a,b\r\n1,2\r\n"
         with pytest.raises(NonFiniteResult):
             cli._csv_rows(["a", "b"], [[1.0, 2.0], [float("nan"), 0.0]])
+
+
+class TestNumpyPayload:
+    NUMPY = {
+        "f": np.float64(0.1),
+        "i": np.int64(-7),
+        "b": np.bool_(True),
+        "a": np.array([[1.5, -2.0], [3.0, 1e-300]]),
+        "n": [np.float32(0.25), np.int32(3), np.bool_(False), np.arange(3)],
+    }
+    PLAIN = {
+        "f": 0.1,
+        "i": -7,
+        "b": True,
+        "a": [[1.5, -2.0], [3.0, 1e-300]],
+        "n": [0.25, 3, False, [0, 1, 2]],
+    }
+
+    def test_same_bytes_as_python_values(self, tmp_path):
+        assert cli.payload_json(self.NUMPY) == cli.payload_json(self.PLAIN)
+        texts = []
+        for name, payload in (("np", self.NUMPY), ("py", self.PLAIN)):
+            path = tmp_path / f"{name}.json"
+            cli._emit_envelope(cli.make_envelope("gas", {"k": payload}, 1, payload, 0.0), str(path))
+            texts.append(path.read_text())
+        assert texts[0] == texts[1]
+
+    def test_other_objects_still_refused(self):
+        with pytest.raises(TypeError):
+            cli.payload_json({"x": object()})
+
+
+class TestClausiusDefaults:
+    def test_cli_defaults_are_clausius_cycle_defaults(self):
+        args = cli.build_parser().parse_args(["clausius", "--config", "c.json"])
+        defaults = inspect.signature(clausius_cycle).parameters
+        assert args.max_cycles == defaults["max_cycles"].default
+        assert args.fp_tol == defaults["fp_tol"].default
 
 
 class TestInternalError:

@@ -141,6 +141,33 @@ class TestDegeneratePairs:
                                 oracle.add(frozenset(((i, j), (i2, j2))))
             assert got == oracle
 
+    def test_chain_of_near_ties_pairs_every_close_neighbour(self):
+        # 0 and 1.6e-9 are more than tol apart, but each is within tol of
+        # 0.8e-9: both planes pass givens_unitary, so both are listed
+        pairs = degenerate_pairs(
+            HamiltonianSpec(np.array([0.0, 0.8e-9, 1.6e-9])), HamiltonianSpec(np.array([0.0]))
+        )
+        assert pairs == [((0, 0), (1, 0)), ((1, 0), (2, 0))]
+        for pair in pairs:
+            givens_unitary((3, 1), [(*pair, 0.3)], np.array([0.0, 0.8e-9, 1.6e-9]))
+
+    def test_near_ties_match_exhaustive_scan(self):
+        # levels jittered by amounts on both sides of tol, so clusters chain
+        rng = substream(31, 9)
+        for _ in range(20):
+            steps = rng.choice([0.0, 0.4e-9, 0.9e-9, 1.1e-9, 1.0], size=4)
+            h_a = HamiltonianSpec(np.cumsum(steps))
+            h_b = HamiltonianSpec(np.cumsum(rng.choice([0.0, 0.6e-9, 1.0], size=3)))
+            energies = joint_energies(h_a, h_b)
+            got = {frozenset(p) for p in degenerate_pairs(h_a, h_b)}
+            oracle = {
+                frozenset(((u // 3, u % 3), (v // 3, v % 3)))
+                for u in range(energies.size)
+                for v in range(u + 1, energies.size)
+                if abs(energies[u] - energies[v]) <= 1e-9
+            }
+            assert got == oracle
+
 
 class TestGivensUnitary:
     def test_zero_angle_is_identity(self):
@@ -417,13 +444,14 @@ class TestClausiusCycle:
             assert abs(record.entropy_change - ds) <= 1e-12
             assert record.slack <= 1e-9
 
-    def test_two_eigensolves_per_contact(self, eigensolves):
-        # per contact: the reservoir and the new state; per cycle: one
-        # trace distance for the fixed-point test
+    def test_one_reservoir_eigensolve_per_contact(self, eigensolves):
+        # per run: one reservoir per contact; per cycle: the new state of
+        # each contact and one trace distance for the fixed-point test
         rho0 = gibbs_state(GAP1, 1.0)
         del eigensolves[:]
         report = clausius_cycle((GAP1, rho0), TWO_RESERVOIR_STROKES)
-        assert len(eigensolves) == report.cycles_to_convergence * (2 * 2 + 1)
+        assert report.cycles_to_convergence > 1
+        assert len(eigensolves) == 2 + report.cycles_to_convergence * (2 + 1)
 
     def test_zero_angle_contacts(self):
         strokes = [ClausiusStroke.contact(2.0, 0.0), ClausiusStroke.contact(1.0, 0.0)]
@@ -436,6 +464,29 @@ class TestClausiusCycle:
         strokes = [ClausiusStroke.contact(2.0, 0.5), ClausiusStroke.quench(GAP2)]
         with pytest.raises(BadCycle):
             clausius_cycle((GAP1, gibbs_state(GAP1, 1.0)), strokes)
+
+    @pytest.mark.parametrize(
+        "strokes",
+        [
+            [ClausiusStroke.contact(2.0, 0.5), ClausiusStroke.quench(GAP2)],
+            # restores H0, but the middle contact would act on 3 levels
+            [
+                ClausiusStroke.quench(HamiltonianSpec(np.array([0.0, 1.0, 2.0]))),
+                ClausiusStroke.contact(2.0, 0.5),
+                ClausiusStroke.quench(GAP1),
+            ],
+        ],
+        ids=["not-restored", "dimension-change"],
+    )
+    def test_bad_cycle_raised_before_any_contact(self, strokes, monkeypatch):
+        contacts = []
+        real = exchange_module._contact_state
+        monkeypatch.setattr(
+            exchange_module, "_contact_state", lambda *a: contacts.append(a) or real(*a)
+        )
+        with pytest.raises(BadCycle):
+            clausius_cycle((GAP1, gibbs_state(GAP1, 1.0)), strokes)
+        assert contacts == []
 
     def test_no_convergence_reported(self):
         strokes = [ClausiusStroke.contact(2.0, 0.2)]

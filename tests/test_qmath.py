@@ -116,6 +116,10 @@ class TestFuncHermitian:
         back = func_hermitian(func_hermitian(h, np.exp), np.log)
         assert np.max(np.abs(back - h)) < 1e-8
 
+    def test_constant_function_broadcasts(self):
+        h = random_hermitian(4, substream(101, 7))
+        assert np.max(np.abs(func_hermitian(h, lambda x: 2.0) - 2.0 * np.eye(4))) <= 1e-12
+
     def test_square_on_diagonal(self):
         got = func_hermitian(np.diag([1.0, 2.0]), lambda x: x**2)
         assert np.allclose(got, np.diag([1.0, 4.0]), atol=1e-12)
