@@ -37,14 +37,12 @@ from .exchange import (
     run_exchange,
 )
 from .gas import (
-    CollisionEvent,
     CollisionSpec,
     GasReport,
     collide,
+    draw_pairs,
     ensemble_heat,
     fractional_gain,
-    sample_entangled_event,
-    sample_product_event,
     x_parameter,
 )
 from .inequalities import (
@@ -71,6 +69,7 @@ from .states import (
     HamiltonianSpec,
     PureJointState,
     entangled_thermal_state,
+    gibbs_divergence,
     gibbs_populations,
     gibbs_state,
     log_partition,

@@ -465,8 +465,8 @@ def cmd_clausius(args: argparse.Namespace) -> int:
     cfg, h0, rho0, strokes = _clausius_setup(args)
     if args.max_cycles < 1:
         raise ConfigError(f"--max-cycles must be >= 1, got {args.max_cycles}")
-    if not args.fp_tol > 0:
-        raise ConfigError(f"--fp-tol must be positive, got {args.fp_tol}")
+    if not (math.isfinite(args.fp_tol) and args.fp_tol > 0):
+        raise ConfigError(f"--fp-tol must be a finite positive number, got {args.fp_tol}")
     started = time.perf_counter()
 
     report = clausius_cycle((h0, rho0), strokes, max_cycles=args.max_cycles, fp_tol=args.fp_tol)

@@ -25,7 +25,6 @@ from .errors import (
     NotDegenerate,
     NotUnitary,
     OverlappingPlanes,
-    SupportViolation,
 )
 from .qmath import dagger, kron, max_abs, unitarity_defect
 from .states import (
@@ -33,11 +32,10 @@ from .states import (
     EntangledThermalSpec,
     HamiltonianSpec,
     entangled_thermal_state,
+    gibbs_divergence,
     gibbs_populations,
     gibbs_state,
-    log_partition,
     product_entropy,
-    relative_entropy,
     trace_distance,
     von_neumann_entropy,
 )
@@ -255,15 +253,7 @@ def givens_unitary(
         raise DimensionMismatch(f"expected two factors, got dims {dims}")
     d_a, d_b = dims
     d = d_a * d_b
-    energies = np.asarray(energies, dtype=float)
-    if energies.ndim == 2:
-        # a joint Hamiltonian matrix is accepted if diagonal in this basis
-        if energies.shape != (d, d):
-            raise DimensionMismatch(f"Hamiltonian shape {energies.shape} != joint dim {d}")
-        if max_abs(energies - np.diag(np.diagonal(energies))) > HAMILTONIAN_TOL:
-            raise NotDegenerate("joint Hamiltonian is not diagonal in the rotation basis")
-        energies = np.diagonal(energies).copy()
-    energies = energies.ravel()
+    energies = np.asarray(energies, dtype=float).ravel()
     if energies.size != d:
         raise DimensionMismatch(f"energies length {energies.size} != joint dim {d}")
 
@@ -351,19 +341,6 @@ def _marginal_states(w: np.ndarray, d_a: int, d_b: int) -> tuple[DensityOperator
     )
 
 
-def _gibbs_divergence(
-    rho: DensityOperator, gamma: DensityOperator, h: HamiltonianSpec, beta: float
-) -> float:
-    """D(rho || gamma) for gamma = gibbs_state(h, beta), through
-    relative_entropy.  Gibbs populations below its support floor read as a
-    null space there; ln gamma = -beta H - ln Z is then used exactly."""
-    try:
-        return relative_entropy(rho, gamma)
-    except SupportViolation:
-        mean_energy = float(np.trace(rho.matrix @ h.matrix()).real)
-        return beta * mean_energy + log_partition(h, beta) - von_neumann_entropy(rho)
-
-
 def run_exchange(case: CaseSpec, u: np.ndarray) -> ExchangeReport:
     """Apply a joint unitary to the initial condition and meter both sides.
 
@@ -419,8 +396,8 @@ def run_exchange(case: CaseSpec, u: np.ndarray) -> ExchangeReport:
         beta_a * q_a
         + beta_b * q_b
         - (mutual_info_final - mutual_info_initial)
-        - _gibbs_divergence(a1, gamma_a, h_a, beta_a)
-        - _gibbs_divergence(b1, gamma_b, h_b, beta_b)
+        - gibbs_divergence(a1, gamma_a, h_a, beta_a)
+        - gibbs_divergence(b1, gamma_b, h_b, beta_b)
     )
 
     return ExchangeReport(

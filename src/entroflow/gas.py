@@ -47,7 +47,6 @@ class CollisionSpec:
     gamma: float
     m_scale: float = 1.0
     flux_weighting: bool | None = None
-    angle_law: str = "isotropic"
 
     def __post_init__(self) -> None:
         for name in ("m_a", "m_b", "t_a", "t_b", "gamma", "m_scale"):
@@ -68,8 +67,6 @@ class CollisionSpec:
         for name, val in derived.items():
             if not (val > 0 and math.isfinite(val)):
                 raise InvalidSpec(f"derived {name} = {val!r} is not positive and finite")
-        if self.angle_law != "isotropic":
-            raise InvalidSpec(f"unsupported angle law {self.angle_law!r}")
 
     @property
     def alpha_a(self) -> float:
@@ -84,18 +81,6 @@ class CollisionSpec:
     def reversal_ratio(self) -> float:
         """(m_a/m_b) * (T_b/T_a); above 1, particle a gains in every collision."""
         return (self.m_a / self.m_b) * (self.t_b / self.t_a)
-
-
-@dataclass(frozen=True)
-class CollisionEvent:
-    """One elastic collision: incoming momenta, center-of-mass scattering
-    angles, and the energy transferred to particle a."""
-
-    p_a: np.ndarray
-    p_b: np.ndarray
-    theta: float
-    azimuth: float
-    de_a: float
 
 
 @dataclass(frozen=True)
@@ -132,18 +117,46 @@ def fractional_gain(x: float, theta) -> np.ndarray | float:
     return 4.0 * x * (x - 1.0) * np.sin(np.asarray(theta) / 2.0) ** 2
 
 
-def _scatter(p_a, p_b, m_a, m_b, cos_theta, azimuth):
-    """Rotate the center-of-mass relative momentum by (theta, azimuth).
+def draw_pairs(spec: CollisionSpec, mode: str, rng: np.random.Generator, n: int):
+    """n incoming momentum pairs with their scattering angles.
 
-    Returns (p_a', p_b', de_a).  de_a is evaluated as (q' - q) . v_cm with
-    cos(theta) - 1 kept as a single subtraction, which stays relatively
-    accurate even for near-forward scattering where the transferred energy
-    underflows the total.  Zero relative momentum passes through unchanged.
+    Entangled mode draws 3 normals per event for the shared vector k (per
+    component variance m_scale/gamma) and sets p_a = alpha_a k, p_b =
+    alpha_b k; product mode draws 3 + 3 normals for independent Maxwellian
+    momenta (per-component variance m T, mean kinetic energy (3/2) T).
+    Both then draw cos(theta) uniform on [-1, 1] and the azimuth uniform on
+    [0, 2 pi).  Returns (p_a, p_b, cos_theta, azimuth), momenta (n, 3).
     """
-    p_a = np.atleast_2d(np.asarray(p_a, dtype=float))
-    p_b = np.atleast_2d(np.asarray(p_b, dtype=float))
-    cos_theta = np.atleast_1d(np.asarray(cos_theta, dtype=float))
-    azimuth = np.atleast_1d(np.asarray(azimuth, dtype=float))
+    if mode == "entangled":
+        k = rng.standard_normal((n, 3)) * math.sqrt(spec.m_scale / spec.gamma)
+        p_a, p_b = spec.alpha_a * k, spec.alpha_b * k
+    elif mode == "product":
+        p_a = rng.standard_normal((n, 3)) * math.sqrt(spec.m_a * spec.t_a)
+        p_b = rng.standard_normal((n, 3)) * math.sqrt(spec.m_b * spec.t_b)
+    else:
+        raise InvalidSpec(f"mode must be 'entangled' or 'product', got {mode!r}")
+    cos_theta = rng.uniform(-1.0, 1.0, n)
+    azimuth = rng.uniform(0.0, 2.0 * math.pi, n)
+    return p_a, p_b, cos_theta, azimuth
+
+
+def collide(p_a, p_b, m_a: float, m_b: float, cos_theta, azimuth):
+    """Elastic two-body collision: the center-of-mass momentum is kept and
+    the relative momentum rotated by (theta, azimuth).
+
+    Works on one event (3-vectors and scalar angles) or on n events ((n, 3)
+    momenta and length-n angles).  Returns (p_a', p_b', de_a).  de_a is
+    evaluated as (q' - q) . v_cm with cos(theta) - 1 kept as a single
+    subtraction, which stays relatively accurate even for near-forward
+    scattering where the transferred energy underflows the total.  Zero
+    relative momentum passes through unchanged.
+    """
+    if not (m_a > 0 and m_b > 0):
+        raise InvalidSpec(f"masses must be positive, got {m_a!r}, {m_b!r}")
+    p_a = np.asarray(p_a, dtype=float)
+    p_b = np.asarray(p_b, dtype=float)
+    cos_theta = np.asarray(cos_theta, dtype=float)
+    azimuth = np.asarray(azimuth, dtype=float)
 
     v_cm = (p_a + p_b) / (m_a + m_b)
     q = p_a - m_a * v_cm
@@ -179,65 +192,6 @@ def _scatter(p_a, p_b, m_a, m_b, cos_theta, azimuth):
     return p_a_out, p_b_out, np.where(moving, de, 0.0)
 
 
-def collide(p_a, p_b, m_a: float, m_b: float, theta, azimuth):
-    """Elastic two-body collision: center-of-mass momentum unchanged,
-    relative momentum rotated by (theta, azimuth).  Accepts single
-    3-vectors or (n, 3) arrays with matching angle arrays."""
-    if not (m_a > 0 and m_b > 0):
-        raise InvalidSpec(f"masses must be positive, got {m_a!r}, {m_b!r}")
-    single = np.asarray(p_a).ndim == 1
-    p_a_out, p_b_out, _ = _scatter(p_a, p_b, m_a, m_b, np.cos(theta), azimuth)
-    if single:
-        return p_a_out[0], p_b_out[0]
-    return p_a_out, p_b_out
-
-
-def _draw_angles(rng: np.random.Generator, n: int):
-    cos_theta = rng.uniform(-1.0, 1.0, n)
-    azimuth = rng.uniform(0.0, 2.0 * math.pi, n)
-    return cos_theta, azimuth
-
-
-def _draw_entangled(spec: CollisionSpec, rng: np.random.Generator, n: int):
-    """Per event: 3 normals for the shared vector k, then the angles."""
-    k = rng.standard_normal((n, 3)) * math.sqrt(spec.m_scale / spec.gamma)
-    cos_theta, azimuth = _draw_angles(rng, n)
-    return spec.alpha_a * k, spec.alpha_b * k, cos_theta, azimuth
-
-
-def _draw_product(spec: CollisionSpec, rng: np.random.Generator, n: int):
-    """Per event: 3 + 3 normals for independent Maxwellian momenta, then
-    the angles.  Per-component variance m*T gives mean kinetic energy
-    (3/2) T."""
-    p_a = rng.standard_normal((n, 3)) * math.sqrt(spec.m_a * spec.t_a)
-    p_b = rng.standard_normal((n, 3)) * math.sqrt(spec.m_b * spec.t_b)
-    cos_theta, azimuth = _draw_angles(rng, n)
-    return p_a, p_b, cos_theta, azimuth
-
-
-def _single_event(spec: CollisionSpec, rng: np.random.Generator, mode: str) -> CollisionEvent:
-    draw = _draw_entangled if mode == "entangled" else _draw_product
-    p_a, p_b, cos_theta, azimuth = draw(spec, rng, 1)
-    _, _, de = _scatter(p_a, p_b, spec.m_a, spec.m_b, cos_theta, azimuth)
-    return CollisionEvent(
-        p_a=p_a[0],
-        p_b=p_b[0],
-        theta=float(np.arccos(cos_theta[0])),
-        azimuth=float(azimuth[0]),
-        de_a=float(de[0]),
-    )
-
-
-def sample_entangled_event(spec: CollisionSpec, rng: np.random.Generator) -> CollisionEvent:
-    """Draw one collision from the correlated (collinear-momentum) ensemble."""
-    return _single_event(spec, rng, "entangled")
-
-
-def sample_product_event(spec: CollisionSpec, rng: np.random.Generator) -> CollisionEvent:
-    """Draw one collision with independent Maxwell-Boltzmann momenta."""
-    return _single_event(spec, rng, "product")
-
-
 def _weighted_moments(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Accumulator row (sum w, sum wx, sum w^2, sum w^2 x, sum w^2 x^2)."""
     return np.array(
@@ -264,18 +218,15 @@ def ensemble_heat(
     so the report is bit-identical for a given (spec, mode, n, seed) at any
     worker count.
     """
-    if mode not in ("entangled", "product"):
-        raise InvalidSpec(f"mode must be 'entangled' or 'product', got {mode!r}")
     if n < 2:
         raise InvalidSpec(f"need n >= 2 samples, got {n}")
     flux = spec.flux_weighting if spec.flux_weighting is not None else (mode == "product")
-    draw = _draw_entangled if mode == "entangled" else _draw_product
 
     def chunk_stats(c: int) -> tuple[np.ndarray, np.ndarray | None]:
         size = min(CHUNK, n - c * CHUNK)
         rng = substream(seed, _STREAM_TAG, c)
-        p_a, p_b, cos_theta, azimuth = draw(spec, rng, size)
-        _, _, de = _scatter(p_a, p_b, spec.m_a, spec.m_b, cos_theta, azimuth)
+        p_a, p_b, cos_theta, azimuth = draw_pairs(spec, mode, rng, size)
+        _, _, de = collide(p_a, p_b, spec.m_a, spec.m_b, cos_theta, azimuth)
         if flux:
             w = np.linalg.norm(p_a / spec.m_a - p_b / spec.m_b, axis=-1)
         else:

@@ -288,6 +288,23 @@ def relative_entropy(rho: DensityOperator, sigma: DensityOperator) -> float:
     return -von_neumann_entropy(rho) - tr_rho_ln_sigma
 
 
+def gibbs_divergence(
+    rho: DensityOperator, gamma: DensityOperator, h: HamiltonianSpec, beta: float
+) -> float:
+    """S(rho || gamma) for the Gibbs state gamma = gibbs_state(h, beta).
+
+    Evaluated through relative_entropy first.  A Gibbs population below
+    SUPPORT_FLOOR is not a null space, only an underflow of exp(-beta E),
+    so where relative_entropy refuses, ln gamma = -beta H - ln Z is used
+    exactly: S(rho || gamma) = beta tr(rho H) + ln Z - S(rho).
+    """
+    try:
+        return relative_entropy(rho, gamma)
+    except SupportViolation:
+        mean_energy = float(np.trace(rho.matrix @ h.matrix()).real)
+        return beta * mean_energy + log_partition(h, beta) - von_neumann_entropy(rho)
+
+
 def marginal(
     state: DensityOperator | PureJointState, which: int | Iterable[int]
 ) -> DensityOperator:

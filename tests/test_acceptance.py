@@ -25,7 +25,9 @@ from entroflow import (
     average_correlation_bound,
     check_ssa,
     clausius_cycle,
+    collide,
     CollisionSpec,
+    draw_pairs,
     ensemble_heat,
     fractional_gain,
     gibbs_evolution_identity,
@@ -38,7 +40,6 @@ from entroflow import (
     substream,
     x_parameter,
 )
-from entroflow.gas import _draw_entangled, _scatter
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SEED = 20260808
@@ -198,8 +199,8 @@ def test_criterion_7_gas_ensemble():
 
     # per-event closed form over 1e5 entangled events, library sampling path
     rng = substream(SEED, 7)
-    p_a, p_b, cos_theta, azimuth = _draw_entangled(spec, rng, 100_000)
-    _, _, de = _scatter(p_a, p_b, spec.m_a, spec.m_b, cos_theta, azimuth)
+    p_a, p_b, cos_theta, azimuth = draw_pairs(spec, "entangled", rng, 100_000)
+    _, _, de = collide(p_a, p_b, spec.m_a, spec.m_b, cos_theta, azimuth)
     gains = de / ((p_a * p_a).sum(axis=1) / (2.0 * spec.m_a))
     expected = fractional_gain(x, np.arccos(cos_theta))
     rel = np.abs(gains - expected) / np.abs(expected)

@@ -257,6 +257,26 @@ class TestClausius:
         proc = run_cli("clausius", "--config", str(path), "--max-cycles", "2", "--fp-tol", "1e-12")
         assert proc.returncode == 4
 
+    @pytest.mark.parametrize("value", ["inf", "nan", "-inf", "0"])
+    def test_non_finite_fp_tol_exits_2_before_any_contact(
+        self, clausius_config, tmp_path, monkeypatch, capsys, value
+    ):
+        def no_cycle(*args, **kwargs):
+            raise AssertionError("clausius_cycle ran")
+
+        monkeypatch.setattr(cli, "clausius_cycle", no_cycle)
+        out = tmp_path / "out.json"
+        code = cli.main(
+            ["clausius", "--config", clausius_config, f"--fp-tol={value}", "--output", str(out)]
+        )
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_VALIDATION
+        assert captured.err.splitlines() == [
+            f"entroflow: config error: --fp-tol must be a finite positive number, got {float(value)}"
+        ]
+        assert captured.out == ""
+        assert not out.exists()
+
 
 def _with(base, **fields):
     return {**base, **fields}

@@ -193,12 +193,6 @@ class TestGivensUnitary:
             assert np.max(np.abs(u @ h_tot - h_tot @ u)) < 1e-10
             assert np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))) < 1e-12
 
-    def test_accepts_joint_hamiltonian_matrix(self):
-        h_a, h_b = DEMO_SPEC.hamiltonian_a(), DEMO_SPEC.hamiltonian_b()
-        h_tot = kron(h_a.matrix(), np.eye(4)) + kron(np.eye(4), h_b.matrix())
-        u_from_matrix = givens_unitary((4, 4), DEMO_ROTATION, h_tot.real)
-        assert np.array_equal(u_from_matrix, demo_unitary())
-
     def test_rejects_non_degenerate_plane(self):
         h_a, h_b = DEMO_SPEC.hamiltonian_a(), DEMO_SPEC.hamiltonian_b()
         with pytest.raises(NotDegenerate):

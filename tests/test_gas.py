@@ -7,21 +7,20 @@ from entroflow import (
     CollisionSpec,
     InvalidSpec,
     collide,
+    draw_pairs,
     ensemble_heat,
     fractional_gain,
-    sample_entangled_event,
-    sample_product_event,
     substream,
     x_parameter,
 )
-from entroflow.gas import _draw_entangled
 
 REVERSAL = CollisionSpec(m_a=10.0, m_b=1.0, t_a=2.0, t_b=1.0, gamma=1.0)
 SYMMETRIC = CollisionSpec(m_a=1.0, m_b=1.0, t_a=1.0, t_b=1.0, gamma=1.0)
 
 
 def kinetic(p, m):
-    return float(np.dot(p, p)) / (2.0 * m)
+    """Kinetic energy of one momentum 3-vector, or per row of an (n, 3) array."""
+    return (np.asarray(p) ** 2).sum(axis=-1) / (2.0 * m)
 
 
 class TestXParameter:
@@ -67,17 +66,17 @@ class TestFractionalGain:
         # collinear momenta p_a = alpha_a k, p_b = alpha_b k
         rng = substream(41, 1)
         x = x_parameter(REVERSAL)
-        for _ in range(200):
-            k = rng.standard_normal(3) * float(rng.uniform(0.2, 3.0))
-            theta = float(rng.uniform(0.05, math.pi))
-            azimuth = float(rng.uniform(0.0, 2 * math.pi))
-            p_a = REVERSAL.alpha_a * k
-            p_b = REVERSAL.alpha_b * k
-            p_a2, _ = collide(p_a, p_b, REVERSAL.m_a, REVERSAL.m_b, theta, azimuth)
-            e_a = kinetic(p_a, REVERSAL.m_a)
-            gain = (kinetic(p_a2, REVERSAL.m_a) - e_a) / e_a
-            expected = fractional_gain(x, theta)
-            assert abs(gain - expected) <= 1e-10 * max(abs(expected), 1e-3)
+        n = 200
+        k = rng.standard_normal((n, 3)) * rng.uniform(0.2, 3.0, (n, 1))
+        theta = rng.uniform(0.05, math.pi, n)
+        azimuth = rng.uniform(0.0, 2 * math.pi, n)
+        p_a = REVERSAL.alpha_a * k
+        p_b = REVERSAL.alpha_b * k
+        p_a2, _, _ = collide(p_a, p_b, REVERSAL.m_a, REVERSAL.m_b, np.cos(theta), azimuth)
+        e_a = kinetic(p_a, REVERSAL.m_a)
+        gain = (kinetic(p_a2, REVERSAL.m_a) - e_a) / e_a
+        expected = fractional_gain(x, theta)
+        assert np.all(np.abs(gain - expected) <= 1e-10 * np.maximum(np.abs(expected), 1e-3))
 
 
 class TestCollide:
@@ -85,14 +84,15 @@ class TestCollide:
         rng = substream(41, 2)
         p_a = rng.standard_normal(3)
         p_b = rng.standard_normal(3)
-        p_a2, p_b2 = collide(p_a, p_b, 2.0, 3.0, 0.0, 1.0)
+        p_a2, p_b2, de = collide(p_a, p_b, 2.0, 3.0, 1.0, 1.0)
         assert np.allclose(p_a2, p_a, atol=1e-14)
         assert np.allclose(p_b2, p_b, atol=1e-14)
+        assert de == 0.0
 
     def test_equal_mass_head_on_exchange(self):
         p_a = np.array([1.0, 0.0, 0.0])
         p_b = np.array([-1.0, 0.0, 0.0])
-        p_a2, p_b2 = collide(p_a, p_b, 1.0, 1.0, math.pi, 0.0)
+        p_a2, p_b2, _ = collide(p_a, p_b, 1.0, 1.0, -1.0, 0.0)
         assert np.allclose(p_a2, p_b, atol=1e-12)
         assert np.allclose(p_b2, p_a, atol=1e-12)
 
@@ -100,9 +100,10 @@ class TestCollide:
         # equal masses and equal momenta make the relative momentum an exact
         # float zero, so theta is irrelevant and the inputs pass through
         p = np.array([0.4, -0.2, 1.0])
-        p_a2, p_b2 = collide(p, p, 1.0, 1.0, 1.3, 0.4)
+        p_a2, p_b2, de = collide(p, p, 1.0, 1.0, math.cos(1.3), 0.4)
         assert np.array_equal(p_a2, p)
         assert np.array_equal(p_b2, p)
+        assert de == 0.0
 
     def test_conservation_over_random_events(self):
         rng = substream(41, 3)
@@ -112,13 +113,27 @@ class TestCollide:
         theta = rng.uniform(0, math.pi, n)
         azimuth = rng.uniform(0, 2 * math.pi, n)
         m_a, m_b = 2.5, 0.7
-        p_a2, p_b2 = collide(p_a, p_b, m_a, m_b, theta, azimuth)
+        p_a2, p_b2, de = collide(p_a, p_b, m_a, m_b, np.cos(theta), azimuth)
         dp = np.abs(p_a + p_b - p_a2 - p_b2).max()
-        e_in = (p_a**2).sum(1) / (2 * m_a) + (p_b**2).sum(1) / (2 * m_b)
-        e_out = (p_a2**2).sum(1) / (2 * m_a) + (p_b2**2).sum(1) / (2 * m_b)
+        e_in = kinetic(p_a, m_a) + kinetic(p_b, m_b)
+        e_out = kinetic(p_a2, m_a) + kinetic(p_b2, m_b)
         scale = np.abs(e_in).max()
         assert dp <= 1e-12 * max(1.0, np.abs(p_a).max())
         assert np.abs(e_in - e_out).max() <= 1e-12 * scale
+        assert np.abs(de - (kinetic(p_a2, m_a) - kinetic(p_a, m_a))).max() <= 1e-12 * scale
+
+    def test_single_event_matches_batch_row(self):
+        rng = substream(41, 9)
+        p_a = rng.standard_normal((5, 3))
+        p_b = rng.standard_normal((5, 3))
+        cos_theta = rng.uniform(-1.0, 1.0, 5)
+        azimuth = rng.uniform(0.0, 2 * math.pi, 5)
+        batch = collide(p_a, p_b, 1.3, 0.4, cos_theta, azimuth)
+        for i in range(5):
+            single = collide(p_a[i], p_b[i], 1.3, 0.4, cos_theta[i], azimuth[i])
+            assert single[0].shape == (3,) and np.shape(single[2]) == ()
+            for got, want in zip(single, batch):
+                assert np.allclose(got, want[i], rtol=1e-14, atol=0.0)
 
     def test_rotation_angle_is_theta(self):
         rng = substream(41, 4)
@@ -126,7 +141,7 @@ class TestCollide:
         p_b = rng.standard_normal(3)
         m_a, m_b = 1.3, 2.1
         theta = 0.9
-        p_a2, _ = collide(p_a, p_b, m_a, m_b, theta, 2.2)
+        p_a2, _, _ = collide(p_a, p_b, m_a, m_b, math.cos(theta), 2.2)
         v_cm = (p_a + p_b) / (m_a + m_b)
         q = p_a - m_a * v_cm
         q2 = p_a2 - m_a * v_cm
@@ -141,39 +156,44 @@ class TestCollide:
 
 class TestSamplers:
     def test_entangled_momenta_are_collinear(self):
-        rng = substream(41, 5)
-        for _ in range(50):
-            ev = sample_entangled_event(REVERSAL, rng)
-            cross = np.cross(ev.p_a, ev.p_b)
-            assert np.abs(cross).max() <= 1e-12 * np.abs(ev.p_a).max()
+        p_a, p_b, _, _ = draw_pairs(REVERSAL, "entangled", substream(41, 5), 50)
+        cross = np.cross(p_a, p_b)
+        assert np.all(np.abs(cross).max(axis=1) <= 1e-12 * np.abs(p_a).max(axis=1))
 
     def test_entangled_marginal_temperature(self):
         # consistency with the thermal marginal: <KE_a> = (3/2) T_a
-        rng = substream(41, 6)
-        p_a, _, _, _ = _draw_entangled(REVERSAL, rng, 1_000_000)
-        ke = (p_a**2).sum(1) / (2 * REVERSAL.m_a)
+        p_a, _, _, _ = draw_pairs(REVERSAL, "entangled", substream(41, 6), 1_000_000)
+        ke = kinetic(p_a, REVERSAL.m_a)
         se = ke.std(ddof=1) / math.sqrt(ke.size)
         assert abs(ke.mean() - 1.5 * REVERSAL.t_a) <= 3 * se
 
     def test_entangled_event_matches_closed_form(self):
-        rng = substream(41, 7)
         x = x_parameter(REVERSAL)
-        for _ in range(300):
-            ev = sample_entangled_event(REVERSAL, rng)
-            gain = ev.de_a / kinetic(ev.p_a, REVERSAL.m_a)
-            expected = fractional_gain(x, ev.theta)
-            assert abs(gain - expected) <= 1e-10 * max(abs(expected), 1e-12)
-            assert ev.de_a > 0.0  # x > 1: gain at every non-forward angle
+        p_a, p_b, cos_theta, azimuth = draw_pairs(REVERSAL, "entangled", substream(41, 7), 300)
+        _, _, de = collide(p_a, p_b, REVERSAL.m_a, REVERSAL.m_b, cos_theta, azimuth)
+        gain = de / kinetic(p_a, REVERSAL.m_a)
+        expected = fractional_gain(x, np.arccos(cos_theta))
+        assert np.all(np.abs(gain - expected) <= 1e-10 * np.maximum(np.abs(expected), 1e-12))
+        assert np.all(de > 0.0)  # x > 1: gain at every non-forward angle
 
     def test_product_event_conservation(self):
-        rng = substream(41, 8)
-        for _ in range(200):
-            ev = sample_product_event(REVERSAL, rng)
-            p_a2, p_b2 = collide(ev.p_a, ev.p_b, REVERSAL.m_a, REVERSAL.m_b, ev.theta, ev.azimuth)
-            e_in = kinetic(ev.p_a, REVERSAL.m_a) + kinetic(ev.p_b, REVERSAL.m_b)
-            e_out = kinetic(p_a2, REVERSAL.m_a) + kinetic(p_b2, REVERSAL.m_b)
-            assert abs(e_in - e_out) <= 1e-12 * e_in
-            assert abs(ev.de_a - (kinetic(p_a2, REVERSAL.m_a) - kinetic(ev.p_a, REVERSAL.m_a))) <= 1e-10
+        p_a, p_b, cos_theta, azimuth = draw_pairs(REVERSAL, "product", substream(41, 8), 200)
+        p_a2, p_b2, de = collide(p_a, p_b, REVERSAL.m_a, REVERSAL.m_b, cos_theta, azimuth)
+        e_in = kinetic(p_a, REVERSAL.m_a) + kinetic(p_b, REVERSAL.m_b)
+        e_out = kinetic(p_a2, REVERSAL.m_a) + kinetic(p_b2, REVERSAL.m_b)
+        assert np.all(np.abs(e_in - e_out) <= 1e-12 * e_in)
+        # de_a is the kinetic-energy difference of the returned momenta
+        gained = kinetic(p_a2, REVERSAL.m_a) - kinetic(p_a, REVERSAL.m_a)
+        assert np.all(np.abs(de - gained) <= 1e-10)
+
+    def test_draw_order_is_momenta_then_angles(self):
+        # the streams behind ensemble_heat: momenta first, then cos(theta), then azimuth
+        for mode, normals in (("entangled", 3), ("product", 6)):
+            p_a, p_b, cos_theta, azimuth = draw_pairs(REVERSAL, mode, substream(41, 10), 4)
+            rng = substream(41, 10)
+            rng.standard_normal((normals * 4,))
+            assert np.array_equal(cos_theta, rng.uniform(-1.0, 1.0, 4))
+            assert np.array_equal(azimuth, rng.uniform(0.0, 2 * math.pi, 4))
 
 
 class TestEnsembleHeat:
@@ -229,14 +249,14 @@ class TestEnsembleHeat:
         assert np.sign(on.mean_de_a) == np.sign(off.mean_de_a)  # but not the sign
 
     def test_validation(self):
-        with pytest.raises(InvalidSpec):
+        with pytest.raises(InvalidSpec, match="mode"):
             ensemble_heat(REVERSAL, "other", 100, 1)
+        with pytest.raises(InvalidSpec, match="mode"):
+            draw_pairs(REVERSAL, "other", substream(41, 11), 4)
         with pytest.raises(InvalidSpec):
             ensemble_heat(REVERSAL, "entangled", 1, 1)
         with pytest.raises(InvalidSpec):
             CollisionSpec(m_a=-1.0, m_b=1.0, t_a=1.0, t_b=1.0, gamma=1.0)
-        with pytest.raises(InvalidSpec):
-            CollisionSpec(m_a=1.0, m_b=1.0, t_a=1.0, t_b=1.0, gamma=1.0, angle_law="hard")
 
     @pytest.mark.parametrize(
         "fields",

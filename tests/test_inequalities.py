@@ -181,6 +181,16 @@ class TestGibbsEvolutionIdentity:
             assert report.identity_gap <= 1e-9
             assert report.nonneg_slack >= -1e-10
 
+    def test_gibbs_population_below_support_floor(self):
+        # exp(-40) underflows relative_entropy's support floor, yet the
+        # divergence is finite and the identity still closes
+        h = HamiltonianSpec(np.array([0.0, 40.0]))
+        mixed = DensityOperator(np.eye(2, dtype=complex) / 2, (2,))
+        channel = AncillaChannel(haar_unitary(4, substream(3, 1)), mixed)
+        report = gibbs_evolution_identity(h, 1.0, channel, h)
+        assert report.identity_gap <= 1e-9
+        assert report.nonneg_slack >= -1e-10
+
     def test_rejects_nonpositive_beta(self):
         with pytest.raises(NonpositiveBeta):
             gibbs_evolution_identity(QUBIT, 0.0, AncillaChannel.identity(2), QUBIT)

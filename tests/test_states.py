@@ -17,6 +17,7 @@ from entroflow import (
     PureJointState,
     SupportViolation,
     entangled_thermal_state,
+    gibbs_divergence,
     gibbs_populations,
     gibbs_state,
     kron,
@@ -155,6 +156,27 @@ class TestRelativeEntropy:
             energy = float(np.trace(rho.matrix @ LADDER4.matrix()).real)
             oracle = beta * energy - von_neumann_entropy(rho) + lnz
             assert abs(relative_entropy(rho, sigma) - oracle) <= 1e-9
+
+
+class TestGibbsDivergence:
+    def test_equals_relative_entropy_on_full_support(self):
+        rng = substream(11, 5)
+        sigma = gibbs_state(LADDER4, 1.3)
+        for _ in range(10):
+            rho = DensityOperator(random_density(4, int(rng.integers(1, 5)), rng), (4,))
+            expected = relative_entropy(rho, sigma)
+            assert gibbs_divergence(rho, sigma, LADDER4, 1.3) == expected
+
+    def test_population_below_support_floor(self):
+        # exp(-40) is below SUPPORT_FLOOR: relative_entropy refuses, the
+        # Gibbs form beta <H> + ln Z - S stays finite
+        h = HamiltonianSpec(np.array([0.0, 40.0]))
+        rho = DensityOperator(np.eye(2, dtype=complex) / 2, (2,))
+        gamma = gibbs_state(h, 1.0)
+        with pytest.raises(SupportViolation):
+            relative_entropy(rho, gamma)
+        oracle = 20.0 + math.log1p(math.exp(-40.0)) - math.log(2)
+        assert abs(gibbs_divergence(rho, gamma, h, 1.0) - oracle) <= 1e-12
 
 
 class TestMutualInformation:
