@@ -62,6 +62,22 @@ def random_entangled_spec(rng, max_dim: int = 6) -> EntangledThermalSpec:
     return EntangledThermalSpec(eps, gamma=rng.uniform(0.5, 2.0), mu_a=mu_a, mu_b=mu_b)
 
 
+def shell_planes(d: int) -> list:
+    """Every plane of a maximal disjoint set of degenerate planes for
+    levels 0..d-1 on side A and 0, 2, ..., 2(d-1) on side B (epsilon =
+    0..d-1, mu_a = 1, mu_b = 1/2): the joint states (i, j) of each energy
+    shell i + 2j, ascending in i, taken two at a time."""
+    planes = []
+    for energy in range(3 * (d - 1) + 1):
+        shell = [
+            (i, (energy - i) // 2)
+            for i in range(d)
+            if (energy - i) % 2 == 0 and (energy - i) // 2 in range(d)
+        ]
+        planes.extend(zip(shell[0::2], shell[1::2]))
+    return planes
+
+
 def random_conserving_unitary(case: CaseSpec, rng) -> np.ndarray:
     """Random unitary commuting with the bare total Hamiltonian: rotations
     by random angles inside randomly chosen disjoint degenerate planes."""
