@@ -33,7 +33,6 @@ from .exchange import (
     degenerate_pairs,
     givens_unitary,
     joint_energies,
-    partial_swap,
     run_exchange,
 )
 from .gas import (

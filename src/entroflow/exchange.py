@@ -4,10 +4,11 @@ contact-with-reservoirs runner.
 Two initial conditions are supported: kind "S" (uncorrelated product of
 local Gibbs states at two temperatures, the molecular-chaos setting) and
 kind "V" (a single entangled pure state whose marginals are the same two
-Gibbs states).  The interaction is an explicit joint unitary; two exactly
-energy-conserving families are provided (rotations inside degenerate
-joint-energy planes, and resonant partial swaps), so that the exchanged
-energy is heat with no work leakage.
+Gibbs states).  The interaction is an explicit joint unitary; the exactly
+energy-conserving family provided is rotations inside degenerate
+joint-energy planes (givens_unitary), so that the exchanged energy is heat
+with no work leakage.  Each Clausius contact is a resonant partial swap
+with a fresh reservoir, applied through its d x d closed form.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .errors import (
     NotUnitary,
     OverlappingPlanes,
 )
-from .qmath import dagger, kron, max_abs, unitarity_defect
+from .qmath import dagger, max_abs, unitarity_defect
 from .states import (
     DensityOperator,
     EntangledThermalSpec,
@@ -113,14 +114,6 @@ class CaseSpec:
         if self.kind == "V":
             return self.entangled.beta_a, self.entangled.beta_b
         return float(self.beta_a), float(self.beta_b)
-
-    def initial_state(self) -> DensityOperator:
-        h_a, h_b = self.hamiltonians()
-        if self.kind == "V":
-            return entangled_thermal_state(self.entangled).density()
-        ba, bb = self.betas()
-        joint = kron(gibbs_state(h_a, ba).matrix, gibbs_state(h_b, bb).matrix)
-        return DensityOperator(joint, (h_a.dim, h_b.dim))
 
 
 @dataclass(frozen=True)
@@ -213,23 +206,22 @@ def joint_energies(h_a: HamiltonianSpec, h_b: HamiltonianSpec) -> np.ndarray:
     return np.add.outer(h_a.levels, h_b.levels).ravel()
 
 
-def degenerate_pairs(
-    h_a: HamiltonianSpec, h_b: HamiltonianSpec, tol: float = DEGENERACY_TOL
-) -> list[JointPair]:
+def degenerate_pairs(h_a: HamiltonianSpec, h_b: HamiltonianSpec) -> list[JointPair]:
     """All unordered pairs of joint basis labels u != v with |E_u - E_v| <=
-    tol, givens_unitary's rule: rotations inside such planes exchange heat
-    without doing work.  The empty list means no such plane exists."""
+    DEGENERACY_TOL, givens_unitary's rule: rotations inside such planes
+    exchange heat without doing work.  The empty list means no such plane
+    exists."""
     d_b = h_b.dim
     energies = joint_energies(h_a, h_b)
     order = np.argsort(energies, kind="stable")
     ranked = energies[order]
     # ranked[k] can pair only with ranked[k + 1 : stops[k]]
-    stops = np.searchsorted(ranked, ranked + tol, side="right")
+    stops = np.searchsorted(ranked, ranked + DEGENERACY_TOL, side="right")
     out: list[JointPair] = []
     for k, stop in enumerate(stops):
         for m in range(k + 1, stop):
             u, v = sorted((int(order[k]), int(order[m])))
-            if abs(energies[u] - energies[v]) <= tol:
+            if abs(energies[u] - energies[v]) <= DEGENERACY_TOL:
                 out.append(((u // d_b, u % d_b), (v // d_b, v % d_b)))
     return out
 
@@ -238,14 +230,13 @@ def givens_unitary(
     dims: Sequence[int],
     rotations: Sequence[tuple[tuple[int, int], tuple[int, int], float]],
     energies: np.ndarray,
-    tol: float = DEGENERACY_TOL,
 ) -> np.ndarray:
     """Joint unitary rotating disjoint degenerate planes.
 
     Each rotation ((i, j), (i', j'), phi) mixes the two joint basis states
     by angle phi; both must carry the same total energy (from ``energies``,
-    the diagonal of the noninteracting joint Hamiltonian) within tol, so
-    the result commutes with it.  phi = pi/2 maps one state onto the other
+    the diagonal of the noninteracting joint Hamiltonian) within
+    DEGENERACY_TOL, so the result commutes with it.  phi = pi/2 maps one state onto the other
     up to sign.
     """
     dims = tuple(int(d) for d in dims)
@@ -267,10 +258,10 @@ def givens_unitary(
         fv = i2 * d_b + j2
         if fu == fv:
             raise OverlappingPlanes(f"rotation plane degenerates to a single state {(i, j)}")
-        if abs(energies[fu] - energies[fv]) > tol:
+        if abs(energies[fu] - energies[fv]) > DEGENERACY_TOL:
             raise NotDegenerate(
                 f"labels {(i, j)} and {(i2, j2)} differ in energy by "
-                f"{abs(energies[fu] - energies[fv]):.3e} (> {tol})"
+                f"{abs(energies[fu] - energies[fv]):.3e} (> {DEGENERACY_TOL})"
             )
         if fu in used or fv in used:
             raise OverlappingPlanes(f"rotation plane ({(i, j)}, {(i2, j2)}) reuses a basis state")
@@ -281,20 +272,6 @@ def givens_unitary(
         u[fu, fv] = -s
         u[fv, fu] = s
     return u
-
-
-def partial_swap(d: int, phi: float) -> np.ndarray:
-    """cos(phi) I - i sin(phi) SWAP on two d-dimensional factors.
-
-    phi = 0 is the identity, phi = pi/2 the full swap (up to global phase);
-    every angle commutes with H (x) I + I (x) H for any single-factor H.
-    """
-    if d < 2:
-        raise DimensionMismatch(f"partial swap needs d >= 2, got {d}")
-    swap = np.zeros((d * d, d * d), dtype=complex)
-    i, j = np.divmod(np.arange(d * d), d)
-    swap[i * d + j, j * d + i] = 1.0
-    return np.cos(phi) * np.eye(d * d, dtype=complex) - 1j * np.sin(phi) * swap
 
 
 def _energy_commutator_defect(u: np.ndarray, mat_a: np.ndarray, mat_b: np.ndarray) -> float:
@@ -416,7 +393,8 @@ def run_exchange(case: CaseSpec, u: np.ndarray) -> ExchangeReport:
 
 
 def _contact_state(rho: np.ndarray, sigma: np.ndarray, phi: float) -> np.ndarray:
-    """tr_B[U (rho (x) sigma) U^dag] for U = partial_swap(d, phi).
+    """tr_B[U (rho (x) sigma) U^dag] for the partial swap U = cos(phi) I -
+    i sin(phi) SWAP, which commutes with H (x) I + I (x) H for any H.
 
     With c = cos(phi) and s = sin(phi) the reduced state is c^2 rho + s^2
     sigma + i c s (rho sigma - sigma rho), the partial-swap collision model

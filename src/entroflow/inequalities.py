@@ -35,18 +35,18 @@ RHS_TOL = 1e-10
 
 @dataclass(frozen=True)
 class SlackReport:
-    """Outcome of one inequality check: passes iff slack = rhs - lhs >= -tol."""
+    """Outcome of one inequality check: passes iff slack = rhs - lhs >=
+    -SLACK_TOL."""
 
     lhs: float
     rhs: float
     slack: float
     passed: bool
-    tol: float
 
     @classmethod
-    def compare(cls, lhs: float, rhs: float, tol: float = SLACK_TOL) -> "SlackReport":
+    def compare(cls, lhs: float, rhs: float) -> "SlackReport":
         slack = rhs - lhs
-        return cls(lhs=lhs, rhs=rhs, slack=slack, passed=slack >= -tol, tol=tol)
+        return cls(lhs=lhs, rhs=rhs, slack=slack, passed=slack >= -SLACK_TOL)
 
 
 @dataclass(frozen=True)

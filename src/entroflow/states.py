@@ -82,10 +82,6 @@ class DensityOperator:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    def eigenvalues(self) -> np.ndarray:
-        """Spectrum in ascending order."""
-        return self.spectrum
-
 
 @dataclass(frozen=True)
 class HamiltonianSpec:

@@ -12,8 +12,11 @@ from entroflow import (
     EntangledThermalSpec,
     PureJointState,
     degenerate_pairs,
+    entangled_thermal_state,
+    gibbs_state,
     givens_unitary,
     joint_energies,
+    kron,
 )
 
 
@@ -62,6 +65,26 @@ def random_entangled_spec(rng, max_dim: int = 6) -> EntangledThermalSpec:
     return EntangledThermalSpec(eps, gamma=rng.uniform(0.5, 2.0), mu_a=mu_a, mu_b=mu_b)
 
 
+def initial_state(case: CaseSpec) -> DensityOperator:
+    """Dense joint initial state of an exchange case (a test oracle): the
+    entangled pure state (kind V) or the product of the two Gibbs states
+    (kind S)."""
+    if case.kind == "V":
+        return entangled_thermal_state(case.entangled).density()
+    (h_a, h_b), (beta_a, beta_b) = case.hamiltonians(), case.betas()
+    joint = kron(gibbs_state(h_a, beta_a).matrix, gibbs_state(h_b, beta_b).matrix)
+    return DensityOperator(joint, (h_a.dim, h_b.dim))
+
+
+def partial_swap(d: int, phi: float) -> np.ndarray:
+    """Dense cos(phi) I - i sin(phi) SWAP on two d-dimensional factors (a
+    test oracle for the Clausius contact's closed form)."""
+    swap = np.zeros((d * d, d * d), dtype=complex)
+    i, j = np.divmod(np.arange(d * d), d)
+    swap[i * d + j, j * d + i] = 1.0
+    return np.cos(phi) * np.eye(d * d, dtype=complex) - 1j * np.sin(phi) * swap
+
+
 def shell_planes(d: int) -> list:
     """Every plane of a maximal disjoint set of degenerate planes for
     levels 0..d-1 on side A and 0, 2, ..., 2(d-1) on side B (epsilon =
@@ -82,7 +105,7 @@ def random_conserving_unitary(case: CaseSpec, rng) -> np.ndarray:
     """Random unitary commuting with the bare total Hamiltonian: rotations
     by random angles inside randomly chosen disjoint degenerate planes."""
     h_a, h_b = case.hamiltonians()
-    pairs = degenerate_pairs(h_a, h_b, tol=1e-9)
+    pairs = degenerate_pairs(h_a, h_b)
     order = rng.permutation(len(pairs))
     used: set[int] = set()
     rotations = []

@@ -3,7 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_conserving_unitary, random_entangled_spec
+from conftest import (
+    initial_state,
+    partial_swap,
+    random_conserving_unitary,
+    random_entangled_spec,
+)
 
 import entroflow.exchange as exchange_module
 from entroflow import (
@@ -25,7 +30,6 @@ from entroflow import (
     haar_unitary,
     joint_energies,
     kron,
-    partial_swap,
     partial_trace,
     random_density,
     run_exchange,
@@ -315,7 +319,7 @@ class TestRunExchange:
         case = CaseSpec.case_s(
             spec.hamiltonian_a(), 1.1, spec.hamiltonian_b(), 0.6
         )
-        rho0 = case.initial_state()
+        rho0 = initial_state(case)
         u = haar_unitary(rho0.dim, rng)
         rho1 = DensityOperator(u @ rho0.matrix @ u.conj().T, rho0.dims)
         assert abs(von_neumann_entropy(rho1) - von_neumann_entropy(rho0)) <= 1e-9
@@ -540,7 +544,7 @@ def dense_exchange_reference(case, u):
     beta_a, beta_b = case.betas()
     dims = (h_a.dim, h_b.dim)
     mat_a, mat_b = h_a.matrix(), h_b.matrix()
-    rho0 = case.initial_state().matrix
+    rho0 = initial_state(case).matrix
     rho1 = u @ rho0 @ u.conj().T
 
     def entropy(m):

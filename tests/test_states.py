@@ -217,9 +217,8 @@ class TestStoredSpectrum:
     def test_whole_state_entropies_reuse_the_validation_eigensolve(self, eigensolves):
         rho = DensityOperator(random_density(6, 3, substream(11, 11)), (2, 3))
         assert eigensolves == [6]
-        assert np.array_equal(rho.eigenvalues(), np.linalg.eigvalsh(rho.matrix))
+        assert np.array_equal(rho.spectrum, np.linalg.eigvalsh(rho.matrix))
         del eigensolves[:]
-        rho.eigenvalues()
         von_neumann_entropy(rho)
         subsystem_entropy(rho, [1, 0])
         assert eigensolves == []
@@ -344,8 +343,8 @@ class TestMarginal:
     def test_isospectral_marginals(self):
         spec = EntangledThermalSpec(np.array([0.0, 1.0, 2.0, 3.0]), 1.0, 1.0, 0.5)
         state = entangled_thermal_state(spec)
-        lam_a = marginal(state, 0).eigenvalues()
-        lam_b = marginal(state, 1).eigenvalues()
+        lam_a = marginal(state, 0).spectrum
+        lam_b = marginal(state, 1).spectrum
         assert np.max(np.abs(lam_a - lam_b)) <= 1e-10
 
     def test_product_state_factor(self):
