@@ -350,15 +350,14 @@ def run_exchange(case: CaseSpec, u: np.ndarray) -> ExchangeReport:
     mat_b = h_b.matrix()
     conserving = _energy_commutator_defect(u, mat_a, mat_b) <= ENERGY_TOL
 
-    gamma_a, gamma_b = gibbs_state(h_a, beta_a), gibbs_state(h_b, beta_b)
     if case.kind == "V":
         psi = entangled_thermal_state(case.entangled).vector
         a0, b0 = _marginal_states(psi, d_a, d_b)
         s_joint = 0.0
         w = u @ psi
     else:
-        a0, b0 = gamma_a, gamma_b
-        s_joint = product_entropy(gamma_a, gamma_b)
+        a0, b0 = gibbs_state(h_a, beta_a), gibbs_state(h_b, beta_b)
+        s_joint = product_entropy(a0, b0)
         w = _times_product_factor(u, _gibbs_factor(h_a, beta_a), _gibbs_factor(h_b, beta_b))
     a1, b1 = _marginal_states(w, d_a, d_b)
     s_a0, s_b0, s_a1, s_b1 = (von_neumann_entropy(red) for red in (a0, b0, a1, b1))
@@ -373,8 +372,8 @@ def run_exchange(case: CaseSpec, u: np.ndarray) -> ExchangeReport:
         beta_a * q_a
         + beta_b * q_b
         - (mutual_info_final - mutual_info_initial)
-        - gibbs_divergence(a1, gamma_a, h_a, beta_a)
-        - gibbs_divergence(b1, gamma_b, h_b, beta_b)
+        - gibbs_divergence(a1, h_a, beta_a)
+        - gibbs_divergence(b1, h_b, beta_b)
     )
 
     return ExchangeReport(

@@ -157,7 +157,7 @@ def gibbs_evolution_identity(
     beta_tr_rhof_dh = beta * float(np.trace(rho_f.matrix @ (mat_f - mat_i)).real)
     rhs = beta_du - ds - beta_tr_rhof_dh
 
-    lhs = gibbs_divergence(rho_f, rho_i, h_i, beta)
+    lhs = gibbs_divergence(rho_f, h_i, beta)
     return GibbsEvolutionReport(
         relative_entropy_lhs=lhs,
         beta_du=beta_du,

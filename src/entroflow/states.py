@@ -24,8 +24,6 @@ from .qmath import dagger, eig_hermitian, hermiticity_defect, max_abs, partial_t
 
 # state-validation tolerances: hermiticity / negativity / trace deficit
 STATE_TOL = 1e-10
-# eigenvalues at or below this floor are treated as exact zeros inside logs
-EIG_FLOOR = 1e-12
 # below this, an eigenvalue of a unit-trace operator is indistinguishable
 # from zero at double precision and counts as outside the support
 SUPPORT_FLOOR = 1e-13
@@ -232,8 +230,9 @@ def log_partition(h: HamiltonianSpec, beta: float) -> float:
 
 
 def _spectral_entropy(lam: np.ndarray) -> float:
-    """-sum lam ln lam, eigenvalues at or below EIG_FLOOR dropped."""
-    lam = lam[lam > EIG_FLOOR]
+    """-sum lam ln lam over the positive eigenvalues: a zero adds 0 ln 0 = 0,
+    and a negative one is rounding noise of a semidefinite spectrum."""
+    lam = lam[lam > 0]
     return float(-(lam * np.log(lam)).sum())
 
 
@@ -244,8 +243,7 @@ def von_neumann_entropy(rho: DensityOperator) -> float:
 
 def product_entropy(*factors: DensityOperator) -> float:
     """S(rho_1 (x) rho_2 (x) ...) from the products of the factors' stored
-    spectra, with the EIG_FLOOR cut applied to those joint eigenvalues as a
-    joint eigensolve would; no joint matrix is formed."""
+    spectra; no joint matrix is formed."""
     lam = np.ones(1)
     for rho in factors:
         lam = np.multiply.outer(lam, rho.spectrum).ravel()
@@ -284,21 +282,17 @@ def relative_entropy(rho: DensityOperator, sigma: DensityOperator) -> float:
     return -von_neumann_entropy(rho) - tr_rho_ln_sigma
 
 
-def gibbs_divergence(
-    rho: DensityOperator, gamma: DensityOperator, h: HamiltonianSpec, beta: float
-) -> float:
-    """S(rho || gamma) for the Gibbs state gamma = gibbs_state(h, beta).
+def gibbs_divergence(rho: DensityOperator, h: HamiltonianSpec, beta: float) -> float:
+    """S(rho || gamma) for the Gibbs state gamma = exp(-beta H)/Z, from the
+    exact ln gamma = -beta H - ln Z: beta tr(rho H) + ln Z - S(rho).
 
-    Evaluated through relative_entropy first.  A Gibbs population below
-    SUPPORT_FLOOR is not a null space, only an underflow of exp(-beta E),
-    so where relative_entropy refuses, ln gamma = -beta H - ln Z is used
-    exactly: S(rho || gamma) = beta tr(rho H) + ln Z - S(rho).
+    No eigensolve of gamma, and no support floor: a Gibbs population is
+    positive even where exp(-beta E) underflows.
     """
-    try:
-        return relative_entropy(rho, gamma)
-    except SupportViolation:
-        mean_energy = float(np.trace(rho.matrix @ h.matrix()).real)
-        return beta * mean_energy + log_partition(h, beta) - von_neumann_entropy(rho)
+    if rho.dim != h.dim:
+        raise DimensionMismatch(f"dimension mismatch: {rho.dim} vs {h.dim}")
+    mean_energy = float(np.trace(rho.matrix @ h.matrix()).real)
+    return beta * mean_energy + log_partition(h, beta) - von_neumann_entropy(rho)
 
 
 def marginal(

@@ -8,6 +8,7 @@ from conftest import (
     partial_swap,
     random_conserving_unitary,
     random_entangled_spec,
+    shell_planes,
 )
 
 import entroflow.exchange as exchange_module
@@ -678,6 +679,17 @@ class TestIdentityGap:
             report = run_exchange(case, u)
             assert report.energy_conserving
             assert report.identity_gap <= 1e-9
+
+    def test_forty_levels_at_rounding(self):
+        # every disjoint degenerate plane at phi = 0.9: marginal populations
+        # fall below 1e-12, the identity still closes to rounding
+        spec = EntangledThermalSpec(np.arange(40, dtype=float), 0.7, 1.0, 0.5)
+        h_a, h_b = spec.hamiltonian_a(), spec.hamiltonian_b()
+        planes = [(u, v, 0.9) for u, v in shell_planes(40)]
+        u = givens_unitary((40, 40), planes, joint_energies(h_a, h_b))
+        case_s = CaseSpec.case_s(h_a, spec.beta_a, h_b, spec.beta_b)
+        for case in (CaseSpec.case_v(spec), case_s):
+            assert run_exchange(case, u).identity_gap <= 1e-14
 
     def test_gibbs_populations_below_support_floor(self):
         # exp(-40) underflows relative_entropy's support floor; the gap is

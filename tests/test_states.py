@@ -160,23 +160,38 @@ class TestRelativeEntropy:
 
 class TestGibbsDivergence:
     def test_equals_relative_entropy_on_full_support(self):
+        # two evaluations of one quantity: the exact Gibbs form here, an
+        # eigensolve of sigma in relative_entropy
         rng = substream(11, 5)
         sigma = gibbs_state(LADDER4, 1.3)
         for _ in range(10):
             rho = DensityOperator(random_density(4, int(rng.integers(1, 5)), rng), (4,))
             expected = relative_entropy(rho, sigma)
-            assert gibbs_divergence(rho, sigma, LADDER4, 1.3) == expected
+            assert abs(gibbs_divergence(rho, LADDER4, 1.3) - expected) <= 1e-13
 
     def test_population_below_support_floor(self):
         # exp(-40) is below SUPPORT_FLOOR: relative_entropy refuses, the
         # Gibbs form beta <H> + ln Z - S stays finite
         h = HamiltonianSpec(np.array([0.0, 40.0]))
         rho = DensityOperator(np.eye(2, dtype=complex) / 2, (2,))
-        gamma = gibbs_state(h, 1.0)
         with pytest.raises(SupportViolation):
-            relative_entropy(rho, gamma)
+            relative_entropy(rho, gibbs_state(h, 1.0))
         oracle = 20.0 + math.log1p(math.exp(-40.0)) - math.log(2)
-        assert abs(gibbs_divergence(rho, gamma, h, 1.0) - oracle) <= 1e-12
+        assert abs(gibbs_divergence(rho, h, 1.0) - oracle) <= 1e-12
+
+    def test_population_underflowing_to_zero_without_eigensolve(self, eigensolves):
+        # exp(-800) is exactly 0.0 in double precision, yet ln gamma =
+        # -beta H - ln Z stays exact
+        h = HamiltonianSpec(np.array([0.0, 800.0]))
+        assert gibbs_populations(h, 1.0)[1] == 0.0
+        rho = DensityOperator(np.eye(2, dtype=complex) / 2, (2,))
+        del eigensolves[:]
+        assert gibbs_divergence(rho, h, 1.0) == 400.0 - math.log(2)
+        assert eigensolves == []
+
+    def test_rejects_dimension_mismatch(self):
+        with pytest.raises(DimensionMismatch):
+            gibbs_divergence(gibbs_state(QUBIT, 1.0), LADDER4, 1.0)
 
 
 class TestMutualInformation:
@@ -266,10 +281,13 @@ class TestSubsystemEntropy:
 
 
 class TestProductEntropy:
-    @pytest.mark.parametrize("beta", [0.3, 0.6], ids=["above-floor", "below-floor"])
+    @pytest.mark.parametrize(
+        "beta", [0.3, 0.6], ids=["products-above-1e-12", "products-below-1e-12"]
+    )
     def test_matches_joint_eigensolve(self, beta):
         # at beta 0.6 some products of the two 24-level spectra fall below
-        # EIG_FLOOR; both paths must drop the same ones
+        # 1e-12, where the joint eigensolve's rounding noise is of their
+        # size; every positive eigenvalue counts on both paths
         h_a = HamiltonianSpec(np.arange(24, dtype=float))
         h_b = HamiltonianSpec(2.0 * np.arange(24))
         g_a, g_b = gibbs_state(h_a, beta), gibbs_state(h_b, beta / 2)
