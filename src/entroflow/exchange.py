@@ -236,8 +236,8 @@ def givens_unitary(
     Each rotation ((i, j), (i', j'), phi) mixes the two joint basis states
     by angle phi; both must carry the same total energy (from ``energies``,
     the diagonal of the noninteracting joint Hamiltonian) within
-    DEGENERACY_TOL, so the result commutes with it.  phi = pi/2 maps one state onto the other
-    up to sign.
+    DEGENERACY_TOL, so the result commutes with it.  phi = pi/2 maps one
+    state onto the other up to sign.
     """
     dims = tuple(int(d) for d in dims)
     if len(dims) != 2:

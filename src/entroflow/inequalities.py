@@ -35,8 +35,7 @@ RHS_TOL = 1e-10
 
 @dataclass(frozen=True)
 class SlackReport:
-    """Outcome of one inequality check: passes iff slack = rhs - lhs >=
-    -SLACK_TOL."""
+    """Outcome of one inequality check: passes iff slack = rhs - lhs >= -SLACK_TOL."""
 
     lhs: float
     rhs: float

@@ -10,6 +10,10 @@ After an intended change of payload bits, rewrite the file and print every
 key that moved:
 
     PYTHONPATH=src python tests/golden.py --update
+
+The inputs are built here, not taken from ``perfbench/workloads.py``, so a
+change to the benchmark's workloads never moves a digest.  Sizes are cut
+below the benchmark's only to keep the test to a few seconds.
 """
 
 from __future__ import annotations

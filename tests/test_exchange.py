@@ -685,7 +685,7 @@ class TestIdentityGap:
         # fall below 1e-12, the identity still closes to rounding
         spec = EntangledThermalSpec(np.arange(40, dtype=float), 0.7, 1.0, 0.5)
         h_a, h_b = spec.hamiltonian_a(), spec.hamiltonian_b()
-        planes = [(u, v, 0.9) for u, v in shell_planes(40)]
+        planes = [(first, second, 0.9) for first, second in shell_planes(40)]
         u = givens_unitary((40, 40), planes, joint_energies(h_a, h_b))
         case_s = CaseSpec.case_s(h_a, spec.beta_a, h_b, spec.beta_b)
         for case in (CaseSpec.case_v(spec), case_s):
