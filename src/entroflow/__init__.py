@@ -64,6 +64,7 @@ from .qmath import (
 )
 from .states import (
     DensityOperator,
+    DensityStack,
     EntangledThermalSpec,
     HamiltonianSpec,
     PureJointState,
@@ -78,5 +79,6 @@ from .states import (
     relative_entropy,
     subsystem_entropy,
     trace_distance,
+    validate_densities,
     von_neumann_entropy,
 )

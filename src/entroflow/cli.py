@@ -21,6 +21,7 @@ import os
 import sys
 import time
 import warnings
+from typing import Iterable
 
 import numpy as np
 
@@ -59,8 +60,15 @@ from .inequalities import (
     check_ssa,
     gibbs_evolution_identity,
 )
-from .qmath import haar_unitary, random_density, substream
-from .states import STATE_TOL, DensityOperator, EntangledThermalSpec, HamiltonianSpec, gibbs_state
+from .qmath import MAX_JOINT_DIM, ginibre, haar_qr, random_density, substream
+from .states import (
+    STATE_TOL,
+    DensityOperator,
+    DensityStack,
+    EntangledThermalSpec,
+    HamiltonianSpec,
+    gibbs_state,
+)
 
 SCHEMA_VERSION = 1
 
@@ -70,6 +78,12 @@ EXIT_VALIDATION = 2
 EXIT_DEGENERACY = 3
 EXIT_NO_CONVERGENCE = 4
 EXIT_INTERNAL = 5
+
+# ineq evaluates its trials in batches of as many as fit this many complex
+# entries (128 KiB) per stacked joint-space array; no payload depends on
+# the batch.  Larger budgets were no faster at the README sizes, and each
+# doubling raised the peak memory of a later gas run in the same process.
+BATCH_ELEMENTS = 2**13
 
 
 def worker_count() -> int:
@@ -186,6 +200,14 @@ def _require_finite(value, what: str) -> float:
     return float(value)
 
 
+def _require_joint_dim(joint: int, source: str) -> int:
+    if joint > MAX_JOINT_DIM:
+        raise ConfigError(
+            f"{source} gives a joint dimension of {joint}, above the limit of {MAX_JOINT_DIM}"
+        )
+    return joint
+
+
 def _check_seed(seed: int) -> int:
     if not 0 <= seed < 2**64:
         raise ConfigError(f"--seed must be a 64-bit unsigned integer, got {seed}")
@@ -221,73 +243,80 @@ def _parse_sweep(text: str) -> np.ndarray:
 
 # ---------------------------------------------------------------- ineq ---
 
-def _random_hamiltonian(d: int, rng: np.random.Generator) -> HamiltonianSpec:
-    # span capped at 1.2 so beta * span stays within the range where tiny
-    # Gibbs populations remain representable in a dense matrix
-    levels = np.sort(rng.uniform(0.0, 1.2, d))
-    return HamiltonianSpec(levels, basis=haar_unitary(d, rng))
+def _random_hamiltonian(d: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    # levels and the Ginibre draw of the eigenbasis; the span cap of 1.2 is
+    # part of the seeded eq2 draw, and changing it moves every eq2 digest
+    return np.sort(rng.uniform(0.0, 1.2, d)), ginibre(d, rng)
 
 
-def _random_state(dims: tuple[int, ...], rng: np.random.Generator) -> DensityOperator:
+def _random_states(dims: tuple[int, ...], rngs: Iterable[np.random.Generator]) -> DensityStack:
     d = math.prod(dims)
-    rank = int(rng.integers(1, d + 1))
-    return DensityOperator(random_density(d, rank, rng), dims)
+    draws = [random_density(d, int(rng.integers(1, d + 1)), rng) for rng in rngs]
+    return DensityStack(np.stack(draws), dims)
 
 
-def _ssa_trial(dims: tuple[int, ...], rng: np.random.Generator) -> SlackReport:
-    return check_ssa(_random_state(dims, rng), 0, 1, 2)
-
-
-def _eq1_trial(dims: tuple[int, ...], rng: np.random.Generator) -> SlackReport:
-    return average_correlation_bound(_random_state(dims, rng))
-
-
-def _eq2_trial(dims: tuple[int, ...], rng: np.random.Generator) -> GibbsEvolutionReport:
-    d_sys = dims[0]
-    d_anc = dims[1] if len(dims) == 2 else 2
+def _eq2_draw(d_sys: int, d_anc: int, rng: np.random.Generator) -> tuple:
     beta = float(np.exp(rng.uniform(np.log(0.1), np.log(10.0))))
     h_i = _random_hamiltonian(d_sys, rng)
     h_f = _random_hamiltonian(d_sys, rng)
-    unitary = haar_unitary(d_sys * d_anc, rng)
-    anc_rank = int(rng.integers(1, d_anc + 1))
-    ancilla = DensityOperator(random_density(d_anc, anc_rank, rng), (d_anc,))
-    return gibbs_evolution_identity(h_i, beta, AncillaChannel(unitary, ancilla), h_f)
+    unitary = ginibre(d_sys * d_anc, rng)
+    ancilla = random_density(d_anc, int(rng.integers(1, d_anc + 1)), rng)
+    return beta, *h_i, *h_f, unitary, ancilla
 
 
-def _slacks(reports: list[SlackReport]) -> dict:
-    slacks = [r.slack for r in reports]
-    worst = int(np.argmin(slacks))
+def _eq2_batch(
+    factors: tuple[int, int], rngs: Iterable[np.random.Generator]
+) -> GibbsEvolutionReport:
+    draws = [_eq2_draw(*factors, rng) for rng in rngs]
+    beta, levels_i, g_i, levels_f, g_f, g_u, ancilla = map(np.stack, zip(*draws))
+    h_i = HamiltonianSpec(levels_i, basis=haar_qr(g_i))
+    h_f = HamiltonianSpec(levels_f, basis=haar_qr(g_f))
+    channel = AncillaChannel(haar_qr(g_u), DensityStack(ancilla, factors[1:]))
+    return gibbs_evolution_identity(h_i, beta, channel, h_f)
+
+
+def _slacks(report: SlackReport) -> dict:
+    worst = int(np.argmin(report.slack))
     return {
-        "worst_slack": slacks[worst],
+        "worst_slack": float(report.slack[worst]),
         "worst_trial": worst,
         "tol": SLACK_TOL,
-        "all_pass": all(r.passed for r in reports),
+        "all_pass": bool(np.all(report.passed)),
     }
 
 
-def _gibbs(reports: list[GibbsEvolutionReport]) -> dict:
-    gaps = [r.identity_gap for r in reports]
-    slacks = [r.nonneg_slack for r in reports]
+def _gibbs(report: GibbsEvolutionReport) -> dict:
+    gaps, slacks = report.identity_gap, report.nonneg_slack
     worst_gap = int(np.argmax(gaps))
     worst_slack = int(np.argmin(slacks))
     return {
-        "worst_identity_gap": gaps[worst_gap],
+        "worst_identity_gap": float(gaps[worst_gap]),
         "worst_gap_trial": worst_gap,
-        "worst_slack": slacks[worst_slack],
+        "worst_slack": float(slacks[worst_slack]),
         "worst_slack_trial": worst_slack,
         "gap_tol": IDENTITY_TOL,
         "slack_tol": RHS_TOL,
-        "all_pass": gaps[worst_gap] <= IDENTITY_TOL and slacks[worst_slack] >= -RHS_TOL,
+        "all_pass": bool(gaps[worst_gap] <= IDENTITY_TOL and slacks[worst_slack] >= -RHS_TOL),
     }
 
 
-# check -> (substream tag, factor-count rule, its error, trial, payload
-# fields); trial t draws from substream (seed, tag, t), so checks sharing a
-# master seed never consume the same stream
+# check -> (substream tag, factor-count rule, its error, tensor factors of a
+# trial, a batch's draws and report, payload fields); trial t draws from
+# substream (seed, tag, t), so checks sharing a master seed never consume
+# the same stream; an eq2 ancilla is a qubit unless --dims names it
 _INEQ_CHECKS = {
-    "ssa": (1, lambda n: n == 3, "ssa needs exactly 3 factors in --dims", _ssa_trial, _slacks),
-    "eq1": (2, lambda n: n >= 3, "eq1 needs at least 3 factors in --dims", _eq1_trial, _slacks),
-    "eq2": (3, lambda n: n <= 2, "eq2 takes --dims SYSTEM or SYSTEM,ANCILLA", _eq2_trial, _gibbs),
+    "ssa": (
+        1, lambda n: n == 3, "ssa needs exactly 3 factors in --dims", tuple,
+        lambda dims, rngs: check_ssa(_random_states(dims, rngs), 0, 1, 2), _slacks,
+    ),
+    "eq1": (
+        2, lambda n: n >= 3, "eq1 needs at least 3 factors in --dims", tuple,
+        lambda dims, rngs: average_correlation_bound(_random_states(dims, rngs)), _slacks,
+    ),
+    "eq2": (
+        3, lambda n: n <= 2, "eq2 takes --dims SYSTEM or SYSTEM,ANCILLA",
+        lambda dims: (*dims, 2)[:2], _eq2_batch, _gibbs,
+    ),
 }
 
 
@@ -296,13 +325,24 @@ def cmd_ineq(args: argparse.Namespace) -> int:
     if args.trials < 1:
         raise ConfigError(f"--trials must be >= 1, got {args.trials}")
     seed = _check_seed(args.seed)
-    tag, dims_ok, dims_error, trial, fields = _INEQ_CHECKS[args.check]
+    tag, dims_ok, dims_error, factors_of, run_batch, fields = _INEQ_CHECKS[args.check]
     if not dims_ok(len(dims)):
         raise ConfigError(dims_error)
+    factors = factors_of(dims)
+    joint = _require_joint_dim(math.prod(factors), "--dims")
     started = time.perf_counter()
 
-    reports = [trial(dims, substream(seed, tag, t)) for t in range(args.trials)]
-    payload = {"check": args.check, "trials": args.trials, **fields(reports)}
+    # draws stay one trial at a time, in trial order; the linear algebra
+    # runs once per batch, and the batch reports join into one
+    batch = max(1, BATCH_ELEMENTS // joint**2)
+    reports = []
+    for first in range(0, args.trials, batch):
+        trials = range(first, min(first + batch, args.trials))
+        reports.append(run_batch(factors, (substream(seed, tag, t) for t in trials)))
+    report = type(reports[0])(
+        *(np.concatenate(column) for column in zip(*map(dataclasses.astuple, reports)))
+    )
+    payload = {"check": args.check, "trials": args.trials, **fields(report)}
 
     config = {"check": args.check, "dims": list(dims), "trials": args.trials, "seed": seed}
     envelope = make_envelope("ineq", config, seed, payload, time.perf_counter() - started)
@@ -315,6 +355,7 @@ def cmd_ineq(args: argparse.Namespace) -> int:
 def _exchange_setup(args: argparse.Namespace):
     cfg = _load_config(args.config, "exchange")
     epsilon = _require_number_list(cfg, "epsilon")
+    _require_joint_dim(len(epsilon) ** 2, "config field 'epsilon'")
     gamma = _require_positive(cfg, "gamma")
     mu_a = _require_positive(cfg, "mu_a")
     mu_b = _require_positive(cfg, "mu_b")

@@ -4,6 +4,11 @@ Three checks live here: strong subadditivity on tripartite states, the
 average-pairwise-correlation bound it implies for N >= 3 subsystems, and
 the nonnegative relative-entropy identity obeyed by any evolution that
 starts from a Gibbs state (possibly with a Hamiltonian quench).
+
+Every check runs on one state or, unchanged, on a stack of them (a
+DensityStack, stacked Hamiltonians and channels), with one batched partial
+trace and eigensolve per entropy; a stack's report holds one entry per
+state in each field.
 """
 
 from __future__ import annotations
@@ -14,10 +19,12 @@ from itertools import combinations
 import numpy as np
 
 from .errors import DimensionMismatch, NonpositiveBeta, TooFewFactors
-from .qmath import dagger, kron, partial_trace
+from .qmath import dagger, kron, partial_trace, scalar_or_stack, trace
 from .states import (
     DensityOperator,
+    DensityStack,
     HamiltonianSpec,
+    density,
     gibbs_divergence,
     gibbs_state,
     subsystem_entropy,
@@ -69,29 +76,33 @@ class GibbsEvolutionReport:
 
 @dataclass(frozen=True)
 class AncillaChannel:
-    """Unitary on system (x) ancilla followed by discarding the ancilla."""
+    """Unitary on system (x) ancilla followed by discarding the ancilla.
+
+    A stack of N channels holds N unitaries (N, D, D) and a DensityStack of
+    N ancillas; channel t acts on state t of a DensityStack.
+    """
 
     unitary: np.ndarray
-    ancilla: DensityOperator
+    ancilla: DensityOperator | DensityStack
 
     @classmethod
     def identity(cls, d: int) -> "AncillaChannel":
         """The do-nothing channel (trivial one-dimensional ancilla)."""
         return cls(np.eye(d, dtype=complex), DensityOperator(np.eye(1, dtype=complex), (1,)))
 
-    def apply(self, rho: DensityOperator) -> DensityOperator:
+    def apply(self, rho: DensityOperator | DensityStack) -> DensityOperator | DensityStack:
         d_sys = rho.dim
         d_anc = self.ancilla.dim
         u = np.asarray(self.unitary, dtype=complex)
-        if u.shape != (d_sys * d_anc, d_sys * d_anc):
+        if u.shape[-2:] != (d_sys * d_anc, d_sys * d_anc):
             raise DimensionMismatch(
                 f"unitary shape {u.shape} != system*ancilla dim {d_sys * d_anc}"
             )
         joint = u @ kron(rho.matrix, self.ancilla.matrix) @ dagger(u)
-        return DensityOperator(partial_trace(joint, (d_sys, d_anc), [0]), rho.dims)
+        return density(partial_trace(joint, (d_sys, d_anc), [0]), rho.dims)
 
 
-def check_ssa(rho: DensityOperator, i: int, j: int, k: int) -> SlackReport:
+def check_ssa(rho: DensityOperator | DensityStack, i: int, j: int, k: int) -> SlackReport:
     """Strong subadditivity on a tripartite state: S_i + S_j <= S_ik + S_jk."""
     if len(rho.dims) != 3:
         raise DimensionMismatch(f"need exactly 3 factors, got dims {rho.dims}")
@@ -104,7 +115,7 @@ def check_ssa(rho: DensityOperator, i: int, j: int, k: int) -> SlackReport:
     return SlackReport.compare(lhs=s_i + s_j, rhs=s_ik + s_jk)
 
 
-def average_correlation_bound(rho: DensityOperator) -> SlackReport:
+def average_correlation_bound(rho: DensityOperator | DensityStack) -> SlackReport:
     """Mean pairwise mutual information <= mean single-party entropy.
 
     Aggregates the strong-subadditivity inequalities over all pairs of an
@@ -119,14 +130,15 @@ def average_correlation_bound(rho: DensityOperator) -> SlackReport:
     for i, j in combinations(range(n), 2):
         s_ij = subsystem_entropy(rho, [i, j])
         pair_mi.append(singles[i] + singles[j] - s_ij)
-    lhs = float(np.mean(pair_mi))
-    rhs = float(np.mean(singles))
-    return SlackReport.compare(lhs=lhs, rhs=rhs)
+    # one row of terms per state, so each mean sums exactly as a lone state's
+    lhs = np.mean(np.stack(pair_mi, axis=-1), axis=-1)
+    rhs = np.mean(np.stack(singles, axis=-1), axis=-1)
+    return SlackReport.compare(lhs=scalar_or_stack(lhs), rhs=scalar_or_stack(rhs))
 
 
 def gibbs_evolution_identity(
     h_i: HamiltonianSpec,
-    beta: float,
+    beta,
     channel: AncillaChannel,
     h_f: HamiltonianSpec,
 ) -> GibbsEvolutionReport:
@@ -136,9 +148,11 @@ def gibbs_evolution_identity(
     (unitary with an ancilla, ancilla discarded -- trace preserving by
     construction), and is finally metered against H_f.  The report carries
     S(rho_f || rho_i) next to beta*dU - dS - beta*tr(rho_f dH); the two are
-    equal for any channel and any quench, and both are nonnegative.
+    equal for any channel and any quench, and both are nonnegative.  With
+    stacked Hamiltonians, an array of betas and a stack of channels, trial
+    t uses entry t of each.
     """
-    if not beta > 0:
+    if not np.all(np.asarray(beta) > 0):
         raise NonpositiveBeta(f"beta must be positive, got {beta!r}")
     if h_f.dim != h_i.dim:
         raise DimensionMismatch(
@@ -149,11 +163,11 @@ def gibbs_evolution_identity(
 
     mat_i = h_i.matrix()
     mat_f = h_f.matrix()
-    u_i = float(np.trace(rho_i.matrix @ mat_i).real)
-    u_f = float(np.trace(rho_f.matrix @ mat_f).real)
+    u_i = trace(rho_i.matrix @ mat_i).real
+    u_f = trace(rho_f.matrix @ mat_f).real
     ds = von_neumann_entropy(rho_f) - von_neumann_entropy(rho_i)
     beta_du = beta * (u_f - u_i)
-    beta_tr_rhof_dh = beta * float(np.trace(rho_f.matrix @ (mat_f - mat_i)).real)
+    beta_tr_rhof_dh = beta * trace(rho_f.matrix @ (mat_f - mat_i)).real
     rhs = beta_du - ds - beta_tr_rhof_dh
 
     lhs = gibbs_divergence(rho_f, h_i, beta)

@@ -2,8 +2,10 @@
 
 Conventions fixed once for the whole package:
 
-- operators are dense complex128 numpy arrays; target joint dimensions
-  stay small (<= 4096), so nothing here is sparse or structured;
+- operators are dense complex128 numpy arrays; joint dimensions stay
+  small (<= MAX_JOINT_DIM), so nothing here is sparse or structured;
+- the batched kernels (partial_trace, haar_qr, kron) act on the last two
+  axes and carry any leading stack axes through, matrix by matrix;
 - eigenvalues are always reported in ascending order;
 - the leftmost Kronecker factor is factor 0 (subsystem A), so the joint
   basis label (i, j) maps to flat index i * d_B + j;
@@ -23,6 +25,9 @@ from .errors import ConvergenceFailure, DimensionMismatch, NotHermitian
 
 # max-abs tolerance on H - H^dag before an operator is rejected
 HERMITIAN_TOL = 1e-10
+# largest joint Hilbert-space dimension the command line accepts: a dense
+# complex operator of this size takes 256 MiB
+MAX_JOINT_DIM = 4096
 
 
 def substream(seed: int, *path: int) -> np.random.Generator:
@@ -50,6 +55,17 @@ def hermiticity_defect(m: np.ndarray) -> float:
     return max_abs(m - dagger(m))
 
 
+def scalar_or_stack(x):
+    """A result of one matrix as a Python number; a stack's results (one
+    per matrix) as the array."""
+    return np.asarray(x).item() if np.ndim(x) == 0 else x
+
+
+def trace(m: np.ndarray):
+    """Trace over the last two axes, one entry per matrix of a stack."""
+    return scalar_or_stack(np.trace(m, axis1=-2, axis2=-1))
+
+
 def unitarity_defect(u: np.ndarray) -> float:
     """max-abs deviation of U-dag U from the identity."""
     u = np.asarray(u)
@@ -57,8 +73,13 @@ def unitarity_defect(u: np.ndarray) -> float:
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product, left factor = factor 0."""
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
+    """Kronecker product of the last two axes, left factor = factor 0;
+    leading stack axes broadcast."""
+    a = np.asarray(a, dtype=complex)
+    b = np.asarray(b, dtype=complex)
+    out = a[..., :, None, :, None] * b[..., None, :, None, :]
+    rows, cols = a.shape[-2] * b.shape[-2], a.shape[-1] * b.shape[-1]
+    return out.reshape(*out.shape[:-4], rows, cols)
 
 
 def _require_square(m: np.ndarray) -> None:
@@ -101,7 +122,8 @@ def func_hermitian(h: np.ndarray, f: Callable[[np.ndarray], np.ndarray]) -> np.n
 def partial_trace(
     m: np.ndarray, dims: Sequence[int], keep: Iterable[int]
 ) -> np.ndarray:
-    """Trace out every tensor factor not listed in ``keep``.
+    """Trace out every tensor factor not listed in ``keep``, in each matrix
+    of a stack (leading axes are kept).
 
     dims lists the local dimensions left to right (factor 0 leftmost); the
     result is ordered by ascending kept index and has the same trace as m.
@@ -109,10 +131,11 @@ def partial_trace(
     dims = [int(d) for d in dims]
     total = math.prod(dims)
     m = np.asarray(m, dtype=complex)
-    _require_square(m)
-    if m.shape[0] != total:
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
+        raise DimensionMismatch(f"expected a (stack of) square matrices, got shape {m.shape}")
+    if m.shape[-1] != total:
         raise DimensionMismatch(
-            f"matrix dimension {m.shape[0]} != product of factor dims {total}"
+            f"matrix dimension {m.shape[-1]} != product of factor dims {total}"
         )
     keep = sorted(set(int(k) for k in keep))
     if not keep:
@@ -120,28 +143,49 @@ def partial_trace(
     if keep[0] < 0 or keep[-1] >= len(dims):
         raise DimensionMismatch(f"keep indices {keep} out of range for {len(dims)} factors")
 
-    t = m.reshape(dims + dims)
+    lead = m.shape[:-2]
+    t = m.reshape(*lead, *dims, *dims)
     remaining = list(dims)
     for idx in sorted(set(range(len(dims))) - set(keep), reverse=True):
-        t = np.trace(t, axis1=idx, axis2=idx + len(remaining))
+        row = len(lead) + idx
+        # the diagonal summed one whole slice at a time, in index order: the
+        # same sums for any stack length, and far fewer numpy calls than a
+        # reduction whose inner loop has the factor's length
+        diag = np.moveaxis(t, (row, row + len(remaining)), (0, 1))
+        t = diag[0, 0].copy()
+        for k in range(1, remaining[idx]):
+            t += diag[k, k]
         del remaining[idx]
     d_kept = math.prod(remaining)
-    return np.ascontiguousarray(t.reshape(d_kept, d_kept))
+    return np.ascontiguousarray(t.reshape(*lead, d_kept, d_kept))
 
 
-def haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-distributed unitary: QR of a complex Ginibre matrix with the
-    R-diagonal phases folded back in (otherwise QR is not measure-correct).
+def ginibre(d: int, rng: np.random.Generator) -> np.ndarray:
+    """d x d matrix of independent standard complex Gaussian entries.
 
     Consumes exactly 2*d*d standard normals from ``rng``.
     """
     if d < 1:
         raise DimensionMismatch(f"dimension must be >= 1, got {d}")
-    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    return rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+
+
+def haar_qr(g: np.ndarray) -> np.ndarray:
+    """Haar-distributed unitary from each complex Ginibre matrix of a stack:
+    its QR factor Q with the R-diagonal phases folded back in (otherwise QR
+    is not measure-correct)."""
     q, r = np.linalg.qr(g)
-    ph = np.diagonal(r).copy()
+    ph = np.diagonal(r, axis1=-2, axis2=-1).copy()
     ph /= np.abs(ph)
-    return q * ph
+    return q * ph[..., None, :]
+
+
+def haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
+    """Haar-distributed d x d unitary, ``haar_qr(ginibre(d, rng))``.
+
+    Consumes exactly 2*d*d standard normals from ``rng``.
+    """
+    return haar_qr(ginibre(d, rng))
 
 
 def random_density(d: int, rank: int, rng: np.random.Generator) -> np.ndarray:

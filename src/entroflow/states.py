@@ -20,7 +20,7 @@ from .errors import (
     NonpositiveBeta,
     SupportViolation,
 )
-from .qmath import dagger, eig_hermitian, hermiticity_defect, max_abs, partial_trace
+from .qmath import dagger, eig_hermitian, partial_trace, scalar_or_stack, trace
 
 # state-validation tolerances: hermiticity / negativity / trace deficit
 STATE_TOL = 1e-10
@@ -33,10 +33,75 @@ SUPPORT_TOL = 1e-10
 NORM_TOL = 1e-12
 
 
-def _frozen_complex(a: np.ndarray) -> np.ndarray:
-    out = np.array(a, dtype=complex)
-    out.setflags(write=False)
-    return out
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
+def validate_densities(matrices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Check a stack of matrices (N, D, D) at once: each must be Hermitian,
+    positive semidefinite and of unit trace, all within STATE_TOL.
+
+    Returns the Hermitian parts and their ascending spectra, from one
+    batched eigensolve.  The first failing matrix in stack order raises
+    InvalidState with the message it raises alone; a NaN fails the first
+    check it reaches.
+    """
+    mat = np.asarray(matrices, dtype=complex)
+    if mat.ndim != 3 or mat.shape[1] != mat.shape[2]:
+        raise DimensionMismatch(f"expected a stack of square matrices, got shape {mat.shape}")
+    adjoint = dagger(mat)
+    herm = np.abs(mat - adjoint).max(axis=(-2, -1))
+    sym = (mat + adjoint) / 2
+    lam = np.linalg.eigvalsh(sym)
+    tr = trace(sym).real
+    # written as "not within" so that a NaN fails
+    hermitian = herm <= STATE_TOL
+    semidefinite = lam[:, 0] >= -STATE_TOL
+    unit_trace = np.abs(tr - 1.0) <= STATE_TOL
+    failed = ~(hermitian & semidefinite & unit_trace)
+    if failed.any():
+        t = int(np.argmax(failed))
+        if not hermitian[t]:
+            raise InvalidState(f"not Hermitian: max |M - M^dag| = {herm[t]:.3e}")
+        if not semidefinite[t]:
+            raise InvalidState(f"negative eigenvalue {lam[t, 0]:.3e}")
+        raise InvalidState(f"trace {float(tr[t])!r} differs from 1 beyond {STATE_TOL}")
+    return sym, lam
+
+
+@dataclass(frozen=True)
+class DensityStack:
+    """Density operators on the same tensor factors, stacked on axis 0
+    (matrix shape (N, D, D)) and validated at once by validate_densities.
+
+    von_neumann_entropy, subsystem_entropy and gibbs_divergence, and the
+    checks of ``inequalities``, take a stack where they take a
+    DensityOperator and return one value per state."""
+
+    matrix: np.ndarray
+    dims: tuple[int, ...]
+    # ascending spectra found while validating, shape (N, D) (read-only)
+    spectrum: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        mat = np.asarray(self.matrix, dtype=complex)
+        dims = tuple(int(d) for d in np.atleast_1d(self.dims))
+        if any(d < 1 for d in dims):
+            raise DimensionMismatch(f"factor dimensions must be positive, got {dims}")
+        total = math.prod(dims)
+        if mat.shape[-2:] != (total, total):
+            raise DimensionMismatch(
+                f"matrix shape {mat.shape[-2:]} != ({total}, {total}) from dims {dims}"
+            )
+        sym, lam = validate_densities(mat)
+        object.__setattr__(self, "matrix", _frozen(sym))
+        object.__setattr__(self, "dims", dims)
+        object.__setattr__(self, "spectrum", _frozen(lam))
+
+    @property
+    def dim(self) -> int:
+        return self.matrix.shape[-1]
 
 
 @dataclass(frozen=True)
@@ -51,34 +116,20 @@ class DensityOperator:
     spectrum: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        mat = np.asarray(self.matrix, dtype=complex)
-        dims = tuple(int(d) for d in np.atleast_1d(self.dims))
-        if any(d < 1 for d in dims):
-            raise DimensionMismatch(f"factor dimensions must be positive, got {dims}")
-        total = math.prod(dims)
-        if mat.ndim != 2 or mat.shape != (total, total):
-            raise DimensionMismatch(
-                f"matrix shape {mat.shape} != ({total}, {total}) from dims {dims}"
-            )
-        if hermiticity_defect(mat) > STATE_TOL:
-            raise InvalidState(
-                f"not Hermitian: max |M - M^dag| = {hermiticity_defect(mat):.3e}"
-            )
-        sym = (mat + dagger(mat)) / 2
-        lam = np.linalg.eigvalsh(sym)
-        if lam[0] < -STATE_TOL:
-            raise InvalidState(f"negative eigenvalue {lam[0]:.3e}")
-        tr = float(np.trace(sym).real)
-        if abs(tr - 1.0) > STATE_TOL:
-            raise InvalidState(f"trace {tr!r} differs from 1 beyond {STATE_TOL}")
-        lam.setflags(write=False)
-        object.__setattr__(self, "matrix", _frozen_complex(sym))
-        object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "spectrum", lam)
+        # validated as a stack of one
+        one = DensityStack(np.asarray(self.matrix, dtype=complex)[None], self.dims)
+        object.__setattr__(self, "matrix", one.matrix[0])
+        object.__setattr__(self, "dims", one.dims)
+        object.__setattr__(self, "spectrum", one.spectrum[0])
 
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
+
+
+def density(matrix: np.ndarray, dims) -> DensityOperator | DensityStack:
+    """A DensityOperator of one matrix, or a DensityStack of a stack."""
+    return (DensityStack if np.ndim(matrix) == 3 else DensityOperator)(matrix, dims)
 
 
 @dataclass(frozen=True)
@@ -86,7 +137,9 @@ class HamiltonianSpec:
     """Energy spectrum (ascending) with an optional eigenbasis.
 
     ``basis`` columns are the eigenvectors; None means the computational
-    basis, i.e. the operator is diag(levels).
+    basis, i.e. the operator is diag(levels).  A stack of Hamiltonians
+    carries levels of shape (N, d) and bases of shape (N, d, d); each one
+    is checked on its own.
     """
 
     levels: np.ndarray
@@ -94,31 +147,42 @@ class HamiltonianSpec:
 
     def __post_init__(self) -> None:
         lv = np.atleast_1d(np.asarray(self.levels, dtype=float))
-        if lv.ndim != 1 or lv.size < 1 or not np.all(np.isfinite(lv)):
-            raise InvalidSpec(f"levels must be a finite 1-D sequence, got {self.levels!r}")
-        if np.any(np.diff(lv) < 0):
+        if lv.ndim > 2 or lv.shape[-1] < 1 or not np.all(np.isfinite(lv)):
+            raise InvalidSpec(
+                f"levels must be a finite 1-D sequence or a stack of them, got {self.levels!r}"
+            )
+        if np.any(np.diff(lv, axis=-1) < 0):
             raise InvalidSpec("levels must be ascending")
-        lv = lv.copy()
-        lv.setflags(write=False)
-        object.__setattr__(self, "levels", lv)
+        object.__setattr__(self, "levels", _frozen(lv.copy()))
         if self.basis is not None:
             b = np.asarray(self.basis, dtype=complex)
-            if b.shape != (lv.size, lv.size):
+            d = lv.shape[-1]
+            if b.shape != (*lv.shape, d):
                 raise DimensionMismatch(
-                    f"basis shape {b.shape} incompatible with {lv.size} levels"
+                    f"basis shape {b.shape} incompatible with levels of shape {lv.shape}"
                 )
-            if max_abs(dagger(b) @ b - np.eye(lv.size)) > STATE_TOL:
+            # "not within", so that a NaN fails
+            if not np.all(np.abs(dagger(b) @ b - np.eye(d)).max(axis=(-2, -1)) <= STATE_TOL):
                 raise InvalidSpec("basis is not unitary")
-            object.__setattr__(self, "basis", _frozen_complex(b))
+            object.__setattr__(self, "basis", _frozen(b.copy()))
 
     @property
     def dim(self) -> int:
-        return int(self.levels.size)
+        return int(self.levels.shape[-1])
+
+    def in_basis(self, values: np.ndarray) -> np.ndarray:
+        """The operator with eigenvalue values[..., i] on eigenvector i;
+        leading axes of ``values`` and of a stacked basis broadcast."""
+        values = np.asarray(values)
+        if self.basis is None:
+            out = np.zeros((*values.shape, values.shape[-1]), dtype=complex)
+            diag = np.arange(values.shape[-1])
+            out[..., diag, diag] = values
+            return out
+        return (self.basis * values[..., None, :]) @ dagger(self.basis)
 
     def matrix(self) -> np.ndarray:
-        if self.basis is None:
-            return np.diag(self.levels).astype(complex)
-        return (self.basis * self.levels) @ dagger(self.basis)
+        return self.in_basis(self.levels)
 
     @classmethod
     def from_matrix(cls, h: np.ndarray) -> "HamiltonianSpec":
@@ -194,49 +258,67 @@ class PureJointState:
         norm = float(np.linalg.norm(vec))
         if abs(norm - 1.0) > NORM_TOL:
             raise InvalidState(f"norm {norm!r} differs from 1 beyond {NORM_TOL}")
-        object.__setattr__(self, "vector", _frozen_complex(vec))
+        object.__setattr__(self, "vector", _frozen(vec.copy()))
         object.__setattr__(self, "dims", dims)
 
     def density(self) -> DensityOperator:
         return DensityOperator(np.outer(self.vector, self.vector.conj()), self.dims)
 
 
-def gibbs_populations(h: HamiltonianSpec, beta: float) -> np.ndarray:
+def _positive_beta(beta) -> np.ndarray:
+    b = np.asarray(beta, dtype=float)
+    if not np.all(b > 0):
+        raise NonpositiveBeta(f"beta must be positive, got {beta!r}")
+    return b
+
+
+def gibbs_populations(h: HamiltonianSpec, beta) -> np.ndarray:
     """Occupations exp(-beta E_i)/Z of the ascending levels, formed with the
-    ground energy subtracted so that large beta cannot overflow."""
-    if not beta > 0:
-        raise NonpositiveBeta(f"beta must be positive, got {beta!r}")
-    w = np.exp(-beta * (h.levels - h.levels[0]))
-    return w / w.sum()
+    ground energy subtracted so that large beta cannot overflow.  An array
+    of betas gives one row per beta (and per Hamiltonian of a stack)."""
+    b = _positive_beta(beta)[..., None]
+    w = np.exp(-b * (h.levels - h.levels[..., :1]))
+    return w / w.sum(-1, keepdims=True)
 
 
-def gibbs_state(h: HamiltonianSpec, beta: float) -> DensityOperator:
+def gibbs_state(h: HamiltonianSpec, beta) -> DensityOperator | DensityStack:
     """Thermal equilibrium state exp(-beta H)/Z at inverse temperature beta,
-    built from gibbs_populations in the energy eigenbasis."""
-    p = gibbs_populations(h, beta)
-    if h.basis is None:
-        mat = np.diag(p).astype(complex)
-    else:
-        mat = (h.basis * p) @ dagger(h.basis)
-    return DensityOperator(mat, (h.dim,))
+    built from gibbs_populations in the energy eigenbasis; a DensityStack
+    for a stack of Hamiltonians or betas."""
+    return density(h.in_basis(gibbs_populations(h, beta)), (h.dim,))
 
 
-def log_partition(h: HamiltonianSpec, beta: float) -> float:
+def log_partition(h: HamiltonianSpec, beta):
     """ln Z = ln tr exp(-beta H), evaluated stably."""
-    if not beta > 0:
-        raise NonpositiveBeta(f"beta must be positive, got {beta!r}")
-    e0 = float(h.levels[0])
-    return float(-beta * e0 + np.log(np.exp(-beta * (h.levels - e0)).sum()))
+    b = _positive_beta(beta)
+    e0 = h.levels[..., 0]
+    z = np.exp(-b[..., None] * (h.levels - e0[..., None])).sum(-1)
+    return scalar_or_stack(-b * e0 + np.log(z))
 
 
-def _spectral_entropy(lam: np.ndarray) -> float:
-    """-sum lam ln lam over the positive eigenvalues: a zero adds 0 ln 0 = 0,
-    and a negative one is rounding noise of a semidefinite spectrum."""
-    lam = lam[lam > 0]
-    return float(-(lam * np.log(lam)).sum())
+def _spectral_entropy(lam: np.ndarray):
+    """-sum lam ln lam over the positive eigenvalues of each ascending
+    spectrum (last axis): a zero adds 0 ln 0 = 0, and a negative one is
+    rounding noise of a semidefinite spectrum.
+
+    Each spectrum's positive eigenvalues are summed on their own, as one
+    contiguous row, so a spectrum gives the same bits alone as in any stack.
+    """
+    lam = np.asarray(lam, dtype=float)
+    rows = lam.reshape(-1, lam.shape[-1])
+    # ascending: the positive eigenvalues of a row are its last `count`
+    count = (rows > 0).sum(-1)
+    groups = set(count.tolist())
+    out = np.empty(len(rows))
+    for c in groups:
+        # one group holds every row: a slice, no gather
+        same = slice(None) if len(groups) == 1 else count == c
+        kept = rows[same, rows.shape[-1] - c :]
+        out[same] = -(kept * np.log(kept)).sum(-1)
+    return scalar_or_stack(out.reshape(lam.shape[:-1]))
 
 
-def von_neumann_entropy(rho: DensityOperator) -> float:
+def von_neumann_entropy(rho: DensityOperator | DensityStack):
     """S(rho) = -tr(rho ln rho) in nats; 0 * ln 0 reads as 0."""
     return _spectral_entropy(rho.spectrum)
 
@@ -247,13 +329,14 @@ def product_entropy(*factors: DensityOperator) -> float:
     lam = np.ones(1)
     for rho in factors:
         lam = np.multiply.outer(lam, rho.spectrum).ravel()
-    return _spectral_entropy(lam)
+    # the products are not ascending: drop the non-positive ones here
+    return _spectral_entropy(lam[lam > 0])
 
 
-def subsystem_entropy(rho: DensityOperator, keep: Iterable[int]) -> float:
+def subsystem_entropy(rho: DensityOperator | DensityStack, keep: Iterable[int]):
     """Von Neumann entropy of the reduced state on the factors in ``keep``:
-    one eigensolve of the reduced matrix, or none when every factor is kept
-    (the state's stored spectrum)."""
+    one (batched) eigensolve of the reduced matrix, or none when every
+    factor is kept (the stored spectrum)."""
     keep = sorted(set(int(k) for k in keep))
     if keep == list(range(len(rho.dims))):
         return von_neumann_entropy(rho)
@@ -282,7 +365,7 @@ def relative_entropy(rho: DensityOperator, sigma: DensityOperator) -> float:
     return -von_neumann_entropy(rho) - tr_rho_ln_sigma
 
 
-def gibbs_divergence(rho: DensityOperator, h: HamiltonianSpec, beta: float) -> float:
+def gibbs_divergence(rho: DensityOperator | DensityStack, h: HamiltonianSpec, beta):
     """S(rho || gamma) for the Gibbs state gamma = exp(-beta H)/Z, from the
     exact ln gamma = -beta H - ln Z: beta tr(rho H) + ln Z - S(rho).
 
@@ -291,7 +374,7 @@ def gibbs_divergence(rho: DensityOperator, h: HamiltonianSpec, beta: float) -> f
     """
     if rho.dim != h.dim:
         raise DimensionMismatch(f"dimension mismatch: {rho.dim} vs {h.dim}")
-    mean_energy = float(np.trace(rho.matrix @ h.matrix()).real)
+    mean_energy = trace(rho.matrix @ h.matrix()).real
     return beta * mean_energy + log_partition(h, beta) - von_neumann_entropy(rho)
 
 

@@ -117,3 +117,75 @@ def random_conserving_unitary(case: CaseSpec, rng) -> np.ndarray:
         used.update((fu, fv))
         rotations.append(((i, j), (i2, j2), float(rng.uniform(0.0, 2.0 * np.pi))))
     return givens_unitary((h_a.dim, h_b.dim), rotations, joint_energies(h_a, h_b))
+
+
+# ------------------------------------------------------------------------
+# Per-state oracles: the arithmetic of one state at a time, as it was
+# before the checks ran on stacks; the stacked kernels must agree with it.
+
+def oracle_density(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Validate one matrix; its Hermitian part and ascending spectrum."""
+    from entroflow import InvalidState
+    from entroflow.states import STATE_TOL
+
+    defect = float(np.max(np.abs(mat - mat.conj().T)))
+    if defect > STATE_TOL:
+        raise InvalidState(f"not Hermitian: max |M - M^dag| = {defect:.3e}")
+    sym = (mat + mat.conj().T) / 2
+    lam = np.linalg.eigvalsh(sym)
+    if lam[0] < -STATE_TOL:
+        raise InvalidState(f"negative eigenvalue {lam[0]:.3e}")
+    tr = float(np.trace(sym).real)
+    if abs(tr - 1.0) > STATE_TOL:
+        raise InvalidState(f"trace {tr!r} differs from 1 beyond {STATE_TOL}")
+    return sym, lam
+
+
+def oracle_partial_trace(m: np.ndarray, dims, keep) -> np.ndarray:
+    t = m.reshape(tuple(dims) * 2)
+    remaining = list(dims)
+    for idx in sorted(set(range(len(dims))) - set(keep), reverse=True):
+        t = np.trace(t, axis1=idx, axis2=idx + len(remaining))
+        del remaining[idx]
+    d = int(np.prod(remaining))
+    return t.reshape(d, d)
+
+
+def oracle_entropy(lam: np.ndarray) -> float:
+    lam = lam[lam > 0]
+    return float(-(lam * np.log(lam)).sum())
+
+
+def oracle_subsystem_entropy(sym: np.ndarray, dims, keep) -> float:
+    reduced = oracle_partial_trace(sym, dims, keep)
+    return oracle_entropy(np.linalg.eigvalsh((reduced + reduced.conj().T) / 2))
+
+
+def oracle_gibbs_evolution(levels_i, basis_i, beta, unitary, ancilla, levels_f, basis_f) -> dict:
+    """Both sides of the Gibbs-evolution identity for one trial."""
+    def in_basis(basis, values):
+        return (basis * values) @ basis.conj().T
+
+    p = np.exp(-beta * (levels_i - levels_i[0]))
+    rho_i, lam_i = oracle_density(in_basis(basis_i, p / p.sum()))
+    joint = unitary @ np.kron(rho_i, ancilla) @ unitary.conj().T
+    rho_f, lam_f = oracle_density(oracle_partial_trace(joint, (len(levels_i), len(ancilla)), [0]))
+    mat_i, mat_f = in_basis(basis_i, levels_i), in_basis(basis_f, levels_f)
+    u_i = float(np.trace(rho_i @ mat_i).real)
+    u_f = float(np.trace(rho_f @ mat_f).real)
+    ds = oracle_entropy(lam_f) - oracle_entropy(lam_i)
+    beta_du = beta * (u_f - u_i)
+    beta_tr_rhof_dh = beta * float(np.trace(rho_f @ (mat_f - mat_i)).real)
+    rhs = beta_du - ds - beta_tr_rhof_dh
+    e0 = float(levels_i[0])
+    log_z = -beta * e0 + np.log(np.exp(-beta * (levels_i - e0)).sum())
+    lhs = beta * float(np.trace(rho_f @ mat_i).real) + log_z - oracle_entropy(lam_f)
+    return {
+        "relative_entropy_lhs": lhs,
+        "beta_du": beta_du,
+        "ds": ds,
+        "beta_tr_rhof_dh": beta_tr_rhof_dh,
+        "rhs": rhs,
+        "identity_gap": abs(lhs - rhs),
+        "nonneg_slack": rhs,
+    }

@@ -1,3 +1,4 @@
+import hashlib
 import inspect
 import json
 import math
@@ -5,6 +6,7 @@ import os
 import subprocess
 import sys
 
+import golden
 import numpy as np
 import pytest
 
@@ -95,6 +97,62 @@ class TestIneq:
     def test_bad_flag_exits_2(self):
         proc = run_cli("ineq", "--check", "nope", "--dims", "2,2,2", "--trials", "5", "--seed", "7")
         assert proc.returncode == 2
+
+
+class TestIneqBatches:
+    def test_eigensolves_per_batch_not_per_trial(self, eigensolves, tmp_path):
+        argv = ["ineq", "--check", "ssa", "--dims", "2,2,2", "--trials", "1000", "--seed", "7"]
+        assert cli.main([*argv, "--output", str(tmp_path / "out.json")]) == cli.EXIT_OK
+        batches = math.ceil(1000 / max(1, cli.BATCH_ELEMENTS // 8**2))
+        # per batch: the validation and the four subsystem entropies
+        assert len(eigensolves) == 5 * batches
+
+    # 1: one trial per batch; 1000: ragged batches of 3 to 62 trials
+    @pytest.mark.parametrize("budget", [1, 1000])
+    def test_payloads_do_not_depend_on_the_batch(self, budget, monkeypatch, tmp_path):
+        want = {key: digest for key, digest in golden.load().items() if key.startswith("ineq.")}
+        argvs = {key: argv for key, argv in golden.cases(tmp_path).items() if key in want}
+        assert len(argvs) == 6
+        extra = {
+            f"{check} {dims}": [
+                "ineq", "--check", check, "--dims", dims, "--trials", "50", "--seed", "7"
+            ]
+            for check, dims in [("ssa", "2,2,3"), ("eq1", "2,3,2"), ("eq2", "3"), ("eq2", "3,3")]
+        }
+        for key, argv in extra.items():
+            want[key] = golden.payload_bytes(argv, tmp_path)
+        monkeypatch.setattr(cli, "BATCH_ELEMENTS", budget)
+        for key, argv in argvs.items():
+            got = golden.payload_bytes(argv, tmp_path)
+            assert hashlib.sha256(got).hexdigest() == want[key], key
+        for key, argv in extra.items():
+            assert golden.payload_bytes(argv, tmp_path) == want[key], key
+
+
+class TestJointDimensionLimit:
+    @pytest.mark.parametrize("check, dims", [("eq2", "200,200"), ("ssa", "2,2,99999")])
+    def test_oversized_ineq_dims_exit_2(self, check, dims, tmp_path):
+        out = tmp_path / "out.json"
+        proc = run_cli(
+            "ineq", "--check", check, "--dims", dims, "--trials", "1", "--seed", "1",
+            "--output", str(out),
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.count("\n") == 1
+        assert f"above the limit of {cli.MAX_JOINT_DIM}" in proc.stderr
+        assert not out.exists()
+
+    def test_oversized_exchange_exits_2(self, tmp_path, exchange_config):
+        cfg = json.loads(open(exchange_config).read())
+        cfg["epsilon"] = [float(i) for i in range(300)]
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "out.json"
+        proc = run_cli("exchange", "--case", "v", "--config", str(path), "--output", str(out))
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.count("\n") == 1
+        assert "joint dimension of 90000" in proc.stderr
+        assert not out.exists()
 
 
 class TestExchange:

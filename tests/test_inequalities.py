@@ -3,13 +3,21 @@ import math
 import numpy as np
 import pytest
 
-from conftest import ghz_state
+from conftest import (
+    ghz_state,
+    oracle_density,
+    oracle_gibbs_evolution,
+    oracle_subsystem_entropy,
+)
 
 from entroflow import (
     AncillaChannel,
     DensityOperator,
+    DensityStack,
     DimensionMismatch,
     HamiltonianSpec,
+    InvalidSpec,
+    InvalidState,
     NonpositiveBeta,
     TooFewFactors,
     average_correlation_bound,
@@ -20,7 +28,9 @@ from entroflow import (
     kron,
     random_density,
     relative_entropy,
+    subsystem_entropy,
     substream,
+    validate_densities,
 )
 
 QUBIT = HamiltonianSpec(np.array([0.0, 1.0]))
@@ -199,3 +209,112 @@ class TestGibbsEvolutionIdentity:
         h_f = HamiltonianSpec(np.array([0.0, 1.0, 2.0]))
         with pytest.raises(DimensionMismatch):
             gibbs_evolution_identity(QUBIT, 1.0, AncillaChannel.identity(2), h_f)
+
+
+def random_stack(d: int, n: int, rng) -> np.ndarray:
+    """n random density matrices of dimension d, of random ranks."""
+    return np.stack([random_density(d, int(rng.integers(1, d + 1)), rng) for _ in range(n)])
+
+
+# (factor dims, kept factors): every matrix size from 2x2 to 16x16
+STACK_CASES = [
+    ((2,), [0]),
+    ((3,), [0]),
+    ((2, 2), [1]),
+    ((5,), [0]),
+    ((2, 3), [0]),
+    ((7,), [0]),
+    ((2, 2, 2), [0, 2]),
+    ((3, 3), [1]),
+    ((2, 5), [0]),
+    ((11,), [0]),
+    ((3, 4), [1]),
+    ((13,), [0]),
+    ((2, 7), [1]),
+    ((3, 5), [0]),
+    ((2, 2, 2, 2), [1, 3]),
+]
+
+
+class TestStackedKernel:
+    """The stacked validator, entropies and eq2 kernel against a loop of
+    the per-state arithmetic (tests/conftest.py oracles)."""
+
+    @pytest.mark.parametrize("dims, keep", STACK_CASES)
+    def test_validator_and_entropies_match_per_state_loop(self, dims, keep):
+        d = math.prod(dims)
+        mats = random_stack(d, 12, substream(22, d))
+        sym, lam = validate_densities(mats)
+        stack = DensityStack(mats, dims)
+        entropies = subsystem_entropy(stack, keep)
+        assert np.array_equal(stack.spectrum, lam)
+        for t, mat in enumerate(mats):
+            want_sym, want_lam = oracle_density(mat)
+            assert np.max(np.abs(sym[t] - want_sym)) <= 1e-14
+            assert np.max(np.abs(lam[t] - want_lam)) <= 1e-14
+            assert abs(entropies[t] - oracle_subsystem_entropy(want_sym, dims, keep)) <= 1e-14
+
+    @pytest.mark.parametrize("d_sys, d_anc", [(2, 1), (2, 2), (3, 2), (2, 4), (4, 3), (8, 2)])
+    def test_eq2_kernel_matches_per_state_loop(self, d_sys, d_anc):
+        rng = substream(22, 100 + d_sys, d_anc)
+        n = 10
+        beta = np.exp(rng.uniform(np.log(0.1), np.log(10.0), n))
+        levels_i, levels_f = (np.sort(rng.uniform(0.0, 1.2, (n, d_sys)), axis=-1) for _ in range(2))
+        basis_i, basis_f = (
+            np.stack([haar_unitary(d_sys, rng) for _ in range(n)]) for _ in range(2)
+        )
+        unitary = np.stack([haar_unitary(d_sys * d_anc, rng) for _ in range(n)])
+        ancilla = random_stack(d_anc, n, rng)
+        report = gibbs_evolution_identity(
+            HamiltonianSpec(levels_i, basis_i),
+            beta,
+            AncillaChannel(unitary, DensityStack(ancilla, (d_anc,))),
+            HamiltonianSpec(levels_f, basis_f),
+        )
+        for t in range(n):
+            want = oracle_gibbs_evolution(
+                levels_i[t], basis_i[t], beta[t], unitary[t], ancilla[t], levels_f[t], basis_f[t]
+            )
+            for field, value in want.items():
+                assert abs(getattr(report, field)[t] - value) <= 1e-14, field
+
+    def test_single_state_is_a_stack_of_one(self):
+        # the one-state API runs the stacked code: its report is the stack's
+        mats = random_stack(8, 5, substream(22, 8, 1))
+        stacked = check_ssa(DensityStack(mats, (2, 2, 2)), 0, 1, 2)
+        for t, mat in enumerate(mats):
+            single = check_ssa(DensityOperator(mat, (2, 2, 2)), 0, 1, 2)
+            assert type(single.slack) is float and type(single.passed) is bool
+            assert single.slack == stacked.slack[t]
+
+    @pytest.mark.parametrize("defect", ["non-hermitian", "negative", "trace"])
+    def test_one_bad_matrix_fails_the_stack_like_it_fails_alone(self, defect):
+        mats = random_stack(4, 5, substream(22, 4, 2))
+        bad = mats[2].copy()
+        if defect == "non-hermitian":
+            bad[0, 1] += 1e-3
+        elif defect == "negative":
+            bad = np.diag([0.6, 0.5, 0.1, -0.2]).astype(complex)
+        else:
+            bad *= 1.01
+        mats[2] = bad
+        with pytest.raises(InvalidState) as alone:
+            DensityOperator(bad, (2, 2))
+        with pytest.raises(InvalidState) as stacked:
+            DensityStack(mats, (2, 2))
+        assert type(stacked.value) is type(alone.value)
+        assert str(stacked.value) == str(alone.value)
+        kind = {"non-hermitian": "not Hermitian", "negative": "negative", "trace": "trace"}
+        assert str(alone.value).startswith(kind[defect])
+
+    def test_nan_entry_is_refused(self):
+        # every comparison with NaN is false, and eigvalsh returns finite
+        # eigenvalues for a NaN matrix: only "not within tolerance" catches it
+        mat = np.eye(2, dtype=complex) / 2
+        mat[0, 0] = np.nan
+        with pytest.raises(InvalidState):
+            DensityOperator(mat, (2,))
+        bases = np.stack([np.eye(2, dtype=complex)] * 3)
+        bases[1, 0, 1] = np.nan
+        with pytest.raises(InvalidSpec):
+            HamiltonianSpec(np.zeros((3, 2)), bases)
