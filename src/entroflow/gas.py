@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -140,16 +141,96 @@ def draw_pairs(spec: CollisionSpec, mode: str, rng: np.random.Generator, n: int)
     return p_a, p_b, cos_theta, azimuth
 
 
+def _dot(a, b):
+    # numpy 2.4.6's einsum("...k,...k->...") order for length 3, checked bit for bit
+    return (a[0] * b[0] + a[2] * b[2]) + a[1] * b[1]
+
+
+def _square(a):
+    # the order of (a * a).sum(axis=-1) and of numpy.linalg.norm
+    return (a[0] * a[0] + a[1] * a[1]) + a[2] * a[2]
+
+
+def _norm(a):
+    return np.sqrt(_square(a))
+
+
+def _cross(a, b):
+    return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0])
+
+
+class _Frame(NamedTuple):
+    """Center-of-mass frame of a batch of collisions, per component.
+
+    Vectors are (x, y, z) triples of equal-shape arrays.  qn is |q| with
+    zero replaced by 1, and moving marks the events whose q is nonzero.
+    e3 is q/|q|; e1 and e2 complete a right-handed frame around it.
+    """
+
+    v_cm: tuple
+    qn: np.ndarray
+    moving: np.ndarray
+    e1: tuple
+    e2: tuple
+    e3: tuple
+    cos_theta: np.ndarray
+    sin_theta: np.ndarray
+    cos_phi: np.ndarray
+    sin_phi: np.ndarray
+
+
+def _frame(p_a, p_b, m_a: float, m_b: float, cos_theta, azimuth) -> _Frame:
+    """The collision frame of momentum component triples p_a, p_b.
+
+    The operations and their order are those of numpy.cross,
+    numpy.linalg.norm and einsum on (..., 3) arrays, so every payload keeps
+    its bits.
+    """
+    v_cm = tuple((a + b) / (m_a + m_b) for a, b in zip(p_a, p_b))
+    q = tuple(a - m_a * v for a, v in zip(p_a, v_cm))
+    qn = _norm(q)
+    moving = qn > 0.0
+    safe_qn = np.where(moving, qn, 1.0)
+    e3 = tuple(c / safe_qn for c in q)
+
+    # deterministic transverse frame: seed with x-hat unless q is x-aligned;
+    # the helper's zero components stay multiplications, as in numpy.cross,
+    # so signed zeros keep their bits
+    use_y = np.abs(e3[0]) > 0.9
+    helper = (np.where(use_y, 0.0, 1.0), np.where(use_y, 1.0, 0.0), 0.0)
+    e1 = _cross(helper, e3)
+    e1_norm = _norm(e1)
+    e1_norm = np.where(e1_norm > 0.0, e1_norm, 1.0)
+    e1 = tuple(c / e1_norm for c in e1)
+    e2 = _cross(e3, e1)
+
+    sin_theta = np.sqrt((1.0 - cos_theta) * (1.0 + cos_theta))
+    return _Frame(
+        v_cm, safe_qn, moving, e1, e2, e3, cos_theta, sin_theta, np.cos(azimuth), np.sin(azimuth)
+    )
+
+
+def _de_a(f: _Frame) -> np.ndarray:
+    """Energy gained by particle a, (q' - q) . v_cm, with cos(theta) - 1
+    kept as one subtraction; 0 where q is zero."""
+    de = f.qn * (
+        f.sin_theta * (f.cos_phi * _dot(f.e1, f.v_cm) + f.sin_phi * _dot(f.e2, f.v_cm))
+        + (f.cos_theta - 1.0) * _dot(f.e3, f.v_cm)
+    )
+    return np.where(f.moving, de, 0.0)
+
+
 def collide(p_a, p_b, m_a: float, m_b: float, cos_theta, azimuth):
     """Elastic two-body collision: the center-of-mass momentum is kept and
     the relative momentum rotated by (theta, azimuth).
 
     Works on one event (3-vectors and scalar angles) or on n events ((n, 3)
-    momenta and length-n angles).  Returns (p_a', p_b', de_a).  de_a is
-    evaluated as (q' - q) . v_cm with cos(theta) - 1 kept as a single
-    subtraction, which stays relatively accurate even for near-forward
-    scattering where the transferred energy underflows the total.  Zero
-    relative momentum passes through unchanged.
+    momenta and length-n angles); an event gives the same bits alone as in
+    a batch.  Returns (p_a', p_b', de_a).  de_a is evaluated as
+    (q' - q) . v_cm with cos(theta) - 1 kept as a single subtraction, which
+    stays relatively accurate even for near-forward scattering where the
+    transferred energy underflows the total.  Zero relative momentum passes
+    through unchanged.
     """
     if not (m_a > 0 and m_b > 0):
         raise InvalidSpec(f"masses must be positive, got {m_a!r}, {m_b!r}")
@@ -157,39 +238,17 @@ def collide(p_a, p_b, m_a: float, m_b: float, cos_theta, azimuth):
     p_b = np.asarray(p_b, dtype=float)
     cos_theta = np.asarray(cos_theta, dtype=float)
     azimuth = np.asarray(azimuth, dtype=float)
+    p_a = tuple(p_a[..., k] for k in range(3))
+    p_b = tuple(p_b[..., k] for k in range(3))
 
-    v_cm = (p_a + p_b) / (m_a + m_b)
-    q = p_a - m_a * v_cm
-    qn = np.linalg.norm(q, axis=-1)
-    moving = qn > 0.0
-    safe_qn = np.where(moving, qn, 1.0)
-    e3 = q / safe_qn[..., None]
-
-    # deterministic transverse frame: seed with x-hat unless q is x-aligned
-    use_y = np.abs(e3[..., 0]) > 0.9
-    helper = np.zeros_like(e3)
-    helper[..., 0] = np.where(use_y, 0.0, 1.0)
-    helper[..., 1] = np.where(use_y, 1.0, 0.0)
-    e1 = np.cross(helper, e3)
-    e1_norm = np.linalg.norm(e1, axis=-1)
-    e1 = e1 / np.where(e1_norm > 0.0, e1_norm, 1.0)[..., None]
-    e2 = np.cross(e3, e1)
-
-    sin_theta = np.sqrt((1.0 - cos_theta) * (1.0 + cos_theta))
-    ca, sa = np.cos(azimuth), np.sin(azimuth)
-    transverse = sin_theta[..., None] * (ca[..., None] * e1 + sa[..., None] * e2)
-    q_new = safe_qn[..., None] * (transverse + cos_theta[..., None] * e3)
-
-    de = safe_qn * (
-        sin_theta * (ca * np.einsum("...k,...k->...", e1, v_cm)
-                     + sa * np.einsum("...k,...k->...", e2, v_cm))
-        + (cos_theta - 1.0) * np.einsum("...k,...k->...", e3, v_cm)
-    )
-
-    mask = moving[..., None]
-    p_a_out = np.where(mask, m_a * v_cm + q_new, p_a)
-    p_b_out = np.where(mask, m_b * v_cm - q_new, p_b)
-    return p_a_out, p_b_out, np.where(moving, de, 0.0)
+    f = _frame(p_a, p_b, m_a, m_b, cos_theta, azimuth)
+    p_a_out, p_b_out = [], []
+    for k in range(3):
+        transverse = f.sin_theta * (f.cos_phi * f.e1[k] + f.sin_phi * f.e2[k])
+        q_new = f.qn * (transverse + f.cos_theta * f.e3[k])
+        p_a_out.append(np.where(f.moving, m_a * f.v_cm[k] + q_new, p_a[k]))
+        p_b_out.append(np.where(f.moving, m_b * f.v_cm[k] - q_new, p_b[k]))
+    return np.stack(p_a_out, axis=-1), np.stack(p_b_out, axis=-1), _de_a(f)
 
 
 def _weighted_moments(x: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -226,14 +285,16 @@ def ensemble_heat(
         size = min(CHUNK, n - c * CHUNK)
         rng = substream(seed, _STREAM_TAG, c)
         p_a, p_b, cos_theta, azimuth = draw_pairs(spec, mode, rng, size)
-        _, _, de = collide(p_a, p_b, spec.m_a, spec.m_b, cos_theta, azimuth)
+        # energy only: the outgoing momenta are never built
+        p_a, p_b = tuple(p_a.T), tuple(p_b.T)
+        de = _de_a(_frame(p_a, p_b, spec.m_a, spec.m_b, cos_theta, azimuth))
         if flux:
-            w = np.linalg.norm(p_a / spec.m_a - p_b / spec.m_b, axis=-1)
+            w = _norm(tuple(a / spec.m_a - b / spec.m_b for a, b in zip(p_a, p_b)))
         else:
             w = np.ones(size)
         de_m = _weighted_moments(de, w)
         if mode == "entangled":
-            e_a = (p_a * p_a).sum(axis=-1) / (2.0 * spec.m_a)
+            e_a = _square(p_a) / (2.0 * spec.m_a)
             return de_m, _weighted_moments(de / e_a, w)
         return de_m, None
 

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from entroflow import gas
 from entroflow import (
     CollisionSpec,
     InvalidSpec,
@@ -21,6 +22,11 @@ SYMMETRIC = CollisionSpec(m_a=1.0, m_b=1.0, t_a=1.0, t_b=1.0, gamma=1.0)
 def kinetic(p, m):
     """Kinetic energy of one momentum 3-vector, or per row of an (n, 3) array."""
     return (np.asarray(p) ** 2).sum(axis=-1) / (2.0 * m)
+
+
+def bits(a):
+    """The IEEE bit patterns of a float array, for exact comparison."""
+    return np.asarray(a, dtype=float).view(np.int64)
 
 
 class TestXParameter:
@@ -133,7 +139,7 @@ class TestCollide:
             single = collide(p_a[i], p_b[i], 1.3, 0.4, cos_theta[i], azimuth[i])
             assert single[0].shape == (3,) and np.shape(single[2]) == ()
             for got, want in zip(single, batch):
-                assert np.allclose(got, want[i], rtol=1e-14, atol=0.0)
+                assert np.array_equal(bits(got), bits(want[i]))
 
     def test_rotation_angle_is_theta(self):
         rng = substream(41, 4)
@@ -152,6 +158,63 @@ class TestCollide:
     def test_rejects_bad_masses(self):
         with pytest.raises(InvalidSpec):
             collide(np.zeros(3), np.zeros(3), 0.0, 1.0, 0.1, 0.1)
+
+
+class TestEnergyOnlyPath:
+    """ensemble_heat's de_a comes from the frame alone, never from collide."""
+
+    @staticmethod
+    def energy_only(p_a, p_b, m_a, m_b, cos_theta, azimuth):
+        frame = gas._frame(tuple(p_a.T), tuple(p_b.T), m_a, m_b, cos_theta, azimuth)
+        return frame, gas._de_a(frame)
+
+    def edge_batch(self):
+        rng = substream(41, 12)
+        n = 400
+        p_a = rng.standard_normal((n, 3))
+        p_b = rng.standard_normal((n, 3))
+        # q near x-hat: against a resting b, q is parallel to p_a at any masses
+        p_a[:100] = rng.standard_normal((100, 1)) * [1.0, 1e-3, -1e-3]
+        p_b[:100] = 0.0
+        p_a[100:110] = p_b[100:110] = 0.0  # exact zero relative momentum
+        cos_theta = rng.uniform(-1.0, 1.0, n)
+        cos_theta[110:130] = 1.0
+        cos_theta[130:150] = -1.0
+        azimuth = rng.uniform(0.0, 2 * math.pi, n)
+        return p_a, p_b, cos_theta, azimuth
+
+    def test_edge_batch_matches_collide_bits(self):
+        p_a, p_b, cos_theta, azimuth = self.edge_batch()
+        for m_a, m_b in ((1.0, 1.0), (2.5, 0.7)):
+            frame, de = self.energy_only(p_a, p_b, m_a, m_b, cos_theta, azimuth)
+            # the batch reaches the y-hat helper, the resting events and both poles
+            assert np.count_nonzero(np.abs(frame.e3[0]) > 0.9) >= 100
+            assert np.count_nonzero(~frame.moving) == 10
+            assert np.all(de[100:110] == 0.0) and np.all(de[110:130] == 0.0)
+            assert np.any(de[130:150] != 0.0)
+            _, _, want = collide(p_a, p_b, m_a, m_b, cos_theta, azimuth)
+            assert np.array_equal(bits(de), bits(want))
+
+    @pytest.mark.parametrize("mode", ["entangled", "product"])
+    def test_drawn_chunk_matches_collide_bits(self, mode):
+        rng = substream(41, gas._STREAM_TAG, 0)
+        p_a, p_b, cos_theta, azimuth = draw_pairs(REVERSAL, mode, rng, gas.CHUNK)
+        args = (p_a, p_b, REVERSAL.m_a, REVERSAL.m_b, cos_theta, azimuth)
+        _, de = self.energy_only(*args)
+        _, _, want = collide(*args)
+        assert np.array_equal(bits(de), bits(want))
+
+    def test_ensemble_heat_never_collides(self, monkeypatch):
+        spec = CollisionSpec(m_a=1.3, m_b=0.4, t_a=0.5, t_b=3.0, gamma=2.0)
+        n = gas.CHUNK + 4_000  # a full chunk and a ragged one
+        want = {mode: ensemble_heat(spec, mode, n, 18, workers=2) for mode in ("entangled", "product")}
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("ensemble_heat built outgoing momenta")
+
+        monkeypatch.setattr(gas, "collide", refuse)
+        for mode, report in want.items():
+            assert ensemble_heat(spec, mode, n, 18, workers=2) == report
 
 
 class TestSamplers:
