@@ -28,9 +28,11 @@ from .exchange import (
     ClausiusStroke,
     CycleReport,
     ExchangeReport,
+    GivensPlanes,
     StrokeRecord,
     clausius_cycle,
     degenerate_pairs,
+    givens_planes,
     givens_unitary,
     joint_energies,
     run_exchange,

@@ -44,7 +44,7 @@ from .exchange import (
     CaseSpec,
     ClausiusStroke,
     clausius_cycle,
-    givens_unitary,
+    givens_planes,
     joint_energies,
     run_exchange,
 )
@@ -399,13 +399,6 @@ def _is_rotation(rot) -> bool:
     )
 
 
-def _exchange_unitary(case: CaseSpec, planes, phi_override: float | None) -> np.ndarray:
-    h_a, h_b = case.hamiltonians()
-    if phi_override is not None:
-        planes = [(u, v, phi_override) for u, v, _ in planes]
-    return givens_unitary((h_a.dim, h_b.dim), planes, joint_energies(h_a, h_b))
-
-
 # sweep CSV columns after phi: (header, ExchangeReport field)
 _SWEEP_COLUMNS = (
     ("Q_A", "q_a"),
@@ -430,16 +423,22 @@ def cmd_exchange(args: argparse.Namespace) -> int:
         "sweep": args.sweep,
     }
 
-    if args.sweep is not None:
+    grid = None if args.sweep is None else _parse_sweep(args.sweep)
+    # the planes are checked once; --phi and each sweep point only swap the
+    # angle, and no D x D unitary is built
+    h_a, h_b = case.hamiltonians()
+    form = givens_planes((h_a.dim, h_b.dim), planes, joint_energies(h_a, h_b))
+
+    if grid is not None:
         rows = []
-        for phi in _parse_sweep(args.sweep):
-            report = run_exchange(case, _exchange_unitary(case, planes, float(phi)))
+        for phi in grid:
+            report = run_exchange(case, form.at_angle(float(phi)))
             rows.append([float(phi), *(getattr(report, field) for _, field in _SWEEP_COLUMNS)])
         header = ["phi", *(name for name, _ in _SWEEP_COLUMNS)]
         _write_text(_csv_rows(header, rows), args.output)
         return EXIT_OK
 
-    report = run_exchange(case, _exchange_unitary(case, planes, args.phi))
+    report = run_exchange(case, form if args.phi is None else form.at_angle(args.phi))
     envelope = make_envelope(
         "exchange", config, None, dataclasses.asdict(report), time.perf_counter() - started
     )

@@ -6,14 +6,15 @@ local Gibbs states at two temperatures, the molecular-chaos setting) and
 kind "V" (a single entangled pure state whose marginals are the same two
 Gibbs states).  The interaction is an explicit joint unitary; the exactly
 energy-conserving family provided is rotations inside degenerate
-joint-energy planes (givens_unitary), so that the exchanged energy is heat
-with no work leakage.  Each Clausius contact is a resonant partial swap
-with a fresh reservoir, applied through its d x d closed form.
+joint-energy planes (givens_planes, applied as row updates; givens_unitary
+is their dense matrix), so that the exchanged energy is heat with no work
+leakage.  Each Clausius contact is a resonant partial swap with a fresh
+reservoir, applied through its d x d closed form.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -208,7 +209,7 @@ def joint_energies(h_a: HamiltonianSpec, h_b: HamiltonianSpec) -> np.ndarray:
 
 def degenerate_pairs(h_a: HamiltonianSpec, h_b: HamiltonianSpec) -> list[JointPair]:
     """All unordered pairs of joint basis labels u != v with |E_u - E_v| <=
-    DEGENERACY_TOL, givens_unitary's rule: rotations inside such planes
+    DEGENERACY_TOL, givens_planes' rule: rotations inside such planes
     exchange heat without doing work.  The empty list means no such plane
     exists."""
     d_b = h_b.dim
@@ -226,18 +227,47 @@ def degenerate_pairs(h_a: HamiltonianSpec, h_b: HamiltonianSpec) -> list[JointPa
     return out
 
 
-def givens_unitary(
+@dataclass(frozen=True)
+class GivensPlanes:
+    """Disjoint degenerate planes of a two-party joint space: plane k
+    rotates the flat joint basis states u[k] and v[k] by the angle with
+    cosine cos[k] and sine sin[k].  Build it with givens_planes, which
+    checks the planes; run_exchange relies on them being disjoint and in
+    range, and checks only cos^2 + sin^2 = 1."""
+
+    dims: tuple[int, int]
+    u: np.ndarray
+    v: np.ndarray
+    cos: np.ndarray
+    sin: np.ndarray
+
+    def at_angle(self, phi: float) -> "GivensPlanes":
+        """The same planes, every one rotated by phi."""
+        c, s = np.cos(phi), np.sin(phi)
+        return replace(self, cos=np.full(self.u.size, c), sin=np.full(self.u.size, s))
+
+    def matrix(self) -> np.ndarray:
+        """The dense D x D unitary of the planes."""
+        out = np.eye(self.dims[0] * self.dims[1], dtype=complex)
+        out[self.u, self.u] = self.cos
+        out[self.v, self.v] = self.cos
+        out[self.u, self.v] = -self.sin
+        out[self.v, self.u] = self.sin
+        return out
+
+
+def givens_planes(
     dims: Sequence[int],
     rotations: Sequence[tuple[tuple[int, int], tuple[int, int], float]],
     energies: np.ndarray,
-) -> np.ndarray:
-    """Joint unitary rotating disjoint degenerate planes.
+) -> GivensPlanes:
+    """Rotations inside disjoint degenerate joint-energy planes.
 
     Each rotation ((i, j), (i', j'), phi) mixes the two joint basis states
     by angle phi; both must carry the same total energy (from ``energies``,
     the diagonal of the noninteracting joint Hamiltonian) within
-    DEGENERACY_TOL, so the result commutes with it.  phi = pi/2 maps one
-    state onto the other up to sign.
+    DEGENERACY_TOL, so the rotation commutes with it, and no basis state may
+    lie in two planes.  phi = pi/2 maps one state onto the other up to sign.
     """
     dims = tuple(int(d) for d in dims)
     if len(dims) != 2:
@@ -248,7 +278,7 @@ def givens_unitary(
     if energies.size != d:
         raise DimensionMismatch(f"energies length {energies.size} != joint dim {d}")
 
-    u = np.eye(d, dtype=complex)
+    planes: list[tuple[int, int, float, float]] = []
     used: set[int] = set()
     for (i, j), (i2, j2), phi in rotations:
         for idx, bound in (((i, j), (d_a, d_b)), ((i2, j2), (d_a, d_b))):
@@ -266,12 +296,19 @@ def givens_unitary(
         if fu in used or fv in used:
             raise OverlappingPlanes(f"rotation plane ({(i, j)}, {(i2, j2)}) reuses a basis state")
         used.update((fu, fv))
-        c, s = np.cos(phi), np.sin(phi)
-        u[fu, fu] = c
-        u[fv, fv] = c
-        u[fu, fv] = -s
-        u[fv, fu] = s
-    return u
+        planes.append((fu, fv, np.cos(phi), np.sin(phi)))
+    u, v, c, s = np.array(planes, dtype=float).reshape(-1, 4).T
+    return GivensPlanes(dims, u.astype(int), v.astype(int), c, s)
+
+
+def givens_unitary(
+    dims: Sequence[int],
+    rotations: Sequence[tuple[tuple[int, int], tuple[int, int], float]],
+    energies: np.ndarray,
+) -> np.ndarray:
+    """Joint unitary rotating disjoint degenerate planes: the dense matrix
+    of givens_planes(dims, rotations, energies)."""
+    return givens_planes(dims, rotations, energies).matrix()
 
 
 def _energy_commutator_defect(u: np.ndarray, mat_a: np.ndarray, mat_b: np.ndarray) -> float:
@@ -291,9 +328,9 @@ def _energy_commutator_defect(u: np.ndarray, mat_a: np.ndarray, mat_b: np.ndarra
     return max_abs(comm)
 
 
-def _gibbs_factor(h: HamiltonianSpec, beta: float) -> np.ndarray:
-    """K = B sqrt(p) with K K^dag the Gibbs state, B the energy eigenbasis."""
-    root = np.sqrt(gibbs_populations(h, beta))
+def _gibbs_factor(h: HamiltonianSpec, root: np.ndarray) -> np.ndarray:
+    """K = B sqrt(p) with K K^dag the Gibbs state, B the energy eigenbasis
+    and root = sqrt(p) the square roots of the Gibbs populations."""
     return np.diag(root) if h.basis is None else h.basis * root
 
 
@@ -304,6 +341,66 @@ def _times_product_factor(u: np.ndarray, k_a: np.ndarray, k_b: np.ndarray) -> np
     d = d_a * d_b
     w = k_a.T @ u.reshape(d, d_a, d_b)
     return (w.reshape(d * d_a, d_b) @ k_b).reshape(d, d)
+
+
+def _unitary_applied(case: CaseSpec, u: np.ndarray, x0) -> tuple[np.ndarray, bool]:
+    """W = U X0 for a dense joint unitary, and whether U commutes with the
+    bare total Hamiltonian (max-abs commutator <= ENERGY_TOL)."""
+    h_a, h_b = case.hamiltonians()
+    d = h_a.dim * h_b.dim
+    u = np.asarray(u, dtype=complex)
+    if u.shape != (d, d):
+        raise DimensionMismatch(f"unitary shape {u.shape} != joint dim {d}")
+    # the one D^3 product of the run, written to fail closed: a NaN defect
+    # must not pass
+    defect = unitarity_defect(u)
+    if not defect <= UNITARY_TOL:
+        raise NotUnitary(f"max |U^dag U - I| = {defect:.3e}")
+    conserving = _energy_commutator_defect(u, h_a.matrix(), h_b.matrix()) <= ENERGY_TOL
+    if case.kind == "V":
+        return u @ x0, conserving
+    k_a, k_b = (_gibbs_factor(h, root) for h, root in zip((h_a, h_b), x0))
+    return _times_product_factor(u, k_a, k_b), conserving
+
+
+def _planes_applied(case: CaseSpec, planes: GivensPlanes, x0) -> tuple[np.ndarray, bool]:
+    """W = U X0 for the unitary of ``planes`` and diagonal Hamiltonians,
+    one 2 x 2 row update per plane, and whether U commutes with the bare
+    total Hamiltonian.
+
+    The gate is c^2 + s^2 = 1 per plane, and the commutator's entries are
+    s (E_u - E_v): O(planes), with no D x D unitary.  W gets the bits of
+    the dense path: kind V rotates the rows of psi; kind S sets the at most
+    two nonzeros per row of U (K_A (x) K_B), each (U[r, k] sqrt(p_A))
+    sqrt(p_B) in _times_product_factor's order.
+    """
+    h_a, h_b = case.hamiltonians()
+    if planes.dims != (h_a.dim, h_b.dim):
+        raise DimensionMismatch(f"planes of dims {planes.dims} on a {h_a.dim} x {h_b.dim} system")
+    u, v, c, s = planes.u, planes.v, planes.cos, planes.sin
+    defect = np.abs(c * c + s * s - 1.0)
+    # "not within", so that a NaN angle fails
+    if not np.all(defect <= UNITARY_TOL):
+        raise NotUnitary(f"max |cos^2 + sin^2 - 1| = {np.max(defect):.3e} over the planes")
+    energies = joint_energies(h_a, h_b)
+    conserving = max_abs(s * (energies[u] - energies[v])) <= ENERGY_TOL
+
+    if case.kind == "V":
+        w = x0.copy()
+        w[u] = c * x0[u] - s * x0[v]
+        w[v] = s * x0[u] + c * x0[v]
+        return w, conserving
+    root_a, root_b = x0
+    d = h_a.dim * h_b.dim
+    diag = np.ones(d)
+    diag[u] = c
+    diag[v] = c
+    rows = np.concatenate([np.arange(d), u, v])
+    cols = np.concatenate([np.arange(d), v, u])
+    vals = np.concatenate([diag, -s, s])
+    w = np.zeros((d, d), dtype=complex)
+    w[rows, cols] = (vals * root_a[cols // h_b.dim]) * root_b[cols % h_b.dim]
+    return w, conserving
 
 
 def _marginal_states(w: np.ndarray, d_a: int, d_b: int) -> tuple[DensityOperator, DensityOperator]:
@@ -318,16 +415,19 @@ def _marginal_states(w: np.ndarray, d_a: int, d_b: int) -> tuple[DensityOperator
     )
 
 
-def run_exchange(case: CaseSpec, u: np.ndarray) -> ExchangeReport:
+def run_exchange(case: CaseSpec, u: np.ndarray | GivensPlanes) -> ExchangeReport:
     """Apply a joint unitary to the initial condition and meter both sides.
 
-    The report's energy_conserving flag records whether u commutes with the
+    ``u`` is a dense D x D matrix or the plane form of givens_planes.  The
+    report's energy_conserving flag records whether u commutes with the
     bare total Hamiltonian (max-abs commutator <= ENERGY_TOL); only then is
     the exchanged energy pure heat and work_leak zero to rounding.
 
     No joint state is formed.  The initial state is X0 X0^dag, with X0 the
     entangled vector psi (kind V) or K_A (x) K_B, the product of the Gibbs
-    factors (kind S); the final marginals are read from W = U X0.  The
+    factors (kind S); the final marginals are read from W = U X0.  A plane
+    form on diagonal Hamiltonians gives W without a D x D unitary
+    (_planes_applied); otherwise U is dense and checked for unitarity.  The
     joint entropy, which a unitary leaves unchanged, is the initial one.
     identity_gap is |beta_A Q_A + beta_B Q_B - dI - D(rho_A'||gamma_A)
     - D(rho_B'||gamma_B)|, which vanishes for every unitary because both
@@ -337,31 +437,25 @@ def run_exchange(case: CaseSpec, u: np.ndarray) -> ExchangeReport:
     beta_a, beta_b = case.betas()
     d_a, d_b = h_a.dim, h_b.dim
 
-    u = np.asarray(u, dtype=complex)
-    if u.shape != (d_a * d_b, d_a * d_b):
-        raise DimensionMismatch(f"unitary shape {u.shape} != joint dim {d_a * d_b}")
-    # the one D^3 product of the run, written to fail closed: a NaN defect
-    # must not pass
-    defect = unitarity_defect(u)
-    if not defect <= UNITARY_TOL:
-        raise NotUnitary(f"max |U^dag U - I| = {defect:.3e}")
-
-    mat_a = h_a.matrix()
-    mat_b = h_b.matrix()
-    conserving = _energy_commutator_defect(u, mat_a, mat_b) <= ENERGY_TOL
-
     if case.kind == "V":
-        psi = entangled_thermal_state(case.entangled).vector
-        a0, b0 = _marginal_states(psi, d_a, d_b)
+        x0 = entangled_thermal_state(case.entangled).vector
+        a0, b0 = _marginal_states(x0, d_a, d_b)
         s_joint = 0.0
-        w = u @ psi
     else:
+        x0 = (np.sqrt(gibbs_populations(h_a, beta_a)), np.sqrt(gibbs_populations(h_b, beta_b)))
         a0, b0 = gibbs_state(h_a, beta_a), gibbs_state(h_b, beta_b)
         s_joint = product_entropy(a0, b0)
-        w = _times_product_factor(u, _gibbs_factor(h_a, beta_a), _gibbs_factor(h_b, beta_b))
+    if not isinstance(u, GivensPlanes):
+        w, conserving = _unitary_applied(case, u, x0)
+    elif h_a.basis is None and h_b.basis is None:
+        w, conserving = _planes_applied(case, u, x0)
+    else:
+        w, conserving = _unitary_applied(case, u.matrix(), x0)
     a1, b1 = _marginal_states(w, d_a, d_b)
     s_a0, s_b0, s_a1, s_b1 = (von_neumann_entropy(red) for red in (a0, b0, a1, b1))
 
+    mat_a = h_a.matrix()
+    mat_b = h_b.matrix()
     q_a = float(np.trace((a1.matrix - a0.matrix) @ mat_a).real)
     q_b = float(np.trace((b1.matrix - b0.matrix) @ mat_b).real)
     ds_a = s_a1 - s_a0

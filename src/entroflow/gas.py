@@ -251,8 +251,13 @@ def collide(p_a, p_b, m_a: float, m_b: float, cos_theta, azimuth):
     return np.stack(p_a_out, axis=-1), np.stack(p_b_out, axis=-1), _de_a(f)
 
 
-def _weighted_moments(x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Accumulator row (sum w, sum wx, sum w^2, sum w^2 x, sum w^2 x^2)."""
+def _weighted_moments(x: np.ndarray, w: np.ndarray | None) -> np.ndarray:
+    """Accumulator row (sum w, sum wx, sum w^2, sum w^2 x, sum w^2 x^2);
+    w None means unit weights, summed without multiplying by 1.0, which
+    gives the same bits."""
+    if w is None:
+        sx = x.sum()
+        return np.array([x.size, sx, x.size, sx, (x * x).sum()], dtype=float)
     return np.array(
         [w.sum(), (w * x).sum(), (w * w).sum(), (w * w * x).sum(), (w * w * x * x).sum()]
     )
@@ -288,10 +293,7 @@ def ensemble_heat(
         # energy only: the outgoing momenta are never built
         p_a, p_b = tuple(p_a.T), tuple(p_b.T)
         de = _de_a(_frame(p_a, p_b, spec.m_a, spec.m_b, cos_theta, azimuth))
-        if flux:
-            w = _norm(tuple(a / spec.m_a - b / spec.m_b for a, b in zip(p_a, p_b)))
-        else:
-            w = np.ones(size)
+        w = _norm(tuple(a / spec.m_a - b / spec.m_b for a, b in zip(p_a, p_b))) if flux else None
         de_m = _weighted_moments(de, w)
         if mode == "entangled":
             e_a = _square(p_a) / (2.0 * spec.m_a)

@@ -101,9 +101,9 @@ def shell_planes(d: int) -> list:
     return planes
 
 
-def random_conserving_unitary(case: CaseSpec, rng) -> np.ndarray:
-    """Random unitary commuting with the bare total Hamiltonian: rotations
-    by random angles inside randomly chosen disjoint degenerate planes."""
+def random_rotations(case: CaseSpec, rng) -> list:
+    """Rotations by random angles inside a maximal set of disjoint
+    degenerate planes, chosen in random order."""
     h_a, h_b = case.hamiltonians()
     pairs = degenerate_pairs(h_a, h_b)
     order = rng.permutation(len(pairs))
@@ -116,6 +116,14 @@ def random_conserving_unitary(case: CaseSpec, rng) -> np.ndarray:
             continue
         used.update((fu, fv))
         rotations.append(((i, j), (i2, j2), float(rng.uniform(0.0, 2.0 * np.pi))))
+    return rotations
+
+
+def random_conserving_unitary(case: CaseSpec, rng) -> np.ndarray:
+    """Random unitary commuting with the bare total Hamiltonian: the dense
+    matrix of random_rotations."""
+    h_a, h_b = case.hamiltonians()
+    rotations = random_rotations(case, rng)
     return givens_unitary((h_a.dim, h_b.dim), rotations, joint_energies(h_a, h_b))
 
 

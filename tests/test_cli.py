@@ -10,7 +10,7 @@ import golden
 import numpy as np
 import pytest
 
-from entroflow import NonFiniteResult, clausius_cycle, cli
+from entroflow import NonFiniteResult, clausius_cycle, cli, exchange
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -196,6 +196,22 @@ class TestExchange:
         first = lines[1].split(",")
         assert float(first[0]) == 0.0
         assert float(first[1]) == 0.0
+
+    def test_runs_no_dense_unitary_check(self, tmp_path, monkeypatch):
+        # the command applies plane rotations as row updates: no D x D
+        # unitary, no D^3 unitarity gate, no dense commutator, same payloads
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the exchange command ran a dense D x D check")
+
+        monkeypatch.setattr(exchange, "unitarity_defect", forbidden)
+        monkeypatch.setattr(exchange, "_energy_commutator_defect", forbidden)
+        monkeypatch.setattr(exchange.GivensPlanes, "matrix", forbidden)
+        want = golden.load()
+        runs = {key: argv for key, argv in golden.cases(tmp_path).items() if argv[0] == "exchange"}
+        assert {"demo.v", "demo.s", "exchange.sweep@7"} <= runs.keys()
+        for key, argv in runs.items():
+            got = hashlib.sha256(golden.payload_bytes(argv, tmp_path)).hexdigest()
+            assert got == want[key], key
 
     def test_non_degenerate_rotation_exits_3(self, tmp_path, exchange_config):
         cfg = json.loads(open(exchange_config).read())

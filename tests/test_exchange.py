@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ from conftest import (
     partial_swap,
     random_conserving_unitary,
     random_entangled_spec,
+    random_rotations,
     shell_planes,
 )
 
@@ -17,7 +19,9 @@ from entroflow import (
     CaseSpec,
     ClausiusStroke,
     DensityOperator,
+    DimensionMismatch,
     EntangledThermalSpec,
+    GivensPlanes,
     HamiltonianSpec,
     InvalidSpec,
     NoConvergence,
@@ -27,6 +31,7 @@ from entroflow import (
     clausius_cycle,
     degenerate_pairs,
     gibbs_state,
+    givens_planes,
     givens_unitary,
     haar_unitary,
     joint_energies,
@@ -652,6 +657,135 @@ class TestRunExchangeAgainstDense:
         assert joint_states and not any(joint_states)
 
 
+def report_bits(report) -> list[int]:
+    """Every field of an ExchangeReport as IEEE bits (the flag as 0.0/1.0)."""
+    return np.asarray(dataclasses.astuple(report), dtype=float).view(np.int64).tolist()
+
+
+def assert_same_report(case, first, second):
+    assert report_bits(run_exchange(case, first)) == report_bits(run_exchange(case, second))
+
+
+def plane_cases(d: int, mu_b: float):
+    """Cases V and S on levels 0..d-1 (A) and 0, 1/mu_b, ... (B)."""
+    spec = EntangledThermalSpec(np.arange(d, dtype=float), 0.45, 1.0, mu_b)
+    h_a, h_b = spec.hamiltonian_a(), spec.hamiltonian_b()
+    return CaseSpec.case_v(spec), CaseSpec.case_s(h_a, 0.8, h_b, 0.3)
+
+
+class TestPlaneForm:
+    """run_exchange on givens_planes gives the report of givens_unitary's
+    dense matrix, bit for bit, without a D x D unitary."""
+
+    @staticmethod
+    def both_forms(case, rotations):
+        h_a, h_b = case.hamiltonians()
+        args = ((h_a.dim, h_b.dim), rotations, joint_energies(h_a, h_b))
+        return givens_planes(*args), givens_unitary(*args)
+
+    # d = 2 has a degenerate plane only at mu_b = mu_a
+    @pytest.mark.parametrize("d, mu_b", [(2, 1.0), (8, 1.0), (8, 0.5), (24, 1.0), (24, 0.5)])
+    def test_report_bits_match_dense(self, d, mu_b):
+        rng = substream(31, 20, d)
+        case_v, case_s = plane_cases(d, mu_b)
+        rotations = random_rotations(case_v, rng)
+        assert rotations
+        override = [(first, second, 0.37) for first, second, _ in rotations]
+        planes, u = self.both_forms(case_v, rotations)
+        _, u_override = self.both_forms(case_v, override)
+        assert np.array_equal(planes.matrix(), u)
+        for case in (case_v, case_s):
+            assert_same_report(case, planes, u)
+            assert_same_report(case, planes.at_angle(0.37), u_override)
+
+    def test_random_specs_match_dense(self):
+        rng = substream(31, 21)
+        for _ in range(20):
+            spec = random_entangled_spec(rng, max_dim=6)
+            case_v = CaseSpec.case_v(spec)
+            planes, u = self.both_forms(case_v, random_rotations(case_v, rng))
+            for case in (case_v, random_s_case(spec, rng)):
+                assert_same_report(case, planes, u)
+
+    def test_rotated_hamiltonians_use_the_dense_matrix(self):
+        rng = substream(31, 22)
+        spec = random_entangled_spec(rng, max_dim=4)
+        case = random_s_case(spec, rng, rotated=True)
+        planes, u = self.both_forms(case, random_rotations(case, rng))
+        assert_same_report(case, planes, u)
+
+    def test_diagonal_path_runs_no_dense_gate(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the plane form ran a dense check")
+
+        monkeypatch.setattr(exchange_module, "unitarity_defect", forbidden)
+        monkeypatch.setattr(exchange_module, "_energy_commutator_defect", forbidden)
+        monkeypatch.setattr(GivensPlanes, "matrix", forbidden)
+        rotations = [(first, second, 0.9) for first, second in shell_planes(8)]
+        for case in plane_cases(8, 0.5):
+            h_a, h_b = case.hamiltonians()
+            planes = givens_planes((8, 8), rotations, joint_energies(h_a, h_b))
+            assert run_exchange(case, planes).energy_conserving
+            assert abs(run_exchange(case, givens_planes((8, 8), [], np.zeros(64))).q_a) <= 1e-15
+
+    @pytest.mark.parametrize("phi", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_angle_not_unitary(self, phi):
+        h_a, h_b = DEMO_SPEC.hamiltonian_a(), DEMO_SPEC.hamiltonian_b()
+        planes = givens_planes((4, 4), DEMO_ROTATION, joint_energies(h_a, h_b))
+        case_s = CaseSpec.case_s(h_a, 1.0, h_b, 0.5)
+        with np.errstate(invalid="ignore"):
+            forms = (
+                planes.at_angle(phi),
+                givens_planes((4, 4), [((2, 2), (0, 3), phi)], joint_energies(h_a, h_b)),
+            )
+        for case in (CaseSpec.case_v(DEMO_SPEC), case_s):
+            for form in forms:
+                with pytest.raises(NotUnitary):
+                    run_exchange(case, form)
+
+    @pytest.mark.parametrize(
+        "rotations, error",
+        [
+            ([((2, 2), (0, 3), 0.3), ((2, 2), (0, 3), 0.2)], OverlappingPlanes),
+            ([((2, 2), (0, 3), 0.3), ((0, 3), (2, 2), 0.2)], OverlappingPlanes),
+            ([((1, 1), (1, 1), 0.3)], OverlappingPlanes),
+            ([((0, 0), (1, 1), 0.3)], NotDegenerate),
+            ([((4, 0), (0, 2), 0.3)], DimensionMismatch),
+            ([((0, -1), (0, 2), 0.3)], DimensionMismatch),
+        ],
+        ids=[
+            "same-plane", "reversed-plane", "single-state", "not-degenerate", "row-range",
+            "column-range",
+        ],
+    )
+    def test_bad_planes_raise_as_before(self, rotations, error):
+        h_a, h_b = DEMO_SPEC.hamiltonian_a(), DEMO_SPEC.hamiltonian_b()
+        for build in (givens_planes, givens_unitary):
+            with pytest.raises(error) as raised:
+                build((4, 4), rotations, joint_energies(h_a, h_b))
+            assert type(raised.value) is error
+
+    def test_dims_must_match_the_case(self):
+        planes = givens_planes((2, 8), [], np.zeros(16))
+        with pytest.raises(DimensionMismatch):
+            run_exchange(CaseSpec.case_v(DEMO_SPEC), planes)
+
+    @pytest.mark.parametrize("gap", [2e-10, 9e-10])
+    def test_near_degenerate_plane_flag_matches_dense(self, gap):
+        # admitted by DEGENERACY_TOL, but a nonzero rotation leaks energy
+        # beyond ENERGY_TOL; at phi = 0 it commutes with H
+        h_a = HamiltonianSpec(np.array([0.0, 1.0]))
+        h_b = HamiltonianSpec(np.array([0.0, 1.0 + gap]))
+        case = CaseSpec.case_s(h_a, 1.0, h_b, 0.4)
+        energies = joint_energies(h_a, h_b)
+        for phi, conserving in ((0.9, False), (math.pi / 2, False), (0.0, True)):
+            rotations = [((0, 1), (1, 0), phi)]
+            planes = givens_planes((2, 2), rotations, energies)
+            dense = run_exchange(case, givens_unitary((2, 2), rotations, energies))
+            assert run_exchange(case, planes).energy_conserving is conserving
+            assert dense.energy_conserving is conserving
+
+
 class TestIdentityGap:
     def test_demo(self):
         case_s = CaseSpec.case_s(DEMO_SPEC.hamiltonian_a(), 1.0, DEMO_SPEC.hamiltonian_b(), 0.5)
@@ -690,6 +824,17 @@ class TestIdentityGap:
         case_s = CaseSpec.case_s(h_a, spec.beta_a, h_b, spec.beta_b)
         for case in (CaseSpec.case_v(spec), case_s):
             assert run_exchange(case, u).identity_gap <= 1e-14
+
+    def test_sixty_four_levels_in_plane_form(self):
+        # the joint-dimension limit, 4096: no D x D unitary, and the
+        # identity still closes to rounding
+        spec = EntangledThermalSpec(np.arange(64, dtype=float), 0.7, 1.0, 0.5)
+        h_a, h_b = spec.hamiltonian_a(), spec.hamiltonian_b()
+        rotations = [(first, second, 0.9) for first, second in shell_planes(64)]
+        planes = givens_planes((64, 64), rotations, joint_energies(h_a, h_b))
+        report = run_exchange(CaseSpec.case_v(spec), planes)
+        assert report.energy_conserving
+        assert report.identity_gap <= 1e-14
 
     def test_gibbs_populations_below_support_floor(self):
         # exp(-40) underflows relative_entropy's support floor; the gap is

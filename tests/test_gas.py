@@ -216,6 +216,14 @@ class TestEnergyOnlyPath:
         for mode, report in want.items():
             assert ensemble_heat(spec, mode, n, 18, workers=2) == report
 
+    @pytest.mark.parametrize("n", [1, 7, gas.CHUNK + 4_000])
+    def test_unit_weights_match_multiplied_moments(self, n):
+        # flux weighting off: plain sums stand in for the products with w = 1
+        rng = substream(41, 13)
+        for x in (rng.standard_normal(n), rng.standard_normal(n) * 1e5 + 3.0):
+            want = gas._weighted_moments(x, np.ones(n))
+            assert np.array_equal(bits(gas._weighted_moments(x, None)), bits(want))
+
 
 class TestSamplers:
     def test_entangled_momenta_are_collinear(self):
