@@ -66,7 +66,6 @@ from .qmath import (
 )
 from .states import (
     DensityOperator,
-    DensityStack,
     EntangledThermalSpec,
     HamiltonianSpec,
     PureJointState,
@@ -81,6 +80,5 @@ from .states import (
     relative_entropy,
     subsystem_entropy,
     trace_distance,
-    validate_densities,
     von_neumann_entropy,
 )

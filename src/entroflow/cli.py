@@ -64,7 +64,6 @@ from .qmath import MAX_JOINT_DIM, ginibre, haar_qr, random_density, substream
 from .states import (
     STATE_TOL,
     DensityOperator,
-    DensityStack,
     EntangledThermalSpec,
     HamiltonianSpec,
     gibbs_state,
@@ -125,8 +124,9 @@ def payload_json(payload: dict) -> str:
     return _dumps(payload)
 
 
-def make_envelope(command: str, config: dict, seed: int | None, payload: dict, wall_time: float) -> dict:
-    return {
+def make_envelope(command: str, config: dict, seed: int | None, payload: dict, wall_time: float) -> str:
+    """The result envelope, encoded as indented JSON text."""
+    envelope = {
         "tool_version": __version__,
         "schema_version": SCHEMA_VERSION,
         "command": command,
@@ -135,6 +135,7 @@ def make_envelope(command: str, config: dict, seed: int | None, payload: dict, w
         "wall_time_s": wall_time,
         "payload": payload,
     }
+    return _dumps(envelope, indent=2)
 
 
 def _write_text(text: str, path: str | None) -> None:
@@ -145,10 +146,6 @@ def _write_text(text: str, path: str | None) -> None:
     else:
         with open(path, "w") as fh:
             fh.write(text)
-
-
-def _emit_envelope(envelope: dict, path: str | None) -> None:
-    _write_text(_dumps(envelope, indent=2), path)
 
 
 def _csv_rows(header: list[str], rows: list[list[float]]) -> str:
@@ -250,10 +247,10 @@ def _random_hamiltonian(d: int, rng: np.random.Generator) -> tuple[np.ndarray, n
     return np.sort(rng.uniform(0.0, 1.2, d)), ginibre(d, rng)
 
 
-def _random_states(dims: tuple[int, ...], rngs: Iterable[np.random.Generator]) -> DensityStack:
+def _random_states(dims: tuple[int, ...], rngs: Iterable[np.random.Generator]) -> DensityOperator:
     d = math.prod(dims)
     draws = [random_density(d, int(rng.integers(1, d + 1)), rng) for rng in rngs]
-    return DensityStack(np.stack(draws), dims)
+    return DensityOperator(np.stack(draws), dims)
 
 
 def _eq2_draw(d_sys: int, d_anc: int, rng: np.random.Generator) -> tuple:
@@ -272,7 +269,7 @@ def _eq2_batch(
     beta, levels_i, g_i, levels_f, g_f, g_u, ancilla = map(np.stack, zip(*draws))
     h_i = HamiltonianSpec(levels_i, basis=haar_qr(g_i))
     h_f = HamiltonianSpec(levels_f, basis=haar_qr(g_f))
-    channel = AncillaChannel(haar_qr(g_u), DensityStack(ancilla, factors[1:]))
+    channel = AncillaChannel(haar_qr(g_u), DensityOperator(ancilla, factors[1:]))
     return gibbs_evolution_identity(h_i, beta, channel, h_f)
 
 
@@ -287,7 +284,7 @@ def _slacks(report: SlackReport) -> dict:
 
 
 def _gibbs(report: GibbsEvolutionReport) -> dict:
-    gaps, slacks = report.identity_gap, report.nonneg_slack
+    gaps, slacks = report.identity_gap, report.rhs
     worst_gap = int(np.argmax(gaps))
     worst_slack = int(np.argmin(slacks))
     return {
@@ -346,8 +343,8 @@ def cmd_ineq(args: argparse.Namespace) -> int:
     payload = {"check": args.check, "trials": args.trials, **fields(report)}
 
     config = {"check": args.check, "dims": list(dims), "trials": args.trials, "seed": seed}
-    envelope = make_envelope("ineq", config, seed, payload, time.perf_counter() - started)
-    _emit_envelope(envelope, args.output)
+    wall_time = time.perf_counter() - started
+    _write_text(make_envelope("ineq", config, seed, payload, wall_time), args.output)
     return EXIT_OK if payload["all_pass"] else EXIT_VIOLATION
 
 
@@ -439,10 +436,9 @@ def cmd_exchange(args: argparse.Namespace) -> int:
         return EXIT_OK
 
     report = run_exchange(case, form if args.phi is None else form.at_angle(args.phi))
-    envelope = make_envelope(
-        "exchange", config, None, dataclasses.asdict(report), time.perf_counter() - started
-    )
-    _emit_envelope(envelope, args.output)
+    payload = dataclasses.asdict(report)
+    wall_time = time.perf_counter() - started
+    _write_text(make_envelope("exchange", config, None, payload, wall_time), args.output)
     return EXIT_OK
 
 
@@ -454,6 +450,8 @@ def _clausius_setup(args: argparse.Namespace):
     if not isinstance(system_cfg, dict):
         raise ConfigError("config field 'system' must be an object with 'levels'")
     levels = _require_number_list(system_cfg, "levels")
+    # the states and contacts are dense d x d: refuse before building one
+    _require_joint_dim(len(levels), "config field 'system.levels'")
     try:
         h0 = HamiltonianSpec(np.asarray(levels))
     except InvalidSpec as exc:
@@ -521,8 +519,8 @@ def cmd_clausius(args: argparse.Namespace) -> int:
         "max_cycles": args.max_cycles,
         "fp_tol": args.fp_tol,
     }
-    envelope = make_envelope("clausius", config, None, payload, time.perf_counter() - started)
-    _emit_envelope(envelope, args.output)
+    wall_time = time.perf_counter() - started
+    _write_text(make_envelope("clausius", config, None, payload, wall_time), args.output)
     return EXIT_OK if payload["clausius_pass"] else EXIT_VIOLATION
 
 
@@ -560,8 +558,8 @@ def cmd_gas(args: argparse.Namespace) -> int:
         "seed": args.seed,
         "flux": args.flux,
     }
-    envelope = make_envelope("gas", config, args.seed, payload, time.perf_counter() - started)
-    _emit_envelope(envelope, args.output)
+    wall_time = time.perf_counter() - started
+    _write_text(make_envelope("gas", config, args.seed, payload, wall_time), args.output)
     return EXIT_OK
 
 

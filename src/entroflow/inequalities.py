@@ -6,9 +6,9 @@ the nonnegative relative-entropy identity obeyed by any evolution that
 starts from a Gibbs state (possibly with a Hamiltonian quench).
 
 Every check runs on one state or, unchanged, on a stack of them (a
-DensityStack, stacked Hamiltonians and channels), with one batched partial
-trace and eigensolve per entropy; a stack's report holds one entry per
-state in each field.
+DensityOperator holding a stack, stacked Hamiltonians and channels), with
+one batched partial trace and eigensolve per entropy; a stack's report
+holds one entry per state in each field.
 """
 
 from __future__ import annotations
@@ -18,13 +18,11 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonpositiveBeta, TooFewFactors
+from .errors import DimensionMismatch, TooFewFactors
 from .qmath import dagger, kron, partial_trace, scalar_or_stack, trace
 from .states import (
     DensityOperator,
-    DensityStack,
     HamiltonianSpec,
-    density,
     gibbs_divergence,
     gibbs_state,
     subsystem_entropy,
@@ -60,9 +58,9 @@ class GibbsEvolutionReport:
     """Both sides of the Gibbs-evolution identity.
 
     The relative entropy of the final state with respect to the initial
-    Gibbs state equals beta*dU - dS - beta*tr(rho_f dH); identity_gap is
-    the absolute difference of the two evaluations and nonneg_slack the
-    (guaranteed nonnegative) right-hand side.
+    Gibbs state equals beta*dU - dS - beta*tr(rho_f dH), the right-hand
+    side rhs, which is nonnegative; identity_gap is the absolute difference
+    of the two evaluations.
     """
 
     relative_entropy_lhs: float
@@ -71,26 +69,25 @@ class GibbsEvolutionReport:
     beta_tr_rhof_dh: float
     rhs: float
     identity_gap: float
-    nonneg_slack: float
 
 
 @dataclass(frozen=True)
 class AncillaChannel:
     """Unitary on system (x) ancilla followed by discarding the ancilla.
 
-    A stack of N channels holds N unitaries (N, D, D) and a DensityStack of
-    N ancillas; channel t acts on state t of a DensityStack.
+    A stack of N channels holds N unitaries (N, D, D) and a stack of N
+    ancillas in one DensityOperator; channel t acts on state t of a stack.
     """
 
     unitary: np.ndarray
-    ancilla: DensityOperator | DensityStack
+    ancilla: DensityOperator
 
     @classmethod
     def identity(cls, d: int) -> "AncillaChannel":
         """The do-nothing channel (trivial one-dimensional ancilla)."""
         return cls(np.eye(d, dtype=complex), DensityOperator(np.eye(1, dtype=complex), (1,)))
 
-    def apply(self, rho: DensityOperator | DensityStack) -> DensityOperator | DensityStack:
+    def apply(self, rho: DensityOperator) -> DensityOperator:
         d_sys = rho.dim
         d_anc = self.ancilla.dim
         u = np.asarray(self.unitary, dtype=complex)
@@ -99,10 +96,10 @@ class AncillaChannel:
                 f"unitary shape {u.shape} != system*ancilla dim {d_sys * d_anc}"
             )
         joint = u @ kron(rho.matrix, self.ancilla.matrix) @ dagger(u)
-        return density(partial_trace(joint, (d_sys, d_anc), [0]), rho.dims)
+        return DensityOperator(partial_trace(joint, (d_sys, d_anc), [0]), rho.dims)
 
 
-def check_ssa(rho: DensityOperator | DensityStack, i: int, j: int, k: int) -> SlackReport:
+def check_ssa(rho: DensityOperator, i: int, j: int, k: int) -> SlackReport:
     """Strong subadditivity on a tripartite state: S_i + S_j <= S_ik + S_jk."""
     if len(rho.dims) != 3:
         raise DimensionMismatch(f"need exactly 3 factors, got dims {rho.dims}")
@@ -115,7 +112,7 @@ def check_ssa(rho: DensityOperator | DensityStack, i: int, j: int, k: int) -> Sl
     return SlackReport.compare(lhs=s_i + s_j, rhs=s_ik + s_jk)
 
 
-def average_correlation_bound(rho: DensityOperator | DensityStack) -> SlackReport:
+def average_correlation_bound(rho: DensityOperator) -> SlackReport:
     """Mean pairwise mutual information <= mean single-party entropy.
 
     Aggregates the strong-subadditivity inequalities over all pairs of an
@@ -152,8 +149,6 @@ def gibbs_evolution_identity(
     stacked Hamiltonians, an array of betas and a stack of channels, trial
     t uses entry t of each.
     """
-    if not np.all(np.asarray(beta) > 0):
-        raise NonpositiveBeta(f"beta must be positive, got {beta!r}")
     if h_f.dim != h_i.dim:
         raise DimensionMismatch(
             f"final Hamiltonian dim {h_f.dim} != initial dim {h_i.dim}"
@@ -178,5 +173,4 @@ def gibbs_evolution_identity(
         beta_tr_rhof_dh=beta_tr_rhof_dh,
         rhs=rhs,
         identity_gap=abs(lhs - rhs),
-        nonneg_slack=rhs,
     )

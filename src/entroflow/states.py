@@ -1,6 +1,9 @@
 """Density operators, Gibbs states, entropy functionals, and the
 scaled-spectrum entangled pure state whose marginals are thermal.
 
+One DensityOperator holds one state or a stack of states on the same
+factors, validated at once with one batched eigensolve.
+
 Units: hbar = k_B = 1, natural logarithms, entropies in nats.
 """
 
@@ -38,50 +41,23 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def validate_densities(matrices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Check a stack of matrices (N, D, D) at once: each must be Hermitian,
-    positive semidefinite and of unit trace, all within STATE_TOL.
-
-    Returns the Hermitian parts and their ascending spectra, from one
-    batched eigensolve.  The first failing matrix in stack order raises
-    InvalidState with the message it raises alone; a NaN fails the first
-    check it reaches.
-    """
-    mat = np.asarray(matrices, dtype=complex)
-    if mat.ndim != 3 or mat.shape[1] != mat.shape[2]:
-        raise DimensionMismatch(f"expected a stack of square matrices, got shape {mat.shape}")
-    adjoint = dagger(mat)
-    herm = np.abs(mat - adjoint).max(axis=(-2, -1))
-    sym = (mat + adjoint) / 2
-    lam = np.linalg.eigvalsh(sym)
-    tr = trace(sym).real
-    # written as "not within" so that a NaN fails
-    hermitian = herm <= STATE_TOL
-    semidefinite = lam[:, 0] >= -STATE_TOL
-    unit_trace = np.abs(tr - 1.0) <= STATE_TOL
-    failed = ~(hermitian & semidefinite & unit_trace)
-    if failed.any():
-        t = int(np.argmax(failed))
-        if not hermitian[t]:
-            raise InvalidState(f"not Hermitian: max |M - M^dag| = {herm[t]:.3e}")
-        if not semidefinite[t]:
-            raise InvalidState(f"negative eigenvalue {lam[t, 0]:.3e}")
-        raise InvalidState(f"trace {float(tr[t])!r} differs from 1 beyond {STATE_TOL}")
-    return sym, lam
-
-
 @dataclass(frozen=True)
-class DensityStack:
-    """Density operators on the same tensor factors, stacked on axis 0
-    (matrix shape (N, D, D)) and validated at once by validate_densities.
+class DensityOperator:
+    """Hermitian, positive-semidefinite, unit-trace matrix plus the list of
+    local dimensions of its tensor factors (leftmost factor first).
 
-    von_neumann_entropy, subsystem_entropy and gibbs_divergence, and the
-    checks of ``inequalities``, take a stack where they take a
-    DensityOperator and return one value per state."""
+    ``matrix`` is one state (D, D) or a stack of states on the same factors
+    (N, D, D); von_neumann_entropy, subsystem_entropy and gibbs_divergence,
+    and the checks of ``inequalities``, return one value per state of a
+    stack.  Each matrix is checked on its own, all within STATE_TOL: the
+    first failing one in stack order raises InvalidState with the message
+    it raises alone, and a NaN fails the first check it reaches.
+    """
 
     matrix: np.ndarray
     dims: tuple[int, ...]
-    # ascending spectra found while validating, shape (N, D) (read-only)
+    # ascending spectra found while validating, shape (..., D) (read-only):
+    # entropies of the whole state read them instead of diagonalizing again
     spectrum: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -90,46 +66,37 @@ class DensityStack:
         if any(d < 1 for d in dims):
             raise DimensionMismatch(f"factor dimensions must be positive, got {dims}")
         total = math.prod(dims)
-        if mat.shape[-2:] != (total, total):
+        if mat.ndim not in (2, 3) or mat.shape[-2:] != (total, total):
             raise DimensionMismatch(
-                f"matrix shape {mat.shape[-2:]} != ({total}, {total}) from dims {dims}"
+                f"matrix shape {mat.shape} is neither ({total}, {total}) from dims {dims} "
+                "nor a stack of such matrices"
             )
-        sym, lam = validate_densities(mat)
-        object.__setattr__(self, "matrix", _frozen(sym))
+        # one state is a stack of one, so it has the same bits as in any stack
+        stack = mat.reshape(-1, total, total)
+        adjoint = dagger(stack)
+        herm = np.abs(stack - adjoint).max(axis=(-2, -1))
+        sym = (stack + adjoint) / 2
+        lam = np.linalg.eigvalsh(sym)
+        tr = trace(sym).real
+        # written as "not within" so that a NaN fails
+        hermitian = herm <= STATE_TOL
+        semidefinite = lam[:, 0] >= -STATE_TOL
+        unit_trace = np.abs(tr - 1.0) <= STATE_TOL
+        failed = ~(hermitian & semidefinite & unit_trace)
+        if failed.any():
+            t = int(np.argmax(failed))
+            if not hermitian[t]:
+                raise InvalidState(f"not Hermitian: max |M - M^dag| = {herm[t]:.3e}")
+            if not semidefinite[t]:
+                raise InvalidState(f"negative eigenvalue {lam[t, 0]:.3e}")
+            raise InvalidState(f"trace {float(tr[t])!r} differs from 1 beyond {STATE_TOL}")
+        object.__setattr__(self, "matrix", _frozen(sym).reshape(mat.shape))
         object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "spectrum", _frozen(lam))
+        object.__setattr__(self, "spectrum", _frozen(lam).reshape(mat.shape[:-1]))
 
     @property
     def dim(self) -> int:
         return self.matrix.shape[-1]
-
-
-@dataclass(frozen=True)
-class DensityOperator:
-    """Hermitian, positive-semidefinite, unit-trace matrix plus the list of
-    local dimensions of its tensor factors (leftmost factor first)."""
-
-    matrix: np.ndarray
-    dims: tuple[int, ...]
-    # ascending eigenvalues found while validating (read-only): entropies of
-    # the whole state read them instead of diagonalizing again
-    spectrum: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        # validated as a stack of one
-        one = DensityStack(np.asarray(self.matrix, dtype=complex)[None], self.dims)
-        object.__setattr__(self, "matrix", one.matrix[0])
-        object.__setattr__(self, "dims", one.dims)
-        object.__setattr__(self, "spectrum", one.spectrum[0])
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-
-def density(matrix: np.ndarray, dims) -> DensityOperator | DensityStack:
-    """A DensityOperator of one matrix, or a DensityStack of a stack."""
-    return (DensityStack if np.ndim(matrix) == 3 else DensityOperator)(matrix, dims)
 
 
 @dataclass(frozen=True)
@@ -281,11 +248,11 @@ def gibbs_populations(h: HamiltonianSpec, beta) -> np.ndarray:
     return w / w.sum(-1, keepdims=True)
 
 
-def gibbs_state(h: HamiltonianSpec, beta) -> DensityOperator | DensityStack:
+def gibbs_state(h: HamiltonianSpec, beta) -> DensityOperator:
     """Thermal equilibrium state exp(-beta H)/Z at inverse temperature beta,
-    built from gibbs_populations in the energy eigenbasis; a DensityStack
+    built from gibbs_populations in the energy eigenbasis; a stack of states
     for a stack of Hamiltonians or betas."""
-    return density(h.in_basis(gibbs_populations(h, beta)), (h.dim,))
+    return DensityOperator(h.in_basis(gibbs_populations(h, beta)), (h.dim,))
 
 
 def log_partition(h: HamiltonianSpec, beta):
@@ -318,7 +285,7 @@ def _spectral_entropy(lam: np.ndarray):
     return scalar_or_stack(out.reshape(lam.shape[:-1]))
 
 
-def von_neumann_entropy(rho: DensityOperator | DensityStack):
+def von_neumann_entropy(rho: DensityOperator):
     """S(rho) = -tr(rho ln rho) in nats; 0 * ln 0 reads as 0."""
     return _spectral_entropy(rho.spectrum)
 
@@ -326,6 +293,8 @@ def von_neumann_entropy(rho: DensityOperator | DensityStack):
 def product_entropy(*factors: DensityOperator) -> float:
     """S(rho_1 (x) rho_2 (x) ...) from the products of the factors' stored
     spectra; no joint matrix is formed."""
+    if any(rho.matrix.ndim != 2 for rho in factors):
+        raise DimensionMismatch("product_entropy takes single states, not stacks")
     lam = np.ones(1)
     for rho in factors:
         lam = np.multiply.outer(lam, rho.spectrum).ravel()
@@ -333,7 +302,7 @@ def product_entropy(*factors: DensityOperator) -> float:
     return _spectral_entropy(lam[lam > 0])
 
 
-def subsystem_entropy(rho: DensityOperator | DensityStack, keep: Iterable[int]):
+def subsystem_entropy(rho: DensityOperator, keep: Iterable[int]):
     """Von Neumann entropy of the reduced state on the factors in ``keep``:
     one (batched) eigensolve of the reduced matrix, or none when every
     factor is kept (the stored spectrum)."""
@@ -350,6 +319,8 @@ def relative_entropy(rho: DensityOperator, sigma: DensityOperator) -> float:
     Raises SupportViolation when sigma's null space (eigenvalues <=
     SUPPORT_FLOOR) carries more than SUPPORT_TOL of rho's weight.
     """
+    if rho.matrix.ndim != 2 or sigma.matrix.ndim != 2:
+        raise DimensionMismatch("relative_entropy takes single states, not stacks")
     if rho.dim != sigma.dim:
         raise DimensionMismatch(f"dimension mismatch: {rho.dim} vs {sigma.dim}")
     w_s, v_s = eig_hermitian(sigma.matrix)
@@ -365,7 +336,7 @@ def relative_entropy(rho: DensityOperator, sigma: DensityOperator) -> float:
     return -von_neumann_entropy(rho) - tr_rho_ln_sigma
 
 
-def gibbs_divergence(rho: DensityOperator | DensityStack, h: HamiltonianSpec, beta):
+def gibbs_divergence(rho: DensityOperator, h: HamiltonianSpec, beta):
     """S(rho || gamma) for the Gibbs state gamma = exp(-beta H)/Z, from the
     exact ln gamma = -beta H - ln Z: beta tr(rho H) + ln Z - S(rho).
 
@@ -411,9 +382,10 @@ def entangled_thermal_state(spec: EntangledThermalSpec) -> PureJointState:
     return PureJointState(vec, (d, d))
 
 
-def trace_distance(rho: DensityOperator, sigma: DensityOperator) -> float:
-    """(1/2) ||rho - sigma||_1 via the spectrum of the difference."""
+def trace_distance(rho: DensityOperator, sigma: DensityOperator):
+    """(1/2) ||rho - sigma||_1 via the spectrum of the difference; one
+    value per state of a stack."""
     if rho.dim != sigma.dim:
         raise DimensionMismatch(f"dimension mismatch: {rho.dim} vs {sigma.dim}")
     lam = np.linalg.eigvalsh(rho.matrix - sigma.matrix)
-    return float(0.5 * np.abs(lam).sum())
+    return scalar_or_stack(0.5 * np.abs(lam).sum(-1))

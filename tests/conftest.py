@@ -195,5 +195,4 @@ def oracle_gibbs_evolution(levels_i, basis_i, beta, unitary, ancilla, levels_f, 
         "beta_tr_rhof_dh": beta_tr_rhof_dh,
         "rhs": rhs,
         "identity_gap": abs(lhs - rhs),
-        "nonneg_slack": rhs,
     }

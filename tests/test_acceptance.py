@@ -104,7 +104,7 @@ def test_criterion_3_gibbs_evolution_identity():
         )
         rep = gibbs_evolution_identity(h_i, beta, channel, h_f)
         worst_gap = max(worst_gap, rep.identity_gap)
-        worst_rhs = min(worst_rhs, rep.nonneg_slack)
+        worst_rhs = min(worst_rhs, rep.rhs)
     ok = worst_gap <= 1e-9 and worst_rhs >= -1e-10
     report(3, "Gibbs-evolution identity", ok,
            f"1000 draws, worst gap {worst_gap:.2e}, worst rhs {worst_rhs:.2e}", started, 60.0)

@@ -154,6 +154,19 @@ class TestJointDimensionLimit:
         assert "joint dimension of 90000" in proc.stderr
         assert not out.exists()
 
+    def test_oversized_clausius_system_exits_2(self, tmp_path, clausius_config):
+        # refused before the 4097 x 4097 Gibbs state and its eigensolve
+        cfg = json.loads(open(clausius_config).read())
+        cfg["system"]["levels"] = [float(i) for i in range(cli.MAX_JOINT_DIM + 1)]
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "out.json"
+        proc = run_cli("clausius", "--config", str(path), "--output", str(out))
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.count("\n") == 1
+        assert f"above the limit of {cli.MAX_JOINT_DIM}" in proc.stderr
+        assert not out.exists()
+
 
 class TestExchange:
     def test_entangled_demo_payload(self, exchange_config):
@@ -457,19 +470,17 @@ class TestGas:
 
 class TestNonFiniteOutput:
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
-    def test_envelope_refuses_non_finite(self, value, tmp_path):
+    def test_envelope_refuses_non_finite(self, value):
         with pytest.raises(NonFiniteResult):
             cli.payload_json({"x": value})
-        envelope = cli.make_envelope("gas", {}, 1, {"x": [1.0, value]}, 0.0)
         with pytest.raises(NonFiniteResult):
-            cli._emit_envelope(envelope, str(tmp_path / "out.json"))
+            cli.make_envelope("gas", {}, 1, {"x": [1.0, value]}, 0.0)
 
-    def test_nan_inside_array_refused(self, tmp_path):
+    def test_nan_inside_array_refused(self):
         with pytest.raises(NonFiniteResult):
             cli.payload_json({"x": np.array([1.0, np.nan])})
-        envelope = cli.make_envelope("gas", {}, 1, {"x": np.array([[0.5], [np.inf]])}, 0.0)
         with pytest.raises(NonFiniteResult):
-            cli._emit_envelope(envelope, str(tmp_path / "out.json"))
+            cli.make_envelope("gas", {}, 1, {"x": np.array([[0.5], [np.inf]])}, 0.0)
 
     def test_sweep_rows_refuse_non_finite(self):
         assert cli._csv_rows(["a", "b"], [[1.0, 2.0]]) == "a,b\r\n1,2\r\n"
@@ -498,7 +509,7 @@ class TestNumpyPayload:
         texts = []
         for name, payload in (("np", self.NUMPY), ("py", self.PLAIN)):
             path = tmp_path / f"{name}.json"
-            cli._emit_envelope(cli.make_envelope("gas", {"k": payload}, 1, payload, 0.0), str(path))
+            cli._write_text(cli.make_envelope("gas", {"k": payload}, 1, payload, 0.0), str(path))
             texts.append(path.read_text())
         assert texts[0] == texts[1]
 

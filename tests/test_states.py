@@ -417,6 +417,33 @@ class TestValidation:
         with pytest.raises(InvalidState):
             DensityOperator(m, (2,))
 
+    def test_three_dimensional_matrix_is_a_stack(self):
+        pure = np.diag([1.0, 0.0]).astype(complex)
+        rho = DensityOperator(np.stack([np.eye(2, dtype=complex) / 2, pure]), (2,))
+        assert rho.matrix.shape == (2, 2, 2) and rho.spectrum.shape == (2, 2)
+        assert rho.dim == 2
+        assert np.array_equal(von_neumann_entropy(rho), [math.log(2), 0.0])
+        mixed = DensityOperator(np.eye(2, dtype=complex) / 2, (2,))
+        assert np.array_equal(trace_distance(rho, mixed), [0.0, 0.5])
+        for single_only in (lambda: product_entropy(rho), lambda: relative_entropy(rho, mixed)):
+            with pytest.raises(DimensionMismatch):
+                single_only()
+
+    @pytest.mark.parametrize("shape", [(4,), (1, 1, 2, 2)], ids=["1-D", "4-D"])
+    def test_density_rejects_other_ranks(self, shape):
+        with pytest.raises(DimensionMismatch):
+            DensityOperator(np.full(shape, 0.5, dtype=complex), (2,))
+
+    def test_stack_rows_are_bitwise_the_lone_states(self):
+        rng = substream(11, 14)
+        mats = np.stack([random_density(6, int(rng.integers(1, 7)), rng) for _ in range(9)])
+        stack = DensityOperator(mats, (2, 3))
+        for t, mat in enumerate(mats):
+            alone = DensityOperator(mat, (2, 3))
+            for field in ("matrix", "spectrum"):
+                got = getattr(stack, field)[t]
+                assert np.array_equal(got.view(np.int64), getattr(alone, field).view(np.int64))
+
     def test_pure_state_norm(self):
         with pytest.raises(InvalidState):
             PureJointState(np.array([1.0, 1.0], dtype=complex), (2,))
