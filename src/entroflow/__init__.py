@@ -33,7 +33,6 @@ from .exchange import (
     clausius_cycle,
     degenerate_pairs,
     givens_planes,
-    givens_unitary,
     joint_energies,
     run_exchange,
 )
@@ -76,7 +75,6 @@ from .states import (
     log_partition,
     marginal,
     mutual_information,
-    product_entropy,
     relative_entropy,
     subsystem_entropy,
     trace_distance,

@@ -4,12 +4,12 @@ contact-with-reservoirs runner.
 Two initial conditions are supported: kind "S" (uncorrelated product of
 local Gibbs states at two temperatures, the molecular-chaos setting) and
 kind "V" (a single entangled pure state whose marginals are the same two
-Gibbs states).  The interaction is an explicit joint unitary; the exactly
-energy-conserving family provided is rotations inside degenerate
-joint-energy planes (givens_planes, applied as row updates; givens_unitary
-is their dense matrix), so that the exchanged energy is heat with no work
-leakage.  Each Clausius contact is a resonant partial swap with a fresh
-reservoir, applied through its d x d closed form.
+Gibbs states).  Both local Hamiltonians are diagonal.  The interaction is
+a set of rotations inside disjoint joint-energy planes (givens_planes),
+applied plane by plane with no joint-space matrix; rotations inside
+degenerate planes conserve energy exactly, so that the exchanged energy is
+heat with no work leakage.  Each Clausius contact is a resonant partial
+swap with a fresh reservoir, applied through its d x d closed form.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from .errors import (
     NotUnitary,
     OverlappingPlanes,
 )
-from .qmath import dagger, max_abs, unitarity_defect
+from .qmath import dagger, max_abs
 from .states import (
     DensityOperator,
     EntangledThermalSpec,
@@ -37,7 +37,6 @@ from .states import (
     gibbs_divergence,
     gibbs_populations,
     gibbs_state,
-    product_entropy,
     trace_distance,
     von_neumann_entropy,
 )
@@ -45,6 +44,7 @@ from .states import (
 # commutator threshold below which a joint unitary counts as exactly
 # energy conserving (W = Q_A + Q_B is then zero to rounding)
 ENERGY_TOL = 1e-10
+# largest |cos^2 + sin^2 - 1| of a plane rotation
 UNITARY_TOL = 1e-10
 # a converged cycle passes when its Clausius sum is <= CLAUSIUS_TOL and
 # every contact's slack beta*Q - dS is <= STROKE_TOL
@@ -68,7 +68,8 @@ class CaseSpec:
     kind "V": a single EntangledThermalSpec fixes both local Hamiltonians
     and the (pure, entangled) joint state.  kind "S": explicit local
     Hamiltonians and unconstrained inverse temperatures; the joint state is
-    the uncorrelated product of the two Gibbs states.
+    the uncorrelated product of the two Gibbs states.  Both Hamiltonians
+    are diagonal: kind S refuses one with a rotated basis.
     """
 
     kind: str
@@ -89,6 +90,8 @@ class CaseSpec:
                 raise InvalidSpec("kind S requires positive beta_a and beta_b")
             if self.h_a.dim < 2 or self.h_b.dim < 2:
                 raise InvalidSpec("exchange needs at least 2 levels per side")
+            if self.h_a.basis is not None or self.h_b.basis is not None:
+                raise InvalidSpec("exchange needs diagonal Hamiltonians, not a rotated basis")
         else:
             raise InvalidSpec(f"kind must be 'S' or 'V', got {self.kind!r}")
 
@@ -233,7 +236,7 @@ class GivensPlanes:
     rotates the flat joint basis states u[k] and v[k] by the angle with
     cosine cos[k] and sine sin[k].  Build it with givens_planes, which
     checks the planes; run_exchange relies on them being disjoint and in
-    range, and checks only cos^2 + sin^2 = 1."""
+    range, and checks only cos^2 + sin^2 = 1 and the dims."""
 
     dims: tuple[int, int]
     u: np.ndarray
@@ -245,15 +248,6 @@ class GivensPlanes:
         """The same planes, every one rotated by phi."""
         c, s = np.cos(phi), np.sin(phi)
         return replace(self, cos=np.full(self.u.size, c), sin=np.full(self.u.size, s))
-
-    def matrix(self) -> np.ndarray:
-        """The dense D x D unitary of the planes."""
-        out = np.eye(self.dims[0] * self.dims[1], dtype=complex)
-        out[self.u, self.u] = self.cos
-        out[self.v, self.v] = self.cos
-        out[self.u, self.v] = -self.sin
-        out[self.v, self.u] = self.sin
-        return out
 
 
 def givens_planes(
@@ -301,163 +295,120 @@ def givens_planes(
     return GivensPlanes(dims, u.astype(int), v.astype(int), c, s)
 
 
-def givens_unitary(
-    dims: Sequence[int],
-    rotations: Sequence[tuple[tuple[int, int], tuple[int, int], float]],
-    energies: np.ndarray,
-) -> np.ndarray:
-    """Joint unitary rotating disjoint degenerate planes: the dense matrix
-    of givens_planes(dims, rotations, energies)."""
-    return givens_planes(dims, rotations, energies).matrix()
-
-
-def _energy_commutator_defect(u: np.ndarray, mat_a: np.ndarray, mat_b: np.ndarray) -> float:
-    """max |U H - H U| for H = H_A (x) 1 + 1 (x) H_B.
-
-    Each local factor acts on one index of a reshape of U (rows and columns
-    are ordered (i, j)), so the cost is O(D^2 d) and no D x D Hamiltonian
-    is formed.
-    """
-    d_a, d_b = mat_a.shape[0], mat_b.shape[0]
-    d = d_a * d_b
-    # H U - U H accumulated in one D x D array
-    comm = (mat_a @ u.reshape(d_a, d_b * d)).reshape(d, d)
-    comm += (mat_b @ u.reshape(d_a, d_b, d)).reshape(d, d)
-    comm -= (mat_a.T @ u.reshape(d, d_a, d_b)).reshape(d, d)
-    comm -= (u.reshape(d * d_a, d_b) @ mat_b).reshape(d, d)
-    return max_abs(comm)
-
-
-def _gibbs_factor(h: HamiltonianSpec, root: np.ndarray) -> np.ndarray:
-    """K = B sqrt(p) with K K^dag the Gibbs state, B the energy eigenbasis
-    and root = sqrt(p) the square roots of the Gibbs populations."""
-    return np.diag(root) if h.basis is None else h.basis * root
-
-
-def _times_product_factor(u: np.ndarray, k_a: np.ndarray, k_b: np.ndarray) -> np.ndarray:
-    """U (K_A (x) K_B), contracting K_A and K_B with the two column indices
-    of a reshape of U: O(D^2 d), and the Kronecker product is never formed."""
-    d_a, d_b = k_a.shape[0], k_b.shape[0]
-    d = d_a * d_b
-    w = k_a.T @ u.reshape(d, d_a, d_b)
-    return (w.reshape(d * d_a, d_b) @ k_b).reshape(d, d)
-
-
-def _unitary_applied(case: CaseSpec, u: np.ndarray, x0) -> tuple[np.ndarray, bool]:
-    """W = U X0 for a dense joint unitary, and whether U commutes with the
-    bare total Hamiltonian (max-abs commutator <= ENERGY_TOL)."""
-    h_a, h_b = case.hamiltonians()
-    d = h_a.dim * h_b.dim
-    u = np.asarray(u, dtype=complex)
-    if u.shape != (d, d):
-        raise DimensionMismatch(f"unitary shape {u.shape} != joint dim {d}")
-    # the one D^3 product of the run, written to fail closed: a NaN defect
-    # must not pass
-    defect = unitarity_defect(u)
-    if not defect <= UNITARY_TOL:
-        raise NotUnitary(f"max |U^dag U - I| = {defect:.3e}")
-    conserving = _energy_commutator_defect(u, h_a.matrix(), h_b.matrix()) <= ENERGY_TOL
-    if case.kind == "V":
-        return u @ x0, conserving
-    k_a, k_b = (_gibbs_factor(h, root) for h, root in zip((h_a, h_b), x0))
-    return _times_product_factor(u, k_a, k_b), conserving
-
-
-def _planes_applied(case: CaseSpec, planes: GivensPlanes, x0) -> tuple[np.ndarray, bool]:
-    """W = U X0 for the unitary of ``planes`` and diagonal Hamiltonians,
-    one 2 x 2 row update per plane, and whether U commutes with the bare
-    total Hamiltonian.
+def _plane_gate(planes: GivensPlanes, h_a: HamiltonianSpec, h_b: HamiltonianSpec) -> bool:
+    """Check ``planes`` against the case and return whether their unitary
+    commutes with the bare total Hamiltonian.
 
     The gate is c^2 + s^2 = 1 per plane, and the commutator's entries are
-    s (E_u - E_v): O(planes), with no D x D unitary.  W gets the bits of
-    the dense path: kind V rotates the rows of psi; kind S sets the at most
-    two nonzeros per row of U (K_A (x) K_B), each (U[r, k] sqrt(p_A))
-    sqrt(p_B) in _times_product_factor's order.
+    s (E_u - E_v): O(planes), with no D x D unitary.
     """
-    h_a, h_b = case.hamiltonians()
     if planes.dims != (h_a.dim, h_b.dim):
         raise DimensionMismatch(f"planes of dims {planes.dims} on a {h_a.dim} x {h_b.dim} system")
-    u, v, c, s = planes.u, planes.v, planes.cos, planes.sin
+    c, s = planes.cos, planes.sin
     defect = np.abs(c * c + s * s - 1.0)
     # "not within", so that a NaN angle fails
     if not np.all(defect <= UNITARY_TOL):
         raise NotUnitary(f"max |cos^2 + sin^2 - 1| = {np.max(defect):.3e} over the planes")
     energies = joint_energies(h_a, h_b)
-    conserving = max_abs(s * (energies[u] - energies[v])) <= ENERGY_TOL
-
-    if case.kind == "V":
-        w = x0.copy()
-        w[u] = c * x0[u] - s * x0[v]
-        w[v] = s * x0[u] + c * x0[v]
-        return w, conserving
-    root_a, root_b = x0
-    d = h_a.dim * h_b.dim
-    diag = np.ones(d)
-    diag[u] = c
-    diag[v] = c
-    rows = np.concatenate([np.arange(d), u, v])
-    cols = np.concatenate([np.arange(d), v, u])
-    vals = np.concatenate([diag, -s, s])
-    w = np.zeros((d, d), dtype=complex)
-    w[rows, cols] = (vals * root_a[cols // h_b.dim]) * root_b[cols % h_b.dim]
-    return w, conserving
+    return max_abs(s * (energies[planes.u] - energies[planes.v])) <= ENERGY_TOL
 
 
-def _marginal_states(w: np.ndarray, d_a: int, d_b: int) -> tuple[DensityOperator, DensityOperator]:
-    """Both one-party reduced states of W W^dag, for W with rows ordered
-    (i, j): X_A X_A^dag and X_B X_B^dag, with X_A and X_B two reshapes of W."""
-    w3 = w.reshape(d_a, d_b, -1)
-    x_a = w3.reshape(d_a, -1)
-    x_b = w3.transpose(1, 0, 2).reshape(d_b, -1)
-    return (
-        DensityOperator(x_a @ dagger(x_a), (d_a,)),
-        DensityOperator(x_b @ dagger(x_b), (d_b,)),
-    )
+def _entangled_marginals(planes: GivensPlanes, psi: np.ndarray) -> tuple[DensityOperator, ...]:
+    """The one-party reduced states (A, B) of |psi><psi| and then (A', B')
+    of U |psi><psi| U^dag.
+
+    U psi takes one 2 x 2 update of two entries per plane, and each pair of
+    marginals is X X^dag and X^T (X^T)^dag, with X the d_A x d_B reshape of
+    the vector.
+    """
+    u, v, c, s = planes.u, planes.v, planes.cos, planes.sin
+    rotated = psi.copy()
+    rotated[u] = c * psi[u] - s * psi[v]
+    rotated[v] = s * psi[u] + c * psi[v]
+    d_a, d_b = planes.dims
+    out = []
+    for vec in (psi, rotated):
+        x = vec.reshape(d_a, d_b)
+        out += [DensityOperator(x @ dagger(x), (d_a,)), DensityOperator(x.T @ dagger(x.T), (d_b,))]
+    return tuple(out)
 
 
-def run_exchange(case: CaseSpec, u: np.ndarray | GivensPlanes) -> ExchangeReport:
-    """Apply a joint unitary to the initial condition and meter both sides.
+def _product_marginals(
+    planes: GivensPlanes, p_a: np.ndarray, p_b: np.ndarray
+) -> tuple[DensityOperator, ...]:
+    """The one-party reduced states (A, B) of rho0 = diag(p_A) (x) diag(p_B)
+    and then (A', B') of U rho0 U^dag, read plane by plane.
 
-    ``u`` is a dense D x D matrix or the plane form of givens_planes.  The
-    report's energy_conserving flag records whether u commutes with the
-    bare total Hamiltonian (max-abs commutator <= ENERGY_TOL); only then is
-    the exchanged energy pure heat and work_leak zero to rounding.
+    A plane leaves the joint state diagonal but for the coherence c s (p_u
+    - p_v) between u and v, and moves the populations to p'_u = c^2 p_u +
+    s^2 p_v and p'_v = s^2 p_u + c^2 p_v.  The marginal diagonals are the
+    row and column sums of p and p' reshaped d_A x d_B, summed alike, so a
+    level no plane touches keeps its bits.  A coherence survives tracing
+    out B only when u and v share their B index, and tracing out A only
+    when they share their A index.  The indices are compared, not the
+    energies, so a plane that is not degenerate is metered as it acts.
+    """
+    d_a, d_b = p_a.size, p_b.size
+    u, v, c, s = planes.u, planes.v, planes.cos, planes.sin
+    p = np.multiply.outer(p_a, p_b).ravel()
+    moved = p.copy()
+    moved[u] = c * c * p[u] + s * s * p[v]
+    moved[v] = s * s * p[u] + c * c * p[v]
+    coherence = c * s * (p[u] - p[v])
+    (i_u, j_u), (i_v, j_v) = np.divmod(u, d_b), np.divmod(v, d_b)
+    # A, B, A', B'
+    mats = [
+        np.diag(grid.reshape(d_a, d_b).sum(axis=axis)).astype(complex)
+        for grid in (p, moved)
+        for axis in (1, 0)
+    ]
+    for rho, first, second, shared in (
+        (mats[2], i_u, i_v, j_u == j_v),
+        (mats[3], j_u, j_v, i_u == i_v),
+    ):
+        np.add.at(rho, (first[shared], second[shared]), coherence[shared])
+        np.add.at(rho, (second[shared], first[shared]), coherence[shared])
+    return tuple(DensityOperator(rho, (rho.shape[0],)) for rho in mats)
 
-    No joint state is formed.  The initial state is X0 X0^dag, with X0 the
-    entangled vector psi (kind V) or K_A (x) K_B, the product of the Gibbs
-    factors (kind S); the final marginals are read from W = U X0.  A plane
-    form on diagonal Hamiltonians gives W without a D x D unitary
-    (_planes_applied); otherwise U is dense and checked for unitarity.  The
-    joint entropy, which a unitary leaves unchanged, is the initial one.
+
+def run_exchange(case: CaseSpec, planes: GivensPlanes) -> ExchangeReport:
+    """Rotate the initial condition by the unitary of ``planes`` and meter
+    both sides.
+
+    The report's energy_conserving flag records whether that unitary
+    commutes with the bare total Hamiltonian (every |s (E_u - E_v)| <=
+    ENERGY_TOL); only then is the exchanged energy pure heat and work_leak
+    zero to rounding.
+
+    No joint-space matrix is formed.  Kind V rotates two entries of the
+    entangled vector psi per plane and reads the marginals from a reshape
+    of it (_entangled_marginals); kind S reads them plane by plane from the
+    diagonal product of the Gibbs states (_product_marginals).  The joint
+    entropy, which a unitary leaves unchanged, is the initial one: 0 for V,
+    and S(rho_A) + S(rho_B) = S(gamma_A) + S(gamma_B) for S.  The heats are
+    diag(rho' - rho) . levels, exact for the diagonal Hamiltonians a
+    CaseSpec holds.
     identity_gap is |beta_A Q_A + beta_B Q_B - dI - D(rho_A'||gamma_A)
     - D(rho_B'||gamma_B)|, which vanishes for every unitary because both
     initial marginals are Gibbs states.
     """
     h_a, h_b = case.hamiltonians()
     beta_a, beta_b = case.betas()
-    d_a, d_b = h_a.dim, h_b.dim
+    conserving = _plane_gate(planes, h_a, h_b)
 
     if case.kind == "V":
-        x0 = entangled_thermal_state(case.entangled).vector
-        a0, b0 = _marginal_states(x0, d_a, d_b)
-        s_joint = 0.0
+        a0, b0, a1, b1 = _entangled_marginals(
+            planes, entangled_thermal_state(case.entangled).vector
+        )
     else:
-        x0 = (np.sqrt(gibbs_populations(h_a, beta_a)), np.sqrt(gibbs_populations(h_b, beta_b)))
-        a0, b0 = gibbs_state(h_a, beta_a), gibbs_state(h_b, beta_b)
-        s_joint = product_entropy(a0, b0)
-    if not isinstance(u, GivensPlanes):
-        w, conserving = _unitary_applied(case, u, x0)
-    elif h_a.basis is None and h_b.basis is None:
-        w, conserving = _planes_applied(case, u, x0)
-    else:
-        w, conserving = _unitary_applied(case, u.matrix(), x0)
-    a1, b1 = _marginal_states(w, d_a, d_b)
+        a0, b0, a1, b1 = _product_marginals(
+            planes, gibbs_populations(h_a, beta_a), gibbs_populations(h_b, beta_b)
+        )
     s_a0, s_b0, s_a1, s_b1 = (von_neumann_entropy(red) for red in (a0, b0, a1, b1))
+    s_joint = 0.0 if case.kind == "V" else s_a0 + s_b0
 
-    mat_a = h_a.matrix()
-    mat_b = h_b.matrix()
-    q_a = float(np.trace((a1.matrix - a0.matrix) @ mat_a).real)
-    q_b = float(np.trace((b1.matrix - b0.matrix) @ mat_b).real)
+    q_a = float((np.diagonal(a1.matrix) - np.diagonal(a0.matrix)).real @ h_a.levels)
+    q_b = float((np.diagonal(b1.matrix) - np.diagonal(b0.matrix)).real @ h_b.levels)
     ds_a = s_a1 - s_a0
     ds_b = s_b1 - s_b0
     mutual_info_initial = s_a0 + s_b0 - s_joint

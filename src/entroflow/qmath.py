@@ -66,12 +66,6 @@ def trace(m: np.ndarray):
     return scalar_or_stack(np.trace(m, axis1=-2, axis2=-1))
 
 
-def unitarity_defect(u: np.ndarray) -> float:
-    """max-abs deviation of U-dag U from the identity."""
-    u = np.asarray(u)
-    return max_abs(dagger(u) @ u - np.eye(u.shape[-1]))
-
-
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kronecker product of the last two axes, left factor = factor 0;
     leading stack axes broadcast."""

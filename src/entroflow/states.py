@@ -290,18 +290,6 @@ def von_neumann_entropy(rho: DensityOperator):
     return _spectral_entropy(rho.spectrum)
 
 
-def product_entropy(*factors: DensityOperator) -> float:
-    """S(rho_1 (x) rho_2 (x) ...) from the products of the factors' stored
-    spectra; no joint matrix is formed."""
-    if any(rho.matrix.ndim != 2 for rho in factors):
-        raise DimensionMismatch("product_entropy takes single states, not stacks")
-    lam = np.ones(1)
-    for rho in factors:
-        lam = np.multiply.outer(lam, rho.spectrum).ravel()
-    # the products are not ascending: drop the non-positive ones here
-    return _spectral_entropy(lam[lam > 0])
-
-
 def subsystem_entropy(rho: DensityOperator, keep: Iterable[int]):
     """Von Neumann entropy of the reduced state on the factors in ``keep``:
     one (batched) eigensolve of the reduced matrix, or none when every

@@ -1,3 +1,4 @@
+import math
 import os
 import sys
 
@@ -10,13 +11,15 @@ from entroflow import (
     CaseSpec,
     DensityOperator,
     EntangledThermalSpec,
+    GivensPlanes,
     PureJointState,
     degenerate_pairs,
     entangled_thermal_state,
     gibbs_state,
-    givens_unitary,
+    givens_planes,
     joint_energies,
     kron,
+    partial_trace,
 )
 
 
@@ -119,12 +122,72 @@ def random_rotations(case: CaseSpec, rng) -> list:
     return rotations
 
 
-def random_conserving_unitary(case: CaseSpec, rng) -> np.ndarray:
-    """Random unitary commuting with the bare total Hamiltonian: the dense
-    matrix of random_rotations."""
+def random_conserving_planes(case: CaseSpec, rng) -> GivensPlanes:
+    """Random rotations commuting with the bare total Hamiltonian: the plane
+    form of random_rotations."""
     h_a, h_b = case.hamiltonians()
     rotations = random_rotations(case, rng)
-    return givens_unitary((h_a.dim, h_b.dim), rotations, joint_energies(h_a, h_b))
+    return givens_planes((h_a.dim, h_b.dim), rotations, joint_energies(h_a, h_b))
+
+
+def planes_matrix(planes: GivensPlanes) -> np.ndarray:
+    """Dense D x D unitary of a plane form (a test oracle)."""
+    out = np.eye(planes.dims[0] * planes.dims[1], dtype=complex)
+    out[planes.u, planes.u] = planes.cos
+    out[planes.v, planes.v] = planes.cos
+    out[planes.u, planes.v] = -planes.sin
+    out[planes.v, planes.u] = planes.sin
+    return out
+
+
+def dense_exchange_reference(case: CaseSpec, u: np.ndarray) -> dict:
+    """Every ExchangeReport field from the dense joint state u rho0 u^dag,
+    for any dense joint unitary u (a test oracle), plus the two final
+    marginals under "marginals"."""
+    h_a, h_b = case.hamiltonians()
+    beta_a, beta_b = case.betas()
+    dims = (h_a.dim, h_b.dim)
+    mat_a, mat_b = h_a.matrix(), h_b.matrix()
+    rho0 = initial_state(case).matrix
+    rho1 = u @ rho0 @ u.conj().T
+
+    def entropy(m):
+        # every positive eigenvalue counts, as in von_neumann_entropy: a
+        # cut at 1e-12 would drop Gibbs products and move I_initial
+        lam = np.linalg.eigvalsh((m + m.conj().T) / 2)
+        lam = lam[lam > 0]
+        return float(-(lam * np.log(lam)).sum())
+
+    def gibbs_divergence(m, h, mat, beta):
+        # ln gamma = -beta H - ln Z exactly
+        ln_z = math.log(np.exp(-beta * h.levels).sum())
+        return -entropy(m) + beta * float(np.trace(m @ mat).real) + ln_z
+
+    a0, b0, a1, b1 = (partial_trace(r, dims, [k]) for r in (rho0, rho1) for k in (0, 1))
+    q_a = float(np.trace((a1 - a0) @ mat_a).real)
+    q_b = float(np.trace((b1 - b0) @ mat_b).real)
+    i0 = entropy(a0) + entropy(b0) - entropy(rho0)
+    i1 = entropy(a1) + entropy(b1) - entropy(rho1)
+    h_tot = kron(mat_a, np.eye(h_b.dim)) + kron(np.eye(h_a.dim), mat_b)
+    ds_a, ds_b = entropy(a1) - entropy(a0), entropy(b1) - entropy(b0)
+    return {
+        "q_a": q_a,
+        "q_b": q_b,
+        "ds_a": ds_a,
+        "ds_b": ds_b,
+        "mutual_info_initial": i0,
+        "mutual_info_final": i1,
+        "work_leak": q_a + q_b,
+        "slack_a": beta_a * q_a - ds_a,
+        "slack_b": beta_b * q_b - ds_b,
+        "energy_conserving": bool(np.max(np.abs(u @ h_tot - h_tot @ u)) <= 1e-10),
+        "identity_gap": abs(
+            beta_a * q_a + beta_b * q_b - (i1 - i0)
+            - gibbs_divergence(a1, h_a, mat_a, beta_a)
+            - gibbs_divergence(b1, h_b, mat_b, beta_b)
+        ),
+        "marginals": (a1, b1),
+    }
 
 
 # ------------------------------------------------------------------------

@@ -13,7 +13,7 @@ import time
 
 import numpy as np
 
-from conftest import ghz_state, random_conserving_unitary, random_entangled_spec
+from conftest import ghz_state, random_conserving_planes, random_entangled_spec
 from test_exchange import TWO_RESERVOIR_STROKES, dense_exchange_oracle
 
 from entroflow import (
@@ -32,7 +32,7 @@ from entroflow import (
     fractional_gain,
     gibbs_evolution_identity,
     gibbs_state,
-    givens_unitary,
+    givens_planes,
     haar_unitary,
     joint_energies,
     random_density,
@@ -114,9 +114,9 @@ def test_criterion_4_reversal_demo():
     started = time.perf_counter()
     spec = EntangledThermalSpec(np.array([0.0, 1.0, 2.0, 3.0]), 1.0, 1.0, 0.5)
     h_a, h_b = spec.hamiltonian_a(), spec.hamiltonian_b()
-    u = givens_unitary((4, 4), [((2, 2), (0, 3), math.pi / 2)], joint_energies(h_a, h_b))
+    planes = givens_planes((4, 4), [((2, 2), (0, 3), math.pi / 2)], joint_energies(h_a, h_b))
 
-    rep_v = run_exchange(CaseSpec.case_v(spec), u)
+    rep_v = run_exchange(CaseSpec.case_v(spec), planes)
     oracle_v = dense_exchange_oracle("v")
     z = sum(math.exp(-k) for k in range(4))
     t_a, t_b = 1.0 / spec.beta_a, 1.0 / spec.beta_b
@@ -128,7 +128,7 @@ def test_criterion_4_reversal_demo():
     )
 
     rep_s = run_exchange(
-        CaseSpec.case_s(h_a, spec.beta_a, h_b, spec.beta_b), u
+        CaseSpec.case_s(h_a, spec.beta_a, h_b, spec.beta_b), planes
     )
     oracle_s = dense_exchange_oracle("s")
     ok_s = (
@@ -152,8 +152,8 @@ def test_criterion_5_exchange_invariants():
     for _ in range(200):
         spec = random_entangled_spec(rng, max_dim=6)
         case_v = CaseSpec.case_v(spec)
-        u = random_conserving_unitary(case_v, rng)
-        rep = run_exchange(case_v, u)
+        planes = random_conserving_planes(case_v, rng)
+        rep = run_exchange(case_v, planes)
         assert abs(rep.work_leak) <= 1e-10
         worst_lockstep = max(worst_lockstep, abs(rep.ds_a - rep.ds_b))
         worst_ds_a = max(worst_ds_a, rep.ds_a)
@@ -162,7 +162,7 @@ def test_criterion_5_exchange_invariants():
         case_s = CaseSpec.case_s(
             h_a, float(rng.uniform(0.3, 3.0)), h_b, float(rng.uniform(0.3, 3.0))
         )
-        rep_s = run_exchange(case_s, u)
+        rep_s = run_exchange(case_s, planes)
         beta_a, beta_b = case_s.betas()
         worst_sum = min(worst_sum, rep_s.ds_a + rep_s.ds_b)
         worst_direction = min(worst_direction, (beta_a - beta_b) * rep_s.q_a)

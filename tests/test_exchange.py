@@ -1,13 +1,16 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from conftest import (
+    dense_exchange_reference,
     initial_state,
     partial_swap,
-    random_conserving_unitary,
+    planes_matrix,
+    random_conserving_planes,
     random_entangled_spec,
     random_rotations,
     shell_planes,
@@ -30,9 +33,9 @@ from entroflow import (
     OverlappingPlanes,
     clausius_cycle,
     degenerate_pairs,
+    gibbs_populations,
     gibbs_state,
     givens_planes,
-    givens_unitary,
     haar_unitary,
     joint_energies,
     kron,
@@ -47,9 +50,9 @@ DEMO_SPEC = EntangledThermalSpec(np.array([0.0, 1.0, 2.0, 3.0]), 1.0, 1.0, 0.5)
 DEMO_ROTATION = [((2, 2), (0, 3), math.pi / 2)]
 
 
-def demo_unitary(phi=math.pi / 2):
+def demo_planes(phi=math.pi / 2):
     h_a, h_b = DEMO_SPEC.hamiltonian_a(), DEMO_SPEC.hamiltonian_b()
-    return givens_unitary(
+    return givens_planes(
         (4, 4), [((2, 2), (0, 3), phi)], joint_energies(h_a, h_b)
     )
 
@@ -153,13 +156,13 @@ class TestDegeneratePairs:
 
     def test_chain_of_near_ties_pairs_every_close_neighbour(self):
         # 0 and 1.6e-9 are more than tol apart, but each is within tol of
-        # 0.8e-9: both planes pass givens_unitary, so both are listed
+        # 0.8e-9: both planes pass givens_planes, so both are listed
         pairs = degenerate_pairs(
             HamiltonianSpec(np.array([0.0, 0.8e-9, 1.6e-9])), HamiltonianSpec(np.array([0.0]))
         )
         assert pairs == [((0, 0), (1, 0)), ((1, 0), (2, 0))]
         for pair in pairs:
-            givens_unitary((3, 1), [(*pair, 0.3)], np.array([0.0, 0.8e-9, 1.6e-9]))
+            givens_planes((3, 1), [(*pair, 0.3)], np.array([0.0, 0.8e-9, 1.6e-9]))
 
     def test_near_ties_match_exhaustive_scan(self):
         # levels jittered by amounts on both sides of tol, so clusters chain
@@ -180,11 +183,13 @@ class TestDegeneratePairs:
 
 
 class TestGivensUnitary:
+    """The unitary of a plane form, read through the planes_matrix oracle."""
+
     def test_zero_angle_is_identity(self):
-        assert np.array_equal(demo_unitary(0.0), np.eye(16, dtype=complex))
+        assert np.array_equal(planes_matrix(demo_planes(0.0)), np.eye(16, dtype=complex))
 
     def test_quarter_turn_permutes_up_to_sign(self):
-        u = demo_unitary(math.pi / 2)
+        u = planes_matrix(demo_planes(math.pi / 2))
         fu, fv = 2 * 4 + 2, 3
         basis_u = np.zeros(16)
         basis_u[fu] = 1.0
@@ -197,7 +202,7 @@ class TestGivensUnitary:
         for _ in range(20):
             spec = random_entangled_spec(rng, max_dim=5)
             case = CaseSpec.case_v(spec)
-            u = random_conserving_unitary(case, rng)
+            u = planes_matrix(random_conserving_planes(case, rng))
             h_a, h_b = case.hamiltonians()
             h_tot = kron(h_a.matrix(), np.eye(h_b.dim)) + kron(np.eye(h_a.dim), h_b.matrix())
             assert np.max(np.abs(u @ h_tot - h_tot @ u)) < 1e-10
@@ -206,13 +211,13 @@ class TestGivensUnitary:
     def test_rejects_non_degenerate_plane(self):
         h_a, h_b = DEMO_SPEC.hamiltonian_a(), DEMO_SPEC.hamiltonian_b()
         with pytest.raises(NotDegenerate):
-            givens_unitary((4, 4), [((0, 0), (1, 1), 0.3)], joint_energies(h_a, h_b))
+            givens_planes((4, 4), [((0, 0), (1, 1), 0.3)], joint_energies(h_a, h_b))
 
     def test_rejects_overlapping_planes(self):
         h_a, h_b = DEMO_SPEC.hamiltonian_a(), DEMO_SPEC.hamiltonian_b()
         rots = [((2, 2), (0, 3), 0.3), ((2, 2), (0, 3), 0.2)]  # same plane twice
         with pytest.raises(OverlappingPlanes):
-            givens_unitary((4, 4), rots, joint_energies(h_a, h_b))
+            givens_planes((4, 4), rots, joint_energies(h_a, h_b))
 
 
 class TestPartialSwap:
@@ -243,15 +248,18 @@ class TestPartialSwap:
 
 class TestRunExchange:
     def test_identity_unitary_zero_report(self):
-        case = CaseSpec.case_v(DEMO_SPEC)
-        report = run_exchange(case, np.eye(16, dtype=complex))
-        assert report.q_a == report.q_b == 0.0
-        assert abs(report.ds_a) <= 1e-12 and abs(report.ds_b) <= 1e-12
-        assert report.work_leak == 0.0
-        assert report.energy_conserving
+        # no plane, and a plane at angle 0, are both the identity
+        case_s = CaseSpec.case_s(DEMO_SPEC.hamiltonian_a(), 1.0, DEMO_SPEC.hamiltonian_b(), 0.5)
+        for case in (CaseSpec.case_v(DEMO_SPEC), case_s):
+            for planes in (givens_planes((4, 4), [], np.zeros(16)), demo_planes(0.0)):
+                report = run_exchange(case, planes)
+                assert report.q_a == report.q_b == 0.0
+                assert abs(report.ds_a) <= 1e-12 and abs(report.ds_b) <= 1e-12
+                assert report.work_leak == 0.0
+                assert report.energy_conserving
 
     def test_entangled_demo_matches_oracle(self):
-        report = run_exchange(CaseSpec.case_v(DEMO_SPEC), demo_unitary())
+        report = run_exchange(CaseSpec.case_v(DEMO_SPEC), demo_planes())
         oracle = dense_exchange_oracle("v")
         z = sum(math.exp(-k) for k in range(4))
         assert abs(report.q_a - oracle["q_a"]) <= 1e-10
@@ -269,7 +277,7 @@ class TestRunExchange:
         case = CaseSpec.case_s(
             DEMO_SPEC.hamiltonian_a(), 1.0, DEMO_SPEC.hamiltonian_b(), 0.5
         )
-        report = run_exchange(case, demo_unitary())
+        report = run_exchange(case, demo_planes())
         oracle = dense_exchange_oracle("s")
         z = sum(math.exp(-k) for k in range(4))
         assert abs(report.q_a - oracle["q_a"]) <= 1e-10
@@ -279,21 +287,21 @@ class TestRunExchange:
 
     def test_entangled_invariants_any_unitary(self):
         # purity makes the marginal entropies move in lock-step under any
-        # joint unitary, energy conserving or not
+        # joint unitary, energy conserving or not (on the dense oracle, as
+        # run_exchange takes only plane forms)
         rng = substream(31, 4)
         for _ in range(40):
             spec = random_entangled_spec(rng, max_dim=4)
             case = CaseSpec.case_v(spec)
-            u = haar_unitary(spec.dim**2, rng)
-            report = run_exchange(case, u)
-            assert abs(report.ds_a - report.ds_b) <= 1e-9
+            report = dense_exchange_reference(case, haar_unitary(spec.dim**2, rng))
+            assert abs(report["ds_a"] - report["ds_b"]) <= 1e-9
 
     def test_entangled_invariants_conserving_unitary(self):
         rng = substream(31, 5)
         for _ in range(60):
             spec = random_entangled_spec(rng, max_dim=5)
             case = CaseSpec.case_v(spec)
-            report = run_exchange(case, random_conserving_unitary(case, rng))
+            report = run_exchange(case, random_conserving_planes(case, rng))
             assert report.energy_conserving
             assert abs(report.work_leak) <= 1e-10
             assert abs(report.ds_a - report.ds_b) <= 1e-9
@@ -309,7 +317,7 @@ class TestRunExchange:
             case = CaseSpec.case_s(
                 h_a, float(rng.uniform(0.3, 3.0)), h_b, float(rng.uniform(0.3, 3.0))
             )
-            report = run_exchange(case, random_conserving_unitary(case, rng))
+            report = run_exchange(case, random_conserving_planes(case, rng))
             assert abs(report.work_leak) <= 1e-10
             assert report.ds_a + report.ds_b >= -1e-9
             assert report.slack_a >= -1e-9
@@ -331,14 +339,16 @@ class TestRunExchange:
         assert abs(von_neumann_entropy(rho1) - von_neumann_entropy(rho0)) <= 1e-9
 
     def test_rejects_non_unitary(self):
+        planes = demo_planes(0.3)
+        halved = dataclasses.replace(planes, cos=planes.cos * 0.5, sin=planes.sin * 0.5)
         with pytest.raises(NotUnitary):
-            run_exchange(CaseSpec.case_v(DEMO_SPEC), np.eye(16) * 0.5)
+            run_exchange(CaseSpec.case_v(DEMO_SPEC), halved)
 
     def test_rejects_non_finite_unitary(self):
         # a NaN defect compares false against any bound; the gate fails closed
-        u = demo_unitary(float("nan"))
+        planes = demo_planes(float("nan"))
         with pytest.raises(NotUnitary):
-            run_exchange(CaseSpec.case_v(DEMO_SPEC), u)
+            run_exchange(CaseSpec.case_v(DEMO_SPEC), planes)
 
     @pytest.mark.parametrize(
         "case",
@@ -351,15 +361,13 @@ class TestRunExchange:
     def test_no_joint_eigensolves(self, case, eigensolves):
         # the joint entropy is the initial state's: only marginals and the
         # Gibbs references are diagonalized
-        run_exchange(case, demo_unitary())
+        run_exchange(case, demo_planes())
         assert eigensolves
         assert set(eigensolves) == {4}
 
     def test_rejects_wrong_dimension(self):
-        from entroflow import DimensionMismatch
-
         with pytest.raises(DimensionMismatch):
-            run_exchange(CaseSpec.case_v(DEMO_SPEC), np.eye(8, dtype=complex))
+            run_exchange(CaseSpec.case_v(DEMO_SPEC), givens_planes((4, 2), [], np.zeros(8)))
 
     def test_case_spec_validation(self):
         with pytest.raises(InvalidSpec):
@@ -544,98 +552,117 @@ class TestContactClosedForm:
         assert abs(report.clausius_sum - oracle_sum) <= 1e-12
 
 
-def dense_exchange_reference(case, u):
-    """Every ExchangeReport field from the dense joint state u rho0 u^dag."""
-    h_a, h_b = case.hamiltonians()
-    beta_a, beta_b = case.betas()
-    dims = (h_a.dim, h_b.dim)
-    mat_a, mat_b = h_a.matrix(), h_b.matrix()
-    rho0 = initial_state(case).matrix
-    rho1 = u @ rho0 @ u.conj().T
-
-    def entropy(m):
-        lam = np.linalg.eigvalsh((m + m.conj().T) / 2)
-        lam = lam[lam > 1e-12]
-        return float(-(lam * np.log(lam)).sum())
-
-    def gibbs_divergence(m, h, mat, beta):
-        # ln gamma = -beta H - ln Z exactly
-        ln_z = math.log(np.exp(-beta * h.levels).sum())
-        return -entropy(m) + beta * float(np.trace(m @ mat).real) + ln_z
-
-    a0, b0, a1, b1 = (partial_trace(r, dims, [k]) for r in (rho0, rho1) for k in (0, 1))
-    q_a = float(np.trace((a1 - a0) @ mat_a).real)
-    q_b = float(np.trace((b1 - b0) @ mat_b).real)
-    i0 = entropy(a0) + entropy(b0) - entropy(rho0)
-    i1 = entropy(a1) + entropy(b1) - entropy(rho1)
-    h_tot = kron(mat_a, np.eye(h_b.dim)) + kron(np.eye(h_a.dim), mat_b)
-    ds_a, ds_b = entropy(a1) - entropy(a0), entropy(b1) - entropy(b0)
-    return {
-        "q_a": q_a,
-        "q_b": q_b,
-        "ds_a": ds_a,
-        "ds_b": ds_b,
-        "mutual_info_initial": i0,
-        "mutual_info_final": i1,
-        "work_leak": q_a + q_b,
-        "slack_a": beta_a * q_a - ds_a,
-        "slack_b": beta_b * q_b - ds_b,
-        "energy_conserving": bool(np.max(np.abs(u @ h_tot - h_tot @ u)) <= 1e-10),
-        "identity_gap": abs(
-            beta_a * q_a + beta_b * q_b - (i1 - i0)
-            - gibbs_divergence(a1, h_a, mat_a, beta_a)
-            - gibbs_divergence(b1, h_b, mat_b, beta_b)
-        ),
-    }
-
-
-def assert_matches_reference(case, u):
-    report = run_exchange(case, u)
-    reference = dense_exchange_reference(case, u)
+def assert_matches_reference(case, planes):
+    report = run_exchange(case, planes)
+    reference = dense_exchange_reference(case, planes_matrix(planes))
+    del reference["marginals"]
     assert report.energy_conserving == reference.pop("energy_conserving")
     for name, value in reference.items():
         assert abs(getattr(report, name) - value) <= 1e-10, name
     return report
 
 
-def random_s_case(spec, rng, rotated=False):
+def random_s_case(spec, rng):
     h_a, h_b = spec.hamiltonian_a(), spec.hamiltonian_b()
-    if rotated:
-        h_a = HamiltonianSpec(h_a.levels, basis=haar_unitary(h_a.dim, rng))
-        h_b = HamiltonianSpec(h_b.levels, basis=haar_unitary(h_b.dim, rng))
     return CaseSpec.case_s(h_a, float(rng.uniform(0.3, 3.0)), h_b, float(rng.uniform(0.3, 3.0)))
 
 
-class TestRunExchangeAgainstDense:
-    def test_haar_unitaries(self):
-        rng = substream(31, 10)
-        for _ in range(15):
-            spec = random_entangled_spec(rng, max_dim=5)
-            for case in (CaseSpec.case_v(spec), random_s_case(spec, rng)):
-                report = assert_matches_reference(case, haar_unitary(spec.dim**2, rng))
-                assert not report.energy_conserving
+def repeated_level_spec(rng, max_dim: int = 6) -> EntangledThermalSpec:
+    """Random spec whose shared spectrum repeats levels (steps of 0, 1 or
+    2), so that degenerate planes also join two states of one side."""
+    d = int(rng.integers(2, max_dim + 1))
+    eps = np.concatenate([[0.0], np.cumsum(rng.integers(0, 3, size=d - 1))]).astype(float)
+    mu_a = rng.uniform(0.5, 2.0)
+    mu_b = mu_a * float(rng.choice([0.5, 1.0, 2.0]))
+    return EntangledThermalSpec(eps, gamma=rng.uniform(0.5, 2.0), mu_a=mu_a, mu_b=mu_b)
 
+
+def product_marginals(case, planes):
+    """run_exchange's two final marginals of kind S, as matrices."""
+    h_a, h_b = case.hamiltonians()
+    beta_a, beta_b = case.betas()
+    pops = gibbs_populations(h_a, beta_a), gibbs_populations(h_b, beta_b)
+    return [rho.matrix for rho in exchange_module._product_marginals(planes, *pops)[2:]]
+
+
+def shared_sides(planes):
+    """Number of planes whose two states share their B index, and number
+    sharing their A index: the planes with an A-side and a B-side
+    coherence."""
+    (i_u, j_u), (i_v, j_v) = np.divmod(planes.u, planes.dims[1]), np.divmod(planes.v, planes.dims[1])
+    return int(np.sum(j_u == j_v)), int(np.sum(i_u == i_v))
+
+
+class TestRunExchangeAgainstDense:
     def test_conserving_unitaries(self):
         rng = substream(31, 11)
         for _ in range(15):
             spec = random_entangled_spec(rng, max_dim=5)
             case_v = CaseSpec.case_v(spec)
-            u = random_conserving_unitary(case_v, rng)
+            planes = random_conserving_planes(case_v, rng)
             for case in (case_v, random_s_case(spec, rng)):
-                assert assert_matches_reference(case, u).energy_conserving
+                assert assert_matches_reference(case, planes).energy_conserving
 
     def test_rotated_basis_product_case(self):
-        # a conserving unitary for rotated Hamiltonians: a Givens unitary
-        # carried into the product of the two energy eigenbases
+        # the plane form acts on diagonal Hamiltonians only
         rng = substream(31, 12)
-        for _ in range(10):
-            spec = random_entangled_spec(rng, max_dim=4)
-            case = random_s_case(spec, rng, rotated=True)
-            h_a, h_b = case.hamiltonians()
-            basis = kron(h_a.basis, h_b.basis)
-            givens = random_conserving_unitary(case, rng)
-            assert assert_matches_reference(case, basis @ givens @ basis.conj().T).energy_conserving
-            assert not assert_matches_reference(case, haar_unitary(basis.shape[0], rng)).energy_conserving
+        spec = random_entangled_spec(rng, max_dim=4)
+        h_a, h_b = spec.hamiltonian_a(), spec.hamiltonian_b()
+        rotated_a = HamiltonianSpec(h_a.levels, basis=haar_unitary(h_a.dim, rng))
+        rotated_b = HamiltonianSpec(h_b.levels, basis=haar_unitary(h_b.dim, rng))
+        for pair in ((rotated_a, h_b), (h_a, rotated_b), (rotated_a, rotated_b)):
+            with pytest.raises(InvalidSpec):
+                CaseSpec.case_s(pair[0], 1.0, pair[1], 0.5)
+
+    @pytest.mark.parametrize("d", range(2, 25))
+    def test_product_marginals_match_oracle(self, d):
+        # the per-plane marginals of case S against the partial traces of
+        # the dense U rho0 U^dag, on a maximal set of disjoint degenerate
+        # planes at random angles
+        rng = substream(31, 16, d)
+        for mu_b in (1.0, 0.5):
+            spec = EntangledThermalSpec(np.arange(d, dtype=float), 0.45, 1.0, mu_b)
+            h_a, h_b = spec.hamiltonian_a(), spec.hamiltonian_b()
+            case = CaseSpec.case_s(h_a, 0.8, h_b, 0.3)
+            planes = random_conserving_planes(case, rng)
+            oracle = dense_exchange_reference(case, planes_matrix(planes))["marginals"]
+            for got, want in zip(product_marginals(case, planes), oracle):
+                assert np.max(np.abs(got - want)) <= 1e-15
+
+    def test_repeated_levels_reach_both_coherence_branches(self):
+        # repeated levels give degenerate planes inside one side; their two
+        # states hold equal Gibbs populations, so the coherence they add is
+        # zero (test_non_degenerate_plane_matches_oracle gives it a value)
+        rng = substream(31, 17)
+        shared = np.zeros(2, dtype=int)
+        for _ in range(60):
+            spec = repeated_level_spec(rng)
+            case = random_s_case(spec, rng)
+            planes = random_conserving_planes(case, rng)
+            oracle = dense_exchange_reference(case, planes_matrix(planes))["marginals"]
+            for got, want in zip(product_marginals(case, planes), oracle):
+                assert np.max(np.abs(got - want)) <= 1e-15
+            shared += shared_sides(planes)
+        assert shared.all()
+
+    def test_non_degenerate_plane_matches_oracle(self):
+        # a GivensPlanes built directly, not through givens_planes: planes
+        # off the energy shell, one crossing both indices and one sharing
+        # each side's index, are metered as they act
+        u, v = np.array([0, 6, 13]), np.array([5, 14, 15])  # (0,0)-(1,1), (1,2)-(3,2), (3,1)-(3,3)
+        angles = np.array([0.4, 1.1, 2.0])
+        planes = GivensPlanes((4, 4), u, v, np.cos(angles), np.sin(angles))
+        assert shared_sides(planes) == (1, 1)
+        case_s = CaseSpec.case_s(DEMO_SPEC.hamiltonian_a(), 1.0, DEMO_SPEC.hamiltonian_b(), 0.5)
+        for case in (CaseSpec.case_v(DEMO_SPEC), case_s):
+            report = assert_matches_reference(case, planes)
+            reference = dense_exchange_reference(case, planes_matrix(planes))
+            assert not report.energy_conserving
+            assert abs(report.work_leak) > 1e-3
+            assert abs(report.work_leak - reference["work_leak"]) <= 1e-15
+            if case.kind == "S":
+                for got, want in zip(product_marginals(case, planes), reference["marginals"]):
+                    assert np.max(np.abs(got - want)) <= 1e-15
 
     def test_builds_no_joint_state(self, monkeypatch):
         def forbidden(*args, **kwargs):
@@ -653,17 +680,13 @@ class TestRunExchangeAgainstDense:
         monkeypatch.setattr(exchange_module, "DensityOperator", density_operator)
         case = CaseSpec.case_s(DEMO_SPEC.hamiltonian_a(), 1.0, DEMO_SPEC.hamiltonian_b(), 0.5)
         for c in (CaseSpec.case_v(DEMO_SPEC), case):
-            run_exchange(c, demo_unitary())
+            run_exchange(c, demo_planes())
         assert joint_states and not any(joint_states)
 
 
 def report_bits(report) -> list[int]:
     """Every field of an ExchangeReport as IEEE bits (the flag as 0.0/1.0)."""
     return np.asarray(dataclasses.astuple(report), dtype=float).view(np.int64).tolist()
-
-
-def assert_same_report(case, first, second):
-    assert report_bits(run_exchange(case, first)) == report_bits(run_exchange(case, second))
 
 
 def plane_cases(d: int, mu_b: float):
@@ -674,14 +697,8 @@ def plane_cases(d: int, mu_b: float):
 
 
 class TestPlaneForm:
-    """run_exchange on givens_planes gives the report of givens_unitary's
-    dense matrix, bit for bit, without a D x D unitary."""
-
-    @staticmethod
-    def both_forms(case, rotations):
-        h_a, h_b = case.hamiltonians()
-        args = ((h_a.dim, h_b.dim), rotations, joint_energies(h_a, h_b))
-        return givens_planes(*args), givens_unitary(*args)
+    """run_exchange on givens_planes gives the report of the dense oracle on
+    the planes' unitary, without a D x D matrix."""
 
     # d = 2 has a degenerate plane only at mu_b = mu_a
     @pytest.mark.parametrize("d, mu_b", [(2, 1.0), (8, 1.0), (8, 0.5), (24, 1.0), (24, 0.5)])
@@ -691,42 +708,27 @@ class TestPlaneForm:
         rotations = random_rotations(case_v, rng)
         assert rotations
         override = [(first, second, 0.37) for first, second, _ in rotations]
-        planes, u = self.both_forms(case_v, rotations)
-        _, u_override = self.both_forms(case_v, override)
-        assert np.array_equal(planes.matrix(), u)
+        h_a, h_b = case_v.hamiltonians()
+        energies = joint_energies(h_a, h_b)
+        planes = givens_planes((d, d), rotations, energies)
+        # at_angle swaps the angle and nothing else: the same bits as the
+        # rotations built at that angle
         for case in (case_v, case_s):
-            assert_same_report(case, planes, u)
-            assert_same_report(case, planes.at_angle(0.37), u_override)
+            assert_matches_reference(case, planes)
+            report = assert_matches_reference(case, planes.at_angle(0.37))
+            assert report_bits(report) == report_bits(
+                run_exchange(case, givens_planes((d, d), override, energies))
+            )
 
     def test_random_specs_match_dense(self):
         rng = substream(31, 21)
-        for _ in range(20):
-            spec = random_entangled_spec(rng, max_dim=6)
-            case_v = CaseSpec.case_v(spec)
-            planes, u = self.both_forms(case_v, random_rotations(case_v, rng))
-            for case in (case_v, random_s_case(spec, rng)):
-                assert_same_report(case, planes, u)
-
-    def test_rotated_hamiltonians_use_the_dense_matrix(self):
-        rng = substream(31, 22)
-        spec = random_entangled_spec(rng, max_dim=4)
-        case = random_s_case(spec, rng, rotated=True)
-        planes, u = self.both_forms(case, random_rotations(case, rng))
-        assert_same_report(case, planes, u)
-
-    def test_diagonal_path_runs_no_dense_gate(self, monkeypatch):
-        def forbidden(*args, **kwargs):
-            raise AssertionError("the plane form ran a dense check")
-
-        monkeypatch.setattr(exchange_module, "unitarity_defect", forbidden)
-        monkeypatch.setattr(exchange_module, "_energy_commutator_defect", forbidden)
-        monkeypatch.setattr(GivensPlanes, "matrix", forbidden)
-        rotations = [(first, second, 0.9) for first, second in shell_planes(8)]
-        for case in plane_cases(8, 0.5):
-            h_a, h_b = case.hamiltonians()
-            planes = givens_planes((8, 8), rotations, joint_energies(h_a, h_b))
-            assert run_exchange(case, planes).energy_conserving
-            assert abs(run_exchange(case, givens_planes((8, 8), [], np.zeros(64))).q_a) <= 1e-15
+        for make_spec in (random_entangled_spec, repeated_level_spec):
+            for _ in range(20):
+                spec = make_spec(rng, max_dim=6)
+                case_v = CaseSpec.case_v(spec)
+                planes = random_conserving_planes(case_v, rng)
+                for case in (case_v, random_s_case(spec, rng)):
+                    assert_matches_reference(case, planes)
 
     @pytest.mark.parametrize("phi", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_angle_not_unitary(self, phi):
@@ -760,10 +762,9 @@ class TestPlaneForm:
     )
     def test_bad_planes_raise_as_before(self, rotations, error):
         h_a, h_b = DEMO_SPEC.hamiltonian_a(), DEMO_SPEC.hamiltonian_b()
-        for build in (givens_planes, givens_unitary):
-            with pytest.raises(error) as raised:
-                build((4, 4), rotations, joint_energies(h_a, h_b))
-            assert type(raised.value) is error
+        with pytest.raises(error) as raised:
+            givens_planes((4, 4), rotations, joint_energies(h_a, h_b))
+        assert type(raised.value) is error
 
     def test_dims_must_match_the_case(self):
         planes = givens_planes((2, 8), [], np.zeros(16))
@@ -779,27 +780,26 @@ class TestPlaneForm:
         case = CaseSpec.case_s(h_a, 1.0, h_b, 0.4)
         energies = joint_energies(h_a, h_b)
         for phi, conserving in ((0.9, False), (math.pi / 2, False), (0.0, True)):
-            rotations = [((0, 1), (1, 0), phi)]
-            planes = givens_planes((2, 2), rotations, energies)
-            dense = run_exchange(case, givens_unitary((2, 2), rotations, energies))
+            planes = givens_planes((2, 2), [((0, 1), (1, 0), phi)], energies)
+            dense = dense_exchange_reference(case, planes_matrix(planes))
             assert run_exchange(case, planes).energy_conserving is conserving
-            assert dense.energy_conserving is conserving
+            assert dense["energy_conserving"] is conserving
 
 
 class TestIdentityGap:
     def test_demo(self):
         case_s = CaseSpec.case_s(DEMO_SPEC.hamiltonian_a(), 1.0, DEMO_SPEC.hamiltonian_b(), 0.5)
         for case in (CaseSpec.case_v(DEMO_SPEC), case_s):
-            assert run_exchange(case, demo_unitary()).identity_gap <= 1e-9
+            assert run_exchange(case, demo_planes()).identity_gap <= 1e-9
 
     def test_random_conserving_unitaries(self):
         rng = substream(31, 13)
         for _ in range(40):
             spec = random_entangled_spec(rng, max_dim=5)
             case_v = CaseSpec.case_v(spec)
-            u = random_conserving_unitary(case_v, rng)
+            planes = random_conserving_planes(case_v, rng)
             for case in (case_v, random_s_case(spec, rng)):
-                assert run_exchange(case, u).identity_gap <= 1e-9
+                assert run_exchange(case, planes).identity_gap <= 1e-9
 
     @pytest.mark.parametrize("gamma", [0.2, 0.6])
     def test_twenty_four_levels(self, gamma):
@@ -808,9 +808,9 @@ class TestIdentityGap:
         spec = EntangledThermalSpec(np.arange(24, dtype=float), gamma, 1.0, 0.5)
         case_v = CaseSpec.case_v(spec)
         case_s = CaseSpec.case_s(spec.hamiltonian_a(), spec.beta_a, spec.hamiltonian_b(), spec.beta_b)
-        u = random_conserving_unitary(case_v, rng)
+        planes = random_conserving_planes(case_v, rng)
         for case in (case_v, case_s):
-            report = run_exchange(case, u)
+            report = run_exchange(case, planes)
             assert report.energy_conserving
             assert report.identity_gap <= 1e-9
 
@@ -819,28 +819,60 @@ class TestIdentityGap:
         # fall below 1e-12, the identity still closes to rounding
         spec = EntangledThermalSpec(np.arange(40, dtype=float), 0.7, 1.0, 0.5)
         h_a, h_b = spec.hamiltonian_a(), spec.hamiltonian_b()
-        planes = [(first, second, 0.9) for first, second in shell_planes(40)]
-        u = givens_unitary((40, 40), planes, joint_energies(h_a, h_b))
+        rotations = [(first, second, 0.9) for first, second in shell_planes(40)]
+        planes = givens_planes((40, 40), rotations, joint_energies(h_a, h_b))
         case_s = CaseSpec.case_s(h_a, spec.beta_a, h_b, spec.beta_b)
         for case in (CaseSpec.case_v(spec), case_s):
-            assert run_exchange(case, u).identity_gap <= 1e-14
+            assert run_exchange(case, planes).identity_gap <= 1e-14
 
     def test_sixty_four_levels_in_plane_form(self):
-        # the joint-dimension limit, 4096: no D x D unitary, and the
-        # identity still closes to rounding
-        spec = EntangledThermalSpec(np.arange(64, dtype=float), 0.7, 1.0, 0.5)
-        h_a, h_b = spec.hamiltonian_a(), spec.hamiltonian_b()
-        rotations = [(first, second, 0.9) for first, second in shell_planes(64)]
-        planes = givens_planes((64, 64), rotations, joint_energies(h_a, h_b))
-        report = run_exchange(CaseSpec.case_v(spec), planes)
-        assert report.energy_conserving
-        assert report.identity_gap <= 1e-14
+        # the CLI's joint-dimension limit, 4096: the identity still closes
+        # to rounding
+        for case, planes in shell_cases(64):
+            report = run_exchange(case, planes)
+            assert report.energy_conserving
+            assert report.identity_gap <= 1e-14
 
     def test_gibbs_populations_below_support_floor(self):
         # exp(-40) underflows relative_entropy's support floor; the gap is
-        # still defined and still closes
+        # still defined and still closes, on the plane form and, for any
+        # unitary, on the dense oracle
         rng = substream(31, 15)
         spec = EntangledThermalSpec(np.arange(6, dtype=float), 8.0, 1.0, 0.5)
         for case in (CaseSpec.case_v(spec), random_s_case(spec, rng)):
-            report = run_exchange(case, haar_unitary(36, rng))
-            assert report.identity_gap <= 1e-9
+            assert run_exchange(case, random_conserving_planes(case, rng)).identity_gap <= 1e-9
+            assert dense_exchange_reference(case, haar_unitary(36, rng))["identity_gap"] <= 1e-9
+
+
+def shell_cases(d: int):
+    """Cases V and S on levels 0..d-1 (A) and 0, 2, ... (B) at gamma = 0.7,
+    each with every plane of shell_planes(d) rotated by 0.9."""
+    spec = EntangledThermalSpec(np.arange(d, dtype=float), 0.7, 1.0, 0.5)
+    h_a, h_b = spec.hamiltonian_a(), spec.hamiltonian_b()
+    rotations = [(first, second, 0.9) for first, second in shell_planes(d)]
+    planes = givens_planes((d, d), rotations, joint_energies(h_a, h_b))
+    case_s = CaseSpec.case_s(h_a, spec.beta_a, h_b, spec.beta_b)
+    return [(CaseSpec.case_v(spec), planes), (case_s, planes)]
+
+
+class TestMacroscopicSize:
+    """Both cases at sizes where one D x D array would not fit the test."""
+
+    def test_two_hundred_fifty_six_levels(self):
+        # joint dimension 65,536: a D x D complex array would take 69 GB
+        for case, planes in shell_cases(256):
+            report = run_exchange(case, planes)
+            assert report.energy_conserving
+            assert report.identity_gap <= 1e-14
+
+    @pytest.mark.parametrize("which", [0, 1], ids=["V", "S"])
+    def test_sixty_four_levels_allocate_no_joint_matrix(self, which):
+        # one 4096 x 4096 complex array is 268 MB
+        case, planes = shell_cases(64)[which]
+        tracemalloc.start()
+        try:
+            run_exchange(case, planes)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6

@@ -24,7 +24,6 @@ from entroflow import (
     log_partition,
     marginal,
     mutual_information,
-    product_entropy,
     random_density,
     relative_entropy,
     subsystem_entropy,
@@ -281,6 +280,9 @@ class TestSubsystemEntropy:
 
 
 class TestProductEntropy:
+    """The entropy of a product state is the sum of its factors' entropies:
+    the joint entropy of exchange case S, which forms no joint matrix."""
+
     @pytest.mark.parametrize(
         "beta", [0.3, 0.6], ids=["products-above-1e-12", "products-below-1e-12"]
     )
@@ -292,14 +294,19 @@ class TestProductEntropy:
         h_b = HamiltonianSpec(2.0 * np.arange(24))
         g_a, g_b = gibbs_state(h_a, beta), gibbs_state(h_b, beta / 2)
         joint = DensityOperator(kron(g_a.matrix, g_b.matrix), (24, 24))
-        assert abs(product_entropy(g_a, g_b) - von_neumann_entropy(joint)) <= 1e-13
+        total = von_neumann_entropy(g_a) + von_neumann_entropy(g_b)
+        assert abs(total - von_neumann_entropy(joint)) <= 1e-13
 
     def test_three_factors_and_single(self):
         rng = substream(11, 13)
         states = [DensityOperator(random_density(d, d, rng), (d,)) for d in (2, 3, 2)]
         joint = DensityOperator(kron(kron(states[0].matrix, states[1].matrix), states[2].matrix), (2, 3, 2))
-        assert abs(product_entropy(*states) - von_neumann_entropy(joint)) <= 1e-12
-        assert product_entropy(states[1]) == von_neumann_entropy(states[1])
+        total = sum(von_neumann_entropy(rho) for rho in states)
+        assert abs(total - von_neumann_entropy(joint)) <= 1e-12
+        # a single factor: the product with a pure state adds nothing
+        pure = DensityOperator(np.diag([1.0, 0.0]).astype(complex), (2,))
+        alone = DensityOperator(kron(states[1].matrix, pure.matrix), (3, 2))
+        assert abs(von_neumann_entropy(alone) - von_neumann_entropy(states[1])) <= 1e-12
 
 
 class TestGibbsPopulations:
@@ -425,9 +432,8 @@ class TestValidation:
         assert np.array_equal(von_neumann_entropy(rho), [math.log(2), 0.0])
         mixed = DensityOperator(np.eye(2, dtype=complex) / 2, (2,))
         assert np.array_equal(trace_distance(rho, mixed), [0.0, 0.5])
-        for single_only in (lambda: product_entropy(rho), lambda: relative_entropy(rho, mixed)):
-            with pytest.raises(DimensionMismatch):
-                single_only()
+        with pytest.raises(DimensionMismatch):
+            relative_entropy(rho, mixed)
 
     @pytest.mark.parametrize("shape", [(4,), (1, 1, 2, 2)], ids=["1-D", "4-D"])
     def test_density_rejects_other_ranks(self, shape):
