@@ -57,10 +57,8 @@ from .qmath import (
     dagger,
     eig_hermitian,
     func_hermitian,
-    haar_unitary,
     kron,
     partial_trace,
-    random_density,
     substream,
 )
 from .states import (

@@ -60,7 +60,14 @@ from .inequalities import (
     check_ssa,
     gibbs_evolution_identity,
 )
-from .qmath import MAX_JOINT_DIM, ginibre, haar_qr, random_density, substream
+from .qmath import (
+    MAX_JOINT_DIM,
+    density_draw,
+    ginibre_draw,
+    haar_unitaries,
+    random_densities,
+    substream,
+)
 from .states import (
     STATE_TOL,
     DensityOperator,
@@ -80,9 +87,11 @@ EXIT_INTERNAL = 5
 
 # ineq evaluates its trials in batches of as many as fit this many complex
 # entries (128 KiB) per stacked joint-space array; no payload depends on
-# the batch.  Larger budgets were no faster at the README sizes.  A later
-# gas run in the same process still sets the peak memory, and larger
-# budgets raise it: by about 1 MB at 2^14 and 3 MB at 2^16 (of 72 MB).
+# the batch.  Larger budgets were no faster at the README sizes overall
+# (eq1 gained what eq2 lost).  In the benchmark's ensembles pass the later
+# gas runs set the peak memory, 59 MB at this budget; 2^14 and 2^16 raise
+# it to 61 MB, and the ineq commands' own peak from 41 to 43 MB (2 vCPU,
+# numpy 2.4.6).
 BATCH_ELEMENTS = 2**13
 
 
@@ -241,36 +250,43 @@ def _parse_sweep(text: str) -> np.ndarray:
 
 # ---------------------------------------------------------------- ineq ---
 
-def _random_hamiltonian(d: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    # levels and the Ginibre draw of the eigenbasis; the span cap of 1.2 is
-    # part of the seeded eq2 draw, and changing it moves every eq2 digest
-    return np.sort(rng.uniform(0.0, 1.2, d)), ginibre(d, rng)
-
-
 def _random_states(dims: tuple[int, ...], rngs: Iterable[np.random.Generator]) -> DensityOperator:
     d = math.prod(dims)
-    draws = [random_density(d, int(rng.integers(1, d + 1)), rng) for rng in rngs]
-    return DensityOperator(np.stack(draws), dims)
+    return DensityOperator(random_densities([density_draw(d, rng) for rng in rngs]), dims)
+
+
+# eq2's beta is exp of a uniform draw on [ln 0.1, ln 10]
+_LN_BETA_RANGE = (np.log(0.1), np.log(10.0))
+
+
+def _hamiltonian_draw(d: int, rng: np.random.Generator) -> tuple:
+    # the levels and the Ginibre draw of the eigenbasis; the span cap of 1.2
+    # is part of the seeded eq2 draw, and changing it moves every eq2 digest
+    return rng.uniform(0.0, 1.2, d), ginibre_draw((d, d), rng)
+
+
+def _hamiltonians(draws) -> HamiltonianSpec:
+    levels, bases = zip(*draws)
+    return HamiltonianSpec(np.sort(np.stack(levels), axis=-1), basis=haar_unitaries(bases))
 
 
 def _eq2_draw(d_sys: int, d_anc: int, rng: np.random.Generator) -> tuple:
-    beta = float(np.exp(rng.uniform(np.log(0.1), np.log(10.0))))
-    h_i = _random_hamiltonian(d_sys, rng)
-    h_f = _random_hamiltonian(d_sys, rng)
-    unitary = ginibre(d_sys * d_anc, rng)
-    ancilla = random_density(d_anc, int(rng.integers(1, d_anc + 1)), rng)
-    return beta, *h_i, *h_f, unitary, ancilla
+    return (
+        rng.uniform(*_LN_BETA_RANGE),
+        _hamiltonian_draw(d_sys, rng),
+        _hamiltonian_draw(d_sys, rng),
+        ginibre_draw((d_sys * d_anc, d_sys * d_anc), rng),
+        density_draw(d_anc, rng),
+    )
 
 
-def _eq2_batch(
-    factors: tuple[int, int], rngs: Iterable[np.random.Generator]
-) -> GibbsEvolutionReport:
-    draws = [_eq2_draw(*factors, rng) for rng in rngs]
-    beta, levels_i, g_i, levels_f, g_f, g_u, ancilla = map(np.stack, zip(*draws))
-    h_i = HamiltonianSpec(levels_i, basis=haar_qr(g_i))
-    h_f = HamiltonianSpec(levels_f, basis=haar_qr(g_f))
-    channel = AncillaChannel(haar_qr(g_u), DensityOperator(ancilla, factors[1:]))
-    return gibbs_evolution_identity(h_i, beta, channel, h_f)
+def _eq2_inputs(factors: tuple[int, int], rngs: Iterable[np.random.Generator]) -> tuple:
+    # (h_i, beta, channel, h_f) of gibbs_evolution_identity for a batch
+    ln_beta, h_i, h_f, g_u, ancilla = zip(*(_eq2_draw(*factors, rng) for rng in rngs))
+    channel = AncillaChannel(
+        haar_unitaries(g_u), DensityOperator(random_densities(ancilla), factors[1:])
+    )
+    return _hamiltonians(h_i), np.exp(np.array(ln_beta)), channel, _hamiltonians(h_f)
 
 
 def _slacks(report: SlackReport) -> dict:
@@ -313,7 +329,8 @@ _INEQ_CHECKS = {
     ),
     "eq2": (
         3, lambda n: n <= 2, "eq2 takes --dims SYSTEM or SYSTEM,ANCILLA",
-        lambda dims: (*dims, 2)[:2], _eq2_batch, _gibbs,
+        lambda dims: (*dims, 2)[:2],
+        lambda dims, rngs: gibbs_evolution_identity(*_eq2_inputs(dims, rngs)), _gibbs,
     ),
 }
 
@@ -330,8 +347,9 @@ def cmd_ineq(args: argparse.Namespace) -> int:
     joint = _require_joint_dim(math.prod(factors), "--dims")
     started = time.perf_counter()
 
-    # draws stay one trial at a time, in trial order; the linear algebra
-    # runs once per batch, and the batch reports join into one
+    # a trial runs only its RNG calls, from its own substream in trial
+    # order; everything derived from the draws runs once per batch, and the
+    # batch reports join into one
     batch = max(1, BATCH_ELEMENTS // joint**2)
     reports = []
     for first in range(0, args.trials, batch):

@@ -29,6 +29,9 @@ from .qmath import substream
 # (spec, mode, n, seed), never on worker count
 CHUNK = 1 << 16
 _STREAM_TAG = 0x676173  # distinguishes gas draws from other consumers of a seed
+# events per slice of the energy kernel, so that a slice's temporaries stay
+# in cache; every operation is per event, so no bit depends on it
+BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -251,6 +254,33 @@ def collide(p_a, p_b, m_a: float, m_b: float, cos_theta, azimuth):
     return np.stack(p_a_out, axis=-1), np.stack(p_b_out, axis=-1), _de_a(f)
 
 
+def energy_events(spec: CollisionSpec, mode: str, flux: bool, p_a, p_b, cos_theta, azimuth):
+    """Per-event energy gained by particle a, flux weight and fractional
+    gain of n collisions, without building the outgoing momenta.
+
+    Takes draw_pairs' (n, 3) momenta and length-n angles.  Returns (de_a,
+    w, gain): de_a as collide gives it, w = |p_a/m_a - p_b/m_b| (None when
+    flux is off) and gain = de_a / E_a (None outside entangled mode).  The
+    kernel runs over slices of BLOCK events, each written into arrays of all
+    n, and every event keeps the bits collide gives it.
+    """
+    n = len(cos_theta)
+    # contiguous x, y and z rows, not strided columns
+    p_a, p_b = np.ascontiguousarray(p_a.T), np.ascontiguousarray(p_b.T)
+    de = np.empty(n)
+    w = np.empty(n) if flux else None
+    gain = np.empty(n) if mode == "entangled" else None
+    for lo in range(0, n, BLOCK):
+        s = slice(lo, lo + BLOCK)
+        a, b = tuple(p_a[:, s]), tuple(p_b[:, s])
+        de[s] = _de_a(_frame(a, b, spec.m_a, spec.m_b, cos_theta[s], azimuth[s]))
+        if w is not None:
+            w[s] = _norm(tuple(x / spec.m_a - y / spec.m_b for x, y in zip(a, b)))
+        if gain is not None:
+            gain[s] = de[s] / (_square(a) / (2.0 * spec.m_a))
+    return de, w, gain
+
+
 def _weighted_moments(x: np.ndarray, w: np.ndarray | None) -> np.ndarray:
     """Accumulator row (sum w, sum wx, sum w^2, sum w^2 x, sum w^2 x^2);
     w None means unit weights, summed without multiplying by 1.0, which
@@ -287,18 +317,12 @@ def ensemble_heat(
     flux = spec.flux_weighting if spec.flux_weighting is not None else (mode == "product")
 
     def chunk_stats(c: int) -> tuple[np.ndarray, np.ndarray | None]:
-        size = min(CHUNK, n - c * CHUNK)
         rng = substream(seed, _STREAM_TAG, c)
-        p_a, p_b, cos_theta, azimuth = draw_pairs(spec, mode, rng, size)
-        # energy only: the outgoing momenta are never built
-        p_a, p_b = tuple(p_a.T), tuple(p_b.T)
-        de = _de_a(_frame(p_a, p_b, spec.m_a, spec.m_b, cos_theta, azimuth))
-        w = _norm(tuple(a / spec.m_a - b / spec.m_b for a, b in zip(p_a, p_b))) if flux else None
+        de, w, gain = energy_events(
+            spec, mode, flux, *draw_pairs(spec, mode, rng, min(CHUNK, n - c * CHUNK))
+        )
         de_m = _weighted_moments(de, w)
-        if mode == "entangled":
-            e_a = _square(p_a) / (2.0 * spec.m_a)
-            return de_m, _weighted_moments(de / e_a, w)
-        return de_m, None
+        return de_m, None if gain is None else _weighted_moments(gain, w)
 
     n_chunks = (n + CHUNK - 1) // CHUNK
     workers = max(1, workers)

@@ -11,7 +11,11 @@ Conventions fixed once for the whole package:
   basis label (i, j) maps to flat index i * d_B + j;
 - randomness flows through counter-based Philox streams derived from a
   64-bit master seed: every drawn object is a pure function of
-  (seed, substream path) and independent of execution order.
+  (seed, substream path) and independent of execution order;
+- a random object is drawn in two steps: ``ginibre_draw`` and
+  ``density_draw`` make only the RNG calls of one object, and ``ginibre``,
+  ``haar_unitaries`` and ``random_densities`` do the arithmetic on a whole
+  batch of such draws at once.
 """
 
 from __future__ import annotations
@@ -154,14 +158,20 @@ def partial_trace(
     return np.ascontiguousarray(t.reshape(*lead, d_kept, d_kept))
 
 
-def ginibre(d: int, rng: np.random.Generator) -> np.ndarray:
-    """d x d matrix of independent standard complex Gaussian entries.
+def ginibre_draw(shape: tuple[int, ...], rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """The RNG calls of one complex Ginibre matrix of the given shape: its
+    real part, then its imaginary part, 2*prod(shape) standard normals in
+    all.  ``ginibre`` turns a batch of such pairs into the matrices."""
+    return rng.standard_normal(shape), rng.standard_normal(shape)
 
-    Consumes exactly 2*d*d standard normals from ``rng``.
-    """
-    if d < 1:
-        raise DimensionMismatch(f"dimension must be >= 1, got {d}")
-    return rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+
+def ginibre(draws: Sequence[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
+    """Complex Ginibre entries re + 1j*im of a batch of ``ginibre_draw``
+    pairs, as one flat array: each pair's entries in C order, pair after
+    pair in batch order.  A batch of one shape reshapes it to its stack."""
+    re = np.concatenate([re.ravel() for re, _ in draws])
+    im = np.concatenate([im.ravel() for _, im in draws])
+    return re + 1j * im
 
 
 def haar_qr(g: np.ndarray) -> np.ndarray:
@@ -174,22 +184,42 @@ def haar_qr(g: np.ndarray) -> np.ndarray:
     return q * ph[..., None, :]
 
 
-def haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-distributed d x d unitary, ``haar_qr(ginibre(d, rng))``.
+def haar_unitaries(draws: Sequence[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
+    """Stack of Haar-distributed unitaries, ``haar_qr`` of each square
+    ``ginibre_draw`` pair of a batch, in batch order."""
+    d = draws[0][0].shape[0]
+    return haar_qr(ginibre(draws).reshape(len(draws), d, d))
 
-    Consumes exactly 2*d*d standard normals from ``rng``.
+
+def density_draw(d: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """The RNG calls of one random density matrix on d levels: its rank,
+    uniform on 1..d, then ``ginibre_draw((d, rank))`` for its factor G."""
+    return ginibre_draw((d, int(rng.integers(1, d + 1))), rng)
+
+
+def random_densities(draws: Sequence[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
+    """Stack of random density matrices G G-dag / tr(G G-dag), one per
+    ``density_draw`` pair of a batch, in batch order.
+
+    The Gram products run as one stacked matmul per rank; each matrix has
+    the bits it has when formed alone.
     """
-    return haar_qr(ginibre(d, rng))
-
-
-def random_density(d: int, rank: int, rng: np.random.Generator) -> np.ndarray:
-    """Random rank-``rank`` density matrix G G-dag / tr(G G-dag), with G a
-    d x rank matrix of independent standard complex Gaussian entries.
-
-    Consumes exactly 2*d*rank standard normals from ``rng``.
-    """
-    if not 1 <= rank <= d:
-        raise DimensionMismatch(f"need 1 <= rank <= d, got rank={rank}, d={d}")
-    g = rng.standard_normal((d, rank)) + 1j * rng.standard_normal((d, rank))
-    rho = g @ dagger(g)
-    return rho / np.trace(rho).real
+    # sorted by rank (stably), the factors of each rank are one run of the
+    # flat Ginibre entries, and their Gram matrices one run of the stack
+    ranks = np.array([re.shape[-1] for re, _ in draws])
+    order = np.argsort(ranks, kind="stable")
+    entries = ginibre([draws[t] for t in order])
+    d = draws[0][0].shape[0]
+    grams = np.empty((len(draws), d, d), dtype=complex)
+    counts = np.bincount(ranks).tolist()
+    first = start = 0
+    for rank, count in enumerate(counts):
+        if not count:
+            continue
+        g = entries[start : start + count * d * rank].reshape(count, d, rank)
+        np.matmul(g, dagger(g), out=grams[first : first + count])
+        first, start = first + count, start + g.size
+    grams /= np.trace(grams, axis1=-2, axis2=-1).real[:, None, None]
+    out = np.empty_like(grams)
+    out[order] = grams
+    return out

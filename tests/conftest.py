@@ -9,6 +9,7 @@ import pytest
 
 from entroflow import (
     CaseSpec,
+    DimensionMismatch,
     DensityOperator,
     EntangledThermalSpec,
     GivensPlanes,
@@ -19,8 +20,10 @@ from entroflow import (
     givens_planes,
     joint_energies,
     kron,
+    dagger,
     partial_trace,
 )
+from entroflow.qmath import haar_qr
 
 
 @pytest.fixture()
@@ -35,6 +38,39 @@ def eigensolves(monkeypatch) -> list[int]:
 
         monkeypatch.setattr(np.linalg, name, counted)
     return dims
+
+
+def haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
+    """Haar-distributed d x d unitary drawn and formed alone: ``haar_qr`` of
+    a complex Ginibre matrix, 2*d*d standard normals from ``rng``, real part
+    first (the per-trial bit oracle of ``qmath.haar_unitaries``)."""
+    return haar_qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+
+
+def random_density(d: int, rank: int, rng: np.random.Generator) -> np.ndarray:
+    """Random rank-``rank`` density matrix G G-dag / tr(G G-dag), with G a
+    d x rank matrix of independent standard complex Gaussian entries,
+    formed alone (the per-trial bit oracle of ``qmath.random_densities``).
+
+    Consumes exactly 2*d*rank standard normals from ``rng``.
+    """
+    if not 1 <= rank <= d:
+        raise DimensionMismatch(f"need 1 <= rank <= d, got rank={rank}, d={d}")
+    g = rng.standard_normal((d, rank)) + 1j * rng.standard_normal((d, rank))
+    rho = g @ dagger(g)
+    return rho / np.trace(rho).real
+
+
+def eq2_trial(d_sys: int, d_anc: int, rng: np.random.Generator) -> tuple:
+    """One ``ineq --check eq2`` trial drawn and formed alone (the per-trial
+    bit oracle of the batched draws): beta, the levels and basis of H_i and
+    of H_f, the joint unitary and the ancilla state."""
+    beta = float(np.exp(rng.uniform(np.log(0.1), np.log(10.0))))
+    levels_i, basis_i = np.sort(rng.uniform(0.0, 1.2, d_sys)), haar_unitary(d_sys, rng)
+    levels_f, basis_f = np.sort(rng.uniform(0.0, 1.2, d_sys)), haar_unitary(d_sys, rng)
+    unitary = haar_unitary(d_sys * d_anc, rng)
+    ancilla = random_density(d_anc, int(rng.integers(1, d_anc + 1)), rng)
+    return beta, levels_i, basis_i, levels_f, basis_f, unitary, ancilla
 
 
 def ghz_state() -> DensityOperator:

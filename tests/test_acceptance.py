@@ -13,7 +13,13 @@ import time
 
 import numpy as np
 
-from conftest import ghz_state, random_conserving_planes, random_entangled_spec
+from conftest import (
+    ghz_state,
+    haar_unitary,
+    random_conserving_planes,
+    random_density,
+    random_entangled_spec,
+)
 from test_exchange import TWO_RESERVOIR_STROKES, dense_exchange_oracle
 
 from entroflow import (
@@ -33,9 +39,7 @@ from entroflow import (
     gibbs_evolution_identity,
     gibbs_state,
     givens_planes,
-    haar_unitary,
     joint_energies,
-    random_density,
     run_exchange,
     substream,
     x_parameter,

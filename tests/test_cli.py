@@ -10,7 +10,10 @@ import golden
 import numpy as np
 import pytest
 
-from entroflow import NonFiniteResult, clausius_cycle, cli
+from conftest import eq2_trial, random_density
+
+from entroflow import DensityOperator, NonFiniteResult, clausius_cycle, cli, substream
+from entroflow.qmath import ginibre_draw, random_densities
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -127,6 +130,56 @@ class TestIneqBatches:
             assert hashlib.sha256(got).hexdigest() == want[key], key
         for key, argv in extra.items():
             assert golden.payload_bytes(argv, tmp_path) == want[key], key
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+class TestBatchedDraws:
+    """Each batch's draws and the arithmetic on them, bit for bit against
+    each trial drawn and formed alone (tests/conftest.py oracles)."""
+
+    @pytest.mark.parametrize(
+        "d, ranks",
+        [(6, [3, 1, 6, 3, 2, 6, 1, 1]), (5, [4, 1, 2, 5, 3]), (8, [5])],
+        ids=["ragged", "every-rank", "batch-of-one"],
+    )
+    def test_densities(self, d, ranks):
+        draws = [ginibre_draw((d, rank), substream(31, t)) for t, rank in enumerate(ranks)]
+        got = random_densities(draws)
+        for t, rank in enumerate(ranks):
+            assert same_bits(got[t], random_density(d, rank, substream(31, t)))
+
+    @pytest.mark.parametrize("dims, trials", [((2, 2, 2), 40), ((2, 2, 2, 2), 1), ((3, 2), 30)])
+    def test_ssa_and_eq1_states(self, dims, trials):
+        d = math.prod(dims)
+        got = cli._random_states(dims, (substream(32, t) for t in range(trials)))
+        ranks = set()
+        for t in range(trials):
+            rng = substream(32, t)
+            rank = int(rng.integers(1, d + 1))
+            ranks.add(rank)
+            alone = DensityOperator(random_density(d, rank, rng), dims)
+            assert same_bits(got.matrix[t], alone.matrix)
+            assert same_bits(got.spectrum[t], alone.spectrum)
+        assert trials == 1 or ranks == set(range(1, d + 1))
+
+    @pytest.mark.parametrize("factors, trials", [((2, 3), 12), ((3, 2), 1), ((2, 2), 9)])
+    def test_eq2_inputs(self, factors, trials):
+        h_i, beta, channel, h_f = cli._eq2_inputs(
+            factors, (substream(33, t) for t in range(trials))
+        )
+        for t in range(trials):
+            *want, ancilla = eq2_trial(*factors, substream(33, t))
+            want.append(DensityOperator(ancilla, factors[1:]).matrix)
+            got = (
+                beta[t], h_i.levels[t], h_i.basis[t], h_f.levels[t], h_f.basis[t],
+                channel.unitary[t], channel.ancilla.matrix[t],
+            )
+            for got_part, want_part in zip(got, want):
+                assert same_bits(got_part, want_part)
 
 
 class TestJointDimensionLimit:

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from conftest import (
+    haar_unitary,
+    random_density,
     dense_exchange_reference,
     initial_state,
     partial_swap,
@@ -36,11 +38,9 @@ from entroflow import (
     gibbs_populations,
     gibbs_state,
     givens_planes,
-    haar_unitary,
     joint_energies,
     kron,
     partial_trace,
-    random_density,
     run_exchange,
     substream,
     von_neumann_entropy,
@@ -359,11 +359,11 @@ class TestRunExchange:
         ids=["V", "S"],
     )
     def test_no_joint_eigensolves(self, case, eigensolves):
-        # the joint entropy is the initial state's: only marginals and the
-        # Gibbs references are diagonalized
+        # the joint entropy is the initial state's: only marginals are
+        # diagonalized, two for V; the demo plane shares no
+        # index, so both S marginals are diagonal and read off their diagonal
         run_exchange(case, demo_planes())
-        assert eigensolves
-        assert set(eigensolves) == {4}
+        assert eigensolves == ([4, 4] if case.kind == "V" else [])
 
     def test_rejects_wrong_dimension(self):
         with pytest.raises(DimensionMismatch):
@@ -457,13 +457,14 @@ class TestClausiusCycle:
             assert record.slack <= 1e-9
 
     def test_one_reservoir_eigensolve_per_contact(self, eigensolves):
-        # per run: one reservoir per contact; per cycle: the new state of
-        # each contact and one trace distance for the fixed-point test
+        # the reservoirs (one per contact, per run) and each contact's new
+        # state are diagonal here, so their spectra are their diagonals;
+        # per cycle only the fixed-point test's trace distance is solved
         rho0 = gibbs_state(GAP1, 1.0)
         del eigensolves[:]
         report = clausius_cycle((GAP1, rho0), TWO_RESERVOIR_STROKES)
         assert report.cycles_to_convergence > 1
-        assert len(eigensolves) == 2 + report.cycles_to_convergence * (2 + 1)
+        assert len(eigensolves) == report.cycles_to_convergence
 
     def test_zero_angle_contacts(self):
         strokes = [ClausiusStroke.contact(2.0, 0.0), ClausiusStroke.contact(1.0, 0.0)]

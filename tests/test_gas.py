@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -223,6 +224,56 @@ class TestEnergyOnlyPath:
         for x in (rng.standard_normal(n), rng.standard_normal(n) * 1e5 + 3.0):
             want = gas._weighted_moments(x, np.ones(n))
             assert np.array_equal(bits(gas._weighted_moments(x, None)), bits(want))
+
+
+def unblocked_report(spec: CollisionSpec, mode: str, n: int, seed: int, flux: bool) -> tuple:
+    """ensemble_heat's means and standard errors with every chunk's events
+    from collide and one whole-chunk array per quantity (a test oracle)."""
+    de_total, gain_total = np.zeros(5), np.zeros(5)
+    for c in range(math.ceil(n / gas.CHUNK)):
+        rng = substream(seed, gas._STREAM_TAG, c)
+        size = min(gas.CHUNK, n - c * gas.CHUNK)
+        p_a, p_b, cos_theta, azimuth = draw_pairs(spec, mode, rng, size)
+        _, _, de = collide(p_a, p_b, spec.m_a, spec.m_b, cos_theta, azimuth)
+        w = np.linalg.norm(p_a / spec.m_a - p_b / spec.m_b, axis=-1) if flux else None
+        de_total += gas._weighted_moments(de, w)
+        if mode == "entangled":
+            gain_total += gas._weighted_moments(de / kinetic(p_a, spec.m_a), w)
+    return (*gas._mean_stderr(de_total), *gas._mean_stderr(gain_total))
+
+
+class TestBlockedKernel:
+    """energy_events runs BLOCK events at a time; every event and every sum
+    keeps the bits of the whole-chunk computation."""
+
+    @pytest.mark.parametrize(
+        "n", [2, gas.BLOCK - 1, gas.BLOCK, gas.BLOCK + 1, gas.CHUNK + 3]
+    )
+    @pytest.mark.parametrize("mode", ["entangled", "product"])
+    @pytest.mark.parametrize("flux", [False, True], ids=["flux-off", "flux-on"])
+    def test_events_and_sums_match_unblocked(self, n, mode, flux):
+        spec = dataclasses.replace(REVERSAL, flux_weighting=flux)
+        rng = substream(43, n)
+        p_a, p_b, cos_theta, azimuth = draw_pairs(spec, mode, rng, n)
+        de, w, gain = gas.energy_events(spec, mode, flux, p_a, p_b, cos_theta, azimuth)
+        _, _, want = collide(p_a, p_b, spec.m_a, spec.m_b, cos_theta, azimuth)
+        assert np.array_equal(bits(de), bits(want))
+        if flux:
+            want_w = np.linalg.norm(p_a / spec.m_a - p_b / spec.m_b, axis=-1)
+            assert np.array_equal(bits(w), bits(want_w))
+        else:
+            assert w is None
+        if mode == "entangled":
+            assert np.array_equal(bits(gain), bits(want / kinetic(p_a, spec.m_a)))
+        else:
+            assert gain is None
+
+        report = ensemble_heat(spec, mode, n, 44, workers=2)
+        mean, se, mean_gain, se_gain = unblocked_report(spec, mode, n, 44, flux)
+        assert bits([report.mean_de_a, report.stderr_de_a]).tolist() == bits([mean, se]).tolist()
+        if mode == "entangled":
+            got = [report.mean_fractional_gain, report.stderr_fractional_gain]
+            assert bits(got).tolist() == bits([mean_gain, se_gain]).tolist()
 
 
 class TestSamplers:

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from conftest import (
+    haar_unitary,
+    random_density,
     ghz_state,
     oracle_density,
     oracle_gibbs_evolution,
@@ -23,9 +25,7 @@ from entroflow import (
     check_ssa,
     gibbs_evolution_identity,
     gibbs_state,
-    haar_unitary,
     kron,
-    random_density,
     relative_entropy,
     subsystem_entropy,
     substream,

@@ -1,18 +1,19 @@
 import numpy as np
 import pytest
 
+from conftest import random_density
+
 from entroflow import (
     DimensionMismatch,
     NotHermitian,
     dagger,
     eig_hermitian,
     func_hermitian,
-    haar_unitary,
     kron,
     partial_trace,
-    random_density,
     substream,
 )
+from entroflow.qmath import ginibre_draw, haar_unitaries, random_densities
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 
@@ -174,52 +175,61 @@ class TestPartialTrace:
             partial_trace(rho, (2, 2), [2])
 
 
+def unitaries(d: int, n: int, rng) -> np.ndarray:
+    """n Haar unitaries drawn in order from rng, through the batched path."""
+    return haar_unitaries([ginibre_draw((d, d), rng) for _ in range(n)])
+
+
+def densities(d: int, rank: int, n: int, rng) -> np.ndarray:
+    """n rank-``rank`` density matrices drawn in order from rng, through the
+    batched path."""
+    return random_densities([ginibre_draw((d, rank), rng) for _ in range(n)])
+
+
 class TestHaarUnitary:
     def test_d1_unit_modulus(self):
-        u = haar_unitary(1, substream(101, 10))
+        [u] = unitaries(1, 1, substream(101, 10))
         assert abs(abs(u[0, 0]) - 1.0) < 1e-12
 
     def test_unitarity_d4(self):
-        u = haar_unitary(4, substream(101, 11))
+        [u] = unitaries(4, 1, substream(101, 11))
         assert np.max(np.abs(dagger(u) @ u - np.eye(4))) <= 1e-10
 
     def test_first_entry_moment(self):
         # |U_00|^2 averages to 1/d over the invariant measure
         rng = substream(101, 12)
-        samples = np.array([abs(haar_unitary(2, rng)[0, 0]) ** 2 for _ in range(10_000)])
+        samples = np.abs(unitaries(2, 10_000, rng)[:, 0, 0]) ** 2
         se = samples.std(ddof=1) / np.sqrt(samples.size)
         assert abs(samples.mean() - 0.5) <= 3 * se
 
     def test_left_invariance_moment(self):
         # composing with a fixed unitary must not move the moment
         rng = substream(101, 13)
-        fixed = haar_unitary(2, substream(101, 14))
-        samples = np.array(
-            [abs((fixed @ haar_unitary(2, rng))[0, 0]) ** 2 for _ in range(10_000)]
-        )
+        [fixed] = unitaries(2, 1, substream(101, 14))
+        samples = np.abs((fixed @ unitaries(2, 10_000, rng))[:, 0, 0]) ** 2
         se = samples.std(ddof=1) / np.sqrt(samples.size)
         assert abs(samples.mean() - 0.5) <= 3 * se
 
 
 class TestRandomDensity:
     def test_pure_spectrum(self):
-        rho = random_density(2, 1, substream(101, 15))
+        [rho] = densities(2, 1, 1, substream(101, 15))
         assert np.allclose(np.linalg.eigvalsh(rho), [0.0, 1.0], atol=1e-10)
 
     def test_full_rank_properties(self):
-        rho = random_density(4, 4, substream(101, 16))
+        [rho] = densities(4, 4, 1, substream(101, 16))
         lam = np.linalg.eigvalsh(rho)
         assert abs(np.trace(rho).real - 1.0) <= 1e-12
         assert lam[0] >= -1e-12
         assert np.sum(lam > 1e-10) == 4
 
     def test_rank_deficient(self):
-        rho = random_density(4, 2, substream(101, 17))
+        [rho] = densities(4, 2, 1, substream(101, 17))
         assert np.sum(np.linalg.eigvalsh(rho) > 1e-10) == 2
 
     def test_ensemble_mean_is_maximally_mixed(self):
         rng = substream(101, 18)
-        draws = np.array([random_density(2, 2, rng) for _ in range(10_000)])
+        draws = densities(2, 2, 10_000, rng)
         mean = draws.mean(axis=0)
         se = draws.std(axis=0, ddof=1) / np.sqrt(draws.shape[0])
         assert np.all(np.abs(mean - np.eye(2) / 2) <= 3 * se + 1e-12)
@@ -231,14 +241,14 @@ class TestRandomDensity:
 
 class TestDeterminism:
     def test_same_seed_bit_identical(self):
-        u1 = haar_unitary(4, substream(77, 1, 2))
-        u2 = haar_unitary(4, substream(77, 1, 2))
+        u1 = unitaries(4, 1, substream(77, 1, 2))
+        u2 = unitaries(4, 1, substream(77, 1, 2))
         assert np.array_equal(u1, u2)
-        r1 = random_density(4, 2, substream(77, 3))
-        r2 = random_density(4, 2, substream(77, 3))
+        r1 = densities(4, 2, 1, substream(77, 3))
+        r2 = densities(4, 2, 1, substream(77, 3))
         assert np.array_equal(r1, r2)
 
     def test_different_path_differs(self):
         assert not np.array_equal(
-            haar_unitary(4, substream(77, 1)), haar_unitary(4, substream(77, 2))
+            unitaries(4, 1, substream(77, 1)), unitaries(4, 1, substream(77, 2))
         )

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import bell_state, ghz_state, random_pure
+from conftest import bell_state, ghz_state, random_density, random_pure
 
 from entroflow import (
     DensityOperator,
@@ -24,7 +24,6 @@ from entroflow import (
     log_partition,
     marginal,
     mutual_information,
-    random_density,
     relative_entropy,
     subsystem_entropy,
     substream,
@@ -239,6 +238,32 @@ class TestStoredSpectrum:
         # the joint term of I(0:1) is the stored spectrum; only marginals are solved
         mutual_information(rho, 0, 1)
         assert eigensolves == [2, 3]
+
+    @pytest.mark.parametrize("d", [2, 3, 16, 64, 256])
+    def test_diagonal_stack_spectrum_is_its_sorted_diagonal(self, d, eigensolves):
+        # zeros and repeated populations included; no eigensolve is made,
+        # and the spectrum has the bits eigvalsh gives for the same stack
+        rng = substream(11, 15, d)
+        pops = rng.uniform(0.0, 1.0, (3, d))
+        pops[:, ::3] = 0.0
+        pops[1] = pops[1, 1]
+        pops /= pops.sum(-1, keepdims=True)
+        mats = np.zeros((3, d, d), dtype=complex)
+        mats[:, np.arange(d), np.arange(d)] = pops
+        rho = DensityOperator(mats, (d,))
+        assert eigensolves == []
+        want = np.linalg.eigvalsh(rho.matrix)
+        assert np.array_equal(rho.spectrum.view(np.int64), want.view(np.int64))
+
+    def test_one_off_diagonal_entry_takes_the_eigensolve(self, eigensolves):
+        # a diagonal state in a stack with a dense one keeps its lone bits
+        diag = np.diag([0.1, 0.2, 0.3, 0.4]).astype(complex)
+        dense = random_density(4, 4, substream(11, 16))
+        stack = DensityOperator(np.stack([diag, dense]), (4,))
+        assert eigensolves == [4]
+        for t, mat in enumerate((diag, dense)):
+            alone = DensityOperator(mat, (4,)).spectrum
+            assert np.array_equal(stack.spectrum[t].view(np.int64), alone.view(np.int64))
 
     def test_relative_entropy_solves_sigma_only(self, eigensolves):
         rho = gibbs_state(LADDER4, 0.7)
