@@ -8,7 +8,6 @@ __version__ = "0.1.0"
 from .errors import (
     BadCycle,
     ConfigError,
-    ConvergenceFailure,
     DimensionMismatch,
     EntroflowError,
     InvalidSpec,
@@ -17,28 +16,20 @@ from .errors import (
     NonFiniteResult,
     NonpositiveBeta,
     NotDegenerate,
-    NotHermitian,
     NotUnitary,
     OverlappingPlanes,
-    SupportViolation,
     TooFewFactors,
 )
 from .exchange import (
     CaseSpec,
     ClausiusStroke,
-    CycleReport,
-    ExchangeReport,
-    GivensPlanes,
-    StrokeRecord,
     clausius_cycle,
-    degenerate_pairs,
     givens_planes,
     joint_energies,
     run_exchange,
 )
 from .gas import (
     CollisionSpec,
-    GasReport,
     collide,
     draw_pairs,
     ensemble_heat,
@@ -55,8 +46,6 @@ from .inequalities import (
 )
 from .qmath import (
     dagger,
-    eig_hermitian,
-    func_hermitian,
     kron,
     partial_trace,
     substream,
@@ -65,15 +54,10 @@ from .states import (
     DensityOperator,
     EntangledThermalSpec,
     HamiltonianSpec,
-    PureJointState,
     entangled_thermal_state,
     gibbs_divergence,
     gibbs_populations,
     gibbs_state,
-    log_partition,
-    marginal,
-    mutual_information,
-    relative_entropy,
     subsystem_entropy,
     trace_distance,
     von_neumann_entropy,

@@ -427,6 +427,8 @@ _SWEEP_COLUMNS = (
 
 
 def cmd_exchange(args: argparse.Namespace) -> int:
+    if args.phi is not None and args.sweep is not None:
+        raise ConfigError("--phi and --sweep both set the angle; give one of them")
     if args.phi is not None:
         _require_finite(args.phi, "--phi")
     cfg, case, planes = _exchange_setup(args)

@@ -1,16 +1,9 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package; ``cli.main`` maps each one
+to a documented exit code."""
 
 
 class EntroflowError(Exception):
     """Base class for all library errors."""
-
-
-class NotHermitian(EntroflowError):
-    """Operator deviates from H = H-dagger beyond tolerance."""
-
-
-class ConvergenceFailure(EntroflowError):
-    """Eigensolver did not converge."""
 
 
 class DimensionMismatch(EntroflowError):
@@ -23,10 +16,6 @@ class NonpositiveBeta(EntroflowError):
 
 class InvalidState(EntroflowError):
     """Matrix is not a valid density operator (hermiticity, positivity, trace)."""
-
-
-class SupportViolation(EntroflowError):
-    """Relative entropy undefined: rho carries weight outside sigma's support."""
 
 
 class TooFewFactors(EntroflowError):

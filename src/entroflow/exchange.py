@@ -58,8 +58,6 @@ HAMILTONIAN_TOL = 1e-12
 MAX_CYCLES = 500
 FIXED_POINT_TOL = 1e-10
 
-JointPair = tuple[tuple[int, int], tuple[int, int]]
-
 
 @dataclass(frozen=True)
 class CaseSpec:
@@ -208,26 +206,6 @@ class CycleReport:
 def joint_energies(h_a: HamiltonianSpec, h_b: HamiltonianSpec) -> np.ndarray:
     """Noninteracting joint spectrum E_i^A + E_j^B, flattened row-major."""
     return np.add.outer(h_a.levels, h_b.levels).ravel()
-
-
-def degenerate_pairs(h_a: HamiltonianSpec, h_b: HamiltonianSpec) -> list[JointPair]:
-    """All unordered pairs of joint basis labels u != v with |E_u - E_v| <=
-    DEGENERACY_TOL, givens_planes' rule: rotations inside such planes
-    exchange heat without doing work.  The empty list means no such plane
-    exists."""
-    d_b = h_b.dim
-    energies = joint_energies(h_a, h_b)
-    order = np.argsort(energies, kind="stable")
-    ranked = energies[order]
-    # ranked[k] can pair only with ranked[k + 1 : stops[k]]
-    stops = np.searchsorted(ranked, ranked + DEGENERACY_TOL, side="right")
-    out: list[JointPair] = []
-    for k, stop in enumerate(stops):
-        for m in range(k + 1, stop):
-            u, v = sorted((int(order[k]), int(order[m])))
-            if abs(energies[u] - energies[v]) <= DEGENERACY_TOL:
-                out.append(((u // d_b, u % d_b), (v // d_b, v % d_b)))
-    return out
 
 
 @dataclass(frozen=True)

@@ -82,11 +82,6 @@ class AncillaChannel:
     unitary: np.ndarray
     ancilla: DensityOperator
 
-    @classmethod
-    def identity(cls, d: int) -> "AncillaChannel":
-        """The do-nothing channel (trivial one-dimensional ancilla)."""
-        return cls(np.eye(d, dtype=complex), DensityOperator(np.eye(1, dtype=complex), (1,)))
-
     def apply(self, rho: DensityOperator) -> DensityOperator:
         d_sys = rho.dim
         d_anc = self.ancilla.dim

@@ -6,7 +6,8 @@ Conventions fixed once for the whole package:
   small (<= MAX_JOINT_DIM), so nothing here is sparse or structured;
 - the batched kernels (partial_trace, haar_qr, kron) act on the last two
   axes and carry any leading stack axes through, matrix by matrix;
-- eigenvalues are always reported in ascending order;
+- nothing here diagonalizes: every spectrum in the package is an
+  ``eigvalsh`` in ``states``;
 - the leftmost Kronecker factor is factor 0 (subsystem A), so the joint
   basis label (i, j) maps to flat index i * d_B + j;
 - randomness flows through counter-based Philox streams derived from a
@@ -21,14 +22,12 @@ Conventions fixed once for the whole package:
 from __future__ import annotations
 
 import math
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import ConvergenceFailure, DimensionMismatch, NotHermitian
+from .errors import DimensionMismatch
 
-# max-abs tolerance on H - H^dag before an operator is rejected
-HERMITIAN_TOL = 1e-10
 # largest joint Hilbert-space dimension the command line accepts: a dense
 # complex operator of this size takes 256 MiB
 MAX_JOINT_DIM = 4096
@@ -54,11 +53,6 @@ def max_abs(m: np.ndarray) -> float:
     return float(np.max(np.abs(m))) if np.asarray(m).size else 0.0
 
 
-def hermiticity_defect(m: np.ndarray) -> float:
-    """max-abs deviation of M from its conjugate transpose."""
-    return max_abs(m - dagger(m))
-
-
 def scalar_or_stack(x):
     """A result of one matrix as a Python number; a stack's results (one
     per matrix) as the array."""
@@ -78,43 +72,6 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     out = a[..., :, None, :, None] * b[..., None, :, None, :]
     rows, cols = a.shape[-2] * b.shape[-2], a.shape[-1] * b.shape[-1]
     return out.reshape(*out.shape[:-4], rows, cols)
-
-
-def _require_square(m: np.ndarray) -> None:
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise DimensionMismatch(f"expected a square matrix, got shape {m.shape}")
-
-
-def eig_hermitian(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition H = V diag(w) V-dag with w ascending.
-
-    The input must be Hermitian within HERMITIAN_TOL (max-abs); it is
-    symmetrized before factorization to absorb accumulation error from
-    operator products.
-    """
-    h = np.asarray(h, dtype=complex)
-    _require_square(h)
-    # the gate scales with the operator norm above 1: rounding asymmetry of
-    # products and matrix functions grows with the entries themselves
-    gate = HERMITIAN_TOL * max(1.0, max_abs(h))
-    if hermiticity_defect(h) > gate:
-        raise NotHermitian(
-            f"max |H - H^dag| = {hermiticity_defect(h):.3e} exceeds {gate:.3e}"
-        )
-    sym = (h + dagger(h)) / 2
-    try:
-        w, v = np.linalg.eigh(sym)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceFailure(str(exc)) from exc
-    return w, v
-
-
-def func_hermitian(h: np.ndarray, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-    """Apply a real function to a Hermitian operator through its spectrum.
-    f takes the eigenvalue array and returns an array of its shape or a
-    scalar (which broadcasts); a numpy ufunc does."""
-    w, v = eig_hermitian(h)
-    return (v * np.asarray(f(w), dtype=float)) @ dagger(v)
 
 
 def partial_trace(

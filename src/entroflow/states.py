@@ -2,7 +2,11 @@
 scaled-spectrum entangled pure state whose marginals are thermal.
 
 One DensityOperator holds one state or a stack of states on the same
-factors, validated at once with one batched eigensolve.
+factors, validated at once with one batched eigensolve.  That is the
+package's one spectral path: an entropy reads the spectrum stored at
+validation, or one ``eigvalsh`` of a reduced matrix, and the only
+divergence is gibbs_divergence, whose ln gamma is known from the levels.
+STATE_TOL is the one hermiticity gate.
 
 Units: hbar = k_B = 1, natural logarithms, entropies in nats.
 """
@@ -21,17 +25,11 @@ from .errors import (
     InvalidSpec,
     InvalidState,
     NonpositiveBeta,
-    SupportViolation,
 )
-from .qmath import dagger, eig_hermitian, partial_trace, scalar_or_stack, trace
+from .qmath import dagger, partial_trace, scalar_or_stack, trace
 
 # state-validation tolerances: hermiticity / negativity / trace deficit
 STATE_TOL = 1e-10
-# below this, an eigenvalue of a unit-trace operator is indistinguishable
-# from zero at double precision and counts as outside the support
-SUPPORT_FLOOR = 1e-13
-# rho's weight on sigma's null space above which D(rho||sigma) is infinite
-SUPPORT_TOL = 1e-10
 # largest |norm - 1| accepted for a pure state's vector
 NORM_TOL = 1e-12
 
@@ -157,11 +155,6 @@ class HamiltonianSpec:
     def matrix(self) -> np.ndarray:
         return self.in_basis(self.levels)
 
-    @classmethod
-    def from_matrix(cls, h: np.ndarray) -> "HamiltonianSpec":
-        w, v = eig_hermitian(h)
-        return cls(levels=w, basis=v)
-
 
 @dataclass(frozen=True)
 class EntangledThermalSpec:
@@ -234,9 +227,6 @@ class PureJointState:
         object.__setattr__(self, "vector", _frozen(vec.copy()))
         object.__setattr__(self, "dims", dims)
 
-    def density(self) -> DensityOperator:
-        return DensityOperator(np.outer(self.vector, self.vector.conj()), self.dims)
-
 
 def _positive_beta(beta) -> np.ndarray:
     b = np.asarray(beta, dtype=float)
@@ -307,29 +297,6 @@ def subsystem_entropy(rho: DensityOperator, keep: Iterable[int]):
     return _spectral_entropy(np.linalg.eigvalsh((reduced + dagger(reduced)) / 2))
 
 
-def relative_entropy(rho: DensityOperator, sigma: DensityOperator) -> float:
-    """S(rho || sigma) = tr(rho ln rho) - tr(rho ln sigma), in nats.
-
-    Raises SupportViolation when sigma's null space (eigenvalues <=
-    SUPPORT_FLOOR) carries more than SUPPORT_TOL of rho's weight.
-    """
-    if rho.matrix.ndim != 2 or sigma.matrix.ndim != 2:
-        raise DimensionMismatch("relative_entropy takes single states, not stacks")
-    if rho.dim != sigma.dim:
-        raise DimensionMismatch(f"dimension mismatch: {rho.dim} vs {sigma.dim}")
-    w_s, v_s = eig_hermitian(sigma.matrix)
-    # rho's weight in each sigma eigendirection
-    weights = np.einsum("ij,jk,ki->i", dagger(v_s), rho.matrix, v_s).real
-    weights = np.clip(weights, 0.0, None)
-    null = w_s <= SUPPORT_FLOOR
-    if float(weights[null].sum()) > SUPPORT_TOL:
-        raise SupportViolation(
-            f"rho carries weight {weights[null].sum():.3e} outside sigma's support"
-        )
-    tr_rho_ln_sigma = float((weights[~null] * np.log(w_s[~null])).sum())
-    return -von_neumann_entropy(rho) - tr_rho_ln_sigma
-
-
 def gibbs_divergence(rho: DensityOperator, h: HamiltonianSpec, beta):
     """S(rho || gamma) for the Gibbs state gamma = exp(-beta H)/Z, from the
     exact ln gamma = -beta H - ln Z: beta tr(rho H) + ln Z - S(rho).
@@ -341,28 +308,6 @@ def gibbs_divergence(rho: DensityOperator, h: HamiltonianSpec, beta):
         raise DimensionMismatch(f"dimension mismatch: {rho.dim} vs {h.dim}")
     mean_energy = trace(rho.matrix @ h.matrix()).real
     return beta * mean_energy + log_partition(h, beta) - von_neumann_entropy(rho)
-
-
-def marginal(
-    state: DensityOperator | PureJointState, which: int | Iterable[int]
-) -> DensityOperator:
-    """Reduced state of the named factor(s), tracing out all others."""
-    rho = state.density() if isinstance(state, PureJointState) else state
-    keep = [which] if isinstance(which, (int, np.integer)) else list(which)
-    reduced = partial_trace(rho.matrix, rho.dims, keep)
-    kept_dims = tuple(rho.dims[int(k)] for k in sorted(set(int(k) for k in keep)))
-    return DensityOperator(reduced, kept_dims)
-
-
-def mutual_information(rho: DensityOperator, i: int, j: int) -> float:
-    """I(i:j) = S_i + S_j - S_ij for two factors of a composite state, nats."""
-    n = len(rho.dims)
-    if i == j or not (0 <= i < n and 0 <= j < n):
-        raise DimensionMismatch(f"need two distinct factor indices in [0, {n}), got {i}, {j}")
-    s_i = subsystem_entropy(rho, [i])
-    s_j = subsystem_entropy(rho, [j])
-    s_ij = subsystem_entropy(rho, [i, j])
-    return s_i + s_j - s_ij
 
 
 def entangled_thermal_state(spec: EntangledThermalSpec) -> PureJointState:

@@ -8,13 +8,12 @@ import numpy as np
 import pytest
 
 from entroflow import (
+    AncillaChannel,
     CaseSpec,
     DimensionMismatch,
     DensityOperator,
     EntangledThermalSpec,
-    GivensPlanes,
-    PureJointState,
-    degenerate_pairs,
+    HamiltonianSpec,
     entangled_thermal_state,
     gibbs_state,
     givens_planes,
@@ -23,7 +22,9 @@ from entroflow import (
     dagger,
     partial_trace,
 )
+from entroflow.exchange import DEGENERACY_TOL, GivensPlanes
 from entroflow.qmath import haar_qr
+from entroflow.states import PureJointState
 
 
 @pytest.fixture()
@@ -73,17 +74,60 @@ def eq2_trial(d_sys: int, d_anc: int, rng: np.random.Generator) -> tuple:
     return beta, levels_i, basis_i, levels_f, basis_f, unitary, ancilla
 
 
+def pure_density(state: PureJointState) -> DensityOperator:
+    """The projector |psi><psi| of a pure joint state, on its factors."""
+    return DensityOperator(np.outer(state.vector, state.vector.conj()), state.dims)
+
+
+def marginal(state: DensityOperator | PureJointState, which) -> DensityOperator:
+    """Reduced state of the named factor (an int) or factors, tracing out
+    all others; kept factors in ascending order."""
+    rho = pure_density(state) if isinstance(state, PureJointState) else state
+    keep = sorted({which} if isinstance(which, int) else set(which))
+    reduced = partial_trace(rho.matrix, rho.dims, keep)
+    return DensityOperator(reduced, tuple(rho.dims[k] for k in keep))
+
+
+def func_hermitian(h: np.ndarray, f) -> np.ndarray:
+    """A real function of a Hermitian matrix through ``np.linalg.eigh``: f
+    takes the eigenvalue array and returns an array of its shape or a
+    scalar (a test oracle's matrix function)."""
+    w, v = np.linalg.eigh((h + dagger(h)) / 2)
+    return (v * np.asarray(f(w), dtype=float)) @ dagger(v)
+
+
+def relative_entropy(rho: DensityOperator, sigma: DensityOperator) -> float:
+    """S(rho || sigma) = tr(rho ln rho) - tr(rho ln sigma) of two dense
+    states, sigma of full support (the independent oracle of
+    ``gibbs_divergence``; no spectrum of the library is read)."""
+
+    def x_ln_x(w):
+        # 0 ln 0 = 0, and a negative w is rounding noise of a zero
+        positive = np.where(w > 0, w, 1.0)
+        return np.where(w > 0, positive * np.log(positive), 0.0)
+
+    assert np.linalg.eigvalsh(sigma.matrix)[0] > 0, "sigma must have full support"
+    rho_ln_rho = np.trace(func_hermitian(rho.matrix, x_ln_x)).real
+    rho_ln_sigma = np.trace(rho.matrix @ func_hermitian(sigma.matrix, np.log)).real
+    return float(rho_ln_rho - rho_ln_sigma)
+
+
+def identity_channel(d: int) -> AncillaChannel:
+    """The do-nothing channel on d levels (a trivial one-level ancilla)."""
+    return AncillaChannel(np.eye(d, dtype=complex), DensityOperator(np.eye(1, dtype=complex), (1,)))
+
+
 def ghz_state() -> DensityOperator:
     """Three-qubit (|000> + |111>)/sqrt(2)."""
     v = np.zeros(8, dtype=complex)
     v[0] = v[7] = 2.0**-0.5
-    return PureJointState(v, (2, 2, 2)).density()
+    return pure_density(PureJointState(v, (2, 2, 2)))
 
 
 def bell_state() -> DensityOperator:
     v = np.zeros(4, dtype=complex)
     v[0] = v[3] = 2.0**-0.5
-    return PureJointState(v, (2, 2)).density()
+    return pure_density(PureJointState(v, (2, 2)))
 
 
 def random_pure(dims, rng) -> PureJointState:
@@ -109,7 +153,7 @@ def initial_state(case: CaseSpec) -> DensityOperator:
     entangled pure state (kind V) or the product of the two Gibbs states
     (kind S)."""
     if case.kind == "V":
-        return entangled_thermal_state(case.entangled).density()
+        return pure_density(entangled_thermal_state(case.entangled))
     (h_a, h_b), (beta_a, beta_b) = case.hamiltonians(), case.betas()
     joint = kron(gibbs_state(h_a, beta_a).matrix, gibbs_state(h_b, beta_b).matrix)
     return DensityOperator(joint, (h_a.dim, h_b.dim))
@@ -138,6 +182,26 @@ def shell_planes(d: int) -> list:
         ]
         planes.extend(zip(shell[0::2], shell[1::2]))
     return planes
+
+
+def degenerate_pairs(h_a: HamiltonianSpec, h_b: HamiltonianSpec) -> list:
+    """All unordered pairs ((i, j), (i2, j2)) of joint basis labels u != v
+    with |E_u - E_v| <= DEGENERACY_TOL, givens_planes' rule: rotations
+    inside such planes exchange heat without doing work.  The empty list
+    means no such plane exists."""
+    d_b = h_b.dim
+    energies = joint_energies(h_a, h_b)
+    order = np.argsort(energies, kind="stable")
+    ranked = energies[order]
+    # ranked[k] can pair only with ranked[k + 1 : stops[k]]
+    stops = np.searchsorted(ranked, ranked + DEGENERACY_TOL, side="right")
+    out = []
+    for k, stop in enumerate(stops):
+        for m in range(k + 1, stop):
+            u, v = sorted((int(order[k]), int(order[m])))
+            if abs(energies[u] - energies[v]) <= DEGENERACY_TOL:
+                out.append(((u // d_b, u % d_b), (v // d_b, v % d_b)))
+    return out
 
 
 def random_rotations(case: CaseSpec, rng) -> list:

@@ -1,0 +1,51 @@
+"""The package root exports only what a command or an acceptance criterion
+reaches."""
+
+import ast
+import pathlib
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "entroflow"
+
+
+def referenced_names(path: pathlib.Path) -> set[str]:
+    """Every name a module's code uses: loaded or bound names, attribute
+    names and imported names.  Docstrings and comments do not count."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+def exports() -> dict[str, str]:
+    """Each name ``entroflow/__init__.py`` re-exports, with the module that
+    defines it."""
+    out = {}
+    for node in ast.parse((PACKAGE / "__init__.py").read_text()).body:
+        if isinstance(node, ast.ImportFrom):
+            out.update((alias.asname or alias.name, node.module) for alias in node.names)
+    return out
+
+
+def test_every_export_is_reached_by_a_command_or_the_acceptance_suite():
+    # a name counts as reached when a module other than __init__ and its own
+    # uses it (the command line is one of them), or when the acceptance
+    # suite does
+    modules = {
+        path.stem: referenced_names(path)
+        for path in PACKAGE.glob("*.py")
+        if path.stem != "__init__"
+    }
+    acceptance = referenced_names(ROOT / "tests" / "test_acceptance.py")
+    unreached = sorted(
+        f"{module}.{name}"
+        for name, module in exports().items()
+        if name not in acceptance
+        and not any(name in used for other, used in modules.items() if other != module)
+    )
+    assert unreached == [], f"exported but reached by no command or acceptance test: {unreached}"

@@ -305,6 +305,17 @@ class TestExchange:
         assert len(proc.stderr.splitlines()) == 1, proc.stderr
         assert proc.stdout == ""
 
+    def test_phi_with_sweep_exits_2(self, exchange_config):
+        # a sweep sets every angle, so an override beside it would be ignored
+        proc = run_cli(
+            "exchange", "--case", "v", "--config", exchange_config,
+            "--phi", "0.3", "--sweep", "phi=0:1.5:4",
+        )
+        assert proc.returncode == 2
+        assert len(proc.stderr.splitlines()) == 1, proc.stderr
+        assert "--phi" in proc.stderr and "--sweep" in proc.stderr
+        assert proc.stdout == ""
+
     def test_missing_epsilon_exits_2(self, tmp_path, exchange_config):
         cfg = json.loads(open(exchange_config).read())
         del cfg["epsilon"]

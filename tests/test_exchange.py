@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from conftest import (
+    degenerate_pairs,
     haar_unitary,
+    marginal,
     random_density,
     dense_exchange_reference,
     initial_state,
@@ -19,6 +21,7 @@ from conftest import (
 )
 
 import entroflow.exchange as exchange_module
+from entroflow.exchange import GivensPlanes
 from entroflow import (
     BadCycle,
     CaseSpec,
@@ -26,7 +29,6 @@ from entroflow import (
     DensityOperator,
     DimensionMismatch,
     EntangledThermalSpec,
-    GivensPlanes,
     HamiltonianSpec,
     InvalidSpec,
     NoConvergence,
@@ -34,7 +36,6 @@ from entroflow import (
     NotUnitary,
     OverlappingPlanes,
     clausius_cycle,
-    degenerate_pairs,
     gibbs_populations,
     gibbs_state,
     givens_planes,
@@ -231,8 +232,6 @@ class TestPartialSwap:
         u = partial_swap(3, math.pi / 2)
         out = u @ kron(rho, sigma) @ u.conj().T
         joint = DensityOperator(out, (3, 3))
-        from entroflow import marginal
-
         assert np.max(np.abs(marginal(joint, 0).matrix - sigma)) <= 1e-12
         assert np.max(np.abs(marginal(joint, 1).matrix - rho)) <= 1e-12
 
@@ -669,7 +668,7 @@ class TestRunExchangeAgainstDense:
         def forbidden(*args, **kwargs):
             raise AssertionError("run_exchange formed a joint-space matrix")
 
-        for name in ("kron", "partial_trace", "marginal"):
+        for name in ("kron", "partial_trace"):
             monkeypatch.setattr(exchange_module, name, forbidden, raising=False)
         joint_states = []
         real = exchange_module.DensityOperator
@@ -835,9 +834,9 @@ class TestIdentityGap:
             assert report.identity_gap <= 1e-14
 
     def test_gibbs_populations_below_support_floor(self):
-        # exp(-40) underflows relative_entropy's support floor; the gap is
-        # still defined and still closes, on the plane form and, for any
-        # unitary, on the dense oracle
+        # a population of exp(-40) is indistinguishable from a null space in
+        # an eigensolve; the gap is still defined and still closes, on the
+        # plane form and, for any unitary, on the dense oracle
         rng = substream(31, 15)
         spec = EntangledThermalSpec(np.arange(6, dtype=float), 8.0, 1.0, 0.5)
         for case in (CaseSpec.case_v(spec), random_s_case(spec, rng)):

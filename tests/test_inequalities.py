@@ -5,7 +5,10 @@ import pytest
 
 from conftest import (
     haar_unitary,
+    identity_channel,
+    marginal,
     random_density,
+    relative_entropy,
     ghz_state,
     oracle_density,
     oracle_gibbs_evolution,
@@ -26,9 +29,9 @@ from entroflow import (
     gibbs_evolution_identity,
     gibbs_state,
     kron,
-    relative_entropy,
     subsystem_entropy,
     substream,
+    von_neumann_entropy,
 )
 
 QUBIT = HamiltonianSpec(np.array([0.0, 1.0]))
@@ -56,8 +59,6 @@ class TestCheckSsa:
         rng = substream(21, 0, 1)
         rho = product_qubits(3, rng)
         report = check_ssa(rho, 0, 1, 2)
-        from entroflow import marginal, von_neumann_entropy
-
         s_k = von_neumann_entropy(marginal(rho, 2))
         assert abs(report.slack - 2 * s_k) <= 1e-10
 
@@ -129,7 +130,7 @@ class TestAverageCorrelationBound:
 
 class TestGibbsEvolutionIdentity:
     def test_identity_channel_all_zero(self):
-        report = gibbs_evolution_identity(QUBIT, 1.0, AncillaChannel.identity(2), QUBIT)
+        report = gibbs_evolution_identity(QUBIT, 1.0, identity_channel(2), QUBIT)
         assert report.beta_du == 0.0
         assert report.ds == 0.0
         assert abs(report.rhs) <= 1e-12
@@ -154,7 +155,7 @@ class TestGibbsEvolutionIdentity:
         # doubling the gap at fixed state: the quench term cancels beta*dU
         # exactly and both sides stay zero
         h_f = HamiltonianSpec(np.array([0.0, 2.0]))
-        report = gibbs_evolution_identity(QUBIT, 1.0, AncillaChannel.identity(2), h_f)
+        report = gibbs_evolution_identity(QUBIT, 1.0, identity_channel(2), h_f)
         rho = gibbs_state(QUBIT, 1.0)
         du = float(np.trace(rho.matrix @ (h_f.matrix() - QUBIT.matrix())).real)
         assert abs(report.beta_du - du) <= 1e-12
@@ -190,8 +191,9 @@ class TestGibbsEvolutionIdentity:
             assert report.rhs >= -1e-10
 
     def test_gibbs_population_below_support_floor(self):
-        # exp(-40) underflows relative_entropy's support floor, yet the
-        # divergence is finite and the identity still closes
+        # a population of exp(-40) is indistinguishable from a null space in
+        # an eigensolve, yet the divergence is finite and the identity still
+        # closes
         h = HamiltonianSpec(np.array([0.0, 40.0]))
         mixed = DensityOperator(np.eye(2, dtype=complex) / 2, (2,))
         channel = AncillaChannel(haar_unitary(4, substream(3, 1)), mixed)
@@ -201,12 +203,12 @@ class TestGibbsEvolutionIdentity:
 
     def test_rejects_nonpositive_beta(self):
         with pytest.raises(NonpositiveBeta):
-            gibbs_evolution_identity(QUBIT, 0.0, AncillaChannel.identity(2), QUBIT)
+            gibbs_evolution_identity(QUBIT, 0.0, identity_channel(2), QUBIT)
 
     def test_rejects_dim_mismatch(self):
         h_f = HamiltonianSpec(np.array([0.0, 1.0, 2.0]))
         with pytest.raises(DimensionMismatch):
-            gibbs_evolution_identity(QUBIT, 1.0, AncillaChannel.identity(2), h_f)
+            gibbs_evolution_identity(QUBIT, 1.0, identity_channel(2), h_f)
 
 
 def random_stack(d: int, n: int, rng) -> np.ndarray:

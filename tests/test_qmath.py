@@ -1,21 +1,16 @@
 import numpy as np
 import pytest
 
-from conftest import random_density
+from conftest import func_hermitian, random_density
 
 from entroflow import (
     DimensionMismatch,
-    NotHermitian,
     dagger,
-    eig_hermitian,
-    func_hermitian,
     kron,
     partial_trace,
     substream,
 )
 from entroflow.qmath import ginibre_draw, haar_unitaries, random_densities
-
-PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 
 
 def kron_loop(a, b):
@@ -80,33 +75,10 @@ class TestKron:
         assert np.array_equal(kron(kron(a, b), c), kron(a, kron(b, c)))
 
 
-class TestEigHermitian:
-    def test_diagonal_sorted_ascending(self):
-        w, _ = eig_hermitian(np.diag([3.0, 1.0, 2.0]))
-        assert np.allclose(w, [1.0, 2.0, 3.0])
-
-    def test_pauli_x_spectrum(self):
-        w, _ = eig_hermitian(PAULI_X)
-        assert np.allclose(w, [-1.0, 1.0], atol=1e-12)
-
-    def test_reconstruction_8x8(self):
-        h = random_hermitian(8, substream(101, 3))
-        w, v = eig_hermitian(h)
-        scale = np.max(np.abs(h))
-        assert np.max(np.abs((v * w) @ dagger(v) - h)) <= 1e-9 * scale
-        assert np.max(np.abs(h @ v - v * w)) <= 1e-9 * scale
-        assert np.max(np.abs(dagger(v) @ v - np.eye(8))) <= 1e-9
-
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(NotHermitian):
-            eig_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-    def test_rejects_non_square(self):
-        with pytest.raises(DimensionMismatch):
-            eig_hermitian(np.zeros((2, 3)))
-
-
 class TestFuncHermitian:
+    """The matrix function of the dense relative-entropy oracle in
+    conftest, which the Gibbs-divergence equalities are checked against."""
+
     def test_exp_of_zero_is_identity(self):
         assert np.allclose(func_hermitian(np.zeros((3, 3)), np.exp), np.eye(3), atol=1e-14)
 
@@ -131,7 +103,7 @@ class TestFuncHermitian:
 
     def test_trace_of_exp_is_sum_of_exps(self):
         h = random_hermitian(6, substream(101, 6))
-        w, _ = eig_hermitian(h)
+        w = np.linalg.eigvalsh(h)
         assert abs(np.trace(func_hermitian(h, np.exp)) - np.exp(w).sum()) <= 1e-9
 
 

@@ -4,7 +4,14 @@ import math
 import numpy as np
 import pytest
 
-from conftest import bell_state, ghz_state, random_density, random_pure
+from conftest import (
+    bell_state,
+    ghz_state,
+    marginal,
+    random_density,
+    random_pure,
+    relative_entropy,
+)
 
 from entroflow import (
     DensityOperator,
@@ -14,22 +21,17 @@ from entroflow import (
     InvalidSpec,
     InvalidState,
     NonpositiveBeta,
-    PureJointState,
-    SupportViolation,
     entangled_thermal_state,
     gibbs_divergence,
     gibbs_populations,
     gibbs_state,
     kron,
-    log_partition,
-    marginal,
-    mutual_information,
-    relative_entropy,
     subsystem_entropy,
     substream,
     trace_distance,
     von_neumann_entropy,
 )
+from entroflow.states import PureJointState, log_partition
 
 QUBIT = HamiltonianSpec(np.array([0.0, 1.0]))
 LADDER4 = HamiltonianSpec(np.array([0.0, 1.0, 2.0, 3.0]))
@@ -37,6 +39,11 @@ LADDER4 = HamiltonianSpec(np.array([0.0, 1.0, 2.0, 3.0]))
 
 def entropy_from_probs(p):
     return -sum(q * math.log(q) for q in p if q > 0)
+
+
+def mutual_information(rho, i, j):
+    """I(i:j) = S_i + S_j - S_ij of two factors, from subsystem_entropy."""
+    return subsystem_entropy(rho, [i]) + subsystem_entropy(rho, [j]) - subsystem_entropy(rho, [i, j])
 
 
 class TestGibbsState:
@@ -105,6 +112,9 @@ class TestVonNeumannEntropy:
 
 
 class TestRelativeEntropy:
+    """The dense relative-entropy oracle of conftest, on which every
+    gibbs_divergence equality below rests."""
+
     def test_self_is_zero(self):
         rho = DensityOperator(random_density(4, 4, substream(11, 1)), (4,))
         assert abs(relative_entropy(rho, rho)) <= 1e-10
@@ -135,16 +145,9 @@ class TestRelativeEntropy:
             sigma = DensityOperator(random_density(3, 3, rng), (3,))
             assert relative_entropy(rho, sigma) >= -1e-10
 
-    def test_support_violation(self):
-        proj = np.zeros((2, 2), dtype=complex)
-        proj[0, 0] = 1.0
-        sigma = DensityOperator(proj, (2,))
-        rho = DensityOperator(np.eye(2, dtype=complex) / 2, (2,))
-        with pytest.raises(SupportViolation):
-            relative_entropy(rho, sigma)
-
     def test_gibbs_identity(self):
-        # S(rho || gibbs) = beta <H>_rho - S(rho) + ln Z
+        # S(rho || gibbs) = beta <H>_rho - S(rho) + ln Z, and gibbs_divergence
+        # is that value
         rng = substream(11, 4)
         beta = 1.3
         sigma = gibbs_state(LADDER4, beta)
@@ -154,12 +157,13 @@ class TestRelativeEntropy:
             energy = float(np.trace(rho.matrix @ LADDER4.matrix()).real)
             oracle = beta * energy - von_neumann_entropy(rho) + lnz
             assert abs(relative_entropy(rho, sigma) - oracle) <= 1e-9
+            assert abs(gibbs_divergence(rho, LADDER4, beta) - relative_entropy(rho, sigma)) <= 1e-9
 
 
 class TestGibbsDivergence:
     def test_equals_relative_entropy_on_full_support(self):
-        # two evaluations of one quantity: the exact Gibbs form here, an
-        # eigensolve of sigma in relative_entropy
+        # two evaluations of one quantity: the exact Gibbs form here, the
+        # matrix logarithms of the dense oracle there
         rng = substream(11, 5)
         sigma = gibbs_state(LADDER4, 1.3)
         for _ in range(10):
@@ -168,12 +172,11 @@ class TestGibbsDivergence:
             assert abs(gibbs_divergence(rho, LADDER4, 1.3) - expected) <= 1e-13
 
     def test_population_below_support_floor(self):
-        # exp(-40) is below SUPPORT_FLOOR: relative_entropy refuses, the
-        # Gibbs form beta <H> + ln Z - S stays finite
+        # a population of exp(-40) is indistinguishable from a null space in
+        # an eigensolve of gamma; the Gibbs form beta <H> + ln Z - S stays
+        # exact
         h = HamiltonianSpec(np.array([0.0, 40.0]))
         rho = DensityOperator(np.eye(2, dtype=complex) / 2, (2,))
-        with pytest.raises(SupportViolation):
-            relative_entropy(rho, gibbs_state(h, 1.0))
         oracle = 20.0 + math.log1p(math.exp(-40.0)) - math.log(2)
         assert abs(gibbs_divergence(rho, h, 1.0) - oracle) <= 1e-12
 
@@ -235,8 +238,12 @@ class TestStoredSpectrum:
         von_neumann_entropy(rho)
         subsystem_entropy(rho, [1, 0])
         assert eigensolves == []
-        # the joint term of I(0:1) is the stored spectrum; only marginals are solved
-        mutual_information(rho, 0, 1)
+        # with every factor kept, in any order, the stored spectrum is read;
+        # only the marginals are solved
+        assert subsystem_entropy(rho, [0, 1]) == von_neumann_entropy(rho)
+        assert eigensolves == []
+        subsystem_entropy(rho, [0])
+        subsystem_entropy(rho, [1])
         assert eigensolves == [2, 3]
 
     @pytest.mark.parametrize("d", [2, 3, 16, 64, 256])
@@ -264,13 +271,6 @@ class TestStoredSpectrum:
         for t, mat in enumerate((diag, dense)):
             alone = DensityOperator(mat, (4,)).spectrum
             assert np.array_equal(stack.spectrum[t].view(np.int64), alone.view(np.int64))
-
-    def test_relative_entropy_solves_sigma_only(self, eigensolves):
-        rho = gibbs_state(LADDER4, 0.7)
-        sigma = gibbs_state(LADDER4, 1.3)
-        del eigensolves[:]
-        relative_entropy(rho, sigma)
-        assert eigensolves == [4]
 
     def test_spectrum_is_read_only_and_not_an_argument(self):
         rho = bell_state()
@@ -457,8 +457,6 @@ class TestValidation:
         assert np.array_equal(von_neumann_entropy(rho), [math.log(2), 0.0])
         mixed = DensityOperator(np.eye(2, dtype=complex) / 2, (2,))
         assert np.array_equal(trace_distance(rho, mixed), [0.0, 0.5])
-        with pytest.raises(DimensionMismatch):
-            relative_entropy(rho, mixed)
 
     @pytest.mark.parametrize("shape", [(4,), (1, 1, 2, 2)], ids=["1-D", "4-D"])
     def test_density_rejects_other_ranks(self, shape):
@@ -482,11 +480,3 @@ class TestValidation:
     def test_hamiltonian_ordering(self):
         with pytest.raises(InvalidSpec):
             HamiltonianSpec(np.array([1.0, 0.0]))
-
-    def test_hamiltonian_from_matrix_roundtrip(self):
-        rng = substream(11, 10)
-        g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        h = (g + g.conj().T) / 2
-        spec = HamiltonianSpec.from_matrix(h)
-        assert np.max(np.abs(spec.matrix() - h)) <= 1e-10
-        assert np.all(np.diff(spec.levels) >= 0)
