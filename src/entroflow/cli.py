@@ -335,7 +335,7 @@ _INEQ_CHECKS = {
 }
 
 
-def cmd_ineq(args: argparse.Namespace) -> int:
+def cmd_ineq(args: argparse.Namespace) -> tuple:
     dims = _parse_dims(args.dims)
     if args.trials < 1:
         raise ConfigError(f"--trials must be >= 1, got {args.trials}")
@@ -345,7 +345,6 @@ def cmd_ineq(args: argparse.Namespace) -> int:
         raise ConfigError(dims_error)
     factors = factors_of(dims)
     joint = _require_joint_dim(math.prod(factors), "--dims")
-    started = time.perf_counter()
 
     # a trial runs only its RNG calls, from its own substream in trial
     # order; everything derived from the draws runs once per batch, and the
@@ -359,11 +358,7 @@ def cmd_ineq(args: argparse.Namespace) -> int:
         *(np.concatenate(column) for column in zip(*map(dataclasses.astuple, reports)))
     )
     payload = {"check": args.check, "trials": args.trials, **fields(report)}
-
-    config = {"check": args.check, "dims": list(dims), "trials": args.trials, "seed": seed}
-    wall_time = time.perf_counter() - started
-    _write_text(make_envelope("ineq", config, seed, payload, wall_time), args.output)
-    return EXIT_OK if payload["all_pass"] else EXIT_VIOLATION
+    return {"dims": list(dims)}, payload, EXIT_OK if payload["all_pass"] else EXIT_VIOLATION
 
 
 # ------------------------------------------------------------ exchange ---
@@ -375,10 +370,7 @@ def _exchange_setup(args: argparse.Namespace):
     gamma = _require_positive(cfg, "gamma")
     mu_a = _require_positive(cfg, "mu_a")
     mu_b = _require_positive(cfg, "mu_b")
-    try:
-        spec = EntangledThermalSpec(np.asarray(epsilon), gamma, mu_a, mu_b)
-    except InvalidSpec as exc:
-        raise ConfigError(str(exc)) from exc
+    spec = EntangledThermalSpec(np.asarray(epsilon), gamma, mu_a, mu_b)
 
     rotations_cfg = cfg.get("rotations")
     if not isinstance(rotations_cfg, list) or not rotations_cfg or not all(
@@ -426,20 +418,12 @@ _SWEEP_COLUMNS = (
 )
 
 
-def cmd_exchange(args: argparse.Namespace) -> int:
+def cmd_exchange(args: argparse.Namespace) -> tuple | str:
     if args.phi is not None and args.sweep is not None:
         raise ConfigError("--phi and --sweep both set the angle; give one of them")
     if args.phi is not None:
         _require_finite(args.phi, "--phi")
     cfg, case, planes = _exchange_setup(args)
-    started = time.perf_counter()
-    config = {
-        "case": args.case,
-        "config_file": cfg,
-        "phi": args.phi,
-        "sweep": args.sweep,
-    }
-
     grid = None if args.sweep is None else _parse_sweep(args.sweep)
     # the planes are checked once; --phi and each sweep point only swap the
     # angle, and no D x D unitary is built
@@ -452,14 +436,10 @@ def cmd_exchange(args: argparse.Namespace) -> int:
             report = run_exchange(case, form.at_angle(float(phi)))
             rows.append([float(phi), *(getattr(report, field) for _, field in _SWEEP_COLUMNS)])
         header = ["phi", *(name for name, _ in _SWEEP_COLUMNS)]
-        _write_text(_csv_rows(header, rows), args.output)
-        return EXIT_OK
+        return _csv_rows(header, rows)
 
     report = run_exchange(case, form if args.phi is None else form.at_angle(args.phi))
-    payload = dataclasses.asdict(report)
-    wall_time = time.perf_counter() - started
-    _write_text(make_envelope("exchange", config, None, payload, wall_time), args.output)
-    return EXIT_OK
+    return {"config_file": cfg}, dataclasses.asdict(report), EXIT_OK
 
 
 # ------------------------------------------------------------ clausius ---
@@ -472,10 +452,7 @@ def _clausius_setup(args: argparse.Namespace):
     levels = _require_number_list(system_cfg, "levels")
     # the states and contacts are dense d x d: refuse before building one
     _require_joint_dim(len(levels), "config field 'system.levels'")
-    try:
-        h0 = HamiltonianSpec(np.asarray(levels))
-    except InvalidSpec as exc:
-        raise ConfigError(str(exc)) from exc
+    h0 = HamiltonianSpec(np.asarray(levels))
 
     init_cfg = cfg.get("initial_state")
     if not isinstance(init_cfg, dict) or "kind" not in init_cfg:
@@ -499,88 +476,56 @@ def _clausius_setup(args: argparse.Namespace):
     for entry in strokes_cfg:
         if not isinstance(entry, dict) or "kind" not in entry:
             raise ConfigError("every stroke must be an object with a 'kind'")
-        try:
-            if entry["kind"] == "contact":
-                strokes.append(
-                    ClausiusStroke.contact(
-                        _require_positive(entry, "temperature"),
-                        _require_finite(entry.get("phi", math.pi / 2), "stroke field 'phi'"),
-                    )
+        if entry["kind"] == "contact":
+            strokes.append(
+                ClausiusStroke.contact(
+                    _require_positive(entry, "temperature"),
+                    _require_finite(entry.get("phi", math.pi / 2), "stroke field 'phi'"),
                 )
-            elif entry["kind"] == "quench":
-                strokes.append(
-                    ClausiusStroke.quench(
-                        HamiltonianSpec(np.asarray(_require_number_list(entry, "levels")))
-                    )
+            )
+        elif entry["kind"] == "quench":
+            strokes.append(
+                ClausiusStroke.quench(
+                    HamiltonianSpec(np.asarray(_require_number_list(entry, "levels")))
                 )
-            else:
-                raise ConfigError(f"unknown stroke kind {entry['kind']!r}")
-        except InvalidSpec as exc:
-            raise ConfigError(str(exc)) from exc
+            )
+        else:
+            raise ConfigError(f"unknown stroke kind {entry['kind']!r}")
     return cfg, h0, rho0, strokes
 
 
-def cmd_clausius(args: argparse.Namespace) -> int:
+def cmd_clausius(args: argparse.Namespace) -> tuple:
     cfg, h0, rho0, strokes = _clausius_setup(args)
     if args.max_cycles < 1:
         raise ConfigError(f"--max-cycles must be >= 1, got {args.max_cycles}")
     if not (math.isfinite(args.fp_tol) and args.fp_tol > 0):
         raise ConfigError(f"--fp-tol must be a finite positive number, got {args.fp_tol}")
-    started = time.perf_counter()
 
     report = clausius_cycle((h0, rho0), strokes, max_cycles=args.max_cycles, fp_tol=args.fp_tol)
     payload = dataclasses.asdict(report)
     payload["converged"] = True
     payload["clausius_pass"] = report.clausius_sum <= CLAUSIUS_TOL
     payload["stroke_pass"] = all(r.slack <= STROKE_TOL for r in report.strokes)
-
-    config = {
-        "config_file": cfg,
-        "max_cycles": args.max_cycles,
-        "fp_tol": args.fp_tol,
-    }
-    wall_time = time.perf_counter() - started
-    _write_text(make_envelope("clausius", config, None, payload, wall_time), args.output)
-    return EXIT_OK if payload["clausius_pass"] else EXIT_VIOLATION
+    return {"config_file": cfg}, payload, EXIT_OK if payload["clausius_pass"] else EXIT_VIOLATION
 
 
 # ----------------------------------------------------------------- gas ---
 
-def cmd_gas(args: argparse.Namespace) -> int:
+def cmd_gas(args: argparse.Namespace) -> tuple:
     flux = None if args.flux is None else (args.flux == "on")
     _check_seed(args.seed)
-    try:
-        spec = CollisionSpec(
-            m_a=args.ma,
-            m_b=args.mb,
-            t_a=args.ta,
-            t_b=args.tb,
-            gamma=args.gamma,
-            flux_weighting=flux,
-        )
-        if args.samples < 2:
-            raise InvalidSpec(f"--samples must be >= 2, got {args.samples}")
-        started = time.perf_counter()
-        report = ensemble_heat(spec, args.mode, args.samples, args.seed, workers=worker_count())
-    except InvalidSpec as exc:
-        raise ConfigError(str(exc)) from exc
-
+    spec = CollisionSpec(
+        m_a=args.ma,
+        m_b=args.mb,
+        t_a=args.ta,
+        t_b=args.tb,
+        gamma=args.gamma,
+        flux_weighting=flux,
+    )
+    report = ensemble_heat(spec, args.mode, args.samples, args.seed, workers=worker_count())
     payload = dataclasses.asdict(report)
     payload["reversal_ratio"] = spec.reversal_ratio
-    config = {
-        "ma": args.ma,
-        "mb": args.mb,
-        "ta": args.ta,
-        "tb": args.tb,
-        "gamma": args.gamma,
-        "mode": args.mode,
-        "samples": args.samples,
-        "seed": args.seed,
-        "flux": args.flux,
-    }
-    wall_time = time.perf_counter() - started
-    _write_text(make_envelope("gas", config, args.seed, payload, wall_time), args.output)
-    return EXIT_OK
+    return {}, payload, EXIT_OK
 
 
 # ---------------------------------------------------------------- main ---
@@ -637,15 +582,33 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# argparse dests the envelope does not echo: a command echoes the parsed
+# config file, not its path
+_NOT_ECHOED = ("command", "func", "output", "config")
+
+
 def main(argv: list[str] | None = None) -> int:
+    """Run one command.  A command returns CSV text (a sweep), written as it
+    is, or (parsed inputs, payload, exit code); the envelope then echoes
+    every flag with the parsed inputs over them."""
     args = build_parser().parse_args(argv)
     try:
         # numpy's floating-point warnings would add lines to stderr; a
         # non-finite result is refused on output instead (NonFiniteResult)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            return args.func(args)
-    except ConfigError as exc:
+            started = time.perf_counter()
+            result = args.func(args)
+            if isinstance(result, str):
+                _write_text(result, args.output)
+                return EXIT_OK
+            parsed, payload, code = result
+            config = {k: v for k, v in vars(args).items() if k not in _NOT_ECHOED} | parsed
+            wall_time = time.perf_counter() - started
+            envelope = make_envelope(args.command, config, config.get("seed"), payload, wall_time)
+            _write_text(envelope, args.output)
+            return code
+    except (ConfigError, InvalidSpec) as exc:
         print(f"entroflow: config error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except BadCycle as exc:

@@ -445,6 +445,10 @@ def clausius_cycle(
     in trace distance.  The report carries the final cycle's per-contact
     records with slack_j = beta_j * Q_j - dS_j (each <= 0) and their sum.
     """
+    if max_cycles < 1:
+        raise InvalidSpec(f"max_cycles must be >= 1, got {max_cycles}")
+    if not 0 < fp_tol < np.inf:
+        raise InvalidSpec(f"fp_tol must be a finite positive number, got {fp_tol}")
     h0, rho = system
     if rho.dim != h0.dim:
         raise DimensionMismatch(f"state dim {rho.dim} != Hamiltonian dim {h0.dim}")

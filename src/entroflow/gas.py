@@ -2,7 +2,7 @@
 
 Two ensembles over incoming momentum pairs are compared.  In entangled
 mode the pair is perfectly correlated: one Gaussian-distributed vector k
-(per-component variance m_scale/gamma) sets both momenta, p_a = alpha_a*k
+(per-component variance 1/gamma) sets both momenta, p_a = alpha_a*k
 and p_b = alpha_b*k, which leaves each marginal Maxwell-Boltzmann at its
 own temperature while fixing the energy-flow direction of every single
 collision through the closed form 4x(x-1)sin^2(theta/2).  In product mode
@@ -49,11 +49,10 @@ class CollisionSpec:
     t_a: float
     t_b: float
     gamma: float
-    m_scale: float = 1.0
     flux_weighting: bool | None = None
 
     def __post_init__(self) -> None:
-        for name in ("m_a", "m_b", "t_a", "t_b", "gamma", "m_scale"):
+        for name in ("m_a", "m_b", "t_a", "t_b", "gamma"):
             val = float(getattr(self, name))
             if not (val > 0 and np.isfinite(val)):
                 raise InvalidSpec(f"{name} must be positive and finite, got {val!r}")
@@ -63,7 +62,7 @@ class CollisionSpec:
             "m_a + m_b": float(self.m_a) + float(self.m_b),
             "m_a * t_a": float(self.m_a) * float(self.t_a),
             "m_b * t_b": float(self.m_b) * float(self.t_b),
-            "m_scale / gamma": float(self.m_scale) / float(self.gamma),
+            "1 / gamma": 1.0 / float(self.gamma),
             "alpha_a": self.alpha_a,
             "alpha_b": self.alpha_b,
             "reversal_ratio": self.reversal_ratio,
@@ -74,12 +73,12 @@ class CollisionSpec:
 
     @property
     def alpha_a(self) -> float:
-        """Momentum scale of gas a: T_a = m_scale * alpha_a^2 / (gamma * m_a)."""
-        return math.sqrt(self.gamma * self.t_a * self.m_a / self.m_scale)
+        """Momentum scale of gas a: T_a = alpha_a^2 / (gamma * m_a)."""
+        return math.sqrt(self.gamma * self.t_a * self.m_a)
 
     @property
     def alpha_b(self) -> float:
-        return math.sqrt(self.gamma * self.t_b * self.m_b / self.m_scale)
+        return math.sqrt(self.gamma * self.t_b * self.m_b)
 
     @property
     def reversal_ratio(self) -> float:
@@ -125,14 +124,14 @@ def draw_pairs(spec: CollisionSpec, mode: str, rng: np.random.Generator, n: int)
     """n incoming momentum pairs with their scattering angles.
 
     Entangled mode draws 3 normals per event for the shared vector k (per
-    component variance m_scale/gamma) and sets p_a = alpha_a k, p_b =
+    component variance 1/gamma) and sets p_a = alpha_a k, p_b =
     alpha_b k; product mode draws 3 + 3 normals for independent Maxwellian
     momenta (per-component variance m T, mean kinetic energy (3/2) T).
     Both then draw cos(theta) uniform on [-1, 1] and the azimuth uniform on
     [0, 2 pi).  Returns (p_a, p_b, cos_theta, azimuth), momenta (n, 3).
     """
     if mode == "entangled":
-        k = rng.standard_normal((n, 3)) * math.sqrt(spec.m_scale / spec.gamma)
+        k = rng.standard_normal((n, 3)) * math.sqrt(1.0 / spec.gamma)
         p_a, p_b = spec.alpha_a * k, spec.alpha_b * k
     elif mode == "product":
         p_a = rng.standard_normal((n, 3)) * math.sqrt(spec.m_a * spec.t_a)

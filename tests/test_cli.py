@@ -514,6 +514,21 @@ class TestGas:
         assert len(proc.stderr.splitlines()) == 1, proc.stderr
         assert proc.stderr.startswith("entroflow: config error:")
 
+    @pytest.mark.parametrize(
+        "flag, value", [("--samples", "1"), ("--ta", "0"), ("--seed", "-1")]
+    )
+    def test_refused_flag_exits_2(self, capsys, flag, value):
+        flags = {
+            "--ma": "10", "--mb": "1", "--ta": "2", "--tb": "1", "--gamma": "1",
+            "--mode": "entangled", "--samples": "100", "--seed": "1", flag: value,
+        }
+        code = cli.main(["gas", *(part for item in flags.items() for part in item)])
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_VALIDATION
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("entroflow: config error:"), captured.err
+
     def test_non_finite_result_exits_2(self):
         # valid parameters whose momenta overflow inside the sampler: the
         # NaN is refused on output, in one line
@@ -628,3 +643,63 @@ class TestReproducibility:
         assert envelope["config"]["samples"] == 150000
         assert envelope["config"]["seed"] == 5
         assert envelope["tool_version"]
+
+
+class TestEnvelopeEcho:
+    """The exact config echo and seed of one run of each JSON command."""
+
+    def envelope(self, tmp_path, *argv):
+        out = tmp_path / "out.json"
+        assert cli.main([*argv, "--output", str(out)]) == cli.EXIT_OK
+        envelope = json.loads(out.read_text())
+        assert sorted(envelope) == [
+            "command", "config", "payload", "schema_version", "seed", "tool_version",
+            "wall_time_s",
+        ]
+        assert envelope["command"] == argv[0]
+        return envelope
+
+    @staticmethod
+    def same(echoed, expected):
+        # as JSON text, so that 10 and 10.0 differ
+        assert json.dumps(echoed, sort_keys=True) == json.dumps(expected, sort_keys=True)
+
+    def test_ineq(self, tmp_path):
+        envelope = self.envelope(
+            tmp_path, "ineq", "--check", "ssa", "--dims", "2,2,2", "--trials", "5", "--seed", "7"
+        )
+        self.same(envelope["config"], {"check": "ssa", "dims": [2, 2, 2], "trials": 5, "seed": 7})
+        assert envelope["seed"] == 7
+
+    def test_exchange(self, tmp_path, exchange_config):
+        envelope = self.envelope(
+            tmp_path, "exchange", "--case", "v", "--config", exchange_config, "--phi", "0.5"
+        )
+        with open(exchange_config) as fh:
+            cfg = json.load(fh)
+        self.same(
+            envelope["config"], {"case": "v", "config_file": cfg, "phi": 0.5, "sweep": None}
+        )
+        assert envelope["seed"] is None
+
+    def test_clausius(self, tmp_path, clausius_config):
+        envelope = self.envelope(
+            tmp_path, "clausius", "--config", clausius_config, "--max-cycles", "40",
+            "--fp-tol", "1e-9",
+        )
+        with open(clausius_config) as fh:
+            cfg = json.load(fh)
+        self.same(envelope["config"], {"config_file": cfg, "max_cycles": 40, "fp_tol": 1e-9})
+        assert envelope["seed"] is None
+
+    def test_gas(self, tmp_path):
+        envelope = self.envelope(
+            tmp_path, "gas", "--ma", "10", "--mb", "1", "--ta", "2", "--tb", "1", "--gamma",
+            "1", "--mode", "product", "--samples", "100", "--seed", "3", "--flux", "on",
+        )
+        expected = {
+            "ma": 10.0, "mb": 1.0, "ta": 2.0, "tb": 1.0, "gamma": 1.0, "mode": "product",
+            "samples": 100, "seed": 3, "flux": "on",
+        }
+        self.same(envelope["config"], expected)
+        assert envelope["seed"] == 3

@@ -505,6 +505,24 @@ class TestClausiusCycle:
         with pytest.raises(NoConvergence):
             clausius_cycle((GAP1, gibbs_state(GAP1, 9.0)), strokes, max_cycles=2, fp_tol=1e-12)
 
+    @pytest.mark.parametrize(
+        "limits",
+        [
+            {"max_cycles": 0},
+            {"max_cycles": -3},
+            {"fp_tol": math.nan},
+            {"fp_tol": math.inf},
+            {"fp_tol": 0.0},
+            {"fp_tol": -1e-6},
+        ],
+        ids=["zero-cycles", "negative-cycles", "tol-nan", "tol-inf", "tol-zero", "tol-negative"],
+    )
+    def test_iteration_limits_refused(self, limits):
+        # refused before any cycle: max_cycles=0 used to end in an
+        # UnboundLocalError, and fp_tol=nan ran every cycle to NoConvergence
+        with pytest.raises(InvalidSpec):
+            clausius_cycle((GAP1, gibbs_state(GAP1, 1.0)), TWO_RESERVOIR_STROKES, **limits)
+
     def test_stroke_validation(self):
         with pytest.raises(InvalidSpec):
             ClausiusStroke.contact(-1.0, 0.5)

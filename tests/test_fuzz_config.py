@@ -1,6 +1,7 @@
 """Property test of the config parsers: any exchange or clausius config,
 however malformed, ends in a documented exit code, and every refusal is one
-``entroflow:`` line on stderr, never a traceback.
+``entroflow:`` line on stderr, never a traceback.  Exchange runs also draw
+valid and malformed ``--sweep`` grids, alone or beside ``--phi``.
 
 Each example is a valid config in which a few fields, at the top level
 and (more rarely) nested, are dropped, set to junk (NaN, infinities,
@@ -27,6 +28,7 @@ DOCUMENTED_EXITS = {
     cli.EXIT_DEGENERACY,
     cli.EXIT_NO_CONVERGENCE,
 }
+SWEEP_HEADER = "phi,Q_A,Q_B,dS_A,dS_B,I_init,I_final,W"
 FUZZ = settings(max_examples=150, derandomize=True, deadline=None)
 
 JUNK = st.sampled_from(
@@ -103,6 +105,14 @@ def exchange_cases(draw):
     phi = draw(st.sampled_from([None, None, None, 0.0, 1.0, math.nan, math.inf, -math.inf]))
     if phi is not None:
         argv.append(f"--phi={phi}")
+    sweep = draw(
+        st.sampled_from(
+            [None, None, None, "phi=0:1:3", "phi=-1:2:4", "phi=0:nan:3", "phi=0:1:inf",
+             "theta=0:1:3", "phi=0:1:1", "phi=a:b:c", "phi=0:1", "0:1:3"]
+        )
+    )
+    if sweep is not None:
+        argv.append(f"--sweep={sweep}")
     return argv, draw(mutated(cfg))
 
 
@@ -159,9 +169,17 @@ def run(argv, cfg):
     return code, err.getvalue(), text
 
 
-def check_outcome(code, stderr, text):
+def check_outcome(code, stderr, text, sweep=False):
     assert code in DOCUMENTED_EXITS, stderr
-    if code in (cli.EXIT_OK, cli.EXIT_VIOLATION):
+    if code in (cli.EXIT_OK, cli.EXIT_VIOLATION) and sweep:
+        # one CSV row per grid point, every value finite
+        assert code == cli.EXIT_OK
+        header, *rows = text.splitlines()
+        assert header == SWEEP_HEADER and len(rows) >= 2, text
+        for row in rows:
+            values = [float(v) for v in row.split(",")]
+            assert len(values) == 8 and all(map(math.isfinite, values)), row
+    elif code in (cli.EXIT_OK, cli.EXIT_VIOLATION):
         assert "payload" in json.loads(text)
     else:
         lines = stderr.splitlines()
@@ -172,7 +190,8 @@ def check_outcome(code, stderr, text):
 @FUZZ
 @given(exchange_cases())
 def test_exchange_config_fuzz(case):
-    check_outcome(*run(*case))
+    argv, _ = case
+    check_outcome(*run(*case), sweep=any(arg.startswith("--sweep") for arg in argv))
 
 
 @FUZZ

@@ -386,7 +386,7 @@ class TestEnsembleHeat:
             {"m_a": 1e308, "m_b": 1e308},  # m_a + m_b overflows
             {"m_a": 1e200, "t_a": 1e200},  # m_a * t_a and alpha_a overflow
             {"m_b": 1e-200, "t_b": 1e-200},  # alpha_b underflows to 0
-            {"gamma": 1e-310, "m_scale": 1e10},  # m_scale / gamma overflows
+            {"gamma": 1e-310},  # 1 / gamma overflows
         ],
         ids=["mass-sum", "root-overflow", "root-underflow", "scale-ratio"],
     )
