@@ -21,7 +21,8 @@ import os
 import sys
 import time
 import warnings
-from typing import Iterable
+from functools import partial
+from typing import Callable
 
 import numpy as np
 
@@ -66,7 +67,7 @@ from .qmath import (
     ginibre_draw,
     haar_unitaries,
     random_densities,
-    substream,
+    substream_draws,
 )
 from .states import (
     STATE_TOL,
@@ -250,9 +251,13 @@ def _parse_sweep(text: str) -> np.ndarray:
 
 # ---------------------------------------------------------------- ineq ---
 
-def _random_states(dims: tuple[int, ...], rngs: Iterable[np.random.Generator]) -> DensityOperator:
-    d = math.prod(dims)
-    return DensityOperator(random_densities([density_draw(d, rng) for rng in rngs]), dims)
+# a batch's trials: runs a per-trial draw on each trial's own stream and
+# returns the draws in trial order (a bound ``qmath.substream_draws``)
+Trials = Callable[[Callable[[np.random.Generator], object]], list]
+
+
+def _random_states(dims: tuple[int, ...], trials: Trials) -> DensityOperator:
+    return DensityOperator(random_densities(trials(partial(density_draw, math.prod(dims)))), dims)
 
 
 # eq2's beta is exp of a uniform draw on [ln 0.1, ln 10]
@@ -280,9 +285,9 @@ def _eq2_draw(d_sys: int, d_anc: int, rng: np.random.Generator) -> tuple:
     )
 
 
-def _eq2_inputs(factors: tuple[int, int], rngs: Iterable[np.random.Generator]) -> tuple:
+def _eq2_inputs(factors: tuple[int, int], trials: Trials) -> tuple:
     # (h_i, beta, channel, h_f) of gibbs_evolution_identity for a batch
-    ln_beta, h_i, h_f, g_u, ancilla = zip(*(_eq2_draw(*factors, rng) for rng in rngs))
+    ln_beta, h_i, h_f, g_u, ancilla = zip(*trials(partial(_eq2_draw, *factors)))
     channel = AncillaChannel(
         haar_unitaries(g_u), DensityOperator(random_densities(ancilla), factors[1:])
     )
@@ -315,22 +320,22 @@ def _gibbs(report: GibbsEvolutionReport) -> dict:
 
 
 # check -> (substream tag, factor-count rule, its error, tensor factors of a
-# trial, a batch's draws and report, payload fields); trial t draws from
-# substream (seed, tag, t), so checks sharing a master seed never consume
-# the same stream; an eq2 ancilla is a qubit unless --dims names it
+# trial, a batch's draws and report, payload fields); trial t draws the
+# stream of substream (seed, tag, t), so checks sharing a master seed never
+# consume the same stream; an eq2 ancilla is a qubit unless --dims names it
 _INEQ_CHECKS = {
     "ssa": (
         1, lambda n: n == 3, "ssa needs exactly 3 factors in --dims", tuple,
-        lambda dims, rngs: check_ssa(_random_states(dims, rngs), 0, 1, 2), _slacks,
+        lambda dims, trials: check_ssa(_random_states(dims, trials), 0, 1, 2), _slacks,
     ),
     "eq1": (
         2, lambda n: n >= 3, "eq1 needs at least 3 factors in --dims", tuple,
-        lambda dims, rngs: average_correlation_bound(_random_states(dims, rngs)), _slacks,
+        lambda dims, trials: average_correlation_bound(_random_states(dims, trials)), _slacks,
     ),
     "eq2": (
         3, lambda n: n <= 2, "eq2 takes --dims SYSTEM or SYSTEM,ANCILLA",
         lambda dims: (*dims, 2)[:2],
-        lambda dims, rngs: gibbs_evolution_identity(*_eq2_inputs(dims, rngs)), _gibbs,
+        lambda dims, trials: gibbs_evolution_identity(*_eq2_inputs(dims, trials)), _gibbs,
     ),
 }
 
@@ -346,14 +351,15 @@ def cmd_ineq(args: argparse.Namespace) -> tuple:
     factors = factors_of(dims)
     joint = _require_joint_dim(math.prod(factors), "--dims")
 
-    # a trial runs only its RNG calls, from its own substream in trial
-    # order; everything derived from the draws runs once per batch, and the
-    # batch reports join into one
+    # a trial runs only its RNG calls, on the stream of substream(seed, tag,
+    # t) in trial order; the Philox keys of a batch's trials are derived in
+    # one vectorised pass (qmath.substream_draws), everything derived from
+    # the draws runs once per batch, and the batch reports join into one
     batch = max(1, BATCH_ELEMENTS // joint**2)
     reports = []
     for first in range(0, args.trials, batch):
         trials = range(first, min(first + batch, args.trials))
-        reports.append(run_batch(factors, (substream(seed, tag, t) for t in trials)))
+        reports.append(run_batch(factors, lambda draw: substream_draws(draw, trials, seed, tag)))
     report = type(reports[0])(
         *(np.concatenate(column) for column in zip(*map(dataclasses.astuple, reports)))
     )
@@ -496,11 +502,6 @@ def _clausius_setup(args: argparse.Namespace):
 
 def cmd_clausius(args: argparse.Namespace) -> tuple:
     cfg, h0, rho0, strokes = _clausius_setup(args)
-    if args.max_cycles < 1:
-        raise ConfigError(f"--max-cycles must be >= 1, got {args.max_cycles}")
-    if not (math.isfinite(args.fp_tol) and args.fp_tol > 0):
-        raise ConfigError(f"--fp-tol must be a finite positive number, got {args.fp_tol}")
-
     report = clausius_cycle((h0, rho0), strokes, max_cycles=args.max_cycles, fp_tol=args.fp_tol)
     payload = dataclasses.asdict(report)
     payload["converged"] = True

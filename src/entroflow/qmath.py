@@ -12,7 +12,11 @@ Conventions fixed once for the whole package:
   basis label (i, j) maps to flat index i * d_B + j;
 - randomness flows through counter-based Philox streams derived from a
   64-bit master seed: every drawn object is a pure function of
-  (seed, substream path) and independent of execution order;
+  (seed, substream path) and independent of execution order.  A Philox
+  stream is fixed by its 128-bit key alone, so ``substream_draws`` derives
+  the keys of a whole range of trials in one vectorised pass
+  (``substream_keys``) and re-keys one generator per trial, instead of
+  building a ``substream`` for each;
 - a random object is drawn in two steps: ``ginibre_draw`` and
   ``density_draw`` make only the RNG calls of one object, and ``ginibre``,
   ``haar_unitaries`` and ``random_densities`` do the arithmetic on a whole
@@ -22,7 +26,8 @@ Conventions fixed once for the whole package:
 from __future__ import annotations
 
 import math
-from typing import Iterable, Sequence
+from itertools import accumulate
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -41,6 +46,77 @@ def substream(seed: int, *path: int) -> np.random.Generator:
     any order (or in parallel) without changing results.
     """
     return np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, *path))))
+
+
+def substream_keys(trials: Sequence[int], seed: int, *path: int) -> np.ndarray:
+    """Philox keys of ``substream(seed, *path, t)`` for every t in trials, as
+    an (n, 2) uint64 array: numpy's ``SeedSequence`` entropy hash (a pool of
+    4 words) and ``generate_state(2, np.uint64)``, run in uint32 arithmetic
+    over all trials at once."""
+    mask = 0xFFFFFFFF
+
+    def consts(init: int, mult: int, steps: int) -> np.ndarray:
+        # the multipliers one hash steps through, as a column
+        out = accumulate(range(steps), lambda h, _: h * mult & mask, initial=init)
+        return np.array(list(out), np.uint32)[:, None]
+
+    def hashmix(value, c):
+        # one hash call per row of c[:-1]: xor with c[i], multiply by c[i + 1]
+        value = (value ^ c[:-1]) * c[1:]
+        return value ^ value >> 16
+
+    def mix(x, y):
+        out = np.uint32(0xCA01F9DD) * x - np.uint32(0x4973F715) * y
+        return out ^ out >> 16
+
+    if min((seed, *path)) < 0:
+        raise ValueError(f"substream path entries must be non-negative, got {(seed, *path)}")
+    # SeedSequence's entropy words of each integer, least significant first
+    prefix = [n >> s & mask for n in (seed, *path) for s in range(0, max(n.bit_length(), 1), 32)]
+    t = np.asarray(trials, dtype=np.uint64).reshape(-1)
+    keys = np.empty((t.size, 2), np.uint64)
+    # a trial number of 2**32 or more is two entropy words, one below is one
+    for rows, size in ((t <= mask, len(prefix) + 1), (t > mask, len(prefix) + 2)):
+        if not rows.any():
+            continue
+        words = np.zeros((max(size, 4), int(rows.sum())), np.uint32)
+        words[: len(prefix)] = np.array(prefix, np.uint32)[:, None]
+        words[len(prefix)] = t[rows] & mask
+        if size > len(prefix) + 1:
+            words[size - 1] = t[rows] >> 32
+        c = consts(0x43B0D7E5, 0x931E8875, 16 + 4 * max(size - 4, 0))
+        pool = hashmix(words[:4], c[:5])
+        # each pool word mixed into the other three, then any extra word into all four
+        for src in range(4):
+            dst = [d for d in range(4) if d != src]
+            pool[dst] = mix(pool[dst], hashmix(pool[src], c[4 + 3 * src : 8 + 3 * src]))
+        for i, word in enumerate(words[4:size]):
+            pool = mix(pool, hashmix(word, c[16 + 4 * i : 21 + 4 * i]))
+        state = hashmix(pool, consts(0x8B51F9DD, 0x58F38DED, 4)).astype(np.uint64)
+        keys[rows] = (state[0::2] | state[1::2] << 32).T
+    return keys
+
+
+def substream_draws(
+    draw: Callable[[np.random.Generator], object], trials: Sequence[int], seed: int, *path: int
+) -> list:
+    """``draw(substream(seed, *path, t))`` for every t in trials, in order.
+
+    One Philox is re-keyed per trial from ``substream_keys`` and reset to
+    counter 0 with an empty buffer, so each draw reads the exact stream of
+    its ``substream`` while no trial builds a SeedSequence, a Philox or a
+    Generator; the re-keyed generator never leaves this function.
+    """
+    bits = np.random.Philox(0)
+    rng = np.random.Generator(bits)
+    # a fresh Philox's state: counter 0, buffer spent, no spare uint32
+    state = bits.state
+    out = []
+    for key in substream_keys(trials, seed, *path).tolist():
+        state["state"]["key"] = key
+        bits.state = state
+        out.append(draw(rng))
+    return out
 
 
 def dagger(m: np.ndarray) -> np.ndarray:

@@ -12,8 +12,8 @@ import pytest
 
 from conftest import eq2_trial, random_density
 
-from entroflow import DensityOperator, NonFiniteResult, clausius_cycle, cli, substream
-from entroflow.qmath import ginibre_draw, random_densities
+from entroflow import DensityOperator, NonFiniteResult, clausius_cycle, cli, exchange, substream
+from entroflow.qmath import ginibre_draw, random_densities, substream_draws
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -155,7 +155,7 @@ class TestBatchedDraws:
     @pytest.mark.parametrize("dims, trials", [((2, 2, 2), 40), ((2, 2, 2, 2), 1), ((3, 2), 30)])
     def test_ssa_and_eq1_states(self, dims, trials):
         d = math.prod(dims)
-        got = cli._random_states(dims, (substream(32, t) for t in range(trials)))
+        got = cli._random_states(dims, lambda draw: substream_draws(draw, range(trials), 32))
         ranks = set()
         for t in range(trials):
             rng = substream(32, t)
@@ -169,7 +169,7 @@ class TestBatchedDraws:
     @pytest.mark.parametrize("factors, trials", [((2, 3), 12), ((3, 2), 1), ((2, 2), 9)])
     def test_eq2_inputs(self, factors, trials):
         h_i, beta, channel, h_f = cli._eq2_inputs(
-            factors, (substream(33, t) for t in range(trials))
+            factors, lambda draw: substream_draws(draw, range(trials), 33)
         )
         for t in range(trials):
             *want, ancilla = eq2_trial(*factors, substream(33, t))
@@ -403,25 +403,38 @@ class TestClausius:
         proc = run_cli("clausius", "--config", str(path), "--max-cycles", "2", "--fp-tol", "1e-12")
         assert proc.returncode == 4
 
+    def refused_before_any_contact(self, clausius_config, tmp_path, monkeypatch, capsys, flag):
+        # clausius_cycle refuses its iteration limits itself, before a contact
+        def no_contact(*args, **kwargs):
+            raise AssertionError("a contact ran")
+
+        monkeypatch.setattr(exchange, "_contact_state", no_contact)
+        out = tmp_path / "out.json"
+        code = cli.main(["clausius", "--config", clausius_config, flag, "--output", str(out)])
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_VALIDATION
+        assert captured.out == ""
+        assert not out.exists()
+        return captured.err.splitlines()
+
     @pytest.mark.parametrize("value", ["inf", "nan", "-inf", "0"])
     def test_non_finite_fp_tol_exits_2_before_any_contact(
         self, clausius_config, tmp_path, monkeypatch, capsys, value
     ):
-        def no_cycle(*args, **kwargs):
-            raise AssertionError("clausius_cycle ran")
-
-        monkeypatch.setattr(cli, "clausius_cycle", no_cycle)
-        out = tmp_path / "out.json"
-        code = cli.main(
-            ["clausius", "--config", clausius_config, f"--fp-tol={value}", "--output", str(out)]
+        err = self.refused_before_any_contact(
+            clausius_config, tmp_path, monkeypatch, capsys, f"--fp-tol={value}"
         )
-        captured = capsys.readouterr()
-        assert code == cli.EXIT_VALIDATION
-        assert captured.err.splitlines() == [
-            f"entroflow: config error: --fp-tol must be a finite positive number, got {float(value)}"
+        assert err == [
+            f"entroflow: config error: fp_tol must be a finite positive number, got {float(value)}"
         ]
-        assert captured.out == ""
-        assert not out.exists()
+
+    def test_zero_max_cycles_exits_2_before_any_contact(
+        self, clausius_config, tmp_path, monkeypatch, capsys
+    ):
+        err = self.refused_before_any_contact(
+            clausius_config, tmp_path, monkeypatch, capsys, "--max-cycles=0"
+        )
+        assert err == ["entroflow: config error: max_cycles must be >= 1, got 0"]
 
 
 def _with(base, **fields):

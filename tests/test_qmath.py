@@ -10,7 +10,13 @@ from entroflow import (
     partial_trace,
     substream,
 )
-from entroflow.qmath import ginibre_draw, haar_unitaries, random_densities
+from entroflow.qmath import (
+    ginibre_draw,
+    haar_unitaries,
+    random_densities,
+    substream_draws,
+    substream_keys,
+)
 
 
 def kron_loop(a, b):
@@ -224,3 +230,67 @@ class TestDeterminism:
         assert not np.array_equal(
             unitaries(4, 1, substream(77, 1)), unitaries(4, 1, substream(77, 2))
         )
+
+
+# seeds at the word boundaries of SeedSequence's entropy and random ones;
+# trial ranges that start at 0 or 1, ragged ones, ones across t = 2**32
+# (where a trial number becomes two entropy words) and unordered lists
+KEY_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1] + [
+    int(s) for s in np.random.default_rng(2024).integers(0, 2**63, 4, dtype=np.int64)
+]
+KEY_TRIALS = [
+    range(0, 1),
+    range(1, 2),
+    range(0, 37),
+    range(5, 130),
+    range(2**32 - 3, 2**32 + 2),
+    [2**32 - 1],
+    [2**32],
+    [9, 2**32, 3, 2**32 - 1, 0],
+]
+
+
+def trial_draw(rng):
+    """The RNG calls of an ineq trial: bounded integers, normals, uniforms."""
+    return rng.integers(1, 9, 3), rng.standard_normal((2, 3)), rng.uniform(0.0, 1.2, 4)
+
+
+class TestSubstreamKeys:
+    """The keys and streams of ``substream_draws`` bit for bit against one
+    ``substream`` per trial."""
+
+    @pytest.mark.parametrize("tag", [1, 2, 3])
+    @pytest.mark.parametrize("seed", KEY_SEEDS)
+    def test_keys_are_seed_sequence_states(self, seed, tag):
+        for trials in KEY_TRIALS:
+            keys = substream_keys(trials, seed, tag)
+            assert keys.dtype == np.uint64 and keys.shape == (len(trials), 2)
+            for key, t in zip(keys, trials):
+                want = np.random.SeedSequence((seed, tag, t)).generate_state(2, np.uint64)
+                assert np.array_equal(key, want), (seed, tag, t)
+
+    @pytest.mark.parametrize("path", [(), (7,), (2**32, 5)])
+    def test_keys_of_other_paths(self, path):
+        trials = range(2**32 - 2, 2**32 + 2)
+        for key, t in zip(substream_keys(trials, 11, *path), trials):
+            want = np.random.SeedSequence((11, *path, t)).generate_state(2, np.uint64)
+            assert np.array_equal(key, want)
+
+    @pytest.mark.parametrize("tag", [1, 2, 3])
+    @pytest.mark.parametrize("seed", KEY_SEEDS)
+    def test_draws_are_each_trials_substream(self, seed, tag):
+        for trials in KEY_TRIALS:
+            got = substream_draws(trial_draw, trials, seed, tag)
+            assert len(got) == len(trials)
+            for drawn, t in zip(got, trials):
+                want = trial_draw(substream(seed, tag, t))
+                for a, b in zip(drawn, want):
+                    assert np.array_equal(a.view(np.int64), b.view(np.int64)), (seed, tag, t)
+
+    def test_no_trials(self):
+        assert substream_keys(range(0), 1, 2).shape == (0, 2)
+        assert substream_draws(trial_draw, range(0), 1, 2) == []
+
+    def test_negative_path_refused(self):
+        with pytest.raises(ValueError):
+            substream_keys(range(2), 1, -2)
