@@ -21,7 +21,7 @@ import os
 import sys
 import time
 import warnings
-from functools import partial
+from functools import cache, partial
 from typing import Callable
 
 import numpy as np
@@ -135,7 +135,9 @@ def payload_json(payload: dict) -> str:
 
 
 def make_envelope(command: str, config: dict, seed: int | None, payload: dict, wall_time: float) -> str:
-    """The result envelope, encoded as indented JSON text."""
+    """The result envelope as JSON text, one line per top-level key in sorted
+    order; each value is compact JSON, so json's C encoder runs (it does not
+    with ``indent``), and the payload's is ``payload_json(payload)``."""
     envelope = {
         "tool_version": __version__,
         "schema_version": SCHEMA_VERSION,
@@ -145,7 +147,8 @@ def make_envelope(command: str, config: dict, seed: int | None, payload: dict, w
         "wall_time_s": wall_time,
         "payload": payload,
     }
-    return _dumps(envelope, indent=2)
+    lines = ",\n".join(f'  "{key}": {_dumps(value)}' for key, value in sorted(envelope.items()))
+    return "{\n" + lines + "\n}"
 
 
 def _write_text(text: str, path: str | None) -> None:
@@ -378,15 +381,23 @@ def _exchange_setup(args: argparse.Namespace):
     mu_b = _require_positive(cfg, "mu_b")
     spec = EntangledThermalSpec(np.asarray(epsilon), gamma, mu_a, mu_b)
 
-    rotations_cfg = cfg.get("rotations")
-    if not isinstance(rotations_cfg, list) or not rotations_cfg or not all(
-        map(_is_rotation, rotations_cfg)
-    ):
+    rotations = cfg.get("rotations")
+    try:
+        # one pass: anything but [[i, j], [i2, j2], phi] fails to unpack, and
+        # so does [] (a JSON string or object unpacks only into strings)
+        *labels, angles = zip(*[(i, j, i2, j2, phi) for (i, j), (i2, j2), phi in rotations])
+        valid = (
+            all({int}.issuperset(map(type, column)) for column in labels)
+            and {int, float}.issuperset(map(type, angles))
+            and np.isfinite(np.array(angles, dtype=float)).all()
+        )
+    except (TypeError, ValueError, OverflowError):
+        valid = False
+    if not valid:
         raise ConfigError(
             "config field 'rotations' must be a list of [[i,j],[i2,j2],phi] "
             "with integer labels and a finite angle"
         )
-    planes = [((i, j), (i2, j2), float(phi)) for (i, j), (i2, j2), phi in rotations_cfg]
 
     if args.case == "v":
         case = CaseSpec.case_v(spec)
@@ -397,19 +408,7 @@ def _exchange_setup(args: argparse.Namespace):
             spec.hamiltonian_b(),
             spec.beta_b if cfg.get("beta_b") is None else _require_positive(cfg, "beta_b"),
         )
-    return cfg, case, planes
-
-
-def _is_rotation(rot) -> bool:
-    return (
-        isinstance(rot, list)
-        and len(rot) == 3
-        and all(
-            isinstance(label, list) and len(label) == 2 and all(type(v) is int for v in label)
-            for label in rot[:2]
-        )
-        and _is_finite_number(rot[2])
-    )
+    return cfg, case, rotations
 
 
 # sweep CSV columns after phi: (header, ExchangeReport field)
@@ -429,12 +428,12 @@ def cmd_exchange(args: argparse.Namespace) -> tuple | str:
         raise ConfigError("--phi and --sweep both set the angle; give one of them")
     if args.phi is not None:
         _require_finite(args.phi, "--phi")
-    cfg, case, planes = _exchange_setup(args)
+    cfg, case, rotations = _exchange_setup(args)
     grid = None if args.sweep is None else _parse_sweep(args.sweep)
     # the planes are checked once; --phi and each sweep point only swap the
     # angle, and no D x D unitary is built
     h_a, h_b = case.hamiltonians()
-    form = givens_planes((h_a.dim, h_b.dim), planes, joint_energies(h_a, h_b))
+    form = givens_planes((h_a.dim, h_b.dim), rotations, joint_energies(h_a, h_b))
 
     if grid is not None:
         rows = []
@@ -531,7 +530,9 @@ def cmd_gas(args: argparse.Namespace) -> tuple:
 
 # ---------------------------------------------------------------- main ---
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process; ``parse_args`` leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="entroflow",
         description="Heat-flow direction experiments for correlated quantum systems.",
@@ -551,7 +552,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_ineq.add_argument("--trials", type=int, default=100)
     p_ineq.add_argument("--seed", type=int, required=True)
     p_ineq.add_argument("--output", default=None, help="output path (default stdout)")
-    p_ineq.set_defaults(func=cmd_ineq)
 
     p_ex = sub.add_parser("exchange", help="two-system heat-exchange experiment")
     p_ex.add_argument("--case", required=True, choices=["s", "v"])
@@ -559,14 +559,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_ex.add_argument("--phi", type=float, default=None, help="override all rotation angles")
     p_ex.add_argument("--sweep", default=None, help="phi=a:b:n emits CSV rows over the grid")
     p_ex.add_argument("--output", default=None)
-    p_ex.set_defaults(func=cmd_exchange)
 
     p_cl = sub.add_parser("clausius", help="cyclic contact-with-reservoirs run")
     p_cl.add_argument("--config", required=True, help="JSON system + strokes config")
     p_cl.add_argument("--max-cycles", type=int, default=MAX_CYCLES)
     p_cl.add_argument("--fp-tol", type=float, default=FIXED_POINT_TOL)
     p_cl.add_argument("--output", default=None)
-    p_cl.set_defaults(func=cmd_clausius)
 
     p_gas = sub.add_parser("gas", help="dilute-gas collision ensemble")
     p_gas.add_argument("--ma", type=float, required=True)
@@ -579,13 +577,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_gas.add_argument("--seed", type=int, required=True)
     p_gas.add_argument("--flux", choices=["on", "off"], default=None)
     p_gas.add_argument("--output", default=None)
-    p_gas.set_defaults(func=cmd_gas)
     return parser
 
 
 # argparse dests the envelope does not echo: a command echoes the parsed
 # config file, not its path
-_NOT_ECHOED = ("command", "func", "output", "config")
+_NOT_ECHOED = ("command", "output", "config")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -599,7 +596,8 @@ def main(argv: list[str] | None = None) -> int:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             started = time.perf_counter()
-            result = args.func(args)
+            # looked up per call, so a wrapped or replaced cmd_* is the one run
+            result = globals()[f"cmd_{args.command}"](args)
             if isinstance(result, str):
                 _write_text(result, args.output)
                 return EXIT_OK

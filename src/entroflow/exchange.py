@@ -240,6 +240,9 @@ def givens_planes(
     the diagonal of the noninteracting joint Hamiltonian) within
     DEGENERACY_TOL, so the rotation commutes with it, and no basis state may
     lie in two planes.  phi = pi/2 maps one state onto the other up to sign.
+    Each check is one array mask over all rotations; the first rotation in
+    input order that fails raises, for the first of its failed checks in the
+    order label range, two distinct states, degeneracy, reuse.
     """
     dims = tuple(int(d) for d in dims)
     if len(dims) != 2:
@@ -249,28 +252,37 @@ def givens_planes(
     energies = np.asarray(energies, dtype=float).ravel()
     if energies.size != d:
         raise DimensionMismatch(f"energies length {energies.size} != joint dim {d}")
-
-    planes: list[tuple[int, int, float, float]] = []
-    used: set[int] = set()
-    for (i, j), (i2, j2), phi in rotations:
-        for idx, bound in (((i, j), (d_a, d_b)), ((i2, j2), (d_a, d_b))):
-            if not (0 <= idx[0] < bound[0] and 0 <= idx[1] < bound[1]):
-                raise DimensionMismatch(f"joint label {idx} out of range for dims {dims}")
-        fu = i * d_b + j
-        fv = i2 * d_b + j2
-        if fu == fv:
-            raise OverlappingPlanes(f"rotation plane degenerates to a single state {(i, j)}")
-        if abs(energies[fu] - energies[fv]) > DEGENERACY_TOL:
-            raise NotDegenerate(
-                f"labels {(i, j)} and {(i2, j2)} differ in energy by "
-                f"{abs(energies[fu] - energies[fv]):.3e} (> {DEGENERACY_TOL})"
-            )
-        if fu in used or fv in used:
-            raise OverlappingPlanes(f"rotation plane ({(i, j)}, {(i2, j2)}) reuses a basis state")
-        used.update((fu, fv))
-        planes.append((fu, fv, np.cos(phi), np.sin(phi)))
-    u, v, c, s = np.array(planes, dtype=float).reshape(-1, 4).T
-    return GivensPlanes(dims, u.astype(int), v.astype(int), c, s)
+    rows = [(i, j, i2, j2, phi) for (i, j), (i2, j2), phi in rotations]
+    if not rows:
+        return GivensPlanes(dims, np.zeros(0, int), np.zeros(0, int), np.zeros(0), np.zeros(0))
+    *columns, phi = zip(*rows)
+    bounds = (d_a, d_b, d_a, d_b)
+    # labels are compared as Python numbers before the int64 cast; one out of
+    # range is clamped to -1 or its bound, so it stays out of range
+    if not all(0 <= min(col) and max(col) < b for col, b in zip(columns, bounds)):
+        columns = [[min(max(x, -1), b) for x in col] for col, b in zip(columns, bounds)]
+    labels = np.asarray(columns).astype(np.int64, casting="same_kind")
+    in_range = ((labels >= 0) & (labels < np.array(bounds)[:, None])).reshape(2, 2, -1).all(axis=1)
+    u, v = labels[0::2] * d_b + labels[1::2]
+    gap = np.abs(np.subtract(*energies[np.where(in_range, (u, v), 0)]))
+    # a state is reused when it came earlier in u0, v0, u1, v1, ...
+    reused = np.ones(2 * u.size, dtype=bool)
+    reused[np.unique(np.stack([u, v], axis=1), return_index=True)[1]] = False
+    failed = np.stack([*~in_range, u == v, gap > DEGENERACY_TOL, reused.reshape(-1, 2).any(axis=1)])
+    if failed.any():
+        k = int(np.argmax(failed.any(axis=0)))
+        first, second = rows[k][:2], rows[k][2:4]
+        error, message = (  # one per row of failed
+            (DimensionMismatch, f"joint label {first} out of range for dims {dims}"),
+            (DimensionMismatch, f"joint label {second} out of range for dims {dims}"),
+            (OverlappingPlanes, f"rotation plane degenerates to a single state {first}"),
+            (NotDegenerate, f"labels {first} and {second} differ in energy by "
+             f"{gap[k]:.3e} (> {DEGENERACY_TOL})"),
+            (OverlappingPlanes, f"rotation plane ({first}, {second}) reuses a basis state"),
+        )[int(np.argmax(failed[:, k]))]
+        raise error(message)
+    phi = np.array(phi, dtype=float)
+    return GivensPlanes(dims, u, v, np.cos(phi), np.sin(phi))
 
 
 def _plane_gate(planes: GivensPlanes, h_a: HamiltonianSpec, h_b: HamiltonianSpec) -> bool:

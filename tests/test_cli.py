@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import inspect
 import json
@@ -10,9 +11,21 @@ import golden
 import numpy as np
 import pytest
 
-from conftest import eq2_trial, random_density
+from conftest import eq2_trial, random_density, shell_planes
 
-from entroflow import DensityOperator, NonFiniteResult, clausius_cycle, cli, exchange, substream
+from entroflow import (
+    CaseSpec,
+    DensityOperator,
+    EntangledThermalSpec,
+    NonFiniteResult,
+    clausius_cycle,
+    cli,
+    exchange,
+    givens_planes,
+    joint_energies,
+    run_exchange,
+    substream,
+)
 from entroflow.qmath import ginibre_draw, random_densities, substream_draws
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -282,6 +295,21 @@ class TestExchange:
         proc = run_cli("exchange", "--case", "v", "--config", str(path))
         assert proc.returncode == 3
 
+    @pytest.mark.parametrize("label", [2**63, 2**70, -1])
+    def test_out_of_range_label_exits_2(self, tmp_path, exchange_config, capsys, label):
+        # compared as a Python int, never cast to int64 (an OverflowError
+        # would end in exit 5)
+        cfg = json.loads(open(exchange_config).read())
+        cfg["rotations"] = [[[2, 2], [0, 3], 0.3], [[label, 0], [0, 1], 0.3]]
+        path = tmp_path / "bad_label.json"
+        path.write_text(json.dumps(cfg))
+        assert cli.main(["exchange", "--case", "v", "--config", str(path)]) == cli.EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"entroflow: joint label ({label}, 0) out of range for dims (4, 4)\n"
+        )
+
     def test_schema_violation_exits_2(self, tmp_path, exchange_config):
         cfg = json.loads(open(exchange_config).read())
         cfg["schema_version"] = 99
@@ -467,6 +495,14 @@ NAN_POPULATIONS = {"kind": "diagonal", "populations": [float("nan"), 1.0]}
         (("exchange", "--case", "v"), _with(EXCHANGE_CFG, rotations=[[[2], [0, 3], 1.5]])),
         (("exchange", "--case", "v"), _with(EXCHANGE_CFG, rotations=[[[2, 2], [0, 3], "x"]])),
         (("exchange", "--case", "v"), _with(EXCHANGE_CFG, rotations=[[[2, 2.5], [0, 3], 1.5]])),
+        (("exchange", "--case", "v"), _with(EXCHANGE_CFG, rotations=[[[True, 2], [0, 3], 1.5]])),
+        (("exchange", "--case", "v"), _with(EXCHANGE_CFG, rotations=[[[2, 2], [0, 3.0], 1.5]])),
+        (("exchange", "--case", "v"), _with(EXCHANGE_CFG, rotations=[[[2, 2], [0, 3]]])),
+        (("exchange", "--case", "v"), _with(EXCHANGE_CFG, rotations=[[[2, 2], [0, 3], True]])),
+        (("exchange", "--case", "v"), _with(EXCHANGE_CFG, rotations=[[[2, 2], [0, 3], 10**400]])),
+        (("exchange", "--case", "v"), _with(EXCHANGE_CFG, rotations=[])),
+        (("exchange", "--case", "v"), _with(EXCHANGE_CFG, rotations="abc")),
+        (("exchange", "--case", "v"), _with(EXCHANGE_CFG, rotations={"ab": 1, "cde": 2})),
         (("exchange", "--case", "s"), _with(EXCHANGE_CFG, beta_a="hot")),
         (("exchange", "--case", "s"), _with(EXCHANGE_CFG, beta_b=float("inf"))),
         (("clausius",), _with(CYCLE_CFG, strokes=[_with(CONTACT, phi="abc")])),
@@ -474,7 +510,9 @@ NAN_POPULATIONS = {"kind": "diagonal", "populations": [float("nan"), 1.0]}
         (("clausius",), _with(CYCLE_CFG, initial_state=NAN_POPULATIONS)),
     ],
     ids=[
-        "short-label", "angle-string", "fractional-label", "beta-string", "beta-inf",
+        "short-label", "angle-string", "fractional-label", "true-label", "float-label",
+        "two-element-rotation", "true-angle", "angle-beyond-float", "no-rotations",
+        "rotations-string", "rotations-object", "beta-string", "beta-inf",
         "stroke-phi-string", "stroke-phi-list", "population-nan",
     ],
 )
@@ -615,10 +653,10 @@ class TestClausiusDefaults:
 
 class TestInternalError:
     def test_unexpected_exception_maps_to_internal_code(self, monkeypatch, capsys):
-        def broken(args):
+        def broken(*args, **kwargs):
             raise ValueError("boom\nsecond line")
 
-        monkeypatch.setattr(cli, "cmd_gas", broken)
+        monkeypatch.setattr(cli, "ensemble_heat", broken)
         code = cli.main(
             ["gas", "--ma", "1", "--mb", "1", "--ta", "1", "--tb", "1", "--gamma", "1",
              "--mode", "product", "--samples", "10", "--seed", "1"]
@@ -630,6 +668,111 @@ class TestInternalError:
         )
         err = capsys.readouterr().err
         assert err == "entroflow: internal error: ValueError: boom second line\n"
+
+
+class TestParserCache:
+    """One parser per process, and nothing of one command reaches the next."""
+
+    def envelope(self, tmp_path, *argv):
+        out = tmp_path / "out.json"
+        assert cli.main([*argv, "--output", str(out)]) == cli.EXIT_OK
+        return json.loads(out.read_text())
+
+    def test_one_parser(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_no_flag_leaks_into_the_next_command(self, tmp_path, exchange_config):
+        exchange_argv = ("exchange", "--case", "v", "--config", exchange_config)
+        assert self.envelope(tmp_path, *exchange_argv, "--phi", "0.5")["config"]["phi"] == 0.5
+        assert self.envelope(tmp_path, *exchange_argv)["config"]["phi"] is None
+        self.envelope(tmp_path, *TestReproducibility.GAS_ARGS[:-4], "--samples", "100", "--seed", "3")
+        ineq = self.envelope(
+            tmp_path, "ineq", "--check", "ssa", "--dims", "2,2,2", "--trials", "5", "--seed", "7"
+        )
+        assert sorted(ineq["config"]) == ["check", "dims", "seed", "trials"]
+
+    def test_a_replaced_command_function_runs(self, monkeypatch, capsys):
+        # the parser is built before the patch, as when a tracer wraps cmd_*
+        # functions in a process that has already run commands
+        cli.build_parser()
+        monkeypatch.setattr(cli, "cmd_ineq", lambda args: ({}, {"replaced": True}, cli.EXIT_OK))
+        assert cli.main(["ineq", "--check", "ssa", "--dims", "2,2,2", "--seed", "1"]) == 0
+        assert json.loads(capsys.readouterr().out)["payload"] == {"replaced": True}
+
+
+class TestEnvelopeFormat:
+    """``{``, one ``  "key": value`` line per sorted top-level key, ``}``;
+    each value is compact JSON and the payload's is the canonical payload."""
+
+    @pytest.mark.parametrize("command", ["ineq", "exchange", "clausius", "gas"])
+    def test_one_line_per_key(self, tmp_path, exchange_config, clausius_config, command):
+        argv = {
+            "ineq": ("ineq", "--check", "eq2", "--dims", "2", "--trials", "3", "--seed", "7"),
+            "exchange": ("exchange", "--case", "s", "--config", exchange_config),
+            "clausius": ("clausius", "--config", clausius_config),
+            "gas": (*TestReproducibility.GAS_ARGS[:-4], "--samples", "100", "--seed", "3"),
+        }[command]
+        out = tmp_path / "out.json"
+        assert cli.main([*argv, "--output", str(out)]) == cli.EXIT_OK
+        text = out.read_text()
+        envelope = json.loads(text)
+        lines = text.split("\n")
+        assert lines[0] == "{" and lines[-1] == "}"
+        keys = sorted(envelope)
+        assert len(lines) == len(keys) + 2
+        for n, (key, line) in enumerate(zip(keys, lines[1:-1])):
+            comma = "," if n < len(keys) - 1 else ""
+            assert line == f'  "{key}": {cli._dumps(envelope[key])}{comma}'
+        assert lines[keys.index("payload") + 1] == (
+            f'  "payload": {cli.payload_json(envelope["payload"])},'
+        )
+
+    def test_same_document_as_the_indented_encoding(self):
+        config = {"k": TestNumpyPayload.NUMPY, "dims": [2, 3], "phi": None, "name": "x\"y"}
+        payload = {**TestNumpyPayload.NUMPY, "nested": {"b": [1.0, -0.0], "a": 1e-300}}
+        text = cli.make_envelope("gas", config, 2**64 - 1, payload, 0.125)
+        indented = json.dumps(
+            {
+                "tool_version": cli.__version__, "schema_version": cli.SCHEMA_VERSION,
+                "command": "gas", "config": config, "seed": 2**64 - 1, "wall_time_s": 0.125,
+                "payload": payload,
+            },
+            indent=2, sort_keys=True, allow_nan=False, default=cli._numpy_value,
+        )
+        assert json.loads(text) == json.loads(indented)
+
+
+class TestExchangeAtTheLimit:
+    """``cli.main exchange`` at the joint-dimension limit (64 levels a side,
+    joint dimension 4096), with every plane of shell_planes(64): the
+    payload is the library's report, bit for bit."""
+
+    @pytest.mark.parametrize("case", ["v", "s"])
+    def test_payload_is_the_library_report(self, tmp_path, case):
+        d = 64
+        assert d * d == cli.MAX_JOINT_DIM
+        rotations = [(first, second, 0.9) for first, second in shell_planes(d)]
+        cfg = {
+            "schema_version": 1, "kind": "exchange", "epsilon": [float(i) for i in range(d)],
+            "gamma": 0.7, "mu_a": 1.0, "mu_b": 0.5, "rotations": rotations,
+        }
+        path, out = tmp_path / "cfg.json", tmp_path / "out.json"
+        path.write_text(json.dumps(cfg))
+        argv = ["exchange", "--case", case, "--config", str(path), "--output", str(out)]
+        assert cli.main(argv) == cli.EXIT_OK
+        payload = json.loads(out.read_text())["payload"]
+
+        spec = EntangledThermalSpec(np.arange(d, dtype=float), 0.7, 1.0, 0.5)
+        h_a, h_b = spec.hamiltonian_a(), spec.hamiltonian_b()
+        lib_case = (
+            CaseSpec.case_v(spec) if case == "v"
+            else CaseSpec.case_s(h_a, spec.beta_a, h_b, spec.beta_b)
+        )
+        planes = givens_planes((d, d), rotations, joint_energies(h_a, h_b))
+        report = dataclasses.asdict(run_exchange(lib_case, planes))
+        assert cli.payload_json(payload) == cli.payload_json(report)
+        assert payload["energy_conserving"] is True
+        assert payload["identity_gap"] <= 1e-14
 
 
 class TestReproducibility:

@@ -763,26 +763,119 @@ class TestPlaneForm:
                 with pytest.raises(NotUnitary):
                     run_exchange(case, form)
 
+    # (2, 2)-(0, 3), (2, 0)-(0, 1) and (0, 3)-(2, 2) are degenerate planes of
+    # DEMO_SPEC; (0, 0)-(1, 1) and (2, 0)-(3, 3) are not.  A list with several
+    # bad rotations names the first in input order, for its first failed
+    # check (label range, two distinct states, degeneracy, reuse)
     @pytest.mark.parametrize(
-        "rotations, error",
+        "rotations, error, message",
         [
-            ([((2, 2), (0, 3), 0.3), ((2, 2), (0, 3), 0.2)], OverlappingPlanes),
-            ([((2, 2), (0, 3), 0.3), ((0, 3), (2, 2), 0.2)], OverlappingPlanes),
-            ([((1, 1), (1, 1), 0.3)], OverlappingPlanes),
-            ([((0, 0), (1, 1), 0.3)], NotDegenerate),
-            ([((4, 0), (0, 2), 0.3)], DimensionMismatch),
-            ([((0, -1), (0, 2), 0.3)], DimensionMismatch),
+            (
+                [((2, 2), (0, 3), 0.3), ((2, 2), (0, 3), 0.2)], OverlappingPlanes,
+                "rotation plane ((2, 2), (0, 3)) reuses a basis state",
+            ),
+            (
+                [((2, 2), (0, 3), 0.3), ((0, 3), (2, 2), 0.2)], OverlappingPlanes,
+                "rotation plane ((0, 3), (2, 2)) reuses a basis state",
+            ),
+            (
+                [((1, 1), (1, 1), 0.3)], OverlappingPlanes,
+                "rotation plane degenerates to a single state (1, 1)",
+            ),
+            (
+                [((0, 0), (1, 1), 0.3)], NotDegenerate,
+                "labels (0, 0) and (1, 1) differ in energy by 3.000e+00 (> 1e-09)",
+            ),
+            (
+                [((4, 0), (0, 2), 0.3)], DimensionMismatch,
+                "joint label (4, 0) out of range for dims (4, 4)",
+            ),
+            (
+                [((0, -1), (0, 2), 0.3)], DimensionMismatch,
+                "joint label (0, -1) out of range for dims (4, 4)",
+            ),
+            (
+                [((2, 2), (0, 3), 0.3), ((0, 3), (2, 2), 0.2), ((4, 0), (0, 2), 0.3)],
+                OverlappingPlanes, "rotation plane ((0, 3), (2, 2)) reuses a basis state",
+            ),
+            (
+                [((2, 2), (0, 3), 0.3), ((4, 0), (0, 2), 0.3), ((0, 3), (2, 2), 0.2)],
+                DimensionMismatch, "joint label (4, 0) out of range for dims (4, 4)",
+            ),
+            (
+                [((2, 0), (0, 1), 0.3), ((0, 0), (1, 1), 0.3), ((1, 1), (1, 1), 0.3)],
+                NotDegenerate, "labels (0, 0) and (1, 1) differ in energy by 3.000e+00 (> 1e-09)",
+            ),
+            (
+                [((2, 0), (0, 1), 0.3), ((1, 1), (1, 1), 0.3), ((0, 0), (1, 1), 0.3)],
+                OverlappingPlanes, "rotation plane degenerates to a single state (1, 1)",
+            ),
+            (
+                [((2, 0), (0, 1), 0.3), ((2, 0), (3, 3), 0.3)], NotDegenerate,
+                "labels (2, 0) and (3, 3) differ in energy by 7.000e+00 (> 1e-09)",
+            ),
+            (
+                [((5, 0), (5, 0), 0.3)], DimensionMismatch,
+                "joint label (5, 0) out of range for dims (4, 4)",
+            ),
+            (
+                [((0, 0), (0, 4), 0.3)], DimensionMismatch,
+                "joint label (0, 4) out of range for dims (4, 4)",
+            ),
+            (
+                [((2**63, 0), (0, 2), 0.3)], DimensionMismatch,
+                "joint label (9223372036854775808, 0) out of range for dims (4, 4)",
+            ),
+            (
+                [((2**70, 0), (0, 2), 0.3)], DimensionMismatch,
+                "joint label (1180591620717411303424, 0) out of range for dims (4, 4)",
+            ),
+            (
+                [((-1, 0), (0, 2), 0.3)], DimensionMismatch,
+                "joint label (-1, 0) out of range for dims (4, 4)",
+            ),
+            (
+                [((2, 2), (0, 3), 0.3), ((0, 1), (0, 2**70), 0.3)], DimensionMismatch,
+                "joint label (0, 1180591620717411303424) out of range for dims (4, 4)",
+            ),
+            (
+                [((2, 2), (0, 3), 0.3), ((3, 3), (0, -(2**64)), 0.3), ((2, 2), (0, 3), 0.3)],
+                DimensionMismatch,
+                "joint label (0, -18446744073709551616) out of range for dims (4, 4)",
+            ),
         ],
         ids=[
             "same-plane", "reversed-plane", "single-state", "not-degenerate", "row-range",
-            "column-range",
+            "column-range", "ok-reuse-range", "ok-range-reuse", "ok-far-single",
+            "ok-single-far", "far-before-reuse", "range-before-single", "second-label-range",
+            "label-2**63", "label-2**70", "label-minus-1", "ok-column-2**70",
+            "ok-range-2**64-reuse",
         ],
     )
-    def test_bad_planes_raise_as_before(self, rotations, error):
+    def test_bad_planes_raise_as_before(self, rotations, error, message):
         h_a, h_b = DEMO_SPEC.hamiltonian_a(), DEMO_SPEC.hamiltonian_b()
         with pytest.raises(error) as raised:
             givens_planes((4, 4), rotations, joint_energies(h_a, h_b))
         assert type(raised.value) is error
+        assert str(raised.value) == message
+
+    def test_no_rotations_give_empty_planes(self):
+        planes = givens_planes((4, 4), [], np.zeros(16))
+        assert planes.dims == (4, 4)
+        for field, dtype in (("u", np.int64), ("v", np.int64), ("cos", float), ("sin", float)):
+            array = getattr(planes, field)
+            assert array.shape == (0,) and array.dtype == dtype, field
+
+    def test_angles_match_per_rotation_cos_and_sin(self):
+        # one np.cos/np.sin over the angle array gives each rotation's bits
+        spec = EntangledThermalSpec(np.arange(64, dtype=float), 0.7, 1.0, 0.5)
+        h_a, h_b = spec.hamiltonian_a(), spec.hamiltonian_b()
+        rng = substream(31, 22)
+        rotations = [(*pair, float(rng.uniform(-7.0, 7.0))) for pair in shell_planes(64)]
+        planes = givens_planes((64, 64), rotations, joint_energies(h_a, h_b))
+        for got, fn in ((planes.cos, np.cos), (planes.sin, np.sin)):
+            want = np.array([fn(phi) for *_, phi in rotations])
+            assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
 
     def test_dims_must_match_the_case(self):
         planes = givens_planes((2, 8), [], np.zeros(16))
