@@ -187,8 +187,9 @@ def _load_config(path: str, expected_kind: str) -> dict:
 
 
 def _is_finite_number(value) -> bool:
-    # exact types: JSON true/false load as bool, an int subclass
-    return type(value) in (int, float) and math.isfinite(value)
+    # exact types: JSON true/false load as bool, an int subclass; an int is
+    # compared exactly, so one beyond float range fails instead of overflowing
+    return type(value) in (int, float) and abs(value) <= sys.float_info.max
 
 
 def _require_number_list(cfg: dict, key: str) -> list[float]:

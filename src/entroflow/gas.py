@@ -10,7 +10,11 @@ the two momenta are drawn independently from Maxwell-Boltzmann
 distributions, and the mean energy flow reverts to hot-loses-energy.
 
 Collisions are elastic two-body events; the scattering angle law is
-isotropic (cos(theta) uniform, azimuth uniform).  hbar = k_B = 1.
+isotropic (cos(theta) uniform, azimuth uniform).  The azimuth is measured
+from the center-of-mass velocity V's component across the relative
+momentum q, so an event's energy transfer needs only the scalar
+invariants |V x q| and V . q, and each ensemble mean is checked against
+its exact expectation (exact_mean).  hbar = k_B = 1.
 """
 
 from __future__ import annotations
@@ -18,7 +22,6 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -90,9 +93,14 @@ class CollisionSpec:
 class GasReport:
     """Ensemble mean energy transfer to particle a, with standard errors.
 
-    mean_fractional_gain is populated in entangled mode only (there every
-    event shares the closed-form ratio de_a / E_a).  verdict is the sign of
-    mean_de_a when it clears three standard errors, else 0.
+    mean_fractional_gain and max_event_gap are populated in entangled mode
+    only (there every event shares the closed-form ratio de_a / E_a =
+    2x(x-1)(1 - cos(theta)), and max_event_gap is the largest distance of an
+    event from it).  verdict is the sign of mean_de_a when it clears three
+    standard errors, else 0.  exact_mean_de_a is the expectation of de_a
+    (exact_mean) and z_de_a = (mean_de_a - exact_mean_de_a) / stderr_de_a;
+    where stderr_de_a is 0 (every event equal, as at x = 1) z_de_a is the
+    unscaled difference, so that it stays finite.
     """
 
     mode: str
@@ -103,6 +111,9 @@ class GasReport:
     mean_fractional_gain: float | None
     stderr_fractional_gain: float | None
     verdict: int
+    exact_mean_de_a: float
+    z_de_a: float
+    max_event_gap: float | None
 
 
 def x_parameter(spec: CollisionSpec) -> float:
@@ -161,96 +172,59 @@ def _cross(a, b):
     return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0])
 
 
-class _Frame(NamedTuple):
-    """Center-of-mass frame of a batch of collisions, per component.
-
-    Vectors are (x, y, z) triples of equal-shape arrays.  qn is |q| with
-    zero replaced by 1, and moving marks the events whose q is nonzero.
-    e3 is q/|q|; e1 and e2 complete a right-handed frame around it.
-    """
-
-    v_cm: tuple
-    qn: np.ndarray
-    moving: np.ndarray
-    e1: tuple
-    e2: tuple
-    e3: tuple
-    cos_theta: np.ndarray
-    sin_theta: np.ndarray
-    cos_phi: np.ndarray
-    sin_phi: np.ndarray
-
-
-def _frame(p_a, p_b, m_a: float, m_b: float, cos_theta, azimuth) -> _Frame:
-    """The collision frame of momentum component triples p_a, p_b.
-
-    The operations and their order are those of numpy.cross,
-    numpy.linalg.norm and einsum on (..., 3) arrays, so every payload keeps
-    its bits.
-    """
+def _invariants(p_a, p_b, m_a: float, m_b: float):
+    """Center-of-mass velocity V, relative momentum q = p_a - m_a V and
+    c = V x q of momentum component triples p_a, p_b."""
     v_cm = tuple((a + b) / (m_a + m_b) for a, b in zip(p_a, p_b))
     q = tuple(a - m_a * v for a, v in zip(p_a, v_cm))
-    qn = _norm(q)
-    moving = qn > 0.0
-    safe_qn = np.where(moving, qn, 1.0)
-    e3 = tuple(c / safe_qn for c in q)
+    return v_cm, q, _cross(v_cm, q)
 
-    # deterministic transverse frame: seed with x-hat unless q is x-aligned;
-    # the helper's zero components stay multiplications, as in numpy.cross,
-    # so signed zeros keep their bits
-    use_y = np.abs(e3[0]) > 0.9
-    helper = (np.where(use_y, 0.0, 1.0), np.where(use_y, 1.0, 0.0), 0.0)
-    e1 = _cross(helper, e3)
-    e1_norm = _norm(e1)
-    e1_norm = np.where(e1_norm > 0.0, e1_norm, 1.0)
-    e1 = tuple(c / e1_norm for c in e1)
-    e2 = _cross(e3, e1)
 
+def _de_a(v_cm, q, c, cos_theta, azimuth) -> np.ndarray:
+    """Energy gained by particle a, V . (q' - q), with the azimuth measured
+    from V's component across q: sin(theta) cos(phi) |V x q| + (cos(theta) -
+    1) V . q.  cos(theta) - 1 stays one subtraction, so near-forward events
+    keep their relative accuracy, and q = 0 gives 0."""
     sin_theta = np.sqrt((1.0 - cos_theta) * (1.0 + cos_theta))
-    return _Frame(
-        v_cm, safe_qn, moving, e1, e2, e3, cos_theta, sin_theta, np.cos(azimuth), np.sin(azimuth)
-    )
-
-
-def _de_a(f: _Frame) -> np.ndarray:
-    """Energy gained by particle a, (q' - q) . v_cm, with cos(theta) - 1
-    kept as one subtraction; 0 where q is zero."""
-    de = f.qn * (
-        f.sin_theta * (f.cos_phi * _dot(f.e1, f.v_cm) + f.sin_phi * _dot(f.e2, f.v_cm))
-        + (f.cos_theta - 1.0) * _dot(f.e3, f.v_cm)
-    )
-    return np.where(f.moving, de, 0.0)
+    return sin_theta * np.cos(azimuth) * _norm(c) + (cos_theta - 1.0) * _dot(v_cm, q)
 
 
 def collide(p_a, p_b, m_a: float, m_b: float, cos_theta, azimuth):
     """Elastic two-body collision: the center-of-mass momentum is kept and
-    the relative momentum rotated by (theta, azimuth).
+    the relative momentum q rotated by (theta, azimuth), the azimuth
+    measured from V's component across q (from x-hat's where V x q is
+    exactly 0, and y-hat's where q lies along x-hat as well).
 
     Works on one event (3-vectors and scalar angles) or on n events ((n, 3)
     momenta and length-n angles); an event gives the same bits alone as in
-    a batch.  Returns (p_a', p_b', de_a).  de_a is evaluated as
-    (q' - q) . v_cm with cos(theta) - 1 kept as a single subtraction, which
-    stays relatively accurate even for near-forward scattering where the
-    transferred energy underflows the total.  Zero relative momentum passes
-    through unchanged.
+    a batch.  Returns (p_a', p_b', de_a), de_a bit for bit as energy_events
+    gives it.  Zero relative momentum passes through unchanged.
     """
     if not (m_a > 0 and m_b > 0):
         raise InvalidSpec(f"masses must be positive, got {m_a!r}, {m_b!r}")
-    p_a = np.asarray(p_a, dtype=float)
-    p_b = np.asarray(p_b, dtype=float)
+    p_a = tuple(np.moveaxis(np.asarray(p_a, dtype=float), -1, 0))
+    p_b = tuple(np.moveaxis(np.asarray(p_b, dtype=float), -1, 0))
     cos_theta = np.asarray(cos_theta, dtype=float)
     azimuth = np.asarray(azimuth, dtype=float)
-    p_a = tuple(p_a[..., k] for k in range(3))
-    p_b = tuple(p_b[..., k] for k in range(3))
 
-    f = _frame(p_a, p_b, m_a, m_b, cos_theta, azimuth)
-    p_a_out, p_b_out = [], []
-    for k in range(3):
-        transverse = f.sin_theta * (f.cos_phi * f.e1[k] + f.sin_phi * f.e2[k])
-        q_new = f.qn * (transverse + f.cos_theta * f.e3[k])
-        p_a_out.append(np.where(f.moving, m_a * f.v_cm[k] + q_new, p_a[k]))
-        p_b_out.append(np.where(f.moving, m_b * f.v_cm[k] - q_new, p_b[k]))
-    return np.stack(p_a_out, axis=-1), np.stack(p_b_out, axis=-1), _de_a(f)
+    v_cm, q, c = _invariants(p_a, p_b, m_a, m_b)
+    de = _de_a(v_cm, q, c, cos_theta, azimuth)
+    # e1 = V_perp/|V_perp| = (q x c)/|q x c|, which stays orthogonal to q
+    # even where c is only rounding; e1 is 0 where q is
+    for axis in ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0)):
+        flat = _square(c) == 0.0
+        c = tuple(np.where(flat, f, k) for f, k in zip(_cross(axis, q), c))
+    e1 = _cross(q, c)
+    e1_norm = _norm(e1)
+    e1 = tuple(k / np.where(e1_norm > 0.0, e1_norm, 1.0) for k in e1)
+    e2 = _cross(q, e1)  # |q| times q-hat x e1
+
+    sin_theta = np.sqrt((1.0 - cos_theta) * (1.0 + cos_theta))
+    along, across = _norm(q) * np.cos(azimuth), np.sin(azimuth)
+    dq = [sin_theta * (along * a + across * b) + (cos_theta - 1.0) * k for a, b, k in zip(e1, e2, q)]
+    p_a_out = np.stack([p + d for p, d in zip(p_a, dq)], axis=-1)
+    p_b_out = np.stack([p - d for p, d in zip(p_b, dq)], axis=-1)
+    return p_a_out, p_b_out, de
 
 
 def energy_events(spec: CollisionSpec, mode: str, flux: bool, p_a, p_b, cos_theta, azimuth):
@@ -258,26 +232,29 @@ def energy_events(spec: CollisionSpec, mode: str, flux: bool, p_a, p_b, cos_thet
     gain of n collisions, without building the outgoing momenta.
 
     Takes draw_pairs' (n, 3) momenta and length-n angles.  Returns (de_a,
-    w, gain): de_a as collide gives it, w = |p_a/m_a - p_b/m_b| (None when
-    flux is off) and gain = de_a / E_a (None outside entangled mode).  The
-    kernel runs over slices of BLOCK events, each written into arrays of all
-    n, and every event keeps the bits collide gives it.
+    w, gain, gap): de_a as collide gives it, w = |p_a/m_a - p_b/m_b| (None
+    when flux is off), gain = de_a / E_a and gap, the largest |gain -
+    2x(x-1)(1 - cos(theta))| over the events (both None outside entangled
+    mode).  The kernel runs over slices of BLOCK events, each written into
+    arrays of all n, and every event keeps the bits collide gives it.
     """
     n = len(cos_theta)
-    # contiguous x, y and z rows, not strided columns
-    p_a, p_b = np.ascontiguousarray(p_a.T), np.ascontiguousarray(p_b.T)
     de = np.empty(n)
     w = np.empty(n) if flux else None
-    gain = np.empty(n) if mode == "entangled" else None
+    gain, gap = (np.empty(n), 0.0) if mode == "entangled" else (None, None)
+    x = x_parameter(spec)
+    mean_gain = 2.0 * x * (x - 1.0)  # the closed form at 1 - cos(theta) = 1
     for lo in range(0, n, BLOCK):
         s = slice(lo, lo + BLOCK)
-        a, b = tuple(p_a[:, s]), tuple(p_b[:, s])
-        de[s] = _de_a(_frame(a, b, spec.m_a, spec.m_b, cos_theta[s], azimuth[s]))
+        a, b = tuple(p_a[s].T), tuple(p_b[s].T)  # strided x, y, z views, not copies
+        de[s] = _de_a(*_invariants(a, b, spec.m_a, spec.m_b), cos_theta[s], azimuth[s])
         if w is not None:
-            w[s] = _norm(tuple(x / spec.m_a - y / spec.m_b for x, y in zip(a, b)))
+            w[s] = _norm(tuple(u / spec.m_a - v / spec.m_b for u, v in zip(a, b)))
         if gain is not None:
             gain[s] = de[s] / (_square(a) / (2.0 * spec.m_a))
-    return de, w, gain
+            closed = mean_gain * (1.0 - cos_theta[s])
+            gap = np.maximum(gap, np.abs(gain[s] - closed).max())
+    return de, w, gain, None if gap is None else float(gap)
 
 
 def _weighted_moments(x: np.ndarray, w: np.ndarray | None) -> np.ndarray:
@@ -301,6 +278,23 @@ def _mean_stderr(m: np.ndarray) -> tuple[float, float]:
     return float(mean), float(math.sqrt(max(var, 0.0)))
 
 
+def exact_mean(spec: CollisionSpec, mode: str, flux: bool) -> float:
+    """Exact expectation of the energy gained by particle a per event.
+
+    An isotropic q' averages out of V . (q' - q).  Flux weighting by |g|
+    turns <|g|^2> = 3 s^2 into <|g|^3>/<|g|> = 4 s^2, hence the factor 4
+    against 3.  Product mode gives factor m_a m_b (T_b - T_a)/M^2, the
+    elastic transfer factor 4 m_a m_b/M^2 (Landau and Lifshitz, Mechanics,
+    section 17) at T_b - T_a; entangled mode gives factor x(x-1) T_a.
+    """
+    factor = 4.0 if flux else 3.0
+    if mode == "entangled":
+        x = x_parameter(spec)
+        return factor * x * (x - 1.0) * spec.t_a
+    total = spec.m_a + spec.m_b
+    return factor * (spec.m_a / total) * (spec.m_b / total) * (spec.t_b - spec.t_a)
+
+
 def ensemble_heat(
     spec: CollisionSpec, mode: str, n: int, seed: int, workers: int = 1
 ) -> GasReport:
@@ -315,13 +309,12 @@ def ensemble_heat(
         raise InvalidSpec(f"need n >= 2 samples, got {n}")
     flux = spec.flux_weighting if spec.flux_weighting is not None else (mode == "product")
 
-    def chunk_stats(c: int) -> tuple[np.ndarray, np.ndarray | None]:
+    def chunk_stats(c: int) -> tuple[np.ndarray, np.ndarray | None, float | None]:
         rng = substream(seed, _STREAM_TAG, c)
-        de, w, gain = energy_events(
+        de, w, gain, gap = energy_events(
             spec, mode, flux, *draw_pairs(spec, mode, rng, min(CHUNK, n - c * CHUNK))
         )
-        de_m = _weighted_moments(de, w)
-        return de_m, None if gain is None else _weighted_moments(gain, w)
+        return _weighted_moments(de, w), None if gain is None else _weighted_moments(gain, w), gap
 
     n_chunks = (n + CHUNK - 1) // CHUNK
     workers = max(1, workers)
@@ -333,7 +326,7 @@ def ensemble_heat(
 
     de_total = np.zeros(5)
     gain_total = np.zeros(5)
-    for de_m, gain_m in parts:  # fixed chunk order keeps sums deterministic
+    for de_m, gain_m, _ in parts:  # fixed chunk order keeps sums deterministic
         de_total += de_m
         if gain_m is not None:
             gain_total += gain_m
@@ -341,13 +334,15 @@ def ensemble_heat(
     mean_de, stderr_de = _mean_stderr(de_total)
     if mode == "entangled":
         mean_gain, stderr_gain = _mean_stderr(gain_total)
+        max_gap = float(np.max([gap for _, _, gap in parts]))
     else:
-        mean_gain, stderr_gain = None, None
+        mean_gain, stderr_gain, max_gap = None, None, None
 
     if mean_de != 0.0 and abs(mean_de) >= 3.0 * stderr_de:
         verdict = 1 if mean_de > 0 else -1
     else:
         verdict = 0
+    exact = exact_mean(spec, mode, flux)
 
     return GasReport(
         mode=mode,
@@ -358,4 +353,7 @@ def ensemble_heat(
         mean_fractional_gain=mean_gain,
         stderr_fractional_gain=stderr_gain,
         verdict=verdict,
+        exact_mean_de_a=exact,
+        z_de_a=(mean_de - exact) / stderr_de if stderr_de > 0.0 else mean_de - exact,
+        max_event_gap=max_gap,
     )

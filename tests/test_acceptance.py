@@ -4,6 +4,7 @@ Each test runs one acceptance criterion at full size and its stated
 tolerance, and prints a single PASS/FAIL line (visible with ``pytest -s``).
 """
 
+import dataclasses
 import json
 import math
 import os
@@ -217,11 +218,28 @@ def test_criterion_7_gas_ensemble():
     rep_p = ensemble_heat(spec, "product", 1_000_000, SEED + 2)
     product_ok = rep_p.mean_de_a + 5 * rep_p.stderr_de_a < 0
 
-    ok = per_event_ok and mean_ok and reversal_ok and product_ok
+    # the sampled mean against its exact expectation in every (mode, flux)
+    # cell, and every entangled event against the closed form
+    specs = [
+        spec,
+        CollisionSpec(m_a=1.0, m_b=10.0, t_a=1.0, t_b=2.0, gamma=1.0),
+        CollisionSpec(m_a=1.3, m_b=0.4, t_a=0.5, t_b=3.0, gamma=2.0),
+    ]
+    cells = [
+        ensemble_heat(dataclasses.replace(s, flux_weighting=flux), mode, 1 << 18, SEED + 3, 2)
+        for s in specs for mode in ("entangled", "product") for flux in (False, True)
+    ]
+    worst_z = max(abs(r.z_de_a) for r in cells)
+    worst_gap = max(r.max_event_gap for r in cells if r.mode == "entangled")
+    exact_ok = worst_z <= 5.0 and worst_gap <= 1e-12
+
+    ok = per_event_ok and mean_ok and reversal_ok and product_ok and exact_ok
     report(7, "gas closed form and reversal", ok,
            f"max per-event rel err {rel.max():.2e}; mean gain {rep_e.mean_fractional_gain:.4f} "
            f"vs 2x(x-1) {2 * x * (x - 1):.4f}; product mean dE {rep_p.mean_de_a:.4f} "
-           f"({abs(rep_p.mean_de_a) / rep_p.stderr_de_a:.0f} SE below 0)", started, 30.0)
+           f"({abs(rep_p.mean_de_a) / rep_p.stderr_de_a:.0f} SE below 0); "
+           f"{len(cells)} cells: max |z| vs exact mean {worst_z:.2f}, "
+           f"max event gap {worst_gap:.1e}", started, 30.0)
 
 
 def test_criterion_8_cli_reproducibility(tmp_path):

@@ -508,12 +508,18 @@ NAN_POPULATIONS = {"kind": "diagonal", "populations": [float("nan"), 1.0]}
         (("clausius",), _with(CYCLE_CFG, strokes=[_with(CONTACT, phi="abc")])),
         (("clausius",), _with(CYCLE_CFG, strokes=[_with(CONTACT, phi=[1])])),
         (("clausius",), _with(CYCLE_CFG, initial_state=NAN_POPULATIONS)),
+        (("exchange", "--case", "v"), _with(EXCHANGE_CFG, gamma=10**400)),
+        (("exchange", "--case", "v"), _with(EXCHANGE_CFG, epsilon=[0.0, 1.0, -(10**400), 3.0])),
+        (("exchange", "--case", "v"), _with(EXCHANGE_CFG, mu_a=10**400)),
+        (("exchange", "--case", "s"), _with(EXCHANGE_CFG, beta_a=10**400)),
+        (("clausius",), _with(CYCLE_CFG, system={"levels": [0.0, 10**400]})),
     ],
     ids=[
         "short-label", "angle-string", "fractional-label", "true-label", "float-label",
         "two-element-rotation", "true-angle", "angle-beyond-float", "no-rotations",
         "rotations-string", "rotations-object", "beta-string", "beta-inf",
-        "stroke-phi-string", "stroke-phi-list", "population-nan",
+        "stroke-phi-string", "stroke-phi-list", "population-nan", "gamma-beyond-float",
+        "epsilon-beyond-float", "mu-beyond-float", "beta-beyond-float", "level-beyond-float",
     ],
 )
 def test_malformed_config_field_exits_2(tmp_path, argv, cfg):
@@ -537,6 +543,7 @@ class TestGas:
         assert abs(payload["mean_fractional_gain"] - 2 * x * (x - 1)) <= 3 * payload["stderr_fractional_gain"]
         assert payload["reversal_ratio"] == 5.0
         assert payload["verdict"] == 1
+        assert abs(payload["z_de_a"]) <= 5.0 and payload["max_event_gap"] <= 1e-12
 
     def test_product_mode(self):
         proc = run_cli(
@@ -545,7 +552,8 @@ class TestGas:
         )
         payload, _ = payload_of(proc)
         assert payload["mean_de_a"] < 0
-        assert payload["mean_fractional_gain"] is None
+        assert payload["mean_fractional_gain"] is None and payload["max_event_gap"] is None
+        assert payload["exact_mean_de_a"] == -40.0 / 121.0 and abs(payload["z_de_a"]) <= 5.0
 
     def test_invalid_temperature_exits_2(self):
         proc = run_cli(

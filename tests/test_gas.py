@@ -162,46 +162,67 @@ class TestCollide:
 
 
 class TestEnergyOnlyPath:
-    """ensemble_heat's de_a comes from the frame alone, never from collide."""
+    """ensemble_heat's de_a comes from energy_events alone, never from collide."""
 
     @staticmethod
     def energy_only(p_a, p_b, m_a, m_b, cos_theta, azimuth):
-        frame = gas._frame(tuple(p_a.T), tuple(p_b.T), m_a, m_b, cos_theta, azimuth)
-        return frame, gas._de_a(frame)
+        spec = CollisionSpec(m_a=m_a, m_b=m_b, t_a=1.0, t_b=1.0, gamma=1.0)
+        return gas.energy_events(spec, "product", False, p_a, p_b, cos_theta, azimuth)[0]
 
     def edge_batch(self):
         rng = substream(41, 12)
         n = 400
         p_a = rng.standard_normal((n, 3))
         p_b = rng.standard_normal((n, 3))
-        # q near x-hat: against a resting b, q is parallel to p_a at any masses
-        p_a[:100] = rng.standard_normal((100, 1)) * [1.0, 1e-3, -1e-3]
-        p_b[:100] = 0.0
-        p_a[100:110] = p_b[100:110] = 0.0  # exact zero relative momentum
+        # V parallel to q exactly: collinear momenta along x, y and z make
+        # V x q an exact zero at any masses, and q lies along x-hat in the first
+        for k in range(3):
+            rows = slice(20 * k, 20 * k + 20)
+            p_a[rows], p_b[rows] = 0.0, 0.0
+            p_a[rows, k], p_b[rows, k] = rng.standard_normal(20), rng.standard_normal(20)
+        # V parallel to q up to rounding: entangled draws and a resting b
+        p_a[60:160], p_b[60:160], _, _ = draw_pairs(REVERSAL, "entangled", rng, 100)
+        p_b[160:200] = 0.0
+        p_a[200:210] = p_b[200:210] = 0.0  # exact zero relative momentum
+        p_b[210:220] = p_a[210:220]  # zero relative momentum at equal masses
         cos_theta = rng.uniform(-1.0, 1.0, n)
-        cos_theta[110:130] = 1.0
-        cos_theta[130:150] = -1.0
+        cos_theta[0::5], cos_theta[1::5] = 1.0, -1.0  # both poles in every group
         azimuth = rng.uniform(0.0, 2 * math.pi, n)
         return p_a, p_b, cos_theta, azimuth
 
     def test_edge_batch_matches_collide_bits(self):
         p_a, p_b, cos_theta, azimuth = self.edge_batch()
+        forward, backward = cos_theta == 1.0, cos_theta == -1.0
         for m_a, m_b in ((1.0, 1.0), (2.5, 0.7)):
-            frame, de = self.energy_only(p_a, p_b, m_a, m_b, cos_theta, azimuth)
-            # the batch reaches the y-hat helper, the resting events and both poles
-            assert np.count_nonzero(np.abs(frame.e3[0]) > 0.9) >= 100
-            assert np.count_nonzero(~frame.moving) == 10
-            assert np.all(de[100:110] == 0.0) and np.all(de[110:130] == 0.0)
-            assert np.any(de[130:150] != 0.0)
-            _, _, want = collide(p_a, p_b, m_a, m_b, cos_theta, azimuth)
+            v_cm = (p_a + p_b) / (m_a + m_b)
+            q = p_a - m_a * v_cm
+            resting = np.all(q == 0.0, axis=1)
+            # the batch reaches both fallback axes, the resting events and both poles
+            assert np.all(np.cross(v_cm[:60], q[:60]) == 0.0)
+            assert np.all(q[:20, 1:] == 0.0)
+            assert np.count_nonzero(resting) == (20 if m_a == m_b else 10)
+            de = self.energy_only(p_a, p_b, m_a, m_b, cos_theta, azimuth)
+            assert np.all(de[resting] == 0.0) and np.all(de[forward] == 0.0)
+            assert np.count_nonzero(de[backward]) >= 70
+            p_a2, p_b2, want = collide(p_a, p_b, m_a, m_b, cos_theta, azimuth)
             assert np.array_equal(bits(de), bits(want))
+            # every event conserves energy and momentum and de_a is a's gain;
+            # resting and forward events pass through unchanged
+            e_in = kinetic(p_a, m_a) + kinetic(p_b, m_b)
+            scale = e_in.max()
+            assert np.abs(kinetic(p_a2, m_a) + kinetic(p_b2, m_b) - e_in).max() <= 1e-14 * scale
+            assert np.abs(p_a2 + p_b2 - p_a - p_b).max() <= 1e-15 * np.abs(p_a).max()
+            assert np.abs(de - (kinetic(p_a2, m_a) - kinetic(p_a, m_a))).max() <= 1e-14 * scale
+            unchanged = resting | forward
+            assert np.array_equal(p_a2[unchanged], p_a[unchanged])
+            assert np.array_equal(p_b2[unchanged], p_b[unchanged])
 
     @pytest.mark.parametrize("mode", ["entangled", "product"])
     def test_drawn_chunk_matches_collide_bits(self, mode):
         rng = substream(41, gas._STREAM_TAG, 0)
         p_a, p_b, cos_theta, azimuth = draw_pairs(REVERSAL, mode, rng, gas.CHUNK)
         args = (p_a, p_b, REVERSAL.m_a, REVERSAL.m_b, cos_theta, azimuth)
-        _, de = self.energy_only(*args)
+        de = self.energy_only(*args)
         _, _, want = collide(*args)
         assert np.array_equal(bits(de), bits(want))
 
@@ -255,7 +276,7 @@ class TestBlockedKernel:
         spec = dataclasses.replace(REVERSAL, flux_weighting=flux)
         rng = substream(43, n)
         p_a, p_b, cos_theta, azimuth = draw_pairs(spec, mode, rng, n)
-        de, w, gain = gas.energy_events(spec, mode, flux, p_a, p_b, cos_theta, azimuth)
+        de, w, gain, gap = gas.energy_events(spec, mode, flux, p_a, p_b, cos_theta, azimuth)
         _, _, want = collide(p_a, p_b, spec.m_a, spec.m_b, cos_theta, azimuth)
         assert np.array_equal(bits(de), bits(want))
         if flux:
@@ -265,8 +286,11 @@ class TestBlockedKernel:
             assert w is None
         if mode == "entangled":
             assert np.array_equal(bits(gain), bits(want / kinetic(p_a, spec.m_a)))
+            x = x_parameter(spec)
+            assert gap == np.abs(gain - 2.0 * x * (x - 1.0) * (1.0 - cos_theta)).max()
+            assert gap <= 1e-14
         else:
-            assert gain is None
+            assert gain is None and gap is None
 
         report = ensemble_heat(spec, mode, n, 44, workers=2)
         mean, se, mean_gain, se_gain = unblocked_report(spec, mode, n, 44, flux)
@@ -351,6 +375,33 @@ class TestEnsembleHeat:
         assert abs(report.mean_fractional_gain) <= 3 * report.stderr_fractional_gain
         assert report.mean_de_a == 0.0
         assert report.verdict == 0
+        # every event is 0: a zero standard error leaves z finite
+        assert report.stderr_de_a == 0.0 and report.exact_mean_de_a == 0.0
+        assert report.z_de_a == 0.0
+
+    def test_zero_stderr_z_is_the_unscaled_difference(self, monkeypatch):
+        monkeypatch.setattr(gas, "exact_mean", lambda spec, mode, flux: 0.25)
+        report = ensemble_heat(SYMMETRIC, "entangled", 5_000, 13)
+        assert report.stderr_de_a == 0.0 and report.z_de_a == -0.25
+
+    @pytest.mark.parametrize("flux, factor", [(False, 3.0), (True, 4.0)])
+    def test_exact_mean_closed_forms(self, flux, factor):
+        # scalar oracles: 4 m_a m_b/M^2 is the elastic transfer factor, and
+        # an entangled event gains E_a 2x(x-1)(1 - cos(theta))
+        x = x_parameter(REVERSAL)
+        product = gas.exact_mean(REVERSAL, "product", flux)
+        entangled = gas.exact_mean(REVERSAL, "entangled", flux)
+        assert product == pytest.approx(factor * 10.0 * 1.0 * (1.0 - 2.0) / 121.0, rel=1e-15)
+        assert entangled == pytest.approx(factor * x * (x - 1.0) * 2.0, rel=1e-15)
+
+    def test_exact_mean_in_report(self):
+        for mode, flux in (("entangled", False), ("entangled", True), ("product", True)):
+            spec = dataclasses.replace(REVERSAL, flux_weighting=flux)
+            report = ensemble_heat(spec, mode, 200_000, 19, workers=2)
+            assert report.exact_mean_de_a == gas.exact_mean(spec, mode, flux)
+            want = (report.mean_de_a - report.exact_mean_de_a) / report.stderr_de_a
+            assert report.z_de_a == want and abs(want) <= 5.0
+            assert (report.max_event_gap is None) == (mode == "product")
 
     def test_deterministic_across_workers_and_runs(self):
         a = ensemble_heat(REVERSAL, "entangled", 150_000, 14, workers=1)
