@@ -100,9 +100,10 @@ def cases(workdir: Path) -> dict[str, list[str]]:
             ]
         for case in ("v", "s"):
             out[f"exchange.{case}@{seed}"] = ["exchange", "--case", case, "--config", dense]
-        out[f"exchange.sweep@{seed}"] = [
-            "exchange", "--case", "v", "--config", sweep, "--sweep", "phi=0.1:1.5:9"
-        ]
+        for case, key in (("v", "sweep"), ("s", "sweep_s")):
+            out[f"exchange.{key}@{seed}"] = [
+                "exchange", "--case", case, "--config", sweep, "--sweep", "phi=0.1:1.5:9"
+            ]
         out[f"clausius@{seed}"] = ["clausius", "--config", cycle]
         # 4 chunks of 65536 events, so two workers split the work
         for mode in ("entangled", "product"):
