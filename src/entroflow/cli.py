@@ -86,13 +86,13 @@ EXIT_DEGENERACY = 3
 EXIT_NO_CONVERGENCE = 4
 EXIT_INTERNAL = 5
 
-# ineq evaluates its trials in batches of as many as fit this many complex
-# entries (128 KiB) per stacked joint-space array; no payload depends on
-# the batch.  Larger budgets were no faster at the README sizes overall
-# (eq1 gained what eq2 lost).  In the benchmark's ensembles pass the later
-# gas runs set the peak memory, 59 MB at this budget; 2^14 and 2^16 raise
-# it to 61 MB, and the ineq commands' own peak from 41 to 43 MB (2 vCPU,
-# numpy 2.4.6).
+# ineq evaluates its trials, and exchange --sweep its angles, in batches of
+# as many as fit this many complex entries (128 KiB) per stacked joint-space
+# array or joint vector; no payload depends on the batch.  Larger budgets
+# were no faster at the README sizes overall (eq1 gained what eq2 lost).  In
+# the benchmark's ensembles pass the later gas runs set the peak memory,
+# 59 MB at this budget; 2^14 and 2^16 raise it to 61 MB, and the ineq
+# commands' own peak from 41 to 43 MB (2 vCPU, numpy 2.4.6).
 BATCH_ELEMENTS = 2**13
 
 
@@ -246,10 +246,15 @@ def _parse_sweep(text: str) -> np.ndarray:
         raise ConfigError(f"--sweep must look like phi=a:b:n, got {text!r}") from exc
     if name != "phi":
         raise ConfigError(f"only phi sweeps are supported, got {name!r}")
-    if not (math.isfinite(lo_f) and math.isfinite(hi_f)):
-        raise ConfigError(f"sweep bounds must be finite, got {text!r}")
+    # finite bounds can still be too far apart for a finite step
+    if not math.isfinite(hi_f - lo_f):
+        raise ConfigError(f"sweep bounds and the span between them must be finite, got {text!r}")
     if n_i < 2:
         raise ConfigError(f"sweep needs at least 2 points, got {n_i}")
+    # numpy refuses a grid of more bytes than an intp holds (and near 2**63
+    # points returns an empty one)
+    if n_i > np.iinfo(np.intp).max // 8:
+        raise ConfigError(f"sweep of {n_i} points is more than one array can hold")
     return np.linspace(lo_f, hi_f, n_i)
 
 
@@ -431,18 +436,19 @@ def cmd_exchange(args: argparse.Namespace) -> tuple | str:
         _require_finite(args.phi, "--phi")
     cfg, case, rotations = _exchange_setup(args)
     grid = None if args.sweep is None else _parse_sweep(args.sweep)
-    # the planes are checked once; --phi and each sweep point only swap the
-    # angle, and no D x D unitary is built
+    # the planes are checked once; --phi and the sweep only swap the angles,
+    # and no D x D unitary is built
     h_a, h_b = case.hamiltonians()
     form = givens_planes((h_a.dim, h_b.dim), rotations, joint_energies(h_a, h_b))
 
     if grid is not None:
-        rows = []
-        for phi in grid:
-            report = run_exchange(case, form.at_angle(float(phi)))
-            rows.append([float(phi), *(getattr(report, field) for _, field in _SWEEP_COLUMNS)])
+        # one run_exchange per batch of angles, within the BATCH_ELEMENTS budget
+        batch = max(1, BATCH_ELEMENTS // (h_a.dim * h_b.dim))
+        chunks = np.split(grid, range(batch, grid.size, batch))
+        reports = [run_exchange(case, form.at_angle(chunk)) for chunk in chunks]
+        columns = [np.concatenate([getattr(r, f) for r in reports]) for _, f in _SWEEP_COLUMNS]
         header = ["phi", *(name for name, _ in _SWEEP_COLUMNS)]
-        return _csv_rows(header, rows)
+        return _csv_rows(header, np.column_stack([grid, *columns]).tolist())
 
     report = run_exchange(case, form if args.phi is None else form.at_angle(args.phi))
     return {"config_file": cfg}, dataclasses.asdict(report), EXIT_OK

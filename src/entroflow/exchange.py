@@ -28,7 +28,7 @@ from .errors import (
     NotUnitary,
     OverlappingPlanes,
 )
-from .qmath import dagger, max_abs
+from .qmath import dagger, max_abs, scalar_or_stack
 from .states import (
     DensityOperator,
     EntangledThermalSpec,
@@ -120,7 +120,9 @@ class CaseSpec:
 
 @dataclass(frozen=True)
 class ExchangeReport:
-    """Energy and entropy bookkeeping for one joint unitary.
+    """Energy and entropy bookkeeping for one joint unitary, or for each of
+    a stack of them: every field is then a length-n array, entry k that of
+    angle set k, with the bits it has alone.
 
     q_a/q_b are the heats absorbed by each side, ds_a/ds_b the marginal
     entropy changes (nats), work_leak = q_a + q_b (zero for an
@@ -212,9 +214,10 @@ def joint_energies(h_a: HamiltonianSpec, h_b: HamiltonianSpec) -> np.ndarray:
 class GivensPlanes:
     """Disjoint degenerate planes of a two-party joint space: plane k
     rotates the flat joint basis states u[k] and v[k] by the angle with
-    cosine cos[k] and sine sin[k].  Build it with givens_planes, which
-    checks the planes; run_exchange relies on them being disjoint and in
-    range, and checks only cos^2 + sin^2 = 1 and the dims."""
+    cosine cos[..., k] and sine sin[..., k], of shape (P,) for one angle set
+    or (n, P) for a stack of n.  Build it with givens_planes, which checks
+    the planes; run_exchange relies on them being disjoint and in range,
+    and checks only cos^2 + sin^2 = 1 and the dims."""
 
     dims: tuple[int, int]
     u: np.ndarray
@@ -222,10 +225,12 @@ class GivensPlanes:
     cos: np.ndarray
     sin: np.ndarray
 
-    def at_angle(self, phi: float) -> "GivensPlanes":
-        """The same planes, every one rotated by phi."""
-        c, s = np.cos(phi), np.sin(phi)
-        return replace(self, cos=np.full(self.u.size, c), sin=np.full(self.u.size, s))
+    def at_angle(self, phi) -> "GivensPlanes":
+        """The same planes, every one rotated by phi; an array of n angles
+        gives a stack of n angle sets, cos and sin of shape (n, P)."""
+        shape = (*np.shape(phi), self.u.size)
+        c, s = (np.full(shape, f(phi)[..., None]) for f in (np.cos, np.sin))
+        return replace(self, cos=c, sin=s)
 
 
 def givens_planes(
@@ -285,49 +290,51 @@ def givens_planes(
     return GivensPlanes(dims, u, v, np.cos(phi), np.sin(phi))
 
 
-def _plane_gate(planes: GivensPlanes, h_a: HamiltonianSpec, h_b: HamiltonianSpec) -> bool:
-    """Check ``planes`` against the case and return whether their unitary
-    commutes with the bare total Hamiltonian.
+def _plane_gate(planes: GivensPlanes, h_a: HamiltonianSpec, h_b: HamiltonianSpec) -> np.ndarray:
+    """Check ``planes`` against the case and return, per angle set, whether
+    its unitary commutes with the bare total Hamiltonian.
 
     The gate is c^2 + s^2 = 1 per plane, and the commutator's entries are
-    s (E_u - E_v): O(planes), with no D x D unitary.
+    s (E_u - E_v): O(planes) per angle set, with no D x D unitary.
     """
     if planes.dims != (h_a.dim, h_b.dim):
         raise DimensionMismatch(f"planes of dims {planes.dims} on a {h_a.dim} x {h_b.dim} system")
-    c, s = planes.cos, planes.sin
+    c, s = np.atleast_2d(planes.cos, planes.sin)
     defect = np.abs(c * c + s * s - 1.0)
     # "not within", so that a NaN angle fails
     if not np.all(defect <= UNITARY_TOL):
         raise NotUnitary(f"max |cos^2 + sin^2 - 1| = {np.max(defect):.3e} over the planes")
     energies = joint_energies(h_a, h_b)
-    return max_abs(s * (energies[planes.u] - energies[planes.v])) <= ENERGY_TOL
+    return np.abs(s * (energies[planes.u] - energies[planes.v])).max(-1, initial=0.0) <= ENERGY_TOL
 
 
 def _entangled_marginals(planes: GivensPlanes, psi: np.ndarray) -> tuple[DensityOperator, ...]:
-    """The one-party reduced states (A, B) of |psi><psi| and then (A', B')
-    of U |psi><psi| U^dag.
+    """The one-party reduced states (A, B) of |psi><psi|, each a stack of
+    one, and then (A', B') of U |psi><psi| U^dag, each a stack with one
+    state per angle set.
 
     U psi takes one 2 x 2 update of two entries per plane, and each pair of
     marginals is X X^dag and X^T (X^T)^dag, with X the d_A x d_B reshape of
     the vector.
     """
-    u, v, c, s = planes.u, planes.v, planes.cos, planes.sin
-    rotated = psi.copy()
-    rotated[u] = c * psi[u] - s * psi[v]
-    rotated[v] = s * psi[u] + c * psi[v]
+    u, v, (c, s) = planes.u, planes.v, np.atleast_2d(planes.cos, planes.sin)
+    rotated = np.tile(psi, (len(c), 1))
+    rotated[:, u] = c * psi[u] - s * psi[v]
+    rotated[:, v] = s * psi[u] + c * psi[v]
     d_a, d_b = planes.dims
     out = []
-    for vec in (psi, rotated):
-        x = vec.reshape(d_a, d_b)
-        out += [DensityOperator(x @ dagger(x), (d_a,)), DensityOperator(x.T @ dagger(x.T), (d_b,))]
+    for x in (psi.reshape(1, d_a, d_b), rotated.reshape(-1, d_a, d_b)):
+        x_t = np.swapaxes(x, -1, -2)
+        out += [DensityOperator(x @ dagger(x), (d_a,)), DensityOperator(x_t @ dagger(x_t), (d_b,))]
     return tuple(out)
 
 
 def _product_marginals(
     planes: GivensPlanes, p_a: np.ndarray, p_b: np.ndarray
 ) -> tuple[DensityOperator, ...]:
-    """The one-party reduced states (A, B) of rho0 = diag(p_A) (x) diag(p_B)
-    and then (A', B') of U rho0 U^dag, read plane by plane.
+    """The one-party reduced states (A, B) of rho0 = diag(p_A) (x) diag(p_B),
+    each a stack of one, and then (A', B') of U rho0 U^dag, each a stack
+    with one state per angle set, read plane by plane.
 
     A plane leaves the joint state diagonal but for the coherence c s (p_u
     - p_v) between u and v, and moves the populations to p'_u = c^2 p_u +
@@ -339,31 +346,40 @@ def _product_marginals(
     energies, so a plane that is not degenerate is metered as it acts.
     """
     d_a, d_b = p_a.size, p_b.size
-    u, v, c, s = planes.u, planes.v, planes.cos, planes.sin
+    u, v, (c, s) = planes.u, planes.v, np.atleast_2d(planes.cos, planes.sin)
     p = np.multiply.outer(p_a, p_b).ravel()
-    moved = p.copy()
-    moved[u] = c * c * p[u] + s * s * p[v]
-    moved[v] = s * s * p[u] + c * c * p[v]
+    moved = np.tile(p, (len(c), 1))
+    moved[:, u] = c * c * p[u] + s * s * p[v]
+    moved[:, v] = s * s * p[u] + c * c * p[v]
     coherence = c * s * (p[u] - p[v])
     (i_u, j_u), (i_v, j_v) = np.divmod(u, d_b), np.divmod(v, d_b)
     # A, B, A', B'
     mats = [
-        np.diag(grid.reshape(d_a, d_b).sum(axis=axis)).astype(complex)
+        np.eye(d) * grid.reshape(-1, d_a, d_b).sum(axis=axis)[:, None, :]
         for grid in (p, moved)
-        for axis in (1, 0)
+        for d, axis in ((d_a, 2), (d_b, 1))
     ]
+    row = np.arange(len(c))[:, None]
     for rho, first, second, shared in (
         (mats[2], i_u, i_v, j_u == j_v),
         (mats[3], j_u, j_v, i_u == i_v),
     ):
-        np.add.at(rho, (first[shared], second[shared]), coherence[shared])
-        np.add.at(rho, (second[shared], first[shared]), coherence[shared])
-    return tuple(DensityOperator(rho, (rho.shape[0],)) for rho in mats)
+        np.add.at(rho, (row, first[shared], second[shared]), coherence[:, shared])
+        np.add.at(rho, (row, second[shared], first[shared]), coherence[:, shared])
+    return tuple(DensityOperator(rho, (rho.shape[-1],)) for rho in mats)
+
+
+def _heat(before: DensityOperator, after: DensityOperator, h: HamiltonianSpec) -> np.ndarray:
+    # diag(rho' - rho) . levels per state of ``after``, each a 1-D product:
+    # a matrix-vector product may sum in another order
+    change = np.diagonal(after.matrix, 0, -2, -1) - np.diagonal(before.matrix, 0, -2, -1)
+    return np.array([row @ h.levels for row in change.real])
 
 
 def run_exchange(case: CaseSpec, planes: GivensPlanes) -> ExchangeReport:
     """Rotate the initial condition by the unitary of ``planes`` and meter
-    both sides.
+    both sides: one report for one angle set, or one pass over a stack of
+    them whose fields hold an entry per angle set.
 
     The report's energy_conserving flag records whether that unitary
     commutes with the bare total Hamiltonian (every |s (E_u - E_v)| <=
@@ -373,7 +389,9 @@ def run_exchange(case: CaseSpec, planes: GivensPlanes) -> ExchangeReport:
     No joint-space matrix is formed.  Kind V rotates two entries of the
     entangled vector psi per plane and reads the marginals from a reshape
     of it (_entangled_marginals); kind S reads them plane by plane from the
-    diagonal product of the Gibbs states (_product_marginals).  The joint
+    diagonal product of the Gibbs states (_product_marginals).  An angle set
+    is one row of the rotated vector or populations and one state of each
+    final-marginal stack, so it has the bits it has alone.  The joint
     entropy, which a unitary leaves unchanged, is the initial one: 0 for V,
     and S(rho_A) + S(rho_B) = S(gamma_A) + S(gamma_B) for S.  The heats are
     diag(rho' - rho) . levels, exact for the diagonal Hamiltonians a
@@ -397,33 +415,27 @@ def run_exchange(case: CaseSpec, planes: GivensPlanes) -> ExchangeReport:
     s_a0, s_b0, s_a1, s_b1 = (von_neumann_entropy(red) for red in (a0, b0, a1, b1))
     s_joint = 0.0 if case.kind == "V" else s_a0 + s_b0
 
-    q_a = float((np.diagonal(a1.matrix) - np.diagonal(a0.matrix)).real @ h_a.levels)
-    q_b = float((np.diagonal(b1.matrix) - np.diagonal(b0.matrix)).real @ h_b.levels)
+    q_a = _heat(a0, a1, h_a)
+    q_b = _heat(b0, b1, h_b)
     ds_a = s_a1 - s_a0
     ds_b = s_b1 - s_b0
     mutual_info_initial = s_a0 + s_b0 - s_joint
     mutual_info_final = s_a1 + s_b1 - s_joint
-    identity_gap = abs(
+    identity_gap = np.abs(
         beta_a * q_a
         + beta_b * q_b
         - (mutual_info_final - mutual_info_initial)
         - gibbs_divergence(a1, h_a, beta_a)
         - gibbs_divergence(b1, h_b, beta_b)
     )
-
-    return ExchangeReport(
-        q_a=q_a,
-        q_b=q_b,
-        ds_a=ds_a,
-        ds_b=ds_b,
-        mutual_info_initial=mutual_info_initial,
-        mutual_info_final=mutual_info_final,
-        work_leak=q_a + q_b,
-        slack_a=beta_a * q_a - ds_a,
-        slack_b=beta_b * q_b - ds_b,
-        energy_conserving=conserving,
-        identity_gap=identity_gap,
+    fields = (  # in ExchangeReport's order
+        q_a, q_b, ds_a, ds_b, mutual_info_initial, mutual_info_final, q_a + q_b,
+        beta_a * q_a - ds_a, beta_b * q_b - ds_b, conserving, identity_gap,
     )
+    # one angle set gives scalars, a stack length-n arrays
+    shape = np.shape(planes.cos)[:-1]
+    stack = [np.broadcast_to(x, conserving.shape).reshape(shape).copy() for x in fields]
+    return ExchangeReport(*map(scalar_or_stack, stack))
 
 
 def _contact_state(rho: np.ndarray, sigma: np.ndarray, phi: float) -> np.ndarray:

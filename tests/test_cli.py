@@ -344,6 +344,25 @@ class TestExchange:
         assert "--phi" in proc.stderr and "--sweep" in proc.stderr
         assert proc.stdout == ""
 
+    @pytest.mark.parametrize(
+        "sweep, message",
+        [
+            # numpy refuses the first before allocating, and sizes the second
+            # as an empty grid
+            ("phi=0:1:100000000000000000000", "points is more than one array can hold"),
+            (f"phi=0:1:{2**63 - 1}", "points is more than one array can hold"),
+            # finite bounds whose step overflows
+            ("phi=1e308:-1e308:3", "span between them must be finite"),
+        ],
+    )
+    def test_unrepresentable_grid_exits_2(self, exchange_config, capsys, sweep, message):
+        argv = ["exchange", "--case", "v", "--config", exchange_config, "--sweep", sweep]
+        assert cli.main(argv) == cli.EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("entroflow: config error: sweep ")
+        assert len(captured.err.splitlines()) == 1 and message in captured.err
+
     def test_missing_epsilon_exits_2(self, tmp_path, exchange_config):
         cfg = json.loads(open(exchange_config).read())
         del cfg["epsilon"]
@@ -755,8 +774,9 @@ class TestExchangeAtTheLimit:
     joint dimension 4096), with every plane of shell_planes(64): the
     payload is the library's report, bit for bit."""
 
-    @pytest.mark.parametrize("case", ["v", "s"])
-    def test_payload_is_the_library_report(self, tmp_path, case):
+    @staticmethod
+    def configured(tmp_path, case):
+        """The config file and the library's case and planes for it."""
         d = 64
         assert d * d == cli.MAX_JOINT_DIM
         rotations = [(first, second, 0.9) for first, second in shell_planes(d)]
@@ -764,23 +784,53 @@ class TestExchangeAtTheLimit:
             "schema_version": 1, "kind": "exchange", "epsilon": [float(i) for i in range(d)],
             "gamma": 0.7, "mu_a": 1.0, "mu_b": 0.5, "rotations": rotations,
         }
-        path, out = tmp_path / "cfg.json", tmp_path / "out.json"
+        path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg))
-        argv = ["exchange", "--case", case, "--config", str(path), "--output", str(out)]
-        assert cli.main(argv) == cli.EXIT_OK
-        payload = json.loads(out.read_text())["payload"]
-
         spec = EntangledThermalSpec(np.arange(d, dtype=float), 0.7, 1.0, 0.5)
         h_a, h_b = spec.hamiltonian_a(), spec.hamiltonian_b()
         lib_case = (
             CaseSpec.case_v(spec) if case == "v"
             else CaseSpec.case_s(h_a, spec.beta_a, h_b, spec.beta_b)
         )
-        planes = givens_planes((d, d), rotations, joint_energies(h_a, h_b))
+        return str(path), lib_case, givens_planes((d, d), rotations, joint_energies(h_a, h_b))
+
+    @pytest.mark.parametrize("case", ["v", "s"])
+    def test_payload_is_the_library_report(self, tmp_path, case):
+        path, lib_case, planes = self.configured(tmp_path, case)
+        out = tmp_path / "out.json"
+        argv = ["exchange", "--case", case, "--config", path, "--output", str(out)]
+        assert cli.main(argv) == cli.EXIT_OK
+        payload = json.loads(out.read_text())["payload"]
+
         report = dataclasses.asdict(run_exchange(lib_case, planes))
         assert cli.payload_json(payload) == cli.payload_json(report)
         assert payload["energy_conserving"] is True
         assert payload["identity_gap"] <= 1e-14
+
+    @pytest.mark.parametrize("case", ["v", "s"])
+    def test_sweep_batches_are_one_angle_runs(self, tmp_path, monkeypatch, case):
+        # BATCH_ELEMENTS // 64**2 = 2 angles per run_exchange, so 5 points
+        # take stacks of 2, 2 and 1; the CSV is that of one-angle runs
+        path, lib_case, planes = self.configured(tmp_path, case)
+        assert cli.BATCH_ELEMENTS // cli.MAX_JOINT_DIM == 2
+        stacks = []
+
+        def counted(case, planes):
+            stacks.append(planes.cos.shape[:-1])
+            return run_exchange(case, planes)
+
+        monkeypatch.setattr(cli, "run_exchange", counted)
+        out = tmp_path / "out.csv"
+        argv = ["exchange", "--case", case, "--config", path, "--sweep", "phi=0.1:1.5:5"]
+        assert cli.main([*argv, "--output", str(out)]) == cli.EXIT_OK
+        assert stacks == [(2,), (2,), (1,)]
+
+        rows = []
+        for phi in np.linspace(0.1, 1.5, 5):
+            report = run_exchange(lib_case, planes.at_angle(float(phi)))
+            rows.append([phi, *(getattr(report, field) for _, field in cli._SWEEP_COLUMNS)])
+        header = ["phi", *(name for name, _ in cli._SWEEP_COLUMNS)]
+        assert out.read_bytes() == cli._csv_rows(header, rows).encode()
 
 
 class TestReproducibility:

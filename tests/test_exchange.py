@@ -757,6 +757,8 @@ class TestPlaneForm:
             forms = (
                 planes.at_angle(phi),
                 givens_planes((4, 4), [((2, 2), (0, 3), phi)], joint_energies(h_a, h_b)),
+                # one bad angle set fails a whole stack
+                planes.at_angle(np.array([0.3, phi, 0.5])),
             )
         for case in (CaseSpec.case_v(DEMO_SPEC), case_s):
             for form in forms:
@@ -987,3 +989,55 @@ class TestMacroscopicSize:
         finally:
             tracemalloc.stop()
         assert peak < 16e6
+
+
+def stacked_cases():
+    """(case, planes) for V and S on the demo plane, on every plane of
+    shell_planes(d) at d = 16 and 64, and on the off-shell planes of
+    test_non_degenerate_plane_matches_oracle, whose S marginals carry
+    coherences on both sides."""
+    h_a, h_b = DEMO_SPEC.hamiltonian_a(), DEMO_SPEC.hamiltonian_b()
+    demo_s = CaseSpec.case_s(h_a, 1.0, h_b, 0.5)
+    u, v = np.array([0, 6, 13]), np.array([5, 14, 15])
+    angles = np.array([0.4, 1.1, 2.0])
+    off_shell = GivensPlanes((4, 4), u, v, np.cos(angles), np.sin(angles))
+    out = [
+        pytest.param(CaseSpec.case_v(DEMO_SPEC), demo_planes(), id="demo-V"),
+        pytest.param(demo_s, demo_planes(), id="demo-S"),
+        pytest.param(CaseSpec.case_v(DEMO_SPEC), off_shell, id="off-shell-V"),
+        pytest.param(demo_s, off_shell, id="off-shell-S"),
+    ]
+    for d in (16, 64):
+        out += [pytest.param(c, planes, id=f"{d}-{c.kind}") for c, planes in shell_cases(d)]
+    return out
+
+
+# 0 leaves every final marginal diagonal, so in a stack it takes the
+# eigensolve that the other rows need, where alone it reads its diagonal
+STACK_ANGLES = np.array([0.0, 0.1, 0.45, 0.9, math.pi / 2, 2.0, -0.7])
+
+
+class TestStackedAngles:
+    """run_exchange on a stack of angle sets gives, for each, the bits of
+    the run on that angle set alone."""
+
+    @pytest.mark.parametrize("case, planes", stacked_cases())
+    def test_stack_matches_one_angle_runs(self, case, planes):
+        stack = run_exchange(case, planes.at_angle(STACK_ANGLES))
+        columns = np.asarray(dataclasses.astuple(stack), dtype=float)
+        assert columns.shape == (len(dataclasses.fields(stack)), STACK_ANGLES.size)
+        for k, phi in enumerate(STACK_ANGLES):
+            alone = run_exchange(case, planes.at_angle(phi))
+            assert columns[:, k].view(np.int64).tolist() == report_bits(alone), phi
+
+    @pytest.mark.parametrize("case, planes", stacked_cases())
+    def test_stack_of_one_is_the_scalar_report(self, case, planes):
+        for form, stack in (
+            (planes, dataclasses.replace(planes, cos=planes.cos[None], sin=planes.sin[None])),
+            (planes.at_angle(0.37), planes.at_angle(np.array([0.37]))),
+        ):
+            one, report = run_exchange(case, stack), run_exchange(case, form)
+            assert all(type(x) in (float, bool) for x in dataclasses.astuple(report))
+            columns = np.asarray(dataclasses.astuple(one), dtype=float)
+            assert columns.shape == (len(dataclasses.fields(one)), 1)
+            assert columns[:, 0].view(np.int64).tolist() == report_bits(report)
