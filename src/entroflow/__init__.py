@@ -59,6 +59,5 @@ from .states import (
     gibbs_populations,
     gibbs_state,
     subsystem_entropy,
-    trace_distance,
     von_neumann_entropy,
 )

@@ -70,11 +70,10 @@ from .qmath import (
     substream_draws,
 )
 from .states import (
-    STATE_TOL,
     DensityOperator,
     EntangledThermalSpec,
     HamiltonianSpec,
-    gibbs_state,
+    gibbs_populations,
 )
 
 SCHEMA_VERSION = 1
@@ -255,7 +254,10 @@ def _parse_sweep(text: str) -> np.ndarray:
     # points returns an empty one)
     if n_i > np.iinfo(np.intp).max // 8:
         raise ConfigError(f"sweep of {n_i} points is more than one array can hold")
-    return np.linspace(lo_f, hi_f, n_i)
+    try:
+        return np.linspace(lo_f, hi_f, n_i)
+    except MemoryError as exc:
+        raise ConfigError(f"sweep of {n_i} points cannot be allocated") from exc
 
 
 # ---------------------------------------------------------------- ineq ---
@@ -461,23 +463,18 @@ def _clausius_setup(args: argparse.Namespace):
     system_cfg = cfg.get("system")
     if not isinstance(system_cfg, dict):
         raise ConfigError("config field 'system' must be an object with 'levels'")
-    levels = _require_number_list(system_cfg, "levels")
-    # the states and contacts are dense d x d: refuse before building one
-    _require_joint_dim(len(levels), "config field 'system.levels'")
-    h0 = HamiltonianSpec(np.asarray(levels))
+    h0 = HamiltonianSpec(np.asarray(_require_number_list(system_cfg, "levels")))
 
     init_cfg = cfg.get("initial_state")
     if not isinstance(init_cfg, dict) or "kind" not in init_cfg:
         raise ConfigError("config field 'initial_state' must carry a 'kind'")
+    # populations over the levels; clausius_cycle checks them
     if init_cfg["kind"] == "gibbs":
-        rho0 = gibbs_state(h0, _require_positive(init_cfg, "beta"))
+        p0 = gibbs_populations(h0, _require_positive(init_cfg, "beta"))
     elif init_cfg["kind"] == "diagonal":
-        pops = np.asarray(_require_number_list(init_cfg, "populations"))
-        if pops.size != h0.dim or np.any(pops < 0) or abs(pops.sum() - 1.0) > STATE_TOL:
-            raise ConfigError("'populations' must be a normalized distribution over the levels")
-        rho0 = DensityOperator(np.diag(pops).astype(complex), (h0.dim,))
+        p0 = _require_number_list(init_cfg, "populations")
     elif init_cfg["kind"] == "maximally_mixed":
-        rho0 = DensityOperator(np.eye(h0.dim, dtype=complex) / h0.dim, (h0.dim,))
+        p0 = np.full(h0.dim, 1 / h0.dim)
     else:
         raise ConfigError(f"unknown initial_state kind {init_cfg['kind']!r}")
 
@@ -503,12 +500,12 @@ def _clausius_setup(args: argparse.Namespace):
             )
         else:
             raise ConfigError(f"unknown stroke kind {entry['kind']!r}")
-    return cfg, h0, rho0, strokes
+    return cfg, h0, p0, strokes
 
 
 def cmd_clausius(args: argparse.Namespace) -> tuple:
-    cfg, h0, rho0, strokes = _clausius_setup(args)
-    report = clausius_cycle((h0, rho0), strokes, max_cycles=args.max_cycles, fp_tol=args.fp_tol)
+    cfg, h0, p0, strokes = _clausius_setup(args)
+    report = clausius_cycle((h0, p0), strokes, max_cycles=args.max_cycles, fp_tol=args.fp_tol)
     payload = dataclasses.asdict(report)
     payload["converged"] = True
     payload["clausius_pass"] = report.clausius_sum <= CLAUSIUS_TOL

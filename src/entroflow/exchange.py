@@ -8,8 +8,9 @@ Gibbs states).  Both local Hamiltonians are diagonal.  The interaction is
 a set of rotations inside disjoint joint-energy planes (givens_planes),
 applied plane by plane with no joint-space matrix; rotations inside
 degenerate planes conserve energy exactly, so that the exchanged energy is
-heat with no work leakage.  Each Clausius contact is a resonant partial
-swap with a fresh reservoir, applied through its d x d closed form.
+heat with no work leakage.  A Clausius cycle runs on the populations of
+a diagonal system: each contact, a resonant partial swap with a fresh
+Gibbs reservoir, is then a Markov step on d numbers, with no d x d state.
 """
 
 from __future__ import annotations
@@ -28,16 +29,16 @@ from .errors import (
     NotUnitary,
     OverlappingPlanes,
 )
-from .qmath import dagger, max_abs, scalar_or_stack
+from .qmath import dagger, scalar_or_stack
 from .states import (
+    STATE_TOL,
     DensityOperator,
     EntangledThermalSpec,
     HamiltonianSpec,
     entangled_thermal_state,
     gibbs_divergence,
     gibbs_populations,
-    gibbs_state,
-    trace_distance,
+    spectral_entropy,
     von_neumann_entropy,
 )
 
@@ -52,7 +53,7 @@ CLAUSIUS_TOL = 1e-8
 STROKE_TOL = 1e-9
 # joint basis states at most DEGENERACY_TOL apart in energy are degenerate
 DEGENERACY_TOL = 1e-9
-# max-abs gap at which two Hamiltonian matrices count as equal
+# largest level gap at which two diagonal Hamiltonians count as equal
 HAMILTONIAN_TOL = 1e-12
 # clausius_cycle defaults
 MAX_CYCLES = 500
@@ -197,7 +198,9 @@ class StrokeRecord:
 @dataclass(frozen=True)
 class CycleReport:
     """Converged-cycle summary: sum of beta_j * Q_j over contact strokes,
-    the per-stroke records of the final cycle, and fixed-point data."""
+    the per-stroke records of the final cycle, the cycles run, and the
+    residual: the half-L1 distance of the final cycle's start and end
+    populations, which is the trace distance of the diagonal states."""
 
     clausius_sum: float
     strokes: tuple[StrokeRecord, ...]
@@ -438,48 +441,39 @@ def run_exchange(case: CaseSpec, planes: GivensPlanes) -> ExchangeReport:
     return ExchangeReport(*map(scalar_or_stack, stack))
 
 
-def _contact_state(rho: np.ndarray, sigma: np.ndarray, phi: float) -> np.ndarray:
-    """tr_B[U (rho (x) sigma) U^dag] for the partial swap U = cos(phi) I -
-    i sin(phi) SWAP, which commutes with H (x) I + I (x) H for any H.
-
-    With c = cos(phi) and s = sin(phi) the reduced state is c^2 rho + s^2
-    sigma + i c s (rho sigma - sigma rho), the partial-swap collision model
-    of Scarani et al., PRL 88, 097905 (2002); no d^2 x d^2 matrix is formed.
-    """
-    c, s = np.cos(phi), np.sin(phi)
-    prod = rho @ sigma
-    # rho sigma - sigma rho = prod - prod^dag for Hermitian rho and sigma
-    return c * c * rho + s * s * sigma + 1j * c * s * (prod - dagger(prod))
-
-
 def clausius_cycle(
-    system: tuple[HamiltonianSpec, DensityOperator],
+    system: tuple[HamiltonianSpec, np.ndarray],
     strokes: Sequence[ClausiusStroke],
     max_cycles: int = MAX_CYCLES,
     fp_tol: float = FIXED_POINT_TOL,
 ) -> CycleReport:
-    """Iterate a stroke cycle to its periodic steady state and meter heats.
+    """Iterate a stroke cycle on ``system`` = (H0, populations over its
+    levels) to its periodic steady state and meter heats.
 
-    Each contact uses a fresh, uncorrelated reservoir (Gibbs at the stroke
-    temperature, same Hamiltonian as the system) coupled through a partial
-    swap, whose reduced state has a d x d closed form (_contact_state);
-    each quench replaces the Hamiltonian at fixed state.  One walk of the
-    strokes checks that the quenches restore H0 and builds every reservoir
-    once; cycles then repeat until the state returns to itself within fp_tol
-    in trace distance.  The report carries the final cycle's per-contact
+    Each contact couples a fresh Gibbs reservoir g (same Hamiltonian as the
+    system) through the partial swap cos(phi) I - i sin(phi) SWAP (Scarani
+    et al., PRL 88, 097905 (2002)).  Its commutator term vanishes for
+    diagonal states, so a contact is p -> c^2 p + s^2 g, with heat (p' - p)
+    . levels; a quench replaces the Hamiltonian at fixed state.  One walk of
+    the strokes checks that the quenches restore H0 and builds every
+    reservoir once; cycles then repeat until the populations return within
+    fp_tol in half-L1 distance.  The report carries the final cycle's
     records with slack_j = beta_j * Q_j - dS_j (each <= 0) and their sum.
     """
     if max_cycles < 1:
         raise InvalidSpec(f"max_cycles must be >= 1, got {max_cycles}")
     if not 0 < fp_tol < np.inf:
         raise InvalidSpec(f"fp_tol must be a finite positive number, got {fp_tol}")
-    h0, rho = system
-    if rho.dim != h0.dim:
-        raise DimensionMismatch(f"state dim {rho.dim} != Hamiltonian dim {h0.dim}")
-    if len(rho.dims) != 1:
-        raise DimensionMismatch("system state must be a single tensor factor")
+    h0, p = system
+    quenches = [stroke.hamiltonian for stroke in strokes if stroke.kind == "quench"]
+    if any(h.basis is not None for h in (h0, *quenches)):
+        raise InvalidSpec("a Clausius cycle needs diagonal Hamiltonians, not a rotated basis")
+    p = np.asarray(p, dtype=float)
+    # "not within", so that a NaN or an infinity fails
+    if not (p.shape == (h0.dim,) and np.all(p >= 0) and abs(p.sum() - 1.0) <= STATE_TOL):
+        raise InvalidSpec(f"populations must be a normalized distribution over {h0.dim} levels")
 
-    # (H, reservoir, beta, phi) per contact, in stroke order
+    # (levels, reservoir populations, beta, c^2, s^2) per contact, in stroke order
     contacts = []
     h = h0
     for stroke in strokes:
@@ -489,23 +483,23 @@ def clausius_cycle(
                 raise BadCycle(f"quench to {h.dim} levels on a {h0.dim}-level system")
             continue
         beta = 1.0 / stroke.temperature
-        contacts.append((h.matrix(), gibbs_state(h, beta).matrix, beta, stroke.phi))
-    if max_abs(h.matrix() - h0.matrix()) > HAMILTONIAN_TOL:
+        c, s = np.cos(stroke.phi), np.sin(stroke.phi)
+        contacts.append((h.levels, gibbs_populations(h, beta), beta, c * c, s * s))
+    if np.max(np.abs(h.levels - h0.levels)) > HAMILTONIAN_TOL:
         raise BadCycle("quench strokes do not restore the initial Hamiltonian")
 
+    entropy = spectral_entropy(np.sort(p))
     for cycle in range(1, max_cycles + 1):
-        rho_start = rho
+        p_start = p
         records: list[StrokeRecord] = []
-        for h_mat, sigma, beta, phi in contacts:
-            reduced = _contact_state(rho.matrix, sigma, phi)
-            heat = float(np.trace((reduced - rho.matrix) @ h_mat).real)
-            rho_next = DensityOperator(reduced, rho.dims)
-            ds = von_neumann_entropy(rho_next) - von_neumann_entropy(rho)
-            records.append(
-                StrokeRecord(beta=beta, heat=heat, entropy_change=ds, slack=beta * heat - ds)
-            )
-            rho = rho_next
-        residual = trace_distance(rho_start, rho)
+        for levels, g, beta, cc, ss in contacts:
+            p_next = cc * p + ss * g
+            heat = float((p_next - p) @ levels)
+            entropy_next = spectral_entropy(np.sort(p_next))
+            ds = entropy_next - entropy
+            records.append(StrokeRecord(beta, heat, ds, beta * heat - ds))
+            p, entropy = p_next, entropy_next
+        residual = float(0.5 * np.abs(p_start - p).sum())
         if residual < fp_tol:
             return CycleReport(
                 clausius_sum=float(sum(r.beta * r.heat for r in records)),
@@ -513,6 +507,4 @@ def clausius_cycle(
                 cycles_to_convergence=cycle,
                 residual=residual,
             )
-    raise NoConvergence(
-        f"no fixed point after {max_cycles} cycles; last residual {residual:.3e}"
-    )
+    raise NoConvergence(f"no fixed point after {max_cycles} cycles; last residual {residual:.3e}")

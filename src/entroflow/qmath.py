@@ -124,11 +124,6 @@ def dagger(m: np.ndarray) -> np.ndarray:
     return np.conjugate(np.swapaxes(m, -1, -2))
 
 
-def max_abs(m: np.ndarray) -> float:
-    """Largest entry magnitude; 0.0 for empty input."""
-    return float(np.max(np.abs(m))) if np.asarray(m).size else 0.0
-
-
 def scalar_or_stack(x):
     """A result of one matrix as a Python number; a stack's results (one
     per matrix) as the array."""

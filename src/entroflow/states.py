@@ -259,10 +259,10 @@ def log_partition(h: HamiltonianSpec, beta):
     return scalar_or_stack(-b * e0 + np.log(z))
 
 
-def _spectral_entropy(lam: np.ndarray):
-    """-sum lam ln lam over the positive eigenvalues of each ascending
-    spectrum (last axis): a zero adds 0 ln 0 = 0, and a negative one is
-    rounding noise of a semidefinite spectrum.
+def spectral_entropy(lam: np.ndarray):
+    """-sum lam ln lam over the positive entries of each ascending spectrum
+    or sorted population vector (last axis): a zero adds 0 ln 0 = 0, and a
+    negative one is rounding noise of a semidefinite spectrum.
 
     Each spectrum's positive eigenvalues are summed on their own, as one
     contiguous row, so a spectrum gives the same bits alone as in any stack.
@@ -283,7 +283,7 @@ def _spectral_entropy(lam: np.ndarray):
 
 def von_neumann_entropy(rho: DensityOperator):
     """S(rho) = -tr(rho ln rho) in nats; 0 * ln 0 reads as 0."""
-    return _spectral_entropy(rho.spectrum)
+    return spectral_entropy(rho.spectrum)
 
 
 def subsystem_entropy(rho: DensityOperator, keep: Iterable[int]):
@@ -294,7 +294,7 @@ def subsystem_entropy(rho: DensityOperator, keep: Iterable[int]):
     if keep == list(range(len(rho.dims))):
         return von_neumann_entropy(rho)
     reduced = partial_trace(rho.matrix, rho.dims, keep)
-    return _spectral_entropy(np.linalg.eigvalsh((reduced + dagger(reduced)) / 2))
+    return spectral_entropy(np.linalg.eigvalsh((reduced + dagger(reduced)) / 2))
 
 
 def gibbs_divergence(rho: DensityOperator, h: HamiltonianSpec, beta):
@@ -320,11 +320,3 @@ def entangled_thermal_state(spec: EntangledThermalSpec) -> PureJointState:
     vec[np.arange(d) * d + np.arange(d)] = amp
     return PureJointState(vec, (d, d))
 
-
-def trace_distance(rho: DensityOperator, sigma: DensityOperator):
-    """(1/2) ||rho - sigma||_1 via the spectrum of the difference; one
-    value per state of a stack."""
-    if rho.dim != sigma.dim:
-        raise DimensionMismatch(f"dimension mismatch: {rho.dim} vs {sigma.dim}")
-    lam = np.linalg.eigvalsh(rho.matrix - sigma.matrix)
-    return scalar_or_stack(0.5 * np.abs(lam).sum(-1))

@@ -38,7 +38,7 @@ from entroflow import (
     ensemble_heat,
     fractional_gain,
     gibbs_evolution_identity,
-    gibbs_state,
+    gibbs_populations,
     givens_planes,
     joint_energies,
     run_exchange,
@@ -189,7 +189,7 @@ def test_criterion_5_exchange_invariants():
 def test_criterion_6_clausius_cycle():
     started = time.perf_counter()
     h1 = HamiltonianSpec(np.array([0.0, 1.0]))
-    rep = clausius_cycle((h1, gibbs_state(h1, 1.0)), TWO_RESERVOIR_STROKES, fp_tol=1e-10)
+    rep = clausius_cycle((h1, gibbs_populations(h1, 1.0)), TWO_RESERVOIR_STROKES, fp_tol=1e-10)
     worst_stroke = max(r.slack for r in rep.strokes)
     ok = rep.residual < 1e-10 and rep.clausius_sum <= 1e-8 and worst_stroke <= 1e-9
     report(6, "Clausius cycle", ok,

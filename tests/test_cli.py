@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 
 import golden
 import numpy as np
@@ -220,18 +221,34 @@ class TestJointDimensionLimit:
         assert "joint dimension of 90000" in proc.stderr
         assert not out.exists()
 
-    def test_oversized_clausius_system_exits_2(self, tmp_path, clausius_config):
-        # refused before the 4097 x 4097 Gibbs state and its eigensolve
-        cfg = json.loads(open(clausius_config).read())
-        cfg["system"]["levels"] = [float(i) for i in range(cli.MAX_JOINT_DIM + 1)]
-        path = tmp_path / "big.json"
+    @pytest.mark.parametrize("d", [cli.MAX_JOINT_DIM, cli.MAX_JOINT_DIM + 1])
+    def test_clausius_levels_have_no_limit(self, tmp_path, capsys, d):
+        # a cycle runs on d populations, with no d x d state (whose Gibbs
+        # state alone would take seconds at this size), so the limit does not
+        # apply to its levels
+        levels = [float(i) for i in range(d)]
+        cfg = {
+            "schema_version": 1,
+            "kind": "clausius",
+            "system": {"levels": levels},
+            "initial_state": {"kind": "gibbs", "beta": 1.0},
+            "strokes": [
+                {"kind": "contact", "temperature": 3.0, "phi": 0.7},
+                {"kind": "quench", "levels": [2 * x for x in levels]},
+                {"kind": "contact", "temperature": 1.0, "phi": 0.7},
+                {"kind": "quench", "levels": levels},
+            ],
+        }
+        path = tmp_path / "levels.json"
         path.write_text(json.dumps(cfg))
         out = tmp_path / "out.json"
-        proc = run_cli("clausius", "--config", str(path), "--output", str(out))
-        assert proc.returncode == 2, proc.stderr
-        assert proc.stderr.count("\n") == 1
-        assert f"above the limit of {cli.MAX_JOINT_DIM}" in proc.stderr
-        assert not out.exists()
+        started = time.perf_counter()
+        assert cli.main(["clausius", "--config", str(path), "--output", str(out)]) == cli.EXIT_OK
+        assert time.perf_counter() - started < 5.0
+        assert capsys.readouterr().err == ""
+        payload = json.loads(out.read_text())["payload"]
+        assert payload["clausius_pass"] and payload["stroke_pass"]
+        assert payload["cycles_to_convergence"] > 1
 
 
 class TestExchange:
@@ -351,6 +368,8 @@ class TestExchange:
             # as an empty grid
             ("phi=0:1:100000000000000000000", "points is more than one array can hold"),
             (f"phi=0:1:{2**63 - 1}", "points is more than one array can hold"),
+            # 8 PB, refused by the allocator before any memory is touched
+            ("phi=0:1:1000000000000000", "points cannot be allocated"),
             # finite bounds whose step overflows
             ("phi=1e308:-1e308:3", "span between them must be finite"),
         ],
@@ -455,7 +474,7 @@ class TestClausius:
         def no_contact(*args, **kwargs):
             raise AssertionError("a contact ran")
 
-        monkeypatch.setattr(exchange, "_contact_state", no_contact)
+        monkeypatch.setattr(exchange, "spectral_entropy", no_contact)
         out = tmp_path / "out.json"
         code = cli.main(["clausius", "--config", clausius_config, flag, "--output", str(out)])
         captured = capsys.readouterr()

@@ -37,7 +37,6 @@ from entroflow import (
     OverlappingPlanes,
     clausius_cycle,
     gibbs_populations,
-    gibbs_state,
     givens_planes,
     joint_energies,
     kron,
@@ -417,20 +416,20 @@ class TestClausiusCycle:
     def test_single_reservoir_thermalizes(self):
         strokes = [ClausiusStroke.contact(2.0, 0.3)]
         report = clausius_cycle(
-            (GAP1, gibbs_state(GAP1, 5.0)), strokes, max_cycles=5000, fp_tol=1e-12
+            (GAP1, gibbs_populations(GAP1, 5.0)), strokes, max_cycles=5000, fp_tol=1e-12
         )
         assert report.residual < 1e-12
         assert abs(report.clausius_sum) <= 1e-8  # zero heat at the fixed point
         # en route to the fixed point every pass obeys the stroke inequality
         report2 = clausius_cycle(
-            (GAP1, gibbs_state(GAP1, 5.0)), strokes, max_cycles=1, fp_tol=10.0
+            (GAP1, gibbs_populations(GAP1, 5.0)), strokes, max_cycles=1, fp_tol=10.0
         )
         assert report2.strokes[0].slack <= 1e-9
 
     def test_single_reservoir_fixed_point_is_gibbs(self):
         strokes = [ClausiusStroke.contact(2.0, 0.3)]
         report = clausius_cycle(
-            (GAP1, gibbs_state(GAP1, 5.0)), strokes, max_cycles=5000, fp_tol=1e-12
+            (GAP1, gibbs_populations(GAP1, 5.0)), strokes, max_cycles=5000, fp_tol=1e-12
         )
         assert report.cycles_to_convergence > 1
         # rebuild the final state by iterating independently: partial swap
@@ -443,7 +442,7 @@ class TestClausiusCycle:
         assert abs(p - p_res) < 1e-10
 
     def test_two_reservoir_cycle_matches_oracle(self):
-        report = clausius_cycle((GAP1, gibbs_state(GAP1, 1.0)), TWO_RESERVOIR_STROKES)
+        report = clausius_cycle((GAP1, gibbs_populations(GAP1, 1.0)), TWO_RESERVOIR_STROKES)
         oracle_sum, oracle_strokes = two_reservoir_oracle()
         assert report.residual < 1e-10
         assert abs(report.clausius_sum - oracle_sum) <= 1e-12
@@ -455,19 +454,37 @@ class TestClausiusCycle:
             assert abs(record.entropy_change - ds) <= 1e-12
             assert record.slack <= 1e-9
 
-    def test_one_reservoir_eigensolve_per_contact(self, eigensolves):
-        # the reservoirs (one per contact, per run) and each contact's new
-        # state are diagonal here, so their spectra are their diagonals;
-        # per cycle only the fixed-point test's trace distance is solved
-        rho0 = gibbs_state(GAP1, 1.0)
-        del eigensolves[:]
-        report = clausius_cycle((GAP1, rho0), TWO_RESERVOIR_STROKES)
-        assert report.cycles_to_convergence > 1
-        assert len(eigensolves) == report.cycles_to_convergence
+    def test_no_eigensolve_state_or_matrix_per_contact_or_run(self, eigensolves, monkeypatch):
+        # a contact maps populations: an entropy is read off the sorted
+        # populations and the residual is their half-L1 distance.  At
+        # d = 1024 one d x d float array takes 8 MiB; the run stays under 1
+        d = 1024
+        levels = np.arange(d, dtype=float)
+        built = []
+        monkeypatch.setattr(DensityOperator, "__post_init__", lambda rho: built.append(rho))
+        for name in ("matrix", "in_basis"):
+            monkeypatch.setattr(HamiltonianSpec, name, lambda h, *a: built.append(h))
+        strokes = [
+            ClausiusStroke.contact(3.0, 0.7),
+            ClausiusStroke.quench(HamiltonianSpec(2 * levels)),
+            ClausiusStroke.contact(1.0, 0.7),
+            ClausiusStroke.quench(HamiltonianSpec(levels)),
+        ]
+        h0 = HamiltonianSpec(levels)
+        p0 = gibbs_populations(h0, 1.0)
+        tracemalloc.start()
+        try:
+            report = clausius_cycle((h0, p0), strokes)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.cycles_to_convergence > 1 and report.clausius_sum <= 1e-8
+        assert eigensolves == [] and built == []
+        assert peak < d * d
 
     def test_zero_angle_contacts(self):
         strokes = [ClausiusStroke.contact(2.0, 0.0), ClausiusStroke.contact(1.0, 0.0)]
-        report = clausius_cycle((GAP1, gibbs_state(GAP1, 1.0)), strokes)
+        report = clausius_cycle((GAP1, gibbs_populations(GAP1, 1.0)), strokes)
         assert report.cycles_to_convergence == 1
         assert report.clausius_sum == 0.0
         assert all(r.heat == 0.0 for r in report.strokes)
@@ -475,7 +492,7 @@ class TestClausiusCycle:
     def test_non_restoring_quench_rejected(self):
         strokes = [ClausiusStroke.contact(2.0, 0.5), ClausiusStroke.quench(GAP2)]
         with pytest.raises(BadCycle):
-            clausius_cycle((GAP1, gibbs_state(GAP1, 1.0)), strokes)
+            clausius_cycle((GAP1, gibbs_populations(GAP1, 1.0)), strokes)
 
     @pytest.mark.parametrize(
         "strokes",
@@ -491,19 +508,20 @@ class TestClausiusCycle:
         ids=["not-restored", "dimension-change"],
     )
     def test_bad_cycle_raised_before_any_contact(self, strokes, monkeypatch):
+        # every contact, and the run before its first one, reads an entropy
         contacts = []
-        real = exchange_module._contact_state
+        real = exchange_module.spectral_entropy
         monkeypatch.setattr(
-            exchange_module, "_contact_state", lambda *a: contacts.append(a) or real(*a)
+            exchange_module, "spectral_entropy", lambda *a: contacts.append(a) or real(*a)
         )
         with pytest.raises(BadCycle):
-            clausius_cycle((GAP1, gibbs_state(GAP1, 1.0)), strokes)
+            clausius_cycle((GAP1, gibbs_populations(GAP1, 1.0)), strokes)
         assert contacts == []
 
     def test_no_convergence_reported(self):
         strokes = [ClausiusStroke.contact(2.0, 0.2)]
         with pytest.raises(NoConvergence):
-            clausius_cycle((GAP1, gibbs_state(GAP1, 9.0)), strokes, max_cycles=2, fp_tol=1e-12)
+            clausius_cycle((GAP1, gibbs_populations(GAP1, 9.0)), strokes, max_cycles=2, fp_tol=1e-12)
 
     @pytest.mark.parametrize(
         "limits",
@@ -521,7 +539,23 @@ class TestClausiusCycle:
         # refused before any cycle: max_cycles=0 used to end in an
         # UnboundLocalError, and fp_tol=nan ran every cycle to NoConvergence
         with pytest.raises(InvalidSpec):
-            clausius_cycle((GAP1, gibbs_state(GAP1, 1.0)), TWO_RESERVOIR_STROKES, **limits)
+            clausius_cycle((GAP1, gibbs_populations(GAP1, 1.0)), TWO_RESERVOIR_STROKES, **limits)
+
+    def test_quench_in_a_rotated_basis_refused(self):
+        # a system in one: TestContactClosedForm's rotated cases
+        rotated = HamiltonianSpec(GAP1.levels, basis=np.array([[0, 1], [1, 0]]))
+        strokes = [ClausiusStroke.quench(rotated), *TWO_RESERVOIR_STROKES]
+        with pytest.raises(InvalidSpec, match="rotated basis"):
+            clausius_cycle((GAP1, gibbs_populations(GAP1, 1.0)), strokes)
+
+    @pytest.mark.parametrize(
+        "populations",
+        [[1.1, -0.1], [math.nan, 1.0], [math.inf, 0.0], [0.2, 0.3, 0.5], [0.5, 0.5 + 1e-9]],
+        ids=["negative", "nan", "inf", "wrong-length", "sum-off-by-1e-9"],
+    )
+    def test_populations_refused(self, populations):
+        with pytest.raises(InvalidSpec, match="normalized distribution over 2 levels"):
+            clausius_cycle((GAP1, populations), TWO_RESERVOIR_STROKES)
 
     def test_stroke_validation(self):
         with pytest.raises(InvalidSpec):
@@ -534,9 +568,8 @@ class TestClausiusCycle:
         rng = substream(31, 8)
         for _ in range(30):
             pops = rng.dirichlet(np.ones(2))
-            rho = DensityOperator(np.diag(pops).astype(complex), (2,))
             strokes = [ClausiusStroke.contact(float(rng.uniform(0.2, 5.0)), float(rng.uniform(0, math.pi)))]
-            report = clausius_cycle((GAP1, rho), strokes, max_cycles=1, fp_tol=1e9)
+            report = clausius_cycle((GAP1, pops), strokes, max_cycles=1, fp_tol=1e9)
             assert report.strokes[0].slack <= 1e-9
 
 
@@ -549,15 +582,31 @@ class TestContactClosedForm:
     @pytest.mark.parametrize("phi", [0.0, 0.7, math.pi / 2])
     @pytest.mark.parametrize("rotated", [False, True], ids=["diagonal", "rotated"])
     def test_matches_dense_partial_swap(self, d, phi, rotated):
+        # one contact of the population map against tr_B of the dense
+        # partial swap U (diag(p) (x) diag(g)) U^dag; some populations are 0
         rng = substream(31, 9, d)
-        rho = random_density(d, int(rng.integers(1, d + 1)), rng)
+        p = rng.dirichlet(np.ones(d))
+        p[: int(rng.integers(0, d))] = 0.0
+        p /= p.sum()
         levels = np.sort(rng.uniform(0.0, 2.0, d))
         h = HamiltonianSpec(levels, basis=haar_unitary(d, rng) if rotated else None)
-        sigma = gibbs_state(h, 0.8).matrix
+        contact = [ClausiusStroke.contact(1.25, phi)]
+        if rotated:
+            # a contact in a rotated basis is no population map: refused
+            with pytest.raises(InvalidSpec, match="rotated basis"):
+                clausius_cycle((h, p), contact, max_cycles=1, fp_tol=1e9)
+            return
+        rho = np.diag(p).astype(complex)
         u = partial_swap(d, phi)
-        dense = partial_trace(u @ kron(rho, sigma) @ u.conj().T, (d, d), [0])
-        closed = exchange_module._contact_state(rho, sigma, phi)
-        assert np.max(np.abs(closed - dense)) <= 1e-13
+        sigma = np.diag(gibbs_populations(h, 1 / 1.25)).astype(complex)
+        reduced = partial_trace(u @ kron(rho, sigma) @ u.conj().T, (d, d), [0])
+        heat = np.trace((reduced - rho) @ np.diag(levels)).real
+        entropy_change = von_neumann_entropy(DensityOperator(reduced, (d,))) - von_neumann_entropy(
+            DensityOperator(rho, (d,))
+        )
+        (record,) = clausius_cycle((h, p), contact, max_cycles=1, fp_tol=1e9).strokes
+        assert abs(record.heat - heat) <= 1e-13
+        assert abs(record.entropy_change - entropy_change) <= 1e-13
 
     def test_cycle_builds_no_joint_matrix(self, monkeypatch):
         def forbidden(*args, **kwargs):
@@ -565,7 +614,7 @@ class TestContactClosedForm:
 
         for name in ("partial_swap", "kron", "partial_trace"):
             monkeypatch.setattr(exchange_module, name, forbidden, raising=False)
-        report = clausius_cycle((GAP1, gibbs_state(GAP1, 1.0)), TWO_RESERVOIR_STROKES)
+        report = clausius_cycle((GAP1, gibbs_populations(GAP1, 1.0)), TWO_RESERVOIR_STROKES)
         oracle_sum, _ = two_reservoir_oracle()
         assert abs(report.clausius_sum - oracle_sum) <= 1e-12
 
