@@ -390,22 +390,9 @@ def _exchange_setup(args: argparse.Namespace):
     spec = EntangledThermalSpec(np.asarray(epsilon), gamma, mu_a, mu_b)
 
     rotations = cfg.get("rotations")
-    try:
-        # one pass: anything but [[i, j], [i2, j2], phi] fails to unpack, and
-        # so does [] (a JSON string or object unpacks only into strings)
-        *labels, angles = zip(*[(i, j, i2, j2, phi) for (i, j), (i2, j2), phi in rotations])
-        valid = (
-            all({int}.issuperset(map(type, column)) for column in labels)
-            and {int, float}.issuperset(map(type, angles))
-            and np.isfinite(np.array(angles, dtype=float)).all()
-        )
-    except (TypeError, ValueError, OverflowError):
-        valid = False
-    if not valid:
-        raise ConfigError(
-            "config field 'rotations' must be a list of [[i,j],[i2,j2],phi] "
-            "with integer labels and a finite angle"
-        )
+    # givens_planes checks each rotation
+    if not isinstance(rotations, list) or not rotations:
+        raise ConfigError("config field 'rotations' must be a nonempty list")
 
     if args.case == "v":
         case = CaseSpec.case_v(spec)

@@ -5,17 +5,19 @@ Two initial conditions are supported: kind "S" (uncorrelated product of
 local Gibbs states at two temperatures, the molecular-chaos setting) and
 kind "V" (a single entangled pure state whose marginals are the same two
 Gibbs states).  Both local Hamiltonians are diagonal.  The interaction is
-a set of rotations inside disjoint joint-energy planes (givens_planes),
-applied plane by plane with no joint-space matrix; rotations inside
-degenerate planes conserve energy exactly, so that the exchanged energy is
-heat with no work leakage.  A Clausius cycle runs on the populations of
-a diagonal system: each contact, a resonant partial swap with a fresh
-Gibbs reservoir, is then a Markov step on d numbers, with no d x d state.
+a set of rotations inside disjoint degenerate joint-energy planes
+(givens_planes), which conserve energy exactly: the exchanged energy is
+heat.  Both kinds' marginals are scattered from the real joint entries a
+partial trace reads, with no joint-space matrix.  A Clausius cycle runs
+on the populations of a diagonal system: each contact, a resonant partial
+swap with a fresh Gibbs reservoir, is a Markov step on d numbers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import chain
+from numbers import Integral, Real
 from typing import Sequence
 
 import numpy as np
@@ -29,7 +31,7 @@ from .errors import (
     NotUnitary,
     OverlappingPlanes,
 )
-from .qmath import dagger, scalar_or_stack
+from .qmath import scalar_or_stack
 from .states import (
     STATE_TOL,
     DensityOperator,
@@ -68,7 +70,7 @@ class CaseSpec:
     and the (pure, entangled) joint state.  kind "S": explicit local
     Hamiltonians and unconstrained inverse temperatures; the joint state is
     the uncorrelated product of the two Gibbs states.  Both Hamiltonians
-    are diagonal: kind S refuses one with a rotated basis.
+    are diagonal: kind S refuses a stack or a rotated basis.
     """
 
     kind: str
@@ -89,8 +91,8 @@ class CaseSpec:
                 raise InvalidSpec("kind S requires positive beta_a and beta_b")
             if self.h_a.dim < 2 or self.h_b.dim < 2:
                 raise InvalidSpec("exchange needs at least 2 levels per side")
-            if self.h_a.basis is not None or self.h_b.basis is not None:
-                raise InvalidSpec("exchange needs diagonal Hamiltonians, not a rotated basis")
+            if any(h.levels.ndim != 1 or h.basis is not None for h in (self.h_a, self.h_b)):
+                raise InvalidSpec("exchange needs one diagonal Hamiltonian a side, no basis")
         else:
             raise InvalidSpec(f"kind must be 'S' or 'V', got {self.kind!r}")
 
@@ -248,7 +250,9 @@ def givens_planes(
     the diagonal of the noninteracting joint Hamiltonian) within
     DEGENERACY_TOL, so the rotation commutes with it, and no basis state may
     lie in two planes.  phi = pi/2 maps one state onto the other up to sign.
-    Each check is one array mask over all rotations; the first rotation in
+    A rotation that does not unpack as ((i, j), (i', j'), phi) with integer
+    labels and a finite real angle raises InvalidSpec first.  Then each
+    check is one array mask over all rotations; the first rotation in
     input order that fails raises, for the first of its failed checks in the
     order label range, two distinct states, degeneracy, reuse.
     """
@@ -260,16 +264,27 @@ def givens_planes(
     energies = np.asarray(energies, dtype=float).ravel()
     if energies.size != d:
         raise DimensionMismatch(f"energies length {energies.size} != joint dim {d}")
-    rows = [(i, j, i2, j2, phi) for (i, j), (i2, j2), phi in rotations]
+    try:
+        # each type is checked once, not each entry; a bool is an int
+        rows = [(i, j, i2, j2, phi) for (i, j), (i2, j2), phi in rotations]
+        *columns, phi = zip(*rows) if rows else [()] * 5
+        label_types, angle_types = set(map(type, chain(*columns))), set(map(type, phi))
+        phi = np.array(phi, dtype=float)
+        valid = bool not in label_types | angle_types and np.isfinite(phi).all()
+        valid = valid and all(issubclass(t, Integral) for t in label_types)
+        valid = valid and all(issubclass(t, Real) for t in angle_types)
+    except (TypeError, ValueError, OverflowError):
+        valid = False
+    if not valid:
+        raise InvalidSpec("rotations must be [[i, j], [i2, j2], phi], integer labels, finite phi")
     if not rows:
         return GivensPlanes(dims, np.zeros(0, int), np.zeros(0, int), np.zeros(0), np.zeros(0))
-    *columns, phi = zip(*rows)
     bounds = (d_a, d_b, d_a, d_b)
     # labels are compared as Python numbers before the int64 cast; one out of
     # range is clamped to -1 or its bound, so it stays out of range
     if not all(0 <= min(col) and max(col) < b for col, b in zip(columns, bounds)):
         columns = [[min(max(x, -1), b) for x in col] for col, b in zip(columns, bounds)]
-    labels = np.asarray(columns).astype(np.int64, casting="same_kind")
+    labels = np.array(columns, dtype=np.int64)
     in_range = ((labels >= 0) & (labels < np.array(bounds)[:, None])).reshape(2, 2, -1).all(axis=1)
     u, v = labels[0::2] * d_b + labels[1::2]
     gap = np.abs(np.subtract(*energies[np.where(in_range, (u, v), 0)]))
@@ -289,7 +304,6 @@ def givens_planes(
             (OverlappingPlanes, f"rotation plane ({first}, {second}) reuses a basis state"),
         )[int(np.argmax(failed[:, k]))]
         raise error(message)
-    phi = np.array(phi, dtype=float)
     return GivensPlanes(dims, u, v, np.cos(phi), np.sin(phi))
 
 
@@ -311,65 +325,50 @@ def _plane_gate(planes: GivensPlanes, h_a: HamiltonianSpec, h_b: HamiltonianSpec
     return np.abs(s * (energies[planes.u] - energies[planes.v])).max(-1, initial=0.0) <= ENERGY_TOL
 
 
-def _entangled_marginals(planes: GivensPlanes, psi: np.ndarray) -> tuple[DensityOperator, ...]:
-    """The one-party reduced states (A, B) of |psi><psi|, each a stack of
-    one, and then (A', B') of U |psi><psi| U^dag, each a stack with one
-    state per angle set.
+def _marginals(case: CaseSpec, planes: GivensPlanes) -> tuple[DensityOperator, ...]:
+    """(A, A', B, B'): each side's reduced state of the initial joint state,
+    a stack of one, then of U rho0 U^dag, a stack of one per angle set.
 
-    U psi takes one 2 x 2 update of two entries per plane, and each pair of
-    marginals is X X^dag and X^T (X^T)^dag, with X the d_A x d_B reshape of
-    the vector.
+    Each kind lists the real joint entries (row, column, a value per state,
+    the initial state first) that a partial trace reads.  V: psi and every
+    plane are real, so U psi is; the entries are psi'_r psi'_k over nonzero
+    amplitudes whose states share a label.  S: p = p_A (x) p_B, moved by a
+    plane to p'_u = c^2 p_u + s^2 p_v, p'_v = s^2 p_u + c^2 p_v, on the
+    diagonal, and the coherence c s (p_u - p_v) at (u, v) and (v, u).  An
+    entry reaches rho_A when its states share the B label (labels, not
+    energies: a plane off the energy shell is metered as it acts), and
+    rho_B when they share the A label.  One bincount per side sums each bin
+    in list order, so an angle set has the bits it has alone and a level no
+    plane touches keeps its initial bits.
     """
-    u, v, (c, s) = planes.u, planes.v, np.atleast_2d(planes.cos, planes.sin)
-    rotated = np.tile(psi, (len(c), 1))
-    rotated[:, u] = c * psi[u] - s * psi[v]
-    rotated[:, v] = s * psi[u] + c * psi[v]
     d_a, d_b = planes.dims
-    out = []
-    for x in (psi.reshape(1, d_a, d_b), rotated.reshape(-1, d_a, d_b)):
-        x_t = np.swapaxes(x, -1, -2)
-        out += [DensityOperator(x @ dagger(x), (d_a,)), DensityOperator(x_t @ dagger(x_t), (d_b,))]
-    return tuple(out)
-
-
-def _product_marginals(
-    planes: GivensPlanes, p_a: np.ndarray, p_b: np.ndarray
-) -> tuple[DensityOperator, ...]:
-    """The one-party reduced states (A, B) of rho0 = diag(p_A) (x) diag(p_B),
-    each a stack of one, and then (A', B') of U rho0 U^dag, each a stack
-    with one state per angle set, read plane by plane.
-
-    A plane leaves the joint state diagonal but for the coherence c s (p_u
-    - p_v) between u and v, and moves the populations to p'_u = c^2 p_u +
-    s^2 p_v and p'_v = s^2 p_u + c^2 p_v.  The marginal diagonals are the
-    row and column sums of p and p' reshaped d_A x d_B, summed alike, so a
-    level no plane touches keeps its bits.  A coherence survives tracing
-    out B only when u and v share their B index, and tracing out A only
-    when they share their A index.  The indices are compared, not the
-    energies, so a plane that is not degenerate is metered as it acts.
-    """
-    d_a, d_b = p_a.size, p_b.size
     u, v, (c, s) = planes.u, planes.v, np.atleast_2d(planes.cos, planes.sin)
-    p = np.multiply.outer(p_a, p_b).ravel()
-    moved = np.tile(p, (len(c), 1))
-    moved[:, u] = c * c * p[u] + s * s * p[v]
-    moved[:, v] = s * s * p[u] + c * c * p[v]
-    coherence = c * s * (p[u] - p[v])
-    (i_u, j_u), (i_v, j_v) = np.divmod(u, d_b), np.divmod(v, d_b)
-    # A, B, A', B'
-    mats = [
-        np.eye(d) * grid.reshape(-1, d_a, d_b).sum(axis=axis)[:, None, :]
-        for grid in (p, moved)
-        for d, axis in ((d_a, 2), (d_b, 1))
-    ]
-    row = np.arange(len(c))[:, None]
-    for rho, first, second, shared in (
-        (mats[2], i_u, i_v, j_u == j_v),
-        (mats[3], j_u, j_v, i_u == i_v),
-    ):
-        np.add.at(rho, (row, first[shared], second[shared]), coherence[:, shared])
-        np.add.at(rho, (row, second[shared], first[shared]), coherence[:, shared])
-    return tuple(DensityOperator(rho, (rho.shape[-1],)) for rho in mats)
+    if case.kind == "V":
+        psi = entangled_thermal_state(case.entangled).vector.real
+        amps = np.tile(psi, (len(c) + 1, 1))
+        amps[1:, u] = c * psi[u] - s * psi[v]
+        amps[1:, v] = s * psi[u] + c * psi[v]
+        live = np.flatnonzero(amps.any(axis=0))
+        i, j = np.divmod(live, d_b)
+        rows, cols = (live[k] for k in np.nonzero((i[:, None] == i) | (j[:, None] == j)))
+        values = amps[:, rows] * amps[:, cols]
+    else:
+        p_a, p_b = map(gibbs_populations, case.hamiltonians(), case.betas())
+        p = np.multiply.outer(p_a, p_b).ravel()
+        pops = np.tile(p, (len(c) + 1, 1))
+        pops[1:, u] = c * c * p[u] + s * s * p[v]
+        pops[1:, v] = s * s * p[u] + c * c * p[v]
+        coherence = np.vstack([np.zeros(u.size), c * s * (p[u] - p[v])])
+        rows, cols = (np.concatenate([np.arange(p.size), x, y]) for x, y in ((u, v), (v, u)))
+        values = np.hstack([pops, coherence, coherence])
+    (i_r, j_r), (i_k, j_k) = np.divmod(rows, d_b), np.divmod(cols, d_b)
+    out = []
+    for d, first, second, shared in ((d_a, i_r, i_k, j_r == j_k), (d_b, j_r, j_k, i_r == i_k)):
+        # state t's entries land in bins t d^2 ... (t + 1) d^2 - 1
+        bins = first[shared] * d + second[shared] + d * d * np.arange(len(values))[:, None]
+        rho = np.bincount(bins.ravel(), values[:, shared].ravel(), len(values) * d * d)
+        out += [DensityOperator(x, (d,)) for x in np.split(rho.reshape(-1, d, d), [1])]
+    return tuple(out)
 
 
 def _heat(before: DensityOperator, after: DensityOperator, h: HamiltonianSpec) -> np.ndarray:
@@ -389,16 +388,13 @@ def run_exchange(case: CaseSpec, planes: GivensPlanes) -> ExchangeReport:
     ENERGY_TOL); only then is the exchanged energy pure heat and work_leak
     zero to rounding.
 
-    No joint-space matrix is formed.  Kind V rotates two entries of the
-    entangled vector psi per plane and reads the marginals from a reshape
-    of it (_entangled_marginals); kind S reads them plane by plane from the
-    diagonal product of the Gibbs states (_product_marginals).  An angle set
-    is one row of the rotated vector or populations and one state of each
-    final-marginal stack, so it has the bits it has alone.  The joint
-    entropy, which a unitary leaves unchanged, is the initial one: 0 for V,
-    and S(rho_A) + S(rho_B) = S(gamma_A) + S(gamma_B) for S.  The heats are
-    diag(rho' - rho) . levels, exact for the diagonal Hamiltonians a
-    CaseSpec holds.
+    No joint-space matrix is formed: _marginals scatters the real entries
+    of the joint state that a partial trace reads, psi'_r psi'_k for V and
+    the populations and plane coherences for S, into each marginal stack;
+    an angle set has the bits it has alone.  The joint entropy, which a
+    unitary leaves unchanged, is the initial one: 0 for V, and S(rho_A) +
+    S(rho_B) = S(gamma_A) + S(gamma_B) for S.  The heats are diag(rho' -
+    rho) . levels, exact for the diagonal Hamiltonians a CaseSpec holds.
     identity_gap is |beta_A Q_A + beta_B Q_B - dI - D(rho_A'||gamma_A)
     - D(rho_B'||gamma_B)|, which vanishes for every unitary because both
     initial marginals are Gibbs states.
@@ -407,14 +403,7 @@ def run_exchange(case: CaseSpec, planes: GivensPlanes) -> ExchangeReport:
     beta_a, beta_b = case.betas()
     conserving = _plane_gate(planes, h_a, h_b)
 
-    if case.kind == "V":
-        a0, b0, a1, b1 = _entangled_marginals(
-            planes, entangled_thermal_state(case.entangled).vector
-        )
-    else:
-        a0, b0, a1, b1 = _product_marginals(
-            planes, gibbs_populations(h_a, beta_a), gibbs_populations(h_b, beta_b)
-        )
+    a0, a1, b0, b1 = _marginals(case, planes)
     s_a0, s_b0, s_a1, s_b1 = (von_neumann_entropy(red) for red in (a0, b0, a1, b1))
     s_joint = 0.0 if case.kind == "V" else s_a0 + s_b0
 
@@ -466,8 +455,9 @@ def clausius_cycle(
         raise InvalidSpec(f"fp_tol must be a finite positive number, got {fp_tol}")
     h0, p = system
     quenches = [stroke.hamiltonian for stroke in strokes if stroke.kind == "quench"]
-    if any(h.basis is not None for h in (h0, *quenches)):
-        raise InvalidSpec("a Clausius cycle needs diagonal Hamiltonians, not a rotated basis")
+    if any(h.levels.ndim != 1 or h.basis is not None for h in (h0, *quenches)):
+        raise InvalidSpec("a Clausius cycle needs single diagonal Hamiltonians, "
+                          "not a stack or a rotated basis")
     p = np.asarray(p, dtype=float)
     # "not within", so that a NaN or an infinity fails
     if not (p.shape == (h0.dim,) and np.all(p >= 0) and abs(p.sum() - 1.0) <= STATE_TOL):

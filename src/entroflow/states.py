@@ -302,11 +302,18 @@ def gibbs_divergence(rho: DensityOperator, h: HamiltonianSpec, beta):
     exact ln gamma = -beta H - ln Z: beta tr(rho H) + ln Z - S(rho).
 
     No eigensolve of gamma, and no support floor: a Gibbs population is
-    positive even where exp(-beta E) underflows.
+    positive even where exp(-beta E) underflows.  For a diagonal H, tr(rho
+    H) is diag(rho) . levels, with no d x d Hamiltonian.
     """
     if rho.dim != h.dim:
         raise DimensionMismatch(f"dimension mismatch: {rho.dim} vs {h.dim}")
-    mean_energy = trace(rho.matrix @ h.matrix()).real
+    if h.basis is None:
+        # one 1-D product per state: a stacked product may sum in another order
+        pops, levels = np.broadcast_arrays(np.diagonal(rho.matrix, 0, -2, -1).real, h.levels)
+        rows = zip(pops.reshape(-1, h.dim), levels.reshape(-1, h.dim))
+        mean_energy = scalar_or_stack(np.reshape([x @ e for x, e in rows], pops.shape[:-1]))
+    else:
+        mean_energy = trace(rho.matrix @ h.matrix()).real
     return beta * mean_energy + log_partition(h, beta) - von_neumann_entropy(rho)
 
 

@@ -11,6 +11,18 @@ key that moved:
 
     PYTHONPATH=src python tests/golden.py --update
 
+To list what moved, with its size, write every payload of the old code
+and of the new into a directory each, one file per key, and compare them:
+
+    PYTHONPATH=<old checkout>/src python tests/golden.py --dump old
+    PYTHONPATH=src python tests/golden.py --dump new
+    PYTHONPATH=src python tests/golden.py --diff old new
+
+``--diff`` prints one line per key whose bytes differ, with the largest
+absolute difference over its JSON numbers or CSV cells, then one indented
+line per field that moved: a JSON path such as ``strokes[1].heat``, or a
+CSV column.  It prints nothing when every key kept its bytes.
+
 The inputs are built here, not taken from ``perfbench/workloads.py``, so a
 change to the benchmark's workloads never moves a digest.  Sizes are cut
 below the benchmark's only to keep the test to a few seconds.
@@ -28,9 +40,11 @@ from pathlib import Path
 
 import numpy as np
 
-from conftest import shell_planes
-
+# before conftest, which puts this checkout's src first on sys.path: run as
+# a script, the code dumped is the one PYTHONPATH names
 from entroflow import cli
+
+from conftest import shell_planes
 
 GOLDEN = Path(__file__).with_name("golden_payloads.json")
 SEEDS = (7, 101)
@@ -141,11 +155,80 @@ def load() -> dict[str, str]:
     return json.loads(GOLDEN.read_text())
 
 
+def dump(directory: Path) -> None:
+    """Write each case's payload bytes to ``directory``/<key>."""
+    directory.mkdir(parents=True, exist_ok=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        for key, argv in cases(Path(tmp)).items():
+            (directory / key).write_bytes(payload_bytes(argv, Path(tmp)))
+
+
+def fields(data: bytes) -> dict[str, object]:
+    """Field -> values of one payload: each JSON leaf under its path, or
+    each CSV column as the tuple of its cells."""
+    text = data.decode()
+    if not text.startswith("{"):
+        header, *rows = (line.split(",") for line in text.splitlines())
+        return {name: tuple(map(float, cells)) for name, *cells in zip(header, *rows)}
+    out = {}
+
+    def walk(node, path):
+        items = node.items() if isinstance(node, dict) else enumerate(node)
+        for name, value in items:
+            where = f"{path}.{name}" if isinstance(node, dict) else f"{path}[{name}]"
+            if isinstance(value, (dict, list)):
+                walk(value, where)
+            else:
+                out[where.lstrip(".")] = value
+
+    walk(json.loads(text), "")
+    return out
+
+
+def _change(old, new) -> float:
+    """Largest absolute difference of two JSON numbers or two CSV columns;
+    inf for any other change (a flag, a string, a field only on one side)."""
+    numbers = {type(old), type(new)} <= {int, float}
+    columns = type(old) is type(new) is tuple and len(old) == len(new)
+    if not (numbers or columns):
+        return math.inf
+    return float(np.max(np.abs(np.subtract(new, old)), initial=0.0))
+
+
+def diff(old_dir: Path, new_dir: Path) -> list[str]:
+    """One line per key whose bytes differ, then one per moved field."""
+    lines = []
+    for key in sorted({p.name for p in old_dir.iterdir()} | {p.name for p in new_dir.iterdir()}):
+        old, new = (d / key for d in (old_dir, new_dir))
+        if not (old.exists() and new.exists()):
+            lines.append(f"{key}: only in {old_dir if old.exists() else new_dir}")
+            continue
+        if old.read_bytes() == new.read_bytes():
+            continue
+        a, b = fields(old.read_bytes()), fields(new.read_bytes())
+        moved = {
+            name: _change(a.get(name), b.get(name))
+            for name in sorted(a.keys() | b.keys())
+            if a.get(name) != b.get(name)
+        }
+        lines.append(f"{key}: largest {max(moved.values(), default=0.0):.2g}")
+        lines += [f"  {name} {change:.2g}" for name, change in moved.items()]
+    return lines
+
+
 def main(argv: list[str]) -> int:
-    if argv != ["--update"]:
-        print("usage: PYTHONPATH=src python tests/golden.py --update", file=sys.stderr)
-        return 2
     os.environ["ENTROFLOW_THREADS"] = "1"
+    if argv[:1] == ["--dump"] and len(argv) == 2:
+        dump(Path(argv[1]))
+        return 0
+    if argv[:1] == ["--diff"] and len(argv) == 3:
+        for line in diff(Path(argv[1]), Path(argv[2])):
+            print(line)
+        return 0
+    if argv != ["--update"]:
+        print("usage: PYTHONPATH=src python tests/golden.py --update | --dump DIR"
+              " | --diff OLD NEW", file=sys.stderr)
+        return 2
     old = load() if GOLDEN.exists() else {}
     with tempfile.TemporaryDirectory() as tmp:
         new = digests(Path(tmp))

@@ -36,6 +36,7 @@ from entroflow import (
     NotUnitary,
     OverlappingPlanes,
     clausius_cycle,
+    gibbs_divergence,
     gibbs_populations,
     givens_planes,
     joint_energies,
@@ -219,6 +220,25 @@ class TestGivensUnitary:
         with pytest.raises(OverlappingPlanes):
             givens_planes((4, 4), rots, joint_energies(h_a, h_b))
 
+    @pytest.mark.parametrize(
+        "rotation",
+        [((2.0, 2), (0, 3), 0.3), ((2, 2), (True, 3), 0.3), ((2, 2), (0, 3), math.inf),
+         ((2, 2), (0, 3), True), ((2, 2), (0, 3), 10**400), ((2, 2), (0, 3)), ((2, 2), 3, 0.3)],
+        ids=["float-label", "bool-label", "infinite-angle", "bool-angle", "angle-beyond-float",
+             "no-angle", "short-label"],
+    )
+    def test_rejects_malformed_rotation(self, rotation):
+        energies = joint_energies(DEMO_SPEC.hamiltonian_a(), DEMO_SPEC.hamiltonian_b())
+        with pytest.raises(InvalidSpec, match="integer labels, finite phi"):
+            givens_planes((4, 4), [((2, 0), (0, 1), 0.5), rotation], energies)
+
+    def test_accepts_numpy_numbers(self):
+        energies = joint_energies(DEMO_SPEC.hamiltonian_a(), DEMO_SPEC.hamiltonian_b())
+        rotation = ((np.int64(2), np.uint8(2)), (0, np.int32(3)), np.float32(0.5))
+        planes = givens_planes((4, 4), [rotation], energies)
+        assert (planes.u.tolist(), planes.v.tolist()) == ([10], [3])
+        assert planes.sin.tolist() == [math.sin(np.float32(0.5))]
+
 
 class TestPartialSwap:
     def test_zero_angle_identity(self):
@@ -344,7 +364,8 @@ class TestRunExchange:
 
     def test_rejects_non_finite_unitary(self):
         # a NaN defect compares false against any bound; the gate fails closed
-        planes = demo_planes(float("nan"))
+        # (givens_planes refuses a NaN angle itself; at_angle does not)
+        planes = demo_planes().at_angle(float("nan"))
         with pytest.raises(NotUnitary):
             run_exchange(CaseSpec.case_v(DEMO_SPEC), planes)
 
@@ -542,11 +563,15 @@ class TestClausiusCycle:
             clausius_cycle((GAP1, gibbs_populations(GAP1, 1.0)), TWO_RESERVOIR_STROKES, **limits)
 
     def test_quench_in_a_rotated_basis_refused(self):
-        # a system in one: TestContactClosedForm's rotated cases
+        # a system in one: TestContactClosedForm's rotated cases.  A stack
+        # of Hamiltonians is refused alike, as a quench or as the system
         rotated = HamiltonianSpec(GAP1.levels, basis=np.array([[0, 1], [1, 0]]))
-        strokes = [ClausiusStroke.quench(rotated), *TWO_RESERVOIR_STROKES]
-        with pytest.raises(InvalidSpec, match="rotated basis"):
-            clausius_cycle((GAP1, gibbs_populations(GAP1, 1.0)), strokes)
+        stacked = HamiltonianSpec([[0.0, 1.0], [0.0, 2.0]])
+        p0 = gibbs_populations(GAP1, 1.0)
+        for system, quench in ((GAP1, rotated), (GAP1, stacked), (stacked, GAP1)):
+            strokes = [ClausiusStroke.quench(quench), *TWO_RESERVOIR_STROKES]
+            with pytest.raises(InvalidSpec, match="rotated basis"):
+                clausius_cycle((system, p0), strokes)
 
     @pytest.mark.parametrize(
         "populations",
@@ -645,11 +670,8 @@ def repeated_level_spec(rng, max_dim: int = 6) -> EntangledThermalSpec:
 
 
 def product_marginals(case, planes):
-    """run_exchange's two final marginals of kind S, as matrices."""
-    h_a, h_b = case.hamiltonians()
-    beta_a, beta_b = case.betas()
-    pops = gibbs_populations(h_a, beta_a), gibbs_populations(h_b, beta_b)
-    return [rho.matrix for rho in exchange_module._product_marginals(planes, *pops)[2:]]
+    """run_exchange's two final marginals, as matrices."""
+    return [rho.matrix for rho in exchange_module._marginals(case, planes)[1::2]]
 
 
 def shared_sides(planes):
@@ -677,24 +699,27 @@ class TestRunExchangeAgainstDense:
         h_a, h_b = spec.hamiltonian_a(), spec.hamiltonian_b()
         rotated_a = HamiltonianSpec(h_a.levels, basis=haar_unitary(h_a.dim, rng))
         rotated_b = HamiltonianSpec(h_b.levels, basis=haar_unitary(h_b.dim, rng))
-        for pair in ((rotated_a, h_b), (h_a, rotated_b), (rotated_a, rotated_b)):
+        # and on one Hamiltonian per side, not a stack
+        stacked_a = HamiltonianSpec(np.stack([h_a.levels, 2 * h_a.levels]))
+        for pair in ((rotated_a, h_b), (h_a, rotated_b), (rotated_a, rotated_b), (stacked_a, h_b)):
             with pytest.raises(InvalidSpec):
                 CaseSpec.case_s(pair[0], 1.0, pair[1], 0.5)
 
     @pytest.mark.parametrize("d", range(2, 25))
     def test_product_marginals_match_oracle(self, d):
-        # the per-plane marginals of case S against the partial traces of
-        # the dense U rho0 U^dag, on a maximal set of disjoint degenerate
-        # planes at random angles
+        # the scattered marginals of cases S and V against the partial
+        # traces of the dense U rho0 U^dag, on a maximal set of disjoint
+        # degenerate planes at random angles
         rng = substream(31, 16, d)
         for mu_b in (1.0, 0.5):
             spec = EntangledThermalSpec(np.arange(d, dtype=float), 0.45, 1.0, mu_b)
             h_a, h_b = spec.hamiltonian_a(), spec.hamiltonian_b()
-            case = CaseSpec.case_s(h_a, 0.8, h_b, 0.3)
-            planes = random_conserving_planes(case, rng)
-            oracle = dense_exchange_reference(case, planes_matrix(planes))["marginals"]
-            for got, want in zip(product_marginals(case, planes), oracle):
-                assert np.max(np.abs(got - want)) <= 1e-15
+            case_s = CaseSpec.case_s(h_a, 0.8, h_b, 0.3)
+            planes = random_conserving_planes(case_s, rng)
+            for case in (case_s, CaseSpec.case_v(spec)):
+                oracle = dense_exchange_reference(case, planes_matrix(planes))["marginals"]
+                for got, want in zip(product_marginals(case, planes), oracle):
+                    assert np.max(np.abs(got - want)) <= 1e-15
 
     def test_repeated_levels_reach_both_coherence_branches(self):
         # repeated levels give degenerate planes inside one side; their two
@@ -749,6 +774,22 @@ class TestRunExchangeAgainstDense:
         for c in (CaseSpec.case_v(DEMO_SPEC), case):
             run_exchange(c, demo_planes())
         assert joint_states and not any(joint_states)
+
+    def test_reads_no_hamiltonian_matrix(self, monkeypatch):
+        # the heats and divergences of a diagonal H read its levels: no d x d
+        # Hamiltonian is formed, for one angle set or a stack
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a Hamiltonian matrix was formed")
+
+        for name in ("matrix", "in_basis"):
+            monkeypatch.setattr(HamiltonianSpec, name, forbidden)
+        case_s = CaseSpec.case_s(DEMO_SPEC.hamiltonian_a(), 1.0, DEMO_SPEC.hamiltonian_b(), 0.5)
+        for case in (CaseSpec.case_v(DEMO_SPEC), case_s):
+            for planes in (demo_planes(0.3), demo_planes().at_angle(np.array([0.0, 0.3, 1.2]))):
+                assert np.all(run_exchange(case, planes).identity_gap <= 1e-14)
+        rho = DensityOperator(np.diag([0.5, 0.3, 0.2, 0.0]).astype(complex), (4,))
+        h = DEMO_SPEC.hamiltonian_a()
+        assert gibbs_divergence(rho, h, 1.0) >= 0.0
 
 
 def report_bits(report) -> list[int]:
@@ -805,10 +846,12 @@ class TestPlaneForm:
         with np.errstate(invalid="ignore"):
             forms = (
                 planes.at_angle(phi),
-                givens_planes((4, 4), [((2, 2), (0, 3), phi)], joint_energies(h_a, h_b)),
                 # one bad angle set fails a whole stack
                 planes.at_angle(np.array([0.3, phi, 0.5])),
             )
+        # givens_planes refuses the angle before any run
+        with pytest.raises(InvalidSpec, match="finite phi"):
+            givens_planes((4, 4), [((2, 2), (0, 3), phi)], joint_energies(h_a, h_b))
         for case in (CaseSpec.case_v(DEMO_SPEC), case_s):
             for form in forms:
                 with pytest.raises(NotUnitary):

@@ -1,4 +1,6 @@
 import hashlib
+import json
+import shutil
 
 import numpy as np
 import pytest
@@ -43,3 +45,25 @@ def test_ineq_keys_its_trials_per_batch(tmp_path, monkeypatch, threads):
             assert got == want[key]
             trials = int(argv[argv.index("--trials") + 1])
             assert 0 < len(philoxes) == len(batches) < trials, key
+
+
+def test_diff_of_a_dump_against_itself_reports_no_key(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("ENTROFLOW_THREADS", "1")
+    dump = tmp_path / "dump"
+    assert golden.main(["--dump", str(dump)]) == 0
+    assert sorted(path.name for path in dump.iterdir()) == sorted(golden.load())
+    assert golden.main(["--diff", str(dump), str(dump)]) == 0
+    assert capsys.readouterr().out == ""
+    # a moved JSON number and a moved CSV cell are named with their size
+    moved = tmp_path / "moved"
+    shutil.copytree(dump, moved)
+    payload = json.loads((moved / "demo.v").read_text())
+    payload["q_a"] += 0.25
+    (moved / "demo.v").write_text(cli.payload_json(payload))
+    header, first, *rest = (moved / "exchange.sweep@7").read_text().splitlines()
+    cells = first.split(",")
+    cells[1] = repr(float(cells[1]) - 0.5)
+    (moved / "exchange.sweep@7").write_text("\n".join([header, ",".join(cells), *rest]) + "\n")
+    assert golden.diff(dump, moved) == [
+        "demo.v: largest 0.25", "  q_a 0.25", "exchange.sweep@7: largest 0.5", "  Q_A 0.5"
+    ]
