@@ -363,9 +363,9 @@ def cmd_ineq(args: argparse.Namespace) -> tuple:
     joint = _require_joint_dim(math.prod(factors), "--dims")
 
     # a trial runs only its RNG calls, on the stream of substream(seed, tag,
-    # t) in trial order; the Philox keys of a batch's trials are derived in
-    # one vectorised pass (qmath.substream_draws), everything derived from
-    # the draws runs once per batch, and the batch reports join into one
+    # t) in trial order; one generator per batch is moved from trial to
+    # trial (qmath.substream_draws), everything derived from the draws runs
+    # once per batch, and the batch reports join into one
     batch = max(1, BATCH_ELEMENTS // joint**2)
     reports = []
     for first in range(0, args.trials, batch):

@@ -62,6 +62,11 @@ MAX_CYCLES = 500
 FIXED_POINT_TOL = 1e-10
 
 
+def _positive_finite(x) -> bool:
+    # a NaN fails the chained comparison; a bool is an int, not a temperature
+    return isinstance(x, Real) and not isinstance(x, bool) and 0 < x < np.inf
+
+
 @dataclass(frozen=True)
 class CaseSpec:
     """Initial condition of a two-party heat-exchange experiment.
@@ -87,8 +92,8 @@ class CaseSpec:
         elif self.kind == "S":
             if self.h_a is None or self.h_b is None:
                 raise InvalidSpec("kind S requires both local Hamiltonians")
-            if not (self.beta_a and self.beta_a > 0 and self.beta_b and self.beta_b > 0):
-                raise InvalidSpec("kind S requires positive beta_a and beta_b")
+            if not (_positive_finite(self.beta_a) and _positive_finite(self.beta_b)):
+                raise InvalidSpec("kind S requires positive finite beta_a and beta_b")
             if self.h_a.dim < 2 or self.h_b.dim < 2:
                 raise InvalidSpec("exchange needs at least 2 levels per side")
             if any(h.levels.ndim != 1 or h.basis is not None for h in (self.h_a, self.h_b)):
@@ -102,11 +107,7 @@ class CaseSpec:
 
     @classmethod
     def case_s(
-        cls,
-        h_a: HamiltonianSpec,
-        beta_a: float,
-        h_b: HamiltonianSpec,
-        beta_b: float,
+        cls, h_a: HamiltonianSpec, beta_a: float, h_b: HamiltonianSpec, beta_b: float
     ) -> "CaseSpec":
         return cls(kind="S", h_a=h_a, h_b=h_b, beta_a=beta_a, beta_b=beta_b)
 
@@ -166,8 +167,8 @@ class ClausiusStroke:
 
     def __post_init__(self) -> None:
         if self.kind == "contact":
-            if self.temperature is None or not self.temperature > 0:
-                raise InvalidSpec(f"contact needs T > 0, got {self.temperature!r}")
+            if not _positive_finite(self.temperature):
+                raise InvalidSpec(f"contact needs a finite T > 0, got {self.temperature!r}")
             if self.phi is None or not np.isfinite(self.phi):
                 raise InvalidSpec("contact needs a finite coupling angle phi")
         elif self.kind == "quench":
@@ -339,7 +340,8 @@ def _marginals(case: CaseSpec, planes: GivensPlanes) -> tuple[DensityOperator, .
     energies: a plane off the energy shell is metered as it acts), and
     rho_B when they share the A label.  One bincount per side sums each bin
     in list order, so an angle set has the bits it has alone and a level no
-    plane touches keeps its initial bits.
+    plane touches keeps its initial bits.  Each side computes its own labels
+    and mask, and the entries are freed before the four state checks.
     """
     d_a, d_b = planes.dims
     u, v, (c, s) = planes.u, planes.v, np.atleast_2d(planes.cos, planes.sin)
@@ -352,6 +354,7 @@ def _marginals(case: CaseSpec, planes: GivensPlanes) -> tuple[DensityOperator, .
         i, j = np.divmod(live, d_b)
         rows, cols = (live[k] for k in np.nonzero((i[:, None] == i) | (j[:, None] == j)))
         values = amps[:, rows] * amps[:, cols]
+        del psi, amps
     else:
         p_a, p_b = map(gibbs_populations, case.hamiltonians(), case.betas())
         p = np.multiply.outer(p_a, p_b).ravel()
@@ -361,14 +364,17 @@ def _marginals(case: CaseSpec, planes: GivensPlanes) -> tuple[DensityOperator, .
         coherence = np.vstack([np.zeros(u.size), c * s * (p[u] - p[v])])
         rows, cols = (np.concatenate([np.arange(p.size), x, y]) for x, y in ((u, v), (v, u)))
         values = np.hstack([pops, coherence, coherence])
-    (i_r, j_r), (i_k, j_k) = np.divmod(rows, d_b), np.divmod(cols, d_b)
-    out = []
-    for d, first, second, shared in ((d_a, i_r, i_k, j_r == j_k), (d_b, j_r, j_k, i_r == i_k)):
+        del p, pops, coherence
+    states = []
+    for d, label, other in ((d_a, np.floor_divide, np.remainder), (d_b, np.remainder, np.floor_divide)):
+        shared = other(rows, d_b) == other(cols, d_b)
         # state t's entries land in bins t d^2 ... (t + 1) d^2 - 1
-        bins = first[shared] * d + second[shared] + d * d * np.arange(len(values))[:, None]
+        bins = label(rows[shared], d_b) * d + label(cols[shared], d_b)
+        bins = bins + d * d * np.arange(len(values))[:, None]
         rho = np.bincount(bins.ravel(), values[:, shared].ravel(), len(values) * d * d)
-        out += [DensityOperator(x, (d,)) for x in np.split(rho.reshape(-1, d, d), [1])]
-    return tuple(out)
+        states += [(x, (d,)) for x in np.split(rho.reshape(-1, d, d), [1])]
+    del rows, cols, values, shared, bins
+    return tuple(DensityOperator(*x) for x in states)
 
 
 def _heat(before: DensityOperator, after: DensityOperator, h: HamiltonianSpec) -> np.ndarray:

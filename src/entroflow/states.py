@@ -184,9 +184,7 @@ class EntangledThermalSpec:
             val = float(getattr(self, name))
             if not (val > 0 and np.isfinite(val)):
                 raise InvalidSpec(f"{name} must be positive and finite, got {val!r}")
-        eps = eps.copy()
-        eps.setflags(write=False)
-        object.__setattr__(self, "epsilon", eps)
+        object.__setattr__(self, "epsilon", _frozen(eps.copy()))
 
     @property
     def dim(self) -> int:

@@ -391,8 +391,14 @@ class TestRunExchange:
     def test_case_spec_validation(self):
         with pytest.raises(InvalidSpec):
             CaseSpec(kind="X")
-        with pytest.raises(InvalidSpec):
-            CaseSpec.case_s(DEMO_SPEC.hamiltonian_a(), -1.0, DEMO_SPEC.hamiltonian_b(), 1.0)
+        h_a, h_b = DEMO_SPEC.hamiltonian_a(), DEMO_SPEC.hamiltonian_b()
+        # a bool is not a beta, and neither is NaN or an infinity
+        for beta in (-1.0, 0.0, None, True, math.inf, -math.inf, math.nan, np.float64(math.inf)):
+            with pytest.raises(InvalidSpec):
+                CaseSpec.case_s(h_a, beta, h_b, 1.0)
+            with pytest.raises(InvalidSpec):
+                CaseSpec.case_s(h_a, 1.0, h_b, beta)
+        assert CaseSpec.case_s(h_a, 2, h_b, np.float64(0.5)).betas() == (2.0, 0.5)
 
 
 # ------------------------------------------------------------------------
@@ -583,8 +589,9 @@ class TestClausiusCycle:
             clausius_cycle((GAP1, populations), TWO_RESERVOIR_STROKES)
 
     def test_stroke_validation(self):
-        with pytest.raises(InvalidSpec):
-            ClausiusStroke.contact(-1.0, 0.5)
+        for temperature in (-1.0, 0.0, None, True, math.inf, math.nan):
+            with pytest.raises(InvalidSpec):
+                ClausiusStroke.contact(temperature, 0.5)
         with pytest.raises(InvalidSpec):
             ClausiusStroke(kind="contact", temperature=1.0, phi=None)
 
@@ -1064,11 +1071,20 @@ class TestMacroscopicSize:
     """Both cases at sizes where one D x D array would not fit the test."""
 
     def test_two_hundred_fifty_six_levels(self):
-        # joint dimension 65,536: a D x D complex array would take 69 GB
-        for case, planes in shell_cases(256):
-            report = run_exchange(case, planes)
+        # joint dimension 65,536: a D x D complex array would take 69 GB.
+        # Each side scatters with its own labels and mask, and the joint
+        # entries are freed before the four marginals are checked, so the
+        # entry list of S (every population) is not held next to them
+        for (case, planes), mib in zip(shell_cases(256), (9.7, 11.0)):
+            tracemalloc.start()
+            try:
+                report = run_exchange(case, planes)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
             assert report.energy_conserving
             assert report.identity_gap <= 1e-14
+            assert peak <= mib * 2**20, case.kind
 
     @pytest.mark.parametrize("which", [0, 1], ids=["V", "S"])
     def test_sixty_four_levels_allocate_no_joint_matrix(self, which):

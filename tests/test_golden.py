@@ -23,28 +23,27 @@ def test_payload_digests_match_golden_file(tmp_path, monkeypatch, threads):
 @pytest.mark.parametrize("threads", ["1", "2"])
 def test_ineq_keys_its_trials_per_batch(tmp_path, monkeypatch, threads):
     # every ineq trial reads the stream of substream(seed, tag, t), but no
-    # trial builds one: with substream refused the digests stay, and one
-    # Philox is made per batch (per substream_draws call), not per trial
+    # trial builds one: the digests stay, and each batch (each
+    # substream_draws call) keys one substream, block 0 of its Philox, and
+    # moves it from trial to trial
     monkeypatch.setenv("ENTROFLOW_THREADS", threads)
-
-    def refused(*path):
-        raise AssertionError(f"ineq called substream{path}")
-
-    monkeypatch.setattr(qmath, "substream", refused)
-    monkeypatch.setattr(cli, "substream", refused, raising=False)
-    batches, philoxes = [], []
-    draws, philox = cli.substream_draws, np.random.Philox
+    batches, substreams, philoxes = [], [], []
+    draws, keyed, philox = cli.substream_draws, qmath.substream, np.random.Philox
     monkeypatch.setattr(cli, "substream_draws", lambda *a: batches.append(a) or draws(*a))
-    monkeypatch.setattr(np.random, "Philox", lambda *a: philoxes.append(a) or philox(*a))
+    monkeypatch.setattr(qmath, "substream", lambda *a: substreams.append(a) or keyed(*a))
+    monkeypatch.setattr(
+        np.random, "Philox", lambda *a, **k: philoxes.append(a) or philox(*a, **k)
+    )
     want = golden.load()
     for key, argv in golden.cases(tmp_path).items():
         if key.startswith("ineq."):
-            batches.clear()
-            philoxes.clear()
+            for calls in (batches, substreams, philoxes):
+                calls.clear()
             got = hashlib.sha256(golden.payload_bytes(argv, tmp_path)).hexdigest()
             assert got == want[key]
             trials = int(argv[argv.index("--trials") + 1])
-            assert 0 < len(philoxes) == len(batches) < trials, key
+            assert 0 < len(batches) == len(substreams) == len(philoxes) < trials, key
+            assert [path[-1] for path in substreams] == [0] * len(batches), key
 
 
 def test_diff_of_a_dump_against_itself_reports_no_key(tmp_path, monkeypatch, capsys):

@@ -15,7 +15,6 @@ from entroflow.qmath import (
     haar_unitaries,
     random_densities,
     substream_draws,
-    substream_keys,
 )
 
 
@@ -233,8 +232,9 @@ class TestDeterminism:
 
 
 # seeds at the word boundaries of SeedSequence's entropy and random ones;
-# trial ranges that start at 0 or 1, ragged ones, ones across t = 2**32
-# (where a trial number becomes two entropy words) and unordered lists
+# trial ranges that start at 0 or 1, ragged ones, ones across t = 2**64
+# (where the counter block's low word carries into its high word), the
+# last block and unordered lists
 KEY_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1] + [
     int(s) for s in np.random.default_rng(2024).integers(0, 2**63, 4, dtype=np.int64)
 ]
@@ -243,10 +243,11 @@ KEY_TRIALS = [
     range(1, 2),
     range(0, 37),
     range(5, 130),
-    range(2**32 - 3, 2**32 + 2),
-    [2**32 - 1],
-    [2**32],
-    [9, 2**32, 3, 2**32 - 1, 0],
+    range(2**64 - 3, 2**64 + 2),
+    [2**64 - 1],
+    [2**64],
+    [2**128 - 1],
+    [9, 2**64, 3, 2**64 - 1, 0],
 ]
 
 
@@ -256,25 +257,8 @@ def trial_draw(rng):
 
 
 class TestSubstreamKeys:
-    """The keys and streams of ``substream_draws`` bit for bit against one
-    ``substream`` per trial."""
-
-    @pytest.mark.parametrize("tag", [1, 2, 3])
-    @pytest.mark.parametrize("seed", KEY_SEEDS)
-    def test_keys_are_seed_sequence_states(self, seed, tag):
-        for trials in KEY_TRIALS:
-            keys = substream_keys(trials, seed, tag)
-            assert keys.dtype == np.uint64 and keys.shape == (len(trials), 2)
-            for key, t in zip(keys, trials):
-                want = np.random.SeedSequence((seed, tag, t)).generate_state(2, np.uint64)
-                assert np.array_equal(key, want), (seed, tag, t)
-
-    @pytest.mark.parametrize("path", [(), (7,), (2**32, 5)])
-    def test_keys_of_other_paths(self, path):
-        trials = range(2**32 - 2, 2**32 + 2)
-        for key, t in zip(substream_keys(trials, 11, *path), trials):
-            want = np.random.SeedSequence((11, *path, t)).generate_state(2, np.uint64)
-            assert np.array_equal(key, want)
+    """The streams of ``substream_draws`` bit for bit against one
+    ``substream`` per trial, and the counter blocks a substream may name."""
 
     @pytest.mark.parametrize("tag", [1, 2, 3])
     @pytest.mark.parametrize("seed", KEY_SEEDS)
@@ -288,9 +272,33 @@ class TestSubstreamKeys:
                     assert np.array_equal(a.view(np.int64), b.view(np.int64)), (seed, tag, t)
 
     def test_no_trials(self):
-        assert substream_keys(range(0), 1, 2).shape == (0, 2)
         assert substream_draws(trial_draw, range(0), 1, 2) == []
 
     def test_negative_path_refused(self):
         with pytest.raises(ValueError):
-            substream_keys(range(2), 1, -2)
+            substream(1, -2, 3)
+        with pytest.raises(ValueError):
+            substream_draws(trial_draw, range(2), 1, -2)
+
+    def test_counter_blocks(self):
+        # block 2**128 - 1 is the last of the 256-bit counter; -1 and 2**128
+        # are refused, not wrapped
+        last = trial_draw(substream(5, 1, 2**128 - 1))
+        assert not np.array_equal(last[1], trial_draw(substream(5, 1, 0))[1])
+        for block in (-1, 2**128, 2**130):
+            with pytest.raises(ValueError):
+                substream(5, 1, block)
+            with pytest.raises(ValueError):
+                substream_draws(trial_draw, [0, block], 5, 1)
+
+    def test_blocks_of_one_key(self):
+        # substream(seed) is block 0; a path's last entry picks a block of
+        # the key its other entries fix, and block t starts t * 2**128 draws in
+        want = substream(9, 0).bit_generator.random_raw(6)
+        assert np.array_equal(substream(9).bit_generator.random_raw(6), want)
+        a, b = substream(9, 4, 2).bit_generator, substream(9, 4, 3).bit_generator
+        assert np.array_equal(a.state["state"]["key"], b.state["state"]["key"])
+        a.advance(2**128)
+        assert np.array_equal(a.random_raw(6), b.random_raw(6))
+        other = substream(9, 5, 2).bit_generator.state["state"]["key"]
+        assert not np.array_equal(other, b.state["state"]["key"])
