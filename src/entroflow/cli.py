@@ -36,6 +36,7 @@ from .errors import (
     NonFiniteResult,
     NotDegenerate,
     OverlappingPlanes,
+    finite_real,
 )
 from .exchange import (
     CLAUSIUS_TOL,
@@ -185,30 +186,11 @@ def _load_config(path: str, expected_kind: str) -> dict:
     return cfg
 
 
-def _is_finite_number(value) -> bool:
-    # exact types: JSON true/false load as bool, an int subclass; an int is
-    # compared exactly, so one beyond float range fails instead of overflowing
-    return type(value) in (int, float) and abs(value) <= sys.float_info.max
-
-
 def _require_number_list(cfg: dict, key: str) -> list[float]:
     value = cfg.get(key)
-    if not isinstance(value, list) or not value or not all(map(_is_finite_number, value)):
+    if not isinstance(value, list) or not value:
         raise ConfigError(f"config field {key!r} must be a nonempty array of finite numbers")
-    return [float(v) for v in value]
-
-
-def _require_positive(cfg: dict, key: str) -> float:
-    value = cfg.get(key)
-    if not _is_finite_number(value) or not value > 0:
-        raise ConfigError(f"config field {key!r} must be a finite positive number")
-    return float(value)
-
-
-def _require_finite(value, what: str) -> float:
-    if not _is_finite_number(value):
-        raise ConfigError(f"{what} must be a finite number, got {value!r}")
-    return float(value)
+    return [finite_real(v, f"{key}[{i}]") for i, v in enumerate(value)]
 
 
 def _require_joint_dim(joint: int, source: str) -> int:
@@ -384,10 +366,7 @@ def _exchange_setup(args: argparse.Namespace):
     cfg = _load_config(args.config, "exchange")
     epsilon = _require_number_list(cfg, "epsilon")
     _require_joint_dim(len(epsilon) ** 2, "config field 'epsilon'")
-    gamma = _require_positive(cfg, "gamma")
-    mu_a = _require_positive(cfg, "mu_a")
-    mu_b = _require_positive(cfg, "mu_b")
-    spec = EntangledThermalSpec(np.asarray(epsilon), gamma, mu_a, mu_b)
+    spec = EntangledThermalSpec(np.asarray(epsilon), *map(cfg.get, ("gamma", "mu_a", "mu_b")))
 
     rotations = cfg.get("rotations")
     # givens_planes checks each rotation
@@ -399,9 +378,9 @@ def _exchange_setup(args: argparse.Namespace):
     else:
         case = CaseSpec.case_s(
             spec.hamiltonian_a(),
-            spec.beta_a if cfg.get("beta_a") is None else _require_positive(cfg, "beta_a"),
+            spec.beta_a if cfg.get("beta_a") is None else cfg["beta_a"],
             spec.hamiltonian_b(),
-            spec.beta_b if cfg.get("beta_b") is None else _require_positive(cfg, "beta_b"),
+            spec.beta_b if cfg.get("beta_b") is None else cfg["beta_b"],
         )
     return cfg, case, rotations
 
@@ -422,7 +401,7 @@ def cmd_exchange(args: argparse.Namespace) -> tuple | str:
     if args.phi is not None and args.sweep is not None:
         raise ConfigError("--phi and --sweep both set the angle; give one of them")
     if args.phi is not None:
-        _require_finite(args.phi, "--phi")
+        finite_real(args.phi, "--phi")
     cfg, case, rotations = _exchange_setup(args)
     grid = None if args.sweep is None else _parse_sweep(args.sweep)
     # the planes are checked once; --phi and the sweep only swap the angles,
@@ -457,7 +436,7 @@ def _clausius_setup(args: argparse.Namespace):
         raise ConfigError("config field 'initial_state' must carry a 'kind'")
     # populations over the levels; clausius_cycle checks them
     if init_cfg["kind"] == "gibbs":
-        p0 = gibbs_populations(h0, _require_positive(init_cfg, "beta"))
+        p0 = gibbs_populations(h0, finite_real(init_cfg.get("beta"), "beta", positive=True))
     elif init_cfg["kind"] == "diagonal":
         p0 = _require_number_list(init_cfg, "populations")
     elif init_cfg["kind"] == "maximally_mixed":
@@ -474,10 +453,7 @@ def _clausius_setup(args: argparse.Namespace):
             raise ConfigError("every stroke must be an object with a 'kind'")
         if entry["kind"] == "contact":
             strokes.append(
-                ClausiusStroke.contact(
-                    _require_positive(entry, "temperature"),
-                    _require_finite(entry.get("phi", math.pi / 2), "stroke field 'phi'"),
-                )
+                ClausiusStroke.contact(entry.get("temperature"), entry.get("phi", math.pi / 2))
             )
         elif entry["kind"] == "quench":
             strokes.append(

@@ -1,5 +1,8 @@
-"""Exception types shared across the package; ``cli.main`` maps each one
-to a documented exit code."""
+"""Exception types shared across the package, each of which ``cli.main``
+maps to a documented exit code, and the one check of a scalar parameter."""
+
+import sys
+from numbers import Real
 
 
 class EntroflowError(Exception):
@@ -52,3 +55,16 @@ class ConfigError(EntroflowError):
 
 class NonFiniteResult(EntroflowError):
     """A computed result holds NaN or infinity and cannot be reported."""
+
+
+def finite_real(value, name: str, positive: bool = False) -> float:
+    """``value`` as a float when it is a real number other than a bool, at
+    most the largest float in magnitude (an int is compared exactly, so
+    ``10**400`` fails, as do NaN and infinities) and, with ``positive``,
+    above 0; anything else raises InvalidSpec."""
+    if isinstance(value, Real) and not isinstance(value, bool) and abs(value) <= sys.float_info.max:
+        x = float(value)
+        if x > 0 or not positive:
+            return x
+    kind = "finite positive" if positive else "finite"
+    raise InvalidSpec(f"{name} must be a {kind} number, got {value!r}")

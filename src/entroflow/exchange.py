@@ -30,6 +30,7 @@ from .errors import (
     NotDegenerate,
     NotUnitary,
     OverlappingPlanes,
+    finite_real,
 )
 from .qmath import scalar_or_stack
 from .states import (
@@ -62,11 +63,6 @@ MAX_CYCLES = 500
 FIXED_POINT_TOL = 1e-10
 
 
-def _positive_finite(x) -> bool:
-    # a NaN fails the chained comparison; a bool is an int, not a temperature
-    return isinstance(x, Real) and not isinstance(x, bool) and 0 < x < np.inf
-
-
 @dataclass(frozen=True)
 class CaseSpec:
     """Initial condition of a two-party heat-exchange experiment.
@@ -92,8 +88,9 @@ class CaseSpec:
         elif self.kind == "S":
             if self.h_a is None or self.h_b is None:
                 raise InvalidSpec("kind S requires both local Hamiltonians")
-            if not (_positive_finite(self.beta_a) and _positive_finite(self.beta_b)):
-                raise InvalidSpec("kind S requires positive finite beta_a and beta_b")
+            for name in ("beta_a", "beta_b"):
+                beta = finite_real(getattr(self, name), name, positive=True)
+                object.__setattr__(self, name, beta)
             if self.h_a.dim < 2 or self.h_b.dim < 2:
                 raise InvalidSpec("exchange needs at least 2 levels per side")
             if any(h.levels.ndim != 1 or h.basis is not None for h in (self.h_a, self.h_b)):
@@ -119,7 +116,7 @@ class CaseSpec:
     def betas(self) -> tuple[float, float]:
         if self.kind == "V":
             return self.entangled.beta_a, self.entangled.beta_b
-        return float(self.beta_a), float(self.beta_b)
+        return self.beta_a, self.beta_b
 
 
 @dataclass(frozen=True)
@@ -167,10 +164,9 @@ class ClausiusStroke:
 
     def __post_init__(self) -> None:
         if self.kind == "contact":
-            if not _positive_finite(self.temperature):
-                raise InvalidSpec(f"contact needs a finite T > 0, got {self.temperature!r}")
-            if self.phi is None or not np.isfinite(self.phi):
-                raise InvalidSpec("contact needs a finite coupling angle phi")
+            temperature = finite_real(self.temperature, "temperature", positive=True)
+            object.__setattr__(self, "temperature", temperature)
+            object.__setattr__(self, "phi", finite_real(self.phi, "phi"))
         elif self.kind == "quench":
             if self.hamiltonian is None:
                 raise InvalidSpec("quench needs a replacement Hamiltonian")
@@ -457,8 +453,7 @@ def clausius_cycle(
     """
     if max_cycles < 1:
         raise InvalidSpec(f"max_cycles must be >= 1, got {max_cycles}")
-    if not 0 < fp_tol < np.inf:
-        raise InvalidSpec(f"fp_tol must be a finite positive number, got {fp_tol}")
+    fp_tol = finite_real(fp_tol, "fp_tol", positive=True)
     h0, p = system
     quenches = [stroke.hamiltonian for stroke in strokes if stroke.kind == "quench"]
     if any(h.levels.ndim != 1 or h.basis is not None for h in (h0, *quenches)):

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidSpec
+from .errors import InvalidSpec, finite_real
 from .qmath import substream
 
 # events per substream chunk; fixed so that results depend only on
@@ -56,16 +56,14 @@ class CollisionSpec:
 
     def __post_init__(self) -> None:
         for name in ("m_a", "m_b", "t_a", "t_b", "gamma"):
-            val = float(getattr(self, name))
-            if not (val > 0 and np.isfinite(val)):
-                raise InvalidSpec(f"{name} must be positive and finite, got {val!r}")
+            object.__setattr__(self, name, finite_real(getattr(self, name), name, positive=True))
         # the sampler divides by these sums and roots: an overflow (or an
         # underflow to 0) would turn the whole report into NaN
         derived = {
-            "m_a + m_b": float(self.m_a) + float(self.m_b),
-            "m_a * t_a": float(self.m_a) * float(self.t_a),
-            "m_b * t_b": float(self.m_b) * float(self.t_b),
-            "1 / gamma": 1.0 / float(self.gamma),
+            "m_a + m_b": self.m_a + self.m_b,
+            "m_a * t_a": self.m_a * self.t_a,
+            "m_b * t_b": self.m_b * self.t_b,
+            "1 / gamma": 1.0 / self.gamma,
             "alpha_a": self.alpha_a,
             "alpha_b": self.alpha_b,
             "reversal_ratio": self.reversal_ratio,
@@ -200,8 +198,7 @@ def collide(p_a, p_b, m_a: float, m_b: float, cos_theta, azimuth):
     a batch.  Returns (p_a', p_b', de_a), de_a bit for bit as energy_events
     gives it.  Zero relative momentum passes through unchanged.
     """
-    if not (m_a > 0 and m_b > 0):
-        raise InvalidSpec(f"masses must be positive, got {m_a!r}, {m_b!r}")
+    m_a, m_b = finite_real(m_a, "m_a", positive=True), finite_real(m_b, "m_b", positive=True)
     p_a = tuple(np.moveaxis(np.asarray(p_a, dtype=float), -1, 0))
     p_b = tuple(np.moveaxis(np.asarray(p_b, dtype=float), -1, 0))
     cos_theta = np.asarray(cos_theta, dtype=float)

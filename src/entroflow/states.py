@@ -25,6 +25,7 @@ from .errors import (
     InvalidSpec,
     InvalidState,
     NonpositiveBeta,
+    finite_real,
 )
 from .qmath import dagger, partial_trace, scalar_or_stack, trace
 
@@ -180,11 +181,9 @@ class EntangledThermalSpec:
             raise InvalidSpec(f"epsilon[0] must be 0 by convention, got {eps[0]!r}")
         if np.any(np.diff(eps) < 0):
             raise InvalidSpec("epsilon must be ascending")
-        for name in ("gamma", "mu_a", "mu_b"):
-            val = float(getattr(self, name))
-            if not (val > 0 and np.isfinite(val)):
-                raise InvalidSpec(f"{name} must be positive and finite, got {val!r}")
         object.__setattr__(self, "epsilon", _frozen(eps.copy()))
+        for name in ("gamma", "mu_a", "mu_b"):
+            object.__setattr__(self, name, finite_real(getattr(self, name), name, positive=True))
 
     @property
     def dim(self) -> int:
@@ -227,10 +226,11 @@ class PureJointState:
 
 
 def _positive_beta(beta) -> np.ndarray:
-    b = np.asarray(beta, dtype=float)
-    if not np.all(b > 0):
-        raise NonpositiveBeta(f"beta must be positive, got {beta!r}")
-    return b
+    b = np.asarray(beta)
+    # integer or float dtypes only: no str, bool or object (as for 10**400)
+    if b.dtype.kind not in "iuf" or not np.all((b > 0) & (b < np.inf)):
+        raise NonpositiveBeta(f"beta must be finite and positive, got {beta!r}")
+    return b.astype(float, copy=False)
 
 
 def gibbs_populations(h: HamiltonianSpec, beta) -> np.ndarray:

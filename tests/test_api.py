@@ -49,3 +49,23 @@ def test_every_export_is_reached_by_a_command_or_the_acceptance_suite():
         and not any(name in used for other, used in modules.items() if other != module)
     )
     assert unreached == [], f"exported but reached by no command or acceptance test: {unreached}"
+
+
+
+def private_imports(path: pathlib.Path) -> list[str]:
+    """Each ``from <sibling> import _name`` of a package module; a dunder
+    such as ``__version__`` is not a private helper."""
+    return [
+        f"from {'.' * node.level}{node.module or ''} import {alias.name}"
+        for node in ast.walk(ast.parse(path.read_text()))
+        # a level-0 import names its module: an absolute import of the package
+        if isinstance(node, ast.ImportFrom)
+        and (node.level or node.module.partition(".")[0] == "entroflow")
+        for alias in node.names
+        if alias.name.startswith("_") and not alias.name.endswith("__")
+    ]
+
+
+def test_no_private_helper_is_imported_across_modules():
+    found = {path.name: private_imports(path) for path in sorted(PACKAGE.glob("*.py"))}
+    assert {name: imports for name, imports in found.items() if imports} == {}

@@ -525,6 +525,7 @@ CYCLE_CFG = {
 }
 CONTACT = CYCLE_CFG["strokes"][0]
 NAN_POPULATIONS = {"kind": "diagonal", "populations": [float("nan"), 1.0]}
+STRING_POPULATIONS = {"kind": "diagonal", "populations": ["0.5", 0.5]}
 
 
 @pytest.mark.parametrize(
@@ -551,6 +552,13 @@ NAN_POPULATIONS = {"kind": "diagonal", "populations": [float("nan"), 1.0]}
         (("exchange", "--case", "v"), _with(EXCHANGE_CFG, mu_a=10**400)),
         (("exchange", "--case", "s"), _with(EXCHANGE_CFG, beta_a=10**400)),
         (("clausius",), _with(CYCLE_CFG, system={"levels": [0.0, 10**400]})),
+        (("exchange", "--case", "v"), _with(EXCHANGE_CFG, gamma=True)),
+        (("exchange", "--case", "v"), _with(EXCHANGE_CFG, mu_b="2.0")),
+        (("clausius",), _with(CYCLE_CFG, strokes=[_with(CONTACT, temperature=True)])),
+        (("clausius",), _with(CYCLE_CFG, strokes=[_with(CONTACT, phi=True)])),
+        (("clausius",), _with(CYCLE_CFG, initial_state={"kind": "gibbs", "beta": 10**400})),
+        (("exchange", "--case", "v"), _with(EXCHANGE_CFG, epsilon=[0.0, True, 2.0, 3.0])),
+        (("clausius",), _with(CYCLE_CFG, initial_state=STRING_POPULATIONS)),
     ],
     ids=[
         "short-label", "angle-string", "fractional-label", "true-label", "float-label",
@@ -558,6 +566,8 @@ NAN_POPULATIONS = {"kind": "diagonal", "populations": [float("nan"), 1.0]}
         "rotations-string", "rotations-object", "beta-string", "beta-inf",
         "stroke-phi-string", "stroke-phi-list", "population-nan", "gamma-beyond-float",
         "epsilon-beyond-float", "mu-beyond-float", "beta-beyond-float", "level-beyond-float",
+        "gamma-true", "mu-string", "stroke-temperature-true", "stroke-phi-true",
+        "gibbs-beta-beyond-float", "epsilon-true", "population-string",
     ],
 )
 def test_malformed_config_field_exits_2(tmp_path, argv, cfg):

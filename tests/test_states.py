@@ -344,6 +344,16 @@ class TestGibbsPopulations:
         with pytest.raises(NonpositiveBeta):
             gibbs_populations(QUBIT, 0.0)
 
+    @pytest.mark.parametrize(
+        "beta",
+        [math.inf, math.nan, "1", True, 10**400, np.array([1.0, math.inf]), ["1", "2"]],
+        ids=["inf", "nan", "string", "true", "beyond-float", "inf-in-array", "string-array"],
+    )
+    def test_rejects_non_finite_or_non_numeric_beta(self, beta):
+        # an infinite beta used to give NaN populations, and a string was read as a number
+        with pytest.raises(NonpositiveBeta):
+            gibbs_populations(QUBIT, beta)
+
 
 class TestEntangledThermalState:
     def test_small_gamma_is_maximally_entangled(self):
