@@ -25,7 +25,6 @@ from .exchange import (
     ClausiusStroke,
     clausius_cycle,
     givens_planes,
-    joint_energies,
     run_exchange,
 )
 from .gas import (
@@ -54,7 +53,6 @@ from .states import (
     DensityOperator,
     EntangledThermalSpec,
     HamiltonianSpec,
-    entangled_thermal_state,
     gibbs_divergence,
     gibbs_populations,
     gibbs_state,

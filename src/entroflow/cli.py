@@ -47,7 +47,6 @@ from .exchange import (
     ClausiusStroke,
     clausius_cycle,
     givens_planes,
-    joint_energies,
     run_exchange,
 )
 from .gas import CollisionSpec, ensemble_heat
@@ -373,16 +372,14 @@ def _exchange_setup(args: argparse.Namespace):
     if not isinstance(rotations, list) or not rotations:
         raise ConfigError("config field 'rotations' must be a nonempty list")
 
+    # an override is checked for either case; case V's temperatures are mu * gamma
+    beta_a, beta_b = (
+        getattr(spec, k) if cfg.get(k) is None else finite_real(cfg[k], k, positive=True)
+        for k in ("beta_a", "beta_b")
+    )
     if args.case == "v":
-        case = CaseSpec.case_v(spec)
-    else:
-        case = CaseSpec.case_s(
-            spec.hamiltonian_a(),
-            spec.beta_a if cfg.get("beta_a") is None else cfg["beta_a"],
-            spec.hamiltonian_b(),
-            spec.beta_b if cfg.get("beta_b") is None else cfg["beta_b"],
-        )
-    return cfg, case, rotations
+        return cfg, CaseSpec.case_v(spec), rotations
+    return cfg, CaseSpec.case_s(spec.hamiltonian_a(), beta_a, spec.hamiltonian_b(), beta_b), rotations
 
 
 # sweep CSV columns after phi: (header, ExchangeReport field)
@@ -407,7 +404,7 @@ def cmd_exchange(args: argparse.Namespace) -> tuple | str:
     # the planes are checked once; --phi and the sweep only swap the angles,
     # and no D x D unitary is built
     h_a, h_b = case.hamiltonians()
-    form = givens_planes((h_a.dim, h_b.dim), rotations, joint_energies(h_a, h_b))
+    form = givens_planes(h_a, h_b, rotations)
 
     if grid is not None:
         # one run_exchange per batch of angles, within the BATCH_ELEMENTS budget

@@ -4,13 +4,15 @@ contact-with-reservoirs runner.
 Two initial conditions are supported: kind "S" (uncorrelated product of
 local Gibbs states at two temperatures, the molecular-chaos setting) and
 kind "V" (a single entangled pure state whose marginals are the same two
-Gibbs states).  Both local Hamiltonians are diagonal.  The interaction is
-a set of rotations inside disjoint degenerate joint-energy planes
-(givens_planes), which conserve energy exactly: the exchanged energy is
-heat.  Both kinds' marginals are scattered from the real joint entries a
-partial trace reads, with no joint-space matrix.  A Clausius cycle runs
-on the populations of a diagonal system: each contact, a resonant partial
-swap with a fresh Gibbs reservoir, is a Markov step on d numbers.
+Gibbs states, given by its Schmidt coefficients).  Both local
+Hamiltonians are diagonal.  The interaction is a set of rotations inside
+disjoint degenerate joint-energy planes (givens_planes), which conserve
+energy exactly: the exchanged energy is heat.  A plane's energies are
+read from the two local spectra, and both kinds' marginals are scattered
+from the real joint entries a partial trace reads, with no joint energy
+array and no joint-space matrix.  A Clausius cycle runs on the
+populations of a diagonal system: each contact, a resonant partial swap
+with a fresh Gibbs reservoir, is a Markov step on d numbers.
 """
 
 from __future__ import annotations
@@ -38,7 +40,6 @@ from .states import (
     DensityOperator,
     EntangledThermalSpec,
     HamiltonianSpec,
-    entangled_thermal_state,
     gibbs_divergence,
     gibbs_populations,
     spectral_entropy,
@@ -93,8 +94,7 @@ class CaseSpec:
                 object.__setattr__(self, name, beta)
             if self.h_a.dim < 2 or self.h_b.dim < 2:
                 raise InvalidSpec("exchange needs at least 2 levels per side")
-            if any(h.levels.ndim != 1 or h.basis is not None for h in (self.h_a, self.h_b)):
-                raise InvalidSpec("exchange needs one diagonal Hamiltonian a side, no basis")
+            _require_diagonal(self.h_a, self.h_b)
         else:
             raise InvalidSpec(f"kind must be 'S' or 'V', got {self.kind!r}")
 
@@ -165,6 +165,7 @@ class ClausiusStroke:
     def __post_init__(self) -> None:
         if self.kind == "contact":
             temperature = finite_real(self.temperature, "temperature", positive=True)
+            finite_real(1.0 / temperature, "beta = 1 / temperature", positive=True)
             object.__setattr__(self, "temperature", temperature)
             object.__setattr__(self, "phi", finite_real(self.phi, "phi"))
         elif self.kind == "quench":
@@ -207,9 +208,15 @@ class CycleReport:
     residual: float
 
 
-def joint_energies(h_a: HamiltonianSpec, h_b: HamiltonianSpec) -> np.ndarray:
-    """Noninteracting joint spectrum E_i^A + E_j^B, flattened row-major."""
-    return np.add.outer(h_a.levels, h_b.levels).ravel()
+def _require_diagonal(h_a: HamiltonianSpec, h_b: HamiltonianSpec) -> None:
+    if any(h.levels.ndim != 1 or h.basis is not None for h in (h_a, h_b)):
+        raise InvalidSpec("exchange needs one diagonal Hamiltonian a side, no basis")
+
+
+def _energy_gap(h_a: HamiltonianSpec, h_b: HamiltonianSpec, u, v) -> np.ndarray:
+    """E_u - E_v of flat joint states i d_B + j, each E^A_i + E^B_j as np.add.outer sums it."""
+    (i, j), (k, m) = np.divmod(u, h_b.dim), np.divmod(v, h_b.dim)
+    return (h_a.levels[i] + h_b.levels[j]) - (h_a.levels[k] + h_b.levels[m])
 
 
 @dataclass(frozen=True)
@@ -236,31 +243,27 @@ class GivensPlanes:
 
 
 def givens_planes(
-    dims: Sequence[int],
+    h_a: HamiltonianSpec,
+    h_b: HamiltonianSpec,
     rotations: Sequence[tuple[tuple[int, int], tuple[int, int], float]],
-    energies: np.ndarray,
 ) -> GivensPlanes:
-    """Rotations inside disjoint degenerate joint-energy planes.
+    """Rotations inside disjoint degenerate joint-energy planes of the two
+    diagonal Hamiltonians h_a and h_b (a stack or a rotated basis raises
+    InvalidSpec, as in CaseSpec).
 
     Each rotation ((i, j), (i', j'), phi) mixes the two joint basis states
-    by angle phi; both must carry the same total energy (from ``energies``,
-    the diagonal of the noninteracting joint Hamiltonian) within
-    DEGENERACY_TOL, so the rotation commutes with it, and no basis state may
-    lie in two planes.  phi = pi/2 maps one state onto the other up to sign.
-    A rotation that does not unpack as ((i, j), (i', j'), phi) with integer
-    labels and a finite real angle raises InvalidSpec first.  Then each
-    check is one array mask over all rotations; the first rotation in
-    input order that fails raises, for the first of its failed checks in the
-    order label range, two distinct states, degeneracy, reuse.
+    by angle phi; both must carry the same total energy E_i^A + E_j^B
+    within DEGENERACY_TOL, so the rotation commutes with the noninteracting
+    joint Hamiltonian, and no basis state may lie in two planes.  phi =
+    pi/2 maps one state onto the other up to sign.  A rotation that does not
+    unpack as ((i, j), (i', j'), phi) with integer labels and a finite real
+    angle raises InvalidSpec first.  Then each check is one array mask over
+    all rotations; the first rotation in input order that fails raises, for
+    the first of its failed checks in the order label range, two distinct
+    states, degeneracy, reuse.
     """
-    dims = tuple(int(d) for d in dims)
-    if len(dims) != 2:
-        raise DimensionMismatch(f"expected two factors, got dims {dims}")
-    d_a, d_b = dims
-    d = d_a * d_b
-    energies = np.asarray(energies, dtype=float).ravel()
-    if energies.size != d:
-        raise DimensionMismatch(f"energies length {energies.size} != joint dim {d}")
+    _require_diagonal(h_a, h_b)
+    dims = d_a, d_b = h_a.dim, h_b.dim
     try:
         # each type is checked once, not each entry; a bool is an int
         rows = [(i, j, i2, j2, phi) for (i, j), (i2, j2), phi in rotations]
@@ -284,7 +287,7 @@ def givens_planes(
     labels = np.array(columns, dtype=np.int64)
     in_range = ((labels >= 0) & (labels < np.array(bounds)[:, None])).reshape(2, 2, -1).all(axis=1)
     u, v = labels[0::2] * d_b + labels[1::2]
-    gap = np.abs(np.subtract(*energies[np.where(in_range, (u, v), 0)]))
+    gap = np.abs(_energy_gap(h_a, h_b, *np.where(in_range, (u, v), 0)))
     # a state is reused when it came earlier in u0, v0, u1, v1, ...
     reused = np.ones(2 * u.size, dtype=bool)
     reused[np.unique(np.stack([u, v], axis=1), return_index=True)[1]] = False
@@ -318,8 +321,7 @@ def _plane_gate(planes: GivensPlanes, h_a: HamiltonianSpec, h_b: HamiltonianSpec
     # "not within", so that a NaN angle fails
     if not np.all(defect <= UNITARY_TOL):
         raise NotUnitary(f"max |cos^2 + sin^2 - 1| = {np.max(defect):.3e} over the planes")
-    energies = joint_energies(h_a, h_b)
-    return np.abs(s * (energies[planes.u] - energies[planes.v])).max(-1, initial=0.0) <= ENERGY_TOL
+    return np.abs(s * _energy_gap(h_a, h_b, planes.u, planes.v)).max(-1, initial=0.0) <= ENERGY_TOL
 
 
 def _marginals(case: CaseSpec, planes: GivensPlanes) -> tuple[DensityOperator, ...]:
@@ -327,9 +329,10 @@ def _marginals(case: CaseSpec, planes: GivensPlanes) -> tuple[DensityOperator, .
     a stack of one, then of U rho0 U^dag, a stack of one per angle set.
 
     Each kind lists the real joint entries (row, column, a value per state,
-    the initial state first) that a partial trace reads.  V: psi and every
-    plane are real, so U psi is; the entries are psi'_r psi'_k over nonzero
-    amplitudes whose states share a label.  S: p = p_A (x) p_B, moved by a
+    the initial state first) that a partial trace reads.  V: psi, the
+    Schmidt coefficients at states i (d_B + 1), and every plane are real,
+    so U psi is; the entries are psi'_r psi'_k over nonzero amplitudes
+    whose states share a label.  S: p = p_A (x) p_B, moved by a
     plane to p'_u = c^2 p_u + s^2 p_v, p'_v = s^2 p_u + c^2 p_v, on the
     diagonal, and the coherence c s (p_u - p_v) at (u, v) and (v, u).  An
     entry reaches rho_A when its states share the B label (labels, not
@@ -342,7 +345,7 @@ def _marginals(case: CaseSpec, planes: GivensPlanes) -> tuple[DensityOperator, .
     d_a, d_b = planes.dims
     u, v, (c, s) = planes.u, planes.v, np.atleast_2d(planes.cos, planes.sin)
     if case.kind == "V":
-        psi = entangled_thermal_state(case.entangled).vector.real
+        psi = np.diag(case.entangled.amplitudes()).ravel()
         amps = np.tile(psi, (len(c) + 1, 1))
         amps[1:, u] = c * psi[u] - s * psi[v]
         amps[1:, v] = s * psi[u] + c * psi[v]

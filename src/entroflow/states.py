@@ -1,5 +1,5 @@
 """Density operators, Gibbs states, entropy functionals, and the
-scaled-spectrum entangled pure state whose marginals are thermal.
+defining data of the entangled pure state whose marginals are thermal.
 
 One DensityOperator holds one state or a stack of states on the same
 factors, validated at once with one batched eigensolve.  That is the
@@ -31,8 +31,6 @@ from .qmath import dagger, partial_trace, scalar_or_stack, trace
 
 # state-validation tolerances: hermiticity / negativity / trace deficit
 STATE_TOL = 1e-10
-# largest |norm - 1| accepted for a pure state's vector
-NORM_TOL = 1e-12
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -163,9 +161,10 @@ class EntangledThermalSpec:
 
     A shared spectrum epsilon (ascending, epsilon[0] = 0) is scaled into the
     two local Hamiltonians, E_i^A = epsilon_i / mu_a and E_i^B =
-    epsilon_i / mu_b, and the joint amplitudes decay as exp(-gamma
-    epsilon_i / 2).  Each marginal is then Gibbs at beta_a = mu_a * gamma,
-    beta_b = mu_b * gamma.
+    epsilon_i / mu_b.  The state sum_i a_i |i>|i> on the paired levels is
+    given by its Schmidt coefficients a_i = exp(-gamma epsilon_i / 2) /
+    sqrt(Z) (``amplitudes``).  Each marginal is then Gibbs at beta_a = mu_a
+    * gamma, beta_b = mu_b * gamma, both checked like gamma.
     """
 
     epsilon: np.ndarray
@@ -184,6 +183,8 @@ class EntangledThermalSpec:
         object.__setattr__(self, "epsilon", _frozen(eps.copy()))
         for name in ("gamma", "mu_a", "mu_b"):
             object.__setattr__(self, name, finite_real(getattr(self, name), name, positive=True))
+        for name, mu in (("beta_a", "mu_a"), ("beta_b", "mu_b")):
+            finite_real(getattr(self, name), f"{name} = {mu} * gamma", positive=True)
 
     @property
     def dim(self) -> int:
@@ -197,32 +198,16 @@ class EntangledThermalSpec:
     def beta_b(self) -> float:
         return self.mu_b * self.gamma
 
+    def amplitudes(self) -> np.ndarray:
+        """Schmidt coefficients exp(-gamma epsilon_i / 2) / sqrt(Z), unit norm."""
+        amp = np.exp(-self.gamma * self.epsilon / 2.0)
+        return amp / np.linalg.norm(amp)
+
     def hamiltonian_a(self) -> HamiltonianSpec:
         return HamiltonianSpec(self.epsilon / self.mu_a)
 
     def hamiltonian_b(self) -> HamiltonianSpec:
         return HamiltonianSpec(self.epsilon / self.mu_b)
-
-
-@dataclass(frozen=True)
-class PureJointState:
-    """Unit vector on a composite Hilbert space."""
-
-    vector: np.ndarray
-    dims: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        vec = np.asarray(self.vector, dtype=complex).ravel()
-        dims = tuple(int(d) for d in np.atleast_1d(self.dims))
-        if vec.size != math.prod(dims):
-            raise DimensionMismatch(
-                f"vector length {vec.size} != product of dims {dims}"
-            )
-        norm = float(np.linalg.norm(vec))
-        if abs(norm - 1.0) > NORM_TOL:
-            raise InvalidState(f"norm {norm!r} differs from 1 beyond {NORM_TOL}")
-        object.__setattr__(self, "vector", _frozen(vec.copy()))
-        object.__setattr__(self, "dims", dims)
 
 
 def _positive_beta(beta) -> np.ndarray:
@@ -313,15 +298,3 @@ def gibbs_divergence(rho: DensityOperator, h: HamiltonianSpec, beta):
     else:
         mean_energy = trace(rho.matrix @ h.matrix()).real
     return beta * mean_energy + log_partition(h, beta) - von_neumann_entropy(rho)
-
-
-def entangled_thermal_state(spec: EntangledThermalSpec) -> PureJointState:
-    """Pure two-party state with amplitudes exp(-gamma epsilon_i / 2)/sqrt(Z)
-    on the paired levels |i>|i>; both marginals are Gibbs states."""
-    d = spec.dim
-    amp = np.exp(-spec.gamma * spec.epsilon / 2.0)
-    amp = amp / np.linalg.norm(amp)
-    vec = np.zeros(d * d, dtype=complex)
-    vec[np.arange(d) * d + np.arange(d)] = amp
-    return PureJointState(vec, (d, d))
-

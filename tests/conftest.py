@@ -1,6 +1,7 @@
 import math
 import os
 import sys
+from dataclasses import dataclass
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src"))
 
@@ -14,17 +15,15 @@ from entroflow import (
     DensityOperator,
     EntangledThermalSpec,
     HamiltonianSpec,
-    entangled_thermal_state,
+    InvalidState,
     gibbs_state,
     givens_planes,
-    joint_energies,
     kron,
     dagger,
     partial_trace,
 )
 from entroflow.exchange import DEGENERACY_TOL, GivensPlanes
 from entroflow.qmath import haar_qr
-from entroflow.states import PureJointState
 
 
 @pytest.fixture()
@@ -72,6 +71,33 @@ def eq2_trial(d_sys: int, d_anc: int, rng: np.random.Generator) -> tuple:
     unitary = haar_unitary(d_sys * d_anc, rng)
     ancilla = random_density(d_anc, int(rng.integers(1, d_anc + 1)), rng)
     return beta, levels_i, basis_i, levels_f, basis_f, unitary, ancilla
+
+
+@dataclass(frozen=True)
+class PureJointState:
+    """Unit vector on a composite Hilbert space (a dense test oracle)."""
+
+    vector: np.ndarray
+    dims: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        vec = np.asarray(self.vector, dtype=complex).ravel()
+        dims = tuple(int(d) for d in np.atleast_1d(self.dims))
+        if vec.size != math.prod(dims):
+            raise DimensionMismatch(f"vector length {vec.size} != product of dims {dims}")
+        norm = float(np.linalg.norm(vec))
+        if abs(norm - 1.0) > 1e-12:
+            raise InvalidState(f"norm {norm!r} differs from 1 beyond 1e-12")
+        object.__setattr__(self, "vector", vec.copy())
+        object.__setattr__(self, "dims", dims)
+
+
+def entangled_thermal_state(spec: EntangledThermalSpec) -> PureJointState:
+    """The dense vector sum_i a_i |i>|i> of ``spec.amplitudes()`` on the
+    paired levels, both marginals Gibbs states (a test oracle)."""
+    vec = np.zeros(spec.dim * spec.dim, dtype=complex)
+    vec[np.arange(spec.dim) * (spec.dim + 1)] = spec.amplitudes()
+    return PureJointState(vec, (spec.dim, spec.dim))
 
 
 def pure_density(state: PureJointState) -> DensityOperator:
@@ -190,7 +216,7 @@ def degenerate_pairs(h_a: HamiltonianSpec, h_b: HamiltonianSpec) -> list:
     inside such planes exchange heat without doing work.  The empty list
     means no such plane exists."""
     d_b = h_b.dim
-    energies = joint_energies(h_a, h_b)
+    energies = np.add.outer(h_a.levels, h_b.levels).ravel()
     order = np.argsort(energies, kind="stable")
     ranked = energies[order]
     # ranked[k] can pair only with ranked[k + 1 : stops[k]]
@@ -227,7 +253,7 @@ def random_conserving_planes(case: CaseSpec, rng) -> GivensPlanes:
     form of random_rotations."""
     h_a, h_b = case.hamiltonians()
     rotations = random_rotations(case, rng)
-    return givens_planes((h_a.dim, h_b.dim), rotations, joint_energies(h_a, h_b))
+    return givens_planes(h_a, h_b, rotations)
 
 
 def planes_matrix(planes: GivensPlanes) -> np.ndarray:

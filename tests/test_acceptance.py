@@ -40,7 +40,6 @@ from entroflow import (
     gibbs_evolution_identity,
     gibbs_populations,
     givens_planes,
-    joint_energies,
     run_exchange,
     substream,
     x_parameter,
@@ -119,7 +118,7 @@ def test_criterion_4_reversal_demo():
     started = time.perf_counter()
     spec = EntangledThermalSpec(np.array([0.0, 1.0, 2.0, 3.0]), 1.0, 1.0, 0.5)
     h_a, h_b = spec.hamiltonian_a(), spec.hamiltonian_b()
-    planes = givens_planes((4, 4), [((2, 2), (0, 3), math.pi / 2)], joint_energies(h_a, h_b))
+    planes = givens_planes(h_a, h_b, [((2, 2), (0, 3), math.pi / 2)])
 
     rep_v = run_exchange(CaseSpec.case_v(spec), planes)
     oracle_v = dense_exchange_oracle("v")

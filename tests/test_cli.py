@@ -23,7 +23,6 @@ from entroflow import (
     cli,
     exchange,
     givens_planes,
-    joint_energies,
     run_exchange,
     substream,
 )
@@ -559,6 +558,9 @@ STRING_POPULATIONS = {"kind": "diagonal", "populations": ["0.5", 0.5]}
         (("clausius",), _with(CYCLE_CFG, initial_state={"kind": "gibbs", "beta": 10**400})),
         (("exchange", "--case", "v"), _with(EXCHANGE_CFG, epsilon=[0.0, True, 2.0, 3.0])),
         (("clausius",), _with(CYCLE_CFG, initial_state=STRING_POPULATIONS)),
+        (("exchange", "--case", "v"), _with(EXCHANGE_CFG, gamma=1e200, mu_a=1e200, mu_b=1e200)),
+        (("clausius",), _with(CYCLE_CFG, strokes=[_with(CONTACT, temperature=1e-320)])),
+        (("exchange", "--case", "v"), _with(EXCHANGE_CFG, beta_a="x")),
     ],
     ids=[
         "short-label", "angle-string", "fractional-label", "true-label", "float-label",
@@ -567,7 +569,8 @@ STRING_POPULATIONS = {"kind": "diagonal", "populations": ["0.5", 0.5]}
         "stroke-phi-string", "stroke-phi-list", "population-nan", "gamma-beyond-float",
         "epsilon-beyond-float", "mu-beyond-float", "beta-beyond-float", "level-beyond-float",
         "gamma-true", "mu-string", "stroke-temperature-true", "stroke-phi-true",
-        "gibbs-beta-beyond-float", "epsilon-true", "population-string",
+        "gibbs-beta-beyond-float", "epsilon-true", "population-string", "derived-beta-inf",
+        "contact-beta-inf", "case-v-beta-string",
     ],
 )
 def test_malformed_config_field_exits_2(tmp_path, argv, cfg):
@@ -821,7 +824,7 @@ class TestExchangeAtTheLimit:
             CaseSpec.case_v(spec) if case == "v"
             else CaseSpec.case_s(h_a, spec.beta_a, h_b, spec.beta_b)
         )
-        return str(path), lib_case, givens_planes((d, d), rotations, joint_energies(h_a, h_b))
+        return str(path), lib_case, givens_planes(h_a, h_b, rotations)
 
     @pytest.mark.parametrize("case", ["v", "s"])
     def test_payload_is_the_library_report(self, tmp_path, case):

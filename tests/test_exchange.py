@@ -39,7 +39,6 @@ from entroflow import (
     gibbs_divergence,
     gibbs_populations,
     givens_planes,
-    joint_energies,
     kron,
     partial_trace,
     run_exchange,
@@ -51,11 +50,14 @@ DEMO_SPEC = EntangledThermalSpec(np.array([0.0, 1.0, 2.0, 3.0]), 1.0, 1.0, 0.5)
 DEMO_ROTATION = [((2, 2), (0, 3), math.pi / 2)]
 
 
+def zero_levels(*dims):
+    """One all-zero diagonal Hamiltonian per side: every joint energy is 0."""
+    return [HamiltonianSpec(np.zeros(d)) for d in dims]
+
+
 def demo_planes(phi=math.pi / 2):
     h_a, h_b = DEMO_SPEC.hamiltonian_a(), DEMO_SPEC.hamiltonian_b()
-    return givens_planes(
-        (4, 4), [((2, 2), (0, 3), phi)], joint_energies(h_a, h_b)
-    )
+    return givens_planes(h_a, h_b, [((2, 2), (0, 3), phi)])
 
 
 # ------------------------------------------------------------------------
@@ -158,12 +160,11 @@ class TestDegeneratePairs:
     def test_chain_of_near_ties_pairs_every_close_neighbour(self):
         # 0 and 1.6e-9 are more than tol apart, but each is within tol of
         # 0.8e-9: both planes pass givens_planes, so both are listed
-        pairs = degenerate_pairs(
-            HamiltonianSpec(np.array([0.0, 0.8e-9, 1.6e-9])), HamiltonianSpec(np.array([0.0]))
-        )
+        h_a, h_b = HamiltonianSpec(np.array([0.0, 0.8e-9, 1.6e-9])), HamiltonianSpec(np.array([0.0]))
+        pairs = degenerate_pairs(h_a, h_b)
         assert pairs == [((0, 0), (1, 0)), ((1, 0), (2, 0))]
         for pair in pairs:
-            givens_planes((3, 1), [(*pair, 0.3)], np.array([0.0, 0.8e-9, 1.6e-9]))
+            givens_planes(h_a, h_b, [(*pair, 0.3)])
 
     def test_near_ties_match_exhaustive_scan(self):
         # levels jittered by amounts on both sides of tol, so clusters chain
@@ -172,7 +173,7 @@ class TestDegeneratePairs:
             steps = rng.choice([0.0, 0.4e-9, 0.9e-9, 1.1e-9, 1.0], size=4)
             h_a = HamiltonianSpec(np.cumsum(steps))
             h_b = HamiltonianSpec(np.cumsum(rng.choice([0.0, 0.6e-9, 1.0], size=3)))
-            energies = joint_energies(h_a, h_b)
+            energies = np.add.outer(h_a.levels, h_b.levels).ravel()
             got = {frozenset(p) for p in degenerate_pairs(h_a, h_b)}
             oracle = {
                 frozenset(((u // 3, u % 3), (v // 3, v % 3)))
@@ -212,13 +213,13 @@ class TestGivensUnitary:
     def test_rejects_non_degenerate_plane(self):
         h_a, h_b = DEMO_SPEC.hamiltonian_a(), DEMO_SPEC.hamiltonian_b()
         with pytest.raises(NotDegenerate):
-            givens_planes((4, 4), [((0, 0), (1, 1), 0.3)], joint_energies(h_a, h_b))
+            givens_planes(h_a, h_b, [((0, 0), (1, 1), 0.3)])
 
     def test_rejects_overlapping_planes(self):
         h_a, h_b = DEMO_SPEC.hamiltonian_a(), DEMO_SPEC.hamiltonian_b()
         rots = [((2, 2), (0, 3), 0.3), ((2, 2), (0, 3), 0.2)]  # same plane twice
         with pytest.raises(OverlappingPlanes):
-            givens_planes((4, 4), rots, joint_energies(h_a, h_b))
+            givens_planes(h_a, h_b, rots)
 
     @pytest.mark.parametrize(
         "rotation",
@@ -228,14 +229,14 @@ class TestGivensUnitary:
              "no-angle", "short-label"],
     )
     def test_rejects_malformed_rotation(self, rotation):
-        energies = joint_energies(DEMO_SPEC.hamiltonian_a(), DEMO_SPEC.hamiltonian_b())
+        h_a, h_b = DEMO_SPEC.hamiltonian_a(), DEMO_SPEC.hamiltonian_b()
         with pytest.raises(InvalidSpec, match="integer labels, finite phi"):
-            givens_planes((4, 4), [((2, 0), (0, 1), 0.5), rotation], energies)
+            givens_planes(h_a, h_b, [((2, 0), (0, 1), 0.5), rotation])
 
     def test_accepts_numpy_numbers(self):
-        energies = joint_energies(DEMO_SPEC.hamiltonian_a(), DEMO_SPEC.hamiltonian_b())
+        h_a, h_b = DEMO_SPEC.hamiltonian_a(), DEMO_SPEC.hamiltonian_b()
         rotation = ((np.int64(2), np.uint8(2)), (0, np.int32(3)), np.float32(0.5))
-        planes = givens_planes((4, 4), [rotation], energies)
+        planes = givens_planes(h_a, h_b, [rotation])
         assert (planes.u.tolist(), planes.v.tolist()) == ([10], [3])
         assert planes.sin.tolist() == [math.sin(np.float32(0.5))]
 
@@ -269,7 +270,7 @@ class TestRunExchange:
         # no plane, and a plane at angle 0, are both the identity
         case_s = CaseSpec.case_s(DEMO_SPEC.hamiltonian_a(), 1.0, DEMO_SPEC.hamiltonian_b(), 0.5)
         for case in (CaseSpec.case_v(DEMO_SPEC), case_s):
-            for planes in (givens_planes((4, 4), [], np.zeros(16)), demo_planes(0.0)):
+            for planes in (givens_planes(*case.hamiltonians(), []), demo_planes(0.0)):
                 report = run_exchange(case, planes)
                 assert report.q_a == report.q_b == 0.0
                 assert abs(report.ds_a) <= 1e-12 and abs(report.ds_b) <= 1e-12
@@ -386,7 +387,7 @@ class TestRunExchange:
 
     def test_rejects_wrong_dimension(self):
         with pytest.raises(DimensionMismatch):
-            run_exchange(CaseSpec.case_v(DEMO_SPEC), givens_planes((4, 2), [], np.zeros(8)))
+            run_exchange(CaseSpec.case_v(DEMO_SPEC), givens_planes(*zero_levels(4, 2), []))
 
     def test_case_spec_validation(self):
         with pytest.raises(InvalidSpec):
@@ -711,6 +712,9 @@ class TestRunExchangeAgainstDense:
         for pair in ((rotated_a, h_b), (h_a, rotated_b), (rotated_a, rotated_b), (stacked_a, h_b)):
             with pytest.raises(InvalidSpec):
                 CaseSpec.case_s(pair[0], 1.0, pair[1], 0.5)
+            # givens_planes reads the energies from the levels, by the same rule
+            with pytest.raises(InvalidSpec, match="one diagonal Hamiltonian a side"):
+                givens_planes(*pair, [((0, 0), (0, 0), 0.3)])
 
     @pytest.mark.parametrize("d", range(2, 25))
     def test_product_marginals_match_oracle(self, d):
@@ -824,15 +828,14 @@ class TestPlaneForm:
         assert rotations
         override = [(first, second, 0.37) for first, second, _ in rotations]
         h_a, h_b = case_v.hamiltonians()
-        energies = joint_energies(h_a, h_b)
-        planes = givens_planes((d, d), rotations, energies)
+        planes = givens_planes(h_a, h_b, rotations)
         # at_angle swaps the angle and nothing else: the same bits as the
         # rotations built at that angle
         for case in (case_v, case_s):
             assert_matches_reference(case, planes)
             report = assert_matches_reference(case, planes.at_angle(0.37))
             assert report_bits(report) == report_bits(
-                run_exchange(case, givens_planes((d, d), override, energies))
+                run_exchange(case, givens_planes(h_a, h_b, override))
             )
 
     def test_random_specs_match_dense(self):
@@ -848,7 +851,7 @@ class TestPlaneForm:
     @pytest.mark.parametrize("phi", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_angle_not_unitary(self, phi):
         h_a, h_b = DEMO_SPEC.hamiltonian_a(), DEMO_SPEC.hamiltonian_b()
-        planes = givens_planes((4, 4), DEMO_ROTATION, joint_energies(h_a, h_b))
+        planes = givens_planes(h_a, h_b, DEMO_ROTATION)
         case_s = CaseSpec.case_s(h_a, 1.0, h_b, 0.5)
         with np.errstate(invalid="ignore"):
             forms = (
@@ -858,7 +861,7 @@ class TestPlaneForm:
             )
         # givens_planes refuses the angle before any run
         with pytest.raises(InvalidSpec, match="finite phi"):
-            givens_planes((4, 4), [((2, 2), (0, 3), phi)], joint_energies(h_a, h_b))
+            givens_planes(h_a, h_b, [((2, 2), (0, 3), phi)])
         for case in (CaseSpec.case_v(DEMO_SPEC), case_s):
             for form in forms:
                 with pytest.raises(NotUnitary):
@@ -956,12 +959,12 @@ class TestPlaneForm:
     def test_bad_planes_raise_as_before(self, rotations, error, message):
         h_a, h_b = DEMO_SPEC.hamiltonian_a(), DEMO_SPEC.hamiltonian_b()
         with pytest.raises(error) as raised:
-            givens_planes((4, 4), rotations, joint_energies(h_a, h_b))
+            givens_planes(h_a, h_b, rotations)
         assert type(raised.value) is error
         assert str(raised.value) == message
 
     def test_no_rotations_give_empty_planes(self):
-        planes = givens_planes((4, 4), [], np.zeros(16))
+        planes = givens_planes(*zero_levels(4, 4), [])
         assert planes.dims == (4, 4)
         for field, dtype in (("u", np.int64), ("v", np.int64), ("cos", float), ("sin", float)):
             array = getattr(planes, field)
@@ -973,13 +976,13 @@ class TestPlaneForm:
         h_a, h_b = spec.hamiltonian_a(), spec.hamiltonian_b()
         rng = substream(31, 22)
         rotations = [(*pair, float(rng.uniform(-7.0, 7.0))) for pair in shell_planes(64)]
-        planes = givens_planes((64, 64), rotations, joint_energies(h_a, h_b))
+        planes = givens_planes(h_a, h_b, rotations)
         for got, fn in ((planes.cos, np.cos), (planes.sin, np.sin)):
             want = np.array([fn(phi) for *_, phi in rotations])
             assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
 
     def test_dims_must_match_the_case(self):
-        planes = givens_planes((2, 8), [], np.zeros(16))
+        planes = givens_planes(*zero_levels(2, 8), [])
         with pytest.raises(DimensionMismatch):
             run_exchange(CaseSpec.case_v(DEMO_SPEC), planes)
 
@@ -990,9 +993,8 @@ class TestPlaneForm:
         h_a = HamiltonianSpec(np.array([0.0, 1.0]))
         h_b = HamiltonianSpec(np.array([0.0, 1.0 + gap]))
         case = CaseSpec.case_s(h_a, 1.0, h_b, 0.4)
-        energies = joint_energies(h_a, h_b)
         for phi, conserving in ((0.9, False), (math.pi / 2, False), (0.0, True)):
-            planes = givens_planes((2, 2), [((0, 1), (1, 0), phi)], energies)
+            planes = givens_planes(h_a, h_b, [((0, 1), (1, 0), phi)])
             dense = dense_exchange_reference(case, planes_matrix(planes))
             assert run_exchange(case, planes).energy_conserving is conserving
             assert dense["energy_conserving"] is conserving
@@ -1032,7 +1034,7 @@ class TestIdentityGap:
         spec = EntangledThermalSpec(np.arange(40, dtype=float), 0.7, 1.0, 0.5)
         h_a, h_b = spec.hamiltonian_a(), spec.hamiltonian_b()
         rotations = [(first, second, 0.9) for first, second in shell_planes(40)]
-        planes = givens_planes((40, 40), rotations, joint_energies(h_a, h_b))
+        planes = givens_planes(h_a, h_b, rotations)
         case_s = CaseSpec.case_s(h_a, spec.beta_a, h_b, spec.beta_b)
         for case in (CaseSpec.case_v(spec), case_s):
             assert run_exchange(case, planes).identity_gap <= 1e-14
@@ -1062,7 +1064,7 @@ def shell_cases(d: int):
     spec = EntangledThermalSpec(np.arange(d, dtype=float), 0.7, 1.0, 0.5)
     h_a, h_b = spec.hamiltonian_a(), spec.hamiltonian_b()
     rotations = [(first, second, 0.9) for first, second in shell_planes(d)]
-    planes = givens_planes((d, d), rotations, joint_energies(h_a, h_b))
+    planes = givens_planes(h_a, h_b, rotations)
     case_s = CaseSpec.case_s(h_a, spec.beta_a, h_b, spec.beta_b)
     return [(CaseSpec.case_v(spec), planes), (case_s, planes)]
 

@@ -80,3 +80,25 @@ def test_bad_scalar_is_invalid_spec(field, value):
 def test_scalar_is_stored_as_float(field, value):
     stored = STORED[field][0](value)
     assert type(stored) is float and stored == 2.0
+
+
+
+def _entangled(gamma, mu_a, mu_b):
+    return lambda: EntangledThermalSpec([0, 1], gamma, mu_a, mu_b)
+
+
+# inverse temperatures derived from checked fields, each checked in turn:
+# (build, the name in the message, the value it reads)
+DERIVED = {
+    "beta_a-inf": (_entangled(1e200, 1e200, 1), "beta_a = mu_a * gamma", math.inf),
+    "beta_b-inf": (_entangled(1e200, 1, 1e200), "beta_b = mu_b * gamma", math.inf),
+    "beta_a-zero": (_entangled(1e-200, 1e-200, 1), "beta_a = mu_a * gamma", 0.0),
+    "contact-beta-inf": (lambda: ClausiusStroke.contact(1e-320, 1), "beta = 1 / temperature", math.inf),
+}
+
+
+@pytest.mark.parametrize("build, name, value", DERIVED.values(), ids=DERIVED)
+def test_bad_derived_beta_is_invalid_spec(build, name, value):
+    with pytest.raises(InvalidSpec) as refused:
+        build()
+    assert str(refused.value) == f"{name} must be a finite positive number, got {value!r}"

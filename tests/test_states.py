@@ -6,6 +6,7 @@ import pytest
 
 from conftest import (
     bell_state,
+    entangled_thermal_state,
     ghz_state,
     marginal,
     random_density,
@@ -21,7 +22,6 @@ from entroflow import (
     InvalidSpec,
     InvalidState,
     NonpositiveBeta,
-    entangled_thermal_state,
     gibbs_divergence,
     gibbs_populations,
     gibbs_state,
@@ -30,7 +30,7 @@ from entroflow import (
     substream,
     von_neumann_entropy,
 )
-from entroflow.states import PureJointState, log_partition
+from entroflow.states import log_partition
 
 QUBIT = HamiltonianSpec(np.array([0.0, 1.0]))
 LADDER4 = HamiltonianSpec(np.array([0.0, 1.0, 2.0, 3.0]))
@@ -480,9 +480,17 @@ class TestValidation:
                 got = getattr(stack, field)[t]
                 assert np.array_equal(got.view(np.int64), getattr(alone, field).view(np.int64))
 
-    def test_pure_state_norm(self):
-        with pytest.raises(InvalidState):
-            PureJointState(np.array([1.0, 1.0], dtype=complex), (2,))
+    def test_amplitudes_are_unit_norm_and_gibbs_on_each_side(self):
+        # the Schmidt coefficients squared are each side's Gibbs populations
+        rng = substream(11, 23)
+        for _ in range(200):
+            d = int(rng.integers(2, 12))
+            eps = np.concatenate([[0.0], np.sort(rng.uniform(0.0, 5.0, d - 1))])
+            spec = EntangledThermalSpec(eps, *np.exp(rng.uniform(-2.0, 2.0, 3)))
+            amp = spec.amplitudes()
+            assert abs(np.linalg.norm(amp) - 1.0) <= 1e-15
+            for h, beta in ((spec.hamiltonian_a(), spec.beta_a), (spec.hamiltonian_b(), spec.beta_b)):
+                assert np.max(np.abs(amp**2 - gibbs_populations(h, beta))) <= 1e-15
 
     def test_hamiltonian_ordering(self):
         with pytest.raises(InvalidSpec):
