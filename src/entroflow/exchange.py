@@ -46,8 +46,9 @@ from .states import (
     von_neumann_entropy,
 )
 
-# commutator threshold below which a joint unitary counts as exactly
-# energy conserving (W = Q_A + Q_B is then zero to rounding)
+# ENERGY_TOL, DEGENERACY_TOL and HAMILTONIAN_TOL are in units of the largest
+# |level| (_energy_tol).  A joint unitary whose commutator is below
+# ENERGY_TOL counts as exactly energy conserving (W = Q_A + Q_B is then 0)
 ENERGY_TOL = 1e-10
 # largest |cos^2 + sin^2 - 1| of a plane rotation
 UNITARY_TOL = 1e-10
@@ -213,6 +214,11 @@ def _require_diagonal(h_a: HamiltonianSpec, h_b: HamiltonianSpec) -> None:
         raise InvalidSpec("exchange needs one diagonal Hamiltonian a side, no basis")
 
 
+def _energy_tol(tol: float, *hamiltonians: HamiltonianSpec) -> float:
+    """tol times the largest |level|: a unit change by 2^k scales it exactly."""
+    return tol * max(np.abs(h.levels).max() for h in hamiltonians)
+
+
 def _energy_gap(h_a: HamiltonianSpec, h_b: HamiltonianSpec, u, v) -> np.ndarray:
     """E_u - E_v of flat joint states i d_B + j, each E^A_i + E^B_j as np.add.outer sums it."""
     (i, j), (k, m) = np.divmod(u, h_b.dim), np.divmod(v, h_b.dim)
@@ -252,15 +258,15 @@ def givens_planes(
     InvalidSpec, as in CaseSpec).
 
     Each rotation ((i, j), (i', j'), phi) mixes the two joint basis states
-    by angle phi; both must carry the same total energy E_i^A + E_j^B
-    within DEGENERACY_TOL, so the rotation commutes with the noninteracting
-    joint Hamiltonian, and no basis state may lie in two planes.  phi =
-    pi/2 maps one state onto the other up to sign.  A rotation that does not
-    unpack as ((i, j), (i', j'), phi) with integer labels and a finite real
-    angle raises InvalidSpec first.  Then each check is one array mask over
-    all rotations; the first rotation in input order that fails raises, for
-    the first of its failed checks in the order label range, two distinct
-    states, degeneracy, reuse.
+    by angle phi; both must carry the same total energy E_i^A + E_j^B within
+    DEGENERACY_TOL times the largest |level|, so the rotation commutes with
+    the noninteracting joint Hamiltonian, and no basis state may lie in two
+    planes.  phi = pi/2 maps one state onto the other up to sign.  A
+    rotation that does not unpack as ((i, j), (i', j'), phi) with integer
+    labels and a finite real angle raises InvalidSpec first.  Then each
+    check is one array mask over all rotations; the first rotation in input
+    order that fails raises, for the first of its failed checks in the order
+    label range, two distinct states, degeneracy, reuse.
     """
     _require_diagonal(h_a, h_b)
     dims = d_a, d_b = h_a.dim, h_b.dim
@@ -288,10 +294,11 @@ def givens_planes(
     in_range = ((labels >= 0) & (labels < np.array(bounds)[:, None])).reshape(2, 2, -1).all(axis=1)
     u, v = labels[0::2] * d_b + labels[1::2]
     gap = np.abs(_energy_gap(h_a, h_b, *np.where(in_range, (u, v), 0)))
+    tol = _energy_tol(DEGENERACY_TOL, h_a, h_b)
     # a state is reused when it came earlier in u0, v0, u1, v1, ...
     reused = np.ones(2 * u.size, dtype=bool)
     reused[np.unique(np.stack([u, v], axis=1), return_index=True)[1]] = False
-    failed = np.stack([*~in_range, u == v, gap > DEGENERACY_TOL, reused.reshape(-1, 2).any(axis=1)])
+    failed = np.stack([*~in_range, u == v, gap > tol, reused.reshape(-1, 2).any(axis=1)])
     if failed.any():
         k = int(np.argmax(failed.any(axis=0)))
         first, second = rows[k][:2], rows[k][2:4]
@@ -300,7 +307,7 @@ def givens_planes(
             (DimensionMismatch, f"joint label {second} out of range for dims {dims}"),
             (OverlappingPlanes, f"rotation plane degenerates to a single state {first}"),
             (NotDegenerate, f"labels {first} and {second} differ in energy by "
-             f"{gap[k]:.3e} (> {DEGENERACY_TOL})"),
+             f"{gap[k]:.3e} (> {tol:.3e})"),
             (OverlappingPlanes, f"rotation plane ({first}, {second}) reuses a basis state"),
         )[int(np.argmax(failed[:, k]))]
         raise error(message)
@@ -321,7 +328,8 @@ def _plane_gate(planes: GivensPlanes, h_a: HamiltonianSpec, h_b: HamiltonianSpec
     # "not within", so that a NaN angle fails
     if not np.all(defect <= UNITARY_TOL):
         raise NotUnitary(f"max |cos^2 + sin^2 - 1| = {np.max(defect):.3e} over the planes")
-    return np.abs(s * _energy_gap(h_a, h_b, planes.u, planes.v)).max(-1, initial=0.0) <= ENERGY_TOL
+    leak = np.abs(s * _energy_gap(h_a, h_b, planes.u, planes.v)).max(-1, initial=0.0)
+    return leak <= _energy_tol(ENERGY_TOL, h_a, h_b)
 
 
 def _marginals(case: CaseSpec, planes: GivensPlanes) -> tuple[DensityOperator, ...]:
@@ -390,8 +398,8 @@ def run_exchange(case: CaseSpec, planes: GivensPlanes) -> ExchangeReport:
 
     The report's energy_conserving flag records whether that unitary
     commutes with the bare total Hamiltonian (every |s (E_u - E_v)| <=
-    ENERGY_TOL); only then is the exchanged energy pure heat and work_leak
-    zero to rounding.
+    ENERGY_TOL times the largest |level|); only then is the exchanged energy
+    pure heat and work_leak zero to rounding.
 
     No joint-space matrix is formed: _marginals scatters the real entries
     of the joint state that a partial trace reads, psi'_r psi'_k for V and
@@ -479,17 +487,17 @@ def clausius_cycle(
         beta = 1.0 / stroke.temperature
         c, s = np.cos(stroke.phi), np.sin(stroke.phi)
         contacts.append((h.levels, gibbs_populations(h, beta), beta, c * c, s * s))
-    if np.max(np.abs(h.levels - h0.levels)) > HAMILTONIAN_TOL:
+    if np.max(np.abs(h.levels - h0.levels)) > _energy_tol(HAMILTONIAN_TOL, h0, h):
         raise BadCycle("quench strokes do not restore the initial Hamiltonian")
 
-    entropy = spectral_entropy(np.sort(p))
+    entropy = spectral_entropy(p)
     for cycle in range(1, max_cycles + 1):
         p_start = p
         records: list[StrokeRecord] = []
         for levels, g, beta, cc, ss in contacts:
             p_next = cc * p + ss * g
             heat = float((p_next - p) @ levels)
-            entropy_next = spectral_entropy(np.sort(p_next))
+            entropy_next = spectral_entropy(p_next)
             ds = entropy_next - entropy
             records.append(StrokeRecord(beta, heat, ds, beta * heat - ds))
             p, entropy = p_next, entropy_next

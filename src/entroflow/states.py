@@ -4,9 +4,9 @@ defining data of the entangled pure state whose marginals are thermal.
 One DensityOperator holds one state or a stack of states on the same
 factors, validated at once with one batched eigensolve.  That is the
 package's one spectral path: an entropy reads the spectrum stored at
-validation, or one ``eigvalsh`` of a reduced matrix, and the only
-divergence is gibbs_divergence, whose ln gamma is known from the levels.
-STATE_TOL is the one hermiticity gate.
+validation, or one ``eigvalsh`` of a reduced matrix, and sums its positive
+entries in any order; the only divergence is gibbs_divergence, whose ln
+gamma is known from the levels.  STATE_TOL is the one hermiticity gate.
 
 Units: hbar = k_B = 1, natural logarithms, entropies in nats.
 """
@@ -243,25 +243,14 @@ def log_partition(h: HamiltonianSpec, beta):
 
 
 def spectral_entropy(lam: np.ndarray):
-    """-sum lam ln lam over the positive entries of each ascending spectrum
-    or sorted population vector (last axis): a zero adds 0 ln 0 = 0, and a
-    negative one is rounding noise of a semidefinite spectrum.
-
-    Each spectrum's positive eigenvalues are summed on their own, as one
-    contiguous row, so a spectrum gives the same bits alone as in any stack.
-    """
+    """-sum lam ln lam over the positive entries of each spectrum or
+    population vector (last axis), in any order: a zero or a negative entry
+    (rounding noise of a semidefinite spectrum) adds exactly 0, and a NaN
+    gives NaN.  Each row is one contiguous sum, with the same bits alone as
+    in any stack."""
     lam = np.asarray(lam, dtype=float)
-    rows = lam.reshape(-1, lam.shape[-1])
-    # ascending: the positive eigenvalues of a row are its last `count`
-    count = (rows > 0).sum(-1)
-    groups = set(count.tolist())
-    out = np.empty(len(rows))
-    for c in groups:
-        # one group holds every row: a slice, no gather
-        same = slice(None) if len(groups) == 1 else count == c
-        kept = rows[same, rows.shape[-1] - c :]
-        out[same] = -(kept * np.log(kept)).sum(-1)
-    return scalar_or_stack(out.reshape(lam.shape[:-1]))
+    kept = np.where(lam <= 0, 1.0, lam)
+    return scalar_or_stack(-(kept * np.log(kept)).sum(-1))
 
 
 def von_neumann_entropy(rho: DensityOperator):

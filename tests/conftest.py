@@ -212,20 +212,21 @@ def shell_planes(d: int) -> list:
 
 def degenerate_pairs(h_a: HamiltonianSpec, h_b: HamiltonianSpec) -> list:
     """All unordered pairs ((i, j), (i2, j2)) of joint basis labels u != v
-    with |E_u - E_v| <= DEGENERACY_TOL, givens_planes' rule: rotations
-    inside such planes exchange heat without doing work.  The empty list
-    means no such plane exists."""
+    with |E_u - E_v| <= DEGENERACY_TOL times the largest |level| of the two
+    spectra, givens_planes' rule: rotations inside such planes exchange
+    heat without doing work.  The empty list means no such plane exists."""
     d_b = h_b.dim
+    tol = DEGENERACY_TOL * max(np.abs(h.levels).max() for h in (h_a, h_b))
     energies = np.add.outer(h_a.levels, h_b.levels).ravel()
     order = np.argsort(energies, kind="stable")
     ranked = energies[order]
     # ranked[k] can pair only with ranked[k + 1 : stops[k]]
-    stops = np.searchsorted(ranked, ranked + DEGENERACY_TOL, side="right")
+    stops = np.searchsorted(ranked, ranked + tol, side="right")
     out = []
     for k, stop in enumerate(stops):
         for m in range(k + 1, stop):
             u, v = sorted((int(order[k]), int(order[m])))
-            if abs(energies[u] - energies[v]) <= DEGENERACY_TOL:
+            if abs(energies[u] - energies[v]) <= tol:
                 out.append(((u // d_b, u % d_b), (v // d_b, v % d_b)))
     return out
 

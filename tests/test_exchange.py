@@ -31,6 +31,7 @@ from entroflow import (
     EntangledThermalSpec,
     HamiltonianSpec,
     InvalidSpec,
+    InvalidState,
     NoConvergence,
     NotDegenerate,
     NotUnitary,
@@ -144,6 +145,8 @@ class TestDegeneratePairs:
             spec = random_entangled_spec(rng, max_dim=4)
             h_a, h_b = spec.hamiltonian_a(), spec.hamiltonian_b()
             got = {frozenset(p) for p in degenerate_pairs(h_a, h_b)}
+            # the tolerance is in units of the largest |level|
+            tol = 1e-9 * max(h_a.levels[-1], h_b.levels[-1])
             oracle = set()
             for i in range(h_a.dim):
                 for j in range(h_b.dim):
@@ -153,26 +156,29 @@ class TestDegeneratePairs:
                                 continue
                             if abs(
                                 h_a.levels[i] + h_b.levels[j] - h_a.levels[i2] - h_b.levels[j2]
-                            ) <= 1e-9:
+                            ) <= tol:
                                 oracle.add(frozenset(((i, j), (i2, j2))))
             assert got == oracle
 
     def test_chain_of_near_ties_pairs_every_close_neighbour(self):
-        # 0 and 1.6e-9 are more than tol apart, but each is within tol of
-        # 0.8e-9: both planes pass givens_planes, so both are listed
-        h_a, h_b = HamiltonianSpec(np.array([0.0, 0.8e-9, 1.6e-9])), HamiltonianSpec(np.array([0.0]))
+        # at a largest |level| of about 1, 1 and 1 + 1.6e-9 are more than tol
+        # apart, but each is within tol of 1 + 0.8e-9: both planes pass
+        # givens_planes, so both are listed
+        levels = 1.0 + np.array([0.0, 0.8e-9, 1.6e-9])
+        h_a, h_b = HamiltonianSpec(levels), HamiltonianSpec(np.array([0.0]))
         pairs = degenerate_pairs(h_a, h_b)
         assert pairs == [((0, 0), (1, 0)), ((1, 0), (2, 0))]
         for pair in pairs:
             givens_planes(h_a, h_b, [(*pair, 0.3)])
 
     def test_near_ties_match_exhaustive_scan(self):
-        # levels jittered by amounts on both sides of tol, so clusters chain
+        # levels jittered by amounts on both sides of tol, so clusters chain;
+        # B's top level 1 is the largest |level|, so tol is 1e-9 exactly
         rng = substream(31, 9)
         for _ in range(20):
-            steps = rng.choice([0.0, 0.4e-9, 0.9e-9, 1.1e-9, 1.0], size=4)
+            steps = rng.choice([0.0, 0.4e-9, 0.9e-9, 1.1e-9, 0.25], size=4)
             h_a = HamiltonianSpec(np.cumsum(steps))
-            h_b = HamiltonianSpec(np.cumsum(rng.choice([0.0, 0.6e-9, 1.0], size=3)))
+            h_b = HamiltonianSpec([*np.cumsum(rng.choice([0.0, 0.6e-9, 0.25], size=2)), 1.0])
             energies = np.add.outer(h_a.levels, h_b.levels).ravel()
             got = {frozenset(p) for p in degenerate_pairs(h_a, h_b)}
             oracle = {
@@ -371,6 +377,22 @@ class TestRunExchange:
             run_exchange(CaseSpec.case_v(DEMO_SPEC), planes)
 
     @pytest.mark.parametrize(
+        "case, trace",
+        [
+            (CaseSpec.case_v(DEMO_SPEC), "1.0617"),
+            (CaseSpec.case_s(DEMO_SPEC.hamiltonian_a(), 1.0, DEMO_SPEC.hamiltonian_b(), 0.5), "0.99076"),
+        ],
+        ids=["V", "S"],
+    )
+    def test_planes_sharing_a_state_fail_the_state_check(self, case, trace):
+        # built by hand, past givens_planes: both planes rotate state (2, 2),
+        # so the map is not unitary, and the marginal's trace check refuses it
+        angles = np.array([1.0, 1.2])
+        planes = GivensPlanes((4, 4), np.array([10, 10]), np.array([3, 5]), np.cos(angles), np.sin(angles))
+        with pytest.raises(InvalidState, match=f"^trace {trace}"):
+            run_exchange(case, planes)
+
+    @pytest.mark.parametrize(
         "case",
         [
             CaseSpec.case_v(DEMO_SPEC),
@@ -483,13 +505,14 @@ class TestClausiusCycle:
             assert record.slack <= 1e-9
 
     def test_no_eigensolve_state_or_matrix_per_contact_or_run(self, eigensolves, monkeypatch):
-        # a contact maps populations: an entropy is read off the sorted
-        # populations and the residual is their half-L1 distance.  At
+        # a contact maps populations: an entropy is read off the populations,
+        # unsorted, and the residual is their half-L1 distance.  At
         # d = 1024 one d x d float array takes 8 MiB; the run stays under 1
         d = 1024
         levels = np.arange(d, dtype=float)
         built = []
         monkeypatch.setattr(DensityOperator, "__post_init__", lambda rho: built.append(rho))
+        monkeypatch.setattr(np, "sort", lambda *a, **k: built.append("sort"))
         for name in ("matrix", "in_basis"):
             monkeypatch.setattr(HamiltonianSpec, name, lambda h, *a: built.append(h))
         strokes = [
@@ -888,7 +911,7 @@ class TestPlaneForm:
             ),
             (
                 [((0, 0), (1, 1), 0.3)], NotDegenerate,
-                "labels (0, 0) and (1, 1) differ in energy by 3.000e+00 (> 1e-09)",
+                "labels (0, 0) and (1, 1) differ in energy by 3.000e+00 (> 6.000e-09)",
             ),
             (
                 [((4, 0), (0, 2), 0.3)], DimensionMismatch,
@@ -908,7 +931,7 @@ class TestPlaneForm:
             ),
             (
                 [((2, 0), (0, 1), 0.3), ((0, 0), (1, 1), 0.3), ((1, 1), (1, 1), 0.3)],
-                NotDegenerate, "labels (0, 0) and (1, 1) differ in energy by 3.000e+00 (> 1e-09)",
+                NotDegenerate, "labels (0, 0) and (1, 1) differ in energy by 3.000e+00 (> 6.000e-09)",
             ),
             (
                 [((2, 0), (0, 1), 0.3), ((1, 1), (1, 1), 0.3), ((0, 0), (1, 1), 0.3)],
@@ -916,7 +939,7 @@ class TestPlaneForm:
             ),
             (
                 [((2, 0), (0, 1), 0.3), ((2, 0), (3, 3), 0.3)], NotDegenerate,
-                "labels (2, 0) and (3, 3) differ in energy by 7.000e+00 (> 1e-09)",
+                "labels (2, 0) and (3, 3) differ in energy by 7.000e+00 (> 6.000e-09)",
             ),
             (
                 [((5, 0), (5, 0), 0.3)], DimensionMismatch,

@@ -9,6 +9,7 @@ from conftest import (
     entangled_thermal_state,
     ghz_state,
     marginal,
+    oracle_entropy,
     random_density,
     random_pure,
     relative_entropy,
@@ -30,7 +31,7 @@ from entroflow import (
     substream,
     von_neumann_entropy,
 )
-from entroflow.states import log_partition
+from entroflow.states import log_partition, spectral_entropy
 
 QUBIT = HamiltonianSpec(np.array([0.0, 1.0]))
 LADDER4 = HamiltonianSpec(np.array([0.0, 1.0, 2.0, 3.0]))
@@ -260,6 +261,8 @@ class TestStoredSpectrum:
         assert eigensolves == []
         want = np.linalg.eigvalsh(rho.matrix)
         assert np.array_equal(rho.spectrum.view(np.int64), want.view(np.int64))
+        # the unsorted diagonal, zeros in place, gives the spectrum's entropy
+        assert np.max(np.abs(spectral_entropy(pops) - von_neumann_entropy(rho))) <= 1e-15
 
     def test_one_off_diagonal_entry_takes_the_eigensolve(self, eigensolves):
         # a diagonal state in a stack with a dense one keeps its lone bits
@@ -281,6 +284,34 @@ class TestStoredSpectrum:
             DensityOperator(rho.matrix, rho.dims, spectrum=rho.spectrum)
         assert "spectrum" not in repr(rho)
         assert [f.name for f in dataclasses.fields(rho) if f.compare] == ["matrix", "dims"]
+
+
+class TestSpectralEntropy:
+    def test_any_order_with_zeros_and_rounding_noise(self):
+        # exact zeros and +-1e-17 entries at random positions of unsorted
+        # population rows: each row has the entropy of its sorted positive
+        # entries, and the bits it has alone
+        rng = substream(11, 24)
+        for _ in range(500):
+            d, n = int(rng.integers(2, 41)), int(rng.integers(1, 9))
+            lam = rng.uniform(0.0, 1.0, (n, d))
+            lam[rng.uniform(size=(n, d)) < 0.3] = 0.0
+            lam[np.arange(n), rng.integers(0, d, n)] = 1.0
+            lam /= lam.sum(-1, keepdims=True)
+            noise = rng.uniform(size=(n, d)) < 0.2
+            lam[noise] = rng.choice([-1e-17, 1e-17], size=int(noise.sum()))
+            got = spectral_entropy(lam)
+            for row, value in zip(lam, got):
+                # summed in another order: within a few ulps of up to ln 40
+                assert abs(value - oracle_entropy(np.sort(row))) <= 1e-15 * max(1.0, value)
+                alone = np.float64(spectral_entropy(row))
+                assert alone.view(np.int64) == value.view(np.int64)
+
+    def test_nan_entry_gives_nan(self):
+        for row in ([np.nan, 0.5, 0.5], [0.5, 0.0, np.nan], [np.nan, 0.0]):
+            assert math.isnan(spectral_entropy(np.array(row)))
+        got = spectral_entropy(np.array([[0.5, np.nan, 0.5], [0.5, 0.0, 0.5]]))
+        assert math.isnan(got[0]) and abs(got[1] - math.log(2)) <= 1e-16
 
 
 class TestSubsystemEntropy:
