@@ -29,10 +29,8 @@ from .exchange import (
 )
 from .gas import (
     CollisionSpec,
-    collide,
     draw_pairs,
     ensemble_heat,
-    fractional_gain,
     x_parameter,
 )
 from .inequalities import (

@@ -347,8 +347,8 @@ def _marginals(case: CaseSpec, planes: GivensPlanes) -> tuple[DensityOperator, .
     energies: a plane off the energy shell is metered as it acts), and
     rho_B when they share the A label.  One bincount per side sums each bin
     in list order, so an angle set has the bits it has alone and a level no
-    plane touches keeps its initial bits.  Each side computes its own labels
-    and mask, and the entries are freed before the four state checks.
+    plane touches keeps its initial bits.  The entries are freed before the
+    state checks, and one side's scatter before the other side's checks.
     """
     d_a, d_b = planes.dims
     u, v, (c, s) = planes.u, planes.v, np.atleast_2d(planes.cos, planes.sin)
@@ -372,16 +372,18 @@ def _marginals(case: CaseSpec, planes: GivensPlanes) -> tuple[DensityOperator, .
         rows, cols = (np.concatenate([np.arange(p.size), x, y]) for x, y in ((u, v), (v, u)))
         values = np.hstack([pops, coherence, coherence])
         del p, pops, coherence
-    states = []
+    scatters = []
     for d, label, other in ((d_a, np.floor_divide, np.remainder), (d_b, np.remainder, np.floor_divide)):
         shared = other(rows, d_b) == other(cols, d_b)
         # state t's entries land in bins t d^2 ... (t + 1) d^2 - 1
         bins = label(rows[shared], d_b) * d + label(cols[shared], d_b)
         bins = bins + d * d * np.arange(len(values))[:, None]
-        rho = np.bincount(bins.ravel(), values[:, shared].ravel(), len(values) * d * d)
-        states += [(x, (d,)) for x in np.split(rho.reshape(-1, d, d), [1])]
+        scatters.append(np.bincount(bins.ravel(), values[:, shared].ravel(), len(values) * d * d))
     del rows, cols, values, shared, bins
-    return tuple(DensityOperator(*x) for x in states)
+    states = []
+    for d in (d_a, d_b):  # a side's scatter is freed before the other's states are built
+        states += [DensityOperator(x, (d,)) for x in np.split(scatters.pop(0).reshape(-1, d, d), [1])]
+    return tuple(states)
 
 
 def _heat(before: DensityOperator, after: DensityOperator, h: HamiltonianSpec) -> np.ndarray:

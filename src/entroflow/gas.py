@@ -28,13 +28,16 @@ import numpy as np
 from .errors import InvalidSpec, finite_real
 from .qmath import substream
 
-# events per substream chunk; fixed so that results depend only on
-# (spec, mode, n, seed), never on worker count
+# events per substream chunk: results depend on (spec, mode, n, seed), not workers
 CHUNK = 1 << 16
 _STREAM_TAG = 0x676173  # distinguishes gas draws from other consumers of a seed
-# events per slice of the energy kernel, so that a slice's temporaries stay
-# in cache; every operation is per event, so no bit depends on it
-BLOCK = 4096
+# events per slice of the energy kernel; no bit depends on it.  Median ms of a
+# 5e5-event gas command over 31 interleaved rounds (2 vCPU, numpy 2.4.6):
+#   BLOCK   entangled 1 / 2 workers   product 1 / 2 workers
+#   4096    107.7 / 75.9              140.9 / 88.6
+#   8192     89.7 / 65.5              122.3 / 83.2
+#   16384    91.3 / 62.9              128.7 / 77.3
+BLOCK = 8192
 
 
 @dataclass(frozen=True)
@@ -123,12 +126,6 @@ def x_parameter(spec: CollisionSpec) -> float:
     return (spec.m_a / (spec.m_a + spec.m_b)) * (spec.alpha_a + spec.alpha_b) / spec.alpha_a
 
 
-def fractional_gain(x: float, theta) -> np.ndarray | float:
-    """Closed-form fractional kinetic-energy gain of particle a,
-    4 x (x - 1) sin^2(theta/2), for collinear incoming momenta."""
-    return 4.0 * x * (x - 1.0) * np.sin(np.asarray(theta) / 2.0) ** 2
-
-
 def draw_pairs(spec: CollisionSpec, mode: str, rng: np.random.Generator, n: int):
     """n incoming momentum pairs with their scattering angles.
 
@@ -139,17 +136,30 @@ def draw_pairs(spec: CollisionSpec, mode: str, rng: np.random.Generator, n: int)
     Both then draw cos(theta) uniform on [-1, 1] and the azimuth uniform on
     [0, 2 pi).  Returns (p_a, p_b, cos_theta, azimuth), momenta (n, 3).
     """
+    pairs = (np.empty((n, 3)), np.empty((n, 3)), np.empty(n), np.empty(n))
+    _fill_pairs(spec, mode, rng, *pairs)
+    return pairs
+
+
+def _fill_pairs(spec: CollisionSpec, mode: str, rng, p_a, p_b, cos_theta, azimuth) -> None:
+    # draw_pairs' draws, written into the arrays given; uniform(lo, hi) is
+    # lo + (hi - lo) u, so scaling random() in place keeps every bit
     if mode == "entangled":
-        k = rng.standard_normal((n, 3)) * math.sqrt(1.0 / spec.gamma)
-        p_a, p_b = spec.alpha_a * k, spec.alpha_b * k
+        rng.standard_normal(out=p_b)  # k
+        p_b *= math.sqrt(1.0 / spec.gamma)
+        np.multiply(p_b, spec.alpha_a, out=p_a)
+        p_b *= spec.alpha_b
     elif mode == "product":
-        p_a = rng.standard_normal((n, 3)) * math.sqrt(spec.m_a * spec.t_a)
-        p_b = rng.standard_normal((n, 3)) * math.sqrt(spec.m_b * spec.t_b)
+        for p, scale in ((p_a, spec.m_a * spec.t_a), (p_b, spec.m_b * spec.t_b)):
+            rng.standard_normal(out=p)
+            p *= math.sqrt(scale)
     else:
         raise InvalidSpec(f"mode must be 'entangled' or 'product', got {mode!r}")
-    cos_theta = rng.uniform(-1.0, 1.0, n)
-    azimuth = rng.uniform(0.0, 2.0 * math.pi, n)
-    return p_a, p_b, cos_theta, azimuth
+    rng.random(out=cos_theta)
+    cos_theta *= 2.0
+    cos_theta -= 1.0
+    rng.random(out=azimuth)
+    azimuth *= 2.0 * math.pi
 
 
 def _dot(a, b):
@@ -187,61 +197,27 @@ def _de_a(v_cm, q, c, cos_theta, azimuth) -> np.ndarray:
     return sin_theta * np.cos(azimuth) * _norm(c) + (cos_theta - 1.0) * _dot(v_cm, q)
 
 
-def collide(p_a, p_b, m_a: float, m_b: float, cos_theta, azimuth):
-    """Elastic two-body collision: the center-of-mass momentum is kept and
-    the relative momentum q rotated by (theta, azimuth), the azimuth
-    measured from V's component across q (from x-hat's where V x q is
-    exactly 0, and y-hat's where q lies along x-hat as well).
-
-    Works on one event (3-vectors and scalar angles) or on n events ((n, 3)
-    momenta and length-n angles); an event gives the same bits alone as in
-    a batch.  Returns (p_a', p_b', de_a), de_a bit for bit as energy_events
-    gives it.  Zero relative momentum passes through unchanged.
-    """
-    m_a, m_b = finite_real(m_a, "m_a", positive=True), finite_real(m_b, "m_b", positive=True)
-    p_a = tuple(np.moveaxis(np.asarray(p_a, dtype=float), -1, 0))
-    p_b = tuple(np.moveaxis(np.asarray(p_b, dtype=float), -1, 0))
-    cos_theta = np.asarray(cos_theta, dtype=float)
-    azimuth = np.asarray(azimuth, dtype=float)
-
-    v_cm, q, c = _invariants(p_a, p_b, m_a, m_b)
-    de = _de_a(v_cm, q, c, cos_theta, azimuth)
-    # e1 = V_perp/|V_perp| = (q x c)/|q x c|, which stays orthogonal to q
-    # even where c is only rounding; e1 is 0 where q is
-    for axis in ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0)):
-        flat = _square(c) == 0.0
-        c = tuple(np.where(flat, f, k) for f, k in zip(_cross(axis, q), c))
-    e1 = _cross(q, c)
-    e1_norm = _norm(e1)
-    e1 = tuple(k / np.where(e1_norm > 0.0, e1_norm, 1.0) for k in e1)
-    e2 = _cross(q, e1)  # |q| times q-hat x e1
-
-    sin_theta = np.sqrt((1.0 - cos_theta) * (1.0 + cos_theta))
-    along, across = _norm(q) * np.cos(azimuth), np.sin(azimuth)
-    dq = [sin_theta * (along * a + across * b) + (cos_theta - 1.0) * k for a, b, k in zip(e1, e2, q)]
-    p_a_out = np.stack([p + d for p, d in zip(p_a, dq)], axis=-1)
-    p_b_out = np.stack([p - d for p, d in zip(p_b, dq)], axis=-1)
-    return p_a_out, p_b_out, de
+def _event_arrays(mode: str, flux: bool, n: int) -> tuple:
+    # energy_events' (de_a, w, gain): w only with flux, gain only in entangled mode
+    return np.empty(n), np.empty(n) if flux else None, np.empty(n) if mode == "entangled" else None
 
 
-def energy_events(spec: CollisionSpec, mode: str, flux: bool, p_a, p_b, cos_theta, azimuth):
+def energy_events(spec: CollisionSpec, mode: str, flux: bool, p_a, p_b, cos_theta, azimuth, out=None):
     """Per-event energy gained by particle a, flux weight and fractional
     gain of n collisions, without building the outgoing momenta.
 
     Takes draw_pairs' (n, 3) momenta and length-n angles.  Returns (de_a,
-    w, gain, gap): de_a as collide gives it, w = |p_a/m_a - p_b/m_b| (None
+    w, gain, gap): de_a = V . (q' - q), w = |p_a/m_a - p_b/m_b| (None
     when flux is off), gain = de_a / E_a and gap, the largest |gain -
     2x(x-1)(1 - cos(theta))| over the events (both None outside entangled
     mode).  The kernel runs over slices of BLOCK events, each written into
-    arrays of all n, and every event keeps the bits collide gives it.
+    arrays of all n: new ones, or ``out`` = (de_a, w, gain) laid out alike.
     """
-    n = len(cos_theta)
-    de = np.empty(n)
-    w = np.empty(n) if flux else None
-    gain, gap = (np.empty(n), 0.0) if mode == "entangled" else (None, None)
+    de, w, gain = _event_arrays(mode, flux, len(cos_theta)) if out is None else out
+    gap = 0.0 if gain is not None else None
     x = x_parameter(spec)
     mean_gain = 2.0 * x * (x - 1.0)  # the closed form at 1 - cos(theta) = 1
-    for lo in range(0, n, BLOCK):
+    for lo in range(0, len(de), BLOCK):
         s = slice(lo, lo + BLOCK)
         a, b = tuple(p_a[s].T), tuple(p_b[s].T)  # strided x, y, z views, not copies
         de[s] = _de_a(*_invariants(a, b, spec.m_a, spec.m_b), cos_theta[s], azimuth[s])
@@ -255,9 +231,8 @@ def energy_events(spec: CollisionSpec, mode: str, flux: bool, p_a, p_b, cos_thet
 
 
 def _weighted_moments(x: np.ndarray, w: np.ndarray | None) -> np.ndarray:
-    """Accumulator row (sum w, sum wx, sum w^2, sum w^2 x, sum w^2 x^2);
-    w None means unit weights, summed without multiplying by 1.0, which
-    gives the same bits."""
+    """Row (sum w, sum wx, sum w^2, sum w^2 x, sum w^2 x^2); w None is unit
+    weights, summed without multiplying by 1.0, which gives the same bits."""
     if w is None:
         sx = x.sum()
         return np.array([x.size, sx, x.size, sx, (x * x).sum()], dtype=float)
@@ -298,28 +273,37 @@ def ensemble_heat(
     """Mean energy transfer to particle a over n sampled collisions.
 
     Events are generated in fixed chunks of 65536, chunk c from the Philox
-    substream (seed, tag, c), and partial sums are combined in chunk order,
-    so the report is bit-identical for a given (spec, mode, n, seed) at any
+    substream (seed, tag, c) by worker c mod workers, into arrays each
+    worker allocates once; partial sums are combined in chunk order, so
+    the report is bit-identical for a given (spec, mode, n, seed) at any
     worker count.
     """
     if n < 2:
         raise InvalidSpec(f"need n >= 2 samples, got {n}")
     flux = spec.flux_weighting if spec.flux_weighting is not None else (mode == "product")
-
-    def chunk_stats(c: int) -> tuple[np.ndarray, np.ndarray | None, float | None]:
-        rng = substream(seed, _STREAM_TAG, c)
-        de, w, gain, gap = energy_events(
-            spec, mode, flux, *draw_pairs(spec, mode, rng, min(CHUNK, n - c * CHUNK))
-        )
-        return _weighted_moments(de, w), None if gain is None else _weighted_moments(gain, w), gap
-
     n_chunks = (n + CHUNK - 1) // CHUNK
-    workers = max(1, workers)
-    if workers > 1 and n_chunks > 1:
+    workers = min(max(1, workers), n_chunks)
+
+    def worker(k: int) -> list:
+        # chunks k, k + workers, ...: each drawn into this worker's arrays and reduced
+        m = min(CHUNK, n)
+        pairs = (np.empty((m, 3)), np.empty((m, 3)), np.empty(m), np.empty(m))
+        events = _event_arrays(mode, flux, m)
+        parts = []
+        for c in range(k, n_chunks, workers):
+            cut = [None if a is None else a[: n - c * CHUNK] for a in (*pairs, *events)]
+            _fill_pairs(spec, mode, substream(seed, _STREAM_TAG, c), *cut[:4])
+            de, w, gain, gap = energy_events(spec, mode, flux, *cut[:4], out=cut[4:])
+            moments = [None if x is None else _weighted_moments(x, w) for x in (de, gain)]
+            parts.append((*moments, gap))
+        return parts
+
+    if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(chunk_stats, range(n_chunks)))
+            done = list(pool.map(worker, range(workers)))
     else:
-        parts = [chunk_stats(c) for c in range(n_chunks)]
+        done = [worker(0)]
+    parts = [done[c % workers][c // workers] for c in range(n_chunks)]
 
     de_total = np.zeros(5)
     gain_total = np.zeros(5)

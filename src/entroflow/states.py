@@ -2,9 +2,9 @@
 defining data of the entangled pure state whose marginals are thermal.
 
 One DensityOperator holds one state or a stack of states on the same
-factors, validated at once with one batched eigensolve.  That is the
-package's one spectral path: an entropy reads the spectrum stored at
-validation, or one ``eigvalsh`` of a reduced matrix, and sums its positive
+factors, validated at once with one batched Cholesky factorization.  An
+entropy reads the spectrum, one ``eigvalsh`` of the stack at its first
+read, or one ``eigvalsh`` of a reduced matrix, and sums its positive
 entries in any order; the only divergence is gibbs_divergence, whose ln
 gamma is known from the levels.  STATE_TOL is the one hermiticity gate.
 
@@ -13,7 +13,7 @@ Units: hbar = k_B = 1, natural logarithms, entropies in nats.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable
 
 import math
@@ -38,6 +38,12 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _diagonal(stack: np.ndarray) -> np.ndarray | None:
+    # the diagonals of a stack whose off-diagonal entries are all exactly 0
+    diag = np.diagonal(stack, axis1=-2, axis2=-1).real
+    return diag if np.count_nonzero(stack) == np.count_nonzero(diag) else None
+
+
 @dataclass(frozen=True)
 class DensityOperator:
     """Hermitian, positive-semidefinite, unit-trace matrix plus the list of
@@ -46,16 +52,14 @@ class DensityOperator:
     ``matrix`` is one state (D, D) or a stack of states on the same factors
     (N, D, D); von_neumann_entropy, subsystem_entropy and gibbs_divergence,
     and the checks of ``inequalities``, return one value per state of a
-    stack.  Each matrix is checked on its own, all within STATE_TOL: the
-    first failing one in stack order raises InvalidState with the message
-    it raises alone, and a NaN fails the first check it reaches.
+    stack.  Each matrix is checked on its own within STATE_TOL, its sign by
+    one Cholesky factorization of the stack + STATE_TOL I (eigvalsh only if
+    that fails): the first failing one in stack order raises InvalidState
+    with the message it raises alone, and a NaN fails the first check.
     """
 
     matrix: np.ndarray
     dims: tuple[int, ...]
-    # ascending spectra found while validating, shape (..., D) (read-only):
-    # entropies of the whole state read them instead of diagonalizing again
-    spectrum: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         mat = np.asarray(self.matrix, dtype=complex)
@@ -73,29 +77,41 @@ class DensityOperator:
         adjoint = dagger(stack)
         herm = np.abs(stack - adjoint).max(axis=(-2, -1))
         sym = (stack + adjoint) / 2
-        diag = np.diagonal(sym, axis1=-2, axis2=-1)
-        if np.count_nonzero(sym) == np.count_nonzero(diag):
-            # every off-diagonal entry is exactly 0: the spectrum is the
-            # sorted diagonal, which is what eigvalsh returns for it
-            lam = np.sort(diag.real, axis=-1)
-        else:
-            lam = np.linalg.eigvalsh(sym)
         tr = trace(sym).real
         # written as "not within" so that a NaN fails
         hermitian = herm <= STATE_TOL
-        semidefinite = lam[:, 0] >= -STATE_TOL
         unit_trace = np.abs(tr - 1.0) <= STATE_TOL
+        diag = _diagonal(sym)
+        if diag is not None:
+            lam_min = diag.min(axis=-1)
+        else:
+            try:  # every eigenvalue >= -STATE_TOL: one factorization of the stack
+                np.linalg.cholesky(sym + STATE_TOL * np.eye(total))
+                lam_min = np.zeros(len(sym))
+            except np.linalg.LinAlgError:  # a NaN too: the spectra find the state
+                lam_min = np.linalg.eigvalsh(sym)[:, 0]
+        semidefinite = lam_min >= -STATE_TOL
         failed = ~(hermitian & semidefinite & unit_trace)
         if failed.any():
             t = int(np.argmax(failed))
             if not hermitian[t]:
                 raise InvalidState(f"not Hermitian: max |M - M^dag| = {herm[t]:.3e}")
             if not semidefinite[t]:
-                raise InvalidState(f"negative eigenvalue {lam[t, 0]:.3e}")
+                raise InvalidState(f"negative eigenvalue {lam_min[t]:.3e}")
             raise InvalidState(f"trace {float(tr[t])!r} differs from 1 beyond {STATE_TOL}")
         object.__setattr__(self, "matrix", _frozen(sym).reshape(mat.shape))
         object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "spectrum", _frozen(lam).reshape(mat.shape[:-1]))
+
+    @property
+    def spectrum(self) -> np.ndarray:
+        """Ascending spectra, shape (..., D) (read-only), computed at the first
+        read and kept: one eigvalsh of the stack, or the sorted diagonal (what
+        eigvalsh returns) when every off-diagonal entry is exactly 0."""
+        if "_spectrum" not in self.__dict__:
+            diag = _diagonal(self.matrix)
+            lam = np.linalg.eigvalsh(self.matrix) if diag is None else np.sort(diag, axis=-1)
+            object.__setattr__(self, "_spectrum", _frozen(lam))
+        return self.__dict__["_spectrum"]
 
     @property
     def dim(self) -> int:

@@ -22,7 +22,9 @@ from entroflow import (
     dagger,
     partial_trace,
 )
+from entroflow.errors import finite_real
 from entroflow.exchange import DEGENERACY_TOL, GivensPlanes
+from entroflow.gas import _cross, _de_a, _invariants, _norm, _square
 from entroflow.qmath import haar_qr
 
 
@@ -386,3 +388,51 @@ def oracle_gibbs_evolution(levels_i, basis_i, beta, unitary, ancilla, levels_f, 
         "rhs": rhs,
         "identity_gap": abs(lhs - rhs),
     }
+
+
+# ------------------------------------------------------------------------
+# Gas oracles: the outgoing momenta of a collision, which no command
+# builds, and the closed-form gain of the entangled ensemble.
+
+def fractional_gain(x: float, theta) -> np.ndarray | float:
+    """Closed-form fractional kinetic-energy gain of particle a,
+    4 x (x - 1) sin^2(theta/2), for collinear incoming momenta."""
+    return 4.0 * x * (x - 1.0) * np.sin(np.asarray(theta) / 2.0) ** 2
+
+
+def collide(p_a, p_b, m_a: float, m_b: float, cos_theta, azimuth):
+    """Elastic two-body collision: the center-of-mass momentum is kept and
+    the relative momentum q rotated by (theta, azimuth), the azimuth
+    measured from V's component across q (from x-hat's where V x q is
+    exactly 0, and y-hat's where q lies along x-hat as well).
+
+    Works on one event (3-vectors and scalar angles) or on n events ((n, 3)
+    momenta and length-n angles); an event gives the same bits alone as in
+    a batch.  Returns (p_a', p_b', de_a), de_a bit for bit as
+    ``gas.energy_events`` gives it.  Zero relative momentum passes through
+    unchanged.
+    """
+    m_a, m_b = finite_real(m_a, "m_a", positive=True), finite_real(m_b, "m_b", positive=True)
+    p_a = tuple(np.moveaxis(np.asarray(p_a, dtype=float), -1, 0))
+    p_b = tuple(np.moveaxis(np.asarray(p_b, dtype=float), -1, 0))
+    cos_theta = np.asarray(cos_theta, dtype=float)
+    azimuth = np.asarray(azimuth, dtype=float)
+
+    v_cm, q, c = _invariants(p_a, p_b, m_a, m_b)
+    de = _de_a(v_cm, q, c, cos_theta, azimuth)
+    # e1 = V_perp/|V_perp| = (q x c)/|q x c|, which stays orthogonal to q
+    # even where c is only rounding; e1 is 0 where q is
+    for axis in ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0)):
+        flat = _square(c) == 0.0
+        c = tuple(np.where(flat, f, k) for f, k in zip(_cross(axis, q), c))
+    e1 = _cross(q, c)
+    e1_norm = _norm(e1)
+    e1 = tuple(k / np.where(e1_norm > 0.0, e1_norm, 1.0) for k in e1)
+    e2 = _cross(q, e1)  # |q| times q-hat x e1
+
+    sin_theta = np.sqrt((1.0 - cos_theta) * (1.0 + cos_theta))
+    along, across = _norm(q) * np.cos(azimuth), np.sin(azimuth)
+    dq = [sin_theta * (along * a + across * b) + (cos_theta - 1.0) * k for a, b, k in zip(e1, e2, q)]
+    p_a_out = np.stack([p + d for p, d in zip(p_a, dq)], axis=-1)
+    p_b_out = np.stack([p - d for p, d in zip(p_b, dq)], axis=-1)
+    return p_a_out, p_b_out, de

@@ -21,7 +21,8 @@ and of the new into a directory each, one file per key, and compare them:
 ``--diff`` prints one line per key whose bytes differ, with the largest
 absolute difference over its JSON numbers or CSV cells, then one indented
 line per field that moved: a JSON path such as ``strokes[1].heat``, or a
-CSV column.  It prints nothing when every key kept its bytes.
+CSV column.  It prints nothing and exits 0 when every key kept its bytes,
+and exits 1 when it prints any line: a moved key or a key on one side only.
 
 The inputs are built here, not taken from ``perfbench/workloads.py``, so a
 change to the benchmark's workloads never moves a digest.  Sizes are cut
@@ -222,9 +223,10 @@ def main(argv: list[str]) -> int:
         dump(Path(argv[1]))
         return 0
     if argv[:1] == ["--diff"] and len(argv) == 3:
-        for line in diff(Path(argv[1]), Path(argv[2])):
+        lines = diff(Path(argv[1]), Path(argv[2]))
+        for line in lines:
             print(line)
-        return 0
+        return 1 if lines else 0
     if argv != ["--update"]:
         print("usage: PYTHONPATH=src python tests/golden.py --update | --dump DIR"
               " | --diff OLD NEW", file=sys.stderr)

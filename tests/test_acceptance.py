@@ -15,6 +15,8 @@ import time
 import numpy as np
 
 from conftest import (
+    collide,
+    fractional_gain,
     ghz_state,
     haar_unitary,
     random_conserving_planes,
@@ -32,11 +34,9 @@ from entroflow import (
     average_correlation_bound,
     check_ssa,
     clausius_cycle,
-    collide,
     CollisionSpec,
     draw_pairs,
     ensemble_heat,
-    fractional_gain,
     gibbs_evolution_identity,
     gibbs_populations,
     givens_planes,

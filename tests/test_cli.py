@@ -120,8 +120,14 @@ class TestIneqBatches:
         argv = ["ineq", "--check", "ssa", "--dims", "2,2,2", "--trials", "1000", "--seed", "7"]
         assert cli.main([*argv, "--output", str(tmp_path / "out.json")]) == cli.EXIT_OK
         batches = math.ceil(1000 / max(1, cli.BATCH_ELEMENTS // 8**2))
-        # per batch: the validation and the four subsystem entropies
-        assert len(eigensolves) == 5 * batches
+        # per batch: the four subsystem entropies; validation solves nothing
+        assert len(eigensolves) == 4 * batches
+
+    @pytest.mark.parametrize("check, dims, width", [("ssa", "2,2,2", 8), ("eq1", "2,2,2,2", 16)])
+    def test_no_whole_state_eigensolve(self, check, dims, width, eigensolves, tmp_path):
+        argv = ["ineq", "--check", check, "--dims", dims, "--trials", "200", "--seed", "7"]
+        assert cli.main([*argv, "--output", str(tmp_path / "out.json")]) == cli.EXIT_OK
+        assert eigensolves and width not in eigensolves
 
     # 1: one trial per batch; 1000: ragged batches of 3 to 62 trials
     @pytest.mark.parametrize("budget", [1, 1000])

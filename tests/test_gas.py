@@ -4,14 +4,13 @@ import math
 import numpy as np
 import pytest
 
+from conftest import collide, fractional_gain
 from entroflow import gas
 from entroflow import (
     CollisionSpec,
     InvalidSpec,
-    collide,
     draw_pairs,
     ensemble_heat,
-    fractional_gain,
     substream,
     x_parameter,
 )
@@ -234,7 +233,7 @@ class TestEnergyOnlyPath:
         def refuse(*args, **kwargs):
             raise AssertionError("ensemble_heat built outgoing momenta")
 
-        monkeypatch.setattr(gas, "collide", refuse)
+        monkeypatch.setattr(gas, "collide", refuse, raising=False)
         for mode, report in want.items():
             assert ensemble_heat(spec, mode, n, 18, workers=2) == report
 
@@ -267,8 +266,10 @@ class TestBlockedKernel:
     """energy_events runs BLOCK events at a time; every event and every sum
     keeps the bits of the whole-chunk computation."""
 
+    # sizes inside one slice, on both sides of the slice boundary, and a
+    # ragged chunk
     @pytest.mark.parametrize(
-        "n", [2, gas.BLOCK - 1, gas.BLOCK, gas.BLOCK + 1, gas.CHUNK + 3]
+        "n", [2, 4095, 4096, 4097, gas.BLOCK - 1, gas.BLOCK, gas.BLOCK + 1, gas.CHUNK + 3]
     )
     @pytest.mark.parametrize("mode", ["entangled", "product"])
     @pytest.mark.parametrize("flux", [False, True], ids=["flux-off", "flux-on"])
@@ -300,7 +301,70 @@ class TestBlockedKernel:
             assert bits(got).tolist() == bits([mean_gain, se_gain]).tolist()
 
 
+class TestWorkerBuffers:
+    """ensemble_heat draws each chunk into arrays its worker allocates once,
+    with the bits of fresh arrays at any worker count."""
+
+    def test_every_chunk_draws_into_the_same_arrays(self, monkeypatch):
+        n = 4 * gas.CHUNK + 100  # 5 chunks, the last one ragged
+        want = {mode: ensemble_heat(REVERSAL, mode, n, 46) for mode in ("entangled", "product")}
+        calls = []
+
+        class Recorder:
+            def __init__(self, rng):
+                self.rng = rng
+
+            def __getattr__(self, name):
+                def record(*args, **kwargs):
+                    calls[-1].append((name, args, kwargs.get("out")))
+                    return getattr(self.rng, name)(*args, **kwargs)
+
+                return record
+
+        def recording_substream(*path):
+            calls.append([])
+            return Recorder(substream(*path))
+
+        monkeypatch.setattr(gas, "substream", recording_substream)
+        for mode, draws in (("entangled", 3), ("product", 4)):
+            del calls[:]
+            assert ensemble_heat(REVERSAL, mode, n, 46, workers=1) == want[mode]
+            assert len(calls) == 5 and all(len(chunk) == draws for chunk in calls)
+            # every draw passes out= and no size; draw k of every chunk
+            # writes into one array, and the draws into different ones
+            assert all(out is not None and args == () for chunk in calls for _, args, out in chunk)
+            pointers = [{chunk[k][2].ctypes.data for chunk in calls} for k in range(draws)]
+            assert all(len(p) == 1 for p in pointers)
+            assert len(set.union(*pointers)) == draws
+
+    @pytest.mark.parametrize("mode", ["entangled", "product"])
+    @pytest.mark.parametrize("flux", [False, True], ids=["flux-off", "flux-on"])
+    def test_any_worker_count_gives_the_unblocked_bits(self, mode, flux):
+        spec = dataclasses.replace(REVERSAL, flux_weighting=flux)
+        n = 5 * gas.CHUNK + 17
+        reports = [ensemble_heat(spec, mode, n, 47, workers=w) for w in (1, 2, 3, 7)]
+        assert all(report == reports[0] for report in reports)
+        mean, se, mean_gain, se_gain = unblocked_report(spec, mode, n, 47, flux)
+        got = [reports[0].mean_de_a, reports[0].stderr_de_a]
+        assert bits(got).tolist() == bits([mean, se]).tolist()
+        if mode == "entangled":
+            got = [reports[0].mean_fractional_gain, reports[0].stderr_fractional_gain]
+            assert bits(got).tolist() == bits([mean_gain, se_gain]).tolist()
+
+
 class TestSamplers:
+    @pytest.mark.parametrize("mode", ["entangled", "product"])
+    def test_draws_have_the_bits_of_sized_draws(self, mode):
+        # the in-place draws against sized draws and uniform(lo, hi)
+        spec, rng = CollisionSpec(m_a=1.3, m_b=0.4, t_a=0.5, t_b=3.0, gamma=2.0), substream(41, 26)
+        if mode == "entangled":
+            k = rng.standard_normal((1000, 3)) * math.sqrt(1.0 / spec.gamma)
+            want = [spec.alpha_a * k, spec.alpha_b * k]
+        else:
+            want = [rng.standard_normal((1000, 3)) * math.sqrt(m * t) for m, t in ((1.3, 0.5), (0.4, 3.0))]
+        want += [rng.uniform(-1.0, 1.0, 1000), rng.uniform(0.0, 2.0 * math.pi, 1000)]
+        got = draw_pairs(spec, mode, substream(41, 26), 1000)
+        assert all(np.array_equal(bits(a), bits(b)) for a, b in zip(got, want))
     def test_entangled_momenta_are_collinear(self):
         p_a, p_b, _, _ = draw_pairs(REVERSAL, "entangled", substream(41, 5), 50)
         cross = np.cross(p_a, p_b)

@@ -66,3 +66,24 @@ def test_diff_of_a_dump_against_itself_reports_no_key(tmp_path, monkeypatch, cap
     assert golden.diff(dump, moved) == [
         "demo.v: largest 0.25", "  q_a 0.25", "exchange.sweep@7: largest 0.5", "  Q_A 0.5"
     ]
+
+
+def test_diff_exits_1_when_it_prints_a_key(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("ENTROFLOW_THREADS", "1")  # golden.main sets it
+    old, new = tmp_path / "old", tmp_path / "new"
+    old.mkdir()
+    (old / "demo.v").write_text(cli.payload_json({"q_a": 0.125, "verdict": 1}))
+    (old / "exchange.sweep@7").write_text("phi,Q_A\n0.1,0.25\n")
+    shutil.copytree(old, new)
+    assert golden.main(["--diff", str(old), str(new)]) == 0
+    assert capsys.readouterr().out == ""
+    # one flipped bit in one byte of a number: '1' becomes '0'
+    data = bytearray((new / "demo.v").read_bytes())
+    data[data.index(b"1")] ^= 1
+    (new / "demo.v").write_bytes(bytes(data))
+    assert golden.main(["--diff", str(old), str(new)]) == 1
+    assert capsys.readouterr().out.splitlines()[0] == "demo.v: largest 0.1"
+    # a key on one side only
+    (new / "demo.v").unlink()
+    assert golden.main(["--diff", str(old), str(new)]) == 1
+    assert capsys.readouterr().out == f"demo.v: only in {old}\n"

@@ -8,6 +8,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import collide
 from entroflow import (
     CaseSpec,
     ClausiusStroke,
@@ -16,7 +17,6 @@ from entroflow import (
     HamiltonianSpec,
     InvalidSpec,
     clausius_cycle,
-    collide,
 )
 
 QUBIT = HamiltonianSpec([0.0, 1.0])

@@ -8,6 +8,7 @@ from conftest import (
     bell_state,
     entangled_thermal_state,
     ghz_state,
+    haar_unitary,
     marginal,
     oracle_entropy,
     random_density,
@@ -31,7 +32,7 @@ from entroflow import (
     substream,
     von_neumann_entropy,
 )
-from entroflow.states import log_partition, spectral_entropy
+from entroflow.states import STATE_TOL, log_partition, spectral_entropy
 
 QUBIT = HamiltonianSpec(np.array([0.0, 1.0]))
 LADDER4 = HamiltonianSpec(np.array([0.0, 1.0, 2.0, 3.0]))
@@ -231,9 +232,13 @@ class TestMutualInformation:
 
 class TestStoredSpectrum:
     def test_whole_state_entropies_reuse_the_validation_eigensolve(self, eigensolves):
+        # validation solves nothing: the spectrum is solved at its first read
         rho = DensityOperator(random_density(6, 3, substream(11, 11)), (2, 3))
+        assert eigensolves == []
+        spectrum = rho.spectrum
         assert eigensolves == [6]
-        assert np.array_equal(rho.spectrum, np.linalg.eigvalsh(rho.matrix))
+        assert rho.spectrum is spectrum
+        assert np.array_equal(spectrum, np.linalg.eigvalsh(rho.matrix))
         del eigensolves[:]
         von_neumann_entropy(rho)
         subsystem_entropy(rho, [1, 0])
@@ -269,6 +274,8 @@ class TestStoredSpectrum:
         diag = np.diag([0.1, 0.2, 0.3, 0.4]).astype(complex)
         dense = random_density(4, 4, substream(11, 16))
         stack = DensityOperator(np.stack([diag, dense]), (4,))
+        assert eigensolves == []
+        assert stack.spectrum.shape == (2, 4)
         assert eigensolves == [4]
         for t, mat in enumerate((diag, dense)):
             alone = DensityOperator(mat, (4,)).spectrum
@@ -488,6 +495,35 @@ class TestValidation:
         m = np.array([[0.5, 0.3], [0.0, 0.5]], dtype=complex)
         with pytest.raises(InvalidState):
             DensityOperator(m, (2,))
+
+    @staticmethod
+    def dense_state(lam_min: float) -> np.ndarray:
+        # a state of spectrum (lam_min, 0.3, 0.7 - lam_min) in a random
+        # basis, so that every off-diagonal entry is nonzero
+        u = haar_unitary(3, substream(11, 25))
+        return (u * [lam_min, 0.3, 0.7 - lam_min]) @ u.conj().T
+
+    def test_semidefinite_within_tolerance_takes_no_eigensolve(self, eigensolves):
+        mats = np.stack([self.dense_state(-0.5 * STATE_TOL), self.dense_state(0.0)])
+        rho = DensityOperator(mats, (3,))
+        assert eigensolves == []
+        assert abs(rho.spectrum[0, 0] + 0.5 * STATE_TOL) <= 1e-15
+
+    def test_first_negative_state_in_the_stack_names_its_eigenvalue(self):
+        for mats in (
+            [self.dense_state(-2.0 * STATE_TOL)],
+            [self.dense_state(0.0), self.dense_state(-2.0 * STATE_TOL), self.dense_state(-3e-10)],
+        ):
+            with pytest.raises(InvalidState, match=r"^negative eigenvalue -2\.000e-10$"):
+                DensityOperator(np.stack(mats), (3,))
+
+    @pytest.mark.parametrize("where", [(0, 0), (0, 1)], ids=["diagonal", "off-diagonal"])
+    def test_nan_state_is_not_hermitian(self, where):
+        bad = self.dense_state(0.0)
+        bad[where] = np.nan
+        for mats in ([bad], [self.dense_state(0.0), bad]):
+            with pytest.raises(InvalidState, match=r"^not Hermitian: max \|M - M\^dag\| = nan$"):
+                DensityOperator(np.stack(mats), (3,))
 
     def test_three_dimensional_matrix_is_a_stack(self):
         pure = np.diag([1.0, 0.0]).astype(complex)
