@@ -1,8 +1,9 @@
 """Exception types shared across the package, each of which ``cli.main``
-maps to a documented exit code, and the one check of a scalar parameter."""
+maps to a documented exit code, and the checks of a scalar parameter and
+of an integer count."""
 
 import sys
-from numbers import Real
+from numbers import Integral, Real
 
 
 class EntroflowError(Exception):
@@ -68,3 +69,11 @@ def finite_real(value, name: str, positive: bool = False) -> float:
             return x
     kind = "finite positive" if positive else "finite"
     raise InvalidSpec(f"{name} must be a {kind} number, got {value!r}")
+
+
+def integer_at_least(value, name: str, minimum: int) -> int:
+    """``value`` as an int when it is an integer, not a bool, and at least
+    ``minimum``; anything else raises InvalidSpec."""
+    if isinstance(value, Integral) and not isinstance(value, bool) and value >= minimum:
+        return int(value)
+    raise InvalidSpec(f"{name} must be an integer >= {minimum}, got {value!r}")

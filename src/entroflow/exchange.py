@@ -10,7 +10,8 @@ disjoint degenerate joint-energy planes (givens_planes), which conserve
 energy exactly: the exchanged energy is heat.  A plane's energies are
 read from the two local spectra, and both kinds' marginals are scattered
 from the real joint entries a partial trace reads, with no joint energy
-array and no joint-space matrix.  A Clausius cycle runs on the
+array, no joint-space matrix and no DensityOperator, into one real stack
+a side, metered with one eigensolve.  A Clausius cycle runs on the
 populations of a diagonal system: each contact, a resonant partial swap
 with a fresh Gibbs reservoir, is a Markov step on d numbers.
 """
@@ -33,17 +34,16 @@ from .errors import (
     NotUnitary,
     OverlappingPlanes,
     finite_real,
+    integer_at_least,
 )
 from .qmath import scalar_or_stack
 from .states import (
     STATE_TOL,
-    DensityOperator,
     EntangledThermalSpec,
     HamiltonianSpec,
-    gibbs_divergence,
     gibbs_populations,
+    log_partition,
     spectral_entropy,
-    von_neumann_entropy,
 )
 
 # ENERGY_TOL, DEGENERACY_TOL and HAMILTONIAN_TOL are in units of the largest
@@ -230,9 +230,9 @@ class GivensPlanes:
     """Disjoint degenerate planes of a two-party joint space: plane k
     rotates the flat joint basis states u[k] and v[k] by the angle with
     cosine cos[..., k] and sine sin[..., k], of shape (P,) for one angle set
-    or (n, P) for a stack of n.  Build it with givens_planes, which checks
-    the planes; run_exchange relies on them being disjoint and in range,
-    and checks only cos^2 + sin^2 = 1 and the dims."""
+    or (n, P) for a stack of n.  givens_planes checks each rotation and
+    names the first that fails; run_exchange checks any planes on entry:
+    the dims, states in range and disjoint, and cos^2 + sin^2 = 1."""
 
     dims: tuple[int, int]
     u: np.ndarray
@@ -318,11 +318,17 @@ def _plane_gate(planes: GivensPlanes, h_a: HamiltonianSpec, h_b: HamiltonianSpec
     """Check ``planes`` against the case and return, per angle set, whether
     its unitary commutes with the bare total Hamiltonian.
 
-    The gate is c^2 + s^2 = 1 per plane, and the commutator's entries are
-    s (E_u - E_v): O(planes) per angle set, with no D x D unitary.
+    The 2P flat states must lie in [0, d_A d_B) and be distinct (one
+    bincount), and c^2 + s^2 = 1 per plane: the map is then unitary.  The
+    commutator's entries are s (E_u - E_v): O(planes) per angle set.
     """
     if planes.dims != (h_a.dim, h_b.dim):
         raise DimensionMismatch(f"planes of dims {planes.dims} on a {h_a.dim} x {h_b.dim} system")
+    states = np.concatenate([planes.u, planes.v])
+    if states.min(initial=0) < 0 or states.max(initial=0) >= h_a.dim * h_b.dim:
+        raise DimensionMismatch(f"plane states out of [0, {h_a.dim * h_b.dim}) for dims {planes.dims}")
+    if np.bincount(states).max(initial=0) > 1:
+        raise OverlappingPlanes(f"planes share basis state {np.argmax(np.bincount(states))}")
     c, s = np.atleast_2d(planes.cos, planes.sin)
     defect = np.abs(c * c + s * s - 1.0)
     # "not within", so that a NaN angle fails
@@ -332,9 +338,10 @@ def _plane_gate(planes: GivensPlanes, h_a: HamiltonianSpec, h_b: HamiltonianSpec
     return leak <= _energy_tol(ENERGY_TOL, h_a, h_b)
 
 
-def _marginals(case: CaseSpec, planes: GivensPlanes) -> tuple[DensityOperator, ...]:
-    """(A, A', B, B'): each side's reduced state of the initial joint state,
-    a stack of one, then of U rho0 U^dag, a stack of one per angle set.
+def _marginals(case: CaseSpec, planes: GivensPlanes) -> tuple[np.ndarray, np.ndarray]:
+    """The real marginal stacks of sides A and B, each (n + 1, d, d): the
+    reduced state of the initial joint state first, then that of U rho0
+    U^dag for each of the n angle sets.
 
     Each kind lists the real joint entries (row, column, a value per state,
     the initial state first) that a partial trace reads.  V: psi, the
@@ -347,8 +354,7 @@ def _marginals(case: CaseSpec, planes: GivensPlanes) -> tuple[DensityOperator, .
     energies: a plane off the energy shell is metered as it acts), and
     rho_B when they share the A label.  One bincount per side sums each bin
     in list order, so an angle set has the bits it has alone and a level no
-    plane touches keeps its initial bits.  The entries are freed before the
-    state checks, and one side's scatter before the other side's checks.
+    plane touches keeps its initial bits.
     """
     d_a, d_b = planes.dims
     u, v, (c, s) = planes.u, planes.v, np.atleast_2d(planes.cos, planes.sin)
@@ -379,18 +385,21 @@ def _marginals(case: CaseSpec, planes: GivensPlanes) -> tuple[DensityOperator, .
         bins = label(rows[shared], d_b) * d + label(cols[shared], d_b)
         bins = bins + d * d * np.arange(len(values))[:, None]
         scatters.append(np.bincount(bins.ravel(), values[:, shared].ravel(), len(values) * d * d))
-    del rows, cols, values, shared, bins
-    states = []
-    for d in (d_a, d_b):  # a side's scatter is freed before the other's states are built
-        states += [DensityOperator(x, (d,)) for x in np.split(scatters.pop(0).reshape(-1, d, d), [1])]
-    return tuple(states)
+    return scatters[0].reshape(-1, d_a, d_a), scatters[1].reshape(-1, d_b, d_b)
 
 
-def _heat(before: DensityOperator, after: DensityOperator, h: HamiltonianSpec) -> np.ndarray:
-    # diag(rho' - rho) . levels per state of ``after``, each a 1-D product:
-    # a matrix-vector product may sum in another order
-    change = np.diagonal(after.matrix, 0, -2, -1) - np.diagonal(before.matrix, 0, -2, -1)
-    return np.array([row @ h.levels for row in change.real])
+def _meter(stack: np.ndarray, h: HamiltonianSpec, beta: float) -> tuple[np.ndarray, ...]:
+    """Entropy of every state of one side's stack (stack[0] the initial
+    one), then per final state Q = diag(rho' - rho) . levels and D(rho' ||
+    gamma) = beta diag(rho') . levels + ln Z - S(rho'), each dot a 1-D
+    product.  The spectra are one eigvalsh, or the sorted diagonal (what
+    eigvalsh returns) when no off-diagonal entry is nonzero."""
+    diag = np.diagonal(stack, 0, -2, -1)
+    diagonal = np.count_nonzero(stack) == np.count_nonzero(diag)
+    entropy = spectral_entropy(np.sort(diag, axis=-1) if diagonal else np.linalg.eigvalsh(stack))
+    heat = np.array([row @ h.levels for row in diag[1:] - diag[0]])
+    energy = np.array([row @ h.levels for row in diag[1:]])
+    return entropy, heat, beta * energy + log_partition(h, beta) - entropy[1:]
 
 
 def run_exchange(case: CaseSpec, planes: GivensPlanes) -> ExchangeReport:
@@ -403,38 +412,31 @@ def run_exchange(case: CaseSpec, planes: GivensPlanes) -> ExchangeReport:
     ENERGY_TOL times the largest |level|); only then is the exchanged energy
     pure heat and work_leak zero to rounding.
 
-    No joint-space matrix is formed: _marginals scatters the real entries
-    of the joint state that a partial trace reads, psi'_r psi'_k for V and
-    the populations and plane coherences for S, into each marginal stack;
-    an angle set has the bits it has alone.  The joint entropy, which a
-    unitary leaves unchanged, is the initial one: 0 for V, and S(rho_A) +
-    S(rho_B) = S(gamma_A) + S(gamma_B) for S.  The heats are diag(rho' -
-    rho) . levels, exact for the diagonal Hamiltonians a CaseSpec holds.
-    identity_gap is |beta_A Q_A + beta_B Q_B - dI - D(rho_A'||gamma_A)
-    - D(rho_B'||gamma_B)|, which vanishes for every unitary because both
+    The planes are checked on entry, so the map is unitary.  No joint-space
+    matrix or DensityOperator is formed: _marginals scatters the real joint
+    entries a partial trace reads, psi'_r psi'_k for V and the populations
+    and plane coherences for S, into one real stack a side, and _meter
+    reads each stack once; an angle set has the bits it has alone.  The
+    joint entropy, which a unitary leaves unchanged, is the initial one: 0
+    for V, and S(rho_A) + S(rho_B) = S(gamma_A) + S(gamma_B) for S.
+    identity_gap is |beta_A Q_A + beta_B Q_B - dI - D(rho_A'||gamma_A) -
+    D(rho_B'||gamma_B)|, which vanishes for every unitary because both
     initial marginals are Gibbs states.
     """
     h_a, h_b = case.hamiltonians()
     beta_a, beta_b = case.betas()
     conserving = _plane_gate(planes, h_a, h_b)
 
-    a0, a1, b0, b1 = _marginals(case, planes)
-    s_a0, s_b0, s_a1, s_b1 = (von_neumann_entropy(red) for red in (a0, b0, a1, b1))
-    s_joint = 0.0 if case.kind == "V" else s_a0 + s_b0
+    stack_a, stack_b = _marginals(case, planes)
+    s_a, q_a, div_a = _meter(stack_a, h_a, beta_a)
+    s_b, q_b, div_b = _meter(stack_b, h_b, beta_b)
+    s_joint = 0.0 if case.kind == "V" else s_a[0] + s_b[0]
 
-    q_a = _heat(a0, a1, h_a)
-    q_b = _heat(b0, b1, h_b)
-    ds_a = s_a1 - s_a0
-    ds_b = s_b1 - s_b0
-    mutual_info_initial = s_a0 + s_b0 - s_joint
-    mutual_info_final = s_a1 + s_b1 - s_joint
-    identity_gap = np.abs(
-        beta_a * q_a
-        + beta_b * q_b
-        - (mutual_info_final - mutual_info_initial)
-        - gibbs_divergence(a1, h_a, beta_a)
-        - gibbs_divergence(b1, h_b, beta_b)
-    )
+    ds_a, ds_b = s_a[1:] - s_a[0], s_b[1:] - s_b[0]
+    mutual_info_initial = s_a[0] + s_b[0] - s_joint
+    mutual_info_final = s_a[1:] + s_b[1:] - s_joint
+    dmi = mutual_info_final - mutual_info_initial
+    identity_gap = np.abs(beta_a * q_a + beta_b * q_b - dmi - div_a - div_b)
     fields = (  # in ExchangeReport's order
         q_a, q_b, ds_a, ds_b, mutual_info_initial, mutual_info_final, q_a + q_b,
         beta_a * q_a - ds_a, beta_b * q_b - ds_b, conserving, identity_gap,
@@ -464,8 +466,7 @@ def clausius_cycle(
     fp_tol in half-L1 distance.  The report carries the final cycle's
     records with slack_j = beta_j * Q_j - dS_j (each <= 0) and their sum.
     """
-    if max_cycles < 1:
-        raise InvalidSpec(f"max_cycles must be >= 1, got {max_cycles}")
+    max_cycles = integer_at_least(max_cycles, "max_cycles", 1)
     fp_tol = finite_real(fp_tol, "fp_tol", positive=True)
     h0, p = system
     quenches = [stroke.hamiltonian for stroke in strokes if stroke.kind == "quench"]

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidSpec, finite_real
+from .errors import InvalidSpec, finite_real, integer_at_least
 from .qmath import substream
 
 # events per substream chunk: results depend on (spec, mode, n, seed), not workers
@@ -278,8 +278,7 @@ def ensemble_heat(
     the report is bit-identical for a given (spec, mode, n, seed) at any
     worker count.
     """
-    if n < 2:
-        raise InvalidSpec(f"need n >= 2 samples, got {n}")
+    n = integer_at_least(n, "n", 2)
     flux = spec.flux_weighting if spec.flux_weighting is not None else (mode == "product")
     n_chunks = (n + CHUNK - 1) // CHUNK
     workers = min(max(1, workers), n_chunks)

@@ -7,6 +7,7 @@ entropy reads the spectrum, one ``eigvalsh`` of the stack at its first
 read, or one ``eigvalsh`` of a reduced matrix, and sums its positive
 entries in any order; the only divergence is gibbs_divergence, whose ln
 gamma is known from the levels.  STATE_TOL is the one hermiticity gate.
+``exchange`` builds no DensityOperator: it meters real marginal stacks.
 
 Units: hbar = k_B = 1, natural logarithms, entropies in nats.
 """
@@ -36,12 +37,6 @@ STATE_TOL = 1e-10
 def _frozen(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
-
-
-def _diagonal(stack: np.ndarray) -> np.ndarray | None:
-    # the diagonals of a stack whose off-diagonal entries are all exactly 0
-    diag = np.diagonal(stack, axis1=-2, axis2=-1).real
-    return diag if np.count_nonzero(stack) == np.count_nonzero(diag) else None
 
 
 @dataclass(frozen=True)
@@ -81,15 +76,11 @@ class DensityOperator:
         # written as "not within" so that a NaN fails
         hermitian = herm <= STATE_TOL
         unit_trace = np.abs(tr - 1.0) <= STATE_TOL
-        diag = _diagonal(sym)
-        if diag is not None:
-            lam_min = diag.min(axis=-1)
-        else:
-            try:  # every eigenvalue >= -STATE_TOL: one factorization of the stack
-                np.linalg.cholesky(sym + STATE_TOL * np.eye(total))
-                lam_min = np.zeros(len(sym))
-            except np.linalg.LinAlgError:  # a NaN too: the spectra find the state
-                lam_min = np.linalg.eigvalsh(sym)[:, 0]
+        try:  # every eigenvalue >= -STATE_TOL: one factorization of the stack
+            np.linalg.cholesky(sym + STATE_TOL * np.eye(total))
+            lam_min = np.zeros(len(sym))
+        except np.linalg.LinAlgError:  # a NaN too: the spectra find the state
+            lam_min = np.linalg.eigvalsh(sym)[:, 0]
         semidefinite = lam_min >= -STATE_TOL
         failed = ~(hermitian & semidefinite & unit_trace)
         if failed.any():
@@ -105,12 +96,9 @@ class DensityOperator:
     @property
     def spectrum(self) -> np.ndarray:
         """Ascending spectra, shape (..., D) (read-only), computed at the first
-        read and kept: one eigvalsh of the stack, or the sorted diagonal (what
-        eigvalsh returns) when every off-diagonal entry is exactly 0."""
+        read and kept: one eigvalsh of the stack, diagonal or not."""
         if "_spectrum" not in self.__dict__:
-            diag = _diagonal(self.matrix)
-            lam = np.linalg.eigvalsh(self.matrix) if diag is None else np.sort(diag, axis=-1)
-            object.__setattr__(self, "_spectrum", _frozen(lam))
+            object.__setattr__(self, "_spectrum", _frozen(np.linalg.eigvalsh(self.matrix)))
         return self.__dict__["_spectrum"]
 
     @property
@@ -287,19 +275,12 @@ def subsystem_entropy(rho: DensityOperator, keep: Iterable[int]):
 
 def gibbs_divergence(rho: DensityOperator, h: HamiltonianSpec, beta):
     """S(rho || gamma) for the Gibbs state gamma = exp(-beta H)/Z, from the
-    exact ln gamma = -beta H - ln Z: beta tr(rho H) + ln Z - S(rho).
-
-    No eigensolve of gamma, and no support floor: a Gibbs population is
-    positive even where exp(-beta E) underflows.  For a diagonal H, tr(rho
-    H) is diag(rho) . levels, with no d x d Hamiltonian.
+    exact ln gamma = -beta H - ln Z: beta tr(rho H) + ln Z - S(rho), with
+    tr(rho H) from the d x d matrix of H.  No eigensolve of gamma, and no
+    support floor: a Gibbs population is positive even where exp(-beta E)
+    underflows.
     """
     if rho.dim != h.dim:
         raise DimensionMismatch(f"dimension mismatch: {rho.dim} vs {h.dim}")
-    if h.basis is None:
-        # one 1-D product per state: a stacked product may sum in another order
-        pops, levels = np.broadcast_arrays(np.diagonal(rho.matrix, 0, -2, -1).real, h.levels)
-        rows = zip(pops.reshape(-1, h.dim), levels.reshape(-1, h.dim))
-        mean_energy = scalar_or_stack(np.reshape([x @ e for x, e in rows], pops.shape[:-1]))
-    else:
-        mean_energy = trace(rho.matrix @ h.matrix()).real
+    mean_energy = trace(rho.matrix @ h.matrix()).real
     return beta * mean_energy + log_partition(h, beta) - von_neumann_entropy(rho)

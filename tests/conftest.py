@@ -42,6 +42,20 @@ def eigensolves(monkeypatch) -> list[int]:
     return dims
 
 
+@pytest.fixture()
+def factorizations(monkeypatch) -> list[int]:
+    """Matrix dimension of every numpy Cholesky factorization made during
+    the test (a stack of them is one call)."""
+    dims: list[int] = []
+
+    def counted(a, *args, _solver=np.linalg.cholesky, **kwargs):
+        dims.append(np.shape(a)[-1])
+        return _solver(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "cholesky", counted)
+    return dims
+
+
 def haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-distributed d x d unitary drawn and formed alone: ``haar_qr`` of
     a complex Ginibre matrix, 2*d*d standard normals from ``rng``, real part

@@ -129,6 +129,14 @@ class TestIneqBatches:
         assert cli.main([*argv, "--output", str(tmp_path / "out.json")]) == cli.EXIT_OK
         assert eigensolves and width not in eigensolves
 
+    @pytest.mark.parametrize("check, dims, width", [("ssa", "2,2,2", 8), ("eq1", "2,2,2,2", 16)])
+    def test_one_factorization_per_batch(self, check, dims, width, factorizations, tmp_path):
+        # each batch's states are validated at once, by one Cholesky of the stack
+        argv = ["ineq", "--check", check, "--dims", dims, "--trials", "1000", "--seed", "7"]
+        assert cli.main([*argv, "--output", str(tmp_path / "out.json")]) == cli.EXIT_OK
+        batches = math.ceil(1000 / max(1, cli.BATCH_ELEMENTS // width**2))
+        assert factorizations == [width] * batches
+
     # 1: one trial per batch; 1000: ragged batches of 3 to 62 trials
     @pytest.mark.parametrize("budget", [1, 1000])
     def test_payloads_do_not_depend_on_the_batch(self, budget, monkeypatch, tmp_path):
@@ -505,7 +513,7 @@ class TestClausius:
         err = self.refused_before_any_contact(
             clausius_config, tmp_path, monkeypatch, capsys, "--max-cycles=0"
         )
-        assert err == ["entroflow: config error: max_cycles must be >= 1, got 0"]
+        assert err == ["entroflow: config error: max_cycles must be an integer >= 1, got 0"]
 
 
 def _with(base, **fields):

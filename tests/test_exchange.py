@@ -31,13 +31,11 @@ from entroflow import (
     EntangledThermalSpec,
     HamiltonianSpec,
     InvalidSpec,
-    InvalidState,
     NoConvergence,
     NotDegenerate,
     NotUnitary,
     OverlappingPlanes,
     clausius_cycle,
-    gibbs_divergence,
     gibbs_populations,
     givens_planes,
     kron,
@@ -377,19 +375,32 @@ class TestRunExchange:
             run_exchange(CaseSpec.case_v(DEMO_SPEC), planes)
 
     @pytest.mark.parametrize(
-        "case, trace",
+        "u, v, error",
         [
-            (CaseSpec.case_v(DEMO_SPEC), "1.0617"),
-            (CaseSpec.case_s(DEMO_SPEC.hamiltonian_a(), 1.0, DEMO_SPEC.hamiltonian_b(), 0.5), "0.99076"),
+            ([10, 10], [3, 5], OverlappingPlanes),  # state (2, 2) in both planes
+            ([10, 3], [3, 5], OverlappingPlanes),  # state (0, 3) in both planes
+            ([10, -1], [3, 5], DimensionMismatch),  # below the joint range
+            ([10, 16], [3, 5], DimensionMismatch),  # above it
+            ([10], [10], OverlappingPlanes),  # a plane of one state
         ],
-        ids=["V", "S"],
+        ids=["shared", "shared-across", "below-range", "above-range", "one-state"],
     )
-    def test_planes_sharing_a_state_fail_the_state_check(self, case, trace):
-        # built by hand, past givens_planes: both planes rotate state (2, 2),
-        # so the map is not unitary, and the marginal's trace check refuses it
-        angles = np.array([1.0, 1.2])
-        planes = GivensPlanes((4, 4), np.array([10, 10]), np.array([3, 5]), np.cos(angles), np.sin(angles))
-        with pytest.raises(InvalidState, match=f"^trace {trace}"):
+    @pytest.mark.parametrize(
+        "case",
+        [
+            CaseSpec.case_v(DEMO_SPEC),
+            CaseSpec.case_s(DEMO_SPEC.hamiltonian_a(), 1.0, DEMO_SPEC.hamiltonian_b(), 0.5),
+            # equal temperatures: a degenerate plane's populations are equal,
+            # so a marginal's trace cannot tell that two planes share a state
+            CaseSpec.case_s(DEMO_SPEC.hamiltonian_a(), 1.0, DEMO_SPEC.hamiltonian_b(), 1.0),
+        ],
+        ids=["V", "S", "S-equal-beta"],
+    )
+    def test_hand_built_planes_are_checked_on_entry(self, case, u, v, error):
+        # built by hand, past givens_planes, at valid angles
+        angles = np.array([1.0, 1.2])[: len(u)]
+        planes = GivensPlanes((4, 4), np.array(u), np.array(v), np.cos(angles), np.sin(angles))
+        with pytest.raises(error):
             run_exchange(case, planes)
 
     @pytest.mark.parametrize(
@@ -400,12 +411,14 @@ class TestRunExchange:
         ],
         ids=["V", "S"],
     )
-    def test_no_joint_eigensolves(self, case, eigensolves):
+    def test_no_joint_eigensolves(self, case, eigensolves, factorizations):
         # the joint entropy is the initial state's: only marginals are
-        # diagonalized, two for V; the demo plane shares no
-        # index, so both S marginals are diagonal and read off their diagonal
+        # diagonalized, one stack a side for V; the demo plane shares no
+        # index, so both S stacks are diagonal and read off their diagonal.
+        # No state is built, so nothing is factored
         run_exchange(case, demo_planes())
         assert eigensolves == ([4, 4] if case.kind == "V" else [])
+        assert factorizations == []
 
     def test_rejects_wrong_dimension(self):
         with pytest.raises(DimensionMismatch):
@@ -702,7 +715,7 @@ def repeated_level_spec(rng, max_dim: int = 6) -> EntangledThermalSpec:
 
 def product_marginals(case, planes):
     """run_exchange's two final marginals, as matrices."""
-    return [rho.matrix for rho in exchange_module._marginals(case, planes)[1::2]]
+    return [stack[1] for stack in exchange_module._marginals(case, planes)]
 
 
 def shared_sides(planes):
@@ -796,18 +809,14 @@ class TestRunExchangeAgainstDense:
 
         for name in ("kron", "partial_trace"):
             monkeypatch.setattr(exchange_module, name, forbidden, raising=False)
-        joint_states = []
-        real = exchange_module.DensityOperator
-
-        def density_operator(matrix, dims):
-            joint_states.append(len(dims) > 1)
-            return real(matrix, dims)
-
-        monkeypatch.setattr(exchange_module, "DensityOperator", density_operator)
+        # and no state of any size: each side is metered as a plain stack
+        built = []
+        monkeypatch.setattr(DensityOperator, "__post_init__", lambda rho: built.append(rho.dims))
         case = CaseSpec.case_s(DEMO_SPEC.hamiltonian_a(), 1.0, DEMO_SPEC.hamiltonian_b(), 0.5)
         for c in (CaseSpec.case_v(DEMO_SPEC), case):
-            run_exchange(c, demo_planes())
-        assert joint_states and not any(joint_states)
+            for planes in (demo_planes(), demo_planes().at_angle(np.array([0.0, 0.3]))):
+                run_exchange(c, planes)
+        assert built == []
 
     def test_reads_no_hamiltonian_matrix(self, monkeypatch):
         # the heats and divergences of a diagonal H read its levels: no d x d
@@ -821,9 +830,6 @@ class TestRunExchangeAgainstDense:
         for case in (CaseSpec.case_v(DEMO_SPEC), case_s):
             for planes in (demo_planes(0.3), demo_planes().at_angle(np.array([0.0, 0.3, 1.2]))):
                 assert np.all(run_exchange(case, planes).identity_gap <= 1e-14)
-        rho = DensityOperator(np.diag([0.5, 0.3, 0.2, 0.0]).astype(complex), (4,))
-        h = DEMO_SPEC.hamiltonian_a()
-        assert gibbs_divergence(rho, h, 1.0) >= 0.0
 
 
 def report_bits(report) -> list[int]:
@@ -1097,10 +1103,10 @@ class TestMacroscopicSize:
 
     def test_two_hundred_fifty_six_levels(self):
         # joint dimension 65,536: a D x D complex array would take 69 GB.
-        # Each side scatters with its own labels and mask, and the joint
-        # entries are freed before the four marginals are checked, so the
-        # entry list of S (every population) is not held next to them
-        for (case, planes), mib in zip(shell_cases(256), (9.7, 11.0)):
+        # Each side scatters with its own labels and mask into one real
+        # stack, metered with no complex copy, factorization or state; the
+        # entry list of S (every population) sets its peak
+        for (case, planes), mib in zip(shell_cases(256), (4.0, 11.0)):
             tracemalloc.start()
             try:
                 report = run_exchange(case, planes)

@@ -1,7 +1,8 @@
 """Every scalar parameter of a spec passes the one check, errors.finite_real:
 a real number that is not a bool, finite, and above 0 where the physics asks
 for it.  Anything else is InvalidSpec, never a TypeError or an
-OverflowError, and an accepted value is stored as a float."""
+OverflowError, and an accepted value is stored as a float.  An integer count
+passes errors.integer_at_least in the same way."""
 
 import math
 
@@ -17,6 +18,7 @@ from entroflow import (
     HamiltonianSpec,
     InvalidSpec,
     clausius_cycle,
+    ensemble_heat,
 )
 
 QUBIT = HamiltonianSpec([0.0, 1.0])
@@ -102,3 +104,41 @@ def test_bad_derived_beta_is_invalid_spec(build, name, value):
     with pytest.raises(InvalidSpec) as refused:
         build()
     assert str(refused.value) == f"{name} must be a finite positive number, got {value!r}"
+
+
+# integer counts: (the call that takes one, the least count it accepts)
+COUNTS = {
+    "max_cycles": (
+        lambda v: clausius_cycle(
+            (QUBIT, [0.5, 0.5]), [ClausiusStroke.contact(1, 1)], max_cycles=v, fp_tol=1e9
+        ).cycles_to_convergence,
+        1,
+    ),
+    "n": (lambda v: ensemble_heat(CollisionSpec(**GAS), "entangled", v, 1).n_samples, 2),
+}
+NOT_COUNTS = {
+    "fraction": 2.5, "whole-float": 1e5, "inf": math.inf, "nan": math.nan, "string": "3",
+    "none": None, "true": True, "numpy-true": np.True_,
+}
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        pytest.param(field, value, id=f"{field}-{label}")
+        for field, (_, least) in COUNTS.items()
+        for label, value in {**NOT_COUNTS, "below": least - 1, "negative": -3}.items()
+    ],
+)
+def test_bad_count_is_invalid_spec(field, value):
+    build, least = COUNTS[field]
+    with pytest.raises(InvalidSpec) as refused:
+        build(value)
+    assert str(refused.value) == f"{field} must be an integer >= {least}, got {value!r}"
+
+
+@pytest.mark.parametrize("value", [2, np.int64(2)], ids=["int", "int64"])
+@pytest.mark.parametrize("field", COUNTS)
+def test_integer_count_is_accepted_as_int(field, value):
+    got = COUNTS[field][0](value)
+    assert type(got) is int and got == (1 if field == "max_cycles" else 2)

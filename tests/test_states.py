@@ -181,15 +181,13 @@ class TestGibbsDivergence:
         oracle = 20.0 + math.log1p(math.exp(-40.0)) - math.log(2)
         assert abs(gibbs_divergence(rho, h, 1.0) - oracle) <= 1e-12
 
-    def test_population_underflowing_to_zero_without_eigensolve(self, eigensolves):
+    def test_population_underflowing_to_zero_is_exact(self):
         # exp(-800) is exactly 0.0 in double precision, yet ln gamma =
-        # -beta H - ln Z stays exact
+        # -beta H - ln Z stays exact: gamma is never formed
         h = HamiltonianSpec(np.array([0.0, 800.0]))
         assert gibbs_populations(h, 1.0)[1] == 0.0
         rho = DensityOperator(np.eye(2, dtype=complex) / 2, (2,))
-        del eigensolves[:]
         assert gibbs_divergence(rho, h, 1.0) == 400.0 - math.log(2)
-        assert eigensolves == []
 
     def test_rejects_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
@@ -253,8 +251,9 @@ class TestStoredSpectrum:
 
     @pytest.mark.parametrize("d", [2, 3, 16, 64, 256])
     def test_diagonal_stack_spectrum_is_its_sorted_diagonal(self, d, eigensolves):
-        # zeros and repeated populations included; no eigensolve is made,
-        # and the spectrum has the bits eigvalsh gives for the same stack
+        # zeros and repeated populations included; validation solves
+        # nothing, and eigvalsh of the stack has the bits of its sorted
+        # diagonal, which the exchange meter reads in its place
         rng = substream(11, 15, d)
         pops = rng.uniform(0.0, 1.0, (3, d))
         pops[:, ::3] = 0.0
@@ -266,6 +265,8 @@ class TestStoredSpectrum:
         assert eigensolves == []
         want = np.linalg.eigvalsh(rho.matrix)
         assert np.array_equal(rho.spectrum.view(np.int64), want.view(np.int64))
+        for lam in (want, np.linalg.eigvalsh(mats.real)):  # complex and real stacks
+            assert np.array_equal(np.sort(pops, axis=-1).view(np.int64), lam.view(np.int64))
         # the unsorted diagonal, zeros in place, gives the spectrum's entropy
         assert np.max(np.abs(spectral_entropy(pops) - von_neumann_entropy(rho))) <= 1e-15
 
