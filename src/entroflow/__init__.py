@@ -16,7 +16,6 @@ from .errors import (
     NonFiniteResult,
     NonpositiveBeta,
     NotDegenerate,
-    NotUnitary,
     OverlappingPlanes,
     TooFewFactors,
 )

@@ -85,13 +85,14 @@ EXIT_DEGENERACY = 3
 EXIT_NO_CONVERGENCE = 4
 EXIT_INTERNAL = 5
 
-# ineq evaluates its trials, and exchange --sweep its angles, in batches of
-# as many as fit this many complex entries (128 KiB) per stacked joint-space
-# array or joint vector; no payload depends on the batch.  Larger budgets
-# were no faster at the README sizes overall (eq1 gained what eq2 lost).  In
-# the benchmark's ensembles pass the later gas runs set the peak memory,
-# 59 MB at this budget; 2^14 and 2^16 raise it to 61 MB, and the ineq
-# commands' own peak from 41 to 43 MB (2 vCPU, numpy 2.4.6).
+# ineq evaluates its trials in batches of as many as fit this many complex
+# entries (128 KiB) per stacked joint-space array, and exchange --sweep its
+# angles in batches of this many real entries (64 KiB), a joint vector an
+# angle; no payload depends on the batch.  Larger budgets were no faster at
+# the README sizes overall (eq1 gained what eq2 lost).  In the benchmark's
+# ensembles pass the later gas runs set the peak memory, 59 MB at this
+# budget; 2^14 and 2^16 raise it to 61 MB, and the ineq commands' own peak
+# from 41 to 43 MB (2 vCPU, numpy 2.4.6).
 BATCH_ELEMENTS = 2**13
 
 

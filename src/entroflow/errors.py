@@ -11,7 +11,7 @@ class EntroflowError(Exception):
 
 
 class DimensionMismatch(EntroflowError):
-    """Matrix shape inconsistent with the declared subsystem dimensions."""
+    """Array shapes inconsistent with each other or the declared dimensions."""
 
 
 class NonpositiveBeta(EntroflowError):
@@ -27,7 +27,7 @@ class TooFewFactors(EntroflowError):
 
 
 class InvalidSpec(EntroflowError):
-    """Physical parameters violate their declared constraints."""
+    """Parameters violate their declared constraints (e.g. a non-finite angle)."""
 
 
 class NotDegenerate(EntroflowError):
@@ -36,10 +36,6 @@ class NotDegenerate(EntroflowError):
 
 class OverlappingPlanes(EntroflowError):
     """Rotation planes share a basis state."""
-
-
-class NotUnitary(EntroflowError):
-    """Matrix is not unitary within tolerance."""
 
 
 class NoConvergence(EntroflowError):

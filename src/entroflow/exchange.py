@@ -31,7 +31,6 @@ from .errors import (
     InvalidSpec,
     NoConvergence,
     NotDegenerate,
-    NotUnitary,
     OverlappingPlanes,
     finite_real,
     integer_at_least,
@@ -50,8 +49,6 @@ from .states import (
 # |level| (_energy_tol).  A joint unitary whose commutator is below
 # ENERGY_TOL counts as exactly energy conserving (W = Q_A + Q_B is then 0)
 ENERGY_TOL = 1e-10
-# largest |cos^2 + sin^2 - 1| of a plane rotation
-UNITARY_TOL = 1e-10
 # a converged cycle passes when its Clausius sum is <= CLAUSIUS_TOL and
 # every contact's slack beta*Q - dS is <= STROKE_TOL
 CLAUSIUS_TOL = 1e-8
@@ -228,24 +225,22 @@ def _energy_gap(h_a: HamiltonianSpec, h_b: HamiltonianSpec, u, v) -> np.ndarray:
 @dataclass(frozen=True)
 class GivensPlanes:
     """Disjoint degenerate planes of a two-party joint space: plane k
-    rotates the flat joint basis states u[k] and v[k] by the angle with
-    cosine cos[..., k] and sine sin[..., k], of shape (P,) for one angle set
-    or (n, P) for a stack of n.  givens_planes checks each rotation and
-    names the first that fails; run_exchange checks any planes on entry:
-    the dims, states in range and disjoint, and cos^2 + sin^2 = 1."""
+    rotates the flat joint basis states u[k] and v[k] by the angle
+    phi[..., k], of shape (P,) for one angle set or (n, P) for a stack of
+    n; a finite angle makes each rotation unitary.  givens_planes checks
+    each rotation and names the first that fails; run_exchange checks any
+    planes on entry."""
 
     dims: tuple[int, int]
     u: np.ndarray
     v: np.ndarray
-    cos: np.ndarray
-    sin: np.ndarray
+    phi: np.ndarray
 
     def at_angle(self, phi) -> "GivensPlanes":
-        """The same planes, every one rotated by phi; an array of n angles
-        gives a stack of n angle sets, cos and sin of shape (n, P)."""
-        shape = (*np.shape(phi), self.u.size)
-        c, s = (np.full(shape, f(phi)[..., None]) for f in (np.cos, np.sin))
-        return replace(self, cos=c, sin=s)
+        """The same planes, every one rotated by phi: one angle gives phi of
+        shape (P,), an array of n angles a stack of n angle sets, (n, P)."""
+        phi = np.asarray(phi)
+        return replace(self, phi=np.full((*phi.shape, self.u.size), phi[..., None]))
 
 
 def givens_planes(
@@ -284,7 +279,7 @@ def givens_planes(
     if not valid:
         raise InvalidSpec("rotations must be [[i, j], [i2, j2], phi], integer labels, finite phi")
     if not rows:
-        return GivensPlanes(dims, np.zeros(0, int), np.zeros(0, int), np.zeros(0), np.zeros(0))
+        return GivensPlanes(dims, np.zeros(0, int), np.zeros(0, int), np.zeros(0))
     bounds = (d_a, d_b, d_a, d_b)
     # labels are compared as Python numbers before the int64 cast; one out of
     # range is clamped to -1 or its bound, so it stays out of range
@@ -311,37 +306,40 @@ def givens_planes(
             (OverlappingPlanes, f"rotation plane ({first}, {second}) reuses a basis state"),
         )[int(np.argmax(failed[:, k]))]
         raise error(message)
-    return GivensPlanes(dims, u, v, np.cos(phi), np.sin(phi))
+    return GivensPlanes(dims, u, v, phi)
 
 
-def _plane_gate(planes: GivensPlanes, h_a: HamiltonianSpec, h_b: HamiltonianSpec) -> np.ndarray:
-    """Check ``planes`` against the case and return, per angle set, whether
-    its unitary commutes with the bare total Hamiltonian.
-
-    The 2P flat states must lie in [0, d_A d_B) and be distinct (one
-    bincount), and c^2 + s^2 = 1 per plane: the map is then unitary.  The
-    commutator's entries are s (E_u - E_v): O(planes) per angle set.
-    """
+def _plane_gate(planes: GivensPlanes, h_a: HamiltonianSpec, h_b: HamiltonianSpec):
+    """Check ``planes`` against the case before any cos or sin: u and v
+    1-D signed integer arrays of one length P, phi real of shape (P,) or
+    (n, P), the case's dims, the 2P states in [0, d_A d_B) and distinct
+    (one bincount), every angle finite.  Return c and s, each (n, P), and
+    per angle set whether the unitary commutes with the bare Hamiltonian:
+    the commutator's entries are s (E_u - E_v), O(planes) per angle set."""
+    u, v, phi = map(np.asarray, (planes.u, planes.v, planes.phi))
+    # signed: int64 with uint64 labels would concatenate to float64
+    if u.dtype.kind != "i" or v.dtype.kind != "i" or phi.dtype.kind not in "iuf":
+        raise InvalidSpec(f"planes need int u, v and real phi: {u.dtype}, {v.dtype}, {phi.dtype}")
+    if u.ndim != 1 or v.shape != u.shape or phi.ndim not in (1, 2) or phi.shape[-1] != u.size:
+        raise DimensionMismatch(f"plane arrays u, v, phi of shapes {u.shape}, {v.shape}, {phi.shape}")
     if planes.dims != (h_a.dim, h_b.dim):
         raise DimensionMismatch(f"planes of dims {planes.dims} on a {h_a.dim} x {h_b.dim} system")
-    states = np.concatenate([planes.u, planes.v])
+    states = np.concatenate([u, v])
     if states.min(initial=0) < 0 or states.max(initial=0) >= h_a.dim * h_b.dim:
         raise DimensionMismatch(f"plane states out of [0, {h_a.dim * h_b.dim}) for dims {planes.dims}")
     if np.bincount(states).max(initial=0) > 1:
         raise OverlappingPlanes(f"planes share basis state {np.argmax(np.bincount(states))}")
-    c, s = np.atleast_2d(planes.cos, planes.sin)
-    defect = np.abs(c * c + s * s - 1.0)
-    # "not within", so that a NaN angle fails
-    if not np.all(defect <= UNITARY_TOL):
-        raise NotUnitary(f"max |cos^2 + sin^2 - 1| = {np.max(defect):.3e} over the planes")
-    leak = np.abs(s * _energy_gap(h_a, h_b, planes.u, planes.v)).max(-1, initial=0.0)
-    return leak <= _energy_tol(ENERGY_TOL, h_a, h_b)
+    if not np.isfinite(phi).all():
+        raise InvalidSpec("plane angles must be finite")
+    c, s = np.cos(np.atleast_2d(phi)), np.sin(np.atleast_2d(phi))
+    leak = np.abs(s * _energy_gap(h_a, h_b, u, v)).max(-1, initial=0.0)
+    return c, s, leak <= _energy_tol(ENERGY_TOL, h_a, h_b)
 
 
-def _marginals(case: CaseSpec, planes: GivensPlanes) -> tuple[np.ndarray, np.ndarray]:
+def _marginals(case: CaseSpec, planes: GivensPlanes, c: np.ndarray, s: np.ndarray):
     """The real marginal stacks of sides A and B, each (n + 1, d, d): the
     reduced state of the initial joint state first, then that of U rho0
-    U^dag for each of the n angle sets.
+    U^dag for each of the n angle sets, of cosines c and sines s (n, P).
 
     Each kind lists the real joint entries (row, column, a value per state,
     the initial state first) that a partial trace reads.  V: psi, the
@@ -357,7 +355,7 @@ def _marginals(case: CaseSpec, planes: GivensPlanes) -> tuple[np.ndarray, np.nda
     plane touches keeps its initial bits.
     """
     d_a, d_b = planes.dims
-    u, v, (c, s) = planes.u, planes.v, np.atleast_2d(planes.cos, planes.sin)
+    u, v = planes.u, planes.v
     if case.kind == "V":
         psi = np.diag(case.entangled.amplitudes()).ravel()
         amps = np.tile(psi, (len(c) + 1, 1))
@@ -412,22 +410,23 @@ def run_exchange(case: CaseSpec, planes: GivensPlanes) -> ExchangeReport:
     ENERGY_TOL times the largest |level|); only then is the exchanged energy
     pure heat and work_leak zero to rounding.
 
-    The planes are checked on entry, so the map is unitary.  No joint-space
-    matrix or DensityOperator is formed: _marginals scatters the real joint
-    entries a partial trace reads, psi'_r psi'_k for V and the populations
-    and plane coherences for S, into one real stack a side, and _meter
-    reads each stack once; an angle set has the bits it has alone.  The
-    joint entropy, which a unitary leaves unchanged, is the initial one: 0
-    for V, and S(rho_A) + S(rho_B) = S(gamma_A) + S(gamma_B) for S.
-    identity_gap is |beta_A Q_A + beta_B Q_B - dI - D(rho_A'||gamma_A) -
-    D(rho_B'||gamma_B)|, which vanishes for every unitary because both
-    initial marginals are Gibbs states.
+    The planes are checked on entry, and a finite angle makes each rotation
+    unitary; cos and sin are taken once, for the commutator and the
+    marginals.  No joint-space matrix or DensityOperator is formed:
+    _marginals scatters the real joint entries a partial trace reads,
+    psi'_r psi'_k for V and the populations and plane coherences for S,
+    into one real stack a side, and _meter reads each stack once; an angle
+    set has the bits it has alone.  The joint entropy, which a unitary
+    leaves unchanged, is the initial one: 0 for V, and S(rho_A) + S(rho_B) =
+    S(gamma_A) + S(gamma_B) for S.  identity_gap is |beta_A Q_A + beta_B
+    Q_B - dI - D(rho_A'||gamma_A) - D(rho_B'||gamma_B)|, which vanishes for
+    every unitary because both initial marginals are Gibbs states.
     """
     h_a, h_b = case.hamiltonians()
     beta_a, beta_b = case.betas()
-    conserving = _plane_gate(planes, h_a, h_b)
+    c, s, conserving = _plane_gate(planes, h_a, h_b)
 
-    stack_a, stack_b = _marginals(case, planes)
+    stack_a, stack_b = _marginals(case, planes, c, s)
     s_a, q_a, div_a = _meter(stack_a, h_a, beta_a)
     s_b, q_b, div_b = _meter(stack_b, h_b, beta_b)
     s_joint = 0.0 if case.kind == "V" else s_a[0] + s_b[0]
@@ -442,7 +441,7 @@ def run_exchange(case: CaseSpec, planes: GivensPlanes) -> ExchangeReport:
         beta_a * q_a - ds_a, beta_b * q_b - ds_b, conserving, identity_gap,
     )
     # one angle set gives scalars, a stack length-n arrays
-    shape = np.shape(planes.cos)[:-1]
+    shape = np.shape(planes.phi)[:-1]
     stack = [np.broadcast_to(x, conserving.shape).reshape(shape).copy() for x in fields]
     return ExchangeReport(*map(scalar_or_stack, stack))
 

@@ -2,8 +2,8 @@
 
 Conventions fixed once for the whole package:
 
-- operators are dense complex128 numpy arrays; MAX_JOINT_DIM is only the
-  joint-dimension limit of the ``ineq`` and ``exchange`` command lines;
+- operators are dense complex128 numpy arrays, which ``exchange`` never
+  forms; MAX_JOINT_DIM limits only the ``ineq`` and ``exchange`` command lines;
 - the batched kernels (partial_trace, haar_qr, kron) act on the last two
   axes and carry any leading stack axes through, matrix by matrix;
 - nothing here diagonalizes: every spectrum in the package is an
@@ -33,7 +33,8 @@ import numpy as np
 from .errors import DimensionMismatch
 
 # largest joint Hilbert-space dimension ``ineq`` and ``exchange`` accept on
-# the command line: a dense complex operator of this size takes 256 MiB
+# the command line: an ineq operator of this size takes 256 MiB; exchange
+# holds real arrays, one joint vector (32 KiB here) per angle set
 MAX_JOINT_DIM = 4096
 
 

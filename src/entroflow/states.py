@@ -15,6 +15,7 @@ Units: hbar = k_B = 1, natural logarithms, entropies in nats.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable
 
 import math
@@ -93,13 +94,11 @@ class DensityOperator:
         object.__setattr__(self, "matrix", _frozen(sym).reshape(mat.shape))
         object.__setattr__(self, "dims", dims)
 
-    @property
+    @cached_property
     def spectrum(self) -> np.ndarray:
         """Ascending spectra, shape (..., D) (read-only), computed at the first
         read and kept: one eigvalsh of the stack, diagonal or not."""
-        if "_spectrum" not in self.__dict__:
-            object.__setattr__(self, "_spectrum", _frozen(np.linalg.eigvalsh(self.matrix)))
-        return self.__dict__["_spectrum"]
+        return _frozen(np.linalg.eigvalsh(self.matrix))
 
     @property
     def dim(self) -> int:
@@ -264,13 +263,12 @@ def von_neumann_entropy(rho: DensityOperator):
 
 def subsystem_entropy(rho: DensityOperator, keep: Iterable[int]):
     """Von Neumann entropy of the reduced state on the factors in ``keep``:
-    one (batched) eigensolve of the reduced matrix, or none when every
-    factor is kept (the stored spectrum)."""
+    one (batched) eigvalsh of the reduced matrix, exactly Hermitian as it
+    is, or none when every factor is kept (the stored spectrum)."""
     keep = sorted(set(int(k) for k in keep))
     if keep == list(range(len(rho.dims))):
         return von_neumann_entropy(rho)
-    reduced = partial_trace(rho.matrix, rho.dims, keep)
-    return spectral_entropy(np.linalg.eigvalsh((reduced + dagger(reduced)) / 2))
+    return spectral_entropy(np.linalg.eigvalsh(partial_trace(rho.matrix, rho.dims, keep)))
 
 
 def gibbs_divergence(rho: DensityOperator, h: HamiltonianSpec, beta):

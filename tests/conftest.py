@@ -276,10 +276,11 @@ def random_conserving_planes(case: CaseSpec, rng) -> GivensPlanes:
 def planes_matrix(planes: GivensPlanes) -> np.ndarray:
     """Dense D x D unitary of a plane form (a test oracle)."""
     out = np.eye(planes.dims[0] * planes.dims[1], dtype=complex)
-    out[planes.u, planes.u] = planes.cos
-    out[planes.v, planes.v] = planes.cos
-    out[planes.u, planes.v] = -planes.sin
-    out[planes.v, planes.u] = planes.sin
+    c, s = np.cos(planes.phi), np.sin(planes.phi)
+    out[planes.u, planes.u] = c
+    out[planes.v, planes.v] = c
+    out[planes.u, planes.v] = -s
+    out[planes.v, planes.u] = s
     return out
 
 

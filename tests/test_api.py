@@ -69,3 +69,35 @@ def private_imports(path: pathlib.Path) -> list[str]:
 def test_no_private_helper_is_imported_across_modules():
     found = {path.name: private_imports(path) for path in sorted(PACKAGE.glob("*.py"))}
     assert {name: imports for name, imports in found.items() if imports} == {}
+
+
+def tolerance_homes() -> tuple[dict[str, list[str]], list[str]]:
+    """Each ``*_TOL`` name assigned in a package module, with the modules
+    that assign it, and each positive float literal below 1e-6 that is not
+    the value of such an assignment, as ``module:line value``."""
+    homes, stray = {}, []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        values = set()
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name) and t.id.endswith("_TOL")]
+                for name in names:
+                    homes.setdefault(name, []).append(path.stem)
+                if names:
+                    values.add(id(node.value))
+        stray += [
+            f"{path.stem}:{node.lineno} {node.value!r}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and type(node.value) is float
+            and 0 < node.value < 1e-6 and id(node) not in values
+        ]
+    return homes, stray
+
+
+def test_each_tolerance_has_one_home():
+    homes, stray = tolerance_homes()
+    assert "STATE_TOL" in homes
+    assert {name: where for name, where in homes.items() if len(where) != 1} == {}
+    assert stray == [], f"small float literals outside a *_TOL assignment: {stray}"

@@ -862,7 +862,7 @@ class TestExchangeAtTheLimit:
         stacks = []
 
         def counted(case, planes):
-            stacks.append(planes.cos.shape[:-1])
+            stacks.append(planes.phi.shape[:-1])
             return run_exchange(case, planes)
 
         monkeypatch.setattr(cli, "run_exchange", counted)

@@ -1,9 +1,11 @@
 import dataclasses
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from conftest import (
     degenerate_pairs,
@@ -33,7 +35,6 @@ from entroflow import (
     InvalidSpec,
     NoConvergence,
     NotDegenerate,
-    NotUnitary,
     OverlappingPlanes,
     clausius_cycle,
     gibbs_populations,
@@ -242,7 +243,7 @@ class TestGivensUnitary:
         rotation = ((np.int64(2), np.uint8(2)), (0, np.int32(3)), np.float32(0.5))
         planes = givens_planes(h_a, h_b, [rotation])
         assert (planes.u.tolist(), planes.v.tolist()) == ([10], [3])
-        assert planes.sin.tolist() == [math.sin(np.float32(0.5))]
+        assert planes.phi.dtype == float and planes.phi.tolist() == [float(np.float32(0.5))]
 
 
 class TestPartialSwap:
@@ -361,17 +362,11 @@ class TestRunExchange:
         rho1 = DensityOperator(u @ rho0.matrix @ u.conj().T, rho0.dims)
         assert abs(von_neumann_entropy(rho1) - von_neumann_entropy(rho0)) <= 1e-9
 
-    def test_rejects_non_unitary(self):
-        planes = demo_planes(0.3)
-        halved = dataclasses.replace(planes, cos=planes.cos * 0.5, sin=planes.sin * 0.5)
-        with pytest.raises(NotUnitary):
-            run_exchange(CaseSpec.case_v(DEMO_SPEC), halved)
-
     def test_rejects_non_finite_unitary(self):
-        # a NaN defect compares false against any bound; the gate fails closed
-        # (givens_planes refuses a NaN angle itself; at_angle does not)
+        # givens_planes refuses a NaN angle itself; at_angle stores it, and
+        # run_exchange refuses it before taking any cos or sin
         planes = demo_planes().at_angle(float("nan"))
-        with pytest.raises(NotUnitary):
+        with pytest.raises(InvalidSpec, match="plane angles must be finite"):
             run_exchange(CaseSpec.case_v(DEMO_SPEC), planes)
 
     @pytest.mark.parametrize(
@@ -399,9 +394,51 @@ class TestRunExchange:
     def test_hand_built_planes_are_checked_on_entry(self, case, u, v, error):
         # built by hand, past givens_planes, at valid angles
         angles = np.array([1.0, 1.2])[: len(u)]
-        planes = GivensPlanes((4, 4), np.array(u), np.array(v), np.cos(angles), np.sin(angles))
+        planes = GivensPlanes((4, 4), np.array(u), np.array(v), angles)
         with pytest.raises(error):
             run_exchange(case, planes)
+
+    @pytest.mark.parametrize(
+        "u, v, phi, error",
+        [
+            ([10, 3], [5], [1.0, 1.2], DimensionMismatch),  # u longer than v
+            ([10], [5, 0], [1.0], DimensionMismatch),  # v longer than u
+            ([10], [5], [1.0, 1.2], DimensionMismatch),  # one plane, two angles
+            ([10], [5], [[1.0, 1.2]], DimensionMismatch),  # a stack of one, two angles
+            ([[10]], [5], [1.0], DimensionMismatch),  # u not 1-D
+            ([10], [5], 1.0, DimensionMismatch),  # phi a scalar
+            ([10], [5], [[[1.0]]], DimensionMismatch),  # phi 3-D
+            ([10.0], [5], [1.0], InvalidSpec),  # float labels
+            ([10], [True], [1.0], InvalidSpec),  # bool labels
+            ([10], [5], [1.0 + 0.5j], InvalidSpec),  # complex angle
+            ([10], [5], ["1.0"], InvalidSpec),  # string angle
+            (np.array([10], np.uint64), [3], [1.0], InvalidSpec),  # unsigned labels
+        ],
+        ids=["u-longer", "v-longer", "two-angles", "stack-two-angles", "u-2d", "phi-scalar",
+             "phi-3d", "float-u", "bool-v", "complex-phi", "string-phi", "uint64-u"],
+    )
+    @pytest.mark.parametrize(
+        "case",
+        [
+            CaseSpec.case_v(DEMO_SPEC),
+            CaseSpec.case_s(DEMO_SPEC.hamiltonian_a(), 1.0, DEMO_SPEC.hamiltonian_b(), 0.5),
+            CaseSpec.case_s(DEMO_SPEC.hamiltonian_a(), 1.0, DEMO_SPEC.hamiltonian_b(), 1.0),
+        ],
+        ids=["V", "S", "S-equal-beta"],
+    )
+    def test_hand_built_plane_shapes_and_dtypes_are_checked_first(self, case, u, v, phi, error):
+        # a shape fault is a DimensionMismatch and a dtype fault an
+        # InvalidSpec, never numpy's ValueError or TypeError
+        planes = GivensPlanes((4, 4), np.array(u), np.array(v), np.array(phi))
+        with pytest.raises(error) as raised:
+            run_exchange(case, planes)
+        assert str(raised.value).startswith("plane")
+
+    @pytest.mark.parametrize("angle", [1.0 + 0.5j, "1.0"], ids=["complex", "string"])
+    def test_at_angle_leaves_the_angle_type_to_the_gate(self, angle):
+        # at_angle casts nothing: a complex angle is refused, not truncated
+        with pytest.raises(InvalidSpec, match="real phi"):
+            run_exchange(CaseSpec.case_v(DEMO_SPEC), demo_planes().at_angle(angle))
 
     @pytest.mark.parametrize(
         "case",
@@ -715,7 +752,8 @@ def repeated_level_spec(rng, max_dim: int = 6) -> EntangledThermalSpec:
 
 def product_marginals(case, planes):
     """run_exchange's two final marginals, as matrices."""
-    return [stack[1] for stack in exchange_module._marginals(case, planes)]
+    c, s, _ = exchange_module._plane_gate(planes, *case.hamiltonians())
+    return [stack[1] for stack in exchange_module._marginals(case, planes, c, s)]
 
 
 def shared_sides(planes):
@@ -790,7 +828,7 @@ class TestRunExchangeAgainstDense:
         # each side's index, are metered as they act
         u, v = np.array([0, 6, 13]), np.array([5, 14, 15])  # (0,0)-(1,1), (1,2)-(3,2), (3,1)-(3,3)
         angles = np.array([0.4, 1.1, 2.0])
-        planes = GivensPlanes((4, 4), u, v, np.cos(angles), np.sin(angles))
+        planes = GivensPlanes((4, 4), u, v, angles)
         assert shared_sides(planes) == (1, 1)
         case_s = CaseSpec.case_s(DEMO_SPEC.hamiltonian_a(), 1.0, DEMO_SPEC.hamiltonian_b(), 0.5)
         for case in (CaseSpec.case_v(DEMO_SPEC), case_s):
@@ -882,18 +920,18 @@ class TestPlaneForm:
         h_a, h_b = DEMO_SPEC.hamiltonian_a(), DEMO_SPEC.hamiltonian_b()
         planes = givens_planes(h_a, h_b, DEMO_ROTATION)
         case_s = CaseSpec.case_s(h_a, 1.0, h_b, 0.5)
-        with np.errstate(invalid="ignore"):
-            forms = (
-                planes.at_angle(phi),
-                # one bad angle set fails a whole stack
-                planes.at_angle(np.array([0.3, phi, 0.5])),
-            )
+        # at_angle takes no cos or sin, so it warns of nothing
+        forms = (
+            planes.at_angle(phi),
+            # one bad angle set fails a whole stack
+            planes.at_angle(np.array([0.3, phi, 0.5])),
+        )
         # givens_planes refuses the angle before any run
         with pytest.raises(InvalidSpec, match="finite phi"):
             givens_planes(h_a, h_b, [((2, 2), (0, 3), phi)])
         for case in (CaseSpec.case_v(DEMO_SPEC), case_s):
             for form in forms:
-                with pytest.raises(NotUnitary):
+                with pytest.raises(InvalidSpec, match="plane angles must be finite"):
                     run_exchange(case, form)
 
     # (2, 2)-(0, 3), (2, 0)-(0, 1) and (0, 3)-(2, 2) are degenerate planes of
@@ -995,19 +1033,23 @@ class TestPlaneForm:
     def test_no_rotations_give_empty_planes(self):
         planes = givens_planes(*zero_levels(4, 4), [])
         assert planes.dims == (4, 4)
-        for field, dtype in (("u", np.int64), ("v", np.int64), ("cos", float), ("sin", float)):
+        for field, dtype in (("u", np.int64), ("v", np.int64), ("phi", float)):
             array = getattr(planes, field)
             assert array.shape == (0,) and array.dtype == dtype, field
 
     def test_angles_match_per_rotation_cos_and_sin(self):
-        # one np.cos/np.sin over the angle array gives each rotation's bits
+        # run_exchange takes one np.cos/np.sin over the whole (n, P) angle
+        # stack, which gives each angle the bits of its own scalar call
         spec = EntangledThermalSpec(np.arange(64, dtype=float), 0.7, 1.0, 0.5)
         h_a, h_b = spec.hamiltonian_a(), spec.hamiltonian_b()
         rng = substream(31, 22)
         rotations = [(*pair, float(rng.uniform(-7.0, 7.0))) for pair in shell_planes(64)]
         planes = givens_planes(h_a, h_b, rotations)
-        for got, fn in ((planes.cos, np.cos), (planes.sin, np.sin)):
-            want = np.array([fn(phi) for *_, phi in rotations])
+        assert planes.phi.tolist() == [phi for *_, phi in rotations]
+        stack = np.vstack([planes.phi, rng.uniform(-7.0, 7.0, (3, planes.phi.size))])
+        c, s, _ = exchange_module._plane_gate(dataclasses.replace(planes, phi=stack), h_a, h_b)
+        for got, fn in ((c, np.cos), (s, np.sin)):
+            want = np.array([[fn(phi) for phi in row] for row in stack.tolist()])
             assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
 
     def test_dims_must_match_the_case(self):
@@ -1139,7 +1181,7 @@ def stacked_cases():
     demo_s = CaseSpec.case_s(h_a, 1.0, h_b, 0.5)
     u, v = np.array([0, 6, 13]), np.array([5, 14, 15])
     angles = np.array([0.4, 1.1, 2.0])
-    off_shell = GivensPlanes((4, 4), u, v, np.cos(angles), np.sin(angles))
+    off_shell = GivensPlanes((4, 4), u, v, angles)
     out = [
         pytest.param(CaseSpec.case_v(DEMO_SPEC), demo_planes(), id="demo-V"),
         pytest.param(demo_s, demo_planes(), id="demo-S"),
@@ -1172,7 +1214,7 @@ class TestStackedAngles:
     @pytest.mark.parametrize("case, planes", stacked_cases())
     def test_stack_of_one_is_the_scalar_report(self, case, planes):
         for form, stack in (
-            (planes, dataclasses.replace(planes, cos=planes.cos[None], sin=planes.sin[None])),
+            (planes, dataclasses.replace(planes, phi=planes.phi[None])),
             (planes.at_angle(0.37), planes.at_angle(np.array([0.37]))),
         ):
             one, report = run_exchange(case, stack), run_exchange(case, form)
@@ -1180,3 +1222,65 @@ class TestStackedAngles:
             columns = np.asarray(dataclasses.astuple(one), dtype=float)
             assert columns.shape == (len(dataclasses.fields(one)), 1)
             assert columns[:, 0].view(np.int64).tolist() == report_bits(report)
+
+
+# derandomized, as test_fuzz_config.FUZZ
+ANGLE_FUZZ = settings(max_examples=60, derandomize=True, deadline=None)
+FINITE_ANGLE = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def angle_plane_runs(draw, min_planes=0):
+    """(cases, planes): V, S and S at beta_A = beta_B on one random spec,
+    and its random_conserving_planes with a drawn angle array of shape (P,)
+    or (n, P), every angle finite with |phi| <= 1e6."""
+    rng = substream(31, 40, draw(st.integers(0, 2**32 - 1)))
+    spec = draw(st.sampled_from([random_entangled_spec, repeated_level_spec]))(rng, max_dim=6)
+    case_v = CaseSpec.case_v(spec)
+    planes = random_conserving_planes(case_v, rng)
+    assume(planes.u.size >= min_planes)
+    n = draw(st.sampled_from([None, 1, 2, 5]))
+    shape = (planes.u.size,) if n is None else (n, planes.u.size)
+    angles = draw(st.lists(FINITE_ANGLE, min_size=math.prod(shape), max_size=math.prod(shape)))
+    h_a, h_b = case_v.hamiltonians()
+    beta = float(rng.uniform(0.3, 3.0))
+    cases = (case_v, random_s_case(spec, rng), CaseSpec.case_s(h_a, beta, h_b, beta))
+    return cases, dataclasses.replace(planes, phi=np.reshape(angles, shape))
+
+
+class TestAnglePlanes:
+    """A plane set is its states and its angles: any finite angle gives a
+    unitary, and a non-finite one is refused before any cos or sin."""
+
+    @ANGLE_FUZZ
+    @given(angle_plane_runs())
+    def test_finite_angles_keep_the_identity_and_conserve_energy(self, run):
+        cases, planes = run
+        for case in cases:
+            scale = max(np.abs(h.levels).max() for h in case.hamiltonians())
+            report = run_exchange(case, planes)
+            gap, leak, conserving = (
+                np.atleast_1d(x) for x in (report.identity_gap, report.work_leak,
+                                           report.energy_conserving)
+            )
+            assert np.all(gap <= 1e-12), gap
+            assert np.all(np.abs(leak[conserving]) <= 1e-12 * scale), leak
+
+    @ANGLE_FUZZ
+    @given(angle_plane_runs(min_planes=1), st.sampled_from([math.nan, math.inf, -math.inf]),
+           st.integers(0, 2**16), st.booleans())
+    def test_a_non_finite_angle_anywhere_is_refused(self, run, bad, where, via_at_angle):
+        cases, planes = run
+        if via_at_angle:  # one angle per set, as a --sweep grid
+            angles = planes.phi.reshape(-1, planes.u.size)[:, 0].copy()
+            angles[where % angles.size] = bad
+            planes = planes.at_angle(angles)
+        else:
+            angles = planes.phi.copy()
+            angles.flat[where % angles.size] = bad
+            planes = dataclasses.replace(planes, phi=angles)
+        for case in cases:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(InvalidSpec, match="plane angles must be finite"):
+                    run_exchange(case, planes)

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -24,10 +25,12 @@ from entroflow import (
     InvalidSpec,
     InvalidState,
     NonpositiveBeta,
+    dagger,
     gibbs_divergence,
     gibbs_populations,
     gibbs_state,
     kron,
+    partial_trace,
     subsystem_entropy,
     substream,
     von_neumann_entropy,
@@ -335,6 +338,24 @@ class TestSubsystemEntropy:
         assert abs(subsystem_entropy(ghz, [0]) - math.log(2)) <= 1e-12
         assert abs(subsystem_entropy(ghz, [0, 1]) - math.log(2)) <= 1e-12
         assert subsystem_entropy(ghz, [0, 1, 2]) == pytest.approx(0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("dims", [(2, 2, 2), (2, 3, 4), (3, 3, 3, 2), (5, 7)])
+    def test_reduced_states_of_a_stored_stack_are_exactly_hermitian(self, dims):
+        # why subsystem_entropy hands each reduced matrix to eigvalsh as is:
+        # the stored stack is exactly Hermitian and partial_trace keeps it so,
+        # so re-symmetrizing would change no bit
+        rng = substream(11, 13)
+        total = math.prod(dims)
+        mats = [random_density(total, int(rng.integers(1, total + 1)), rng) for _ in range(64)]
+        rho = DensityOperator(np.stack(mats), dims)
+        assert np.array_equal(rho.matrix, dagger(rho.matrix))
+        for size in range(1, len(dims)):
+            for keep in itertools.combinations(range(len(dims)), size):
+                reduced = partial_trace(rho.matrix, dims, keep)
+                assert np.array_equal(reduced, dagger(reduced)), keep
+                symmetrized = np.linalg.eigvalsh((reduced + dagger(reduced)) / 2)
+                got = subsystem_entropy(rho, keep)
+                assert got.view(np.int64).tolist() == spectral_entropy(symmetrized).view(np.int64).tolist()
 
     @pytest.mark.parametrize("keep", [[], [3], [-1]])
     def test_rejects_bad_factor_lists(self, keep):
