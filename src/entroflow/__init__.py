@@ -14,10 +14,8 @@ from .errors import (
     InvalidState,
     NoConvergence,
     NonFiniteResult,
-    NonpositiveBeta,
     NotDegenerate,
     OverlappingPlanes,
-    TooFewFactors,
 )
 from .exchange import (
     CaseSpec,

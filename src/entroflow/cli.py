@@ -69,12 +69,7 @@ from .qmath import (
     random_densities,
     substream_draws,
 )
-from .states import (
-    DensityOperator,
-    EntangledThermalSpec,
-    HamiltonianSpec,
-    gibbs_populations,
-)
+from .states import EntangledThermalSpec, HamiltonianSpec, gibbs_populations
 
 SCHEMA_VERSION = 1
 
@@ -157,8 +152,11 @@ def _write_text(text: str, path: str | None) -> None:
         if not text.endswith("\n"):
             sys.stdout.write("\n")
     else:
-        with open(path, "w") as fh:
-            fh.write(text)
+        try:
+            with open(path, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write output {path}: {exc}") from exc
 
 
 def _csv_rows(header: list[str], rows: list[list[float]]) -> str:
@@ -249,8 +247,8 @@ def _parse_sweep(text: str) -> np.ndarray:
 Trials = Callable[[Callable[[np.random.Generator], object]], list]
 
 
-def _random_states(dims: tuple[int, ...], trials: Trials) -> DensityOperator:
-    return DensityOperator(random_densities(trials(partial(density_draw, math.prod(dims)))), dims)
+def _random_states(dims: tuple[int, ...], trials: Trials) -> np.ndarray:
+    return random_densities(trials(partial(density_draw, math.prod(dims))))
 
 
 # eq2's beta is exp of a uniform draw on [ln 0.1, ln 10]
@@ -281,9 +279,7 @@ def _eq2_draw(d_sys: int, d_anc: int, rng: np.random.Generator) -> tuple:
 def _eq2_inputs(factors: tuple[int, int], trials: Trials) -> tuple:
     # (h_i, beta, channel, h_f) of gibbs_evolution_identity for a batch
     ln_beta, h_i, h_f, g_u, ancilla = zip(*trials(partial(_eq2_draw, *factors)))
-    channel = AncillaChannel(
-        haar_unitaries(g_u), DensityOperator(random_densities(ancilla), factors[1:])
-    )
+    channel = AncillaChannel(haar_unitaries(g_u), random_densities(ancilla))
     return _hamiltonians(h_i), np.exp(np.array(ln_beta)), channel, _hamiltonians(h_f)
 
 
@@ -319,11 +315,11 @@ def _gibbs(report: GibbsEvolutionReport) -> dict:
 _INEQ_CHECKS = {
     "ssa": (
         1, lambda n: n == 3, "ssa needs exactly 3 factors in --dims", tuple,
-        lambda dims, trials: check_ssa(_random_states(dims, trials), 0, 1, 2), _slacks,
+        lambda dims, trials: check_ssa(_random_states(dims, trials), dims, 0, 1, 2), _slacks,
     ),
     "eq1": (
         2, lambda n: n >= 3, "eq1 needs at least 3 factors in --dims", tuple,
-        lambda dims, trials: average_correlation_bound(_random_states(dims, trials)), _slacks,
+        lambda dims, trials: average_correlation_bound(_random_states(dims, trials), dims), _slacks,
     ),
     "eq2": (
         3, lambda n: n <= 2, "eq2 takes --dims SYSTEM or SYSTEM,ANCILLA",

@@ -11,23 +11,17 @@ class EntroflowError(Exception):
 
 
 class DimensionMismatch(EntroflowError):
-    """Array shapes inconsistent with each other or the declared dimensions."""
-
-
-class NonpositiveBeta(EntroflowError):
-    """Inverse temperature must be strictly positive."""
+    """Array shapes inconsistent with each other or the declared dimensions,
+    including a wrong number of tensor factors."""
 
 
 class InvalidState(EntroflowError):
     """Matrix is not a valid density operator (hermiticity, positivity, trace)."""
 
 
-class TooFewFactors(EntroflowError):
-    """The average-correlation bound needs at least three subsystems."""
-
-
 class InvalidSpec(EntroflowError):
-    """Parameters violate their declared constraints (e.g. a non-finite angle)."""
+    """Parameters violate their declared constraints (e.g. a non-finite angle
+    or a beta that is not finite and positive)."""
 
 
 class NotDegenerate(EntroflowError):

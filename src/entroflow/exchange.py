@@ -10,7 +10,7 @@ disjoint degenerate joint-energy planes (givens_planes), which conserve
 energy exactly: the exchanged energy is heat.  A plane's energies are
 read from the two local spectra, and both kinds' marginals are scattered
 from the real joint entries a partial trace reads, with no joint energy
-array, no joint-space matrix and no DensityOperator, into one real stack
+array, no joint-space matrix and no complex copy, into one real stack
 a side, metered with one eigensolve.  A Clausius cycle runs on the
 populations of a diagonal system: each contact, a resonant partial swap
 with a fresh Gibbs reservoir, is a Markov step on d numbers.
@@ -412,7 +412,7 @@ def run_exchange(case: CaseSpec, planes: GivensPlanes) -> ExchangeReport:
 
     The planes are checked on entry, and a finite angle makes each rotation
     unitary; cos and sin are taken once, for the commutator and the
-    marginals.  No joint-space matrix or DensityOperator is formed:
+    marginals.  No joint-space matrix or complex copy is formed:
     _marginals scatters the real joint entries a partial trace reads,
     psi'_r psi'_k for V and the populations and plane coherences for S,
     into one real stack a side, and _meter reads each stack once; an angle

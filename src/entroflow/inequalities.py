@@ -5,10 +5,12 @@ average-pairwise-correlation bound it implies for N >= 3 subsystems, and
 the nonnegative relative-entropy identity obeyed by any evolution that
 starts from a Gibbs state (possibly with a Hamiltonian quench).
 
-Every check runs on one state or, unchanged, on a stack of them (a
-DensityOperator holding a stack, stacked Hamiltonians and channels), with
+Every check takes a plain matrix and its factor dimensions, one state or,
+unchanged, a stack of them (with stacked Hamiltonians and channels), with
 one batched partial trace and eigensolve per entropy; a stack's report
-holds one entry per state in each field.
+holds one entry per state in each field.  The states are trusted as
+density operators, as everywhere in ``states``, whose validator is for
+a matrix from outside the program.
 """
 
 from __future__ import annotations
@@ -18,10 +20,9 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import DimensionMismatch, TooFewFactors
+from .errors import DimensionMismatch
 from .qmath import dagger, kron, partial_trace, scalar_or_stack, trace
 from .states import (
-    DensityOperator,
     HamiltonianSpec,
     gibbs_divergence,
     gibbs_state,
@@ -76,51 +77,55 @@ class AncillaChannel:
     """Unitary on system (x) ancilla followed by discarding the ancilla.
 
     A stack of N channels holds N unitaries (N, D, D) and a stack of N
-    ancillas in one DensityOperator; channel t acts on state t of a stack.
+    ancilla density matrices (N, d, d); channel t acts on state t of a
+    stack.
     """
 
     unitary: np.ndarray
-    ancilla: DensityOperator
+    ancilla: np.ndarray
 
-    def apply(self, rho: DensityOperator) -> DensityOperator:
-        d_sys = rho.dim
-        d_anc = self.ancilla.dim
+    def apply(self, matrix: np.ndarray) -> np.ndarray:
+        """The system's state after the channel, symmetrized so that it is
+        exactly Hermitian."""
+        d_sys = matrix.shape[-1]
+        d_anc = self.ancilla.shape[-1]
         u = np.asarray(self.unitary, dtype=complex)
         if u.shape[-2:] != (d_sys * d_anc, d_sys * d_anc):
             raise DimensionMismatch(
                 f"unitary shape {u.shape} != system*ancilla dim {d_sys * d_anc}"
             )
-        joint = u @ kron(rho.matrix, self.ancilla.matrix) @ dagger(u)
-        return DensityOperator(partial_trace(joint, (d_sys, d_anc), [0]), rho.dims)
+        joint = u @ kron(matrix, self.ancilla) @ dagger(u)
+        reduced = partial_trace(joint, (d_sys, d_anc), [0])
+        return (reduced + dagger(reduced)) / 2
 
 
-def check_ssa(rho: DensityOperator, i: int, j: int, k: int) -> SlackReport:
+def check_ssa(matrix: np.ndarray, dims, i: int, j: int, k: int) -> SlackReport:
     """Strong subadditivity on a tripartite state: S_i + S_j <= S_ik + S_jk."""
-    if len(rho.dims) != 3:
-        raise DimensionMismatch(f"need exactly 3 factors, got dims {rho.dims}")
+    if len(dims) != 3:
+        raise DimensionMismatch(f"need exactly 3 factors, got dims {tuple(dims)}")
     if sorted((i, j, k)) != [0, 1, 2]:
         raise DimensionMismatch(f"(i, j, k) must be a permutation of (0, 1, 2), got {(i, j, k)}")
-    s_i = subsystem_entropy(rho, [i])
-    s_j = subsystem_entropy(rho, [j])
-    s_ik = subsystem_entropy(rho, [i, k])
-    s_jk = subsystem_entropy(rho, [j, k])
+    s_i = subsystem_entropy(matrix, dims, [i])
+    s_j = subsystem_entropy(matrix, dims, [j])
+    s_ik = subsystem_entropy(matrix, dims, [i, k])
+    s_jk = subsystem_entropy(matrix, dims, [j, k])
     return SlackReport.compare(lhs=s_i + s_j, rhs=s_ik + s_jk)
 
 
-def average_correlation_bound(rho: DensityOperator) -> SlackReport:
+def average_correlation_bound(matrix: np.ndarray, dims) -> SlackReport:
     """Mean pairwise mutual information <= mean single-party entropy.
 
     Aggregates the strong-subadditivity inequalities over all pairs of an
     N-party state (N >= 3): low average entropy forces low average two-body
     correlation.
     """
-    n = len(rho.dims)
+    n = len(dims)
     if n < 3:
-        raise TooFewFactors(f"bound needs >= 3 factors, got {n}")
-    singles = [subsystem_entropy(rho, [i]) for i in range(n)]
+        raise DimensionMismatch(f"bound needs >= 3 factors, got dims {tuple(dims)}")
+    singles = [subsystem_entropy(matrix, dims, [i]) for i in range(n)]
     pair_mi = []
     for i, j in combinations(range(n), 2):
-        s_ij = subsystem_entropy(rho, [i, j])
+        s_ij = subsystem_entropy(matrix, dims, [i, j])
         pair_mi.append(singles[i] + singles[j] - s_ij)
     # one row of terms per state, so each mean sums exactly as a lone state's
     lhs = np.mean(np.stack(pair_mi, axis=-1), axis=-1)
@@ -153,14 +158,15 @@ def gibbs_evolution_identity(
 
     mat_i = h_i.matrix()
     mat_f = h_f.matrix()
-    u_i = trace(rho_i.matrix @ mat_i).real
-    u_f = trace(rho_f.matrix @ mat_f).real
-    ds = von_neumann_entropy(rho_f) - von_neumann_entropy(rho_i)
+    u_i = trace(rho_i @ mat_i).real
+    u_f = trace(rho_f @ mat_f).real
+    s_f = von_neumann_entropy(rho_f)
+    ds = s_f - von_neumann_entropy(rho_i)
     beta_du = beta * (u_f - u_i)
-    beta_tr_rhof_dh = beta * trace(rho_f.matrix @ (mat_f - mat_i)).real
+    beta_tr_rhof_dh = beta * trace(rho_f @ (mat_f - mat_i)).real
     rhs = beta_du - ds - beta_tr_rhof_dh
 
-    lhs = gibbs_divergence(rho_f, h_i, beta)
+    lhs = gibbs_divergence(rho_f, h_i, beta, s_f)
     return GibbsEvolutionReport(
         relative_entropy_lhs=lhs,
         beta_du=beta_du,

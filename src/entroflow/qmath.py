@@ -19,7 +19,8 @@ Conventions fixed once for the whole package:
 - a random object is drawn in two steps: ``ginibre_draw`` and
   ``density_draw`` make only the RNG calls of one object, and ``ginibre``,
   ``haar_unitaries`` and ``random_densities`` do the arithmetic on a whole
-  batch of such draws at once.
+  batch of such draws at once; a random density matrix comes symmetrized,
+  exactly Hermitian, as the checks of ``inequalities`` take it unvalidated.
 """
 
 from __future__ import annotations
@@ -190,7 +191,8 @@ def density_draw(d: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarr
 
 def random_densities(draws: Sequence[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
     """Stack of random density matrices G G-dag / tr(G G-dag), one per
-    ``density_draw`` pair of a batch, in batch order.
+    ``density_draw`` pair of a batch, in batch order, each symmetrized as
+    (M + M-dag) / 2 (a small Gram product need not be exactly Hermitian).
 
     The Gram products run as one stacked matmul per rank; each matrix has
     the bits it has when formed alone.
@@ -212,5 +214,5 @@ def random_densities(draws: Sequence[tuple[np.ndarray, np.ndarray]]) -> np.ndarr
         first, start = first + count, start + g.size
     grams /= np.trace(grams, axis1=-2, axis2=-1).real[:, None, None]
     out = np.empty_like(grams)
-    out[order] = grams
+    out[order] = (grams + dagger(grams)) / 2
     return out

@@ -1,13 +1,13 @@
 """Density operators, Gibbs states, entropy functionals, and the
 defining data of the entangled pure state whose marginals are thermal.
 
-One DensityOperator holds one state or a stack of states on the same
-factors, validated at once with one batched Cholesky factorization.  An
-entropy reads the spectrum, one ``eigvalsh`` of the stack at its first
-read, or one ``eigvalsh`` of a reduced matrix, and sums its positive
-entries in any order; the only divergence is gibbs_divergence, whose ln
-gamma is known from the levels.  STATE_TOL is the one hermiticity gate.
-``exchange`` builds no DensityOperator: it meters real marginal stacks.
+Every function here takes a plain matrix, one state (D, D) or a stack
+(N, D, D), and trusts it as a density operator: each state the package
+forms is exactly Hermitian, (M + M^dag) / 2 taken where it is formed.
+DensityOperator validates a matrix from outside the program, and no
+library function builds one.  An entropy is one ``eigvalsh`` of the
+matrix or of a reduced one; the only divergence is gibbs_divergence, whose
+ln gamma is known from the levels.  STATE_TOL is the one hermiticity gate.
 
 Units: hbar = k_B = 1, natural logarithms, entropies in nats.
 """
@@ -22,13 +22,7 @@ import math
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    InvalidSpec,
-    InvalidState,
-    NonpositiveBeta,
-    finite_real,
-)
+from .errors import DimensionMismatch, InvalidSpec, InvalidState, finite_real
 from .qmath import dagger, partial_trace, scalar_or_stack, trace
 
 # state-validation tolerances: hermiticity / negativity / trace deficit
@@ -46,12 +40,12 @@ class DensityOperator:
     local dimensions of its tensor factors (leftmost factor first).
 
     ``matrix`` is one state (D, D) or a stack of states on the same factors
-    (N, D, D); von_neumann_entropy, subsystem_entropy and gibbs_divergence,
-    and the checks of ``inequalities``, return one value per state of a
-    stack.  Each matrix is checked on its own within STATE_TOL, its sign by
-    one Cholesky factorization of the stack + STATE_TOL I (eigvalsh only if
-    that fails): the first failing one in stack order raises InvalidState
-    with the message it raises alone, and a NaN fails the first check.
+    (N, D, D), stored as its Hermitian part, whose ``.matrix`` and ``.dims``
+    the entropy functions and checks take.  Each matrix is checked on its
+    own within STATE_TOL, its sign by one Cholesky factorization of the
+    stack + STATE_TOL I (eigvalsh only if that fails): the first failing one
+    in stack order raises InvalidState with the message it raises alone,
+    and a NaN fails the first check.
     """
 
     matrix: np.ndarray
@@ -217,7 +211,7 @@ def _positive_beta(beta) -> np.ndarray:
     b = np.asarray(beta)
     # integer or float dtypes only: no str, bool or object (as for 10**400)
     if b.dtype.kind not in "iuf" or not np.all((b > 0) & (b < np.inf)):
-        raise NonpositiveBeta(f"beta must be finite and positive, got {beta!r}")
+        raise InvalidSpec(f"beta must be finite and positive, got {beta!r}")
     return b.astype(float, copy=False)
 
 
@@ -230,11 +224,12 @@ def gibbs_populations(h: HamiltonianSpec, beta) -> np.ndarray:
     return w / w.sum(-1, keepdims=True)
 
 
-def gibbs_state(h: HamiltonianSpec, beta) -> DensityOperator:
+def gibbs_state(h: HamiltonianSpec, beta) -> np.ndarray:
     """Thermal equilibrium state exp(-beta H)/Z at inverse temperature beta,
-    built from gibbs_populations in the energy eigenbasis; a stack of states
-    for a stack of Hamiltonians or betas."""
-    return DensityOperator(h.in_basis(gibbs_populations(h, beta)), (h.dim,))
+    from gibbs_populations in the energy eigenbasis, symmetrized to be
+    exactly Hermitian; a stack of states for stacked Hamiltonians or betas."""
+    m = h.in_basis(gibbs_populations(h, beta))
+    return (m + dagger(m)) / 2
 
 
 def log_partition(h: HamiltonianSpec, beta):
@@ -256,29 +251,27 @@ def spectral_entropy(lam: np.ndarray):
     return scalar_or_stack(-(kept * np.log(kept)).sum(-1))
 
 
-def von_neumann_entropy(rho: DensityOperator):
-    """S(rho) = -tr(rho ln rho) in nats; 0 * ln 0 reads as 0."""
-    return spectral_entropy(rho.spectrum)
+def von_neumann_entropy(matrix: np.ndarray):
+    """S(rho) = -tr(rho ln rho) in nats, one eigvalsh of the (stacked)
+    Hermitian matrix; 0 * ln 0 reads as 0."""
+    return spectral_entropy(np.linalg.eigvalsh(matrix))
 
 
-def subsystem_entropy(rho: DensityOperator, keep: Iterable[int]):
-    """Von Neumann entropy of the reduced state on the factors in ``keep``:
-    one (batched) eigvalsh of the reduced matrix, exactly Hermitian as it
-    is, or none when every factor is kept (the stored spectrum)."""
-    keep = sorted(set(int(k) for k in keep))
-    if keep == list(range(len(rho.dims))):
-        return von_neumann_entropy(rho)
-    return spectral_entropy(np.linalg.eigvalsh(partial_trace(rho.matrix, rho.dims, keep)))
+def subsystem_entropy(matrix: np.ndarray, dims: Iterable[int], keep: Iterable[int]):
+    """Von Neumann entropy of the reduced state on the factors in ``keep``
+    of a state on factors ``dims``: one (batched) eigvalsh of the reduced
+    matrix, exactly Hermitian when ``matrix`` is."""
+    return spectral_entropy(np.linalg.eigvalsh(partial_trace(matrix, dims, keep)))
 
 
-def gibbs_divergence(rho: DensityOperator, h: HamiltonianSpec, beta):
+def gibbs_divergence(matrix: np.ndarray, h: HamiltonianSpec, beta, entropy):
     """S(rho || gamma) for the Gibbs state gamma = exp(-beta H)/Z, from the
     exact ln gamma = -beta H - ln Z: beta tr(rho H) + ln Z - S(rho), with
-    tr(rho H) from the d x d matrix of H.  No eigensolve of gamma, and no
-    support floor: a Gibbs population is positive even where exp(-beta E)
-    underflows.
+    tr(rho H) from the d x d matrix of H and S(rho) = ``entropy`` given by
+    the caller, who has it already.  No eigensolve, and no support floor:
+    a Gibbs population is positive even where exp(-beta E) underflows.
     """
-    if rho.dim != h.dim:
-        raise DimensionMismatch(f"dimension mismatch: {rho.dim} vs {h.dim}")
-    mean_energy = trace(rho.matrix @ h.matrix()).real
-    return beta * mean_energy + log_partition(h, beta) - von_neumann_entropy(rho)
+    if matrix.shape[-1] != h.dim:
+        raise DimensionMismatch(f"dimension mismatch: {matrix.shape[-1]} vs {h.dim}")
+    mean_energy = trace(matrix @ h.matrix()).real
+    return beta * mean_energy + log_partition(h, beta) - entropy

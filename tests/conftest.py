@@ -66,7 +66,8 @@ def haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
 def random_density(d: int, rank: int, rng: np.random.Generator) -> np.ndarray:
     """Random rank-``rank`` density matrix G G-dag / tr(G G-dag), with G a
     d x rank matrix of independent standard complex Gaussian entries,
-    formed alone (the per-trial bit oracle of ``qmath.random_densities``).
+    symmetrized as (M + M-dag) / 2 and formed alone (the per-trial bit
+    oracle of ``qmath.random_densities``).
 
     Consumes exactly 2*d*rank standard normals from ``rng``.
     """
@@ -74,7 +75,8 @@ def random_density(d: int, rank: int, rng: np.random.Generator) -> np.ndarray:
         raise DimensionMismatch(f"need 1 <= rank <= d, got rank={rank}, d={d}")
     g = rng.standard_normal((d, rank)) + 1j * rng.standard_normal((d, rank))
     rho = g @ dagger(g)
-    return rho / np.trace(rho).real
+    rho = rho / np.trace(rho).real
+    return (rho + dagger(rho)) / 2
 
 
 def eq2_trial(d_sys: int, d_anc: int, rng: np.random.Generator) -> tuple:
@@ -156,7 +158,7 @@ def relative_entropy(rho: DensityOperator, sigma: DensityOperator) -> float:
 
 def identity_channel(d: int) -> AncillaChannel:
     """The do-nothing channel on d levels (a trivial one-level ancilla)."""
-    return AncillaChannel(np.eye(d, dtype=complex), DensityOperator(np.eye(1, dtype=complex), (1,)))
+    return AncillaChannel(np.eye(d, dtype=complex), np.eye(1, dtype=complex))
 
 
 def ghz_state() -> DensityOperator:
@@ -197,7 +199,7 @@ def initial_state(case: CaseSpec) -> DensityOperator:
     if case.kind == "V":
         return pure_density(entangled_thermal_state(case.entangled))
     (h_a, h_b), (beta_a, beta_b) = case.hamiltonians(), case.betas()
-    joint = kron(gibbs_state(h_a, beta_a).matrix, gibbs_state(h_b, beta_b).matrix)
+    joint = kron(gibbs_state(h_a, beta_a), gibbs_state(h_b, beta_b))
     return DensityOperator(joint, (h_a.dim, h_b.dim))
 
 

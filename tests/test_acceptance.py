@@ -67,7 +67,7 @@ def test_criterion_1_strong_subadditivity():
         for _ in range(500):
             rank = int(rng.integers(1, d + 1))
             rho = DensityOperator(random_density(d, rank, rng), dims)
-            worst = min(worst, check_ssa(rho, 0, 1, 2).slack)
+            worst = min(worst, check_ssa(rho.matrix, rho.dims, 0, 1, 2).slack)
             count += 1
     report(1, "strong subadditivity", worst >= -1e-9,
            f"{count} states, worst slack {worst:.2e}", started, 10.0)
@@ -83,9 +83,10 @@ def test_criterion_2_average_correlation_bound():
         for _ in range(250):
             rank = int(rng.integers(1, d + 1))
             rho = DensityOperator(random_density(d, rank, rng), (2,) * n_qubits)
-            worst = min(worst, average_correlation_bound(rho).slack)
+            worst = min(worst, average_correlation_bound(rho.matrix, rho.dims).slack)
             count += 1
-    ghz_slack = abs(average_correlation_bound(ghz_state()).slack)
+    ghz = ghz_state()
+    ghz_slack = abs(average_correlation_bound(ghz.matrix, ghz.dims).slack)
     ok = worst >= -1e-9 and ghz_slack <= 1e-9
     report(2, "average-correlation bound", ok,
            f"{count} states, worst slack {worst:.2e}; GHZ saturation gap {ghz_slack:.2e}",
@@ -102,10 +103,8 @@ def test_criterion_3_gibbs_evolution_identity():
         d_sys = int(rng.integers(2, 4))
         h_i = HamiltonianSpec(np.sort(rng.uniform(0.0, 1.2, d_sys)), basis=haar_unitary(d_sys, rng))
         h_f = HamiltonianSpec(np.sort(rng.uniform(0.0, 1.2, d_sys)), basis=haar_unitary(d_sys, rng))
-        channel = AncillaChannel(
-            haar_unitary(2 * d_sys, rng),
-            DensityOperator(random_density(2, int(rng.integers(1, 3)), rng), (2,)),
-        )
+        ancilla = DensityOperator(random_density(2, int(rng.integers(1, 3)), rng), (2,))
+        channel = AncillaChannel(haar_unitary(2 * d_sys, rng), ancilla.matrix)
         rep = gibbs_evolution_identity(h_i, beta, channel, h_f)
         worst_gap = max(worst_gap, rep.identity_gap)
         worst_rhs = min(worst_rhs, rep.rhs)

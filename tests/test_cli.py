@@ -129,13 +129,22 @@ class TestIneqBatches:
         assert cli.main([*argv, "--output", str(tmp_path / "out.json")]) == cli.EXIT_OK
         assert eigensolves and width not in eigensolves
 
-    @pytest.mark.parametrize("check, dims, width", [("ssa", "2,2,2", 8), ("eq1", "2,2,2,2", 16)])
-    def test_one_factorization_per_batch(self, check, dims, width, factorizations, tmp_path):
-        # each batch's states are validated at once, by one Cholesky of the stack
+    @pytest.mark.parametrize(
+        "check, dims, joint, terms",
+        [("ssa", "2,2,2", 8, 4), ("eq1", "2,2,2,2", 16, 4 + 6), ("eq1", "2,2,2", 8, 3 + 3),
+         ("eq2", "2,2", 4, 2), ("eq2", "3", 6, 2)],
+    )
+    def test_no_factorization_and_one_eigensolve_per_entropy_term(
+        self, check, dims, joint, terms, factorizations, eigensolves, tmp_path
+    ):
+        # the states are valid by construction: no batch validates them, and
+        # each entropy term of a batch (ssa: 4; eq1: n singles and n(n-1)/2
+        # pairs; eq2: S(rho_i) and S(rho_f)) is one eigvalsh of the stack
         argv = ["ineq", "--check", check, "--dims", dims, "--trials", "1000", "--seed", "7"]
         assert cli.main([*argv, "--output", str(tmp_path / "out.json")]) == cli.EXIT_OK
-        batches = math.ceil(1000 / max(1, cli.BATCH_ELEMENTS // width**2))
-        assert factorizations == [width] * batches
+        batches = math.ceil(1000 / max(1, cli.BATCH_ELEMENTS // joint**2))
+        assert factorizations == []
+        assert len(eigensolves) == terms * batches
 
     # 1: one trial per batch; 1000: ragged batches of 3 to 62 trials
     @pytest.mark.parametrize("budget", [1, 1000])
@@ -183,14 +192,15 @@ class TestBatchedDraws:
     def test_ssa_and_eq1_states(self, dims, trials):
         d = math.prod(dims)
         got = cli._random_states(dims, lambda draw: substream_draws(draw, range(trials), 32))
+        spectra = np.linalg.eigvalsh(got)
         ranks = set()
         for t in range(trials):
             rng = substream(32, t)
             rank = int(rng.integers(1, d + 1))
             ranks.add(rank)
             alone = DensityOperator(random_density(d, rank, rng), dims)
-            assert same_bits(got.matrix[t], alone.matrix)
-            assert same_bits(got.spectrum[t], alone.spectrum)
+            assert same_bits(got[t], alone.matrix)
+            assert same_bits(spectra[t], alone.spectrum)
         assert trials == 1 or ranks == set(range(1, d + 1))
 
     @pytest.mark.parametrize("factors, trials", [((2, 3), 12), ((3, 2), 1), ((2, 2), 9)])
@@ -203,7 +213,7 @@ class TestBatchedDraws:
             want.append(DensityOperator(ancilla, factors[1:]).matrix)
             got = (
                 beta[t], h_i.levels[t], h_i.basis[t], h_f.levels[t], h_f.basis[t],
-                channel.unitary[t], channel.ancilla.matrix[t],
+                channel.unitary[t], channel.ancilla[t],
             )
             for got_part, want_part in zip(got, want):
                 assert same_bits(got_part, want_part)
@@ -741,6 +751,22 @@ class TestInternalError:
         )
         err = capsys.readouterr().err
         assert err == "entroflow: internal error: ValueError: boom second line\n"
+
+
+class TestUnwritableOutput:
+    """An --output that cannot be written is a bad flag: exit 2 with one
+    line, as for an unreadable --config, never an internal error."""
+
+    @pytest.mark.parametrize("where", ["missing-directory", "directory"])
+    def test_exits_2_with_one_line(self, where, tmp_path, capsys):
+        path = tmp_path / "missing" / "x" if where == "missing-directory" else tmp_path
+        argv = ["ineq", "--check", "ssa", "--dims", "2,2,2", "--trials", "2", "--seed", "1"]
+        assert cli.main([*argv, "--output", str(path)]) == cli.EXIT_VALIDATION
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"entroflow: config error: cannot write output {path}: ")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "missing").exists()
 
 
 class TestParserCache:

@@ -360,7 +360,7 @@ class TestRunExchange:
         rho0 = initial_state(case)
         u = haar_unitary(rho0.dim, rng)
         rho1 = DensityOperator(u @ rho0.matrix @ u.conj().T, rho0.dims)
-        assert abs(von_neumann_entropy(rho1) - von_neumann_entropy(rho0)) <= 1e-9
+        assert abs(von_neumann_entropy(rho1.matrix) - von_neumann_entropy(rho0.matrix)) <= 1e-9
 
     def test_rejects_non_finite_unitary(self):
         # givens_planes refuses a NaN angle itself; at_angle stores it, and
@@ -707,9 +707,9 @@ class TestContactClosedForm:
         sigma = np.diag(gibbs_populations(h, 1 / 1.25)).astype(complex)
         reduced = partial_trace(u @ kron(rho, sigma) @ u.conj().T, (d, d), [0])
         heat = np.trace((reduced - rho) @ np.diag(levels)).real
-        entropy_change = von_neumann_entropy(DensityOperator(reduced, (d,))) - von_neumann_entropy(
-            DensityOperator(rho, (d,))
-        )
+        entropy_change = von_neumann_entropy(
+            DensityOperator(reduced, (d,)).matrix
+        ) - von_neumann_entropy(rho)
         (record,) = clausius_cycle((h, p), contact, max_cycles=1, fp_tol=1e9).strokes
         assert abs(record.heat - heat) <= 1e-13
         assert abs(record.entropy_change - entropy_change) <= 1e-13

@@ -22,10 +22,9 @@ from entroflow import (
     HamiltonianSpec,
     InvalidSpec,
     InvalidState,
-    NonpositiveBeta,
-    TooFewFactors,
     average_correlation_bound,
     check_ssa,
+    dagger,
     gibbs_evolution_identity,
     gibbs_state,
     kron,
@@ -33,6 +32,7 @@ from entroflow import (
     substream,
     von_neumann_entropy,
 )
+from entroflow.qmath import density_draw, random_densities
 
 QUBIT = HamiltonianSpec(np.array([0.0, 1.0]))
 
@@ -50,7 +50,8 @@ class TestCheckSsa:
         pure = np.zeros((2, 2), dtype=complex)
         pure[0, 0] = 1.0
         joint = kron(kron(random_density(2, 2, rng), random_density(2, 2, rng)), pure)
-        report = check_ssa(DensityOperator(joint, (2, 2, 2)), 0, 1, 2)
+        rho = DensityOperator(joint, (2, 2, 2))
+        report = check_ssa(rho.matrix, rho.dims, 0, 1, 2)
         assert abs(report.slack) <= 1e-10
         assert report.passed
 
@@ -58,12 +59,13 @@ class TestCheckSsa:
         # for rho0 x rho1 x rho2 the inequality's slack is exactly 2 S(rho2)
         rng = substream(21, 0, 1)
         rho = product_qubits(3, rng)
-        report = check_ssa(rho, 0, 1, 2)
-        s_k = von_neumann_entropy(marginal(rho, 2))
+        report = check_ssa(rho.matrix, rho.dims, 0, 1, 2)
+        s_k = von_neumann_entropy(marginal(rho, 2).matrix)
         assert abs(report.slack - 2 * s_k) <= 1e-10
 
     def test_ghz_saturates(self):
-        report = check_ssa(ghz_state(), 0, 1, 2)
+        ghz = ghz_state()
+        report = check_ssa(ghz.matrix, ghz.dims, 0, 1, 2)
         assert abs(report.lhs - 2 * math.log(2)) <= 1e-12
         assert abs(report.rhs - 2 * math.log(2)) <= 1e-12
         assert abs(report.slack) <= 1e-12
@@ -75,29 +77,30 @@ class TestCheckSsa:
         for _ in range(250):
             rho = DensityOperator(random_density(d, int(rng.integers(1, d + 1)), rng), dims)
             for perm in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-                assert check_ssa(rho, *perm).passed
+                assert check_ssa(rho.matrix, dims, *perm).passed
 
     def test_rejects_wrong_factor_count(self):
         rho = DensityOperator(np.eye(4, dtype=complex) / 4, (2, 2))
         with pytest.raises(DimensionMismatch):
-            check_ssa(rho, 0, 1, 2)
+            check_ssa(rho.matrix, rho.dims, 0, 1, 2)
 
     def test_rejects_bad_indices(self):
         rho = DensityOperator(np.eye(8, dtype=complex) / 8, (2, 2, 2))
         with pytest.raises(DimensionMismatch):
-            check_ssa(rho, 0, 1, 1)
+            check_ssa(rho.matrix, rho.dims, 0, 1, 1)
 
 
 class TestAverageCorrelationBound:
     def test_product_state(self):
         rho = product_qubits(3, substream(21, 2))
-        report = average_correlation_bound(rho)
+        report = average_correlation_bound(rho.matrix, rho.dims)
         assert abs(report.lhs) <= 1e-10
         assert report.rhs > 0
         assert report.passed
 
     def test_ghz_saturates(self):
-        report = average_correlation_bound(ghz_state())
+        ghz = ghz_state()
+        report = average_correlation_bound(ghz.matrix, ghz.dims)
         assert abs(report.lhs - math.log(2)) <= 1e-9
         assert abs(report.rhs - math.log(2)) <= 1e-9
         assert abs(report.slack) <= 1e-9
@@ -106,12 +109,12 @@ class TestAverageCorrelationBound:
         rng = substream(21, 3)
         for _ in range(100):
             rho = DensityOperator(random_density(16, int(rng.integers(1, 17)), rng), (2, 2, 2, 2))
-            assert average_correlation_bound(rho).passed
+            assert average_correlation_bound(rho.matrix, rho.dims).passed
 
     def test_too_few_factors(self):
         rho = DensityOperator(np.eye(4, dtype=complex) / 4, (2, 2))
-        with pytest.raises(TooFewFactors):
-            average_correlation_bound(rho)
+        with pytest.raises(DimensionMismatch, match="needs >= 3 factors"):
+            average_correlation_bound(rho.matrix, rho.dims)
 
     def test_slack_is_half_mean_ssa_slack_for_three_factors(self):
         # summing the three per-pair inequalities double counts both sides,
@@ -120,11 +123,11 @@ class TestAverageCorrelationBound:
         for _ in range(25):
             rho = DensityOperator(random_density(8, int(rng.integers(1, 9)), rng), (2, 2, 2))
             ssa_slacks = [
-                check_ssa(rho, 0, 1, 2).slack,
-                check_ssa(rho, 0, 2, 1).slack,
-                check_ssa(rho, 1, 2, 0).slack,
+                check_ssa(rho.matrix, rho.dims, 0, 1, 2).slack,
+                check_ssa(rho.matrix, rho.dims, 0, 2, 1).slack,
+                check_ssa(rho.matrix, rho.dims, 1, 2, 0).slack,
             ]
-            agg = average_correlation_bound(rho)
+            agg = average_correlation_bound(rho.matrix, rho.dims)
             assert abs(agg.slack - np.mean(ssa_slacks) / 2) <= 1e-9
 
 
@@ -141,10 +144,8 @@ class TestGibbsEvolutionIdentity:
         # the heat-only reduction beta*Q - dS >= 0 and the identity both hold
         rng = substream(21, 5)
         for _ in range(200):
-            channel = AncillaChannel(
-                haar_unitary(4, rng),
-                DensityOperator(random_density(2, int(rng.integers(1, 3)), rng), (2,)),
-            )
+            ancilla = DensityOperator(random_density(2, int(rng.integers(1, 3)), rng), (2,))
+            channel = AncillaChannel(haar_unitary(4, rng), ancilla.matrix)
             report = gibbs_evolution_identity(QUBIT, 1.0, channel, QUBIT)
             assert report.identity_gap < 1e-9
             assert report.rhs >= -1e-10
@@ -157,7 +158,7 @@ class TestGibbsEvolutionIdentity:
         h_f = HamiltonianSpec(np.array([0.0, 2.0]))
         report = gibbs_evolution_identity(QUBIT, 1.0, identity_channel(2), h_f)
         rho = gibbs_state(QUBIT, 1.0)
-        du = float(np.trace(rho.matrix @ (h_f.matrix() - QUBIT.matrix())).real)
+        du = float(np.trace(rho @ (h_f.matrix() - QUBIT.matrix())).real)
         assert abs(report.beta_du - du) <= 1e-12
         assert abs(report.beta_tr_rhof_dh - du) <= 1e-12
         assert report.identity_gap <= 1e-9
@@ -168,9 +169,9 @@ class TestGibbsEvolutionIdentity:
         h_f = HamiltonianSpec(np.array([0.0, 2.0]))
         for _ in range(100):
             u = haar_unitary(2, rng)
-            channel = AncillaChannel(u, DensityOperator(np.eye(1, dtype=complex), (1,)))
+            channel = AncillaChannel(u, np.eye(1, dtype=complex))
             report = gibbs_evolution_identity(QUBIT, 1.3, channel, h_f)
-            rho_i = gibbs_state(QUBIT, 1.3)
+            rho_i = DensityOperator(gibbs_state(QUBIT, 1.3), (2,))
             rho_f = DensityOperator(u @ rho_i.matrix @ u.conj().T, (2,))
             assert abs(report.relative_entropy_lhs - relative_entropy(rho_f, rho_i)) <= 1e-12
             assert report.identity_gap < 1e-9
@@ -182,10 +183,8 @@ class TestGibbsEvolutionIdentity:
             beta = float(np.exp(rng.uniform(np.log(0.1), np.log(10.0))))
             h_i = HamiltonianSpec(np.sort(rng.uniform(0.0, 1.2, 2)), basis=haar_unitary(2, rng))
             h_f = HamiltonianSpec(np.sort(rng.uniform(0.0, 1.2, 2)), basis=haar_unitary(2, rng))
-            channel = AncillaChannel(
-                haar_unitary(4, rng),
-                DensityOperator(random_density(2, int(rng.integers(1, 3)), rng), (2,)),
-            )
+            ancilla = DensityOperator(random_density(2, int(rng.integers(1, 3)), rng), (2,))
+            channel = AncillaChannel(haar_unitary(4, rng), ancilla.matrix)
             report = gibbs_evolution_identity(h_i, beta, channel, h_f)
             assert report.identity_gap <= 1e-9
             assert report.rhs >= -1e-10
@@ -195,14 +194,14 @@ class TestGibbsEvolutionIdentity:
         # an eigensolve, yet the divergence is finite and the identity still
         # closes
         h = HamiltonianSpec(np.array([0.0, 40.0]))
-        mixed = DensityOperator(np.eye(2, dtype=complex) / 2, (2,))
+        mixed = np.eye(2, dtype=complex) / 2
         channel = AncillaChannel(haar_unitary(4, substream(3, 1)), mixed)
         report = gibbs_evolution_identity(h, 1.0, channel, h)
         assert report.identity_gap <= 1e-9
         assert report.rhs >= -1e-10
 
     def test_rejects_nonpositive_beta(self):
-        with pytest.raises(NonpositiveBeta):
+        with pytest.raises(InvalidSpec, match="beta must be finite and positive"):
             gibbs_evolution_identity(QUBIT, 0.0, identity_channel(2), QUBIT)
 
     def test_rejects_dim_mismatch(self):
@@ -245,7 +244,7 @@ class TestStackedKernel:
         d = math.prod(dims)
         mats = random_stack(d, 12, substream(22, d))
         stack = DensityOperator(mats, dims)
-        entropies = subsystem_entropy(stack, keep)
+        entropies = subsystem_entropy(stack.matrix, dims, keep)
         for t, mat in enumerate(mats):
             want_sym, want_lam = oracle_density(mat)
             assert np.max(np.abs(stack.matrix[t] - want_sym)) <= 1e-14
@@ -266,7 +265,7 @@ class TestStackedKernel:
         report = gibbs_evolution_identity(
             HamiltonianSpec(levels_i, basis_i),
             beta,
-            AncillaChannel(unitary, DensityOperator(ancilla, (d_anc,))),
+            AncillaChannel(unitary, DensityOperator(ancilla, (d_anc,)).matrix),
             HamiltonianSpec(levels_f, basis_f),
         )
         for t in range(n):
@@ -279,9 +278,9 @@ class TestStackedKernel:
     def test_single_state_is_a_stack_of_one(self):
         # the one-state API runs the stacked code: its report is the stack's
         mats = random_stack(8, 5, substream(22, 8, 1))
-        stacked = check_ssa(DensityOperator(mats, (2, 2, 2)), 0, 1, 2)
+        stacked = check_ssa(DensityOperator(mats, (2, 2, 2)).matrix, (2, 2, 2), 0, 1, 2)
         for t, mat in enumerate(mats):
-            single = check_ssa(DensityOperator(mat, (2, 2, 2)), 0, 1, 2)
+            single = check_ssa(DensityOperator(mat, (2, 2, 2)).matrix, (2, 2, 2), 0, 1, 2)
             assert type(single.slack) is float and type(single.passed) is bool
             assert single.slack == stacked.slack[t]
 
@@ -316,3 +315,40 @@ class TestStackedKernel:
         bases[1, 0, 1] = np.nan
         with pytest.raises(InvalidSpec):
             HamiltonianSpec(np.zeros((3, 2)), bases)
+
+
+class TestExactlyHermitian:
+    """Each state the library forms for the checks, which trust it without
+    validation, equals its conjugate transpose exactly (the sign of a zero
+    imaginary part aside, which conjugation flips): (M + M^dag) / 2 is
+    taken where it is formed."""
+
+    @staticmethod
+    def assert_exactly_hermitian(stack):
+        assert np.array_equal(stack, dagger(stack))
+
+    @pytest.mark.parametrize("rank", [1, 2])
+    def test_random_densities_of_a_qubit(self, rank):
+        # the 2 x 2 Gram products of the eq2 ancillas are not exactly
+        # Hermitian before the symmetrization
+        rng = substream(24, rank)
+        draws = [density_draw(2, rng) for _ in range(400)]
+        draws = [(re, im) for re, im in draws if re.shape[-1] == rank]
+        self.assert_exactly_hermitian(random_densities(draws))
+
+    def test_gibbs_state_in_a_haar_basis(self):
+        rng = substream(24, 3)
+        for d in (2, 3, 5):
+            bases = np.stack([haar_unitary(d, rng) for _ in range(50)])
+            levels = np.sort(rng.uniform(0.0, 1.2, (50, d)), axis=-1)
+            betas = np.exp(rng.uniform(np.log(0.1), np.log(10.0), 50))
+            self.assert_exactly_hermitian(gibbs_state(HamiltonianSpec(levels, bases), betas))
+
+    @pytest.mark.parametrize("d_sys, d_anc", [(2, 2), (3, 2), (2, 3)])
+    def test_ancilla_channel_output(self, d_sys, d_anc):
+        rng = substream(24, 4, d_sys, d_anc)
+        n = 50
+        unitary = np.stack([haar_unitary(d_sys * d_anc, rng) for _ in range(n)])
+        rho = random_stack(d_sys, n, rng)
+        ancilla = random_stack(d_anc, n, rng)
+        self.assert_exactly_hermitian(AncillaChannel(unitary, ancilla).apply(rho))

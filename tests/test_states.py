@@ -24,7 +24,6 @@ from entroflow import (
     HamiltonianSpec,
     InvalidSpec,
     InvalidState,
-    NonpositiveBeta,
     dagger,
     gibbs_divergence,
     gibbs_populations,
@@ -47,20 +46,21 @@ def entropy_from_probs(p):
 
 def mutual_information(rho, i, j):
     """I(i:j) = S_i + S_j - S_ij of two factors, from subsystem_entropy."""
-    return subsystem_entropy(rho, [i]) + subsystem_entropy(rho, [j]) - subsystem_entropy(rho, [i, j])
+    m, dims = rho.matrix, rho.dims
+    return subsystem_entropy(m, dims, [i]) + subsystem_entropy(m, dims, [j]) - subsystem_entropy(m, dims, [i, j])
 
 
 class TestGibbsState:
     def test_infinite_temperature_limit(self):
         rho = gibbs_state(QUBIT, 1e-12)
-        assert np.max(np.abs(rho.matrix - np.eye(2) / 2)) <= 1e-9
+        assert np.max(np.abs(rho - np.eye(2) / 2)) <= 1e-9
 
     def test_qubit_populations(self):
         # scalar oracle: p0 = 1/(1 + e^-1)
         rho = gibbs_state(QUBIT, 1.0)
         p0 = 1.0 / (1.0 + math.exp(-1.0))
-        assert abs(rho.matrix[0, 0].real - p0) < 1e-4
-        assert abs(rho.matrix[1, 1].real - (1 - p0)) < 1e-4
+        assert abs(rho[0, 0].real - p0) < 1e-4
+        assert abs(rho[1, 1].real - (1 - p0)) < 1e-4
 
     def test_four_level_partition_function(self):
         # scalar oracle: Z = sum_i e^-i = 1.5530...
@@ -71,8 +71,8 @@ class TestGibbsState:
     def test_commutes_and_populations_decrease(self):
         rho = gibbs_state(LADDER4, 0.7)
         h = LADDER4.matrix()
-        assert np.max(np.abs(rho.matrix @ h - h @ rho.matrix)) < 1e-12
-        pops = np.diag(rho.matrix).real
+        assert np.max(np.abs(rho @ h - h @ rho)) < 1e-12
+        pops = np.diag(rho).real
         assert np.all(np.diff(pops) < 0)
 
     def test_rotated_basis(self):
@@ -80,12 +80,12 @@ class TestGibbsState:
         h = HamiltonianSpec(np.array([0.0, 1.0]), basis=basis)
         rho = gibbs_state(h, 2.0)
         hm = h.matrix()
-        assert np.max(np.abs(rho.matrix @ hm - hm @ rho.matrix)) < 1e-12
+        assert np.max(np.abs(rho @ hm - hm @ rho)) < 1e-12
 
     def test_nonpositive_beta(self):
-        with pytest.raises(NonpositiveBeta):
+        with pytest.raises(InvalidSpec, match="beta must be finite and positive"):
             gibbs_state(QUBIT, 0.0)
-        with pytest.raises(NonpositiveBeta):
+        with pytest.raises(InvalidSpec, match="beta must be finite and positive"):
             gibbs_state(QUBIT, -1.0)
 
 
@@ -93,11 +93,11 @@ class TestVonNeumannEntropy:
     def test_pure_state_zero(self):
         proj = np.zeros((3, 3), dtype=complex)
         proj[0, 0] = 1.0
-        assert von_neumann_entropy(DensityOperator(proj, (3,))) == 0.0
+        assert von_neumann_entropy(DensityOperator(proj, (3,)).matrix) == 0.0
 
     def test_maximally_mixed(self):
         rho = DensityOperator(np.eye(2, dtype=complex) / 2, (2,))
-        assert abs(von_neumann_entropy(rho) - math.log(2)) < 1e-12
+        assert abs(von_neumann_entropy(rho.matrix) - math.log(2)) < 1e-12
 
     def test_gibbs_qubit_value(self):
         # scalar oracle from the two populations
@@ -111,7 +111,7 @@ class TestVonNeumannEntropy:
         rng = substream(11, 0)
         for _ in range(20):
             rho = DensityOperator(random_density(5, int(rng.integers(1, 6)), rng), (5,))
-            s = von_neumann_entropy(rho)
+            s = von_neumann_entropy(rho.matrix)
             assert -1e-12 <= s <= math.log(5) + 1e-9
 
 
@@ -154,14 +154,16 @@ class TestRelativeEntropy:
         # is that value
         rng = substream(11, 4)
         beta = 1.3
-        sigma = gibbs_state(LADDER4, beta)
+        sigma = DensityOperator(gibbs_state(LADDER4, beta), (4,))
         lnz = log_partition(LADDER4, beta)
         for _ in range(25):
             rho = DensityOperator(random_density(4, int(rng.integers(1, 5)), rng), (4,))
             energy = float(np.trace(rho.matrix @ LADDER4.matrix()).real)
-            oracle = beta * energy - von_neumann_entropy(rho) + lnz
+            s = von_neumann_entropy(rho.matrix)
+            oracle = beta * energy - s + lnz
             assert abs(relative_entropy(rho, sigma) - oracle) <= 1e-9
-            assert abs(gibbs_divergence(rho, LADDER4, beta) - relative_entropy(rho, sigma)) <= 1e-9
+            got = gibbs_divergence(rho.matrix, LADDER4, beta, s)
+            assert abs(got - relative_entropy(rho, sigma)) <= 1e-9
 
 
 class TestGibbsDivergence:
@@ -169,32 +171,33 @@ class TestGibbsDivergence:
         # two evaluations of one quantity: the exact Gibbs form here, the
         # matrix logarithms of the dense oracle there
         rng = substream(11, 5)
-        sigma = gibbs_state(LADDER4, 1.3)
+        sigma = DensityOperator(gibbs_state(LADDER4, 1.3), (4,))
         for _ in range(10):
             rho = DensityOperator(random_density(4, int(rng.integers(1, 5)), rng), (4,))
             expected = relative_entropy(rho, sigma)
-            assert abs(gibbs_divergence(rho, LADDER4, 1.3) - expected) <= 1e-13
+            got = gibbs_divergence(rho.matrix, LADDER4, 1.3, von_neumann_entropy(rho.matrix))
+            assert abs(got - expected) <= 1e-13
 
     def test_population_below_support_floor(self):
         # a population of exp(-40) is indistinguishable from a null space in
         # an eigensolve of gamma; the Gibbs form beta <H> + ln Z - S stays
         # exact
         h = HamiltonianSpec(np.array([0.0, 40.0]))
-        rho = DensityOperator(np.eye(2, dtype=complex) / 2, (2,))
+        rho = np.eye(2, dtype=complex) / 2
         oracle = 20.0 + math.log1p(math.exp(-40.0)) - math.log(2)
-        assert abs(gibbs_divergence(rho, h, 1.0) - oracle) <= 1e-12
+        assert abs(gibbs_divergence(rho, h, 1.0, von_neumann_entropy(rho)) - oracle) <= 1e-12
 
     def test_population_underflowing_to_zero_is_exact(self):
         # exp(-800) is exactly 0.0 in double precision, yet ln gamma =
         # -beta H - ln Z stays exact: gamma is never formed
         h = HamiltonianSpec(np.array([0.0, 800.0]))
         assert gibbs_populations(h, 1.0)[1] == 0.0
-        rho = DensityOperator(np.eye(2, dtype=complex) / 2, (2,))
-        assert gibbs_divergence(rho, h, 1.0) == 400.0 - math.log(2)
+        rho = np.eye(2, dtype=complex) / 2
+        assert gibbs_divergence(rho, h, 1.0, von_neumann_entropy(rho)) == 400.0 - math.log(2)
 
     def test_rejects_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            gibbs_divergence(gibbs_state(QUBIT, 1.0), LADDER4, 1.0)
+            gibbs_divergence(gibbs_state(QUBIT, 1.0), LADDER4, 1.0, 0.0)
 
 
 class TestMutualInformation:
@@ -225,14 +228,14 @@ class TestMutualInformation:
         for _ in range(30):
             rho = DensityOperator(random_density(6, int(rng.integers(1, 7)), rng), (2, 3))
             mi = mutual_information(rho, 0, 1)
-            s_a = von_neumann_entropy(marginal(rho, 0))
-            s_b = von_neumann_entropy(marginal(rho, 1))
+            s_a = von_neumann_entropy(marginal(rho, 0).matrix)
+            s_b = von_neumann_entropy(marginal(rho, 1).matrix)
             assert mi >= -1e-9
             assert mi <= 2 * min(s_a, s_b) + 1e-9
 
 
 class TestStoredSpectrum:
-    def test_whole_state_entropies_reuse_the_validation_eigensolve(self, eigensolves):
+    def test_spectrum_is_solved_at_its_first_read_and_kept(self, eigensolves):
         # validation solves nothing: the spectrum is solved at its first read
         rho = DensityOperator(random_density(6, 3, substream(11, 11)), (2, 3))
         assert eigensolves == []
@@ -240,17 +243,19 @@ class TestStoredSpectrum:
         assert eigensolves == [6]
         assert rho.spectrum is spectrum
         assert np.array_equal(spectrum, np.linalg.eigvalsh(rho.matrix))
+
+    def test_each_entropy_is_one_eigensolve_of_its_matrix(self, eigensolves):
+        rho = DensityOperator(random_density(6, 3, substream(11, 11)), (2, 3))
+        s = von_neumann_entropy(rho.matrix)
+        assert eigensolves == [6]
+        assert s == spectral_entropy(rho.spectrum)
         del eigensolves[:]
-        von_neumann_entropy(rho)
-        subsystem_entropy(rho, [1, 0])
-        assert eigensolves == []
-        # with every factor kept, in any order, the stored spectrum is read;
-        # only the marginals are solved
-        assert subsystem_entropy(rho, [0, 1]) == von_neumann_entropy(rho)
-        assert eigensolves == []
-        subsystem_entropy(rho, [0])
-        subsystem_entropy(rho, [1])
-        assert eigensolves == [2, 3]
+        # with every factor kept, in any order, the reduced matrix is the
+        # state itself, with the same bits
+        assert subsystem_entropy(rho.matrix, rho.dims, [1, 0]) == s
+        subsystem_entropy(rho.matrix, rho.dims, [0])
+        subsystem_entropy(rho.matrix, rho.dims, [1])
+        assert eigensolves == [6, 2, 3]
 
     @pytest.mark.parametrize("d", [2, 3, 16, 64, 256])
     def test_diagonal_stack_spectrum_is_its_sorted_diagonal(self, d, eigensolves):
@@ -271,7 +276,7 @@ class TestStoredSpectrum:
         for lam in (want, np.linalg.eigvalsh(mats.real)):  # complex and real stacks
             assert np.array_equal(np.sort(pops, axis=-1).view(np.int64), lam.view(np.int64))
         # the unsorted diagonal, zeros in place, gives the spectrum's entropy
-        assert np.max(np.abs(spectral_entropy(pops) - von_neumann_entropy(rho))) <= 1e-15
+        assert np.max(np.abs(spectral_entropy(pops) - von_neumann_entropy(rho.matrix))) <= 1e-15
 
     def test_one_off_diagonal_entry_takes_the_eigensolve(self, eigensolves):
         # a diagonal state in a stack with a dense one keeps its lone bits
@@ -330,14 +335,14 @@ class TestSubsystemEntropy:
         rng = substream(11, 12)
         rho = DensityOperator(random_density(12, 5, rng), (2, 3, 2))
         for keep in ([0], [1], [2], [0, 2], [2, 1], [0, 1, 2]):
-            got = subsystem_entropy(rho, keep)
-            assert got == von_neumann_entropy(marginal(rho, keep))
+            got = subsystem_entropy(rho.matrix, rho.dims, keep)
+            assert got == von_neumann_entropy(marginal(rho, keep).matrix)
 
     def test_ghz_values(self):
         ghz = ghz_state()
-        assert abs(subsystem_entropy(ghz, [0]) - math.log(2)) <= 1e-12
-        assert abs(subsystem_entropy(ghz, [0, 1]) - math.log(2)) <= 1e-12
-        assert subsystem_entropy(ghz, [0, 1, 2]) == pytest.approx(0.0, abs=1e-12)
+        assert abs(subsystem_entropy(ghz.matrix, ghz.dims, [0]) - math.log(2)) <= 1e-12
+        assert abs(subsystem_entropy(ghz.matrix, ghz.dims, [0, 1]) - math.log(2)) <= 1e-12
+        assert subsystem_entropy(ghz.matrix, ghz.dims, [0, 1, 2]) == pytest.approx(0.0, abs=1e-12)
 
     @pytest.mark.parametrize("dims", [(2, 2, 2), (2, 3, 4), (3, 3, 3, 2), (5, 7)])
     def test_reduced_states_of_a_stored_stack_are_exactly_hermitian(self, dims):
@@ -354,13 +359,14 @@ class TestSubsystemEntropy:
                 reduced = partial_trace(rho.matrix, dims, keep)
                 assert np.array_equal(reduced, dagger(reduced)), keep
                 symmetrized = np.linalg.eigvalsh((reduced + dagger(reduced)) / 2)
-                got = subsystem_entropy(rho, keep)
+                got = subsystem_entropy(rho.matrix, dims, keep)
                 assert got.view(np.int64).tolist() == spectral_entropy(symmetrized).view(np.int64).tolist()
 
     @pytest.mark.parametrize("keep", [[], [3], [-1]])
     def test_rejects_bad_factor_lists(self, keep):
         with pytest.raises(DimensionMismatch):
-            subsystem_entropy(ghz_state(), keep)
+            ghz = ghz_state()
+            subsystem_entropy(ghz.matrix, ghz.dims, keep)
 
 
 class TestProductEntropy:
@@ -377,20 +383,20 @@ class TestProductEntropy:
         h_a = HamiltonianSpec(np.arange(24, dtype=float))
         h_b = HamiltonianSpec(2.0 * np.arange(24))
         g_a, g_b = gibbs_state(h_a, beta), gibbs_state(h_b, beta / 2)
-        joint = DensityOperator(kron(g_a.matrix, g_b.matrix), (24, 24))
+        joint = DensityOperator(kron(g_a, g_b), (24, 24))
         total = von_neumann_entropy(g_a) + von_neumann_entropy(g_b)
-        assert abs(total - von_neumann_entropy(joint)) <= 1e-13
+        assert abs(total - von_neumann_entropy(joint.matrix)) <= 1e-13
 
     def test_three_factors_and_single(self):
         rng = substream(11, 13)
         states = [DensityOperator(random_density(d, d, rng), (d,)) for d in (2, 3, 2)]
         joint = DensityOperator(kron(kron(states[0].matrix, states[1].matrix), states[2].matrix), (2, 3, 2))
-        total = sum(von_neumann_entropy(rho) for rho in states)
-        assert abs(total - von_neumann_entropy(joint)) <= 1e-12
+        total = sum(von_neumann_entropy(rho.matrix) for rho in states)
+        assert abs(total - von_neumann_entropy(joint.matrix)) <= 1e-12
         # a single factor: the product with a pure state adds nothing
         pure = DensityOperator(np.diag([1.0, 0.0]).astype(complex), (2,))
         alone = DensityOperator(kron(states[1].matrix, pure.matrix), (3, 2))
-        assert abs(von_neumann_entropy(alone) - von_neumann_entropy(states[1])) <= 1e-12
+        assert abs(von_neumann_entropy(alone.matrix) - von_neumann_entropy(states[1].matrix)) <= 1e-12
 
 
 class TestGibbsPopulations:
@@ -398,10 +404,10 @@ class TestGibbsPopulations:
         h = HamiltonianSpec(np.array([0.0, 0.5, 2.0]))
         p = gibbs_populations(h, 1.3)
         assert abs(p.sum() - 1.0) <= 1e-15
-        assert np.array_equal(np.diag(gibbs_state(h, 1.3).matrix).real, p)
+        assert np.array_equal(np.diag(gibbs_state(h, 1.3)).real, p)
 
     def test_rejects_nonpositive_beta(self):
-        with pytest.raises(NonpositiveBeta):
+        with pytest.raises(InvalidSpec, match="beta must be finite and positive"):
             gibbs_populations(QUBIT, 0.0)
 
     @pytest.mark.parametrize(
@@ -411,7 +417,7 @@ class TestGibbsPopulations:
     )
     def test_rejects_non_finite_or_non_numeric_beta(self, beta):
         # an infinite beta used to give NaN populations, and a string was read as a number
-        with pytest.raises(NonpositiveBeta):
+        with pytest.raises(InvalidSpec, match="beta must be finite and positive"):
             gibbs_populations(QUBIT, beta)
 
 
@@ -427,8 +433,8 @@ class TestEntangledThermalState:
         state = entangled_thermal_state(spec)
         g_a = gibbs_state(HamiltonianSpec(np.array([0.0, 1.0, 2.0, 3.0])), 1.0)
         g_b = gibbs_state(HamiltonianSpec(np.array([0.0, 2.0, 4.0, 6.0])), 0.5)
-        assert np.max(np.abs(marginal(state, 0).matrix - g_a.matrix)) <= 1e-10
-        assert np.max(np.abs(marginal(state, 1).matrix - g_b.matrix)) <= 1e-10
+        assert np.max(np.abs(marginal(state, 0).matrix - g_a)) <= 1e-10
+        assert np.max(np.abs(marginal(state, 1).matrix - g_b)) <= 1e-10
 
     def test_amplitudes(self):
         spec = EntangledThermalSpec(np.array([0.0, 1.0, 2.0, 3.0]), 1.0, 1.0, 0.5)
@@ -445,7 +451,7 @@ class TestEntangledThermalState:
             spec = EntangledThermalSpec(eps, 1.25, mu_a, 1.0)
             state = entangled_thermal_state(spec)
             g = gibbs_state(spec.hamiltonian_a(), mu_a * 1.25)
-            assert np.max(np.abs(marginal(state, 0).matrix - g.matrix)) <= 1e-10
+            assert np.max(np.abs(marginal(state, 0).matrix - g)) <= 1e-10
 
     def test_invalid_specs(self):
         with pytest.raises(InvalidSpec):
@@ -475,8 +481,8 @@ class TestMarginal:
 
     def test_random_pure_equal_entropies(self):
         state = random_pure((3, 3), substream(11, 8))
-        s_a = von_neumann_entropy(marginal(state, 0))
-        s_b = von_neumann_entropy(marginal(state, 1))
+        s_a = von_neumann_entropy(marginal(state, 0).matrix)
+        s_b = von_neumann_entropy(marginal(state, 1).matrix)
         assert abs(s_a - s_b) <= 1e-9
 
 
@@ -488,20 +494,20 @@ class TestGibbsMaximizesEntropy:
         beta = 0.7
         g = gibbs_state(h, beta)
         hm = h.matrix()
-        u_g = float(np.trace(g.matrix @ hm).real)
+        u_g = float(np.trace(g @ hm).real)
         s_g = von_neumann_entropy(g)
         nu = np.diag([1.0, 0.0, -1.0]).astype(complex)  # traceless, tr(nu H) = -2.5
         nu_energy = float(np.trace(nu @ hm).real)
-        lam_min = np.linalg.eigvalsh(g.matrix)[0]
+        lam_min = np.linalg.eigvalsh(g)[0]
         rng = substream(11, 9)
         for _ in range(100):
             sigma = random_density(3, 3, rng)
-            delta = sigma - g.matrix
+            delta = sigma - g
             delta -= (float(np.trace(delta @ hm).real) / nu_energy) * nu
             t = 0.4 * lam_min / max(np.max(np.abs(np.linalg.eigvalsh(delta))), 1e-30)
-            rho = DensityOperator(g.matrix + t * delta, (3,))
+            rho = DensityOperator(g + t * delta, (3,))
             assert abs(float(np.trace(rho.matrix @ hm).real) - u_g) < 1e-6
-            assert von_neumann_entropy(rho) <= s_g + 1e-8
+            assert von_neumann_entropy(rho.matrix) <= s_g + 1e-8
 
 
 class TestValidation:
@@ -552,7 +558,7 @@ class TestValidation:
         rho = DensityOperator(np.stack([np.eye(2, dtype=complex) / 2, pure]), (2,))
         assert rho.matrix.shape == (2, 2, 2) and rho.spectrum.shape == (2, 2)
         assert rho.dim == 2
-        assert np.array_equal(von_neumann_entropy(rho), [math.log(2), 0.0])
+        assert np.array_equal(von_neumann_entropy(rho.matrix), [math.log(2), 0.0])
 
     @pytest.mark.parametrize("shape", [(4,), (1, 1, 2, 2)], ids=["1-D", "4-D"])
     def test_density_rejects_other_ranks(self, shape):
