@@ -21,8 +21,7 @@ import os
 import sys
 import time
 import warnings
-from functools import cache, partial
-from typing import Callable
+from functools import cache
 
 import numpy as np
 
@@ -61,14 +60,7 @@ from .inequalities import (
     check_ssa,
     gibbs_evolution_identity,
 )
-from .qmath import (
-    MAX_JOINT_DIM,
-    density_draw,
-    ginibre_draw,
-    haar_unitaries,
-    random_densities,
-    substream_draws,
-)
+from .qmath import MAX_JOINT_DIM, ginibre, haar_qr, random_densities, uniform_rows
 from .states import EntangledThermalSpec, HamiltonianSpec, gibbs_populations
 
 SCHEMA_VERSION = 1
@@ -242,45 +234,40 @@ def _parse_sweep(text: str) -> np.ndarray:
 
 # ---------------------------------------------------------------- ineq ---
 
-# a batch's trials: runs a per-trial draw on each trial's own stream and
-# returns the draws in trial order (a bound ``qmath.substream_draws``)
-Trials = Callable[[Callable[[np.random.Generator], object]], list]
+# the uniforms of an ssa or eq1 trial, in order: the rank of its state, its
+# D x D factor
+def _state_widths(dims: tuple[int, ...]) -> tuple[int, ...]:
+    return 1, 2 * math.prod(dims) ** 2
 
 
-def _random_states(dims: tuple[int, ...], trials: Trials) -> np.ndarray:
-    return random_densities(trials(partial(density_draw, math.prod(dims))))
+def _random_states(dims: tuple[int, ...], u: np.ndarray) -> np.ndarray:
+    rank, factor, _ = np.split(u, np.cumsum(_state_widths(dims)), axis=1)
+    return random_densities(ginibre(factor, math.prod(dims)), rank[:, 0])
 
 
-# eq2's beta is exp of a uniform draw on [ln 0.1, ln 10]
-_LN_BETA_RANGE = (np.log(0.1), np.log(10.0))
+# the uniforms of an eq2 trial, in order: ln beta, the levels of H_i and
+# H_f, the ancilla's rank, the bases of H_i and H_f, the joint unitary, the
+# ancilla's factor
+def _eq2_widths(factors: tuple[int, int]) -> tuple[int, ...]:
+    d_sys, d_anc = factors
+    return 1, 2 * d_sys, 1, 4 * d_sys**2, 2 * (d_sys * d_anc) ** 2, 2 * d_anc**2
 
 
-def _hamiltonian_draw(d: int, rng: np.random.Generator) -> tuple:
-    # the levels and the Ginibre draw of the eigenbasis; the span cap of 1.2
-    # is part of the seeded eq2 draw, and changing it moves every eq2 digest
-    return rng.uniform(0.0, 1.2, d), ginibre_draw((d, d), rng)
-
-
-def _hamiltonians(draws) -> HamiltonianSpec:
-    levels, bases = zip(*draws)
-    return HamiltonianSpec(np.sort(np.stack(levels), axis=-1), basis=haar_unitaries(bases))
-
-
-def _eq2_draw(d_sys: int, d_anc: int, rng: np.random.Generator) -> tuple:
-    return (
-        rng.uniform(*_LN_BETA_RANGE),
-        _hamiltonian_draw(d_sys, rng),
-        _hamiltonian_draw(d_sys, rng),
-        ginibre_draw((d_sys * d_anc, d_sys * d_anc), rng),
-        density_draw(d_anc, rng),
-    )
-
-
-def _eq2_inputs(factors: tuple[int, int], trials: Trials) -> tuple:
+def _eq2_inputs(factors: tuple[int, int], u: np.ndarray) -> tuple:
     # (h_i, beta, channel, h_f) of gibbs_evolution_identity for a batch
-    ln_beta, h_i, h_f, g_u, ancilla = zip(*trials(partial(_eq2_draw, *factors)))
-    channel = AncillaChannel(haar_unitaries(g_u), random_densities(ancilla))
-    return _hamiltonians(h_i), np.exp(np.array(ln_beta)), channel, _hamiltonians(h_f)
+    (d_sys, d_anc), n = factors, len(u)
+    cuts = np.cumsum(_eq2_widths(factors))
+    ln_beta, levels, rank, bases, unitary, factor, _ = np.split(u, cuts, axis=1)
+    # beta is exp of a uniform on [ln 0.1, ln 10], and the levels are 1.2 u:
+    # the span cap of 1.2 is part of the seeded draw
+    beta = np.exp(np.log(0.1) + (np.log(10.0) - np.log(0.1)) * ln_beta[:, 0])
+    levels = np.sort(1.2 * levels.reshape(n, 2, d_sys), axis=-1)
+    bases = haar_qr(ginibre(bases.reshape(n, 2, -1), d_sys))
+    h_i, h_f = (HamiltonianSpec(levels[:, k], basis=bases[:, k]) for k in (0, 1))
+    channel = AncillaChannel(
+        haar_qr(ginibre(unitary, d_sys * d_anc)), random_densities(ginibre(factor, d_anc), rank[:, 0])
+    )
+    return h_i, beta, channel, h_f
 
 
 def _slacks(report: SlackReport) -> dict:
@@ -308,23 +295,24 @@ def _gibbs(report: GibbsEvolutionReport) -> dict:
     }
 
 
-# check -> (substream tag, factor-count rule, its error, tensor factors of a
-# trial, a batch's draws and report, payload fields); trial t draws the
-# stream of substream (seed, tag, t), so checks sharing a master seed never
-# consume the same stream; an eq2 ancilla is a qubit unless --dims names it
+# check -> (Philox tag, factor-count rule, its error, tensor factors of a
+# trial, the widths of the uniforms a trial reads, a batch's report from its
+# rows of uniforms, payload fields); trial t reads row t of
+# qmath.uniform_rows(seed, tag, ...), so checks sharing a master seed never
+# read the same stream; an eq2 ancilla is a qubit unless --dims names it
 _INEQ_CHECKS = {
     "ssa": (
-        1, lambda n: n == 3, "ssa needs exactly 3 factors in --dims", tuple,
-        lambda dims, trials: check_ssa(_random_states(dims, trials), dims, 0, 1, 2), _slacks,
+        1, lambda n: n == 3, "ssa needs exactly 3 factors in --dims", tuple, _state_widths,
+        lambda dims, u: check_ssa(_random_states(dims, u), dims, 0, 1, 2), _slacks,
     ),
     "eq1": (
-        2, lambda n: n >= 3, "eq1 needs at least 3 factors in --dims", tuple,
-        lambda dims, trials: average_correlation_bound(_random_states(dims, trials), dims), _slacks,
+        2, lambda n: n >= 3, "eq1 needs at least 3 factors in --dims", tuple, _state_widths,
+        lambda dims, u: average_correlation_bound(_random_states(dims, u), dims), _slacks,
     ),
     "eq2": (
         3, lambda n: n <= 2, "eq2 takes --dims SYSTEM or SYSTEM,ANCILLA",
-        lambda dims: (*dims, 2)[:2],
-        lambda dims, trials: gibbs_evolution_identity(*_eq2_inputs(dims, trials)), _gibbs,
+        lambda dims: (*dims, 2)[:2], _eq2_widths,
+        lambda dims, u: gibbs_evolution_identity(*_eq2_inputs(dims, u)), _gibbs,
     ),
 }
 
@@ -334,21 +322,19 @@ def cmd_ineq(args: argparse.Namespace) -> tuple:
     if args.trials < 1:
         raise ConfigError(f"--trials must be >= 1, got {args.trials}")
     seed = _check_seed(args.seed)
-    tag, dims_ok, dims_error, factors_of, run_batch, fields = _INEQ_CHECKS[args.check]
+    tag, dims_ok, dims_error, factors_of, widths, run_batch, fields = _INEQ_CHECKS[args.check]
     if not dims_ok(len(dims)):
         raise ConfigError(dims_error)
     factors = factors_of(dims)
     joint = _require_joint_dim(math.prod(factors), "--dims")
 
-    # a trial runs only its RNG calls, on the stream of substream(seed, tag,
-    # t) in trial order; one generator per batch is moved from trial to
-    # trial (qmath.substream_draws), everything derived from the draws runs
-    # once per batch, and the batch reports join into one
-    batch = max(1, BATCH_ELEMENTS // joint**2)
-    reports = []
-    for first in range(0, args.trials, batch):
-        trials = range(first, min(first + batch, args.trials))
-        reports.append(run_batch(factors, lambda draw: substream_draws(draw, trials, seed, tag)))
+    # a batch is one draw of its trials' rows of uniforms, and everything
+    # derived from them runs once per batch; the batch reports join into one
+    batch, k = max(1, BATCH_ELEMENTS // joint**2), sum(widths(factors))
+    reports = [
+        run_batch(factors, uniform_rows(seed, tag, first, min(batch, args.trials - first), k))
+        for first in range(0, args.trials, batch)
+    ]
     report = type(reports[0])(
         *(np.concatenate(column) for column in zip(*map(dataclasses.astuple, reports)))
     )
@@ -491,10 +477,16 @@ def cmd_gas(args: argparse.Namespace) -> tuple:
 
 # ---------------------------------------------------------------- main ---
 
+class _Parser(argparse.ArgumentParser):
+    # a bad flag ends in one stderr line, no usage block (subparsers inherit)
+    def error(self, message: str):
+        self.exit(EXIT_VALIDATION, f"entroflow: config error: {self.prog}: {message}\n")
+
+
 @cache
 def build_parser() -> argparse.ArgumentParser:
     """The one parser of the process; ``parse_args`` leaves it unchanged."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="entroflow",
         description="Heat-flow direction experiments for correlated quantum systems.",
     )

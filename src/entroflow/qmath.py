@@ -12,30 +12,30 @@ Conventions fixed once for the whole package:
   basis label (i, j) maps to flat index i * d_B + j;
 - randomness flows through counter-based Philox streams derived from a
   64-bit master seed: every drawn object is a pure function of
-  (seed, substream path) and independent of execution order.  Substream
-  ``(seed, *path, t)`` is counter block t of the Philox keyed by ``(seed,
-  *path)``, so ``substream_draws`` keys one generator per batch and moves
-  it from block to block, instead of building a ``substream`` per trial;
-- a random object is drawn in two steps: ``ginibre_draw`` and
-  ``density_draw`` make only the RNG calls of one object, and ``ginibre``,
-  ``haar_unitaries`` and ``random_densities`` do the arithmetic on a whole
-  batch of such draws at once; a random density matrix comes symmetrized,
-  exactly Hermitian, as the checks of ``inequalities`` take it unvalidated.
+  (seed, path) and independent of execution order.  Substream ``(seed,
+  *path, t)`` is counter block t of the Philox keyed by ``(seed, *path)``;
+- an ``ineq`` trial reads a fixed stretch of uniforms, row t of
+  ``uniform_rows(seed, tag, ...)``, and every variate comes from it:
+  complex normals by Box-Muller (``ginibre``), Haar unitaries by
+  ``haar_qr`` and random states by ``random_densities``, a whole batch of
+  trials at once; a random density matrix comes symmetrized, exactly
+  Hermitian, as the checks of ``inequalities`` take it unvalidated.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import DimensionMismatch
 
 # largest joint Hilbert-space dimension ``ineq`` and ``exchange`` accept on
-# the command line: an ineq operator of this size takes 256 MiB; exchange
-# holds real arrays, one joint vector (32 KiB here) per angle set
+# the command line: an ineq operator of this size takes 256 MiB, as do the
+# uniforms of its trial; exchange holds real arrays, one joint vector (32
+# KiB here) per angle set
 MAX_JOINT_DIM = 4096
 
 
@@ -62,25 +62,6 @@ def substream(seed: int, *path: int) -> np.random.Generator:
     *key, block = (seed, *path) if path else (seed, 0)
     bits = np.random.Philox(np.random.SeedSequence(key), counter=_block_counter(block))
     return np.random.Generator(bits)
-
-
-def substream_draws(
-    draw: Callable[[np.random.Generator], object], trials: Sequence[int], seed: int, *path: int
-) -> list:
-    """``draw(substream(seed, *path, t))`` for every t in trials, in order.
-
-    One ``substream(seed, *path, 0)`` is moved to block t per trial, buffer
-    spent and no spare uint32, so each draw reads the exact stream of its
-    ``substream`` and no trial builds a SeedSequence, a Philox or a Generator.
-    """
-    rng = substream(seed, *path, 0)
-    state = rng.bit_generator.state
-    out = []
-    for t in trials:
-        state["state"]["counter"] = _block_counter(t)
-        rng.bit_generator.state = state
-        out.append(draw(rng))
-    return out
 
 
 def dagger(m: np.ndarray) -> np.ndarray:
@@ -150,20 +131,25 @@ def partial_trace(
     return np.ascontiguousarray(t.reshape(*lead, d_kept, d_kept))
 
 
-def ginibre_draw(shape: tuple[int, ...], rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """The RNG calls of one complex Ginibre matrix of the given shape: its
-    real part, then its imaginary part, 2*prod(shape) standard normals in
-    all.  ``ginibre`` turns a batch of such pairs into the matrices."""
-    return rng.standard_normal(shape), rng.standard_normal(shape)
+def uniform_rows(seed: int, tag: int, first: int, count: int, k: int) -> np.ndarray:
+    """Rows first, ..., first + count - 1 of the uniform table of ``(seed,
+    tag)``: row t is doubles [tK, (t + 1)K) on [0, 1) of the Philox keyed by
+    ``SeedSequence((seed, tag))`` (the key of ``substream(seed, tag, 0)``),
+    K = k rounded up to a multiple of 4 (one counter step); so a row does not
+    depend on how the rows are split into calls, and one row is one advance."""
+    k = -(-k // 4) * 4
+    bits = np.random.Philox(np.random.SeedSequence((seed, tag)))
+    bits.advance(first * k // 4)
+    return np.random.Generator(bits).random((count, k))
 
 
-def ginibre(draws: Sequence[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
-    """Complex Ginibre entries re + 1j*im of a batch of ``ginibre_draw``
-    pairs, as one flat array: each pair's entries in C order, pair after
-    pair in batch order.  A batch of one shape reshapes it to its stack."""
-    re = np.concatenate([re.ravel() for re, _ in draws])
-    im = np.concatenate([im.ravel() for _, im in draws])
-    return re + 1j * im
+def ginibre(u: np.ndarray, d: int) -> np.ndarray:
+    """Stack of d x d complex Ginibre matrices, one per 2*d*d uniforms on
+    [0, 1) along the last axis, by Box-Muller: each pair (u1, u2), in C
+    order of the entries, gives the entry sqrt(-2 ln(1 - u1)) * (cos, sin)(2
+    pi u2), whose real and imaginary parts are independent standard normals."""
+    radius = np.sqrt(-2.0 * np.log1p(-u[..., 0::2]))
+    return (radius * np.exp(2j * np.pi * u[..., 1::2])).reshape(*u.shape[:-1], d, d)
 
 
 def haar_qr(g: np.ndarray) -> np.ndarray:
@@ -176,43 +162,15 @@ def haar_qr(g: np.ndarray) -> np.ndarray:
     return q * ph[..., None, :]
 
 
-def haar_unitaries(draws: Sequence[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
-    """Stack of Haar-distributed unitaries, ``haar_qr`` of each square
-    ``ginibre_draw`` pair of a batch, in batch order."""
-    d = draws[0][0].shape[0]
-    return haar_qr(ginibre(draws).reshape(len(draws), d, d))
-
-
-def density_draw(d: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """The RNG calls of one random density matrix on d levels: its rank,
-    uniform on 1..d, then ``ginibre_draw((d, rank))`` for its factor G."""
-    return ginibre_draw((d, int(rng.integers(1, d + 1))), rng)
-
-
-def random_densities(draws: Sequence[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
-    """Stack of random density matrices G G-dag / tr(G G-dag), one per
-    ``density_draw`` pair of a batch, in batch order, each symmetrized as
-    (M + M-dag) / 2 (a small Gram product need not be exactly Hermitian).
-
-    The Gram products run as one stacked matmul per rank; each matrix has
-    the bits it has when formed alone.
-    """
-    # sorted by rank (stably), the factors of each rank are one run of the
-    # flat Ginibre entries, and their Gram matrices one run of the stack
-    ranks = np.array([re.shape[-1] for re, _ in draws])
-    order = np.argsort(ranks, kind="stable")
-    entries = ginibre([draws[t] for t in order])
-    d = draws[0][0].shape[0]
-    grams = np.empty((len(draws), d, d), dtype=complex)
-    counts = np.bincount(ranks).tolist()
-    first = start = 0
-    for rank, count in enumerate(counts):
-        if not count:
-            continue
-        g = entries[start : start + count * d * rank].reshape(count, d, rank)
-        np.matmul(g, dagger(g), out=grams[first : first + count])
-        first, start = first + count, start + g.size
-    grams /= np.trace(grams, axis1=-2, axis2=-1).real[:, None, None]
-    out = np.empty_like(grams)
-    out[order] = (grams + dagger(grams)) / 2
-    return out
+def random_densities(g: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Stack of random density matrices G G-dag / tr(G G-dag), one per D x D
+    Ginibre matrix of the stack g and uniform of u: G keeps the matrix's
+    first 1 + floor(u D) columns, so its rank is uniform on 1..D and it has
+    the law of a D x rank Ginibre matrix.  One stacked matmul forms them all,
+    each symmetrized as (M + M-dag) / 2 (a small Gram product need not be
+    exactly Hermitian)."""
+    d = g.shape[-1]
+    g = np.where(np.arange(d) < 1 + np.floor(u * d)[..., None, None], g, 0)
+    grams = g @ dagger(g)
+    grams /= np.trace(grams, axis1=-2, axis2=-1).real[..., None, None]
+    return (grams + dagger(grams)) / 2

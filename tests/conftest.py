@@ -57,17 +57,15 @@ def factorizations(monkeypatch) -> list[int]:
 
 
 def haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-distributed d x d unitary drawn and formed alone: ``haar_qr`` of
-    a complex Ginibre matrix, 2*d*d standard normals from ``rng``, real part
-    first (the per-trial bit oracle of ``qmath.haar_unitaries``)."""
+    """Haar-distributed d x d unitary: ``haar_qr`` of a complex Ginibre
+    matrix, 2*d*d standard normals from ``rng``, real part first."""
     return haar_qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
 
 
 def random_density(d: int, rank: int, rng: np.random.Generator) -> np.ndarray:
     """Random rank-``rank`` density matrix G G-dag / tr(G G-dag), with G a
     d x rank matrix of independent standard complex Gaussian entries,
-    symmetrized as (M + M-dag) / 2 and formed alone (the per-trial bit
-    oracle of ``qmath.random_densities``).
+    symmetrized as (M + M-dag) / 2.
 
     Consumes exactly 2*d*rank standard normals from ``rng``.
     """
@@ -79,16 +77,48 @@ def random_density(d: int, rank: int, rng: np.random.Generator) -> np.ndarray:
     return (rho + dagger(rho)) / 2
 
 
-def eq2_trial(d_sys: int, d_anc: int, rng: np.random.Generator) -> tuple:
-    """One ``ineq --check eq2`` trial drawn and formed alone (the per-trial
-    bit oracle of the batched draws): beta, the levels and basis of H_i and
-    of H_f, the joint unitary and the ancilla state."""
-    beta = float(np.exp(rng.uniform(np.log(0.1), np.log(10.0))))
-    levels_i, basis_i = np.sort(rng.uniform(0.0, 1.2, d_sys)), haar_unitary(d_sys, rng)
-    levels_f, basis_f = np.sort(rng.uniform(0.0, 1.2, d_sys)), haar_unitary(d_sys, rng)
-    unitary = haar_unitary(d_sys * d_anc, rng)
-    ancilla = random_density(d_anc, int(rng.integers(1, d_anc + 1)), rng)
-    return beta, levels_i, basis_i, levels_f, basis_f, unitary, ancilla
+# ------------------------------------------------------------------------
+# Per-trial oracles of the ineq draws: one trial formed alone from its row
+# of uniforms (``qmath.uniform_rows``); the batched draws must agree with
+# them bit for bit.
+
+def gaussian_matrix(u: np.ndarray, d: int) -> np.ndarray:
+    """d x d complex Ginibre matrix from 2*d*d uniforms, entry by entry in
+    C order: the pair (u1, u2) gives r cos(theta) + i r sin(theta), with
+    r = sqrt(-2 ln(1 - u1)) and theta = 2 pi u2 (Box-Muller)."""
+    radius, theta = np.sqrt(-2.0 * np.log1p(-u[0::2])), 2.0 * np.pi * u[1::2]
+    return (radius * np.cos(theta) + 1j * (radius * np.sin(theta))).reshape(d, d)
+
+
+def trial_density(rank_u: float, u: np.ndarray, d: int) -> np.ndarray:
+    """One random state formed alone: rank 1 + floor(rank_u d), G the
+    ``gaussian_matrix`` of u with the columns from the rank on zeroed, and
+    G G-dag / tr(G G-dag) symmetrized as (M + M-dag) / 2."""
+    g = gaussian_matrix(u, d)
+    g[:, 1 + int(rank_u * d) :] = 0
+    rho = g @ dagger(g)
+    rho = rho / np.trace(rho).real
+    return (rho + dagger(rho)) / 2
+
+
+def eq2_trial(d_sys: int, d_anc: int, u: np.ndarray) -> tuple:
+    """One ``ineq --check eq2`` trial formed alone from its row of
+    uniforms, read in order: ln beta, the levels of H_i and of H_f, the
+    ancilla's rank, the bases of H_i and of H_f, the joint unitary and the
+    ancilla's factor.  Returns beta, the levels and basis of H_i and of
+    H_f, the joint unitary and the ancilla state."""
+    widths = [1, d_sys, d_sys, 1, 2 * d_sys**2, 2 * d_sys**2]
+    ln_beta, levels_i, levels_f, rank_u, basis_i, basis_f, rest = np.split(u, np.cumsum(widths))
+    beta = np.exp(np.log(0.1) + (np.log(10.0) - np.log(0.1)) * ln_beta[0])
+    joint = d_sys * d_anc
+    unitary = haar_qr(gaussian_matrix(rest[: 2 * joint**2], joint))
+    ancilla = trial_density(rank_u[0], rest[2 * joint**2 : 2 * (joint**2 + d_anc**2)], d_anc)
+    return (
+        beta,
+        np.sort(1.2 * levels_i), haar_qr(gaussian_matrix(basis_i, d_sys)),
+        np.sort(1.2 * levels_f), haar_qr(gaussian_matrix(basis_f, d_sys)),
+        unitary, ancilla,
+    )
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ import golden
 import numpy as np
 import pytest
 
-from conftest import eq2_trial, random_density, shell_planes
+from conftest import eq2_trial, shell_planes, trial_density
 
 from entroflow import (
     CaseSpec,
@@ -24,9 +24,8 @@ from entroflow import (
     exchange,
     givens_planes,
     run_exchange,
-    substream,
 )
-from entroflow.qmath import ginibre_draw, random_densities, substream_draws
+from entroflow.qmath import ginibre, random_densities, uniform_rows
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -110,9 +109,26 @@ class TestIneq:
         proc = run_cli("ineq", "--check", "ssa", "--dims", "2", "--trials", "5", "--seed", "7")
         assert proc.returncode == 2
 
-    def test_bad_flag_exits_2(self):
-        proc = run_cli("ineq", "--check", "nope", "--dims", "2,2,2", "--trials", "5", "--seed", "7")
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["ineq", "--check", "ssa", "--dims", "2,2,2", "--trials", "abc", "--seed", "7"],
+            ["ineq", "--check", "ssa", "--dims", "2,2,2", "--trials", "5"],
+            ["nope"],
+            ["exchange", "--case", "x", "--config", "demo.json"],
+            ["ineq", "--check", "nope", "--dims", "2,2,2", "--trials", "5", "--seed", "7"],
+            ["ineq", "--check", "ssa", "--dims", "2,2,2", "--seed", "7", "--nope", "1"],
+        ],
+        ids=[
+            "bad-int", "missing-seed", "unknown-subcommand", "bad-case", "bad-check", "unknown-flag"
+        ],
+    )
+    def test_bad_flag_exits_2_with_one_line(self, argv):
+        proc = run_cli(*argv)
         assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.count("\n") == 1, proc.stderr
+        assert proc.stderr.startswith("entroflow: config error: entroflow")
 
 
 class TestIneqBatches:
@@ -175,7 +191,8 @@ def same_bits(a, b) -> bool:
 
 class TestBatchedDraws:
     """Each batch's draws and the arithmetic on them, bit for bit against
-    each trial drawn and formed alone (tests/conftest.py oracles)."""
+    each trial formed alone from its row of uniforms (tests/conftest.py
+    oracles)."""
 
     @pytest.mark.parametrize(
         "d, ranks",
@@ -183,40 +200,57 @@ class TestBatchedDraws:
         ids=["ragged", "every-rank", "batch-of-one"],
     )
     def test_densities(self, d, ranks):
-        draws = [ginibre_draw((d, rank), substream(31, t)) for t, rank in enumerate(ranks)]
-        got = random_densities(draws)
+        u = uniform_rows(31, 0, 0, len(ranks), 2 * d * d)[:, : 2 * d * d]
+        rank_u = (np.array(ranks) - 0.5) / d
+        got = random_densities(ginibre(u, d), rank_u)
         for t, rank in enumerate(ranks):
-            assert same_bits(got[t], random_density(d, rank, substream(31, t)))
+            assert same_bits(got[t], trial_density(rank_u[t], u[t], d))
+            assert np.sum(np.linalg.eigvalsh(got[t]) > 1e-12) == rank
 
     @pytest.mark.parametrize("dims, trials", [((2, 2, 2), 40), ((2, 2, 2, 2), 1), ((3, 2), 30)])
     def test_ssa_and_eq1_states(self, dims, trials):
         d = math.prod(dims)
-        got = cli._random_states(dims, lambda draw: substream_draws(draw, range(trials), 32))
-        spectra = np.linalg.eigvalsh(got)
-        ranks = set()
+        u = uniform_rows(32, 1, 0, trials, sum(cli._state_widths(dims)))
+        got = cli._random_states(dims, u)
         for t in range(trials):
-            rng = substream(32, t)
-            rank = int(rng.integers(1, d + 1))
-            ranks.add(rank)
-            alone = DensityOperator(random_density(d, rank, rng), dims)
-            assert same_bits(got[t], alone.matrix)
-            assert same_bits(spectra[t], alone.spectrum)
+            assert same_bits(got[t], trial_density(u[t, 0], u[t, 1 : 1 + 2 * d * d], d))
+        ranks = set(1 + np.floor(u[:, 0] * d).astype(int))
         assert trials == 1 or ranks == set(range(1, d + 1))
 
     @pytest.mark.parametrize("factors, trials", [((2, 3), 12), ((3, 2), 1), ((2, 2), 9)])
     def test_eq2_inputs(self, factors, trials):
-        h_i, beta, channel, h_f = cli._eq2_inputs(
-            factors, lambda draw: substream_draws(draw, range(trials), 33)
-        )
+        u = uniform_rows(33, 3, 0, trials, sum(cli._eq2_widths(factors)))
+        h_i, beta, channel, h_f = cli._eq2_inputs(factors, u)
         for t in range(trials):
-            *want, ancilla = eq2_trial(*factors, substream(33, t))
-            want.append(DensityOperator(ancilla, factors[1:]).matrix)
             got = (
                 beta[t], h_i.levels[t], h_i.basis[t], h_f.levels[t], h_f.basis[t],
                 channel.unitary[t], channel.ancilla[t],
             )
-            for got_part, want_part in zip(got, want):
+            for got_part, want_part in zip(got, eq2_trial(*factors, u[t])):
                 assert same_bits(got_part, want_part)
+
+    @pytest.mark.parametrize(
+        "key", [f"ineq.{check}@{seed}" for check in ("ssa", "eq1", "eq2") for seed in golden.SEEDS]
+    )
+    def test_worst_trial_replays_alone(self, key, tmp_path):
+        # trial T alone is row T of the check's uniforms through the same
+        # batch function, and gives the payload's worst values bit for bit
+        argv = golden.cases(tmp_path)[key]
+        payload = json.loads(golden.payload_bytes(argv, tmp_path))
+        check, dims, seed = (argv[argv.index(flag) + 1] for flag in ("--check", "--dims", "--seed"))
+        tag, _, _, factors_of, widths, run_batch, _ = cli._INEQ_CHECKS[check]
+        factors = factors_of(cli._parse_dims(dims))
+
+        def alone(trial):
+            return run_batch(factors, uniform_rows(int(seed), tag, trial, 1, sum(widths(factors))))
+
+        if check == "eq2":
+            gap = alone(payload["worst_gap_trial"]).identity_gap
+            assert same_bits(gap[0], payload["worst_identity_gap"])
+            slack = alone(payload["worst_slack_trial"]).rhs
+        else:
+            slack = alone(payload["worst_trial"]).slack
+        assert same_bits(slack[0], payload["worst_slack"])
 
 
 class TestJointDimensionLimit:

@@ -22,28 +22,39 @@ def test_payload_digests_match_golden_file(tmp_path, monkeypatch, threads):
 
 @pytest.mark.parametrize("threads", ["1", "2"])
 def test_ineq_keys_its_trials_per_batch(tmp_path, monkeypatch, threads):
-    # every ineq trial reads the stream of substream(seed, tag, t), but no
-    # trial builds one: the digests stay, and each batch (each
-    # substream_draws call) keys one substream, block 0 of its Philox, and
-    # moves it from trial to trial
+    # trial t of an ineq check reads row t of one table of uniforms: each
+    # batch keys one Philox and makes one draw, ``random``, of its rows, the
+    # rows of all batches add up to the trials, and no substream is built
     monkeypatch.setenv("ENTROFLOW_THREADS", threads)
-    batches, substreams, philoxes = [], [], []
-    draws, keyed, philox = cli.substream_draws, qmath.substream, np.random.Philox
-    monkeypatch.setattr(cli, "substream_draws", lambda *a: batches.append(a) or draws(*a))
+    substreams, philoxes, draws, rows = [], [], [], []
+    keyed, philox, generator = qmath.substream, np.random.Philox, np.random.Generator
+
+    class Recorded:
+        def __init__(self, bits):
+            self._rng = generator(bits)
+            draws.append([])
+
+        def __getattr__(self, name):
+            draws[-1].append(name)
+            return getattr(self._rng, name)
+
     monkeypatch.setattr(qmath, "substream", lambda *a: substreams.append(a) or keyed(*a))
     monkeypatch.setattr(
         np.random, "Philox", lambda *a, **k: philoxes.append(a) or philox(*a, **k)
     )
+    monkeypatch.setattr(np.random, "Generator", Recorded)
+    monkeypatch.setattr(cli, "uniform_rows", lambda *a: rows.append(a[3]) or qmath.uniform_rows(*a))
     want = golden.load()
     for key, argv in golden.cases(tmp_path).items():
         if key.startswith("ineq."):
-            for calls in (batches, substreams, philoxes):
+            for calls in (substreams, philoxes, draws, rows):
                 calls.clear()
             got = hashlib.sha256(golden.payload_bytes(argv, tmp_path)).hexdigest()
             assert got == want[key]
             trials = int(argv[argv.index("--trials") + 1])
-            assert 0 < len(batches) == len(substreams) == len(philoxes) < trials, key
-            assert [path[-1] for path in substreams] == [0] * len(batches), key
+            assert 0 < len(philoxes) == len(draws) == len(rows), key
+            assert draws == [["random"]] * len(rows), key
+            assert sum(rows) == trials and substreams == [], key
 
 
 def test_diff_of_a_dump_against_itself_reports_no_key(tmp_path, monkeypatch, capsys):

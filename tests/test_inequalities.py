@@ -32,7 +32,7 @@ from entroflow import (
     substream,
     von_neumann_entropy,
 )
-from entroflow.qmath import density_draw, random_densities
+from entroflow.qmath import ginibre, random_densities
 
 QUBIT = HamiltonianSpec(np.array([0.0, 1.0]))
 
@@ -331,10 +331,8 @@ class TestExactlyHermitian:
     def test_random_densities_of_a_qubit(self, rank):
         # the 2 x 2 Gram products of the eq2 ancillas are not exactly
         # Hermitian before the symmetrization
-        rng = substream(24, rank)
-        draws = [density_draw(2, rng) for _ in range(400)]
-        draws = [(re, im) for re, im in draws if re.shape[-1] == rank]
-        self.assert_exactly_hermitian(random_densities(draws))
+        u = substream(24, rank).random((200, 8))
+        self.assert_exactly_hermitian(random_densities(ginibre(u, 2), np.full(200, (rank - 0.5) / 2)))
 
     def test_gibbs_state_in_a_haar_basis(self):
         rng = substream(24, 3)

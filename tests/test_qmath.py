@@ -10,12 +10,7 @@ from entroflow import (
     partial_trace,
     substream,
 )
-from entroflow.qmath import (
-    ginibre_draw,
-    haar_unitaries,
-    random_densities,
-    substream_draws,
-)
+from entroflow.qmath import ginibre, haar_qr, random_densities, uniform_rows
 
 
 def kron_loop(a, b):
@@ -153,14 +148,15 @@ class TestPartialTrace:
 
 
 def unitaries(d: int, n: int, rng) -> np.ndarray:
-    """n Haar unitaries drawn in order from rng, through the batched path."""
-    return haar_unitaries([ginibre_draw((d, d), rng) for _ in range(n)])
+    """n Haar unitaries from rows of uniforms drawn in order from rng,
+    through the batched path."""
+    return haar_qr(ginibre(rng.random((n, 2 * d * d)), d))
 
 
 def densities(d: int, rank: int, n: int, rng) -> np.ndarray:
-    """n rank-``rank`` density matrices drawn in order from rng, through the
-    batched path."""
-    return random_densities([ginibre_draw((d, rank), rng) for _ in range(n)])
+    """n rank-``rank`` density matrices from rows of uniforms drawn in order
+    from rng, through the batched path."""
+    return random_densities(ginibre(rng.random((n, 2 * d * d)), d), np.full(n, (rank - 0.5) / d))
 
 
 class TestHaarUnitary:
@@ -231,65 +227,72 @@ class TestDeterminism:
         )
 
 
-# seeds at the word boundaries of SeedSequence's entropy and random ones;
-# trial ranges that start at 0 or 1, ragged ones, ones across t = 2**64
-# (where the counter block's low word carries into its high word), the
-# last block and unordered lists
+class TestDrawLaws:
+    """The law of the variates made from uniforms, at a fixed seed."""
+
+    def test_rank_is_uniform(self):
+        # 10**4 states on D = 4: each rank's count within 4 standard errors
+        # of n / 4
+        n, d = 10_000, 4
+        u = uniform_rows(101, 20, 0, n, 1 + 2 * d * d)
+        states = random_densities(ginibre(u[:, 1 : 1 + 2 * d * d], d), u[:, 0])
+        counts = np.bincount(np.sum(np.linalg.eigvalsh(states) > 1e-12, axis=-1), minlength=d + 1)
+        assert counts[0] == 0
+        assert np.all(np.abs(counts[1:] - n / d) <= 4 * np.sqrt(n * (1 / d) * (1 - 1 / d)))
+
+    def test_box_muller_normals(self):
+        # real and imaginary parts: mean 0, variance 1 and no correlation
+        # between the two parts of an entry, each within 4 standard errors
+        z = ginibre(uniform_rows(101, 21, 0, 1, 2 * 300**2), 300).ravel()
+        x = np.concatenate([z.real, z.imag])
+        assert abs(x.mean()) <= 4 / np.sqrt(x.size)
+        assert abs(x.var() - 1.0) <= 4 * np.sqrt(2 / x.size)
+        assert abs(np.mean(z.real * z.imag)) <= 4 / np.sqrt(z.size)
+
+
+# seeds at the word boundaries of SeedSequence's entropy and random ones
 KEY_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1] + [
     int(s) for s in np.random.default_rng(2024).integers(0, 2**63, 4, dtype=np.int64)
 ]
-KEY_TRIALS = [
-    range(0, 1),
-    range(1, 2),
-    range(0, 37),
-    range(5, 130),
-    range(2**64 - 3, 2**64 + 2),
-    [2**64 - 1],
-    [2**64],
-    [2**128 - 1],
-    [9, 2**64, 3, 2**64 - 1, 0],
-]
-
-
-def trial_draw(rng):
-    """The RNG calls of an ineq trial: bounded integers, normals, uniforms."""
-    return rng.integers(1, 9, 3), rng.standard_normal((2, 3)), rng.uniform(0.0, 1.2, 4)
 
 
 class TestSubstreamKeys:
-    """The streams of ``substream_draws`` bit for bit against one
-    ``substream`` per trial, and the counter blocks a substream may name."""
+    """``uniform_rows`` against the stream of ``substream(seed, tag, 0)``,
+    and the counter blocks a substream may name."""
 
     @pytest.mark.parametrize("tag", [1, 2, 3])
     @pytest.mark.parametrize("seed", KEY_SEEDS)
-    def test_draws_are_each_trials_substream(self, seed, tag):
-        for trials in KEY_TRIALS:
-            got = substream_draws(trial_draw, trials, seed, tag)
-            assert len(got) == len(trials)
-            for drawn, t in zip(got, trials):
-                want = trial_draw(substream(seed, tag, t))
-                for a, b in zip(drawn, want):
-                    assert np.array_equal(a.view(np.int64), b.view(np.int64)), (seed, tag, t)
+    def test_rows_are_stretches_of_one_stream(self, seed, tag):
+        # row t of width K is doubles [tK, (t + 1)K) of the stream, however
+        # the rows are split into calls, and a width is rounded up to K
+        for k, width in ((4, 4), (5, 8), (62, 64)):
+            stream = substream(seed, tag, 0).random(130 * width).reshape(130, width)
+            parts = [uniform_rows(seed, tag, a, b - a, k) for a, b in ((0, 1), (1, 37), (37, 130))]
+            assert np.array_equal(np.concatenate(parts), stream)
+            assert np.array_equal(uniform_rows(seed, tag, 0, 130, width), stream)
+        # row t of width 4 is one counter step, so row b * 2**128 starts
+        # counter block b: across a word's carry and at the last block
+        for block in (1, 2**64 - 1, 2**64, 2**128 - 1):
+            want = substream(seed, tag, block).random(8)
+            assert np.array_equal(uniform_rows(seed, tag, block << 128, 2, 4).ravel(), want)
 
     def test_no_trials(self):
-        assert substream_draws(trial_draw, range(0), 1, 2) == []
+        assert uniform_rows(1, 2, 0, 0, 4).shape == (0, 4)
 
     def test_negative_path_refused(self):
         with pytest.raises(ValueError):
             substream(1, -2, 3)
         with pytest.raises(ValueError):
-            substream_draws(trial_draw, range(2), 1, -2)
+            uniform_rows(1, -2, 0, 1, 4)
 
     def test_counter_blocks(self):
         # block 2**128 - 1 is the last of the 256-bit counter; -1 and 2**128
         # are refused, not wrapped
-        last = trial_draw(substream(5, 1, 2**128 - 1))
-        assert not np.array_equal(last[1], trial_draw(substream(5, 1, 0))[1])
+        last = substream(5, 1, 2**128 - 1).random(4)
+        assert not np.array_equal(last, substream(5, 1, 0).random(4))
         for block in (-1, 2**128, 2**130):
             with pytest.raises(ValueError):
                 substream(5, 1, block)
-            with pytest.raises(ValueError):
-                substream_draws(trial_draw, [0, block], 5, 1)
 
     def test_blocks_of_one_key(self):
         # substream(seed) is block 0; a path's last entry picks a block of
