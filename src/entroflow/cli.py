@@ -74,12 +74,12 @@ EXIT_INTERNAL = 5
 
 # ineq evaluates its trials in batches of as many as fit this many complex
 # entries (128 KiB) per stacked joint-space array, and exchange --sweep its
-# angles in batches of this many real entries (64 KiB), a joint vector an
-# angle; no payload depends on the batch.  Larger budgets were no faster at
-# the README sizes overall (eq1 gained what eq2 lost).  In the benchmark's
-# ensembles pass the later gas runs set the peak memory, 59 MB at this
-# budget; 2^14 and 2^16 raise it to 61 MB, and the ineq commands' own peak
-# from 41 to 43 MB (2 vCPU, numpy 2.4.6).
+# angles in batches of this many real entries (64 KiB), d_A d_B an angle,
+# as much as one d x d marginal; no payload depends on the batch.  Larger
+# budgets were no faster at the README sizes overall (eq1 gained what eq2
+# lost).  In the benchmark's ensembles pass the later gas runs set the peak
+# memory, 59 MB at this budget; 2^14 and 2^16 raise it to 61 MB, and the
+# ineq commands' own peak from 41 to 43 MB (2 vCPU, numpy 2.4.6).
 BATCH_ELEMENTS = 2**13
 
 

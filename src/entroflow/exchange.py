@@ -8,12 +8,11 @@ Gibbs states, given by its Schmidt coefficients).  Both local
 Hamiltonians are diagonal.  The interaction is a set of rotations inside
 disjoint degenerate joint-energy planes (givens_planes), which conserve
 energy exactly: the exchanged energy is heat.  A plane's energies are
-read from the two local spectra, and both kinds' marginals are scattered
-from the real joint entries a partial trace reads, with no joint energy
-array, no joint-space matrix and no complex copy, into one real stack
-a side, metered with one eigensolve.  A Clausius cycle runs on the
-populations of a diagonal system: each contact, a resonant partial swap
-with a fresh Gibbs reservoir, is a Markov step on d numbers.
+read from the two local spectra, and each side's marginals from the
+moves of the planes' states, with no array of d_A d_B entries.  A
+Clausius cycle runs on the populations of a diagonal system: each
+contact, a resonant partial swap with a fresh Gibbs reservoir, is a
+Markov step on d numbers.
 """
 
 from __future__ import annotations
@@ -41,7 +40,6 @@ from .states import (
     EntangledThermalSpec,
     HamiltonianSpec,
     gibbs_populations,
-    log_partition,
     spectral_entropy,
 )
 
@@ -218,8 +216,8 @@ def _energy_tol(tol: float, *hamiltonians: HamiltonianSpec) -> float:
 
 def _energy_gap(h_a: HamiltonianSpec, h_b: HamiltonianSpec, u, v) -> np.ndarray:
     """E_u - E_v of flat joint states i d_B + j, each E^A_i + E^B_j as np.add.outer sums it."""
-    (i, j), (k, m) = np.divmod(u, h_b.dim), np.divmod(v, h_b.dim)
-    return (h_a.levels[i] + h_b.levels[j]) - (h_a.levels[k] + h_b.levels[m])
+    e_u, e_v = (h_a.levels[i] + h_b.levels[j] for i, j in (np.divmod(x, h_b.dim) for x in (u, v)))
+    return e_u - e_v
 
 
 @dataclass(frozen=True)
@@ -313,7 +311,7 @@ def _plane_gate(planes: GivensPlanes, h_a: HamiltonianSpec, h_b: HamiltonianSpec
     """Check ``planes`` against the case before any cos or sin: u and v
     1-D signed integer arrays of one length P, phi real of shape (P,) or
     (n, P), the case's dims, the 2P states in [0, d_A d_B) and distinct
-    (one bincount), every angle finite.  Return c and s, each (n, P), and
+    (one sort), every angle finite.  Return c and s, each (n, P), and
     per angle set whether the unitary commutes with the bare Hamiltonian:
     the commutator's entries are s (E_u - E_v), O(planes) per angle set."""
     u, v, phi = map(np.asarray, (planes.u, planes.v, planes.phi))
@@ -324,11 +322,11 @@ def _plane_gate(planes: GivensPlanes, h_a: HamiltonianSpec, h_b: HamiltonianSpec
         raise DimensionMismatch(f"plane arrays u, v, phi of shapes {u.shape}, {v.shape}, {phi.shape}")
     if planes.dims != (h_a.dim, h_b.dim):
         raise DimensionMismatch(f"planes of dims {planes.dims} on a {h_a.dim} x {h_b.dim} system")
-    states = np.concatenate([u, v])
+    states = np.sort(np.concatenate([u, v]))
     if states.min(initial=0) < 0 or states.max(initial=0) >= h_a.dim * h_b.dim:
         raise DimensionMismatch(f"plane states out of [0, {h_a.dim * h_b.dim}) for dims {planes.dims}")
-    if np.bincount(states).max(initial=0) > 1:
-        raise OverlappingPlanes(f"planes share basis state {np.argmax(np.bincount(states))}")
+    if np.any(shared := states[1:] == states[:-1]):
+        raise OverlappingPlanes(f"planes share basis state {states[1:][shared][0]}")
     if not np.isfinite(phi).all():
         raise InvalidSpec("plane angles must be finite")
     c, s = np.cos(np.atleast_2d(phi)), np.sin(np.atleast_2d(phi))
@@ -336,68 +334,74 @@ def _plane_gate(planes: GivensPlanes, h_a: HamiltonianSpec, h_b: HamiltonianSpec
     return c, s, leak <= _energy_tol(ENERGY_TOL, h_a, h_b)
 
 
-def _marginals(case: CaseSpec, planes: GivensPlanes, c: np.ndarray, s: np.ndarray):
-    """The real marginal stacks of sides A and B, each (n + 1, d, d): the
-    reduced state of the initial joint state first, then that of U rho0
-    U^dag for each of the n angle sets, of cosines c and sines s (n, P).
+def _pairs(i: np.ndarray, j: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every ordered pair (a, b), a != b, of positions sharing label i or j."""
+    keys = np.concatenate([i, j + i.max(initial=0) + 1])
+    order = np.argsort(keys, kind="stable")
+    first, stop = (np.searchsorted(keys[order], keys[order], side) for side in ("left", "right"))
+    a = np.repeat(order, stop - first)
+    b = order[np.arange(a.size) + np.repeat(stop - np.cumsum(stop - first), stop - first)]
+    return a[a != b] % i.size, b[a != b] % i.size
 
-    Each kind lists the real joint entries (row, column, a value per state,
-    the initial state first) that a partial trace reads.  V: psi, the
-    Schmidt coefficients at states i (d_B + 1), and every plane are real,
-    so U psi is; the entries are psi'_r psi'_k over nonzero amplitudes
-    whose states share a label.  S: p = p_A (x) p_B, moved by a
-    plane to p'_u = c^2 p_u + s^2 p_v, p'_v = s^2 p_u + c^2 p_v, on the
-    diagonal, and the coherence c s (p_u - p_v) at (u, v) and (v, u).  An
-    entry reaches rho_A when its states share the B label (labels, not
-    energies: a plane off the energy shell is metered as it acts), and
-    rho_B when they share the A label.  One bincount per side sums each bin
-    in list order, so an angle set has the bits it has alone and a level no
-    plane touches keeps its initial bits.
-    """
-    d_a, d_b = planes.dims
-    u, v = planes.u, planes.v
+
+def _marginals(case: CaseSpec, planes: GivensPlanes, c: np.ndarray, s: np.ndarray, p_a, p_b):
+    """Each side after the n angle sets of cosines c and sines s (n, P):
+    its populations (n + 1, d), Gibbs (p_a or p_b) first, and coherences,
+    flat bins r d + k with a value per angle set (n, K).  S lists the
+    planes' states, with moves p' - p and entries c s (p_u - p_v); V the
+    paired states (i, i) at i (d + 1), d = d_A = d_B, and the planes that
+    hold one, with entries psi'_r psi'_k.  A pair that shares the B label
+    reaches rho_A, the A label rho_B (labels, not energies: an off-shell
+    plane is metered as it acts).  Each bin sums in list order."""
+    (d_a, d_b), u, v, n = planes.dims, planes.u, planes.v, len(c)
     if case.kind == "V":
-        psi = np.diag(case.entangled.amplitudes()).ravel()
-        amps = np.tile(psi, (len(c) + 1, 1))
-        amps[1:, u] = c * psi[u] - s * psi[v]
-        amps[1:, v] = s * psi[u] + c * psi[v]
-        live = np.flatnonzero(amps.any(axis=0))
-        i, j = np.divmod(live, d_b)
-        rows, cols = (live[k] for k in np.nonzero((i[:, None] == i) | (j[:, None] == j)))
-        values = amps[:, rows] * amps[:, cols]
-        del psi, amps
+        k = np.flatnonzero(u % (d_b + 1) * (v % (d_b + 1)) == 0)
+        states = np.sort(np.concatenate([u[k], v[k], np.arange(d_b) * (d_b + 1)]))
+        states = states[np.diff(states, prepend=-1) > 0]
+        initial = np.where(states % (d_b + 1), 0.0, case.entangled.amplitudes()[states // (d_b + 1)])
+        x, y, c, s = np.searchsorted(states, u[k]), np.searchsorted(states, v[k]), c[:, k], s[:, k]
+        amps = np.tile(initial, (n, 1))
+        amps[:, x], amps[:, y] = c * initial[x] - s * initial[y], s * initial[x] + c * initial[y]
+        moves = amps * amps - initial * initial
+        a, b = _pairs(*np.divmod(states, d_b))
+        rows, cols, values = states[a], states[b], amps[:, a] * amps[:, b]
     else:
-        p_a, p_b = map(gibbs_populations, case.hamiltonians(), case.betas())
-        p = np.multiply.outer(p_a, p_b).ravel()
-        pops = np.tile(p, (len(c) + 1, 1))
-        pops[1:, u] = c * c * p[u] + s * s * p[v]
-        pops[1:, v] = s * s * p[u] + c * c * p[v]
-        coherence = np.vstack([np.zeros(u.size), c * s * (p[u] - p[v])])
-        rows, cols = (np.concatenate([np.arange(p.size), x, y]) for x, y in ((u, v), (v, u)))
-        values = np.hstack([pops, coherence, coherence])
-        del p, pops, coherence
-    scatters = []
-    for d, label, other in ((d_a, np.floor_divide, np.remainder), (d_b, np.remainder, np.floor_divide)):
+        p_u, p_v = p_a[u // d_b] * p_b[u % d_b], p_a[v // d_b] * p_b[v % d_b]
+        states = np.concatenate([u, v])
+        moves = np.hstack([c * c * p_u + s * s * p_v - p_u, s * s * p_u + c * c * p_v - p_v])
+        k = np.flatnonzero((u // d_b == v // d_b) | (u % d_b == v % d_b))
+        rows, cols = np.concatenate([u[k], v[k]]), np.concatenate([v[k], u[k]])
+        values = np.tile(c[:, k] * s[:, k] * (p_u[k] - p_v[k]), 2)
+    sides = []
+    for d, p, label, other in ((d_a, p_a, np.floor_divide, np.remainder),
+                               (d_b, p_b, np.remainder, np.floor_divide)):
+        bins = (label(states, d_b) + d * np.arange(1, n + 1)[:, None]).ravel()
+        populations = np.bincount(bins, moves.ravel(), (n + 1) * d).reshape(-1, d) + p
         shared = other(rows, d_b) == other(cols, d_b)
-        # state t's entries land in bins t d^2 ... (t + 1) d^2 - 1
         bins = label(rows[shared], d_b) * d + label(cols[shared], d_b)
-        bins = bins + d * d * np.arange(len(values))[:, None]
-        scatters.append(np.bincount(bins.ravel(), values[:, shared].ravel(), len(values) * d * d))
-    return scatters[0].reshape(-1, d_a, d_a), scatters[1].reshape(-1, d_b, d_b)
+        sides.append((populations, bins, values[:, shared]))
+    return sides
 
 
-def _meter(stack: np.ndarray, h: HamiltonianSpec, beta: float) -> tuple[np.ndarray, ...]:
-    """Entropy of every state of one side's stack (stack[0] the initial
-    one), then per final state Q = diag(rho' - rho) . levels and D(rho' ||
-    gamma) = beta diag(rho') . levels + ln Z - S(rho'), each dot a 1-D
-    product.  The spectra are one eigvalsh, or the sorted diagonal (what
-    eigvalsh returns) when no off-diagonal entry is nonzero."""
-    diag = np.diagonal(stack, 0, -2, -1)
-    diagonal = np.count_nonzero(stack) == np.count_nonzero(diag)
-    entropy = spectral_entropy(np.sort(diag, axis=-1) if diagonal else np.linalg.eigvalsh(stack))
-    heat = np.array([row @ h.levels for row in diag[1:] - diag[0]])
-    energy = np.array([row @ h.levels for row in diag[1:]])
-    return entropy, heat, beta * energy + log_partition(h, beta) - entropy[1:]
+def _meter(populations, bins, coherences, h: HamiltonianSpec, beta: float) -> tuple[np.ndarray, ...]:
+    """Entropy of each marginal of one side, then per final one Q = (p' -
+    p) . levels and D(rho' || gamma) = beta p' . levels + ln Z - S(rho'),
+    where ln Z = -beta E_0 - ln p_0 of the Gibbs row p (its ground weight
+    is 1).  The spectra are the sorted populations (eigvalsh's bits for a
+    diagonal matrix) if no coherence is nonzero, else one eigvalsh."""
+    if coherences.any():
+        n, d = populations.shape
+        bins = (bins + d * d * np.arange(1, n)[:, None]).ravel()
+        stack = np.bincount(bins, coherences.ravel(), n * d * d)
+        stack.reshape(n, -1)[:, :: d + 1] = populations
+        spectra = np.linalg.eigvalsh(stack.reshape(n, d, d))
+    else:
+        spectra = np.sort(populations, axis=-1)
+    entropy = spectral_entropy(spectra)
+    heat = np.array([row @ h.levels for row in populations[1:] - populations[0]])
+    energy = np.array([row @ h.levels for row in populations[1:]])
+    log_z = -beta * h.levels[0] - np.log(populations[0, 0])
+    return entropy, heat, beta * energy + log_z - entropy[1:]
 
 
 def run_exchange(case: CaseSpec, planes: GivensPlanes) -> ExchangeReport:
@@ -412,27 +416,24 @@ def run_exchange(case: CaseSpec, planes: GivensPlanes) -> ExchangeReport:
 
     The planes are checked on entry, and a finite angle makes each rotation
     unitary; cos and sin are taken once, for the commutator and the
-    marginals.  No joint-space matrix or complex copy is formed:
-    _marginals scatters the real joint entries a partial trace reads,
-    psi'_r psi'_k for V and the populations and plane coherences for S,
-    into one real stack a side, and _meter reads each stack once; an angle
-    set has the bits it has alone.  The joint entropy, which a unitary
-    leaves unchanged, is the initial one: 0 for V, and S(rho_A) + S(rho_B) =
-    S(gamma_A) + S(gamma_B) for S.  identity_gap is |beta_A Q_A + beta_B
-    Q_B - dI - D(rho_A'||gamma_A) - D(rho_B'||gamma_B)|, which vanishes for
-    every unitary because both initial marginals are Gibbs states.
+    marginals, which come from the planes' moves with no joint-space
+    array.  The joint entropy, which a unitary leaves unchanged, is the
+    initial one: 0 for V, S(gamma_A) + S(gamma_B) for S.  identity_gap is
+    |beta_A Q_A + beta_B Q_B - dI - D(rho_A'||gamma_A) -
+    D(rho_B'||gamma_B)|, which vanishes for every unitary because both
+    initial marginals are Gibbs states.
     """
     h_a, h_b = case.hamiltonians()
     beta_a, beta_b = case.betas()
     c, s, conserving = _plane_gate(planes, h_a, h_b)
 
-    stack_a, stack_b = _marginals(case, planes, c, s)
-    s_a, q_a, div_a = _meter(stack_a, h_a, beta_a)
-    s_b, q_b, div_b = _meter(stack_b, h_b, beta_b)
+    side_a, side_b = _marginals(case, planes, c, s, *map(gibbs_populations, (h_a, h_b), case.betas()))
+    s_a, q_a, div_a = _meter(*side_a, h_a, beta_a)
+    s_b, q_b, div_b = _meter(*side_b, h_b, beta_b)
     s_joint = 0.0 if case.kind == "V" else s_a[0] + s_b[0]
 
     ds_a, ds_b = s_a[1:] - s_a[0], s_b[1:] - s_b[0]
-    mutual_info_initial = s_a[0] + s_b[0] - s_joint
+    mutual_info_initial = np.full(conserving.shape, s_a[0] + s_b[0] - s_joint)
     mutual_info_final = s_a[1:] + s_b[1:] - s_joint
     dmi = mutual_info_final - mutual_info_initial
     identity_gap = np.abs(beta_a * q_a + beta_b * q_b - dmi - div_a - div_b)
@@ -442,8 +443,7 @@ def run_exchange(case: CaseSpec, planes: GivensPlanes) -> ExchangeReport:
     )
     # one angle set gives scalars, a stack length-n arrays
     shape = np.shape(planes.phi)[:-1]
-    stack = [np.broadcast_to(x, conserving.shape).reshape(shape).copy() for x in fields]
-    return ExchangeReport(*map(scalar_or_stack, stack))
+    return ExchangeReport(*(scalar_or_stack(x.reshape(shape)) for x in fields))
 
 
 def clausius_cycle(

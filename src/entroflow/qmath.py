@@ -34,18 +34,16 @@ from .errors import DimensionMismatch
 
 # largest joint Hilbert-space dimension ``ineq`` and ``exchange`` accept on
 # the command line: an ineq operator of this size takes 256 MiB, as do the
-# uniforms of its trial; exchange holds real arrays, one joint vector (32
-# KiB here) per angle set
+# uniforms of its trial; exchange holds at most one d x d marginal (32 KiB
+# here) a side per angle set, and the planes' states
 MAX_JOINT_DIM = 4096
 
 
-def _block_counter(block: int) -> np.ndarray:
-    """Philox counter words, least significant first, at the start of block
-    ``block`` of 2**128 draws; a block outside [0, 2**128) raises ValueError."""
-    block = operator.index(block)
-    if not 0 <= block < 1 << 128:
-        raise ValueError(f"substream counter block must be in [0, 2**128), got {block}")
-    return np.array([0, 0, block & (1 << 64) - 1, block >> 64], np.uint64)
+def _philox(key: Sequence[int], steps: int) -> np.random.Philox:
+    """The Philox keyed by ``SeedSequence(key)``, ``steps`` counter steps in."""
+    bits = np.random.Philox(np.random.SeedSequence(key))
+    bits.advance(steps)
+    return bits
 
 
 def substream(seed: int, *path: int) -> np.random.Generator:
@@ -60,8 +58,10 @@ def substream(seed: int, *path: int) -> np.random.Generator:
     negative entry, or a block of 2**128 or more, raises ValueError.
     """
     *key, block = (seed, *path) if path else (seed, 0)
-    bits = np.random.Philox(np.random.SeedSequence(key), counter=_block_counter(block))
-    return np.random.Generator(bits)
+    block = operator.index(block)
+    if not 0 <= block < 1 << 128:
+        raise ValueError(f"substream counter block must be in [0, 2**128), got {block}")
+    return np.random.Generator(_philox(key, block << 128))
 
 
 def dagger(m: np.ndarray) -> np.ndarray:
@@ -138,9 +138,7 @@ def uniform_rows(seed: int, tag: int, first: int, count: int, k: int) -> np.ndar
     K = k rounded up to a multiple of 4 (one counter step); so a row does not
     depend on how the rows are split into calls, and one row is one advance."""
     k = -(-k // 4) * 4
-    bits = np.random.Philox(np.random.SeedSequence((seed, tag)))
-    bits.advance(first * k // 4)
-    return np.random.Generator(bits).random((count, k))
+    return np.random.Generator(_philox((seed, tag), first * k // 4)).random((count, k))
 
 
 def ginibre(u: np.ndarray, d: int) -> np.ndarray:

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import time
 import tracemalloc
 import warnings
 
@@ -751,9 +752,16 @@ def repeated_level_spec(rng, max_dim: int = 6) -> EntangledThermalSpec:
 
 
 def product_marginals(case, planes):
-    """run_exchange's two final marginals, as matrices."""
+    """run_exchange's two final marginals, as matrices: the populations on
+    the diagonal, each coherence summed into its flat bin."""
     c, s, _ = exchange_module._plane_gate(planes, *case.hamiltonians())
-    return [stack[1] for stack in exchange_module._marginals(case, planes, c, s)]
+    gibbs = map(gibbs_populations, case.hamiltonians(), case.betas())
+    out = []
+    for populations, bins, coherences in exchange_module._marginals(case, planes, c, s, *gibbs):
+        d = populations.shape[-1]
+        rho = np.bincount(bins, coherences[0], d * d).reshape(d, d)
+        out.append(rho + np.diag(populations[1]))
+    return out
 
 
 def shared_sides(planes):
@@ -1145,10 +1153,10 @@ class TestMacroscopicSize:
 
     def test_two_hundred_fifty_six_levels(self):
         # joint dimension 65,536: a D x D complex array would take 69 GB.
-        # Each side scatters with its own labels and mask into one real
-        # stack, metered with no complex copy, factorization or state; the
-        # entry list of S (every population) sets its peak
-        for (case, planes), mib in zip(shell_cases(256), (4.0, 11.0)):
+        # Each side is its Gibbs populations plus the planes' moves, metered
+        # with no complex copy, factorization or state; no S plane shares a
+        # label, so S lists the planes' states and no coherence
+        for (case, planes), mib in zip(shell_cases(256), (4.0, 4.0)):
             tracemalloc.start()
             try:
                 report = run_exchange(case, planes)
@@ -1170,6 +1178,47 @@ class TestMacroscopicSize:
         finally:
             tracemalloc.stop()
         assert peak < 16e6
+
+    def test_product_at_a_hundred_thousand_levels(self):
+        # joint dimension 10^10, with the d - 1 planes (i, 0)-(0, i) of
+        # equal levels on both sides: no plane shares a label, so each side
+        # is its populations and the moves of the planes' 2(d - 1) states
+        d = 10**5
+        h = HamiltonianSpec(np.arange(d, dtype=float))
+        i = np.arange(1, d)
+        planes = GivensPlanes((d, d), i * d, i, np.full(d - 1, 0.7))
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            report = run_exchange(CaseSpec.case_s(h, 0.8, h, 0.3), planes)
+            wall = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.energy_conserving and report.q_a > 0
+        assert report.identity_gap <= 1e-12
+        assert wall < 1.0
+        assert peak < 50 * 2**20
+
+    @pytest.mark.parametrize("kind", ["V", "S"])
+    def test_shared_states_found_at_a_hundred_thousand_levels(self, kind):
+        # the entry check sorts the 2P states, with no counter per joint
+        # state (10^10 of them), and names the smallest shared one
+        d = 10**5
+        spec = EntangledThermalSpec(np.arange(d, dtype=float), 0.5, 1.0, 1.0)
+        h = spec.hamiltonian_a()
+        case = CaseSpec.case_v(spec) if kind == "V" else CaseSpec.case_s(h, 0.8, h, 0.3)
+        i = np.arange(1, d)
+        # the last plane reuses (0, 7) of plane 7 and (20, 0) of plane 20
+        u, v = np.append(i * d, 7), np.append(i, 20 * d)
+        tracemalloc.start()
+        try:
+            with pytest.raises(OverlappingPlanes, match=r"share basis state 7$"):
+                run_exchange(case, GivensPlanes((d, d), u, v, np.full(d, 0.7)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
 
 def stacked_cases():

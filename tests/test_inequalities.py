@@ -70,6 +70,18 @@ class TestCheckSsa:
         assert abs(report.rhs - 2 * math.log(2)) <= 1e-12
         assert abs(report.slack) <= 1e-12
 
+    @pytest.mark.parametrize("dims", [(2, 2, 2), (2, 2, 3), (3, 2, 4)])
+    def test_pure_states_are_an_equality(self, dims):
+        # on a pure state S_AC = S_B and S_BC = S_A, so S_A + S_B <= S_AC +
+        # S_BC holds with equality: ineq ssa's rank-1 trials (1 + floor(u D)
+        # = 1, about 1 in D) test only rounding
+        d = math.prod(dims)
+        rng = substream(21, 2, d)
+        rho = random_densities(ginibre(rng.random((40, 2 * d * d)), d), rng.random(40) / d)
+        assert np.allclose(np.trace(rho @ rho, axis1=-2, axis2=-1).real, 1.0, atol=1e-12)
+        for perm in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+            assert np.max(np.abs(check_ssa(rho, dims, *perm).slack)) <= 1e-12
+
     @pytest.mark.parametrize("dims", [(2, 2, 2), (2, 2, 3)])
     def test_random_ensemble(self, dims):
         rng = substream(21, 1, dims[-1])
