@@ -161,9 +161,11 @@ def _csv_rows(header: list[str], rows: list[list[float]]) -> str:
 
 def _load_config(path: str, expected_kind: str) -> dict:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             cfg = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    # ValueError: a JSON or UTF-8 decode error, or an integer too long to
+    # convert; RecursionError: arrays or objects nested too deep
+    except (OSError, ValueError, RecursionError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError("config root must be a JSON object")

@@ -41,6 +41,7 @@ from .states import (
     HamiltonianSpec,
     gibbs_populations,
     spectral_entropy,
+    von_neumann_entropy,
 )
 
 # ENERGY_TOL, DEGENERACY_TOL and HAMILTONIAN_TOL are in units of the largest
@@ -65,10 +66,12 @@ class CaseSpec:
     """Initial condition of a two-party heat-exchange experiment.
 
     kind "V": a single EntangledThermalSpec fixes both local Hamiltonians
-    and the (pure, entangled) joint state.  kind "S": explicit local
-    Hamiltonians and unconstrained inverse temperatures; the joint state is
-    the uncorrelated product of the two Gibbs states.  Both Hamiltonians
-    are diagonal: kind S refuses a stack or a rotated basis.
+    and the (pure, entangled) joint state; they and its inverse
+    temperatures fill h_a, h_b, beta_a and beta_b once, at construction.
+    kind "S": explicit local Hamiltonians and unconstrained inverse
+    temperatures; the joint state is the uncorrelated product of the two
+    Gibbs states.  Both Hamiltonians are diagonal: kind S refuses a stack
+    or a rotated basis.
     """
 
     kind: str
@@ -82,17 +85,20 @@ class CaseSpec:
         if self.kind == "V":
             if self.entangled is None:
                 raise InvalidSpec("kind V requires an EntangledThermalSpec")
-        elif self.kind == "S":
-            if self.h_a is None or self.h_b is None:
-                raise InvalidSpec("kind S requires both local Hamiltonians")
-            for name in ("beta_a", "beta_b"):
-                beta = finite_real(getattr(self, name), name, positive=True)
-                object.__setattr__(self, name, beta)
-            if self.h_a.dim < 2 or self.h_b.dim < 2:
-                raise InvalidSpec("exchange needs at least 2 levels per side")
-            _require_diagonal(self.h_a, self.h_b)
-        else:
+            spec = self.entangled
+            for name, value in (("h_a", spec.hamiltonian_a()), ("h_b", spec.hamiltonian_b()),
+                                ("beta_a", spec.beta_a), ("beta_b", spec.beta_b)):
+                object.__setattr__(self, name, value)
+        elif self.kind != "S":
             raise InvalidSpec(f"kind must be 'S' or 'V', got {self.kind!r}")
+        if self.h_a is None or self.h_b is None:
+            raise InvalidSpec("kind S requires both local Hamiltonians")
+        for name in ("beta_a", "beta_b"):
+            beta = finite_real(getattr(self, name), name, positive=True)
+            object.__setattr__(self, name, beta)
+        if self.h_a.dim < 2 or self.h_b.dim < 2:
+            raise InvalidSpec("exchange needs at least 2 levels per side")
+        _require_diagonal(self.h_a, self.h_b)
 
     @classmethod
     def case_v(cls, spec: EntangledThermalSpec) -> "CaseSpec":
@@ -105,13 +111,9 @@ class CaseSpec:
         return cls(kind="S", h_a=h_a, h_b=h_b, beta_a=beta_a, beta_b=beta_b)
 
     def hamiltonians(self) -> tuple[HamiltonianSpec, HamiltonianSpec]:
-        if self.kind == "V":
-            return self.entangled.hamiltonian_a(), self.entangled.hamiltonian_b()
         return self.h_a, self.h_b
 
     def betas(self) -> tuple[float, float]:
-        if self.kind == "V":
-            return self.entangled.beta_a, self.entangled.beta_b
         return self.beta_a, self.beta_b
 
 
@@ -387,17 +389,17 @@ def _meter(populations, bins, coherences, h: HamiltonianSpec, beta: float) -> tu
     """Entropy of each marginal of one side, then per final one Q = (p' -
     p) . levels and D(rho' || gamma) = beta p' . levels + ln Z - S(rho'),
     where ln Z = -beta E_0 - ln p_0 of the Gibbs row p (its ground weight
-    is 1).  The spectra are the sorted populations (eigvalsh's bits for a
-    diagonal matrix) if no coherence is nonzero, else one eigvalsh."""
+    is 1).  The entropies are von_neumann_entropy of the filled stack if a
+    coherence is nonzero, else those of the sorted populations (eigvalsh's
+    bits for a diagonal matrix)."""
     if coherences.any():
         n, d = populations.shape
         bins = (bins + d * d * np.arange(1, n)[:, None]).ravel()
         stack = np.bincount(bins, coherences.ravel(), n * d * d)
         stack.reshape(n, -1)[:, :: d + 1] = populations
-        spectra = np.linalg.eigvalsh(stack.reshape(n, d, d))
+        entropy = von_neumann_entropy(stack.reshape(n, d, d))
     else:
-        spectra = np.sort(populations, axis=-1)
-    entropy = spectral_entropy(spectra)
+        entropy = spectral_entropy(np.sort(populations, axis=-1))
     heat = np.array([row @ h.levels for row in populations[1:] - populations[0]])
     energy = np.array([row @ h.levels for row in populations[1:]])
     log_z = -beta * h.levels[0] - np.log(populations[0, 0])

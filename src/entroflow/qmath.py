@@ -7,7 +7,7 @@ Conventions fixed once for the whole package:
 - the batched kernels (partial_trace, haar_qr, kron) act on the last two
   axes and carry any leading stack axes through, matrix by matrix;
 - nothing here diagonalizes: every spectrum in the package is an
-  ``eigvalsh`` in ``states`` or ``exchange``;
+  ``eigvalsh`` in ``states``;
 - the leftmost Kronecker factor is factor 0 (subsystem A), so the joint
   basis label (i, j) maps to flat index i * d_B + j;
 - randomness flows through counter-based Philox streams derived from a

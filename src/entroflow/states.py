@@ -5,9 +5,11 @@ Every function here takes a plain matrix, one state (D, D) or a stack
 (N, D, D), and trusts it as a density operator: each state the package
 forms is exactly Hermitian, (M + M^dag) / 2 taken where it is formed.
 DensityOperator validates a matrix from outside the program, and no
-library function builds one.  An entropy is one ``eigvalsh`` of the
-matrix or of a reduced one; the only divergence is gibbs_divergence, whose
-ln gamma is known from the levels.  STATE_TOL is the one hermiticity gate.
+library function builds one.  Every spectrum in the package is one
+``eigvalsh`` made here: DensityOperator's, which decides its sign and is
+kept, and von_neumann_entropy's, of a matrix or of a reduced one.  The
+only divergence is gibbs_divergence, whose ln gamma is known from the
+levels.  STATE_TOL is the one hermiticity gate.
 
 Units: hbar = k_B = 1, natural logarithms, entropies in nats.
 """
@@ -15,7 +17,6 @@ Units: hbar = k_B = 1, natural logarithms, entropies in nats.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable
 
 import math
@@ -42,10 +43,11 @@ class DensityOperator:
     ``matrix`` is one state (D, D) or a stack of states on the same factors
     (N, D, D), stored as its Hermitian part, whose ``.matrix`` and ``.dims``
     the entropy functions and checks take.  Each matrix is checked on its
-    own within STATE_TOL, its sign by one Cholesky factorization of the
-    stack + STATE_TOL I (eigvalsh only if that fails): the first failing one
-    in stack order raises InvalidState with the message it raises alone,
-    and a NaN fails the first check.
+    own within STATE_TOL by one eigvalsh of the stack, whose ascending
+    spectra are kept as the read-only attribute ``spectrum`` (..., D); a
+    state is semidefinite exactly when its kept spectrum[..., 0] >=
+    -STATE_TOL.  The first failing matrix in stack order raises InvalidState
+    with the message it raises alone, and a NaN fails the first check.
     """
 
     matrix: np.ndarray
@@ -71,28 +73,21 @@ class DensityOperator:
         # written as "not within" so that a NaN fails
         hermitian = herm <= STATE_TOL
         unit_trace = np.abs(tr - 1.0) <= STATE_TOL
-        try:  # every eigenvalue >= -STATE_TOL: one factorization of the stack
-            np.linalg.cholesky(sym + STATE_TOL * np.eye(total))
-            lam_min = np.zeros(len(sym))
-        except np.linalg.LinAlgError:  # a NaN too: the spectra find the state
-            lam_min = np.linalg.eigvalsh(sym)[:, 0]
-        semidefinite = lam_min >= -STATE_TOL
+        # a state that already failed is solved as zeros, since LAPACK may
+        # raise on a NaN, or give a finite spectrum for one; it is never read
+        spectrum = np.linalg.eigvalsh(np.where(hermitian[:, None, None], sym, 0))
+        semidefinite = spectrum[:, 0] >= -STATE_TOL
         failed = ~(hermitian & semidefinite & unit_trace)
         if failed.any():
             t = int(np.argmax(failed))
             if not hermitian[t]:
                 raise InvalidState(f"not Hermitian: max |M - M^dag| = {herm[t]:.3e}")
             if not semidefinite[t]:
-                raise InvalidState(f"negative eigenvalue {lam_min[t]:.3e}")
+                raise InvalidState(f"negative eigenvalue {spectrum[t, 0]:.3e}")
             raise InvalidState(f"trace {float(tr[t])!r} differs from 1 beyond {STATE_TOL}")
         object.__setattr__(self, "matrix", _frozen(sym).reshape(mat.shape))
         object.__setattr__(self, "dims", dims)
-
-    @cached_property
-    def spectrum(self) -> np.ndarray:
-        """Ascending spectra, shape (..., D) (read-only), computed at the first
-        read and kept: one eigvalsh of the stack, diagonal or not."""
-        return _frozen(np.linalg.eigvalsh(self.matrix))
+        object.__setattr__(self, "spectrum", _frozen(spectrum).reshape(mat.shape[:-1]))
 
     @property
     def dim(self) -> int:
@@ -259,9 +254,9 @@ def von_neumann_entropy(matrix: np.ndarray):
 
 def subsystem_entropy(matrix: np.ndarray, dims: Iterable[int], keep: Iterable[int]):
     """Von Neumann entropy of the reduced state on the factors in ``keep``
-    of a state on factors ``dims``: one (batched) eigvalsh of the reduced
+    of a state on factors ``dims``: von_neumann_entropy of the reduced
     matrix, exactly Hermitian when ``matrix`` is."""
-    return spectral_entropy(np.linalg.eigvalsh(partial_trace(matrix, dims, keep)))
+    return von_neumann_entropy(partial_trace(matrix, dims, keep))
 
 
 def gibbs_divergence(matrix: np.ndarray, h: HamiltonianSpec, beta, entropy):

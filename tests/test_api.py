@@ -101,3 +101,30 @@ def test_each_tolerance_has_one_home():
     assert "STATE_TOL" in homes
     assert {name: where for name, where in homes.items() if len(where) != 1} == {}
     assert stray == [], f"small float literals outside a *_TOL assignment: {stray}"
+
+
+# linalg calls that decide no spectrum: a norm, and haar_qr's orthonormal
+# factor of a Ginibre draw
+NOT_SPECTRAL = {"norm", "qr"}
+
+
+def linalg_calls() -> list[str]:
+    """Each call of a ``linalg`` function in a package module, as
+    ``module.name``, and each name imported from a ``linalg`` module."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                owner = node.func.value  # np.linalg or a bare linalg
+                if getattr(owner, "attr", getattr(owner, "id", None)) == "linalg":
+                    found.append(f"{path.stem}.{node.func.attr}")
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").endswith("linalg"):
+                found += [f"{path.stem}.{alias.name}" for alias in node.names]
+    return found
+
+
+def test_every_spectrum_is_an_eigvalsh_in_states():
+    # one spectral path: no Cholesky, eigh, svd or other eigensolver, and
+    # eigvalsh in states alone
+    spectral = {call for call in linalg_calls() if call.partition(".")[2] not in NOT_SPECTRAL}
+    assert spectral == {"states.eigvalsh"}

@@ -640,6 +640,28 @@ def test_malformed_config_field_exits_2(tmp_path, argv, cfg):
     assert proc.stderr.startswith("entroflow: config error:")
 
 
+@pytest.mark.parametrize("command", [["exchange", "--case", "v"], ["clausius"]])
+@pytest.mark.parametrize(
+    "text, reason",
+    [
+        (b'{"schema_version": 1, "kind": "\xff"}', "'utf-8' codec can't decode byte 0xff"),
+        (b"[" * 200_000, "maximum recursion depth exceeded"),
+        (b'{"gamma": ' + b"1" * 5000 + b"}", "Exceeds the limit (4300 digits)"),
+    ],
+    ids=["not-utf-8", "nested-too-deep", "integer-too-long"],
+)
+def test_unreadable_config_exits_2(tmp_path, capsys, command, text, reason):
+    # a decode error, a nesting too deep for the parser or an integer of
+    # more digits than Python converts is a config error, not an internal one
+    path = tmp_path / "cfg.json"
+    path.write_bytes(text)
+    assert cli.main([*command, "--config", str(path)]) == cli.EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"entroflow: config error: cannot read config {path}: {reason}")
+    assert len(captured.err.splitlines()) == 1
+
+
 class TestGas:
     def test_reversal_demo(self):
         proc = run_cli(

@@ -458,6 +458,26 @@ class TestRunExchange:
         assert eigensolves == ([4, 4] if case.kind == "V" else [])
         assert factorizations == []
 
+    def test_case_v_builds_its_sides_once(self, monkeypatch):
+        # the entangled spec's Hamiltonians and temperatures fill the case at
+        # construction: every call returns the same objects, and a run never
+        # builds a side's Hamiltonian again
+        case = CaseSpec.case_v(DEMO_SPEC)
+        sides, betas = case.hamiltonians(), case.betas()
+        assert [a is b for a, b in zip(case.hamiltonians(), sides)] == [True, True]
+        assert betas == case.betas() == (DEMO_SPEC.beta_a, DEMO_SPEC.beta_b)
+        for h, mu in zip(sides, (DEMO_SPEC.mu_a, DEMO_SPEC.mu_b)):
+            assert np.array_equal(h.levels, DEMO_SPEC.epsilon / mu)
+        planes = demo_planes()
+        want = run_exchange(case, planes)
+
+        def rebuilt(self):
+            raise AssertionError("a side's Hamiltonian was built again")
+
+        for name in ("hamiltonian_a", "hamiltonian_b"):
+            monkeypatch.setattr(EntangledThermalSpec, name, rebuilt)
+        assert run_exchange(case, planes) == want
+
     def test_rejects_wrong_dimension(self):
         with pytest.raises(DimensionMismatch):
             run_exchange(CaseSpec.case_v(DEMO_SPEC), givens_planes(*zero_levels(4, 2), []))

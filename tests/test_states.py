@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -235,17 +236,24 @@ class TestMutualInformation:
 
 
 class TestStoredSpectrum:
-    def test_spectrum_is_solved_at_its_first_read_and_kept(self, eigensolves):
-        # validation solves nothing: the spectrum is solved at its first read
-        rho = DensityOperator(random_density(6, 3, substream(11, 11)), (2, 3))
-        assert eigensolves == []
+    def test_spectrum_is_solved_at_validation_and_kept(self, eigensolves, factorizations):
+        # validation makes the one eigensolve and keeps it: a read solves nothing
+        mat = random_density(6, 3, substream(11, 11))
+        rho = DensityOperator(mat, (2, 3))
+        assert eigensolves == [6] and factorizations == []
         spectrum = rho.spectrum
-        assert eigensolves == [6]
         assert rho.spectrum is spectrum
+        assert eigensolves == [6]
         assert np.array_equal(spectrum, np.linalg.eigvalsh(rho.matrix))
+        # a lone state has the bits it has in a stack
+        stacked = DensityOperator(np.stack([mat, mat]), (2, 3)).spectrum
+        for row in stacked:
+            assert np.array_equal(row.view(np.int64), spectrum.view(np.int64))
 
     def test_each_entropy_is_one_eigensolve_of_its_matrix(self, eigensolves):
         rho = DensityOperator(random_density(6, 3, substream(11, 11)), (2, 3))
+        assert eigensolves == [6]  # validation's, kept as rho.spectrum
+        del eigensolves[:]
         s = von_neumann_entropy(rho.matrix)
         assert eigensolves == [6]
         assert s == spectral_entropy(rho.spectrum)
@@ -259,9 +267,10 @@ class TestStoredSpectrum:
 
     @pytest.mark.parametrize("d", [2, 3, 16, 64, 256])
     def test_diagonal_stack_spectrum_is_its_sorted_diagonal(self, d, eigensolves):
-        # zeros and repeated populations included; validation solves
-        # nothing, and eigvalsh of the stack has the bits of its sorted
-        # diagonal, which the exchange meter reads in its place
+        # zeros and repeated populations included; validation makes one
+        # eigensolve of the stack, diagonal or not, and eigvalsh of the stack
+        # has the bits of its sorted diagonal, which the exchange meter reads
+        # in its place
         rng = substream(11, 15, d)
         pops = rng.uniform(0.0, 1.0, (3, d))
         pops[:, ::3] = 0.0
@@ -270,7 +279,7 @@ class TestStoredSpectrum:
         mats = np.zeros((3, d, d), dtype=complex)
         mats[:, np.arange(d), np.arange(d)] = pops
         rho = DensityOperator(mats, (d,))
-        assert eigensolves == []
+        assert eigensolves == [d]
         want = np.linalg.eigvalsh(rho.matrix)
         assert np.array_equal(rho.spectrum.view(np.int64), want.view(np.int64))
         for lam in (want, np.linalg.eigvalsh(mats.real)):  # complex and real stacks
@@ -279,11 +288,12 @@ class TestStoredSpectrum:
         assert np.max(np.abs(spectral_entropy(pops) - von_neumann_entropy(rho.matrix))) <= 1e-15
 
     def test_one_off_diagonal_entry_takes_the_eigensolve(self, eigensolves):
-        # a diagonal state in a stack with a dense one keeps its lone bits
+        # a diagonal state in a stack with a dense one keeps its lone bits;
+        # the stack is one eigensolve, made at validation
         diag = np.diag([0.1, 0.2, 0.3, 0.4]).astype(complex)
         dense = random_density(4, 4, substream(11, 16))
         stack = DensityOperator(np.stack([diag, dense]), (4,))
-        assert eigensolves == []
+        assert eigensolves == [4]
         assert stack.spectrum.shape == (2, 4)
         assert eigensolves == [4]
         for t, mat in enumerate((diag, dense)):
@@ -525,17 +535,52 @@ class TestValidation:
             DensityOperator(m, (2,))
 
     @staticmethod
-    def dense_state(lam_min: float) -> np.ndarray:
+    def dense_state(lam_min: float, rng=None) -> np.ndarray:
         # a state of spectrum (lam_min, 0.3, 0.7 - lam_min) in a random
         # basis, so that every off-diagonal entry is nonzero
-        u = haar_unitary(3, substream(11, 25))
+        u = haar_unitary(3, substream(11, 25) if rng is None else rng)
         return (u * [lam_min, 0.3, 0.7 - lam_min]) @ u.conj().T
 
-    def test_semidefinite_within_tolerance_takes_no_eigensolve(self, eigensolves):
+    def test_semidefinite_within_tolerance_is_one_kept_eigensolve(self, eigensolves, factorizations):
         mats = np.stack([self.dense_state(-0.5 * STATE_TOL), self.dense_state(0.0)])
         rho = DensityOperator(mats, (3,))
-        assert eigensolves == []
+        assert eigensolves == [3] and factorizations == []
         assert abs(rho.spectrum[0, 0] + 0.5 * STATE_TOL) <= 1e-15
+        assert eigensolves == [3]
+
+    def test_accepted_exactly_when_the_kept_spectrum_is_within_tolerance(self):
+        # lambda_min built within 1e-15 of -STATE_TOL in Haar bases: the
+        # state is accepted exactly when the spectrum it keeps reads >=
+        # -STATE_TOL.  A Cholesky of sym + STATE_TOL I (an earlier check)
+        # factors some states whose own spectrum reads below; they are refused
+        lams = -STATE_TOL + np.linspace(-1e-15, 1e-15, 41)
+        verdicts, factored_below = set(), 0
+        for k in range(100):
+            for lam in lams:
+                mat = self.dense_state(lam, substream(11, 99, k))
+                sym = (mat + mat.conj().T) / 2
+                lam_min = np.linalg.eigvalsh(sym[None])[0, 0]
+                try:
+                    kept = DensityOperator(mat, (3,)).spectrum[0]
+                except InvalidState as exc:
+                    assert str(exc) == f"negative eigenvalue {lam_min:.3e}"
+                    assert lam_min < -STATE_TOL
+                    try:
+                        np.linalg.cholesky(sym + STATE_TOL * np.eye(3))
+                        factored_below += 1
+                    except np.linalg.LinAlgError:
+                        pass
+                    verdicts.add(False)
+                else:
+                    assert kept.view(np.int64) == lam_min.view(np.int64)
+                    assert kept >= -STATE_TOL
+                    verdicts.add(True)
+        assert verdicts == {True, False} and factored_below > 0
+        # one of them, which the factorization accepts
+        mat = self.dense_state(-9.999999999999999e-11, substream(11, 99, 0))
+        np.linalg.cholesky((mat + mat.conj().T) / 2 + STATE_TOL * np.eye(3))
+        with pytest.raises(InvalidState, match=r"^negative eigenvalue -1\.000e-10$"):
+            DensityOperator(mat, (3,))
 
     def test_first_negative_state_in_the_stack_names_its_eigenvalue(self):
         for mats in (
@@ -552,6 +597,15 @@ class TestValidation:
         for mats in ([bad], [self.dense_state(0.0), bad]):
             with pytest.raises(InvalidState, match=r"^not Hermitian: max \|M - M\^dag\| = nan$"):
                 DensityOperator(np.stack(mats), (3,))
+
+    def test_overflowing_hermitian_part_is_refused(self):
+        # M = M^dag, but (M + M^dag) / 2 overflows off the diagonal: its
+        # spectrum reads NaN, so it is not semidefinite
+        m = np.array([[0.5, 1e308], [1e308, 0.5]], dtype=complex)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            with pytest.raises(InvalidState, match=r"^negative eigenvalue nan$"):
+                DensityOperator(m, (2,))
 
     def test_three_dimensional_matrix_is_a_stack(self):
         pure = np.diag([1.0, 0.0]).astype(complex)
