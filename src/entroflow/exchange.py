@@ -39,6 +39,7 @@ from .states import (
     STATE_TOL,
     EntangledThermalSpec,
     HamiltonianSpec,
+    gibbs_divergence,
     gibbs_populations,
     spectral_entropy,
     von_neumann_entropy,
@@ -387,23 +388,21 @@ def _marginals(case: CaseSpec, planes: GivensPlanes, c: np.ndarray, s: np.ndarra
 
 def _meter(populations, bins, coherences, h: HamiltonianSpec, beta: float) -> tuple[np.ndarray, ...]:
     """Entropy of each marginal of one side, then per final one Q = (p' -
-    p) . levels and D(rho' || gamma) = beta p' . levels + ln Z - S(rho'),
-    where ln Z = -beta E_0 - ln p_0 of the Gibbs row p (its ground weight
-    is 1).  The entropies are von_neumann_entropy of the filled stack if a
-    coherence is nonzero, else those of the sorted populations (eigvalsh's
-    bits for a diagonal matrix)."""
-    if coherences.any():
-        n, d = populations.shape
-        bins = (bins + d * d * np.arange(1, n)[:, None]).ravel()
-        stack = np.bincount(bins, coherences.ravel(), n * d * d)
-        stack.reshape(n, -1)[:, :: d + 1] = populations
-        entropy = von_neumann_entropy(stack.reshape(n, d, d))
-    else:
-        entropy = spectral_entropy(np.sort(populations, axis=-1))
+    p) . levels and D(rho' || gamma) = gibbs_divergence(p' . levels, S(rho')).
+    A marginal's entropy is that of its sorted populations (eigvalsh's bits
+    for a diagonal matrix), unless its angle set holds a nonzero coherence:
+    only those are filled into a stack and solved, so the Gibbs row never is."""
+    entropy = spectral_entropy(np.sort(populations, axis=-1))
+    rows = np.flatnonzero(coherences.any(axis=-1))
+    if rows.size:
+        d = populations.shape[-1]
+        bins = (bins + d * d * np.arange(rows.size)[:, None]).ravel()
+        stack = np.bincount(bins, coherences[rows].ravel(), rows.size * d * d)
+        stack.reshape(rows.size, -1)[:, :: d + 1] = populations[1 + rows]
+        entropy[1 + rows] = von_neumann_entropy(stack.reshape(-1, d, d))
     heat = np.array([row @ h.levels for row in populations[1:] - populations[0]])
     energy = np.array([row @ h.levels for row in populations[1:]])
-    log_z = -beta * h.levels[0] - np.log(populations[0, 0])
-    return entropy, heat, beta * energy + log_z - entropy[1:]
+    return entropy, heat, gibbs_divergence(energy, entropy[1:], h, beta)
 
 
 def run_exchange(case: CaseSpec, planes: GivensPlanes) -> ExchangeReport:

@@ -7,10 +7,10 @@ starts from a Gibbs state (possibly with a Hamiltonian quench).
 
 Every check takes a plain matrix and its factor dimensions, one state or,
 unchanged, a stack of them (with stacked Hamiltonians and channels), with
-one batched partial trace and eigensolve per entropy; a stack's report
-holds one entry per state in each field.  The states are trusted as
-density operators, as everywhere in ``states``, whose validator is for
-a matrix from outside the program.
+one batched partial trace and eigensolve per entropy (a Gibbs state's is
+read off its populations); a stack's report holds one entry per state in
+each field.  The states are trusted as density operators, as everywhere
+in ``states``, whose validator is for a matrix from outside the program.
 """
 
 from __future__ import annotations
@@ -25,7 +25,9 @@ from .qmath import dagger, kron, partial_trace, scalar_or_stack, trace
 from .states import (
     HamiltonianSpec,
     gibbs_divergence,
+    gibbs_populations,
     gibbs_state,
+    spectral_entropy,
     subsystem_entropy,
     von_neumann_entropy,
 )
@@ -153,20 +155,20 @@ def gibbs_evolution_identity(
         raise DimensionMismatch(
             f"final Hamiltonian dim {h_f.dim} != initial dim {h_i.dim}"
         )
-    rho_i = gibbs_state(h_i, beta)
-    rho_f = channel.apply(rho_i)
+    # rho_i is Gibbs, of spectrum p: its energy and entropy are read off p
+    p = gibbs_populations(h_i, beta)
+    rho_f = channel.apply(gibbs_state(h_i, beta))
 
-    mat_i = h_i.matrix()
-    mat_f = h_f.matrix()
-    u_i = trace(rho_i @ mat_i).real
+    mat_i, mat_f = h_i.matrix(), h_f.matrix()
+    u_i = scalar_or_stack((p * h_i.levels).sum(-1))
     u_f = trace(rho_f @ mat_f).real
     s_f = von_neumann_entropy(rho_f)
-    ds = s_f - von_neumann_entropy(rho_i)
+    ds = s_f - spectral_entropy(p)
     beta_du = beta * (u_f - u_i)
     beta_tr_rhof_dh = beta * trace(rho_f @ (mat_f - mat_i)).real
     rhs = beta_du - ds - beta_tr_rhof_dh
 
-    lhs = gibbs_divergence(rho_f, h_i, beta, s_f)
+    lhs = gibbs_divergence(trace(rho_f @ mat_i).real, s_f, h_i, beta)
     return GibbsEvolutionReport(
         relative_entropy_lhs=lhs,
         beta_du=beta_du,

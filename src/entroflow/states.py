@@ -7,9 +7,10 @@ forms is exactly Hermitian, (M + M^dag) / 2 taken where it is formed.
 DensityOperator validates a matrix from outside the program, and no
 library function builds one.  Every spectrum in the package is one
 ``eigvalsh`` made here: DensityOperator's, which decides its sign and is
-kept, and von_neumann_entropy's, of a matrix or of a reduced one.  The
-only divergence is gibbs_divergence, whose ln gamma is known from the
-levels.  STATE_TOL is the one hermiticity gate.
+kept, and von_neumann_entropy's, of a matrix or of a reduced one.  A
+Gibbs state the package forms is never solved: its entropy, energy and
+ln Z are read off gibbs_populations, as in gibbs_divergence, the only
+divergence.  STATE_TOL is the one hermiticity gate.
 
 Units: hbar = k_B = 1, natural logarithms, entropies in nats.
 """
@@ -47,7 +48,8 @@ class DensityOperator:
     spectra are kept as the read-only attribute ``spectrum`` (..., D); a
     state is semidefinite exactly when its kept spectrum[..., 0] >=
     -STATE_TOL.  The first failing matrix in stack order raises InvalidState
-    with the message it raises alone, and a NaN fails the first check.
+    with the message it raises alone; a NaN or infinite entry fails the
+    first check, and a Hermitian part that overflows the second.
     """
 
     matrix: np.ndarray
@@ -67,21 +69,26 @@ class DensityOperator:
         # one state is a stack of one, so it has the same bits as in any stack
         stack = mat.reshape(-1, total, total)
         adjoint = dagger(stack)
-        herm = np.abs(stack - adjoint).max(axis=(-2, -1))
-        sym = (stack + adjoint) / 2
-        tr = trace(sym).real
+        # an infinite entry gives a NaN, a huge one an infinite sum: refused below
+        with np.errstate(over="ignore", invalid="ignore"):
+            herm = np.abs(stack - adjoint).max(axis=(-2, -1))
+            sym = (stack + adjoint) / 2
+            tr = trace(sym).real
         # written as "not within" so that a NaN fails
         hermitian = herm <= STATE_TOL
+        finite = np.isfinite(sym).all(axis=(-2, -1))
         unit_trace = np.abs(tr - 1.0) <= STATE_TOL
         # a state that already failed is solved as zeros, since LAPACK may
-        # raise on a NaN, or give a finite spectrum for one; it is never read
-        spectrum = np.linalg.eigvalsh(np.where(hermitian[:, None, None], sym, 0))
+        # raise on a NaN or an infinity, or give a finite spectrum for one
+        spectrum = np.linalg.eigvalsh(np.where((hermitian & finite)[:, None, None], sym, 0))
         semidefinite = spectrum[:, 0] >= -STATE_TOL
-        failed = ~(hermitian & semidefinite & unit_trace)
+        failed = ~(hermitian & finite & semidefinite & unit_trace)
         if failed.any():
             t = int(np.argmax(failed))
             if not hermitian[t]:
                 raise InvalidState(f"not Hermitian: max |M - M^dag| = {herm[t]:.3e}")
+            if not finite[t]:
+                raise InvalidState("Hermitian part (M + M^dag) / 2 is not finite")
             if not semidefinite[t]:
                 raise InvalidState(f"negative eigenvalue {spectrum[t, 0]:.3e}")
             raise InvalidState(f"trace {float(tr[t])!r} differs from 1 beyond {STATE_TOL}")
@@ -205,7 +212,7 @@ class EntangledThermalSpec:
 def _positive_beta(beta) -> np.ndarray:
     b = np.asarray(beta)
     # integer or float dtypes only: no str, bool or object (as for 10**400)
-    if b.dtype.kind not in "iuf" or not np.all((b > 0) & (b < np.inf)):
+    if b.dtype.kind not in "iuf" or not ((b > 0) & (b < np.inf)).all():
         raise InvalidSpec(f"beta must be finite and positive, got {beta!r}")
     return b.astype(float, copy=False)
 
@@ -225,14 +232,6 @@ def gibbs_state(h: HamiltonianSpec, beta) -> np.ndarray:
     exactly Hermitian; a stack of states for stacked Hamiltonians or betas."""
     m = h.in_basis(gibbs_populations(h, beta))
     return (m + dagger(m)) / 2
-
-
-def log_partition(h: HamiltonianSpec, beta):
-    """ln Z = ln tr exp(-beta H), evaluated stably."""
-    b = _positive_beta(beta)
-    e0 = h.levels[..., 0]
-    z = np.exp(-b[..., None] * (h.levels - e0[..., None])).sum(-1)
-    return scalar_or_stack(-b * e0 + np.log(z))
 
 
 def spectral_entropy(lam: np.ndarray):
@@ -259,14 +258,12 @@ def subsystem_entropy(matrix: np.ndarray, dims: Iterable[int], keep: Iterable[in
     return von_neumann_entropy(partial_trace(matrix, dims, keep))
 
 
-def gibbs_divergence(matrix: np.ndarray, h: HamiltonianSpec, beta, entropy):
-    """S(rho || gamma) for the Gibbs state gamma = exp(-beta H)/Z, from the
-    exact ln gamma = -beta H - ln Z: beta tr(rho H) + ln Z - S(rho), with
-    tr(rho H) from the d x d matrix of H and S(rho) = ``entropy`` given by
-    the caller, who has it already.  No eigensolve, and no support floor:
-    a Gibbs population is positive even where exp(-beta E) underflows.
-    """
-    if matrix.shape[-1] != h.dim:
-        raise DimensionMismatch(f"dimension mismatch: {matrix.shape[-1]} vs {h.dim}")
-    mean_energy = trace(matrix @ h.matrix()).real
-    return beta * mean_energy + log_partition(h, beta) - entropy
+def gibbs_divergence(energy, entropy, h: HamiltonianSpec, beta):
+    """S(rho || gamma) for gamma = exp(-beta H)/Z, from the energy tr(rho H)
+    and entropy S(rho) that the caller has: beta E + ln Z - S, with ln Z =
+    -beta E_0 - ln p_0 read off the Gibbs row p (its ground weight is 1).
+    No eigensolve and no support floor: a Gibbs population is positive even
+    where exp(-beta E) underflows.  A stack gives one value per state."""
+    ground = gibbs_populations(h, beta)[..., 0]  # which checks beta
+    log_z = -beta * h.levels[..., 0] - np.log(ground)
+    return scalar_or_stack(beta * energy + log_z - entropy)

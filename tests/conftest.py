@@ -43,17 +43,17 @@ def eigensolves(monkeypatch) -> list[int]:
 
 
 @pytest.fixture()
-def factorizations(monkeypatch) -> list[int]:
-    """Matrix dimension of every numpy Cholesky factorization made during
-    the test (a stack of them is one call)."""
-    dims: list[int] = []
+def eigensolve_shapes(monkeypatch) -> list[tuple[int, ...]]:
+    """Shape of the matrix or stack of every numpy eigvalsh made during the
+    test: (D, D) for one matrix, (N, D, D) for a stack of N."""
+    shapes: list[tuple[int, ...]] = []
 
-    def counted(a, *args, _solver=np.linalg.cholesky, **kwargs):
-        dims.append(np.shape(a)[-1])
+    def counted(a, *args, _solver=np.linalg.eigvalsh, **kwargs):
+        shapes.append(np.shape(a))
         return _solver(a, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "cholesky", counted)
-    return dims
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    return shapes
 
 
 def haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:

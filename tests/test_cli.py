@@ -148,18 +148,16 @@ class TestIneqBatches:
     @pytest.mark.parametrize(
         "check, dims, joint, terms",
         [("ssa", "2,2,2", 8, 4), ("eq1", "2,2,2,2", 16, 4 + 6), ("eq1", "2,2,2", 8, 3 + 3),
-         ("eq2", "2,2", 4, 2), ("eq2", "3", 6, 2)],
+         ("eq2", "2,2", 4, 1), ("eq2", "3", 6, 1)],
     )
-    def test_no_factorization_and_one_eigensolve_per_entropy_term(
-        self, check, dims, joint, terms, factorizations, eigensolves, tmp_path
-    ):
+    def test_one_eigensolve_per_entropy_term(self, check, dims, joint, terms, eigensolves, tmp_path):
         # the states are valid by construction: no batch validates them, and
         # each entropy term of a batch (ssa: 4; eq1: n singles and n(n-1)/2
-        # pairs; eq2: S(rho_i) and S(rho_f)) is one eigvalsh of the stack
+        # pairs; eq2: S(rho_f), as S(rho_i) is read off the Gibbs
+        # populations) is one eigvalsh of the stack
         argv = ["ineq", "--check", check, "--dims", dims, "--trials", "1000", "--seed", "7"]
         assert cli.main([*argv, "--output", str(tmp_path / "out.json")]) == cli.EXIT_OK
         batches = math.ceil(1000 / max(1, cli.BATCH_ELEMENTS // joint**2))
-        assert factorizations == []
         assert len(eigensolves) == terms * batches
 
     # 1: one trial per batch; 1000: ragged batches of 3 to 62 trials

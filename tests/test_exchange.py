@@ -449,14 +449,23 @@ class TestRunExchange:
         ],
         ids=["V", "S"],
     )
-    def test_no_joint_eigensolves(self, case, eigensolves, factorizations):
-        # the joint entropy is the initial state's: only marginals are
-        # diagonalized, one stack a side for V; the demo plane shares no
-        # index, so both S stacks are diagonal and read off their diagonal.
-        # No state is built, so nothing is factored
+    def test_no_joint_eigensolves(self, case, eigensolve_shapes):
+        # the joint entropy is the initial state's: only final marginals
+        # are diagonalized, one d x d a side for V (the Gibbs row is read
+        # off its populations, never solved); the demo plane shares no
+        # index, so both S marginals are diagonal and read off their diagonal
         run_exchange(case, demo_planes())
-        assert eigensolves == ([4, 4] if case.kind == "V" else [])
-        assert factorizations == []
+        assert eigensolve_shapes == ([(1, 4, 4)] * 2 if case.kind == "V" else [])
+
+    def test_sweep_solves_no_angle_set_without_a_coherence(self, eigensolve_shapes):
+        # phi = 0 leaves every V marginal diagonal: a sweep through it
+        # solves the other angle sets only, at d = 4 and d = 16
+        angles = np.array([0.0, 0.3, 1.2])
+        run_exchange(CaseSpec.case_v(DEMO_SPEC), demo_planes().at_angle(angles))
+        (case, planes), _ = shell_cases(16)
+        assert case.kind == "V"
+        run_exchange(case, planes.at_angle(STACK_ANGLES))
+        assert eigensolve_shapes == [(2, 4, 4)] * 2 + [(STACK_ANGLES.size - 1, 16, 16)] * 2
 
     def test_case_v_builds_its_sides_once(self, monkeypatch):
         # the entangled spec's Hamiltonians and temperatures fill the case at
@@ -1262,8 +1271,8 @@ def stacked_cases():
     return out
 
 
-# 0 leaves every final marginal diagonal, so in a stack it takes the
-# eigensolve that the other rows need, where alone it reads its diagonal
+# 0 leaves every final marginal diagonal, so it reads its diagonal in a
+# stack as it does alone, while the other rows are solved
 STACK_ANGLES = np.array([0.0, 0.1, 0.45, 0.9, math.pi / 2, 2.0, -0.7])
 
 

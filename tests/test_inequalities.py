@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -286,6 +287,29 @@ class TestStackedKernel:
             )
             for field, value in want.items():
                 assert abs(getattr(report, field)[t] - value) <= 1e-14, field
+
+    def test_eq2_solves_the_final_states_alone(self, eigensolve_shapes):
+        # rho_i is Gibbs, diagonal in H_i's basis: its entropy, energy and
+        # ln Z are read off its populations, so a stack makes one eigvalsh,
+        # of the final states, and one trial one of its final state
+        rng = substream(22, 200)
+        n, d_sys, d_anc = 5, 3, 2
+        levels = [np.sort(rng.uniform(0.0, 1.2, (n, d_sys)), axis=-1) for _ in range(2)]
+        h_i, h_f = (
+            HamiltonianSpec(lv, np.stack([haar_unitary(d_sys, rng) for _ in range(n)]))
+            for lv in levels
+        )
+        unitary = np.stack([haar_unitary(d_sys * d_anc, rng) for _ in range(n)])
+        channel = AncillaChannel(unitary, random_stack(d_anc, n, rng))
+        beta = np.exp(rng.uniform(np.log(0.1), np.log(10.0), n))
+        stacked = gibbs_evolution_identity(h_i, beta, channel, h_f)
+        assert eigensolve_shapes == [(n, d_sys, d_sys)]
+        one = AncillaChannel(unitary[0], channel.ancilla[0])
+        h_i0, h_f0 = (HamiltonianSpec(h.levels[0], h.basis[0]) for h in (h_i, h_f))
+        single = gibbs_evolution_identity(h_i0, float(beta[0]), one, h_f0)
+        assert eigensolve_shapes[1:] == [(d_sys, d_sys)]
+        assert all(type(x) is float for x in dataclasses.astuple(single))
+        assert max(single.identity_gap, stacked.identity_gap[0]) <= 1e-14
 
     def test_single_state_is_a_stack_of_one(self):
         # the one-state API runs the stacked code: its report is the stack's

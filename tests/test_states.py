@@ -35,7 +35,7 @@ from entroflow import (
     substream,
     von_neumann_entropy,
 )
-from entroflow.states import STATE_TOL, log_partition, spectral_entropy
+from entroflow.states import STATE_TOL, spectral_entropy
 
 QUBIT = HamiltonianSpec(np.array([0.0, 1.0]))
 LADDER4 = HamiltonianSpec(np.array([0.0, 1.0, 2.0, 3.0]))
@@ -43,6 +43,11 @@ LADDER4 = HamiltonianSpec(np.array([0.0, 1.0, 2.0, 3.0]))
 
 def entropy_from_probs(p):
     return -sum(q * math.log(q) for q in p if q > 0)
+
+
+def mean_energy(matrix, h):
+    """tr(rho H) from the d x d matrix of H."""
+    return float(np.trace(matrix @ h.matrix()).real)
 
 
 def mutual_information(rho, i, j):
@@ -64,9 +69,10 @@ class TestGibbsState:
         assert abs(rho[1, 1].real - (1 - p0)) < 1e-4
 
     def test_four_level_partition_function(self):
-        # scalar oracle: Z = sum_i e^-i = 1.5530...
+        # scalar oracle: Z = sum_i e^-i = 1.5530..., the inverse of the
+        # ground population, whose weight is 1
         z_oracle = sum(math.exp(-i) for i in range(4))
-        assert abs(math.exp(log_partition(LADDER4, 1.0)) - z_oracle) < 1e-4
+        assert abs(1.0 / gibbs_populations(LADDER4, 1.0)[0] - z_oracle) < 1e-4
         assert abs(z_oracle - 1.5530) < 1e-4
 
     def test_commutes_and_populations_decrease(self):
@@ -156,14 +162,14 @@ class TestRelativeEntropy:
         rng = substream(11, 4)
         beta = 1.3
         sigma = DensityOperator(gibbs_state(LADDER4, beta), (4,))
-        lnz = log_partition(LADDER4, beta)
+        lnz = math.log(sum(math.exp(-beta * e) for e in LADDER4.levels))
         for _ in range(25):
             rho = DensityOperator(random_density(4, int(rng.integers(1, 5)), rng), (4,))
             energy = float(np.trace(rho.matrix @ LADDER4.matrix()).real)
             s = von_neumann_entropy(rho.matrix)
             oracle = beta * energy - s + lnz
             assert abs(relative_entropy(rho, sigma) - oracle) <= 1e-9
-            got = gibbs_divergence(rho.matrix, LADDER4, beta, s)
+            got = gibbs_divergence(energy, s, LADDER4, beta)
             assert abs(got - relative_entropy(rho, sigma)) <= 1e-9
 
 
@@ -176,7 +182,9 @@ class TestGibbsDivergence:
         for _ in range(10):
             rho = DensityOperator(random_density(4, int(rng.integers(1, 5)), rng), (4,))
             expected = relative_entropy(rho, sigma)
-            got = gibbs_divergence(rho.matrix, LADDER4, 1.3, von_neumann_entropy(rho.matrix))
+            got = gibbs_divergence(
+                mean_energy(rho.matrix, LADDER4), von_neumann_entropy(rho.matrix), LADDER4, 1.3
+            )
             assert abs(got - expected) <= 1e-13
 
     def test_population_below_support_floor(self):
@@ -186,7 +194,8 @@ class TestGibbsDivergence:
         h = HamiltonianSpec(np.array([0.0, 40.0]))
         rho = np.eye(2, dtype=complex) / 2
         oracle = 20.0 + math.log1p(math.exp(-40.0)) - math.log(2)
-        assert abs(gibbs_divergence(rho, h, 1.0, von_neumann_entropy(rho)) - oracle) <= 1e-12
+        got = gibbs_divergence(mean_energy(rho, h), von_neumann_entropy(rho), h, 1.0)
+        assert abs(got - oracle) <= 1e-12
 
     def test_population_underflowing_to_zero_is_exact(self):
         # exp(-800) is exactly 0.0 in double precision, yet ln gamma =
@@ -194,11 +203,25 @@ class TestGibbsDivergence:
         h = HamiltonianSpec(np.array([0.0, 800.0]))
         assert gibbs_populations(h, 1.0)[1] == 0.0
         rho = np.eye(2, dtype=complex) / 2
-        assert gibbs_divergence(rho, h, 1.0, von_neumann_entropy(rho)) == 400.0 - math.log(2)
+        got = gibbs_divergence(mean_energy(rho, h), von_neumann_entropy(rho), h, 1.0)
+        assert got == 400.0 - math.log(2)
 
-    def test_rejects_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            gibbs_divergence(gibbs_state(QUBIT, 1.0), LADDER4, 1.0, 0.0)
+    def test_gibbs_state_is_at_rounding_from_itself(self):
+        # the energy and entropy of gamma, read off its populations, give
+        # D(gamma || gamma) = 0 to rounding, one entry per stacked state
+        levels = np.array([[0.0, 1.0, 2.0, 3.0], [-1.0, 0.5, 0.5, 7.0]])
+        beta = np.array([1.3, 0.2])
+        h = HamiltonianSpec(levels)
+        p = gibbs_populations(h, beta)
+        got = gibbs_divergence((p * levels).sum(-1), spectral_entropy(p), h, beta)
+        assert got.shape == (2,) and np.all(np.abs(got) <= 1e-15)
+        lone = gibbs_divergence((p[0] * levels[0]).sum(), spectral_entropy(p[0]), LADDER4, 1.3)
+        assert isinstance(lone, float) and lone == got[0]
+
+    @pytest.mark.parametrize("beta", [0.0, -1.0, math.inf, math.nan])
+    def test_refuses_a_beta_that_is_not_positive_and_finite(self, beta):
+        with pytest.raises(InvalidSpec, match="beta must be finite and positive"):
+            gibbs_divergence(1.0, 0.0, LADDER4, beta)
 
 
 class TestMutualInformation:
@@ -236,11 +259,11 @@ class TestMutualInformation:
 
 
 class TestStoredSpectrum:
-    def test_spectrum_is_solved_at_validation_and_kept(self, eigensolves, factorizations):
+    def test_spectrum_is_solved_at_validation_and_kept(self, eigensolves):
         # validation makes the one eigensolve and keeps it: a read solves nothing
         mat = random_density(6, 3, substream(11, 11))
         rho = DensityOperator(mat, (2, 3))
-        assert eigensolves == [6] and factorizations == []
+        assert eigensolves == [6]
         spectrum = rho.spectrum
         assert rho.spectrum is spectrum
         assert eigensolves == [6]
@@ -541,10 +564,10 @@ class TestValidation:
         u = haar_unitary(3, substream(11, 25) if rng is None else rng)
         return (u * [lam_min, 0.3, 0.7 - lam_min]) @ u.conj().T
 
-    def test_semidefinite_within_tolerance_is_one_kept_eigensolve(self, eigensolves, factorizations):
+    def test_semidefinite_within_tolerance_is_one_kept_eigensolve(self, eigensolves):
         mats = np.stack([self.dense_state(-0.5 * STATE_TOL), self.dense_state(0.0)])
         rho = DensityOperator(mats, (3,))
-        assert eigensolves == [3] and factorizations == []
+        assert eigensolves == [3]
         assert abs(rho.spectrum[0, 0] + 0.5 * STATE_TOL) <= 1e-15
         assert eigensolves == [3]
 
@@ -598,14 +621,32 @@ class TestValidation:
             with pytest.raises(InvalidState, match=r"^not Hermitian: max \|M - M\^dag\| = nan$"):
                 DensityOperator(np.stack(mats), (3,))
 
-    def test_overflowing_hermitian_part_is_refused(self):
-        # M = M^dag, but (M + M^dag) / 2 overflows off the diagonal: its
-        # spectrum reads NaN, so it is not semidefinite
-        m = np.array([[0.5, 1e308], [1e308, 0.5]], dtype=complex)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            with pytest.raises(InvalidState, match=r"^negative eigenvalue nan$"):
-                DensityOperator(m, (2,))
+    @pytest.mark.parametrize(
+        "m",
+        [[[0.5, 1e308], [1e308, 0.5]], [[1e308, 0.0], [0.0, 1e308]]],
+        ids=["off-diagonal", "diagonal"],
+    )
+    def test_overflowing_hermitian_part_is_refused(self, m, monkeypatch):
+        # M = M^dag, but (M + M^dag) / 2 overflows: it is refused as not
+        # finite, with no warning, whatever LAPACK would make of it, also
+        # after a valid state in a stack
+        solved = []
+
+        def finite_only(a, _solver=np.linalg.eigvalsh):
+            solved.append(bool(np.isfinite(a).all()))
+            return _solver(a)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", finite_only)
+        m = np.array(m, dtype=complex)
+        for mats in ([m], [np.eye(2) / 2, m]):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(
+                    InvalidState, match=r"^Hermitian part \(M \+ M\^dag\) / 2 is not finite$"
+                ):
+                    DensityOperator(np.stack(mats), (2,))
+        # the solve sees zeros in its place, never the infinity
+        assert solved == [True, True]
 
     def test_three_dimensional_matrix_is_a_stack(self):
         pure = np.diag([1.0, 0.0]).astype(complex)
