@@ -26,7 +26,6 @@ from .exchange import (
 )
 from .gas import (
     CollisionSpec,
-    draw_pairs,
     ensemble_heat,
     x_parameter,
 )

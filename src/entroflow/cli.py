@@ -108,23 +108,18 @@ def _numpy_value(value):
     raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
-def _dumps(value, **kwargs) -> str:
-    # NaN and infinity are not JSON: such a result is refused, not written
+def _dumps(value) -> str:
+    # canonical JSON: compact, key-sorted, round-trip-exact doubles; NaN and inf refused
     try:
-        return json.dumps(value, sort_keys=True, allow_nan=False, default=_numpy_value, **kwargs)
+        return json.dumps(value, sort_keys=True, allow_nan=False, default=_numpy_value)
     except ValueError as exc:
         raise NonFiniteResult(f"result is not finite: {exc}") from exc
 
 
-def payload_json(payload: dict) -> str:
-    """Canonical serialization: key-sorted, round-trip-exact doubles."""
-    return _dumps(payload)
-
-
 def make_envelope(command: str, config: dict, seed: int | None, payload: dict, wall_time: float) -> str:
     """The result envelope as JSON text, one line per top-level key in sorted
-    order; each value is compact JSON, so json's C encoder runs (it does not
-    with ``indent``), and the payload's is ``payload_json(payload)``."""
+    order; each value, the payload too, is ``_dumps``' canonical JSON, which
+    is compact, so json's C encoder runs (it does not with ``indent``)."""
     envelope = {
         "tool_version": __version__,
         "schema_version": SCHEMA_VERSION,

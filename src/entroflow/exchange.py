@@ -387,8 +387,8 @@ def _marginals(case: CaseSpec, planes: GivensPlanes, c: np.ndarray, s: np.ndarra
 
 
 def _meter(populations, bins, coherences, h: HamiltonianSpec, beta: float) -> tuple[np.ndarray, ...]:
-    """Entropy of each marginal of one side, then per final one Q = (p' -
-    p) . levels and D(rho' || gamma) = gibbs_divergence(p' . levels, S(rho')).
+    """Entropy of each marginal of one side, then per final one Q = (p' - p)
+    . levels and D(rho' || gamma) = gibbs_divergence(p' . levels, S(rho'), p).
     A marginal's entropy is that of its sorted populations (eigvalsh's bits
     for a diagonal matrix), unless its angle set holds a nonzero coherence:
     only those are filled into a stack and solved, so the Gibbs row never is."""
@@ -402,7 +402,7 @@ def _meter(populations, bins, coherences, h: HamiltonianSpec, beta: float) -> tu
         entropy[1 + rows] = von_neumann_entropy(stack.reshape(-1, d, d))
     heat = np.array([row @ h.levels for row in populations[1:] - populations[0]])
     energy = np.array([row @ h.levels for row in populations[1:]])
-    return entropy, heat, gibbs_divergence(energy, entropy[1:], h, beta)
+    return entropy, heat, gibbs_divergence(energy, entropy[1:], h, beta, populations[0])
 
 
 def run_exchange(case: CaseSpec, planes: GivensPlanes) -> ExchangeReport:

@@ -126,24 +126,15 @@ def x_parameter(spec: CollisionSpec) -> float:
     return (spec.m_a / (spec.m_a + spec.m_b)) * (spec.alpha_a + spec.alpha_b) / spec.alpha_a
 
 
-def draw_pairs(spec: CollisionSpec, mode: str, rng: np.random.Generator, n: int):
-    """n incoming momentum pairs with their scattering angles.
-
-    Entangled mode draws 3 normals per event for the shared vector k (per
-    component variance 1/gamma) and sets p_a = alpha_a k, p_b =
-    alpha_b k; product mode draws 3 + 3 normals for independent Maxwellian
-    momenta (per-component variance m T, mean kinetic energy (3/2) T).
-    Both then draw cos(theta) uniform on [-1, 1] and the azimuth uniform on
-    [0, 2 pi).  Returns (p_a, p_b, cos_theta, azimuth), momenta (n, 3).
-    """
-    pairs = (np.empty((n, 3)), np.empty((n, 3)), np.empty(n), np.empty(n))
-    _fill_pairs(spec, mode, rng, *pairs)
-    return pairs
-
-
 def _fill_pairs(spec: CollisionSpec, mode: str, rng, p_a, p_b, cos_theta, azimuth) -> None:
-    # draw_pairs' draws, written into the arrays given; uniform(lo, hi) is
-    # lo + (hi - lo) u, so scaling random() in place keeps every bit
+    """n incoming momentum pairs and their scattering angles, written into
+    the (n, 3) momenta and length-n angles given.  Entangled mode draws 3
+    normals per event for the shared vector k (per component variance
+    1/gamma) and sets p_a = alpha_a k, p_b = alpha_b k; product mode draws
+    3 + 3 normals for independent Maxwellian momenta (per-component
+    variance m T, mean kinetic energy (3/2) T).  Both then draw cos(theta)
+    uniform on [-1, 1] and the azimuth uniform on [0, 2 pi): uniform(lo,
+    hi) is lo + (hi - lo) u, so scaling random() in place keeps every bit."""
     if mode == "entangled":
         rng.standard_normal(out=p_b)  # k
         p_b *= math.sqrt(1.0 / spec.gamma)
@@ -206,7 +197,7 @@ def energy_events(spec: CollisionSpec, mode: str, flux: bool, p_a, p_b, cos_thet
     """Per-event energy gained by particle a, flux weight and fractional
     gain of n collisions, without building the outgoing momenta.
 
-    Takes draw_pairs' (n, 3) momenta and length-n angles.  Returns (de_a,
+    Takes _fill_pairs' (n, 3) momenta and length-n angles.  Returns (de_a,
     w, gain, gap): de_a = V . (q' - q), w = |p_a/m_a - p_b/m_b| (None
     when flux is off), gain = de_a / E_a and gap, the largest |gain -
     2x(x-1)(1 - cos(theta))| over the events (both None outside entangled

@@ -168,7 +168,7 @@ def gibbs_evolution_identity(
     beta_tr_rhof_dh = beta * trace(rho_f @ (mat_f - mat_i)).real
     rhs = beta_du - ds - beta_tr_rhof_dh
 
-    lhs = gibbs_divergence(trace(rho_f @ mat_i).real, s_f, h_i, beta)
+    lhs = gibbs_divergence(trace(rho_f @ mat_i).real, s_f, h_i, beta, p)
     return GibbsEvolutionReport(
         relative_entropy_lhs=lhs,
         beta_du=beta_du,

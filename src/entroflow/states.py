@@ -9,8 +9,8 @@ library function builds one.  Every spectrum in the package is one
 ``eigvalsh`` made here: DensityOperator's, which decides its sign and is
 kept, and von_neumann_entropy's, of a matrix or of a reduced one.  A
 Gibbs state the package forms is never solved: its entropy, energy and
-ln Z are read off gibbs_populations, as in gibbs_divergence, the only
-divergence.  STATE_TOL is the one hermiticity gate.
+ln Z are read off its Gibbs row, which gibbs_divergence, the only
+divergence, takes from its caller.  STATE_TOL is the one hermiticity gate.
 
 Units: hbar = k_B = 1, natural logarithms, entropies in nats.
 """
@@ -258,12 +258,12 @@ def subsystem_entropy(matrix: np.ndarray, dims: Iterable[int], keep: Iterable[in
     return von_neumann_entropy(partial_trace(matrix, dims, keep))
 
 
-def gibbs_divergence(energy, entropy, h: HamiltonianSpec, beta):
-    """S(rho || gamma) for gamma = exp(-beta H)/Z, from the energy tr(rho H)
-    and entropy S(rho) that the caller has: beta E + ln Z - S, with ln Z =
-    -beta E_0 - ln p_0 read off the Gibbs row p (its ground weight is 1).
-    No eigensolve and no support floor: a Gibbs population is positive even
-    where exp(-beta E) underflows.  A stack gives one value per state."""
-    ground = gibbs_populations(h, beta)[..., 0]  # which checks beta
-    log_z = -beta * h.levels[..., 0] - np.log(ground)
+def gibbs_divergence(energy, entropy, h: HamiltonianSpec, beta, p):
+    """S(rho || gamma) for gamma = exp(-beta H)/Z, from the energy tr(rho H),
+    entropy S(rho) and Gibbs row p = gibbs_populations(h, beta) the caller
+    has: beta E + ln Z - S, with ln Z = -beta E_0 - ln p_0.  No eigensolve
+    and no support floor: a Gibbs population is positive even where
+    exp(-beta E) underflows.  A stack gives one value per state."""
+    _positive_beta(beta)
+    log_z = -beta * h.levels[..., 0] - np.log(p[..., 0])
     return scalar_or_stack(beta * energy + log_z - entropy)

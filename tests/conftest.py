@@ -11,6 +11,7 @@ import pytest
 from entroflow import (
     AncillaChannel,
     CaseSpec,
+    CollisionSpec,
     DimensionMismatch,
     DensityOperator,
     EntangledThermalSpec,
@@ -22,9 +23,10 @@ from entroflow import (
     dagger,
     partial_trace,
 )
+from entroflow import exchange, inequalities, states
 from entroflow.errors import finite_real
 from entroflow.exchange import DEGENERACY_TOL, GivensPlanes
-from entroflow.gas import _cross, _de_a, _invariants, _norm, _square
+from entroflow.gas import _cross, _de_a, _fill_pairs, _invariants, _norm, _square
 from entroflow.qmath import haar_qr
 
 
@@ -53,6 +55,22 @@ def eigensolve_shapes(monkeypatch) -> list[tuple[int, ...]]:
         return _solver(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    return shapes
+
+
+@pytest.fixture()
+def gibbs_rows(monkeypatch) -> list[tuple[int, ...]]:
+    """Shape of every Gibbs row (gibbs_populations) that states, exchange or
+    inequalities formed during the test: (d,) for one, (N, d) for a stack."""
+    shapes: list[tuple[int, ...]] = []
+
+    def counted(h, beta, _form=states.gibbs_populations):
+        rows = _form(h, beta)
+        shapes.append(rows.shape)
+        return rows
+
+    for module in (states, exchange, inequalities):
+        monkeypatch.setattr(module, "gibbs_populations", counted)
     return shapes
 
 
@@ -316,15 +334,42 @@ def planes_matrix(planes: GivensPlanes) -> np.ndarray:
     return out
 
 
-def dense_exchange_reference(case: CaseSpec, u: np.ndarray) -> dict:
+def shell_haar_unitary(case: CaseSpec, rng) -> np.ndarray:
+    """Dense joint unitary with an independent Haar block on each
+    total-energy shell: the joint basis states whose energies lie within
+    DEGENERACY_TOL times the largest |level| of the next (a test oracle).
+    It commutes with the bare total Hamiltonian, as a plane form does."""
+    h_a, h_b = case.hamiltonians()
+    tol = DEGENERACY_TOL * max(np.abs(h.levels).max() for h in (h_a, h_b))
+    energies = np.add.outer(h_a.levels, h_b.levels).ravel()
+    order = np.argsort(energies, kind="stable")
+    out = np.zeros((energies.size, energies.size), dtype=complex)
+    for shell in np.split(order, np.flatnonzero(np.diff(energies[order]) > tol) + 1):
+        out[np.ix_(shell, shell)] = haar_unitary(shell.size, rng)
+    return out
+
+
+def dephased_twin(spec: EntangledThermalSpec) -> np.ndarray:
+    """Dense C = sum_i p_i |ii><ii|, p_i = a_i^2 (a test oracle): the V
+    state with every coherence between total-energy shells removed, when
+    epsilon repeats no level.  C is separable, with V's Gibbs marginals and
+    half its mutual information."""
+    paired = np.arange(spec.dim) * (spec.dim + 1)
+    out = np.zeros((spec.dim**2, spec.dim**2), dtype=complex)
+    out[paired, paired] = spec.amplitudes() ** 2
+    return out
+
+
+def dense_exchange_reference(case: CaseSpec, u: np.ndarray, rho0: np.ndarray | None = None) -> dict:
     """Every ExchangeReport field from the dense joint state u rho0 u^dag,
     for any dense joint unitary u (a test oracle), plus the two final
-    marginals under "marginals"."""
+    marginals under "marginals".  rho0 is the case's initial_state unless
+    given, as a dephased_twin."""
     h_a, h_b = case.hamiltonians()
     beta_a, beta_b = case.betas()
     dims = (h_a.dim, h_b.dim)
     mat_a, mat_b = h_a.matrix(), h_b.matrix()
-    rho0 = initial_state(case).matrix
+    rho0 = initial_state(case).matrix if rho0 is None else rho0
     rho1 = u @ rho0 @ u.conj().T
 
     def entropy(m):
@@ -438,8 +483,18 @@ def oracle_gibbs_evolution(levels_i, basis_i, beta, unitary, ancilla, levels_f, 
 
 
 # ------------------------------------------------------------------------
-# Gas oracles: the outgoing momenta of a collision, which no command
-# builds, and the closed-form gain of the entangled ensemble.
+# Gas oracles: incoming pairs in arrays of their own and the outgoing
+# momenta of a collision, which no command builds, and the closed-form gain
+# of the entangled ensemble.
+
+def draw_pairs(spec: CollisionSpec, mode: str, rng: np.random.Generator, n: int):
+    """n incoming momentum pairs with their scattering angles, drawn by
+    ``gas._fill_pairs`` into new arrays: (p_a, p_b, cos_theta, azimuth),
+    momenta (n, 3) and length-n angles."""
+    pairs = (np.empty((n, 3)), np.empty((n, 3)), np.empty(n), np.empty(n))
+    _fill_pairs(spec, mode, rng, *pairs)
+    return pairs
+
 
 def fractional_gain(x: float, theta) -> np.ndarray | float:
     """Closed-form fractional kinetic-energy gain of particle a,

@@ -1,8 +1,9 @@
 """Golden payload digests: byte identity of every command's payload.
 
 Each case is one ``entroflow`` command line, built from a seed.  Its digest
-is the SHA-256 of the canonical payload (``cli.payload_json``) of the JSON
-envelope the command writes, or of the whole file for a ``--sweep`` CSV.
+is the SHA-256 of the canonical payload (``cli._dumps``, the encoder of
+every envelope line) of the JSON envelope the command writes, or of the
+whole file for a ``--sweep`` CSV.
 ``golden_payloads.json`` holds the digests of the current code;
 ``test_golden.py`` recomputes them with ENTROFLOW_THREADS at 1 and at 2.
 
@@ -140,7 +141,7 @@ def payload_bytes(argv: list[str], workdir: Path) -> bytes:
         raise AssertionError(f"{' '.join(argv)} exited {code}")
     if "--sweep" in argv:
         return out.read_bytes()
-    return cli.payload_json(json.loads(out.read_text())["payload"]).encode()
+    return cli._dumps(json.loads(out.read_text())["payload"]).encode()
 
 
 def digests(workdir: Path) -> dict[str, str]:

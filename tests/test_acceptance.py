@@ -16,6 +16,7 @@ import numpy as np
 
 from conftest import (
     collide,
+    draw_pairs,
     fractional_gain,
     ghz_state,
     haar_unitary,
@@ -35,7 +36,6 @@ from entroflow import (
     check_ssa,
     clausius_cycle,
     CollisionSpec,
-    draw_pairs,
     ensemble_heat,
     gibbs_evolution_identity,
     gibbs_populations,

@@ -14,12 +14,14 @@ from conftest import (
     marginal,
     random_density,
     dense_exchange_reference,
+    dephased_twin,
     initial_state,
     partial_swap,
     planes_matrix,
     random_conserving_planes,
     random_entangled_spec,
     random_rotations,
+    shell_haar_unitary,
     shell_planes,
 )
 
@@ -456,6 +458,15 @@ class TestRunExchange:
         # index, so both S marginals are diagonal and read off their diagonal
         run_exchange(case, demo_planes())
         assert eigensolve_shapes == ([(1, 4, 4)] * 2 if case.kind == "V" else [])
+
+    @pytest.mark.parametrize("angles", [math.pi / 2, np.array([0.0, 0.3, 1.2])], ids=["one", "sweep"])
+    def test_forms_each_gibbs_row_once(self, angles, gibbs_rows):
+        # one row a side, from which the initial marginal is built and the
+        # divergence reads ln Z, for V and S, one angle set or a stack
+        case_s = CaseSpec.case_s(DEMO_SPEC.hamiltonian_a(), 1.0, DEMO_SPEC.hamiltonian_b(), 0.5)
+        for case in (CaseSpec.case_v(DEMO_SPEC), case_s):
+            run_exchange(case, demo_planes().at_angle(angles))
+        assert gibbs_rows == [(4,)] * 4
 
     def test_sweep_solves_no_angle_set_without_a_coherence(self, eigensolve_shapes):
         # phi = 0 leaves every V marginal diagonal: a sweep through it
@@ -1106,6 +1117,35 @@ class TestPlaneForm:
             dense = dense_exchange_reference(case, planes_matrix(planes))
             assert run_exchange(case, planes).energy_conserving is conserving
             assert dense["energy_conserving"] is conserving
+
+
+class TestDephasedTwin:
+    """Which correlation carries the heat.  A work-free coupling U commutes
+    with H_A + H_B, so tr(U rho U^dag H_A) sees only rho's blocks inside
+    the total-energy shells, where V and its dephased twin C = sum_i p_i
+    |ii><ii| agree.  What entanglement changes is the entropy: each final
+    marginal of C is that of V dephased in the local energy basis."""
+
+    @pytest.mark.parametrize("coupling", ["planes", "shell-haar"])
+    def test_same_heat_as_v_other_entropy(self, coupling):
+        rng = substream(31, 40, coupling == "planes")
+        ds_gaps = []
+        for _ in range(100):
+            spec = random_entangled_spec(rng, max_dim=6)
+            case = CaseSpec.case_v(spec)
+            if coupling == "planes":
+                u = planes_matrix(random_conserving_planes(case, rng))
+            else:
+                u = shell_haar_unitary(case, rng)
+            v = dense_exchange_reference(case, u)
+            c = dense_exchange_reference(case, u, dephased_twin(spec))
+            assert abs(v["q_a"] - c["q_a"]) <= 1e-15
+            assert abs(v["q_b"] - c["q_b"]) <= 1e-15
+            assert abs(v["mutual_info_initial"] - 2 * c["mutual_info_initial"]) <= 1e-12
+            ds_gaps.append(v["ds_a"] - c["ds_a"])
+        # dephasing cannot lower an entropy, and on most couplings it raises it
+        assert max(ds_gaps) <= 1e-12
+        assert min(ds_gaps) < -0.1
 
 
 class TestIdentityGap:

@@ -4,12 +4,11 @@ import math
 import numpy as np
 import pytest
 
-from conftest import collide, fractional_gain
+from conftest import collide, draw_pairs, fractional_gain
 from entroflow import gas
 from entroflow import (
     CollisionSpec,
     InvalidSpec,
-    draw_pairs,
     ensemble_heat,
     substream,
     x_parameter,

@@ -69,7 +69,7 @@ def test_diff_of_a_dump_against_itself_reports_no_key(tmp_path, monkeypatch, cap
     shutil.copytree(dump, moved)
     payload = json.loads((moved / "demo.v").read_text())
     payload["q_a"] += 0.25
-    (moved / "demo.v").write_text(cli.payload_json(payload))
+    (moved / "demo.v").write_text(cli._dumps(payload))
     header, first, *rest = (moved / "exchange.sweep@7").read_text().splitlines()
     cells = first.split(",")
     cells[1] = repr(float(cells[1]) - 0.5)
@@ -83,7 +83,7 @@ def test_diff_exits_1_when_it_prints_a_key(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("ENTROFLOW_THREADS", "1")  # golden.main sets it
     old, new = tmp_path / "old", tmp_path / "new"
     old.mkdir()
-    (old / "demo.v").write_text(cli.payload_json({"q_a": 0.125, "verdict": 1}))
+    (old / "demo.v").write_text(cli._dumps({"q_a": 0.125, "verdict": 1}))
     (old / "exchange.sweep@7").write_text("phi,Q_A\n0.1,0.25\n")
     shutil.copytree(old, new)
     assert golden.main(["--diff", str(old), str(new)]) == 0

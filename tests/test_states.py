@@ -169,7 +169,7 @@ class TestRelativeEntropy:
             s = von_neumann_entropy(rho.matrix)
             oracle = beta * energy - s + lnz
             assert abs(relative_entropy(rho, sigma) - oracle) <= 1e-9
-            got = gibbs_divergence(energy, s, LADDER4, beta)
+            got = gibbs_divergence(energy, s, LADDER4, beta, gibbs_populations(LADDER4, beta))
             assert abs(got - relative_entropy(rho, sigma)) <= 1e-9
 
 
@@ -179,11 +179,12 @@ class TestGibbsDivergence:
         # matrix logarithms of the dense oracle there
         rng = substream(11, 5)
         sigma = DensityOperator(gibbs_state(LADDER4, 1.3), (4,))
+        p = gibbs_populations(LADDER4, 1.3)
         for _ in range(10):
             rho = DensityOperator(random_density(4, int(rng.integers(1, 5)), rng), (4,))
             expected = relative_entropy(rho, sigma)
             got = gibbs_divergence(
-                mean_energy(rho.matrix, LADDER4), von_neumann_entropy(rho.matrix), LADDER4, 1.3
+                mean_energy(rho.matrix, LADDER4), von_neumann_entropy(rho.matrix), LADDER4, 1.3, p
             )
             assert abs(got - expected) <= 1e-13
 
@@ -194,16 +195,18 @@ class TestGibbsDivergence:
         h = HamiltonianSpec(np.array([0.0, 40.0]))
         rho = np.eye(2, dtype=complex) / 2
         oracle = 20.0 + math.log1p(math.exp(-40.0)) - math.log(2)
-        got = gibbs_divergence(mean_energy(rho, h), von_neumann_entropy(rho), h, 1.0)
+        p = gibbs_populations(h, 1.0)
+        got = gibbs_divergence(mean_energy(rho, h), von_neumann_entropy(rho), h, 1.0, p)
         assert abs(got - oracle) <= 1e-12
 
     def test_population_underflowing_to_zero_is_exact(self):
         # exp(-800) is exactly 0.0 in double precision, yet ln gamma =
         # -beta H - ln Z stays exact: gamma is never formed
         h = HamiltonianSpec(np.array([0.0, 800.0]))
-        assert gibbs_populations(h, 1.0)[1] == 0.0
+        p = gibbs_populations(h, 1.0)
+        assert p[1] == 0.0
         rho = np.eye(2, dtype=complex) / 2
-        got = gibbs_divergence(mean_energy(rho, h), von_neumann_entropy(rho), h, 1.0)
+        got = gibbs_divergence(mean_energy(rho, h), von_neumann_entropy(rho), h, 1.0, p)
         assert got == 400.0 - math.log(2)
 
     def test_gibbs_state_is_at_rounding_from_itself(self):
@@ -213,15 +216,16 @@ class TestGibbsDivergence:
         beta = np.array([1.3, 0.2])
         h = HamiltonianSpec(levels)
         p = gibbs_populations(h, beta)
-        got = gibbs_divergence((p * levels).sum(-1), spectral_entropy(p), h, beta)
+        got = gibbs_divergence((p * levels).sum(-1), spectral_entropy(p), h, beta, p)
         assert got.shape == (2,) and np.all(np.abs(got) <= 1e-15)
-        lone = gibbs_divergence((p[0] * levels[0]).sum(), spectral_entropy(p[0]), LADDER4, 1.3)
+        lone = gibbs_divergence((p[0] * levels[0]).sum(), spectral_entropy(p[0]), LADDER4, 1.3, p[0])
         assert isinstance(lone, float) and lone == got[0]
 
     @pytest.mark.parametrize("beta", [0.0, -1.0, math.inf, math.nan])
     def test_refuses_a_beta_that_is_not_positive_and_finite(self, beta):
+        # the row given cannot stand in for the check of beta
         with pytest.raises(InvalidSpec, match="beta must be finite and positive"):
-            gibbs_divergence(1.0, 0.0, LADDER4, beta)
+            gibbs_divergence(1.0, 0.0, LADDER4, beta, np.full(4, 0.25))
 
 
 class TestMutualInformation:
