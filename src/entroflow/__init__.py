@@ -49,7 +49,6 @@ from .states import (
     HamiltonianSpec,
     gibbs_divergence,
     gibbs_populations,
-    gibbs_state,
     subsystem_entropy,
     von_neumann_entropy,
 )

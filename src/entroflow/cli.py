@@ -60,7 +60,7 @@ from .inequalities import (
     check_ssa,
     gibbs_evolution_identity,
 )
-from .qmath import MAX_JOINT_DIM, ginibre, haar_qr, random_densities, uniform_rows
+from .qmath import MAX_JOINT_DIM, dagger, ginibre, haar_qr, random_densities, uniform_rows
 from .states import EntangledThermalSpec, HamiltonianSpec, gibbs_populations
 
 SCHEMA_VERSION = 1
@@ -243,28 +243,29 @@ def _random_states(dims: tuple[int, ...], u: np.ndarray) -> np.ndarray:
 
 
 # the uniforms of an eq2 trial, in order: ln beta, the levels of H_i and
-# H_f, the ancilla's rank, the bases of H_i and H_f, the joint unitary, the
-# ancilla's factor
+# H_f, the ancilla's rank, the eigenbasis W of H_f, the joint unitary, the
+# ancilla's factor.  A trial runs in H_i's eigenbasis, so no basis of H_i
+# is drawn: for Haar B_i, B_f and U, W = B_i^dag B_f and (B_i^dag (x) 1) U
+# (B_i (x) 1) are again Haar and independent, so the law is unchanged
 def _eq2_widths(factors: tuple[int, int]) -> tuple[int, ...]:
     d_sys, d_anc = factors
-    return 1, 2 * d_sys, 1, 4 * d_sys**2, 2 * (d_sys * d_anc) ** 2, 2 * d_anc**2
+    return 1, 2 * d_sys, 1, 2 * d_sys**2, 2 * (d_sys * d_anc) ** 2, 2 * d_anc**2
 
 
 def _eq2_inputs(factors: tuple[int, int], u: np.ndarray) -> tuple:
     # (h_i, beta, channel, h_f) of gibbs_evolution_identity for a batch
     (d_sys, d_anc), n = factors, len(u)
     cuts = np.cumsum(_eq2_widths(factors))
-    ln_beta, levels, rank, bases, unitary, factor, _ = np.split(u, cuts, axis=1)
+    ln_beta, levels, rank, basis, unitary, factor, _ = np.split(u, cuts, axis=1)
     # beta is exp of a uniform on [ln 0.1, ln 10], and the levels are 1.2 u:
     # the span cap of 1.2 is part of the seeded draw
     beta = np.exp(np.log(0.1) + (np.log(10.0) - np.log(0.1)) * ln_beta[:, 0])
     levels = np.sort(1.2 * levels.reshape(n, 2, d_sys), axis=-1)
-    bases = haar_qr(ginibre(bases.reshape(n, 2, -1), d_sys))
-    h_i, h_f = (HamiltonianSpec(levels[:, k], basis=bases[:, k]) for k in (0, 1))
+    w = haar_qr(ginibre(basis, d_sys))
     channel = AncillaChannel(
         haar_qr(ginibre(unitary, d_sys * d_anc)), random_densities(ginibre(factor, d_anc), rank[:, 0])
     )
-    return h_i, beta, channel, h_f
+    return HamiltonianSpec(levels[:, 0]), beta, channel, (w * levels[:, 1, None]) @ dagger(w)
 
 
 def _slacks(report: SlackReport) -> dict:

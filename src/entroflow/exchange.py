@@ -4,15 +4,20 @@ contact-with-reservoirs runner.
 Two initial conditions are supported: kind "S" (uncorrelated product of
 local Gibbs states at two temperatures, the molecular-chaos setting) and
 kind "V" (a single entangled pure state whose marginals are the same two
-Gibbs states, given by its Schmidt coefficients).  Both local
-Hamiltonians are diagonal.  The interaction is a set of rotations inside
-disjoint degenerate joint-energy planes (givens_planes), which conserve
-energy exactly: the exchanged energy is heat.  A plane's energies are
-read from the two local spectra, and each side's marginals from the
-moves of the planes' states, with no array of d_A d_B entries.  A
-Clausius cycle runs on the populations of a diagonal system: each
-contact, a resonant partial swap with a fresh Gibbs reservoir, is a
+Gibbs states, given by its Schmidt coefficients).  The interaction is a
+set of rotations inside disjoint degenerate joint-energy planes
+(givens_planes), which conserve energy exactly: the exchanged energy is
+heat.  A plane's energies are read from the two local spectra, and each
+side's marginals from the moves of the planes' states, with no array of
+d_A d_B entries.  A Clausius cycle runs on the populations of a system:
+each contact, a resonant partial swap with a fresh Gibbs reservoir, is a
 Markov step on d numbers.
+
+A work-free coupling sees only a state's blocks inside each total-energy
+shell, and V's coherences a_i a_k |ii><kk| join different shells (epsilon
+repeating no level), so V's heat equals that of its separable,
+energy-dephased twin C = sum_i p_i |ii><ii|.  Entanglement changes only
+the entropy bookkeeping: V's marginals can only lose entropy against C's.
 """
 
 from __future__ import annotations
@@ -71,8 +76,7 @@ class CaseSpec:
     temperatures fill h_a, h_b, beta_a and beta_b once, at construction.
     kind "S": explicit local Hamiltonians and unconstrained inverse
     temperatures; the joint state is the uncorrelated product of the two
-    Gibbs states.  Both Hamiltonians are diagonal: kind S refuses a stack
-    or a rotated basis.
+    Gibbs states.  Kind S refuses a stack of Hamiltonians.
     """
 
     kind: str
@@ -99,7 +103,7 @@ class CaseSpec:
             object.__setattr__(self, name, beta)
         if self.h_a.dim < 2 or self.h_b.dim < 2:
             raise InvalidSpec("exchange needs at least 2 levels per side")
-        _require_diagonal(self.h_a, self.h_b)
+        _require_single(self.h_a, self.h_b)
 
     @classmethod
     def case_v(cls, spec: EntangledThermalSpec) -> "CaseSpec":
@@ -207,9 +211,9 @@ class CycleReport:
     residual: float
 
 
-def _require_diagonal(h_a: HamiltonianSpec, h_b: HamiltonianSpec) -> None:
-    if any(h.levels.ndim != 1 or h.basis is not None for h in (h_a, h_b)):
-        raise InvalidSpec("exchange needs one diagonal Hamiltonian a side, no basis")
+def _require_single(h_a: HamiltonianSpec, h_b: HamiltonianSpec) -> None:
+    if h_a.levels.ndim != 1 or h_b.levels.ndim != 1:
+        raise InvalidSpec("exchange needs one Hamiltonian a side, not a stack")
 
 
 def _energy_tol(tol: float, *hamiltonians: HamiltonianSpec) -> float:
@@ -250,8 +254,7 @@ def givens_planes(
     rotations: Sequence[tuple[tuple[int, int], tuple[int, int], float]],
 ) -> GivensPlanes:
     """Rotations inside disjoint degenerate joint-energy planes of the two
-    diagonal Hamiltonians h_a and h_b (a stack or a rotated basis raises
-    InvalidSpec, as in CaseSpec).
+    Hamiltonians h_a and h_b (a stack raises InvalidSpec, as in CaseSpec).
 
     Each rotation ((i, j), (i', j'), phi) mixes the two joint basis states
     by angle phi; both must carry the same total energy E_i^A + E_j^B within
@@ -264,7 +267,7 @@ def givens_planes(
     order that fails raises, for the first of its failed checks in the order
     label range, two distinct states, degeneracy, reuse.
     """
-    _require_diagonal(h_a, h_b)
+    _require_single(h_a, h_b)
     dims = d_a, d_b = h_a.dim, h_b.dim
     try:
         # each type is checked once, not each entry; a bool is an int
@@ -470,9 +473,8 @@ def clausius_cycle(
     fp_tol = finite_real(fp_tol, "fp_tol", positive=True)
     h0, p = system
     quenches = [stroke.hamiltonian for stroke in strokes if stroke.kind == "quench"]
-    if any(h.levels.ndim != 1 or h.basis is not None for h in (h0, *quenches)):
-        raise InvalidSpec("a Clausius cycle needs single diagonal Hamiltonians, "
-                          "not a stack or a rotated basis")
+    if any(h.levels.ndim != 1 for h in (h0, *quenches)):
+        raise InvalidSpec("a Clausius cycle needs single Hamiltonians, not a stack")
     p = np.asarray(p, dtype=float)
     # "not within", so that a NaN or an infinity fails
     if not (p.shape == (h0.dim,) and np.all(p >= 0) and abs(p.sum() - 1.0) <= STATE_TOL):

@@ -6,10 +6,10 @@ the nonnegative relative-entropy identity obeyed by any evolution that
 starts from a Gibbs state (possibly with a Hamiltonian quench).
 
 Every check takes a plain matrix and its factor dimensions, one state or,
-unchanged, a stack of them (with stacked Hamiltonians and channels), with
-one batched partial trace and eigensolve per entropy (a Gibbs state's is
-read off its populations); a stack's report holds one entry per state in
-each field.  The states are trusted as density operators, as everywhere
+unchanged, a stack of them, with one batched partial trace and eigensolve
+per entropy; the identity runs in H_i's eigenbasis, where the Gibbs start
+diag(p) is read off its row p.  A stack's report holds one entry per state
+in each field.  The states are trusted as density operators, as everywhere
 in ``states``, whose validator is for a matrix from outside the program.
 """
 
@@ -26,7 +26,6 @@ from .states import (
     HamiltonianSpec,
     gibbs_divergence,
     gibbs_populations,
-    gibbs_state,
     spectral_entropy,
     subsystem_entropy,
     von_neumann_entropy,
@@ -139,36 +138,40 @@ def gibbs_evolution_identity(
     h_i: HamiltonianSpec,
     beta,
     channel: AncillaChannel,
-    h_f: HamiltonianSpec,
+    h_f: np.ndarray,
 ) -> GibbsEvolutionReport:
-    """Evaluate both sides of the identity for a Gibbs-launched evolution.
+    """Evaluate both sides of the identity for a Gibbs-launched evolution,
+    in the eigenbasis of H_i.
 
-    The system starts in exp(-beta H_i)/Z, evolves through ``channel``
-    (unitary with an ancilla, ancilla discarded -- trace preserving by
-    construction), and is finally metered against H_f.  The report carries
-    S(rho_f || rho_i) next to beta*dU - dS - beta*tr(rho_f dH); the two are
-    equal for any channel and any quench, and both are nonnegative.  With
-    stacked Hamiltonians, an array of betas and a stack of channels, trial
-    t uses entry t of each.
+    The system starts in exp(-beta H_i)/Z = diag(p), p the Gibbs row of
+    ``h_i``, evolves through ``channel`` (unitary with an ancilla, ancilla
+    discarded -- trace preserving by construction), and is metered against
+    ``h_f``, the final Hamiltonian as a Hermitian matrix in that basis.  The
+    report carries S(rho_f || rho_i) next to beta*dU - dS - beta*tr(rho_f
+    dH); the two are equal for any channel and any quench, and both are
+    nonnegative.  The identity holds in every basis: an H_i given in another
+    is passed as its levels, with H_f and the unitary moved into its
+    eigenframe.  With stacked levels, an array of betas and stacks of
+    channels and of H_f, trial t uses entry t of each.
     """
-    if h_f.dim != h_i.dim:
-        raise DimensionMismatch(
-            f"final Hamiltonian dim {h_f.dim} != initial dim {h_i.dim}"
-        )
-    # rho_i is Gibbs, of spectrum p: its energy and entropy are read off p
+    h_f = np.asarray(h_f)
+    if h_f.shape[-2:] != (h_i.dim, h_i.dim):
+        raise DimensionMismatch(f"final Hamiltonian shape {h_f.shape} != initial dim {h_i.dim}")
+    # rho_i is diag(p): its energy, entropy and ln Z are read off p
     p = gibbs_populations(h_i, beta)
-    rho_f = channel.apply(gibbs_state(h_i, beta))
+    rho_f = channel.apply(p[..., None] * np.eye(h_i.dim))
 
-    mat_i, mat_f = h_i.matrix(), h_f.matrix()
     u_i = scalar_or_stack((p * h_i.levels).sum(-1))
-    u_f = trace(rho_f @ mat_f).real
+    u_f = trace(rho_f @ h_f).real
+    # tr(rho_f H_i) from the diagonal of rho_f: no d x d H_i is formed
+    e_fi = scalar_or_stack((np.diagonal(rho_f, axis1=-2, axis2=-1).real * h_i.levels).sum(-1))
     s_f = von_neumann_entropy(rho_f)
     ds = s_f - spectral_entropy(p)
     beta_du = beta * (u_f - u_i)
-    beta_tr_rhof_dh = beta * trace(rho_f @ (mat_f - mat_i)).real
+    beta_tr_rhof_dh = beta * (u_f - e_fi)
     rhs = beta_du - ds - beta_tr_rhof_dh
 
-    lhs = gibbs_divergence(trace(rho_f @ mat_i).real, s_f, h_i, beta, p)
+    lhs = gibbs_divergence(e_fi, s_f, h_i, beta, p)
     return GibbsEvolutionReport(
         relative_entropy_lhs=lhs,
         beta_du=beta_du,

@@ -16,10 +16,10 @@ Conventions fixed once for the whole package:
   *path, t)`` is counter block t of the Philox keyed by ``(seed, *path)``;
 - an ``ineq`` trial reads a fixed stretch of uniforms, row t of
   ``uniform_rows(seed, tag, ...)``, and every variate comes from it:
-  complex normals by Box-Muller (``ginibre``), Haar unitaries by
-  ``haar_qr`` and random states by ``random_densities``, a whole batch of
-  trials at once; a random density matrix comes symmetrized, exactly
-  Hermitian, as the checks of ``inequalities`` take it unvalidated.
+  complex normals by Box-Muller (``ginibre``), Haar unitaries (eq2's H_f
+  eigenbasis and joint unitary) by ``haar_qr`` and random states by
+  ``random_densities``, a batch of trials at once; a random density
+  matrix comes symmetrized, exactly Hermitian: ``inequalities`` trusts it.
 """
 
 from __future__ import annotations

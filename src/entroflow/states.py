@@ -1,5 +1,6 @@
-"""Density operators, Gibbs states, entropy functionals, and the
-defining data of the entangled pure state whose marginals are thermal.
+"""Density operators, Hamiltonians as their levels, Gibbs populations,
+entropy functionals, and the defining data of the entangled pure state
+whose marginals are thermal.
 
 Every function here takes a plain matrix, one state (D, D) or a stack
 (N, D, D), and trusts it as a density operator: each state the package
@@ -8,9 +9,10 @@ DensityOperator validates a matrix from outside the program, and no
 library function builds one.  Every spectrum in the package is one
 ``eigvalsh`` made here: DensityOperator's, which decides its sign and is
 kept, and von_neumann_entropy's, of a matrix or of a reduced one.  A
-Gibbs state the package forms is never solved: its entropy, energy and
-ln Z are read off its Gibbs row, which gibbs_divergence, the only
-divergence, takes from its caller.  STATE_TOL is the one hermiticity gate.
+Gibbs state is diag(p) in its Hamiltonian's eigenbasis and is never
+solved: its entropy, energy and ln Z are read off its Gibbs row p, which
+gibbs_divergence, the only divergence, takes from its caller.  STATE_TOL
+is the one hermiticity gate.
 
 Units: hbar = k_B = 1, natural logarithms, entropies in nats.
 """
@@ -103,16 +105,11 @@ class DensityOperator:
 
 @dataclass(frozen=True)
 class HamiltonianSpec:
-    """Energy spectrum (ascending) with an optional eigenbasis.
-
-    ``basis`` columns are the eigenvectors; None means the computational
-    basis, i.e. the operator is diag(levels).  A stack of Hamiltonians
-    carries levels of shape (N, d) and bases of shape (N, d, d); each one
-    is checked on its own.
-    """
+    """A Hamiltonian in its eigenbasis: its ascending, finite levels, one
+    list (d,) or a stack of them (N, d).  An operator in another basis is a
+    plain matrix written in this one."""
 
     levels: np.ndarray
-    basis: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         lv = np.atleast_1d(np.asarray(self.levels, dtype=float))
@@ -123,35 +120,10 @@ class HamiltonianSpec:
         if np.any(np.diff(lv, axis=-1) < 0):
             raise InvalidSpec("levels must be ascending")
         object.__setattr__(self, "levels", _frozen(lv.copy()))
-        if self.basis is not None:
-            b = np.asarray(self.basis, dtype=complex)
-            d = lv.shape[-1]
-            if b.shape != (*lv.shape, d):
-                raise DimensionMismatch(
-                    f"basis shape {b.shape} incompatible with levels of shape {lv.shape}"
-                )
-            # "not within", so that a NaN fails
-            if not np.all(np.abs(dagger(b) @ b - np.eye(d)).max(axis=(-2, -1)) <= STATE_TOL):
-                raise InvalidSpec("basis is not unitary")
-            object.__setattr__(self, "basis", _frozen(b.copy()))
 
     @property
     def dim(self) -> int:
         return int(self.levels.shape[-1])
-
-    def in_basis(self, values: np.ndarray) -> np.ndarray:
-        """The operator with eigenvalue values[..., i] on eigenvector i;
-        leading axes of ``values`` and of a stacked basis broadcast."""
-        values = np.asarray(values)
-        if self.basis is None:
-            out = np.zeros((*values.shape, values.shape[-1]), dtype=complex)
-            diag = np.arange(values.shape[-1])
-            out[..., diag, diag] = values
-            return out
-        return (self.basis * values[..., None, :]) @ dagger(self.basis)
-
-    def matrix(self) -> np.ndarray:
-        return self.in_basis(self.levels)
 
 
 @dataclass(frozen=True)
@@ -224,14 +196,6 @@ def gibbs_populations(h: HamiltonianSpec, beta) -> np.ndarray:
     b = _positive_beta(beta)[..., None]
     w = np.exp(-b * (h.levels - h.levels[..., :1]))
     return w / w.sum(-1, keepdims=True)
-
-
-def gibbs_state(h: HamiltonianSpec, beta) -> np.ndarray:
-    """Thermal equilibrium state exp(-beta H)/Z at inverse temperature beta,
-    from gibbs_populations in the energy eigenbasis, symmetrized to be
-    exactly Hermitian; a stack of states for stacked Hamiltonians or betas."""
-    m = h.in_basis(gibbs_populations(h, beta))
-    return (m + dagger(m)) / 2
 
 
 def spectral_entropy(lam: np.ndarray):

@@ -17,7 +17,7 @@ from entroflow import (
     EntangledThermalSpec,
     HamiltonianSpec,
     InvalidState,
-    gibbs_state,
+    gibbs_populations,
     givens_planes,
     kron,
     dagger,
@@ -95,6 +95,13 @@ def random_density(d: int, rank: int, rng: np.random.Generator) -> np.ndarray:
     return (rho + dagger(rho)) / 2
 
 
+def gibbs_state(h: HamiltonianSpec, beta) -> np.ndarray:
+    """exp(-beta H)/Z in H's eigenbasis, diag(gibbs_populations(h, beta))
+    as a complex matrix; a stack of them for stacked levels or betas."""
+    p = gibbs_populations(h, beta)
+    return (p[..., None] * np.eye(p.shape[-1])).astype(complex)
+
+
 # ------------------------------------------------------------------------
 # Per-trial oracles of the ineq draws: one trial formed alone from its row
 # of uniforms (``qmath.uniform_rows``); the batched draws must agree with
@@ -122,21 +129,18 @@ def trial_density(rank_u: float, u: np.ndarray, d: int) -> np.ndarray:
 def eq2_trial(d_sys: int, d_anc: int, u: np.ndarray) -> tuple:
     """One ``ineq --check eq2`` trial formed alone from its row of
     uniforms, read in order: ln beta, the levels of H_i and of H_f, the
-    ancilla's rank, the bases of H_i and of H_f, the joint unitary and the
-    ancilla's factor.  Returns beta, the levels and basis of H_i and of
-    H_f, the joint unitary and the ancilla state."""
-    widths = [1, d_sys, d_sys, 1, 2 * d_sys**2, 2 * d_sys**2]
-    ln_beta, levels_i, levels_f, rank_u, basis_i, basis_f, rest = np.split(u, np.cumsum(widths))
+    ancilla's rank, the eigenbasis W of H_f, the joint unitary and the
+    ancilla's factor.  Returns beta, the levels of H_i, H_f = W diag(E_f)
+    W^dag in H_i's eigenbasis, the joint unitary and the ancilla state."""
+    widths = [1, d_sys, d_sys, 1, 2 * d_sys**2]
+    ln_beta, levels_i, levels_f, rank_u, basis_f, rest = np.split(u, np.cumsum(widths))
     beta = np.exp(np.log(0.1) + (np.log(10.0) - np.log(0.1)) * ln_beta[0])
+    w = haar_qr(gaussian_matrix(basis_f, d_sys))
     joint = d_sys * d_anc
     unitary = haar_qr(gaussian_matrix(rest[: 2 * joint**2], joint))
     ancilla = trial_density(rank_u[0], rest[2 * joint**2 : 2 * (joint**2 + d_anc**2)], d_anc)
-    return (
-        beta,
-        np.sort(1.2 * levels_i), haar_qr(gaussian_matrix(basis_i, d_sys)),
-        np.sort(1.2 * levels_f), haar_qr(gaussian_matrix(basis_f, d_sys)),
-        unitary, ancilla,
-    )
+    h_f = (w * np.sort(1.2 * levels_f)) @ w.conj().T
+    return beta, np.sort(1.2 * levels_i), h_f, unitary, ancilla
 
 
 @dataclass(frozen=True)
@@ -368,7 +372,7 @@ def dense_exchange_reference(case: CaseSpec, u: np.ndarray, rho0: np.ndarray | N
     h_a, h_b = case.hamiltonians()
     beta_a, beta_b = case.betas()
     dims = (h_a.dim, h_b.dim)
-    mat_a, mat_b = h_a.matrix(), h_b.matrix()
+    mat_a, mat_b = np.diag(h_a.levels), np.diag(h_b.levels)
     rho0 = initial_state(case).matrix if rho0 is None else rho0
     rho1 = u @ rho0 @ u.conj().T
 
@@ -453,8 +457,18 @@ def oracle_subsystem_entropy(sym: np.ndarray, dims, keep) -> float:
     return oracle_entropy(np.linalg.eigvalsh((reduced + reduced.conj().T) / 2))
 
 
+def to_eigenframe(basis_i, levels_f, basis_f, unitary, d_anc: int) -> tuple:
+    """An eq2 instance with H_i = B_i diag(E_i) B_i^dag, H_f = B_f diag(E_f)
+    B_f^dag and joint unitary U, moved into H_i's eigenframe: H_f -> B_i^dag
+    H_f B_i and U -> (B_i^dag (x) 1) U (B_i (x) 1); one trial or a stack."""
+    h_f = (basis_f * np.asarray(levels_f)[..., None, :]) @ dagger(basis_f)
+    lift = kron(basis_i, np.eye(d_anc))
+    return dagger(basis_i) @ h_f @ basis_i, dagger(lift) @ unitary @ lift
+
+
 def oracle_gibbs_evolution(levels_i, basis_i, beta, unitary, ancilla, levels_f, basis_f) -> dict:
-    """Both sides of the Gibbs-evolution identity for one trial."""
+    """Both sides of the Gibbs-evolution identity for one trial, with H_i
+    and H_f given by their levels and eigenbases, in the original frame."""
     def in_basis(basis, values):
         return (basis * values) @ basis.conj().T
 

@@ -20,9 +20,11 @@ from conftest import (
     fractional_gain,
     ghz_state,
     haar_unitary,
+    oracle_gibbs_evolution,
     random_conserving_planes,
     random_density,
     random_entangled_spec,
+    to_eigenframe,
 )
 from test_exchange import TWO_RESERVOIR_STROKES, dense_exchange_oracle
 
@@ -94,23 +96,34 @@ def test_criterion_2_average_correlation_bound():
 
 
 def test_criterion_3_gibbs_evolution_identity():
+    # each draw's rotated H_i is passed in its eigenframe, and every report
+    # field is checked against the oracle in the original frame
     started = time.perf_counter()
     rng = substream(SEED, 3)
     worst_gap = 0.0
     worst_rhs = np.inf
+    worst_frame = 0.0
     for _ in range(1000):
         beta = float(np.exp(rng.uniform(np.log(0.1), np.log(10.0))))
         d_sys = int(rng.integers(2, 4))
-        h_i = HamiltonianSpec(np.sort(rng.uniform(0.0, 1.2, d_sys)), basis=haar_unitary(d_sys, rng))
-        h_f = HamiltonianSpec(np.sort(rng.uniform(0.0, 1.2, d_sys)), basis=haar_unitary(d_sys, rng))
+        levels_i, basis_i = np.sort(rng.uniform(0.0, 1.2, d_sys)), haar_unitary(d_sys, rng)
+        levels_f, basis_f = np.sort(rng.uniform(0.0, 1.2, d_sys)), haar_unitary(d_sys, rng)
         ancilla = DensityOperator(random_density(2, int(rng.integers(1, 3)), rng), (2,))
-        channel = AncillaChannel(haar_unitary(2 * d_sys, rng), ancilla.matrix)
-        rep = gibbs_evolution_identity(h_i, beta, channel, h_f)
+        unitary = haar_unitary(2 * d_sys, rng)
+        h_f, u = to_eigenframe(basis_i, levels_f, basis_f, unitary, 2)
+        rep = gibbs_evolution_identity(
+            HamiltonianSpec(levels_i), beta, AncillaChannel(u, ancilla.matrix), h_f
+        )
+        want = oracle_gibbs_evolution(
+            levels_i, basis_i, beta, unitary, ancilla.matrix, levels_f, basis_f
+        )
+        worst_frame = max(worst_frame, *(abs(getattr(rep, k) - v) for k, v in want.items()))
         worst_gap = max(worst_gap, rep.identity_gap)
         worst_rhs = min(worst_rhs, rep.rhs)
-    ok = worst_gap <= 1e-9 and worst_rhs >= -1e-10
+    ok = worst_gap <= 1e-9 and worst_rhs >= -1e-10 and worst_frame <= 1e-12
     report(3, "Gibbs-evolution identity", ok,
-           f"1000 draws, worst gap {worst_gap:.2e}, worst rhs {worst_rhs:.2e}", started, 60.0)
+           f"1000 draws, worst gap {worst_gap:.2e}, worst rhs {worst_rhs:.2e}, "
+           f"worst frame-change difference {worst_frame:.2e}", started, 60.0)
 
 
 def test_criterion_4_reversal_demo():

@@ -160,15 +160,15 @@ class TestIneqBatches:
         batches = math.ceil(1000 / max(1, cli.BATCH_ELEMENTS // joint**2))
         assert len(eigensolves) == terms * batches
 
-    def test_eq2_forms_two_gibbs_rows_per_batch(self, gibbs_rows, tmp_path):
-        # p of rho_i, read for its energy, entropy and ln Z, and the one
-        # gibbs_state forms to build rho_i: a stack of each per batch
+    def test_eq2_forms_one_gibbs_row_per_batch(self, gibbs_rows, tmp_path):
+        # p of rho_i = diag(p), read for its energy, entropy and ln Z: one
+        # stack per batch, formed once
         argv = ["ineq", "--check", "eq2", "--dims", "2,2", "--trials", "1000", "--seed", "7"]
         assert cli.main([*argv, "--output", str(tmp_path / "out.json")]) == cli.EXIT_OK
         per_batch = max(1, cli.BATCH_ELEMENTS // 4**2)
         sizes = [min(per_batch, 1000 - lo) for lo in range(0, 1000, per_batch)]
         # batches may run on several workers, so in any order
-        assert sorted(gibbs_rows) == sorted((n, 2) for n in sizes for _ in range(2))
+        assert sorted(gibbs_rows) == sorted((n, 2) for n in sizes)
 
     # 1: one trial per batch; 1000: ragged batches of 3 to 62 trials
     @pytest.mark.parametrize("budget", [1, 1000])
@@ -230,12 +230,21 @@ class TestBatchedDraws:
         u = uniform_rows(33, 3, 0, trials, sum(cli._eq2_widths(factors)))
         h_i, beta, channel, h_f = cli._eq2_inputs(factors, u)
         for t in range(trials):
-            got = (
-                beta[t], h_i.levels[t], h_i.basis[t], h_f.levels[t], h_f.basis[t],
-                channel.unitary[t], channel.ancilla[t],
-            )
+            got = beta[t], h_i.levels[t], h_f[t], channel.unitary[t], channel.ancilla[t]
             for got_part, want_part in zip(got, eq2_trial(*factors, u[t])):
                 assert same_bits(got_part, want_part)
+
+    def test_eq2_final_hamiltonian_has_its_drawn_levels(self):
+        # H_i is its levels E_i; H_f = W diag(E_f) W^dag with W unitary is
+        # Hermitian with spectrum E_f, to rounding
+        for factors in ((2, 2), (3, 2), (5, 1)):
+            d = factors[0]
+            u = uniform_rows(34, 3, 0, 200, sum(cli._eq2_widths(factors)))
+            h_i, _, _, h_f = cli._eq2_inputs(factors, u)
+            levels = np.sort(1.2 * u[:, 1 : 1 + 2 * d].reshape(-1, 2, d), axis=-1)
+            assert np.array_equal(h_i.levels, levels[:, 0])
+            assert np.max(np.abs(h_f - np.conj(np.swapaxes(h_f, -1, -2)))) <= 1e-15
+            assert np.max(np.abs(np.linalg.eigvalsh(h_f) - levels[:, 1])) <= 1e-14
 
     @pytest.mark.parametrize(
         "key", [f"ineq.{check}@{seed}" for check in ("ssa", "eq1", "eq2") for seed in golden.SEEDS]

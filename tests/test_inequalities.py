@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    gibbs_state,
     haar_unitary,
     identity_channel,
     marginal,
@@ -14,6 +15,7 @@ from conftest import (
     oracle_density,
     oracle_gibbs_evolution,
     oracle_subsystem_entropy,
+    to_eigenframe,
 )
 
 from entroflow import (
@@ -27,7 +29,6 @@ from entroflow import (
     check_ssa,
     dagger,
     gibbs_evolution_identity,
-    gibbs_state,
     kron,
     subsystem_entropy,
     substream,
@@ -36,6 +37,7 @@ from entroflow import (
 from entroflow.qmath import ginibre, random_densities
 
 QUBIT = HamiltonianSpec(np.array([0.0, 1.0]))
+QUBIT_H = np.diag(QUBIT.levels)
 
 
 def product_qubits(n, rng):
@@ -146,7 +148,7 @@ class TestAverageCorrelationBound:
 
 class TestGibbsEvolutionIdentity:
     def test_identity_channel_all_zero(self):
-        report = gibbs_evolution_identity(QUBIT, 1.0, identity_channel(2), QUBIT)
+        report = gibbs_evolution_identity(QUBIT, 1.0, identity_channel(2), QUBIT_H)
         assert report.beta_du == 0.0
         assert report.ds == 0.0
         assert abs(report.rhs) <= 1e-12
@@ -159,7 +161,7 @@ class TestGibbsEvolutionIdentity:
         for _ in range(200):
             ancilla = DensityOperator(random_density(2, int(rng.integers(1, 3)), rng), (2,))
             channel = AncillaChannel(haar_unitary(4, rng), ancilla.matrix)
-            report = gibbs_evolution_identity(QUBIT, 1.0, channel, QUBIT)
+            report = gibbs_evolution_identity(QUBIT, 1.0, channel, QUBIT_H)
             assert report.identity_gap < 1e-9
             assert report.rhs >= -1e-10
             # with H_f = H_i the rhs reduces to beta*Q - dS
@@ -168,10 +170,10 @@ class TestGibbsEvolutionIdentity:
     def test_quench_identity_channel(self):
         # doubling the gap at fixed state: the quench term cancels beta*dU
         # exactly and both sides stay zero
-        h_f = HamiltonianSpec(np.array([0.0, 2.0]))
+        h_f = np.diag([0.0, 2.0])
         report = gibbs_evolution_identity(QUBIT, 1.0, identity_channel(2), h_f)
         rho = gibbs_state(QUBIT, 1.0)
-        du = float(np.trace(rho @ (h_f.matrix() - QUBIT.matrix())).real)
+        du = float(np.trace(rho @ (h_f - QUBIT_H)).real)
         assert abs(report.beta_du - du) <= 1e-12
         assert abs(report.beta_tr_rhof_dh - du) <= 1e-12
         assert report.identity_gap <= 1e-9
@@ -179,7 +181,7 @@ class TestGibbsEvolutionIdentity:
 
     def test_quench_with_unitary_matches_relative_entropy(self):
         rng = substream(21, 6)
-        h_f = HamiltonianSpec(np.array([0.0, 2.0]))
+        h_f = np.diag([0.0, 2.0])
         for _ in range(100):
             u = haar_unitary(2, rng)
             channel = AncillaChannel(u, np.eye(1, dtype=complex))
@@ -191,14 +193,24 @@ class TestGibbsEvolutionIdentity:
             assert report.rhs >= -1e-10
 
     def test_random_beta_quench_channel_ensemble(self):
+        # a rotated H_i = B_i diag(E_i) B_i^dag, passed in its eigenframe:
+        # every field agrees with the oracle in the original frame
         rng = substream(21, 7)
         for _ in range(200):
             beta = float(np.exp(rng.uniform(np.log(0.1), np.log(10.0))))
-            h_i = HamiltonianSpec(np.sort(rng.uniform(0.0, 1.2, 2)), basis=haar_unitary(2, rng))
-            h_f = HamiltonianSpec(np.sort(rng.uniform(0.0, 1.2, 2)), basis=haar_unitary(2, rng))
+            levels_i, basis_i = np.sort(rng.uniform(0.0, 1.2, 2)), haar_unitary(2, rng)
+            levels_f, basis_f = np.sort(rng.uniform(0.0, 1.2, 2)), haar_unitary(2, rng)
             ancilla = DensityOperator(random_density(2, int(rng.integers(1, 3)), rng), (2,))
-            channel = AncillaChannel(haar_unitary(4, rng), ancilla.matrix)
-            report = gibbs_evolution_identity(h_i, beta, channel, h_f)
+            unitary = haar_unitary(4, rng)
+            h_f, u = to_eigenframe(basis_i, levels_f, basis_f, unitary, 2)
+            report = gibbs_evolution_identity(
+                HamiltonianSpec(levels_i), beta, AncillaChannel(u, ancilla.matrix), h_f
+            )
+            want = oracle_gibbs_evolution(
+                levels_i, basis_i, beta, unitary, ancilla.matrix, levels_f, basis_f
+            )
+            for field, value in want.items():
+                assert abs(getattr(report, field) - value) <= 1e-12, field
             assert report.identity_gap <= 1e-9
             assert report.rhs >= -1e-10
 
@@ -209,16 +221,16 @@ class TestGibbsEvolutionIdentity:
         h = HamiltonianSpec(np.array([0.0, 40.0]))
         mixed = np.eye(2, dtype=complex) / 2
         channel = AncillaChannel(haar_unitary(4, substream(3, 1)), mixed)
-        report = gibbs_evolution_identity(h, 1.0, channel, h)
+        report = gibbs_evolution_identity(h, 1.0, channel, np.diag(h.levels))
         assert report.identity_gap <= 1e-9
         assert report.rhs >= -1e-10
 
     def test_rejects_nonpositive_beta(self):
         with pytest.raises(InvalidSpec, match="beta must be finite and positive"):
-            gibbs_evolution_identity(QUBIT, 0.0, identity_channel(2), QUBIT)
+            gibbs_evolution_identity(QUBIT, 0.0, identity_channel(2), QUBIT_H)
 
     def test_rejects_dim_mismatch(self):
-        h_f = HamiltonianSpec(np.array([0.0, 1.0, 2.0]))
+        h_f = np.diag([0.0, 1.0, 2.0])
         with pytest.raises(DimensionMismatch):
             gibbs_evolution_identity(QUBIT, 1.0, identity_channel(2), h_f)
 
@@ -266,6 +278,8 @@ class TestStackedKernel:
 
     @pytest.mark.parametrize("d_sys, d_anc", [(2, 1), (2, 2), (3, 2), (2, 4), (4, 3), (8, 2)])
     def test_eq2_kernel_matches_per_state_loop(self, d_sys, d_anc):
+        # rotated H_i stacks, passed in their eigenframes, against the
+        # oracle of each trial in its original frame
         rng = substream(22, 100 + d_sys, d_anc)
         n = 10
         beta = np.exp(rng.uniform(np.log(0.1), np.log(10.0), n))
@@ -275,38 +289,36 @@ class TestStackedKernel:
         )
         unitary = np.stack([haar_unitary(d_sys * d_anc, rng) for _ in range(n)])
         ancilla = random_stack(d_anc, n, rng)
+        h_f, u = to_eigenframe(basis_i, levels_f, basis_f, unitary, d_anc)
         report = gibbs_evolution_identity(
-            HamiltonianSpec(levels_i, basis_i),
+            HamiltonianSpec(levels_i),
             beta,
-            AncillaChannel(unitary, DensityOperator(ancilla, (d_anc,)).matrix),
-            HamiltonianSpec(levels_f, basis_f),
+            AncillaChannel(u, DensityOperator(ancilla, (d_anc,)).matrix),
+            h_f,
         )
         for t in range(n):
             want = oracle_gibbs_evolution(
                 levels_i[t], basis_i[t], beta[t], unitary[t], ancilla[t], levels_f[t], basis_f[t]
             )
             for field, value in want.items():
-                assert abs(getattr(report, field)[t] - value) <= 1e-14, field
+                assert abs(getattr(report, field)[t] - value) <= 1e-12, field
 
     def test_eq2_solves_the_final_states_alone(self, eigensolve_shapes):
-        # rho_i is Gibbs, diagonal in H_i's basis: its entropy, energy and
-        # ln Z are read off its populations, so a stack makes one eigvalsh,
-        # of the final states, and one trial one of its final state
+        # rho_i = diag(p) in H_i's eigenbasis: its entropy, energy and ln Z
+        # are read off p, so a stack makes one eigvalsh, of the final
+        # states, and one trial one of its final state
         rng = substream(22, 200)
         n, d_sys, d_anc = 5, 3, 2
-        levels = [np.sort(rng.uniform(0.0, 1.2, (n, d_sys)), axis=-1) for _ in range(2)]
-        h_i, h_f = (
-            HamiltonianSpec(lv, np.stack([haar_unitary(d_sys, rng) for _ in range(n)]))
-            for lv in levels
-        )
+        levels_i, levels_f = (np.sort(rng.uniform(0.0, 1.2, (n, d_sys)), axis=-1) for _ in range(2))
+        basis_f = np.stack([haar_unitary(d_sys, rng) for _ in range(n)])
+        h_i, h_f = HamiltonianSpec(levels_i), (basis_f * levels_f[:, None]) @ dagger(basis_f)
         unitary = np.stack([haar_unitary(d_sys * d_anc, rng) for _ in range(n)])
         channel = AncillaChannel(unitary, random_stack(d_anc, n, rng))
         beta = np.exp(rng.uniform(np.log(0.1), np.log(10.0), n))
         stacked = gibbs_evolution_identity(h_i, beta, channel, h_f)
         assert eigensolve_shapes == [(n, d_sys, d_sys)]
         one = AncillaChannel(unitary[0], channel.ancilla[0])
-        h_i0, h_f0 = (HamiltonianSpec(h.levels[0], h.basis[0]) for h in (h_i, h_f))
-        single = gibbs_evolution_identity(h_i0, float(beta[0]), one, h_f0)
+        single = gibbs_evolution_identity(HamiltonianSpec(levels_i[0]), float(beta[0]), one, h_f[0])
         assert eigensolve_shapes[1:] == [(d_sys, d_sys)]
         assert all(type(x) is float for x in dataclasses.astuple(single))
         assert max(single.identity_gap, stacked.identity_gap[0]) <= 1e-14
@@ -347,10 +359,10 @@ class TestStackedKernel:
         mat[0, 0] = np.nan
         with pytest.raises(InvalidState):
             DensityOperator(mat, (2,))
-        bases = np.stack([np.eye(2, dtype=complex)] * 3)
-        bases[1, 0, 1] = np.nan
+        levels = np.zeros((3, 2))
+        levels[1, 1] = np.nan
         with pytest.raises(InvalidSpec):
-            HamiltonianSpec(np.zeros((3, 2)), bases)
+            HamiltonianSpec(levels)
 
 
 class TestExactlyHermitian:
@@ -369,14 +381,6 @@ class TestExactlyHermitian:
         # Hermitian before the symmetrization
         u = substream(24, rank).random((200, 8))
         self.assert_exactly_hermitian(random_densities(ginibre(u, 2), np.full(200, (rank - 0.5) / 2)))
-
-    def test_gibbs_state_in_a_haar_basis(self):
-        rng = substream(24, 3)
-        for d in (2, 3, 5):
-            bases = np.stack([haar_unitary(d, rng) for _ in range(50)])
-            levels = np.sort(rng.uniform(0.0, 1.2, (50, d)), axis=-1)
-            betas = np.exp(rng.uniform(np.log(0.1), np.log(10.0), 50))
-            self.assert_exactly_hermitian(gibbs_state(HamiltonianSpec(levels, bases), betas))
 
     @pytest.mark.parametrize("d_sys, d_anc", [(2, 2), (3, 2), (2, 3)])
     def test_ancilla_channel_output(self, d_sys, d_anc):

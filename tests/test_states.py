@@ -10,6 +10,7 @@ from conftest import (
     bell_state,
     entangled_thermal_state,
     ghz_state,
+    gibbs_state,
     haar_unitary,
     marginal,
     oracle_entropy,
@@ -28,7 +29,6 @@ from entroflow import (
     dagger,
     gibbs_divergence,
     gibbs_populations,
-    gibbs_state,
     kron,
     partial_trace,
     subsystem_entropy,
@@ -47,7 +47,7 @@ def entropy_from_probs(p):
 
 def mean_energy(matrix, h):
     """tr(rho H) from the d x d matrix of H."""
-    return float(np.trace(matrix @ h.matrix()).real)
+    return float(np.trace(matrix @ np.diag(h.levels)).real)
 
 
 def mutual_information(rho, i, j):
@@ -77,16 +77,20 @@ class TestGibbsState:
 
     def test_commutes_and_populations_decrease(self):
         rho = gibbs_state(LADDER4, 0.7)
-        h = LADDER4.matrix()
+        h = np.diag(LADDER4.levels)
         assert np.max(np.abs(rho @ h - h @ rho)) < 1e-12
         pops = np.diag(rho).real
         assert np.all(np.diff(pops) < 0)
 
     def test_rotated_basis(self):
+        # the Gibbs state of B diag(E) B^dag is B gibbs_state B^dag: with B
+        # the Hadamard and E = (0, 1), H = (1 - X) / 2, whose exp(-beta H)/Z
+        # is (1 + tanh(beta / 2) X) / 2 in closed form
         basis = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
-        h = HamiltonianSpec(np.array([0.0, 1.0]), basis=basis)
-        rho = gibbs_state(h, 2.0)
-        hm = h.matrix()
+        rho = basis @ gibbs_state(QUBIT, 2.0) @ basis.conj().T
+        half = math.tanh(1.0) / 2
+        assert np.max(np.abs(rho - np.array([[0.5, half], [half, 0.5]]))) <= 1e-15
+        hm = (basis * QUBIT.levels) @ basis.conj().T
         assert np.max(np.abs(rho @ hm - hm @ rho)) < 1e-12
 
     def test_nonpositive_beta(self):
@@ -165,7 +169,7 @@ class TestRelativeEntropy:
         lnz = math.log(sum(math.exp(-beta * e) for e in LADDER4.levels))
         for _ in range(25):
             rho = DensityOperator(random_density(4, int(rng.integers(1, 5)), rng), (4,))
-            energy = float(np.trace(rho.matrix @ LADDER4.matrix()).real)
+            energy = mean_energy(rho.matrix, LADDER4)
             s = von_neumann_entropy(rho.matrix)
             oracle = beta * energy - s + lnz
             assert abs(relative_entropy(rho, sigma) - oracle) <= 1e-9
@@ -530,7 +534,7 @@ class TestGibbsMaximizesEntropy:
         h = HamiltonianSpec(np.array([0.0, 1.0, 2.5]))
         beta = 0.7
         g = gibbs_state(h, beta)
-        hm = h.matrix()
+        hm = np.diag(h.levels)
         u_g = float(np.trace(g @ hm).real)
         s_g = von_neumann_entropy(g)
         nu = np.diag([1.0, 0.0, -1.0]).astype(complex)  # traceless, tr(nu H) = -2.5
