@@ -73,14 +73,14 @@ EXIT_NO_CONVERGENCE = 4
 EXIT_INTERNAL = 5
 
 # ineq evaluates its trials in batches of as many as fit this many complex
-# entries (128 KiB) per stacked joint-space array, and exchange --sweep its
-# angles in batches of this many real entries (64 KiB), d_A d_B an angle,
-# as much as one d x d marginal; no payload depends on the batch.  Larger
-# budgets were no faster at the README sizes overall (eq1 gained what eq2
-# lost).  In the benchmark's ensembles pass the later gas runs set the peak
-# memory, 59 MB at this budget; 2^14 and 2^16 raise it to 61 MB, and the
-# ineq commands' own peak from 41 to 43 MB (2 vCPU, numpy 2.4.6).
-BATCH_ELEMENTS = 2**13
+# entries (512 KiB) per stacked joint-space array, and exchange --sweep its
+# angles in batches of this many real entries (256 KiB), d_A d_B an angle;
+# no payload depends on the batch.  Against 2^13, in-process at 1 worker
+# (median of 15 interleaved rounds, 2 vCPU, numpy 2.4.6), eq1 2,2,2,2 x500
+# went 37.9 -> 31.7 ms, ssa 2,2,2 x1000 18.7 -> 18.3 ms and eq2 2,2 x1000
+# 11.2 -> 10.8 ms.  The gas runs set the peak memory of the benchmark's
+# ensembles pass, 54-55 MB at either budget.
+BATCH_ELEMENTS = 2**15
 
 
 def worker_count() -> int:

@@ -263,25 +263,29 @@ def ensemble_heat(
 ) -> GasReport:
     """Mean energy transfer to particle a over n sampled collisions.
 
-    Events are generated in fixed chunks of 65536, chunk c from the Philox
-    substream (seed, tag, c) by worker c mod workers, into arrays each
-    worker allocates once; partial sums are combined in chunk order, so
-    the report is bit-identical for a given (spec, mode, n, seed) at any
-    worker count.
+    Events are generated in fixed chunks of 65536, chunk c from the SFC64
+    substream (seed, tag, c) by worker c mod workers; partial sums are
+    combined in chunk order, so the report is bit-identical for a given
+    (spec, mode, n, seed) at any worker count.  Each worker draws all its
+    chunks into one set of arrays, allocated here in the calling thread
+    before any worker starts: a worker thread that allocated them would
+    leave them in a malloc arena of its own, which then stays resident.
     """
     n = integer_at_least(n, "n", 2)
     flux = spec.flux_weighting if spec.flux_weighting is not None else (mode == "product")
     n_chunks = (n + CHUNK - 1) // CHUNK
     workers = min(max(1, workers), n_chunks)
+    m = min(CHUNK, n)
+    buffers = [
+        (np.empty((m, 3)), np.empty((m, 3)), np.empty(m), np.empty(m), *_event_arrays(mode, flux, m))
+        for _ in range(workers)
+    ]
 
     def worker(k: int) -> list:
-        # chunks k, k + workers, ...: each drawn into this worker's arrays and reduced
-        m = min(CHUNK, n)
-        pairs = (np.empty((m, 3)), np.empty((m, 3)), np.empty(m), np.empty(m))
-        events = _event_arrays(mode, flux, m)
+        # chunks k, k + workers, ...: each drawn into buffers[k] and reduced
         parts = []
         for c in range(k, n_chunks, workers):
-            cut = [None if a is None else a[: n - c * CHUNK] for a in (*pairs, *events)]
+            cut = [None if a is None else a[: n - c * CHUNK] for a in buffers[k]]
             _fill_pairs(spec, mode, substream(seed, _STREAM_TAG, c), *cut[:4])
             de, w, gain, gap = energy_events(spec, mode, flux, *cut[:4], out=cut[4:])
             moments = [None if x is None else _weighted_moments(x, w) for x in (de, gain)]

@@ -10,10 +10,10 @@ Conventions fixed once for the whole package:
   ``eigvalsh`` in ``states``;
 - the leftmost Kronecker factor is factor 0 (subsystem A), so the joint
   basis label (i, j) maps to flat index i * d_B + j;
-- randomness flows through counter-based Philox streams derived from a
-  64-bit master seed: every drawn object is a pure function of
-  (seed, path) and independent of execution order.  Substream ``(seed,
-  *path, t)`` is counter block t of the Philox keyed by ``(seed, *path)``;
+- randomness derives from a 64-bit master seed: every drawn object is a
+  pure function of (seed, path) and independent of execution order.
+  Substream ``(seed, *path)`` is the SFC64 seeded by ``SeedSequence((seed,
+  *path))``, which draws the gas chunks;
 - an ``ineq`` trial reads a fixed stretch of uniforms, row t of
   ``uniform_rows(seed, tag, ...)``, and every variate comes from it:
   complex normals by Box-Muller (``ginibre``), Haar unitaries (eq2's H_f
@@ -25,7 +25,6 @@ Conventions fixed once for the whole package:
 from __future__ import annotations
 
 import math
-import operator
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -39,29 +38,17 @@ from .errors import DimensionMismatch
 MAX_JOINT_DIM = 4096
 
 
-def _philox(key: Sequence[int], steps: int) -> np.random.Philox:
-    """The Philox keyed by ``SeedSequence(key)``, ``steps`` counter steps in."""
-    bits = np.random.Philox(np.random.SeedSequence(key))
-    bits.advance(steps)
-    return bits
-
-
 def substream(seed: int, *path: int) -> np.random.Generator:
-    """Philox generator for the substream identified by ``(seed, *path)``:
-    counter block ``path[-1]`` of the Philox keyed by ``SeedSequence((seed,
-    *path[:-1]))``; ``substream(seed)`` is ``substream(seed, 0)``.
+    """SFC64 generator for the substream identified by ``(seed, *path)``,
+    seeded by ``SeedSequence((seed, *path))``; ``substream(seed)`` is
+    ``substream(seed, 0)``.
 
-    Identical arguments yield a bit-identical stream; paths that differ
-    before their last entry have different keys, and paths that differ only
-    there read disjoint blocks of one stream, so ensemble members can be
-    drawn in any order (or in parallel) without changing results.  A
-    negative entry, or a block of 2**128 or more, raises ValueError.
+    Identical arguments yield a bit-identical stream, and SeedSequence's
+    hashing makes the streams of different paths of one length unrelated,
+    so ensemble members can be drawn in any order (or in parallel) without
+    changing results.  A negative entry raises ValueError.
     """
-    *key, block = (seed, *path) if path else (seed, 0)
-    block = operator.index(block)
-    if not 0 <= block < 1 << 128:
-        raise ValueError(f"substream counter block must be in [0, 2**128), got {block}")
-    return np.random.Generator(_philox(key, block << 128))
+    return np.random.Generator(np.random.SFC64(np.random.SeedSequence((seed, *(path or (0,))))))
 
 
 def dagger(m: np.ndarray) -> np.ndarray:
@@ -134,11 +121,13 @@ def partial_trace(
 def uniform_rows(seed: int, tag: int, first: int, count: int, k: int) -> np.ndarray:
     """Rows first, ..., first + count - 1 of the uniform table of ``(seed,
     tag)``: row t is doubles [tK, (t + 1)K) on [0, 1) of the Philox keyed by
-    ``SeedSequence((seed, tag))`` (the key of ``substream(seed, tag, 0)``),
-    K = k rounded up to a multiple of 4 (one counter step); so a row does not
-    depend on how the rows are split into calls, and one row is one advance."""
+    ``SeedSequence((seed, tag))``, K = k rounded up to a multiple of 4 (one
+    counter step); so a row does not depend on how the rows are split into
+    calls, and one row is one advance."""
     k = -(-k // 4) * 4
-    return np.random.Generator(_philox((seed, tag), first * k // 4)).random((count, k))
+    bits = np.random.Philox(np.random.SeedSequence((seed, tag)))
+    bits.advance(first * k // 4)
+    return np.random.Generator(bits).random((count, k))
 
 
 def ginibre(u: np.ndarray, d: int) -> np.ndarray:

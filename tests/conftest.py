@@ -74,6 +74,16 @@ def gibbs_rows(monkeypatch) -> list[tuple[int, ...]]:
     return shapes
 
 
+def philox_substream(seed: int, *path: int) -> np.random.Generator:
+    """Counter block path[-1] (2**128 draws) of the Philox keyed by
+    ``SeedSequence((seed, *path[:-1]))``: the substream that drew the data
+    of tests pinned to its bits before substreams became SFC64 streams."""
+    *key, block = seed, *path
+    bits = np.random.Philox(np.random.SeedSequence(key))
+    bits.advance(block << 128)
+    return np.random.Generator(bits)
+
+
 def haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-distributed d x d unitary: ``haar_qr`` of a complex Ginibre
     matrix, 2*d*d standard normals from ``rng``, real part first."""

@@ -16,7 +16,6 @@ from conftest import eq2_trial, shell_planes, trial_density
 
 from entroflow import (
     CaseSpec,
-    DensityOperator,
     EntangledThermalSpec,
     NonFiniteResult,
     clausius_cycle,
@@ -189,6 +188,16 @@ class TestIneqBatches:
             got = golden.payload_bytes(argv, tmp_path)
             assert hashlib.sha256(got).hexdigest() == want[key], key
         for key, argv in extra.items():
+            assert golden.payload_bytes(argv, tmp_path) == want[key], key
+
+    def test_golden_payloads_at_budgets_2_13_and_2_15_agree(self, monkeypatch, tmp_path):
+        # the budget against a quarter of it: eq1 2,2,2,2 x150 takes 2
+        # batches at 2**15 and 5 at 2**13, ssa 2,2,2 x300 1 and 3
+        argvs = {key: argv for key, argv in golden.cases(tmp_path).items() if key.startswith("ineq.")}
+        assert len(argvs) == 6 and cli.BATCH_ELEMENTS == 2**15
+        want = {key: golden.payload_bytes(argv, tmp_path) for key, argv in argvs.items()}
+        monkeypatch.setattr(cli, "BATCH_ELEMENTS", 2**13)
+        for key, argv in argvs.items():
             assert golden.payload_bytes(argv, tmp_path) == want[key], key
 
 
@@ -951,10 +960,10 @@ class TestExchangeAtTheLimit:
 
     @pytest.mark.parametrize("case", ["v", "s"])
     def test_sweep_batches_are_one_angle_runs(self, tmp_path, monkeypatch, case):
-        # BATCH_ELEMENTS // 64**2 = 2 angles per run_exchange, so 5 points
+        # a budget of 2 * 64**2 is 2 angles per run_exchange, so 5 points
         # take stacks of 2, 2 and 1; the CSV is that of one-angle runs
         path, lib_case, planes = self.configured(tmp_path, case)
-        assert cli.BATCH_ELEMENTS // cli.MAX_JOINT_DIM == 2
+        monkeypatch.setattr(cli, "BATCH_ELEMENTS", 2 * cli.MAX_JOINT_DIM)
         stacks = []
 
         def counted(case, planes):

@@ -900,9 +900,9 @@ class TestRunExchangeAgainstDense:
                 run_exchange(c, planes)
         assert built == []
 
-    def test_reads_no_hamiltonian_matrix(self):
-        # the heats and divergences of a Hamiltonian read its levels, as a
-        # HamiltonianSpec holds nothing else, for one angle set or a stack
+    def test_identity_gap_at_rounding_for_one_angle_and_a_stack(self):
+        # the Gibbs-evolution identity of the demo V and S cases holds to
+        # rounding for one angle set and for a stack of three
         case_s = CaseSpec.case_s(DEMO_SPEC.hamiltonian_a(), 1.0, DEMO_SPEC.hamiltonian_b(), 0.5)
         for case in (CaseSpec.case_v(DEMO_SPEC), case_s):
             for planes in (demo_planes(0.3), demo_planes().at_angle(np.array([0.0, 0.3, 1.2]))):

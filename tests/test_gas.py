@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -301,8 +302,24 @@ class TestBlockedKernel:
 
 
 class TestWorkerBuffers:
-    """ensemble_heat draws each chunk into arrays its worker allocates once,
-    with the bits of fresh arrays at any worker count."""
+    """ensemble_heat draws each chunk into one set of arrays per worker,
+    allocated once by the caller, with the bits of fresh arrays at any
+    worker count."""
+
+    def test_arrays_are_allocated_in_the_calling_thread(self, monkeypatch):
+        # no worker thread allocates: both workers' six arrays (momenta,
+        # angles, de_a and the flux weight or gain) come from the caller
+        threads, empty = [], np.empty
+
+        def recorded(*args, **kwargs):
+            threads.append(threading.get_ident())
+            return empty(*args, **kwargs)
+
+        monkeypatch.setattr(np, "empty", recorded)
+        for mode in ("entangled", "product"):
+            del threads[:]
+            ensemble_heat(REVERSAL, mode, 3 * gas.CHUNK, 48, workers=2)
+            assert threads == [threading.get_ident()] * 12
 
     def test_every_chunk_draws_into_the_same_arrays(self, monkeypatch):
         n = 4 * gas.CHUNK + 100  # 5 chunks, the last one ragged
@@ -465,6 +482,16 @@ class TestEnsembleHeat:
             want = (report.mean_de_a - report.exact_mean_de_a) / report.stderr_de_a
             assert report.z_de_a == want and abs(want) <= 5.0
             assert (report.max_event_gap is None) == (mode == "product")
+
+    # z_de_a over 200 independent streams, the seeds fixed before any run:
+    # its mean and standard deviation must be those of a standard normal
+    # within 3.5 and 3 of their standard errors (0.071 and 0.05)
+    @pytest.mark.parametrize("mode", ["entangled", "product"])
+    def test_z_scores_are_calibrated(self, mode):
+        reports = [ensemble_heat(REVERSAL, mode, 20_000, seed) for seed in range(5000, 5200)]
+        z = np.array([report.z_de_a for report in reports])
+        assert abs(z.mean()) <= 0.25
+        assert 0.85 <= z.std() <= 1.15
 
     def test_deterministic_across_workers_and_runs(self):
         a = ensemble_heat(REVERSAL, "entangled", 150_000, 14, workers=1)

@@ -256,52 +256,54 @@ KEY_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1] + [
 ]
 
 
+def philox_at(seed: int, tag: int, counter: int) -> np.random.Generator:
+    """The Philox of key ``SeedSequence((seed, tag))`` set to ``counter``
+    (a test oracle that makes no ``advance``)."""
+    key = np.random.SeedSequence((seed, tag)).generate_state(2, np.uint64)
+    words = np.array([(counter >> 64 * i) % 2**64 for i in range(4)], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key, counter=words))
+
+
 class TestSubstreamKeys:
-    """``uniform_rows`` against the stream of ``substream(seed, tag, 0)``,
-    and the counter blocks a substream may name."""
+    """``substream`` against an explicit SFC64 and ``uniform_rows`` against
+    an explicit Philox, each seeded by a SeedSequence of the seed and path."""
+
+    @pytest.mark.parametrize("path", [(0,), (1, 2), (0x676173, 5), (2**64 - 1, 3, 7)])
+    @pytest.mark.parametrize("seed", KEY_SEEDS)
+    def test_substream_is_the_sfc64_of_its_path(self, seed, path):
+        want = np.random.SFC64(np.random.SeedSequence((seed, *path))).random_raw(8)
+        got = substream(seed, *path).bit_generator
+        assert isinstance(got, np.random.SFC64)
+        assert np.array_equal(got.random_raw(8), want)
+
+    @pytest.mark.parametrize("seed", KEY_SEEDS)
+    def test_no_path_is_path_zero(self, seed):
+        want = substream(seed, 0).random(6)
+        assert np.array_equal(substream(seed).random(6), want)
+        assert not np.array_equal(substream(seed, 1).random(6), want)
 
     @pytest.mark.parametrize("tag", [1, 2, 3])
     @pytest.mark.parametrize("seed", KEY_SEEDS)
     def test_rows_are_stretches_of_one_stream(self, seed, tag):
-        # row t of width K is doubles [tK, (t + 1)K) of the stream, however
-        # the rows are split into calls, and a width is rounded up to K
+        # row t of width K is doubles [tK, (t + 1)K) of the Philox stream,
+        # however the rows are split into calls, and a width is rounded up to K
         for k, width in ((4, 4), (5, 8), (62, 64)):
-            stream = substream(seed, tag, 0).random(130 * width).reshape(130, width)
+            stream = philox_at(seed, tag, 0).random(130 * width).reshape(130, width)
             parts = [uniform_rows(seed, tag, a, b - a, k) for a, b in ((0, 1), (1, 37), (37, 130))]
             assert np.array_equal(np.concatenate(parts), stream)
             assert np.array_equal(uniform_rows(seed, tag, 0, 130, width), stream)
-        # row t of width 4 is one counter step, so row b * 2**128 starts
-        # counter block b: across a word's carry and at the last block
+        # row t of width 4 is one counter step, so row b * 2**128 starts at
+        # counter b * 2**128: across a word's carry and at the last such row
         for block in (1, 2**64 - 1, 2**64, 2**128 - 1):
-            want = substream(seed, tag, block).random(8)
+            want = philox_at(seed, tag, block << 128).random(8)
             assert np.array_equal(uniform_rows(seed, tag, block << 128, 2, 4).ravel(), want)
 
     def test_no_trials(self):
         assert uniform_rows(1, 2, 0, 0, 4).shape == (0, 4)
 
     def test_negative_path_refused(self):
-        with pytest.raises(ValueError):
-            substream(1, -2, 3)
+        for seed, path in ((-1, ()), (1, (-1,)), (1, (-2, 3)), (1, (2, -3)), (1, (2, 3, -1))):
+            with pytest.raises(ValueError):
+                substream(seed, *path)
         with pytest.raises(ValueError):
             uniform_rows(1, -2, 0, 1, 4)
-
-    def test_counter_blocks(self):
-        # block 2**128 - 1 is the last of the 256-bit counter; -1 and 2**128
-        # are refused, not wrapped
-        last = substream(5, 1, 2**128 - 1).random(4)
-        assert not np.array_equal(last, substream(5, 1, 0).random(4))
-        for block in (-1, 2**128, 2**130):
-            with pytest.raises(ValueError):
-                substream(5, 1, block)
-
-    def test_blocks_of_one_key(self):
-        # substream(seed) is block 0; a path's last entry picks a block of
-        # the key its other entries fix, and block t starts t * 2**128 draws in
-        want = substream(9, 0).bit_generator.random_raw(6)
-        assert np.array_equal(substream(9).bit_generator.random_raw(6), want)
-        a, b = substream(9, 4, 2).bit_generator, substream(9, 4, 3).bit_generator
-        assert np.array_equal(a.state["state"]["key"], b.state["state"]["key"])
-        a.advance(2**128)
-        assert np.array_equal(a.random_raw(6), b.random_raw(6))
-        other = substream(9, 5, 2).bit_generator.state["state"]["key"]
-        assert not np.array_equal(other, b.state["state"]["key"])

@@ -14,6 +14,7 @@ from conftest import (
     haar_unitary,
     marginal,
     oracle_entropy,
+    philox_substream,
     random_density,
     random_pure,
     relative_entropy,
@@ -583,12 +584,13 @@ class TestValidation:
         # lambda_min built within 1e-15 of -STATE_TOL in Haar bases: the
         # state is accepted exactly when the spectrum it keeps reads >=
         # -STATE_TOL.  A Cholesky of sym + STATE_TOL I (an earlier check)
-        # factors some states whose own spectrum reads below; they are refused
+        # factors some states whose own spectrum reads below; they are refused.
+        # The bases come from the Philox streams the witness was found in
         lams = -STATE_TOL + np.linspace(-1e-15, 1e-15, 41)
         verdicts, factored_below = set(), 0
         for k in range(100):
             for lam in lams:
-                mat = self.dense_state(lam, substream(11, 99, k))
+                mat = self.dense_state(lam, philox_substream(11, 99, k))
                 sym = (mat + mat.conj().T) / 2
                 lam_min = np.linalg.eigvalsh(sym[None])[0, 0]
                 try:
@@ -608,7 +610,7 @@ class TestValidation:
                     verdicts.add(True)
         assert verdicts == {True, False} and factored_below > 0
         # one of them, which the factorization accepts
-        mat = self.dense_state(-9.999999999999999e-11, substream(11, 99, 0))
+        mat = self.dense_state(-9.999999999999999e-11, philox_substream(11, 99, 0))
         np.linalg.cholesky((mat + mat.conj().T) / 2 + STATE_TOL * np.eye(3))
         with pytest.raises(InvalidState, match=r"^negative eigenvalue -1\.000e-10$"):
             DensityOperator(mat, (3,))
