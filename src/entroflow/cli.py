@@ -84,8 +84,8 @@ BATCH_ELEMENTS = 2**15
 
 
 def worker_count() -> int:
-    """Worker cap from ENTROFLOW_THREADS (0 or unset = auto); results never
-    depend on it."""
+    """Worker cap from ENTROFLOW_THREADS (0 or unset = auto), at most the
+    CPUs this process may run on; results never depend on it."""
     raw = os.environ.get("ENTROFLOW_THREADS", "0")
     try:
         value = int(raw)
@@ -93,7 +93,8 @@ def worker_count() -> int:
         raise ConfigError(f"ENTROFLOW_THREADS must be an integer, got {raw!r}") from exc
     if value < 0:
         raise ConfigError(f"ENTROFLOW_THREADS must be >= 0, got {value}")
-    return value if value > 0 else (os.cpu_count() or 1)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else (os.cpu_count() or 1)
+    return min(value or cpus, cpus)
 
 
 def _fmt17(x: float) -> str:

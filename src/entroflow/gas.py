@@ -26,17 +26,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidSpec, finite_real, integer_at_least
-from .qmath import substream
+from .qmath import double_angle, substream
 
 # events per substream chunk: results depend on (spec, mode, n, seed), not workers
 CHUNK = 1 << 16
 _STREAM_TAG = 0x676173  # distinguishes gas draws from other consumers of a seed
 # events per slice of the energy kernel; no bit depends on it.  Median ms of a
-# 5e5-event gas command over 31 interleaved rounds (2 vCPU, numpy 2.4.6):
+# 5e5-event gas command, 31 interleaved rounds (2 vCPU AVX-512, numpy 2.4.6):
 #   BLOCK   entangled 1 / 2 workers   product 1 / 2 workers
-#   4096    107.7 / 75.9              140.9 / 88.6
-#   8192     89.7 / 65.5              122.3 / 83.2
-#   16384    91.3 / 62.9              128.7 / 77.3
+#   4096     50.9 / 50.3               70.3 / 59.8
+#   8192     47.4 / 38.1               68.2 / 48.9
+#   16384    47.0 / 36.0               67.4 / 47.7
+# 16384 is no faster at 1 worker, and adds 1.6 MB to a run's peak RSS
 BLOCK = 8192
 
 
@@ -182,10 +183,10 @@ def _invariants(p_a, p_b, m_a: float, m_b: float):
 def _de_a(v_cm, q, c, cos_theta, azimuth) -> np.ndarray:
     """Energy gained by particle a, V . (q' - q), with the azimuth measured
     from V's component across q: sin(theta) cos(phi) |V x q| + (cos(theta) -
-    1) V . q.  cos(theta) - 1 stays one subtraction, so near-forward events
-    keep their relative accuracy, and q = 0 gives 0."""
+    1) V . q, cos(phi) by ``double_angle`` of phi / 2 (exact).  cos(theta) - 1
+    stays one subtraction, for near-forward accuracy, and q = 0 gives 0."""
     sin_theta = np.sqrt((1.0 - cos_theta) * (1.0 + cos_theta))
-    return sin_theta * np.cos(azimuth) * _norm(c) + (cos_theta - 1.0) * _dot(v_cm, q)
+    return sin_theta * double_angle(0.5 * azimuth)[0] * _norm(c) + (cos_theta - 1.0) * _dot(v_cm, q)
 
 
 def _event_arrays(mode: str, flux: bool, n: int) -> tuple:

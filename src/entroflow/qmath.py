@@ -16,10 +16,11 @@ Conventions fixed once for the whole package:
   *path))``, which draws the gas chunks;
 - an ``ineq`` trial reads a fixed stretch of uniforms, row t of
   ``uniform_rows(seed, tag, ...)``, and every variate comes from it:
-  complex normals by Box-Muller (``ginibre``), Haar unitaries (eq2's H_f
-  eigenbasis and joint unitary) by ``haar_qr`` and random states by
-  ``random_densities``, a batch of trials at once; a random density
-  matrix comes symmetrized, exactly Hermitian: ``inequalities`` trusts it.
+  complex normals by Box-Muller (``ginibre``, its phase by one tan in
+  ``double_angle``), Haar unitaries (eq2's H_f eigenbasis and joint
+  unitary) by ``haar_qr`` and random states by ``random_densities``, a
+  batch of trials at once; a random density matrix comes symmetrized,
+  exactly Hermitian: ``inequalities`` trusts it.
 """
 
 from __future__ import annotations
@@ -130,13 +131,25 @@ def uniform_rows(seed: int, tag: int, first: int, count: int, k: int) -> np.ndar
     return np.random.Generator(bits).random((count, k))
 
 
+def double_angle(alpha: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(cos 2a, sin 2a) of half angles a as (h - 1, h t), t = tan a and h = 2 /
+    (1 + t^2): on AVX-512 numpy's tan is SIMD, its cos, sin, complex exp libm.
+    Within 1e-15 of libm for a in [0, pi); no double is an odd multiple of pi/2."""
+    t = np.tan(alpha)
+    h = 2.0 / (1.0 + t * t)
+    return h - 1.0, h * t
+
+
 def ginibre(u: np.ndarray, d: int) -> np.ndarray:
     """Stack of d x d complex Ginibre matrices, one per 2*d*d uniforms on
     [0, 1) along the last axis, by Box-Muller: each pair (u1, u2), in C
     order of the entries, gives the entry sqrt(-2 ln(1 - u1)) * (cos, sin)(2
-    pi u2), whose real and imaginary parts are independent standard normals."""
+    pi u2), whose real and imaginary parts are independent standard normals;
+    the phase is ``double_angle`` of pi u2."""
     radius = np.sqrt(-2.0 * np.log1p(-u[..., 0::2]))
-    return (radius * np.exp(2j * np.pi * u[..., 1::2])).reshape(*u.shape[:-1], d, d)
+    g = np.empty(radius.shape, dtype=complex)
+    g.real, g.imag = (radius * x for x in double_angle(np.pi * u[..., 1::2]))
+    return g.reshape(*u.shape[:-1], d, d)
 
 
 def haar_qr(g: np.ndarray) -> np.ndarray:

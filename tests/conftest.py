@@ -120,9 +120,12 @@ def gibbs_state(h: HamiltonianSpec, beta) -> np.ndarray:
 def gaussian_matrix(u: np.ndarray, d: int) -> np.ndarray:
     """d x d complex Ginibre matrix from 2*d*d uniforms, entry by entry in
     C order: the pair (u1, u2) gives r cos(theta) + i r sin(theta), with
-    r = sqrt(-2 ln(1 - u1)) and theta = 2 pi u2 (Box-Muller)."""
-    radius, theta = np.sqrt(-2.0 * np.log1p(-u[0::2])), 2.0 * np.pi * u[1::2]
-    return (radius * np.cos(theta) + 1j * (radius * np.sin(theta))).reshape(d, d)
+    r = sqrt(-2 ln(1 - u1)) and theta = 2 pi u2 (Box-Muller), the cosine
+    and sine by the half-angle forms h - 1 and h t of t = tan(theta / 2),
+    h = 2 / (1 + t^2)."""
+    radius, t = np.sqrt(-2.0 * np.log1p(-u[0::2])), np.tan(np.pi * u[1::2])
+    h = 2.0 / (1.0 + t * t)
+    return (radius * (h - 1.0) + 1j * (radius * (h * t))).reshape(d, d)
 
 
 def trial_density(rank_u: float, u: np.ndarray, d: int) -> np.ndarray:

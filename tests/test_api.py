@@ -128,3 +128,27 @@ def test_every_spectrum_is_an_eigvalsh_in_states():
     # eigvalsh in states alone
     spectral = {call for call in linalg_calls() if call.partition(".")[2] not in NOT_SPECTRAL}
     assert spectral == {"states.eigvalsh"}
+
+
+def libm_phase_calls(path: pathlib.Path) -> list[str]:
+    """Each cos or sin call in a module, and each exp call with an
+    imaginary literal in its arguments, as ``module.name``."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            name = node.func.attr
+            imaginary = any(
+                isinstance(c, ast.Constant) and isinstance(c.value, complex)
+                for arg in node.args for c in ast.walk(arg)
+            )
+            if name in ("cos", "sin") or (name == "exp" and imaginary):
+                found.append(f"{path.stem}.{name}")
+    return found
+
+
+def test_draws_take_no_libm_phase():
+    # numpy's float64 cos and sin and its complex exp run as scalar libm; the
+    # Box-Muller phase and the gas azimuth come from qmath.double_angle's tan.
+    # exchange's plane angles keep np.cos/np.sin, which shows the scan works
+    assert libm_phase_calls(PACKAGE / "qmath.py") + libm_phase_calls(PACKAGE / "gas.py") == []
+    assert set(libm_phase_calls(PACKAGE / "exchange.py")) == {"exchange.cos", "exchange.sin"}

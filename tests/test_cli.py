@@ -984,6 +984,42 @@ class TestExchangeAtTheLimit:
         assert out.read_bytes() == cli._csv_rows(header, rows).encode()
 
 
+class TestWorkerCount:
+    """ENTROFLOW_THREADS read against a patched CPU set: no thread starts."""
+
+    @pytest.fixture
+    def cpus(self, monkeypatch):
+        def patch(threads, affinity=None, count=None):
+            monkeypatch.setenv("ENTROFLOW_THREADS", threads)
+            if affinity is None:
+                monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+            else:
+                monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(affinity)))
+            monkeypatch.setattr(os, "cpu_count", lambda: count)
+            return cli.worker_count()
+        return patch
+
+    @pytest.mark.parametrize(
+        "threads, affinity, count, want",
+        [
+            ("0", 2, 64, 2),  # auto: the CPUs this process may run on, not the machine's
+            ("16", 2, 64, 2),  # an explicit count is capped by them too
+            ("1", 2, 64, 1),
+            ("3", 4, 64, 3),
+            ("0", None, 3, 3),  # no sched_getaffinity: os.cpu_count
+            ("16", None, 3, 3),
+            ("0", None, None, 1),  # neither known: one worker
+        ],
+    )
+    def test_capped_at_the_usable_cpus(self, cpus, threads, affinity, count, want):
+        assert cpus(threads, affinity, count) == want
+
+    @pytest.mark.parametrize("threads", ["-1", "two", "1.5"])
+    def test_bad_value_is_a_config_error(self, cpus, threads):
+        with pytest.raises(cli.ConfigError, match="ENTROFLOW_THREADS"):
+            cpus(threads, 2, 2)
+
+
 class TestReproducibility:
     GAS_ARGS = (
         "gas", "--ma", "10", "--mb", "1", "--ta", "2", "--tb", "1",

@@ -10,7 +10,7 @@ from entroflow import (
     partial_trace,
     substream,
 )
-from entroflow.qmath import ginibre, haar_qr, random_densities, uniform_rows
+from entroflow.qmath import double_angle, ginibre, haar_qr, random_densities, uniform_rows
 
 
 def kron_loop(a, b):
@@ -262,6 +262,34 @@ def philox_at(seed: int, tag: int, counter: int) -> np.random.Generator:
     key = np.random.SeedSequence((seed, tag)).generate_state(2, np.uint64)
     words = np.array([(counter >> 64 * i) % 2**64 for i in range(4)], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key, counter=words))
+
+
+class TestDoubleAngle:
+    """double_angle(a) against libm's cos and sin of 2a, at the half angles
+    the draws pass it: pi u (ginibre's phase) and half of fl(2 pi u) (the
+    gas azimuth), which are the same doubles."""
+
+    EDGES = [0.0, 0.25, 0.5, 0.75, np.nextafter(0.5, 0.0), np.nextafter(0.5, 1.0), np.nextafter(1.0, 0.0)]
+
+    def uniforms(self):
+        return np.concatenate([substream(2024, 40).random(1_000_000), self.EDGES])
+
+    def test_within_1e_15_of_libm_and_finite(self):
+        alpha = np.pi * self.uniforms()
+        cos, sin = double_angle(alpha)
+        assert np.isfinite(cos).all() and np.isfinite(sin).all()
+        assert np.abs(cos - np.cos(2.0 * alpha)).max() <= 1e-15
+        assert np.abs(sin - np.sin(2.0 * alpha)).max() <= 1e-15
+
+    def test_gas_half_azimuth_is_the_ginibre_half_angle(self):
+        u = self.uniforms()
+        assert np.array_equal(0.5 * (2.0 * np.pi * u), np.pi * u)
+
+    def test_edge_points(self):
+        cos, sin = double_angle(np.pi * np.array([0.0, 0.25, 0.5, 0.75]))
+        np.testing.assert_allclose(cos, [1.0, 0.0, -1.0, 0.0], rtol=0, atol=1e-15)
+        np.testing.assert_allclose(sin, [0.0, 1.0, 0.0, -1.0], rtol=0, atol=1e-15)
+        assert cos[0] == 1.0 and sin[0] == 0.0
 
 
 class TestSubstreamKeys:
