@@ -3,7 +3,7 @@
 Three checks live here: strong subadditivity on tripartite states, the
 average-pairwise-correlation bound it implies for N >= 3 subsystems, and
 the nonnegative relative-entropy identity obeyed by any evolution that
-starts from a Gibbs state (possibly with a Hamiltonian quench).
+starts from a Gibbs state.
 
 Every check takes a plain matrix and its factor dimensions, one state or,
 unchanged, a stack of them, with one batched partial trace and eigensolve
@@ -21,7 +21,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import DimensionMismatch
-from .qmath import dagger, kron, partial_trace, scalar_or_stack, trace
+from .qmath import dagger, kron, partial_trace, scalar_or_stack
 from .states import (
     HamiltonianSpec,
     gibbs_divergence,
@@ -60,15 +60,14 @@ class GibbsEvolutionReport:
     """Both sides of the Gibbs-evolution identity.
 
     The relative entropy of the final state with respect to the initial
-    Gibbs state equals beta*dU - dS - beta*tr(rho_f dH), the right-hand
-    side rhs, which is nonnegative; identity_gap is the absolute difference
-    of the two evaluations.
+    Gibbs state equals beta*dU - dS, dU the change of the energy under the
+    initial Hamiltonian: the right-hand side rhs, which is nonnegative;
+    identity_gap is the absolute difference of the two evaluations.
     """
 
     relative_entropy_lhs: float
     beta_du: float
     ds: float
-    beta_tr_rhof_dh: float
     rhs: float
     identity_gap: float
 
@@ -138,45 +137,38 @@ def gibbs_evolution_identity(
     h_i: HamiltonianSpec,
     beta,
     channel: AncillaChannel,
-    h_f: np.ndarray,
 ) -> GibbsEvolutionReport:
     """Evaluate both sides of the identity for a Gibbs-launched evolution,
     in the eigenbasis of H_i.
 
-    The system starts in exp(-beta H_i)/Z = diag(p), p the Gibbs row of
-    ``h_i``, evolves through ``channel`` (unitary with an ancilla, ancilla
-    discarded -- trace preserving by construction), and is metered against
-    ``h_f``, the final Hamiltonian as a Hermitian matrix in that basis.  The
-    report carries S(rho_f || rho_i) next to beta*dU - dS - beta*tr(rho_f
-    dH); the two are equal for any channel and any quench, and both are
-    nonnegative.  The identity holds in every basis: an H_i given in another
-    is passed as its levels, with H_f and the unitary moved into its
-    eigenframe.  With stacked levels, an array of betas and stacks of
-    channels and of H_f, trial t uses entry t of each.
+    The system starts in gamma_i = exp(-beta H_i)/Z = diag(p), p the Gibbs
+    row of ``h_i``, and evolves through ``channel`` (unitary with an
+    ancilla, ancilla discarded -- trace preserving by construction).  The
+    report carries S(rho_f || gamma_i) next to beta*dU - dS, dU = tr(rho_f
+    H_i) - tr(gamma_i H_i): equal for any channel, both nonnegative, and
+    the paper's beta*dU - dS - beta*tr(rho_f dH) for any final H_f, whose
+    tr(rho_f H_f) cancels.  The identity holds in every basis: an H_i given
+    in another is passed as its levels, with the unitary moved into its
+    eigenframe.  With stacked levels, an array of betas and a stack of
+    channels, trial t uses entry t of each.
     """
-    h_f = np.asarray(h_f)
-    if h_f.shape[-2:] != (h_i.dim, h_i.dim):
-        raise DimensionMismatch(f"final Hamiltonian shape {h_f.shape} != initial dim {h_i.dim}")
     # rho_i is diag(p): its energy, entropy and ln Z are read off p
     p = gibbs_populations(h_i, beta)
     rho_f = channel.apply(p[..., None] * np.eye(h_i.dim))
 
     u_i = scalar_or_stack((p * h_i.levels).sum(-1))
-    u_f = trace(rho_f @ h_f).real
     # tr(rho_f H_i) from the diagonal of rho_f: no d x d H_i is formed
     e_fi = scalar_or_stack((np.diagonal(rho_f, axis1=-2, axis2=-1).real * h_i.levels).sum(-1))
     s_f = von_neumann_entropy(rho_f)
     ds = s_f - spectral_entropy(p)
-    beta_du = beta * (u_f - u_i)
-    beta_tr_rhof_dh = beta * (u_f - e_fi)
-    rhs = beta_du - ds - beta_tr_rhof_dh
+    beta_du = beta * (e_fi - u_i)
+    rhs = beta_du - ds
 
     lhs = gibbs_divergence(e_fi, s_f, h_i, beta, p)
     return GibbsEvolutionReport(
         relative_entropy_lhs=lhs,
         beta_du=beta_du,
         ds=ds,
-        beta_tr_rhof_dh=beta_tr_rhof_dh,
         rhs=rhs,
         identity_gap=abs(lhs - rhs),
     )

@@ -17,10 +17,10 @@ Conventions fixed once for the whole package:
 - an ``ineq`` trial reads a fixed stretch of uniforms, row t of
   ``uniform_rows(seed, tag, ...)``, and every variate comes from it:
   complex normals by Box-Muller (``ginibre``, its phase by one tan in
-  ``double_angle``), Haar unitaries (eq2's H_f eigenbasis and joint
-  unitary) by ``haar_qr`` and random states by ``random_densities``, a
-  batch of trials at once; a random density matrix comes symmetrized,
-  exactly Hermitian: ``inequalities`` trusts it.
+  ``double_angle``), Haar unitaries (eq2's joint unitary) by ``haar_qr``
+  and random states by ``random_densities``, a batch of trials at once; a
+  random density matrix comes symmetrized, exactly Hermitian:
+  ``inequalities`` trusts it.
 """
 
 from __future__ import annotations

@@ -141,19 +141,16 @@ def trial_density(rank_u: float, u: np.ndarray, d: int) -> np.ndarray:
 
 def eq2_trial(d_sys: int, d_anc: int, u: np.ndarray) -> tuple:
     """One ``ineq --check eq2`` trial formed alone from its row of
-    uniforms, read in order: ln beta, the levels of H_i and of H_f, the
-    ancilla's rank, the eigenbasis W of H_f, the joint unitary and the
-    ancilla's factor.  Returns beta, the levels of H_i, H_f = W diag(E_f)
-    W^dag in H_i's eigenbasis, the joint unitary and the ancilla state."""
-    widths = [1, d_sys, d_sys, 1, 2 * d_sys**2]
-    ln_beta, levels_i, levels_f, rank_u, basis_f, rest = np.split(u, np.cumsum(widths))
-    beta = np.exp(np.log(0.1) + (np.log(10.0) - np.log(0.1)) * ln_beta[0])
-    w = haar_qr(gaussian_matrix(basis_f, d_sys))
+    uniforms, read in order: ln beta, the levels of H_i, the ancilla's
+    rank, the joint unitary and the ancilla's factor.  Returns beta, the
+    levels of H_i, the joint unitary in H_i's eigenbasis and the ancilla
+    state."""
     joint = d_sys * d_anc
-    unitary = haar_qr(gaussian_matrix(rest[: 2 * joint**2], joint))
-    ancilla = trial_density(rank_u[0], rest[2 * joint**2 : 2 * (joint**2 + d_anc**2)], d_anc)
-    h_f = (w * np.sort(1.2 * levels_f)) @ w.conj().T
-    return beta, np.sort(1.2 * levels_i), h_f, unitary, ancilla
+    widths = [1, d_sys, 1, 2 * joint**2, 2 * d_anc**2]
+    ln_beta, levels_i, rank_u, unitary, factor, _ = np.split(u, np.cumsum(widths))
+    beta = np.exp(np.log(0.1) + (np.log(10.0) - np.log(0.1)) * ln_beta[0])
+    unitary = haar_qr(gaussian_matrix(unitary, joint))
+    return beta, np.sort(1.2 * levels_i), unitary, trial_density(rank_u[0], factor, d_anc)
 
 
 @dataclass(frozen=True)
@@ -470,18 +467,19 @@ def oracle_subsystem_entropy(sym: np.ndarray, dims, keep) -> float:
     return oracle_entropy(np.linalg.eigvalsh((reduced + reduced.conj().T) / 2))
 
 
-def to_eigenframe(basis_i, levels_f, basis_f, unitary, d_anc: int) -> tuple:
-    """An eq2 instance with H_i = B_i diag(E_i) B_i^dag, H_f = B_f diag(E_f)
-    B_f^dag and joint unitary U, moved into H_i's eigenframe: H_f -> B_i^dag
-    H_f B_i and U -> (B_i^dag (x) 1) U (B_i (x) 1); one trial or a stack."""
-    h_f = (basis_f * np.asarray(levels_f)[..., None, :]) @ dagger(basis_f)
+def to_eigenframe(basis_i, unitary, d_anc: int) -> np.ndarray:
+    """The joint unitary U of an eq2 instance with H_i = B_i diag(E_i)
+    B_i^dag, moved into H_i's eigenframe: (B_i^dag (x) 1) U (B_i (x) 1);
+    one trial or a stack."""
     lift = kron(basis_i, np.eye(d_anc))
-    return dagger(basis_i) @ h_f @ basis_i, dagger(lift) @ unitary @ lift
+    return dagger(lift) @ unitary @ lift
 
 
 def oracle_gibbs_evolution(levels_i, basis_i, beta, unitary, ancilla, levels_f, basis_f) -> dict:
-    """Both sides of the Gibbs-evolution identity for one trial, with H_i
-    and H_f given by their levels and eigenbases, in the original frame."""
+    """Both sides of the paper's Gibbs-evolution identity for one trial, in
+    the original frame, with H_i and a quench to H_f given by their levels
+    and eigenbases: S(rho_f || gamma_i) and beta*dU - dS - beta*tr(rho_f
+    dH), dU = tr(rho_f H_f) - tr(gamma_i H_i) and dH = H_f - H_i."""
     def in_basis(basis, values):
         return (basis * values) @ basis.conj().T
 
@@ -507,6 +505,15 @@ def oracle_gibbs_evolution(levels_i, basis_i, beta, unitary, ancilla, levels_f, 
         "rhs": rhs,
         "identity_gap": abs(lhs - rhs),
     }
+
+
+def quench_cancelled(oracle: dict) -> dict:
+    """The ``GibbsEvolutionReport`` fields of an oracle's quench form: its
+    beta_du, beta*(tr(rho_f H_i) - U_i), is the oracle's beta*dU less the
+    quench term beta*tr(rho_f dH), in which tr(rho_f H_f) cancels."""
+    fields = dict(oracle)
+    fields["beta_du"] = fields.pop("beta_du") - fields.pop("beta_tr_rhof_dh")
+    return fields
 
 
 # ------------------------------------------------------------------------

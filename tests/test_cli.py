@@ -1,5 +1,4 @@
 import dataclasses
-import hashlib
 import inspect
 import json
 import math
@@ -24,7 +23,7 @@ from entroflow import (
     givens_planes,
     run_exchange,
 )
-from entroflow.qmath import ginibre, random_densities, uniform_rows
+from entroflow.qmath import ginibre, haar_qr, random_densities, uniform_rows
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -104,6 +103,17 @@ class TestIneq:
         assert payload["worst_identity_gap"] <= 1e-9
         assert payload["worst_slack"] >= -1e-10
 
+    def test_eq2_payload_names_no_gap_trial(self, tmp_path):
+        # the gap is rounding, so no trial is named for it; the slack's
+        # trial can be replayed (TestBatchedDraws)
+        out = tmp_path / "out.json"
+        argv = ["ineq", "--check", "eq2", "--dims", "2", "--trials", "20", "--seed", "7"]
+        assert cli.main([*argv, "--output", str(out)]) == cli.EXIT_OK
+        assert sorted(json.loads(out.read_text())["payload"]) == [
+            "all_pass", "check", "gap_tol", "slack_tol", "trials",
+            "worst_identity_gap", "worst_slack", "worst_slack_trial",
+        ]
+
     def test_ssa_needs_three_factors(self):
         proc = run_cli("ineq", "--check", "ssa", "--dims", "2", "--trials", "5", "--seed", "7")
         assert proc.returncode == 2
@@ -169,34 +179,34 @@ class TestIneqBatches:
         # batches may run on several workers, so in any order
         assert sorted(gibbs_rows) == sorted((n, 2) for n in sizes)
 
-    # 1: one trial per batch; 1000: ragged batches of 3 to 62 trials
-    @pytest.mark.parametrize("budget", [1, 1000])
+    def test_eq2_draws_one_haar_unitary_stack_per_batch(self, monkeypatch, tmp_path):
+        # the joint unitaries of a batch are one haar_qr of their stack: no
+        # final Hamiltonian, so no eigenbasis of one, is drawn
+        stacks = []
+        monkeypatch.setattr(cli, "haar_qr", lambda g: stacks.append(g.shape) or haar_qr(g))
+        argv = ["ineq", "--check", "eq2", "--dims", "2,2", "--trials", "1000", "--seed", "7"]
+        assert cli.main([*argv, "--output", str(tmp_path / "out.json")]) == cli.EXIT_OK
+        per_batch = max(1, cli.BATCH_ELEMENTS // 4**2)
+        sizes = [min(per_batch, 1000 - lo) for lo in range(0, 1000, per_batch)]
+        assert sorted(stacks) == sorted((n, 4, 4) for n in sizes)
+
+    # 1: one trial per batch; 1000: ragged batches of 3 to 62 trials; 2**13:
+    # eq1 2,2,2,2 x150 takes 2 batches at 2**15 and 5 at 2**13, ssa 2,2,2
+    # x300 1 and 3
+    @pytest.mark.parametrize("budget", [1, 1000, 2**13])
     def test_payloads_do_not_depend_on_the_batch(self, budget, monkeypatch, tmp_path):
-        want = {key: digest for key, digest in golden.load().items() if key.startswith("ineq.")}
-        argvs = {key: argv for key, argv in golden.cases(tmp_path).items() if key in want}
-        assert len(argvs) == 6
-        extra = {
+        # every golden ineq command and four more, at the budget against
+        # 2**15, both made in this run
+        argvs = {key: argv for key, argv in golden.cases(tmp_path).items() if key.startswith("ineq.")}
+        assert len(argvs) == 6 and cli.BATCH_ELEMENTS == 2**15
+        argvs.update({
             f"{check} {dims}": [
                 "ineq", "--check", check, "--dims", dims, "--trials", "50", "--seed", "7"
             ]
             for check, dims in [("ssa", "2,2,3"), ("eq1", "2,3,2"), ("eq2", "3"), ("eq2", "3,3")]
-        }
-        for key, argv in extra.items():
-            want[key] = golden.payload_bytes(argv, tmp_path)
-        monkeypatch.setattr(cli, "BATCH_ELEMENTS", budget)
-        for key, argv in argvs.items():
-            got = golden.payload_bytes(argv, tmp_path)
-            assert hashlib.sha256(got).hexdigest() == want[key], key
-        for key, argv in extra.items():
-            assert golden.payload_bytes(argv, tmp_path) == want[key], key
-
-    def test_golden_payloads_at_budgets_2_13_and_2_15_agree(self, monkeypatch, tmp_path):
-        # the budget against a quarter of it: eq1 2,2,2,2 x150 takes 2
-        # batches at 2**15 and 5 at 2**13, ssa 2,2,2 x300 1 and 3
-        argvs = {key: argv for key, argv in golden.cases(tmp_path).items() if key.startswith("ineq.")}
-        assert len(argvs) == 6 and cli.BATCH_ELEMENTS == 2**15
+        })
         want = {key: golden.payload_bytes(argv, tmp_path) for key, argv in argvs.items()}
-        monkeypatch.setattr(cli, "BATCH_ELEMENTS", 2**13)
+        monkeypatch.setattr(cli, "BATCH_ELEMENTS", budget)
         for key, argv in argvs.items():
             assert golden.payload_bytes(argv, tmp_path) == want[key], key
 
@@ -237,23 +247,11 @@ class TestBatchedDraws:
     @pytest.mark.parametrize("factors, trials", [((2, 3), 12), ((3, 2), 1), ((2, 2), 9)])
     def test_eq2_inputs(self, factors, trials):
         u = uniform_rows(33, 3, 0, trials, sum(cli._eq2_widths(factors)))
-        h_i, beta, channel, h_f = cli._eq2_inputs(factors, u)
+        h_i, beta, channel = cli._eq2_inputs(factors, u)
         for t in range(trials):
-            got = beta[t], h_i.levels[t], h_f[t], channel.unitary[t], channel.ancilla[t]
+            got = beta[t], h_i.levels[t], channel.unitary[t], channel.ancilla[t]
             for got_part, want_part in zip(got, eq2_trial(*factors, u[t])):
                 assert same_bits(got_part, want_part)
-
-    def test_eq2_final_hamiltonian_has_its_drawn_levels(self):
-        # H_i is its levels E_i; H_f = W diag(E_f) W^dag with W unitary is
-        # Hermitian with spectrum E_f, to rounding
-        for factors in ((2, 2), (3, 2), (5, 1)):
-            d = factors[0]
-            u = uniform_rows(34, 3, 0, 200, sum(cli._eq2_widths(factors)))
-            h_i, _, _, h_f = cli._eq2_inputs(factors, u)
-            levels = np.sort(1.2 * u[:, 1 : 1 + 2 * d].reshape(-1, 2, d), axis=-1)
-            assert np.array_equal(h_i.levels, levels[:, 0])
-            assert np.max(np.abs(h_f - np.conj(np.swapaxes(h_f, -1, -2)))) <= 1e-15
-            assert np.max(np.abs(np.linalg.eigvalsh(h_f) - levels[:, 1])) <= 1e-14
 
     @pytest.mark.parametrize(
         "key", [f"ineq.{check}@{seed}" for check in ("ssa", "eq1", "eq2") for seed in golden.SEEDS]
@@ -271,8 +269,6 @@ class TestBatchedDraws:
             return run_batch(factors, uniform_rows(int(seed), tag, trial, 1, sum(widths(factors))))
 
         if check == "eq2":
-            gap = alone(payload["worst_gap_trial"]).identity_gap
-            assert same_bits(gap[0], payload["worst_identity_gap"])
             slack = alone(payload["worst_slack_trial"]).rhs
         else:
             slack = alone(payload["worst_trial"]).slack
@@ -375,17 +371,6 @@ class TestExchange:
         first = lines[1].split(",")
         assert float(first[0]) == 0.0
         assert float(first[1]) == 0.0
-
-    def test_runs_no_dense_unitary_check(self, tmp_path):
-        # the command applies plane rotations plane by plane; its gates are
-        # per plane (cos^2 + sin^2 = 1, s (E_u - E_v)), and the payloads
-        # keep their recorded bits
-        want = golden.load()
-        runs = {key: argv for key, argv in golden.cases(tmp_path).items() if argv[0] == "exchange"}
-        assert {"demo.v", "demo.s", "exchange.sweep@7"} <= runs.keys()
-        for key, argv in runs.items():
-            got = hashlib.sha256(golden.payload_bytes(argv, tmp_path)).hexdigest()
-            assert got == want[key], key
 
     def test_non_degenerate_rotation_exits_3(self, tmp_path, exchange_config):
         cfg = json.loads(open(exchange_config).read())

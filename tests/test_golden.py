@@ -1,4 +1,3 @@
-import hashlib
 import json
 import shutil
 
@@ -24,7 +23,8 @@ def test_payload_digests_match_golden_file(tmp_path, monkeypatch, threads):
 def test_ineq_keys_its_trials_per_batch(tmp_path, monkeypatch, threads):
     # trial t of an ineq check reads row t of one table of uniforms: each
     # batch keys one Philox and makes one draw, ``random``, of its rows, the
-    # rows of all batches add up to the trials, and no substream is built
+    # rows of all batches add up to the trials, and no substream is built;
+    # the payloads' bits are test_payload_digests_match_golden_file's
     monkeypatch.setenv("ENTROFLOW_THREADS", threads)
     substreams, philoxes, draws, rows = [], [], [], []
     keyed, philox, generator = qmath.substream, np.random.Philox, np.random.Generator
@@ -44,13 +44,11 @@ def test_ineq_keys_its_trials_per_batch(tmp_path, monkeypatch, threads):
     )
     monkeypatch.setattr(np.random, "Generator", Recorded)
     monkeypatch.setattr(cli, "uniform_rows", lambda *a: rows.append(a[3]) or qmath.uniform_rows(*a))
-    want = golden.load()
     for key, argv in golden.cases(tmp_path).items():
         if key.startswith("ineq."):
             for calls in (substreams, philoxes, draws, rows):
                 calls.clear()
-            got = hashlib.sha256(golden.payload_bytes(argv, tmp_path)).hexdigest()
-            assert got == want[key]
+            golden.payload_bytes(argv, tmp_path)
             trials = int(argv[argv.index("--trials") + 1])
             assert 0 < len(philoxes) == len(draws) == len(rows), key
             assert draws == [["random"]] * len(rows), key

@@ -15,6 +15,7 @@ from conftest import (
     oracle_density,
     oracle_gibbs_evolution,
     oracle_subsystem_entropy,
+    quench_cancelled,
     to_eigenframe,
 )
 
@@ -148,53 +149,64 @@ class TestAverageCorrelationBound:
 
 class TestGibbsEvolutionIdentity:
     def test_identity_channel_all_zero(self):
-        report = gibbs_evolution_identity(QUBIT, 1.0, identity_channel(2), QUBIT_H)
+        report = gibbs_evolution_identity(QUBIT, 1.0, identity_channel(2))
         assert report.beta_du == 0.0
         assert report.ds == 0.0
         assert abs(report.rhs) <= 1e-12
         assert report.identity_gap <= 1e-12
 
     def test_haar_channel_ensemble(self):
-        # contact with a random ancilla through a Haar unitary, no quench:
-        # the heat-only reduction beta*Q - dS >= 0 and the identity both hold
+        # contact with a random ancilla through a Haar unitary: beta_du is
+        # beta times the heat the system takes, the reduction beta*Q - dS >= 0
+        # and the identity both hold
         rng = substream(21, 5)
+        rho_i = gibbs_state(QUBIT, 1.0)
         for _ in range(200):
             ancilla = DensityOperator(random_density(2, int(rng.integers(1, 3)), rng), (2,))
             channel = AncillaChannel(haar_unitary(4, rng), ancilla.matrix)
-            report = gibbs_evolution_identity(QUBIT, 1.0, channel, QUBIT_H)
+            report = gibbs_evolution_identity(QUBIT, 1.0, channel)
+            heat = float(np.trace((channel.apply(rho_i) - rho_i) @ QUBIT_H).real)
+            assert abs(report.beta_du - heat) <= 1e-12
             assert report.identity_gap < 1e-9
             assert report.rhs >= -1e-10
-            # with H_f = H_i the rhs reduces to beta*Q - dS
-            assert abs(report.rhs - (report.beta_du - report.ds)) <= 1e-12
 
     def test_quench_identity_channel(self):
-        # doubling the gap at fixed state: the quench term cancels beta*dU
-        # exactly and both sides stay zero
+        # doubling the gap at fixed state: on the oracle's quench form the
+        # quench term cancels beta*dU exactly and both sides stay zero, as
+        # they do in the library's report, which has no quench
         h_f = np.diag([0.0, 2.0])
-        report = gibbs_evolution_identity(QUBIT, 1.0, identity_channel(2), h_f)
         rho = gibbs_state(QUBIT, 1.0)
         du = float(np.trace(rho @ (h_f - QUBIT_H)).real)
-        assert abs(report.beta_du - du) <= 1e-12
-        assert abs(report.beta_tr_rhof_dh - du) <= 1e-12
-        assert report.identity_gap <= 1e-9
-        assert abs(report.rhs) <= 1e-12
+        want = oracle_gibbs_evolution(
+            QUBIT.levels, np.eye(2), 1.0, np.eye(2), np.eye(1), np.diag(h_f), np.eye(2)
+        )
+        assert abs(want["beta_du"] - du) <= 1e-12
+        assert abs(want["beta_tr_rhof_dh"] - du) <= 1e-12
+        assert want["identity_gap"] <= 1e-9
+        assert abs(want["rhs"]) <= 1e-12
+        report = gibbs_evolution_identity(QUBIT, 1.0, identity_channel(2))
+        for field, value in quench_cancelled(want).items():
+            assert abs(getattr(report, field) - value) <= 1e-12, field
 
-    def test_quench_with_unitary_matches_relative_entropy(self):
+    def test_unitary_channel_matches_relative_entropy(self):
         rng = substream(21, 6)
-        h_f = np.diag([0.0, 2.0])
         for _ in range(100):
             u = haar_unitary(2, rng)
             channel = AncillaChannel(u, np.eye(1, dtype=complex))
-            report = gibbs_evolution_identity(QUBIT, 1.3, channel, h_f)
+            report = gibbs_evolution_identity(QUBIT, 1.3, channel)
             rho_i = DensityOperator(gibbs_state(QUBIT, 1.3), (2,))
             rho_f = DensityOperator(u @ rho_i.matrix @ u.conj().T, (2,))
             assert abs(report.relative_entropy_lhs - relative_entropy(rho_f, rho_i)) <= 1e-12
+            assert abs(report.rhs - relative_entropy(rho_f, rho_i)) <= 1e-12
             assert report.identity_gap < 1e-9
             assert report.rhs >= -1e-10
 
     def test_random_beta_quench_channel_ensemble(self):
-        # a rotated H_i = B_i diag(E_i) B_i^dag, passed in its eigenframe:
-        # every field agrees with the oracle in the original frame
+        # a rotated H_i = B_i diag(E_i) B_i^dag, passed in its eigenframe,
+        # against the oracle in the original frame with a random quench to
+        # H_f != H_i that the library never sees: its rhs is the paper's
+        # beta*dU - dS - beta*tr(rho_f dH), and every other field agrees
+        # once the quench term cancels
         rng = substream(21, 7)
         for _ in range(200):
             beta = float(np.exp(rng.uniform(np.log(0.1), np.log(10.0))))
@@ -202,14 +214,16 @@ class TestGibbsEvolutionIdentity:
             levels_f, basis_f = np.sort(rng.uniform(0.0, 1.2, 2)), haar_unitary(2, rng)
             ancilla = DensityOperator(random_density(2, int(rng.integers(1, 3)), rng), (2,))
             unitary = haar_unitary(4, rng)
-            h_f, u = to_eigenframe(basis_i, levels_f, basis_f, unitary, 2)
+            u = to_eigenframe(basis_i, unitary, 2)
             report = gibbs_evolution_identity(
-                HamiltonianSpec(levels_i), beta, AncillaChannel(u, ancilla.matrix), h_f
+                HamiltonianSpec(levels_i), beta, AncillaChannel(u, ancilla.matrix)
             )
             want = oracle_gibbs_evolution(
                 levels_i, basis_i, beta, unitary, ancilla.matrix, levels_f, basis_f
             )
-            for field, value in want.items():
+            assert abs(want["beta_tr_rhof_dh"]) > 1e-6
+            assert abs(report.rhs - want["rhs"]) <= 1e-12
+            for field, value in quench_cancelled(want).items():
                 assert abs(getattr(report, field) - value) <= 1e-12, field
             assert report.identity_gap <= 1e-9
             assert report.rhs >= -1e-10
@@ -221,18 +235,19 @@ class TestGibbsEvolutionIdentity:
         h = HamiltonianSpec(np.array([0.0, 40.0]))
         mixed = np.eye(2, dtype=complex) / 2
         channel = AncillaChannel(haar_unitary(4, substream(3, 1)), mixed)
-        report = gibbs_evolution_identity(h, 1.0, channel, np.diag(h.levels))
+        report = gibbs_evolution_identity(h, 1.0, channel)
         assert report.identity_gap <= 1e-9
         assert report.rhs >= -1e-10
 
     def test_rejects_nonpositive_beta(self):
         with pytest.raises(InvalidSpec, match="beta must be finite and positive"):
-            gibbs_evolution_identity(QUBIT, 0.0, identity_channel(2), QUBIT_H)
+            gibbs_evolution_identity(QUBIT, 0.0, identity_channel(2))
 
     def test_rejects_dim_mismatch(self):
-        h_f = np.diag([0.0, 1.0, 2.0])
-        with pytest.raises(DimensionMismatch):
-            gibbs_evolution_identity(QUBIT, 1.0, identity_channel(2), h_f)
+        # a 3 x 3 unitary cannot act on a qubit with a qubit ancilla (4 x 4)
+        channel = AncillaChannel(np.eye(3, dtype=complex), np.eye(2, dtype=complex) / 2)
+        with pytest.raises(DimensionMismatch, match=r"unitary shape \(3, 3\) != system\*ancilla dim 4"):
+            gibbs_evolution_identity(QUBIT, 1.0, channel)
 
 
 def random_stack(d: int, n: int, rng) -> np.ndarray:
@@ -279,7 +294,8 @@ class TestStackedKernel:
     @pytest.mark.parametrize("d_sys, d_anc", [(2, 1), (2, 2), (3, 2), (2, 4), (4, 3), (8, 2)])
     def test_eq2_kernel_matches_per_state_loop(self, d_sys, d_anc):
         # rotated H_i stacks, passed in their eigenframes, against the
-        # oracle of each trial in its original frame
+        # oracle of each trial in its original frame, quenched to a random
+        # H_f that the kernel never sees
         rng = substream(22, 100 + d_sys, d_anc)
         n = 10
         beta = np.exp(rng.uniform(np.log(0.1), np.log(10.0), n))
@@ -289,18 +305,18 @@ class TestStackedKernel:
         )
         unitary = np.stack([haar_unitary(d_sys * d_anc, rng) for _ in range(n)])
         ancilla = random_stack(d_anc, n, rng)
-        h_f, u = to_eigenframe(basis_i, levels_f, basis_f, unitary, d_anc)
         report = gibbs_evolution_identity(
             HamiltonianSpec(levels_i),
             beta,
-            AncillaChannel(u, DensityOperator(ancilla, (d_anc,)).matrix),
-            h_f,
+            AncillaChannel(
+                to_eigenframe(basis_i, unitary, d_anc), DensityOperator(ancilla, (d_anc,)).matrix
+            ),
         )
         for t in range(n):
             want = oracle_gibbs_evolution(
                 levels_i[t], basis_i[t], beta[t], unitary[t], ancilla[t], levels_f[t], basis_f[t]
             )
-            for field, value in want.items():
+            for field, value in quench_cancelled(want).items():
                 assert abs(getattr(report, field)[t] - value) <= 1e-12, field
 
     def test_eq2_solves_the_final_states_alone(self, eigensolve_shapes):
@@ -309,16 +325,14 @@ class TestStackedKernel:
         # states, and one trial one of its final state
         rng = substream(22, 200)
         n, d_sys, d_anc = 5, 3, 2
-        levels_i, levels_f = (np.sort(rng.uniform(0.0, 1.2, (n, d_sys)), axis=-1) for _ in range(2))
-        basis_f = np.stack([haar_unitary(d_sys, rng) for _ in range(n)])
-        h_i, h_f = HamiltonianSpec(levels_i), (basis_f * levels_f[:, None]) @ dagger(basis_f)
+        h_i = HamiltonianSpec(np.sort(rng.uniform(0.0, 1.2, (n, d_sys)), axis=-1))
         unitary = np.stack([haar_unitary(d_sys * d_anc, rng) for _ in range(n)])
         channel = AncillaChannel(unitary, random_stack(d_anc, n, rng))
         beta = np.exp(rng.uniform(np.log(0.1), np.log(10.0), n))
-        stacked = gibbs_evolution_identity(h_i, beta, channel, h_f)
+        stacked = gibbs_evolution_identity(h_i, beta, channel)
         assert eigensolve_shapes == [(n, d_sys, d_sys)]
         one = AncillaChannel(unitary[0], channel.ancilla[0])
-        single = gibbs_evolution_identity(HamiltonianSpec(levels_i[0]), float(beta[0]), one, h_f[0])
+        single = gibbs_evolution_identity(HamiltonianSpec(h_i.levels[0]), float(beta[0]), one)
         assert eigensolve_shapes[1:] == [(d_sys, d_sys)]
         assert all(type(x) is float for x in dataclasses.astuple(single))
         assert max(single.identity_gap, stacked.identity_gap[0]) <= 1e-14
